@@ -18,20 +18,23 @@ scale factor, so the theta gradient stays unbiased when strata are mixed)
 plus the deduplicated vertex set that update_phi will treat.
 
 Neighbor sets V_n for update_phi are sampled here too
-(:meth:`MinibatchSampler.sample_neighbors`): n uniform vertices per
-mini-batch vertex, with held-out pairs masked out so test data never
-leaks into training.
+(:func:`sample_neighbor_sets`, which every engine calls): n uniform
+vertices per mini-batch vertex, with held-out pairs masked out so test
+data never leaks into training. Both ``y_ab`` and the held-out test are
+row lookups (:func:`repro.graph.graph.rows_contain`) in the adjacency of
+the mini-batch vertices only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, in_sorted
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,58 @@ class NeighborSample:
         return self.mask.sum(axis=1, keepdims=True)
 
 
+def heldout_rows(heldout_keys: Optional[np.ndarray], n_vertices: int) -> Optional[Graph]:
+    """The held-out pairs (canonical keys) as a graph, ``None`` when empty.
+
+    Built once per engine so that held-out exclusion is a lookup in the
+    few held-out pairs of the mini-batch rows, not a search of E_h.
+    """
+    if heldout_keys is None or not len(heldout_keys):
+        return None
+    lo, hi = np.divmod(np.unique(np.asarray(heldout_keys, dtype=np.int64)), n_vertices)
+    return Graph(n_vertices, np.column_stack([lo, hi])[lo != hi])
+
+
+def sample_neighbor_sets(
+    vertices: np.ndarray,
+    rng: np.random.Generator,
+    n_vertices: int,
+    n_sample: int,
+    links_against: Callable[[np.ndarray], np.ndarray],
+    heldout: Optional[Graph],
+) -> NeighborSample:
+    """Sample V_n (``n_sample`` uniform vertices) per mini-batch vertex.
+
+    The one neighbor-sampling routine of every engine. ``links_against``
+    answers ``y_ab`` for an (m, n) candidate matrix against the rows of
+    ``vertices`` and is the only thing that differs between them:
+    ``Graph.links_from`` on the training graph or on a mapped CSR
+    container, ``AdjacencySlice.links_against`` on a scattered slice.
+
+    Self-pairs and held-out pairs are masked out rather than resampled,
+    which keeps the draw vectorized; the phi update divides by the
+    per-row effective count, so the estimator stays unbiased.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    neighbors = rng.integers(0, n_vertices, size=(vertices.size, n_sample))
+    mask = neighbors != vertices[:, None]
+    if heldout is not None:
+        mask &= ~heldout.links_from(vertices, neighbors)
+    # Guarantee an active neighbor per row where one exists (degenerate
+    # rows would otherwise divide by zero): replace the first column by
+    # the next vertex id, unless that pair is itself held out.
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        repl = (vertices[empty] + 1) % n_vertices
+        neighbors[empty, 0] = repl
+        active = repl != vertices[empty]
+        if heldout is not None:
+            active &= ~heldout.links_from(vertices[empty], repl[:, None])[:, 0]
+        mask[empty, 0] = active
+    labels = links_against(neighbors) & mask
+    return NeighborSample(neighbors=neighbors, labels=labels, mask=mask)
+
+
 class MinibatchSampler:
     """Draws mini-batches and neighbor sets from a training graph.
 
@@ -148,6 +203,7 @@ class MinibatchSampler:
             else np.zeros(0, dtype=np.int64)
         )
         n = graph.n_vertices
+        self.heldout = heldout_rows(self.heldout_keys, n)
         avg_degree = 2.0 * graph.n_edges / n if n else 0.0
         self.nonlink_stratum_size = int(
             nonlink_stratum_size
@@ -159,14 +215,6 @@ class MinibatchSampler:
         self.n_partitions = max(1, int(np.ceil((n - 1) / self.nonlink_stratum_size)))
 
     # -- strata ------------------------------------------------------------
-
-    def _in_heldout(self, keys: np.ndarray) -> np.ndarray:
-        if not self.heldout_keys.size or not keys.size:
-            return np.zeros(keys.shape, dtype=bool)
-        idx = np.minimum(
-            np.searchsorted(self.heldout_keys, keys), self.heldout_keys.size - 1
-        )
-        return self.heldout_keys[idx] == keys
 
     def _link_stratum(self, a: int) -> Optional[Stratum]:
         nbrs = self.graph.neighbors(a)
@@ -191,15 +239,11 @@ class MinibatchSampler:
                 break
             cand = rng.integers(0, n, size=2 * (size - picked.size) + 8)
             cand = cand[cand != a]
-            pairs = np.column_stack([np.full(cand.size, a, dtype=np.int64), cand])
-            linked = self.graph.has_edges(pairs)
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            keys = lo * np.int64(n) + hi
-            held = self._in_heldout(keys)
+            valid = cand[~in_sorted(self.graph.neighbors(a), cand)]
+            if self.heldout is not None:
+                valid = valid[~in_sorted(self.heldout.neighbors(a), valid)]
             # Keep the first occurrence of each fresh vertex in candidate
             # order — identical picks (and RNG stream) to a scalar loop.
-            valid = cand[~linked & ~held]
             _, first = np.unique(valid, return_index=True)
             fresh = valid[np.sort(first)]
             if picked.size:
@@ -238,12 +282,7 @@ class MinibatchSampler:
                 f"full-batch strategy limited to N <= {self.FULL_BATCH_MAX_VERTICES}"
             )
         pairs = np.column_stack(np.triu_indices(n, k=1)).astype(np.int64)
-        if self.heldout_keys.size:
-            lo = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-            idx = np.minimum(
-                np.searchsorted(self.heldout_keys, lo), self.heldout_keys.size - 1
-            )
-            pairs = pairs[self.heldout_keys[idx] != lo]
+        pairs = pairs[~in_sorted(self.heldout_keys, pairs[:, 0] * np.int64(n) + pairs[:, 1])]
         labels = self.graph.has_edges(pairs)
         stratum = Stratum(pairs=pairs, labels=labels, scale=1.0)
         return Minibatch(strata=[stratum], vertices=np.arange(n, dtype=np.int64))
@@ -258,7 +297,7 @@ class MinibatchSampler:
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         keys = lo * np.int64(n) + hi
-        pairs = pairs[~self._in_heldout(keys)][:n_pairs]
+        pairs = pairs[~in_sorted(self.heldout_keys, keys)][:n_pairs]
         if pairs.shape[0] == 0:
             raise RuntimeError("failed to sample any valid pair")
         labels = self.graph.has_edges(pairs)
@@ -306,37 +345,12 @@ class MinibatchSampler:
     def sample_neighbors(
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> NeighborSample:
-        """Sample V_n (n uniform vertices) per mini-batch vertex.
-
-        Self-pairs and held-out pairs are masked out rather than resampled,
-        which keeps the draw vectorized; the phi update divides by the
-        per-row effective count, so the estimator stays unbiased.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        m = vertices.size
-        n_sample = self.config.neighbor_sample_size
-        n = self.graph.n_vertices
-        neighbors = rng.integers(0, n, size=(m, n_sample))
-        mask = neighbors != vertices[:, None]
-        flat_pairs = np.column_stack([
-            np.repeat(vertices, n_sample),
-            neighbors.reshape(-1),
-        ])
-        lo = np.minimum(flat_pairs[:, 0], flat_pairs[:, 1])
-        hi = np.maximum(flat_pairs[:, 0], flat_pairs[:, 1])
-        keys = lo * np.int64(n) + hi
-        held = self._in_heldout(keys).reshape(m, n_sample)
-        mask &= ~held
-        labels = self.graph.has_edges(flat_pairs).reshape(m, n_sample)
-        labels &= mask
-        # Guarantee at least one active neighbor per row (degenerate rows
-        # would otherwise divide by zero): force-enable the first non-self
-        # column, falling back to wrapping the vertex id.
-        empty = ~mask.any(axis=1)
-        if np.any(empty):
-            rows = np.flatnonzero(empty)
-            repl = (vertices[rows] + 1) % n
-            neighbors[rows, 0] = repl
-            mask[rows, 0] = repl != vertices[rows]
-            labels[rows, 0] = False
-        return NeighborSample(neighbors=neighbors, labels=labels, mask=mask)
+        """Sample V_n per mini-batch vertex (:func:`sample_neighbor_sets`)."""
+        return sample_neighbor_sets(
+            vertices,
+            rng,
+            self.graph.n_vertices,
+            self.config.neighbor_sample_size,
+            partial(self.graph.links_from, vertices),
+            self.heldout,
+        )

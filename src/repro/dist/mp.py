@@ -51,6 +51,7 @@ import time
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -59,7 +60,7 @@ import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.core import gradients, kernels
-from repro.core.minibatch import NeighborSample, concat_strata
+from repro.core.minibatch import concat_strata, heldout_rows, sample_neighbor_sets
 from repro.core.state import ModelState, init_state
 from repro.dist.master import MasterContext
 from repro.dist.partition import WorkerShard
@@ -153,48 +154,10 @@ def _worker_loop(
             config = config.with_updates(kernel_backend=backend.name)
         backend.warmup()
         workspace = kernels.KernelWorkspace()
-        hk = (
-            np.sort(np.asarray(heldout_keys, dtype=np.int64))
-            if heldout_keys is not None and len(heldout_keys)
-            else np.zeros(0, dtype=np.int64)
-        )
+        heldout = heldout_rows(heldout_keys, n_vertices)
         k = config.n_communities
         pending: Optional[_PhiResult] = None
         shard: Optional[WorkerShard] = None
-
-        def in_heldout(keys: np.ndarray) -> np.ndarray:
-            if not hk.size or not keys.size:
-                return np.zeros(keys.shape, dtype=bool)
-            idx = np.minimum(np.searchsorted(hk, keys), hk.size - 1)
-            return hk[idx] == keys
-
-        def sample_neighbors(sh: WorkerShard) -> NeighborSample:
-            vs = sh.vertices
-            m = vs.size
-            n_sample = config.neighbor_sample_size
-            neighbors = rng.integers(0, n_vertices, size=(m, n_sample))
-            mask = neighbors != vs[:, None]
-            lo = np.minimum(vs[:, None], neighbors)
-            hi = np.maximum(vs[:, None], neighbors)
-            mask &= ~in_heldout(lo * np.int64(n_vertices) + hi)
-            if sh.adjacency is not None:
-                labels = sh.adjacency.links_against(neighbors) & mask
-            else:
-                # Shared-graph mode: the adjacency never left the master;
-                # test linkedness against the mapped CSR. Identical
-                # semantics to links_against (self-pairs test False).
-                pairs = np.column_stack(
-                    [np.repeat(vs, neighbors.shape[1]), neighbors.reshape(-1)]
-                )
-                labels = mapped_graph.has_edges(pairs).reshape(neighbors.shape) & mask
-            empty = ~mask.any(axis=1)
-            if np.any(empty):
-                rows = np.flatnonzero(empty)
-                repl = (vs[rows] + 1) % n_vertices
-                neighbors[rows, 0] = repl
-                mask[rows, 0] = repl != vs[rows]
-                labels[rows, 0] = False
-            return NeighborSample(neighbors=neighbors, labels=labels, mask=mask)
 
         while True:
             try:
@@ -224,7 +187,15 @@ def _worker_loop(
                     pending = _PhiResult(vs, np.zeros((0, k + 1)))
                     send_result(("phi_done", worker_id, seq, worker_id, None))
                     continue
-                ns = sample_neighbors(shard)
+                if shard.adjacency is not None:
+                    links_against = shard.adjacency.links_against
+                else:
+                    # Shared-graph mode ships no adjacency: the rows come
+                    # from the mapped CSR (same lookup, same answers).
+                    links_against = partial(mapped_graph.links_from, vs)
+                ns = sample_neighbor_sets(
+                    vs, rng, n_vertices, config.neighbor_sample_size, links_against, heldout
+                )
                 all_keys = np.concatenate([vs, ns.neighbors.reshape(-1)])
                 values = table[all_keys]
                 pi_a = values[: vs.size, :-1]

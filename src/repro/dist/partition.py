@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.minibatch import Minibatch, Stratum
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, rows_contain
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,10 @@ class AdjacencySlice:
     def links_against(self, neighbors: np.ndarray) -> np.ndarray:
         """Vectorized ``y_ab`` for a (m, n) neighbor matrix.
 
-        Row i is tested against the adjacency of ``vertices[i]`` with a
-        per-row binary search (rows are sorted).
+        Row i is tested against the adjacency of ``vertices[i]``
+        (:func:`repro.graph.graph.rows_contain`).
         """
-        m, n = neighbors.shape
-        if m != self.vertices.size:
-            raise ValueError("neighbor matrix row count != slice vertices")
-        out = np.zeros((m, n), dtype=bool)
-        for i in range(m):
-            adj = self.row(i)
-            if adj.size == 0:
-                continue
-            pos = np.searchsorted(adj, neighbors[i])
-            pos = np.minimum(pos, adj.size - 1)
-            out[i] = adj[pos] == neighbors[i]
-        return out
+        return rows_contain(self.indptr, self.indices, neighbors)
 
 
 def adjacency_slice(graph: Graph, vertices: np.ndarray) -> AdjacencySlice:

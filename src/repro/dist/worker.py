@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.core import kernels
-from repro.core.minibatch import NeighborSample, concat_strata
+from repro.core.minibatch import NeighborSample, concat_strata, heldout_rows, sample_neighbor_sets
 from repro.cluster.dkv import DKVStore, DKVTraffic
 from repro.dist.partition import WorkerShard
 
@@ -45,8 +45,8 @@ class WorkerContext:
         config: shared configuration.
         n_vertices: N (needed for neighbor sampling and update scales).
         dkv: the distributed KV store holding ``[pi | phi_sum]`` rows.
-        heldout_keys: sorted canonical held-out keys (broadcast at init),
-            masked out of neighbor sets.
+        heldout_keys: canonical held-out keys (broadcast at init), masked
+            out of neighbor sets.
     """
 
     def __init__(
@@ -61,11 +61,7 @@ class WorkerContext:
         self.config = config
         self.n_vertices = n_vertices
         self.dkv = dkv
-        self.heldout_keys = (
-            np.sort(np.asarray(heldout_keys, dtype=np.int64))
-            if heldout_keys is not None and len(heldout_keys)
-            else np.zeros(0, dtype=np.int64)
-        )
+        self.heldout = heldout_rows(heldout_keys, n_vertices)
         # Independent per-worker streams; offsets keep them disjoint from
         # the master's streams for any worker count.
         self.rng = np.random.default_rng(config.seed + 1009 * (worker + 1))
@@ -78,36 +74,17 @@ class WorkerContext:
 
     # -- neighbor sampling ----------------------------------------------------
 
-    def _in_heldout(self, keys: np.ndarray) -> np.ndarray:
-        if not self.heldout_keys.size or not keys.size:
-            return np.zeros(keys.shape, dtype=bool)
-        idx = np.minimum(
-            np.searchsorted(self.heldout_keys, keys), self.heldout_keys.size - 1
-        )
-        return self.heldout_keys[idx] == keys
-
     def sample_neighbors(self, shard: WorkerShard) -> NeighborSample:
         """Draw V_n per shard vertex; labels come from the scattered
         adjacency slice — the worker has no other view of E."""
-        vertices = shard.vertices
-        m = vertices.size
-        n_sample = self.config.neighbor_sample_size
-        n = self.n_vertices
-        neighbors = self.rng.integers(0, n, size=(m, n_sample))
-        mask = neighbors != vertices[:, None]
-        lo = np.minimum(vertices[:, None], neighbors)
-        hi = np.maximum(vertices[:, None], neighbors)
-        keys = lo * np.int64(n) + hi
-        mask &= ~self._in_heldout(keys)
-        labels = shard.adjacency.links_against(neighbors) & mask
-        empty = ~mask.any(axis=1)
-        if np.any(empty):
-            rows = np.flatnonzero(empty)
-            repl = (vertices[rows] + 1) % n
-            neighbors[rows, 0] = repl
-            mask[rows, 0] = repl != vertices[rows]
-            labels[rows, 0] = False
-        return NeighborSample(neighbors=neighbors, labels=labels, mask=mask)
+        return sample_neighbor_sets(
+            shard.vertices,
+            self.rng,
+            self.n_vertices,
+            self.config.neighbor_sample_size,
+            shard.adjacency.links_against,
+            self.heldout,
+        )
 
     # -- update_phi / update_pi --------------------------------------------------
 

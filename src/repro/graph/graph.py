@@ -1,4 +1,4 @@
-"""Compact undirected graph with CSR adjacency and O(log d) edge queries.
+"""Compact undirected graph with CSR adjacency and two kinds of edge query.
 
 The SG-MCMC algorithm needs three graph operations, all of which must be
 fast and vectorized:
@@ -12,14 +12,23 @@ fast and vectorized:
   stratified mini-batch sampler.
 
 Edges are stored canonically (``a < b``) in a sorted key array
-(``key = a * N + b``), so membership tests are a vectorized
-``np.searchsorted``. The CSR arrays cover both directions.
+(``key = a * N + b``) and as CSR rows over both directions, sorted within
+each row. Which ``y_ab`` query costs what:
+
+- :meth:`Graph.has_edges` — any (m, 2) pair list (ingest dedup, random-pair
+  and full-batch strata, analysis): one ``np.searchsorted`` over the global
+  key array, O(log E) per pair and a cache miss per probe on a large graph.
+- :meth:`Graph.links_from` / :func:`rows_contain` — an (m, n) candidate
+  matrix whose row i is asked against the adjacency of one vertex, which is
+  what every neighbor-sampling path asks: the m touched rows (the "subset
+  of E touched by the mini-batch", paper Section III-A — from the graph, a
+  scattered slice or a mapped CSR container) become one small sorted key
+  array, searched once: O(log sum-of-degrees) per pair, cache-resident.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +47,34 @@ def edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
     return lo * np.int64(n) + hi
+
+
+def in_sorted(haystack: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Elementwise membership of ``values`` in the sorted 1-d ``haystack``."""
+    if not haystack.size or not values.size:
+        return np.zeros(values.shape, dtype=bool)
+    idx = np.minimum(np.searchsorted(haystack, values), haystack.size - 1)
+    return haystack[idx] == values
+
+
+def rows_contain(
+    indptr: np.ndarray, indices: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """Whether row i of a compact CSR holds ``candidates[i, j]``; (m, n) bool.
+
+    Rows must be sorted (every CSR in this package is). Row i's entries
+    become keys ``i * stride + neighbor`` — already globally sorted — so
+    the whole matrix is answered by one ``searchsorted`` against a key
+    array the size of the touched rows, not of E.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    m = candidates.shape[0]
+    if len(indptr) != m + 1:
+        raise ValueError("candidate matrix row count != CSR rows")
+    stride = max(int(indices.max(initial=0)), int(candidates.max(initial=0))) + 1
+    offsets = np.arange(m, dtype=np.int64) * stride
+    keys = np.repeat(offsets, np.diff(indptr)) + indices
+    return in_sorted(keys, offsets[:, None] + candidates)
 
 
 class Graph:
@@ -194,11 +231,7 @@ class Graph:
         # so they naturally test False.
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = lo * np.int64(self.n_vertices) + hi
-        if not self._keys.size:
-            return np.zeros(len(pairs), dtype=bool)
-        idx = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return self._keys[idx] == keys
+        return in_sorted(self._keys, lo * np.int64(self.n_vertices) + hi)
 
     def adjacency_slice(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR sub-slices for a vertex set.
@@ -209,13 +242,23 @@ class Graph:
         workers (paper Section III-A).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        counts = self._csr_indptr[vertices + 1] - self._csr_indptr[vertices]
+        starts = self._csr_indptr[vertices]
+        counts = self._csr_indptr[vertices + 1] - starts
         out_indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
         np.cumsum(counts, out=out_indptr[1:])
-        out_indices = np.empty(int(out_indptr[-1]), dtype=np.int64)
-        for i, v in enumerate(vertices):
-            out_indices[out_indptr[i] : out_indptr[i + 1]] = self.neighbors(int(v))
-        return out_indptr, out_indices
+        # Loop-free ragged gather: position j of output row i reads
+        # indices[starts[i] + j]; ``vertices`` may be unsorted and repeat.
+        take = np.arange(out_indptr[-1], dtype=np.int64)
+        take += np.repeat(starts - out_indptr[:-1], counts)
+        return out_indptr, self._csr_indices[take]
+
+    def links_from(self, vertices: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """``y_ab`` for ``a = vertices[i]``, ``b = candidates[i, j]``; (m, n) bool.
+
+        Equal to :meth:`has_edges` on the same pairs (self-pairs test
+        False), answered from the m touched rows alone.
+        """
+        return rows_contain(*self.adjacency_slice(vertices), candidates)
 
     # -- sampling ----------------------------------------------------------
 
@@ -233,37 +276,30 @@ class Graph:
         n = self.n_vertices
         if n < 2:
             raise ValueError("need >= 2 vertices to sample pairs")
-        rows: list[np.ndarray] = []
-        n_found = 0
-        seen: set[int] = set()  # dedupe within the sample
-        max_rounds = 100
-        for _ in range(max_rounds):
-            if n_found >= m:
+        picked = np.zeros((0, 2), dtype=np.int64)
+        picked_keys = np.zeros(0, dtype=np.int64)
+        for _ in range(100):  # rounds
+            if len(picked) >= m:
                 break
-            need = (m - n_found) * 2 + 16
+            need = (m - len(picked)) * 2 + 16
             a = rng.integers(0, n, size=need)
             b = rng.integers(0, n, size=need)
             ok = a != b
             cand = np.column_stack([np.minimum(a, b), np.maximum(a, b)])[ok]
             keys = cand[:, 0] * np.int64(n) + cand[:, 1]
-            linked = np.zeros(len(cand), dtype=bool)
-            if self._keys.size:
-                idx = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-                linked = self._keys[idx] == keys
-            keep = ~linked
-            if exclude_keys is not None and exclude_keys.size:
-                idx = np.minimum(np.searchsorted(exclude_keys, keys), exclude_keys.size - 1)
-                keep &= exclude_keys[idx] != keys
-            for row, k in zip(cand[keep], keys[keep]):
-                if int(k) not in seen:
-                    seen.add(int(k))
-                    rows.append(row)
-                    n_found += 1
-                    if n_found >= m:
-                        break
-        if n_found < m:
+            keep = ~in_sorted(self._keys, keys)
+            if exclude_keys is not None:
+                keep &= ~in_sorted(exclude_keys, keys)
+            # Dedupe within the sample: the first occurrence of each fresh
+            # key, in candidate order — the picks of a scalar seen-set loop.
+            _, first = np.unique(keys[keep], return_index=True)
+            fresh = np.flatnonzero(keep)[np.sort(first)]
+            fresh = fresh[~np.isin(keys[fresh], picked_keys)]
+            picked = np.concatenate([picked, cand[fresh]])[:m]
+            picked_keys = np.concatenate([picked_keys, keys[fresh]])
+        if len(picked) < m:
             raise RuntimeError(f"could not sample {m} non-link pairs (graph too dense?)")
-        return np.array(rows[:m], dtype=np.int64).reshape(m, 2)
+        return picked
 
     # -- derived quantities --------------------------------------------------
 
@@ -276,11 +312,7 @@ class Graph:
     def subgraph(self, remove_keys: np.ndarray) -> "Graph":
         """Graph with the edges whose keys appear in ``remove_keys`` removed."""
         remove_keys = np.sort(np.asarray(remove_keys, dtype=np.int64))
-        if remove_keys.size == 0:
-            return Graph(self.n_vertices, self.edges)
-        idx = np.minimum(np.searchsorted(remove_keys, self._keys), remove_keys.size - 1)
-        keep = remove_keys[idx] != self._keys
-        return Graph(self.n_vertices, self.edges[keep])
+        return Graph(self.n_vertices, self.edges[~in_sorted(remove_keys, self._keys)])
 
     @property
     def keys(self) -> np.ndarray:

@@ -216,6 +216,54 @@ class TestNonlinkSampling:
         assert pairs.shape == (0, 2)
 
 
+def _nonlink_pairs_scalar_loop(graph, m, rng, exclude_keys=None):
+    """``Graph.sample_nonlink_pairs`` with its original per-pair seen-set
+    dedup loop — the oracle the vectorised dedup must reproduce."""
+    n = graph.n_vertices
+    rows, seen = [], set()
+    for _ in range(100):
+        if len(rows) >= m:
+            break
+        need = (m - len(rows)) * 2 + 16
+        a = rng.integers(0, n, size=need)
+        b = rng.integers(0, n, size=need)
+        cand = np.column_stack([np.minimum(a, b), np.maximum(a, b)])[a != b]
+        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
+        keep = ~graph.has_edges(cand)
+        if exclude_keys is not None:
+            keep &= ~np.isin(keys, exclude_keys)
+        for row, k in zip(cand[keep], keys[keep]):
+            if int(k) not in seen:
+                seen.add(int(k))
+                rows.append(row)
+                if len(rows) >= m:
+                    break
+    return np.array(rows[:m], dtype=np.int64).reshape(m, 2)
+
+
+class TestNonlinkDedupMatchesScalarLoop:
+    # 12 vertices / 30 links leaves 36 non-links: asking for most of them
+    # forces duplicate candidates within a round and several rounds.
+    @pytest.mark.parametrize("m", [0, 1, 7, 25, 34])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_picks_and_same_rng_stream(self, m, seed):
+        g = Graph(12, random_edge_set(12, 30, seed=5))
+        exclude = np.sort(edge_keys(g.sample_nonlink_pairs(2, np.random.default_rng(9)), 12))
+        for exclude_keys in (None, exclude):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = g.sample_nonlink_pairs(m, got_rng, exclude_keys=exclude_keys)
+            want = _nonlink_pairs_scalar_loop(g, m, want_rng, exclude_keys)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+
+    def test_sparse_graph_single_round(self, ammsb_graph):
+        g, _ = ammsb_graph
+        got = g.sample_nonlink_pairs(500, np.random.default_rng(4))
+        want = _nonlink_pairs_scalar_loop(g, 500, np.random.default_rng(4))
+        np.testing.assert_array_equal(got, want)
+
+
 @given(
     n=st.integers(min_value=2, max_value=60),
     seed=st.integers(min_value=0, max_value=2**31),
