@@ -24,6 +24,15 @@ each row. Which ``y_ab`` query costs what:
   of E touched by the mini-batch", paper Section III-A — from the graph, a
   scattered slice or a mapped CSR container) become one small sorted key
   array, searched once: O(log sum-of-degrees) per pair, cache-resident.
+
+Graphs are immutable; two structural edits derive a new graph from the
+sorted arrays of an old one without sorting them again — an O(E) copy plus
+an O(d log E) search for d changed edges, array-for-array what
+``Graph(n, edges)`` would build:
+
+- :meth:`Graph.with_edges` — merge new pairs (and vertices) in: a stream
+  generation's compaction;
+- :meth:`Graph.subgraph` — delete edges by key: the held-out split.
 """
 
 from __future__ import annotations
@@ -77,6 +86,29 @@ def rows_contain(
     return in_sorted(keys, offsets[:, None] + candidates)
 
 
+def _canonical_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(edges, keys)`` of an (m, 2) pair list: ``lo < hi``, key-sorted."""
+    if n <= 0:
+        raise ValueError("graph needs at least one vertex")
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be (m, 2), got {edges.shape}")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    if edges.size and np.any(edges[:, 0] == edges[:, 1]):
+        raise ValueError("self-loops are not allowed")
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    keys = lo * np.int64(n) + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if keys.size and np.any(np.diff(keys) == 0):
+        raise ValueError("duplicate edges are not allowed")
+    return np.column_stack([lo[order], hi[order]]), keys
+
+
 class Graph:
     """Immutable undirected graph.
 
@@ -92,39 +124,18 @@ class Graph:
     """
 
     def __init__(self, n_vertices: int, edges: np.ndarray) -> None:
-        if n_vertices <= 0:
-            raise ValueError("graph needs at least one vertex")
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError(f"edges must be (m, 2), got {edges.shape}")
-        if edges.size and (edges.min() < 0 or edges.max() >= n_vertices):
-            raise ValueError("edge endpoint out of range")
-        if edges.size and np.any(edges[:, 0] == edges[:, 1]):
-            raise ValueError("self-loops are not allowed")
-
         self.n_vertices = int(n_vertices)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = lo * np.int64(n_vertices) + hi
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if keys.size and np.any(np.diff(keys) == 0):
-            raise ValueError("duplicate edges are not allowed")
-        self._keys = keys
-        self.edges = np.column_stack([lo[order], hi[order]])
-        self.n_edges = int(keys.size)
+        self.edges, self._keys = _canonical_edges(self.n_vertices, edges)
+        self.n_edges = int(self._keys.size)
 
-        # CSR over both directions.
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order2 = np.argsort(src, kind="stable")
-        self._csr_indices = dst[order2]
-        self._csr_indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-        np.add.at(self._csr_indptr, src + 1, 1)
-        np.cumsum(self._csr_indptr, out=self._csr_indptr)
-        self._sort_adjacency()
+        # CSR over both directions. ``edges`` is sorted by (lo, hi), so with
+        # the (hi -> lo) entries first one stable sort by source leaves each
+        # row sorted: neighbors below v in lo order, then those above it.
+        src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        self._csr_indices = dst[np.argsort(src, kind="stable")]
+        self._csr_indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n_vertices), out=self._csr_indptr[1:])
 
     @classmethod
     def from_csr(
@@ -139,8 +150,8 @@ class Graph:
         """Construct a graph over already-canonical CSR arrays, zero-copy.
 
         ``__init__`` re-canonicalizes from scratch: an O(m log m) sort of
-        the key array, an ``np.add.at`` histogram, and a per-row lexsort
-        of the adjacency — all of which allocate fresh arrays. When the
+        the key array and a second sort for the adjacency, both of which
+        allocate fresh arrays. When the
         arrays come out of a trusted producer (the CSR container written
         by :func:`repro.graph.io.save_csr`, whose bytes are sealed by
         per-array sha256 digests), that work is pure overhead and the
@@ -192,13 +203,6 @@ class Graph:
         g._csr_indptr = indptr
         g._csr_indices = indices
         return g
-
-    def _sort_adjacency(self) -> None:
-        indptr, indices = self._csr_indptr, self._csr_indices
-        # Vectorized per-row sort: sort by (row, value) pairs.
-        rows = np.repeat(np.arange(self.n_vertices, dtype=np.int64), np.diff(indptr))
-        order = np.lexsort((indices, rows))
-        self._csr_indices = indices[order]
 
     # -- queries -----------------------------------------------------------
 
@@ -309,15 +313,69 @@ class Graph:
         total = n * (n - 1) / 2
         return self.n_edges / total if total else 0.0
 
-    def subgraph(self, remove_keys: np.ndarray) -> "Graph":
-        """Graph with the edges whose keys appear in ``remove_keys`` removed."""
-        remove_keys = np.sort(np.asarray(remove_keys, dtype=np.int64))
-        return Graph(self.n_vertices, self.edges[~in_sorted(remove_keys, self._keys)])
-
     @property
     def keys(self) -> np.ndarray:
         """Sorted canonical keys of all edges (read-only view)."""
         return self._keys
+
+    # -- structural edits ----------------------------------------------------
+
+    def _directed(self, pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, neighbors, at)`` of the 2d directed entries of canonical
+        ``pairs`` in CSR order; ``at`` is where each sits (or belongs) in
+        ``indices``, found against the row-offset keys ``row * n + neighbor``
+        (sorted as they stand, like :func:`rows_contain`'s)."""
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        nbrs = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        keys = rows * np.int64(n) + nbrs
+        order = np.argsort(keys)
+        row_keys = np.repeat(np.arange(self.n_vertices, dtype=np.int64) * n, self.degrees)
+        row_keys += self._csr_indices  # 2E keys, dropped on return
+        return rows[order], nbrs[order], np.searchsorted(row_keys, keys[order])
+
+    def with_edges(self, pairs: np.ndarray, n_vertices: Optional[int] = None) -> "Graph":
+        """Graph with ``pairs`` (and vertices up to ``n_vertices``) added.
+
+        Equal, array for array, to ``Graph(n_vertices, concat(edges, pairs))``
+        and rejects what that rejects, but sorts only ``pairs``: they are
+        searched into the sorted key array and the sorted CSR rows.
+        """
+        n = self.n_vertices if n_vertices is None else int(n_vertices)
+        if n < self.n_vertices:
+            raise ValueError(f"cannot shrink {self.n_vertices} vertices to {n}")
+        new_edges, new_keys = _canonical_edges(n, pairs)
+        # Re-keying under a larger N keeps the (lo, hi) order.
+        keys = self._keys if n == self.n_vertices else edge_keys(self.edges, n)
+        if in_sorted(keys, new_keys).any():
+            raise ValueError("duplicate edges are not allowed")
+        at = np.searchsorted(keys, new_keys)
+        rows, nbrs, csr_at = self._directed(new_edges, n)
+        indptr = np.full(n + 1, self._csr_indptr[-1], dtype=np.int64)
+        indptr[: self.n_vertices + 1] = self._csr_indptr
+        indptr[1:] += np.cumsum(np.bincount(rows, minlength=n))
+        return Graph.from_csr(
+            n,
+            np.insert(self.edges, at, new_edges, axis=0),
+            np.insert(keys, at, new_keys),
+            indptr,
+            np.insert(self._csr_indices, csr_at, nbrs),
+        )
+
+    def subgraph(self, remove_keys: np.ndarray) -> "Graph":
+        """Graph with the edges whose keys appear in ``remove_keys`` removed
+        (keys of no edge are ignored), deleted from the sorted arrays."""
+        remove_keys = np.unique(np.asarray(remove_keys, dtype=np.int64))
+        at = np.searchsorted(self._keys, remove_keys)[in_sorted(self._keys, remove_keys)]
+        rows, _, csr_at = self._directed(self.edges[at], self.n_vertices)
+        indptr = self._csr_indptr.copy()
+        indptr[1:] -= np.cumsum(np.bincount(rows, minlength=self.n_vertices))
+        return Graph.from_csr(
+            self.n_vertices,
+            np.delete(self.edges, at, axis=0),
+            np.delete(self._keys, at),
+            indptr,
+            np.delete(self._csr_indices, csr_at),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Graph(N={self.n_vertices}, |E|={self.n_edges})"

@@ -20,11 +20,12 @@ buffer of *novel* canonical edges layered over the base:
   self-loops, non-finite timestamps) raise :class:`MalformedArrival`
   under ``strict=True`` or are quarantined (kept, counted, reported)
   under ``strict=False``; out-of-order timestamps are counted per batch.
-- **compaction** — :meth:`DeltaOverlay.compact` merges base + pending
-  into a fresh :class:`Graph`; given a path it round-trips the merge
-  through a :func:`repro.graph.io.save_csr` container so the result is
-  the provider-backed graph every later consumer memory-maps, then
-  resets the overlay onto the merged graph as the new base.
+- **compaction** — :meth:`DeltaOverlay.compact` merges the pending
+  pairs into the base's sorted arrays (:meth:`Graph.with_edges`: an O(E)
+  copy and an O(p log E) search, no sort); given a path it round-trips
+  the merge through a :func:`repro.graph.io.save_csr` container so the
+  result is the provider-backed graph every later consumer memory-maps,
+  then resets the overlay onto the merged graph as the new base.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ class DeltaOverlay:
     def compact(self, path: Optional[PathLike] = None) -> Graph:
         """Merge base + pending into a fresh graph and reset onto it.
 
+        The cost follows the delta: the pending pairs are searched into
+        the base's sorted arrays (:meth:`Graph.with_edges`), which are
+        copied once and never sorted again.
+
         Without ``path`` the merged graph is built in memory. With
         ``path`` the merge is persisted as a CSR container
         (:func:`repro.graph.io.save_csr`) and reloaded through
@@ -320,10 +325,7 @@ class DeltaOverlay:
         container existing per generation.
         """
         if self._pending.pairs.size:
-            merged = Graph(
-                self.n_vertices,
-                np.concatenate([self.base.edges, self._pending.pairs]),
-            )
+            merged = self.base.with_edges(self._pending.pairs, self.n_vertices)
         else:
             merged = self.base
         if path is not None:

@@ -40,7 +40,10 @@ each generation ends by atomically rewriting ``manifest.json`` — the
 single durable record of (next generation, cumulative iteration clock,
 digested journal seqno, checkpoint/graph/artifact paths). Journal
 segments covered by the manifest are garbage-collected only *after* the
-manifest hits disk, so :meth:`StreamTrainer.resume` can always rebuild
+manifest hits disk — and so are the graph containers and checkpoints of
+generations before the previous one, which the manifest no longer names
+(the workdir holds two of each, not one per generation ever run) — so
+:meth:`StreamTrainer.resume` can always rebuild
 the exact pre-crash overlay: load the manifest's checkpoint and graph,
 then replay the journal suffix past the digested seqno. A kill at any
 point between ingest and manifest loses nothing and duplicates nothing
@@ -52,6 +55,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -78,6 +83,8 @@ PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+BASE_GRAPH_NAME = "base.csr"
+_GENERATION_FILE = re.compile(r"(?:graph|checkpoint)_g(\d+)\.(?:csr|npz)")
 
 
 class ResumeError(StreamError):
@@ -122,7 +129,12 @@ def _atomic_write_json(path: Path, obj: dict) -> None:
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """What one :meth:`StreamTrainer.run_generation` call did."""
+    """What one :meth:`StreamTrainer.run_generation` call did.
+
+    ``checkpoint_path`` is on disk for the current and the previous
+    generation only; older generations' files are removed (see
+    :meth:`StreamTrainer.run_generation`).
+    """
 
     generation: int
     n_iterations: int
@@ -239,7 +251,7 @@ class StreamTrainer:
             # Persist generation -1's ground truth so a crash before the
             # first generation completes is still resumable: the base
             # graph as a CSR container, plus an initial manifest.
-            self._graph_path = self.workdir / "base.csr"
+            self._graph_path = self.workdir / BASE_GRAPH_NAME
             save_csr(base_graph, self._graph_path)
             self._write_manifest()
 
@@ -575,11 +587,36 @@ class StreamTrainer:
         self._checkpoint_path = checkpoint_path
         self.digested_seqno = digest_seqno
         self._write_manifest()
+        self._remove_stale_generations(gen)
         self.journal.compact(
             digest_seqno,
             crash_hook=lambda: self._crash_if("mid-compaction", gen),
         )
         return report
+
+    def _remove_stale_generations(self, gen: int) -> None:
+        """Delete graph containers and checkpoints older than generation
+        ``gen - 1`` (``base.csr`` counts as generation -1).
+
+        Called only once the manifest naming generation ``gen`` is durable:
+        a kill before that resumes from generation ``gen - 1``'s files,
+        which this keeps. A warm-start checkpoint handed to
+        :meth:`from_checkpoint` is the caller's file and never removed.
+        """
+        for path in self.workdir.iterdir():
+            match = _GENERATION_FILE.fullmatch(path.name)
+            if match:
+                index = int(match[1])
+            elif path.name == BASE_GRAPH_NAME:
+                index = -1
+            else:
+                continue
+            if index >= gen - 1:
+                continue
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
 
     def _train_mp(self, heldout: HeldoutSplit, n_iter: int, gen: int) -> None:
         """One generation on the multiprocess backend (publishes via hook)."""

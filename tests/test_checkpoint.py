@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,52 @@ class TestUncompressedCheckpoint:
         resumed = load_checkpoint(ckpt, graph)
         resumed.run(5)
         np.testing.assert_array_equal(resumed.state.pi, reference.state.pi)
+
+
+class TestStoredByDefault:
+    """The default archive is stored (no zlib); loads read both variants."""
+
+    @staticmethod
+    def _compress_types(path):
+        with zipfile.ZipFile(path) as archive:
+            return {info.compress_type for info in archive.infolist()}
+
+    def test_default_is_stored_and_compress_deflates(self, planted, config, tmp_path):
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        full = save_checkpoint(tmp_path / "full.npz", s)
+        state = save_state_checkpoint(tmp_path / "state.npz", s.state, 0, config)
+        assert self._compress_types(full) == {zipfile.ZIP_STORED}
+        assert self._compress_types(state) == {zipfile.ZIP_STORED}
+        packed = save_state_checkpoint(
+            tmp_path / "packed.npz", s.state, 0, config, compress=True
+        )
+        assert self._compress_types(packed) == {zipfile.ZIP_DEFLATED}
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["stored", "deflated"])
+    def test_both_variants_load_and_fail_typed_when_truncated(
+        self, planted, config, tmp_path, compress
+    ):
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        s.run(3)
+        full = save_checkpoint(tmp_path / "full.npz", s, compress=compress)
+        state = save_state_checkpoint(
+            tmp_path / "state.npz", s.state, s.iteration, config, compress=compress
+        )
+        np.testing.assert_array_equal(load_checkpoint(full, graph).state.pi, s.state.pi)
+        np.testing.assert_array_equal(load_state_checkpoint(state)[0].pi, s.state.pi)
+        for path, load in (
+            (full, lambda p: load_checkpoint(p, graph)),
+            (state, load_state_checkpoint),
+        ):
+            blob = path.read_bytes()
+            # losing the tail loses the zip directory; losing the head
+            # leaves a directory that points at damaged members
+            for damaged in (blob[: len(blob) // 2], blob[len(blob) // 2 :]):
+                path.write_bytes(damaged)
+                with pytest.raises(CheckpointError, match=str(path)):
+                    load(path)
 
 
 class TestAtomicWrite:

@@ -207,6 +207,32 @@ class TestDetectCheckpointing:
         assert rc == 0
         assert (tmp_path / "c2.txt").exists()
 
+    def test_resume_reads_a_deflated_checkpoint(self, tmp_path, monkeypatch):
+        """``--checkpoint`` writes stored archives; ``--resume`` also reads
+        the deflated ones earlier versions wrote."""
+        import functools
+        import zipfile
+
+        import repro.core.checkpoint as checkpoint_module
+
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        detect = ["detect", "--edges", str(edges), "-k", "3",
+                  "--mini-batch", "32", "--output", str(tmp_path / "c.txt")]
+        stored, deflated = tmp_path / "stored.npz", tmp_path / "deflated.npz"
+        assert main(detect + ["--iterations", "50", "--checkpoint", str(stored)]) == 0
+        monkeypatch.setattr(
+            checkpoint_module,
+            "save_checkpoint",
+            functools.partial(checkpoint_module.save_checkpoint, compress=True),
+        )
+        assert main(detect + ["--iterations", "50", "--checkpoint", str(deflated)]) == 0
+        for path, kind in ((stored, zipfile.ZIP_STORED), (deflated, zipfile.ZIP_DEFLATED)):
+            with zipfile.ZipFile(path) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {kind}
+            assert main(detect + ["--iterations", "80", "--resume", str(path)]) == 0
+
 
 class TestChaos:
     def test_drill_reports_recovery(self, capsys):

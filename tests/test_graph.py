@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.graph import Graph, edge_key, edge_keys
+from repro.graph.io import load_csr, save_csr
 
 
 def random_edge_set(n, m, seed):
@@ -124,6 +125,146 @@ class TestSubgraph:
     def test_remove_nothing(self, tiny_graph):
         g2 = tiny_graph.subgraph(remove_keys=np.zeros(0, dtype=np.int64))
         assert g2.n_edges == tiny_graph.n_edges
+
+
+def _assert_same_arrays(got, want):
+    """Array-for-array equality of two graphs, dtypes included."""
+    assert (got.n_vertices, got.n_edges) == (want.n_vertices, want.n_edges)
+    for name in ("edges", "keys", "_csr_indptr", "_csr_indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def _all_pairs(n):
+    return np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
+
+
+def _base_and_delta(rng, n_base, grow, base_frac, new_frac):
+    """A base graph on ``n_base`` vertices and novel pairs over ``n_base +
+    grow`` (base-base, base-new and new-new), unsorted, randomly reversed."""
+    n = n_base + grow
+    old = _all_pairs(n_base)
+    base = old[rng.random(len(old)) < base_frac]
+    taken = set(edge_keys(base, n).tolist())
+    free = np.array(
+        [p for p in _all_pairs(n) if edge_key(*p, n) not in taken], dtype=np.int64
+    ).reshape(-1, 2)
+    new = rng.permutation(free[rng.random(len(free)) < new_frac])
+    flip = rng.random(len(new)) < 0.5
+    new[flip] = new[flip][:, ::-1]
+    return Graph(n_base, base), new, n
+
+
+def _mapped(graph, path):
+    save_csr(graph, path)
+    mapped = load_csr(path)
+    assert not mapped.edges.flags.writeable
+    return mapped
+
+
+class TestWithEdges:
+    """``g.with_edges(p, n)`` is ``Graph(n, concat(g.edges, p))``, array for array."""
+
+    @given(
+        n_base=st.integers(min_value=1, max_value=14),
+        grow=st.integers(min_value=0, max_value=4),
+        base_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        new_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_rebuild(self, n_base, grow, base_frac, new_frac, seed):
+        g, new, n = _base_and_delta(
+            np.random.default_rng(seed), n_base, grow, base_frac, new_frac
+        )
+        _assert_same_arrays(
+            g.with_edges(new, n), Graph(n, np.concatenate([g.edges, new]))
+        )
+
+    def test_default_keeps_the_vertex_count(self, tiny_graph):
+        got = tiny_graph.with_edges(np.array([[5, 0]]))
+        want = Graph(6, np.concatenate([tiny_graph.edges, [[0, 5]]]))
+        _assert_same_arrays(got, want)
+
+    def test_hub_row(self):
+        # every other spoke first, then the rest: all land in row 0
+        spokes = np.column_stack([np.zeros(40, dtype=np.int64), np.arange(1, 41)])
+        g = Graph(41, spokes[::2])
+        _assert_same_arrays(g.with_edges(spokes[1::2][::-1]), Graph(41, spokes))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_read_only_mapped_base(self, seed, tmp_path):
+        g, new, n = _base_and_delta(np.random.default_rng(seed), 12, 3, 0.3, 0.3)
+        want = Graph(n, np.concatenate([g.edges, new]))
+        _assert_same_arrays(_mapped(g, tmp_path / "g.csr").with_edges(new, n), want)
+
+    @pytest.mark.parametrize(
+        "pairs, n",
+        [
+            ([[1, 0]], 6),  # duplicate of a base edge, reversed
+            ([[0, 5], [5, 0]], 6),  # duplicate within the new pairs
+            ([[0, 5], [3, 3]], 6),  # self-loop
+            ([[0, 6]], 6),  # endpoint out of range
+            ([[0, -1]], 6),
+        ],
+    )
+    def test_rejects_what_the_rebuild_rejects(self, tiny_graph, pairs, n):
+        pairs = np.array(pairs)
+        with pytest.raises(ValueError) as rebuilt:
+            Graph(n, np.concatenate([tiny_graph.edges, pairs]))
+        with pytest.raises(ValueError) as merged:
+            tiny_graph.with_edges(pairs, n)
+        assert str(merged.value) == str(rebuilt.value)
+
+    def test_rejects_bad_shape_and_fewer_vertices(self, tiny_graph):
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            tiny_graph.with_edges(np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError):
+            Graph(5, np.concatenate([tiny_graph.edges, [[0, 4]]]))
+        with pytest.raises(ValueError, match="shrink"):
+            tiny_graph.with_edges(np.array([[0, 4]]), 5)
+
+
+class TestSubgraphEqualsRebuild:
+    """``g.subgraph(keys)`` is ``Graph(n, the other edges)``, array for array."""
+
+    @staticmethod
+    def _rebuild(g, keys):
+        return Graph(g.n_vertices, g.edges[~np.isin(g.keys, keys)])
+
+    @given(
+        n=st.integers(min_value=1, max_value=16),
+        frac=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+        drop=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_rebuild(self, n, frac, drop, seed):
+        rng = np.random.default_rng(seed)
+        pairs = _all_pairs(n)
+        g = Graph(n, pairs[rng.random(len(pairs)) < frac])
+        # any keys: of edges, of non-edges, repeated, unsorted
+        keys = edge_keys(pairs, n)[rng.random(len(pairs)) < drop]
+        keys = rng.permutation(np.concatenate([keys, keys[:3], [n * n + 7]]))
+        _assert_same_arrays(g.subgraph(keys), self._rebuild(g, keys))
+
+    def test_no_keys_and_keys_of_no_edge(self, tiny_graph):
+        for keys in (np.zeros(0, dtype=np.int64), edge_keys(np.array([[0, 5]]), 6)):
+            _assert_same_arrays(tiny_graph.subgraph(keys), tiny_graph)
+
+    def test_every_edge_of_one_vertex(self, tiny_graph):
+        keys = edge_keys(
+            np.array([[2, int(b)] for b in tiny_graph.neighbors(2)]), 6
+        )
+        got = tiny_graph.subgraph(keys)
+        assert got.degree(2) == 0
+        _assert_same_arrays(got, self._rebuild(tiny_graph, keys))
+
+    def test_read_only_mapped_base(self, tiny_graph, tmp_path):
+        keys = tiny_graph.keys[::2]
+        mapped = _mapped(tiny_graph, tmp_path / "g.csr")
+        _assert_same_arrays(mapped.subgraph(keys), self._rebuild(tiny_graph, keys))
 
 
 class TestFromCsr:

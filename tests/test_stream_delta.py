@@ -184,3 +184,24 @@ class TestCompaction:
         np.testing.assert_array_equal(
             np.asarray(final.edges), np.asarray(scratch.edges)
         )
+
+    @pytest.mark.parametrize("persist", [True, False], ids=["path", "memory"])
+    def test_many_small_compactions_equal_one_big(self, planted, tmp_path, persist):
+        """Every CSR array, not only the edge list, with and without a
+        container round trip between the merges."""
+        graph, _ = planted
+        order = np.random.default_rng(5).permutation(graph.n_edges)
+        base = Graph(graph.n_vertices // 2, np.zeros((0, 2), dtype=np.int64))
+        small, big = _overlay(base), _overlay(base)
+        for i, chunk in enumerate(np.array_split(graph.edges[order], 7)):
+            small.ingest_pairs(chunk)
+            small.compact(tmp_path / f"g{i}.csr" if persist else None)
+            big.ingest_pairs(chunk[:, ::-1])
+        one = big.compact(tmp_path / "big.csr" if persist else None)
+        for name in ("edges", "keys", "_csr_indptr", "_csr_indices"):
+            np.testing.assert_array_equal(
+                getattr(small.base, name), getattr(one, name), err_msg=name
+            )
+            np.testing.assert_array_equal(
+                getattr(one, name), getattr(graph, name), err_msg=name
+            )

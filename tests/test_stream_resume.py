@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.stream.trainer as trainer_module
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core.checkpoint import save_state_checkpoint
+from repro.core.state import init_state
 from repro.faults import CRASH_PHASES, InjectedCrash, StreamFaultPlan, TrainerCrash
 from repro.graph.io import load_csr
 from repro.store.container import read_manifest
@@ -215,3 +220,112 @@ class TestCrashResume:
         version, keys, _ = _final_state(tmp_path / "work")
         assert resumed.journal.compactions >= 1
         resumed.journal.close()
+
+
+def _generation_files(workdir: Path) -> list[str]:
+    return sorted(
+        p.name
+        for p in workdir.iterdir()
+        if p.name.startswith(("base.", "graph_g", "checkpoint_g"))
+    )
+
+
+class TestWorkdirStaysBounded:
+    """Generation files older than the previous generation are removed once
+    the manifest no longer names them (the workdir used to grow forever)."""
+
+    def test_two_graphs_and_two_checkpoints_after_five_generations(
+        self, stream, tmp_path
+    ):
+        base, batches = stream
+        work = tmp_path / "work"
+        trainer = _trainer(base, tmp_path)
+        trainer.run_generation()
+        # generation 0's predecessor is the base graph
+        assert _generation_files(work) == [
+            "base.csr", "checkpoint_g0000.npz", "graph_g0000.csr",
+        ]
+        for batch in batches:
+            trainer.run_generation(batch)
+        assert trainer.generation == 5
+        assert _generation_files(work) == [
+            "checkpoint_g0003.npz", "checkpoint_g0004.npz",
+            "graph_g0003.csr", "graph_g0004.csr",
+        ]
+        assert [r.checkpoint_path.exists() for r in trainer.reports] == [
+            False, False, False, True, True,
+        ]
+        with zipfile.ZipFile(trainer.reports[-1].checkpoint_path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        trainer.journal.close()
+
+    def test_kill_before_the_manifest_still_finds_its_files(self, stream, tmp_path):
+        base, batches = stream
+        work = tmp_path / "work"
+        faults = StreamFaultPlan(
+            seed=0,
+            trainer_crashes=(
+                TrainerCrash(phase="post-publish-pre-manifest", generation=3),
+            ),
+        )
+        trainer = _trainer(base, tmp_path, faults=faults)
+        trainer.run_generation()
+        with pytest.raises(InjectedCrash):
+            for batch in batches:
+                trainer.run_generation(batch)
+        trainer.journal.close()
+        # Generation 3 wrote its files but never committed: the manifest
+        # names generation 2's, and nothing has removed them.
+        manifest = StreamTrainer.read_manifest(work)
+        assert manifest["graph_path"] == "graph_g0002.csr"
+        assert manifest["checkpoint_path"] == "checkpoint_g0002.npz"
+        resumed = StreamTrainer.resume(
+            work, iterations_per_generation=N_ITER, heldout_fraction=0.05
+        )
+        assert resumed.generation == 3
+        for batch in batches[2:]:
+            resumed.run_generation(batch)
+        assert _generation_files(work) == [
+            "checkpoint_g0003.npz", "checkpoint_g0004.npz",
+            "graph_g0003.csr", "graph_g0004.csr",
+        ]
+        resumed.journal.close()
+
+    def test_warm_start_checkpoint_is_the_callers_file(self, stream, tmp_path):
+        base, batches = stream
+        config = _config()
+        warm = save_state_checkpoint(
+            tmp_path / "work" / "warm.npz",
+            init_state(base.n_vertices, config, np.random.default_rng(0)),
+            40,
+            config,
+        )
+        trainer = StreamTrainer.from_checkpoint(
+            warm, base, tmp_path / "work", iterations_per_generation=N_ITER,
+            heldout_fraction=0.05,
+        )
+        for batch in batches:
+            trainer.run_generation(batch)
+        assert warm.exists()
+        trainer.journal.close()
+
+
+def test_resume_reads_a_deflated_checkpoint(stream, tmp_path, monkeypatch):
+    """Workdirs written before checkpoints became stored archives resume."""
+    base, batches = stream
+    monkeypatch.setattr(
+        trainer_module,
+        "save_state_checkpoint",
+        functools.partial(save_state_checkpoint, compress=True),
+    )
+    trainer = _trainer(base, tmp_path)
+    report = trainer.run_generation(batches[0])
+    with zipfile.ZipFile(report.checkpoint_path) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    trainer.journal.close()
+    resumed = StreamTrainer.resume(
+        tmp_path / "work", iterations_per_generation=N_ITER, heldout_fraction=0.05
+    )
+    np.testing.assert_array_equal(resumed.state.pi, trainer.state.pi)
+    assert resumed.iteration == trainer.iteration
+    resumed.journal.close()
