@@ -12,9 +12,10 @@ Mid-run, a perturbed artifact is **hot-swapped** in while the clients
 keep hammering; the report proves the swap completed with zero dropped
 and zero errored queries — the serving layer's equivalent of the chaos
 drill. After the link-probability load drains, a second phase drives
-coalesced ``recommend_edges`` traffic (each request scores N-1 candidate
-pairs through one kernel call per server micro-batch) and reports
-candidate-pairs/sec next to the link-probability numbers.
+coalesced ``recommend_edges`` traffic (each request considers N-1
+candidates; one filtering pass and one kernel call per server
+micro-batch) and reports candidate-pairs/sec next to the
+link-probability numbers.
 
 A third **storage phase** (schema v4) measures what the out-of-core
 artifact format buys: cold-start-to-first-answer and peak RSS for the
@@ -242,11 +243,12 @@ def _client_loop(
 def _recommend_phase(server, w: ServeWorkload, seed: int) -> dict[str, Any]:
     """Coalesced recommend_edges throughput over distinct (uncached) nodes.
 
-    Every request scores ``n_vertices - 1`` candidate pairs; the server
-    batches concurrent requests into ONE ``link_probability`` kernel call
-    per micro-batch (``QueryEngine.recommend_edges_batch``), which is
-    what this phase measures. Requests use distinct nodes so the LRU
-    cache cannot answer any of them.
+    Every request considers ``n_vertices - 1`` candidates; the server
+    answers a micro-batch of them with one filtering pass over ``pi`` and
+    ONE ``link_probability`` kernel call on the survivors
+    (``QueryEngine.recommend_edges_batch``), which is what this phase
+    measures. Requests use distinct nodes so the LRU cache cannot answer
+    any of them.
     """
     from repro.serve.server import ServerOverloaded
 

@@ -161,6 +161,7 @@ class ServerMetrics:
         self.rollbacks = 0
         self.publish_failures = 0
         self.quarantines = 0
+        self.recommend = {"candidates": 0, "survivors": 0, "returned": 0}
 
     def record_request(
         self, endpoint: str, latency_seconds: float, queries: int = 1
@@ -229,6 +230,14 @@ class ServerMetrics:
         with self._lock:
             self.quarantines += 1
 
+    def record_recommend(self, candidates: int, survivors: int, returned: int) -> None:
+        """One recommend batch: candidates considered by the filter,
+        survivors scored exactly by the refine, edges returned."""
+        with self._lock:
+            self.recommend["candidates"] += int(candidates)
+            self.recommend["survivors"] += int(survivors)
+            self.recommend["returned"] += int(returned)
+
     def observed_p99_ms(self) -> float:
         """Exact p99 (ms) over the recent-request window; 0.0 means "no
         fresh data" and must never be read as "fast" *or* "slow" — the
@@ -279,6 +288,15 @@ class ServerMetrics:
                     "batched_requests": self.batched_requests,
                     "mean_batch_size": (
                         self.batched_requests / self.batches if self.batches else 0.0
+                    ),
+                },
+                # Refine efficiency: ~1 survivor per returned edge on a
+                # trained model; far above 1 means a tie-heavy model (e.g.
+                # uniform pi) on which the refine scores every candidate.
+                "recommend": {
+                    **self.recommend,
+                    "survivors_per_returned": (
+                        self.recommend["survivors"] / max(self.recommend["returned"], 1)
                     ),
                 },
                 "rejected": self.rejected,

@@ -710,8 +710,13 @@ class ModelServer:
         batch, artifact, _gen = taken
         if not batch:
             return 0
-        self._execute(batch, QueryEngine(artifact, faults=self._faults))
+        self._execute(batch, self._engine(artifact))
         return len(batch)
+
+    def _engine(self, artifact: ModelArtifact) -> QueryEngine:
+        engine = QueryEngine(artifact, faults=self._faults)
+        engine.on_recommend = self.metrics.record_recommend
+        return engine
 
     def _worker_loop(self, slot: _WorkerSlot) -> None:
         engine: Optional[QueryEngine] = None
@@ -731,7 +736,7 @@ class ModelServer:
                     if self._faults.worker_crash_due(slot.index, slot.batches):
                         raise WorkerCrashed([slot.index])
                 if engine is None or engine_gen != gen:
-                    engine = QueryEngine(artifact, faults=self._faults)
+                    engine = self._engine(artifact)
                     engine_gen = gen
                 self._execute(batch, engine)
                 with self._not_empty:
@@ -886,9 +891,10 @@ class ModelServer:
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 for r in links:
                     self._fail(r, exc)
-        # Recommendations coalesce the same way: every candidate pair in
-        # the batch goes through ONE link_probability kernel call; the
-        # engine returns per-slot exceptions so bad requests fail alone.
+        # Recommendations coalesce the same way: one pass over pi filters
+        # the whole batch and ONE link_probability kernel call scores the
+        # survivors; the engine returns per-slot exceptions so bad
+        # requests fail alone.
         recs = [r for r in batch if r.endpoint == "recommend_edges"]
         if recs:
             try:

@@ -301,7 +301,7 @@ class TestProviderBitEquivalence:
             results = {}
             for provider in ("resident", "mmap"):
                 loaded = load_artifact(path, provider=provider)
-                eng = QueryEngine(loaded, provider=provider)
+                eng = QueryEngine(loaded)
                 results[provider] = (
                     eng.link_probability(pairs),
                     eng.recommend_edges(0, min(5, n - 1)),

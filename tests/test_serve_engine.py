@@ -154,7 +154,7 @@ class TestRecommendEdges:
 
 
 class TestRecommendEdgesBatch:
-    """Server-side coalescing: one kernel call per batch of queries."""
+    """Server-side coalescing: one exact-kernel call per batch of queries."""
 
     def test_batch_equals_individual_calls(self):
         art = _artifact(25, 5, 13)
@@ -165,6 +165,8 @@ class TestRecommendEdgesBatch:
             assert got == engine.recommend_edges(node, top_n, exclude=exclude)
 
     def test_single_kernel_call_per_batch(self):
+        """The exact kernel runs once per batch, on the survivors only:
+        with distinct scores that is exactly sum(top_n) pairs."""
         art = _artifact(20, 4, 1)
         engine = QueryEngine(art)
         calls = []
@@ -182,17 +184,11 @@ class TestRecommendEdgesBatch:
             update_theta=engine.kernels.update_theta,
             link_probability=counting,
         )
+        reported = []
+        engine.on_recommend = lambda *counts: reported.append(counts)
         engine.recommend_edges_batch([(0, 3, None), (5, 3, None), (7, 2, None)])
-        assert len(calls) == 1
-        assert calls[0] == 3 * (art.n_nodes - 1)
-
-    def test_chunking_past_cap_is_equivalent(self):
-        art = _artifact(30, 4, 2)
-        engine = QueryEngine(art)
-        whole = engine.recommend_edges_batch([(1, 5, None), (2, 5, None)])
-        engine.MAX_PAIRS_PER_CALL = 17  # force many tiny kernel calls
-        chunked = engine.recommend_edges_batch([(1, 5, None), (2, 5, None)])
-        assert whole == chunked
+        assert calls == [3 + 3 + 2]
+        assert reported == [(3 * (art.n_nodes - 1), 8, 8)]
 
     def test_per_slot_fault_isolation(self):
         art = _artifact(15, 4, 3)
@@ -204,6 +200,12 @@ class TestRecommendEdgesBatch:
         assert isinstance(out[1], Exception)  # unknown node
         assert isinstance(out[2], ValueError)  # top_n < 1
         assert out[3] == engine.recommend_edges(5, 3)
+
+    def test_bad_exclude_fails_alone(self):
+        engine = QueryEngine(_artifact(15, 4, 3))
+        out = engine.recommend_edges_batch([(2, 3, np.array([1, 9999])), (5, 3, None)])
+        assert isinstance(out[0], KeyError)
+        assert out[1] == engine.recommend_edges(5, 3)
 
     def test_all_nodes_excluded_gives_empty(self):
         art = _artifact(6, 3, 4)

@@ -87,6 +87,18 @@ class TestManualBatching:
         assert f3.result(5) == engine.community_members(0, 5)
         assert f4.result(5) == engine.recommend_edges(2, 3)
 
+    def test_recommend_refine_efficiency_in_stats(self, manual_server):
+        futs = [manual_server.recommend_edges(2, 3), manual_server.recommend_edges(5, 4)]
+        manual_server.process_once()
+        assert [len(f.result(5)) for f in futs] == [3, 4]
+        n = manual_server.artifact.n_nodes
+        assert manual_server.stats()["recommend"] == {
+            "candidates": 2 * (n - 1),
+            "survivors": 7,
+            "returned": 7,
+            "survivors_per_returned": 1.0,
+        }
+
     def test_bad_request_fails_future_not_batch(self, manual_server):
         good = manual_server.link_probability(np.array([[0, 1]]))
         bad = manual_server.membership(9999)  # unknown node id

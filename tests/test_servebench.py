@@ -222,3 +222,15 @@ class TestServerMetrics:
         ep = snap["endpoints"]["membership"]
         assert ep["requests"] == 1 and ep["errors"] == 1
         assert snap["batching"]["mean_batch_size"] == 3.0
+        assert snap["recommend"]["survivors_per_returned"] == 0.0  # none yet
+
+    def test_recommend_counters_accumulate(self):
+        m = ServerMetrics()
+        m.record_recommend(99, 12, 10)
+        m.record_recommend(99, 99, 10)  # a tie-heavy query: everything survived
+        assert m.snapshot()["recommend"] == {
+            "candidates": 198,
+            "survivors": 111,
+            "returned": 20,
+            "survivors_per_returned": 111 / 20,
+        }
