@@ -124,8 +124,19 @@ class PerplexityEstimator:
         """Add one posterior sample's probabilities to the running average."""
         if iteration is not None and iteration < self.burn_in:
             return
-        self._prob_sum += pair_probabilities(pi, beta, self.pairs, self.labels, self.delta)
+        self.add(pair_probabilities(pi, beta, self.pairs, self.labels, self.delta))
+
+    def add(self, probs: np.ndarray) -> None:
+        """Add one sample's per-pair ``p(y_ab)`` computed elsewhere (the
+        distributed engines evaluate their E_h slices next to the rows)."""
+        self._prob_sum += probs
         self._count += 1
+
+    def log_sum(self) -> float:
+        """Sum over pairs of the log averaged probability: this set's
+        share of Eqn 7's exponent when E_h is partitioned."""
+        avg = self._prob_sum / self._count
+        return float(np.log(np.maximum(avg, _PROB_FLOOR)).sum())
 
     def value(self) -> float:
         """Current averaged perplexity; inf before any sample is recorded."""

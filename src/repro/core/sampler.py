@@ -9,26 +9,29 @@ against. Each iteration:
 3. apply the SGRLD theta update from the mini-batch edge gradients
    (Eqns 3-4) and derive beta.
 
-All the numerics live in :mod:`repro.core.gradients`; this module only
-orchestrates. Noise is drawn through a dedicated ``np.random.Generator`` so
-runs are reproducible and the distributed engine can replay identical
-iterations (see ``tests/test_dist_equivalence.py``).
+All the numerics live in :mod:`repro.core.stages` (over the kernel
+backends); this module only orchestrates. Noise is drawn through a
+dedicated ``np.random.Generator`` so runs are reproducible and the
+distributed engine can replay identical iterations (see
+``tests/test_dist_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.core import kernels
+from repro.core import kernels, stages
 from repro.core.minibatch import Minibatch, MinibatchSampler, NeighborSample
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
 from repro.graph.graph import Graph
 from repro.graph.split import HeldoutSplit
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -72,13 +75,7 @@ class AMMSBSampler:
         state: Optional[ModelState] = None,
     ) -> None:
         self.graph = graph
-        # Resolve the backend before pinning the config: env-sourced
-        # misses fall back to fused, and the *resolved* name is what the
-        # config (and therefore any checkpoint) records.
-        self.kernels = kernels.resolve_backend(config.kernel_backend)
-        if self.kernels.name != config.kernel_backend:
-            config = config.with_updates(kernel_backend=self.kernels.name)
-        self.kernels.warmup()
+        self.kernels, config = stages.pinned_backend(config)
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.noise_rng = np.random.default_rng(config.seed + 1)
@@ -97,7 +94,15 @@ class AMMSBSampler:
         self.iteration = 0
         self.history: list[IterationStats] = []
 
-    # -- update stages (shared logic, explicit inputs) ----------------------
+    # -- update stages: repro.core.stages over this engine's executor -------
+
+    def _map_chunks(
+        self, fn: Callable[[int, int, kernels.KernelWorkspace], T], n: int
+    ) -> list[T]:
+        """Run ``fn(start, stop, workspace)`` over chunks covering
+        ``range(n)``; results in chunk order. This engine is the inline
+        executor: one chunk, the sampler's own workspace."""
+        return [fn(0, n, self.workspace)]
 
     def update_phi_pi(
         self,
@@ -105,71 +110,59 @@ class AMMSBSampler:
         neighbor_sample: NeighborSample,
         noise: Optional[np.ndarray] = None,
     ) -> None:
-        """Stage: phi update (Eqn 5) + pi renormalization for the mini-batch."""
+        """Stage: phi update (Eqn 5) + pi renormalization for the mini-batch.
+
+        Chunks read shared state (pi rows of neighbors) and produce
+        disjoint rows (their own mini-batch vertices), stored only after
+        every chunk is done — the same argument the paper makes for the
+        absence of read/write hazards in the DKV stages.
+        """
         cfg = self.config
         vs = minibatch.vertices
-        pi_a = self.state.pi[vs]
-        phi_sum_a = self.state.phi_sum[vs]
-        pi_b = self.state.pi[neighbor_sample.neighbors]
-        beta = self.state.beta
-        grad = self.kernels.phi_gradient_sum(
-            pi_a,
-            phi_sum_a,
-            pi_b,
-            neighbor_sample.labels,
-            beta,
-            cfg.delta,
-            mask=neighbor_sample.mask,
-            workspace=self.workspace,
-        )
-        counts = np.maximum(neighbor_sample.counts, 1)
-        scale = self.graph.n_vertices / counts  # (m, 1), Eqn 5's N/|V_n|
         if noise is None:
-            noise = self.noise_rng.standard_normal(pi_a.shape)
-        phi_a = self.state.phi_rows(vs)
-        new_phi = self.kernels.update_phi(
-            phi_a,
-            grad,
-            eps_t=cfg.step_phi.at(self.iteration),
-            alpha=cfg.effective_alpha,
-            scale=scale,
-            noise=noise,
-            phi_floor=cfg.phi_floor,
-            phi_clip=cfg.phi_clip,
-            workspace=self.workspace,
-        )
-        self.state.set_phi_rows(vs, new_phi)
+            noise = self.noise_rng.standard_normal((vs.size, cfg.n_communities))
+        eps_t = cfg.step_phi.at(self.iteration)
+        beta = self.state.beta
+        ns = neighbor_sample
+
+        def chunk(a: int, b: int, workspace: kernels.KernelWorkspace):
+            sample = NeighborSample(ns.neighbors[a:b], ns.labels[a:b], ns.mask[a:b])
+            return stages.phi_stage(
+                self.state, self.kernels, workspace, cfg, self.graph.n_vertices,
+                vs[a:b], sample, beta, eps_t, noise[a:b],
+            )
+
+        parts = self._map_chunks(chunk, vs.size)
+        pi_rows, phi_sum = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        self.state.write_rows(vs, pi_rows, phi_sum)
 
     def update_beta_theta(
         self, minibatch: Minibatch, noise: Optional[np.ndarray] = None
     ) -> None:
         """Stage: theta update (Eqn 3) from h-scaled stratum gradients.
 
-        All strata are batched into one gather + one weighted kernel call;
-        the per-edge h-weights keep the mixed-strata estimator unbiased
-        (the gradient is linear in the per-edge terms).
+        All strata are batched into one edge array with per-edge
+        h-weights, which keep the mixed-strata estimator unbiased (the
+        gradient is linear in the per-edge terms). Chunk partials are
+        reduced in chunk order, so a multi-chunk executor matches this
+        one up to float-addition reordering across chunk boundaries.
         """
-        cfg = self.config
         pairs, labels, scales = minibatch.all_pairs()
-        grad_total = self.kernels.theta_gradient_weighted(
-            self.state.pi[pairs[:, 0]],
-            self.state.pi[pairs[:, 1]],
-            labels,
-            self.state.theta,
-            cfg.delta,
-            weights=scales,
-            workspace=self.workspace,
-        )
+        theta = self.state.theta
+
+        def chunk(a: int, b: int, workspace: kernels.KernelWorkspace) -> np.ndarray:
+            return stages.theta_partial(
+                self.state, self.kernels, workspace, self.config,
+                pairs[a:b], labels[a:b], scales[a:b], theta,
+            )
+
+        grad_total, *rest = self._map_chunks(chunk, pairs.shape[0])
+        for part in rest:
+            grad_total = grad_total + part
         if noise is None:
-            noise = self.noise_rng.standard_normal(self.state.theta.shape)
-        self.state.theta = self.kernels.update_theta(
-            self.state.theta,
-            grad_total,
-            eps_t=cfg.step_theta.at(self.iteration),
-            eta=cfg.eta,
-            scale=1.0,
-            noise=noise,
-            workspace=self.workspace,
+            noise = self.noise_rng.standard_normal(theta.shape)
+        self.state.theta = stages.apply_theta(
+            self.kernels, self.workspace, self.config, theta, grad_total, self.iteration, noise
         )
 
     # -- main loop -----------------------------------------------------------

@@ -47,23 +47,38 @@ class ModelState:
         """Community strengths derived from theta, shape (K,)."""
         return self.theta[:, 1] / self.theta.sum(axis=1)
 
+    # -- the split-array row store (repro.core.stages.RowStore) ---------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.pi.dtype
+
+    def read_rows(
+        self, vertices: np.ndarray, others: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pi[vertices], phi_sum[vertices], pi[others])``."""
+        return self.pi[vertices], self.phi_sum[vertices], self.pi[others]
+
+    def write_rows(
+        self, vertices: np.ndarray, pi_rows: np.ndarray, phi_sum: np.ndarray
+    ) -> None:
+        """Store rows, cast to the storage dtype (float32 in the paper's
+        configuration); kernels may compute at higher precision."""
+        self.phi_sum[vertices] = phi_sum
+        self.pi[vertices] = pi_rows
+
     def phi_rows(self, vertices: np.ndarray) -> np.ndarray:
         """Reconstruct phi rows for the given vertices, shape (m, K)."""
         vertices = np.asarray(vertices, dtype=np.int64)
         return self.pi[vertices] * self.phi_sum[vertices, None]
 
     def set_phi_rows(self, vertices: np.ndarray, phi: np.ndarray) -> None:
-        """Store new phi rows (renormalizing into pi / phi_sum).
-
-        Values are cast to the state's storage dtype (float32 in the
-        paper's configuration); kernels may compute at higher precision.
-        """
+        """Store new phi rows (renormalizing into pi / phi_sum)."""
         vertices = np.asarray(vertices, dtype=np.int64)
         sums = phi.sum(axis=1)
         if np.any(sums <= 0):
             raise ValueError("phi rows must have positive sums")
-        self.phi_sum[vertices] = sums
-        self.pi[vertices] = (phi / sums[:, None]).astype(self.pi.dtype, copy=False)
+        self.write_rows(vertices, phi / sums[:, None], sums)
 
     def kv_values(self, vertices: np.ndarray) -> np.ndarray:
         """DKV value layout: (m, K+1) = [pi_row | phi_sum]."""

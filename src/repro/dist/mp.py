@@ -10,9 +10,11 @@ the same master-worker protocol across **operating-system processes**:
 - the master (the parent process) draws mini-batches and ships each
   worker its shard (vertices, adjacency slice, strata) over a pipe —
   exactly the scatter of Section III-A;
-- workers run the *same kernels* and the *same per-worker RNG streams*
-  as the in-process engine, so the two backends produce bit-identical
-  states (tested in ``tests/test_mp_backend.py``);
+- each worker process hosts the in-process engine's
+  :class:`~repro.dist.worker.WorkerContext` (same stages, same
+  per-worker RNG streams) over the shared table instead of the DKV
+  store, so the two backends produce bit-identical states (tested in
+  ``tests/test_mp_backend.py``);
 - the stage protocol preserves the paper's hazard discipline: phi is
   computed from a consistent snapshot, then written back only after a
   barrier (compute-ack round trip), then theta partials are reduced.
@@ -59,20 +61,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.core import gradients, kernels
-from repro.core.minibatch import concat_strata, heldout_rows, sample_neighbor_sets
+from repro.core import stages
+from repro.core.kernels import KernelWorkspace
+from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
 from repro.dist.master import MasterContext
-from repro.dist.partition import WorkerShard
+from repro.dist.partition import WorkerShard, partition_heldout
+from repro.dist.worker import PhiStageResult, WorkerContext
 from repro.faults import FaultPlan, WorkerCrashed
 from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit
-
-
-@dataclass
-class _PhiResult:
-    vertices: np.ndarray
-    new_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,17 +144,12 @@ def _worker_loop(
                 os._exit(0)
 
         table = np.ndarray(table_shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        # Same streams as WorkerContext, so backends agree bit-for-bit.
-        rng = np.random.default_rng(config.seed + 1009 * (worker_id + 1))
-        noise_rng = np.random.default_rng(config.seed + 2003 * (worker_id + 1))
-        backend = kernels.resolve_backend(config.kernel_backend)
-        if backend.name != config.kernel_backend:
-            config = config.with_updates(kernel_backend=backend.name)
-        backend.warmup()
-        workspace = kernels.KernelWorkspace()
-        heldout = heldout_rows(heldout_keys, n_vertices)
-        k = config.n_communities
-        pending: Optional[_PhiResult] = None
+        # The in-process engine's worker over the shared table instead of
+        # the DKV store: same streams, same stages, bit-identical states.
+        ctx = WorkerContext(
+            worker_id, config, n_vertices, stages.TableRows(table), heldout_keys
+        )
+        pending: Optional[PhiStageResult] = None
         shard: Optional[WorkerShard] = None
 
         while True:
@@ -182,87 +175,29 @@ def _worker_loop(
                         time.sleep(stall)
                     if faults.crash_due(worker_id, iteration):
                         os._exit(23)
-                vs = shard.vertices
-                if vs.size == 0:
-                    pending = _PhiResult(vs, np.zeros((0, k + 1)))
-                    send_result(("phi_done", worker_id, seq, worker_id, None))
-                    continue
-                if shard.adjacency is not None:
-                    links_against = shard.adjacency.links_against
-                else:
-                    # Shared-graph mode ships no adjacency: the rows come
-                    # from the mapped CSR (same lookup, same answers).
-                    links_against = partial(mapped_graph.links_from, vs)
-                ns = sample_neighbor_sets(
-                    vs, rng, n_vertices, config.neighbor_sample_size, links_against, heldout
+                # Shared-graph mode ships no adjacency: the rows come
+                # from the mapped CSR (same lookup, same answers).
+                links_against = (
+                    partial(mapped_graph.links_from, shard.vertices)
+                    if shard.adjacency is None
+                    else None
                 )
-                all_keys = np.concatenate([vs, ns.neighbors.reshape(-1)])
-                values = table[all_keys]
-                pi_a = values[: vs.size, :-1]
-                phi_sum_a = values[: vs.size, -1]
-                pi_b = values[vs.size:, :-1].reshape(vs.size, -1, k)
-                grad = backend.phi_gradient_sum(
-                    pi_a, phi_sum_a, pi_b, ns.labels, beta, config.delta,
-                    mask=ns.mask, workspace=workspace,
-                )
-                counts = np.maximum(ns.counts, 1)
-                noise = noise_rng.standard_normal(pi_a.shape)
-                new_phi = backend.update_phi(
-                    pi_a * phi_sum_a[:, None],
-                    grad,
-                    eps_t=eps_t,
-                    alpha=config.effective_alpha,
-                    scale=n_vertices / counts,
-                    noise=noise,
-                    phi_floor=config.phi_floor,
-                    phi_clip=config.phi_clip,
-                    workspace=workspace,
-                )
-                sums = new_phi.sum(axis=1)
-                pending = _PhiResult(
-                    vs,
-                    np.concatenate([new_phi / sums[:, None], sums[:, None]], axis=1),
+                pending = ctx.update_phi_pi(
+                    shard, ctx.sample_neighbors(shard, links_against), beta, eps_t
                 )
                 send_result(("phi_done", worker_id, seq, worker_id, None))
             elif op == "pi_write":
                 assert pending is not None
-                if pending.vertices.size:
-                    table[pending.vertices] = pending.new_values
+                ctx.write_pi(pending)
                 send_result(("write_done", worker_id, seq, worker_id, None))
             elif op == "theta_partial":
                 _, _, theta = cmd
                 assert shard is not None
-                # Same strata batching as WorkerContext.theta_partial, so
-                # the backends stay bit-identical.
-                if shard.strata:
-                    pairs, labels, weights = concat_strata(shard.strata)
-                    values = table[pairs.reshape(-1)]
-                    pi_pairs = values[:, :-1].reshape(len(pairs), 2, k)
-                    grad = backend.theta_gradient_weighted(
-                        pi_pairs[:, 0],
-                        pi_pairs[:, 1],
-                        labels,
-                        theta,
-                        config.delta,
-                        weights=weights,
-                        workspace=workspace,
-                    )
-                else:
-                    grad = np.zeros_like(theta)
+                grad, _, _ = ctx.theta_partial(shard, theta)
                 send_result(("theta", worker_id, seq, worker_id, grad))
             elif op == "perplexity":
                 _, _, part, pairs, labels, beta = cmd
-                from repro.core.perplexity import link_probability
-
-                if len(pairs):
-                    values = table[pairs.reshape(-1)]
-                    pi_pairs = values[:, :-1].reshape(len(pairs), 2, k)
-                    p1 = link_probability(
-                        pi_pairs[:, 0], pi_pairs[:, 1], beta, config.delta
-                    )
-                    probs = np.where(labels, p1, 1.0 - p1)
-                else:
-                    probs = np.zeros(0)
+                probs, _ = ctx.perplexity_partial(pairs, labels, beta)
                 send_result(("perp", worker_id, seq, part, probs))
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown command {op!r}")
@@ -342,7 +277,9 @@ class MultiprocessAMMSBSampler:
         if heartbeat_timeout <= 0 or poll_interval <= 0 or shutdown_timeout < 0:
             raise ValueError("timeouts must be positive")
         self.graph = graph
+        self.kernels, config = stages.pinned_backend(config)
         self.config = config
+        self.workspace = KernelWorkspace()
         self.n_workers = n_workers
         self.faults = None if faults is None or faults.empty else faults
         self.heartbeat_timeout = float(heartbeat_timeout)
@@ -385,16 +322,13 @@ class MultiprocessAMMSBSampler:
         self.theta = init.theta.copy()
 
         self._heldout = heldout
-        self._heldout_parts: list[tuple[np.ndarray, np.ndarray]] = []
-        self._prob_sums: list[np.ndarray] = []
-        self._prob_count = 0
+        # Static E_h partition, each part with its own running average.
+        self._heldout_parts: list[PerplexityEstimator] = []
         if heldout is not None:
-            from repro.dist.partition import partition_heldout
-
-            self._heldout_parts = partition_heldout(
+            parts = partition_heldout(
                 heldout.heldout_pairs, heldout.heldout_labels, n_workers
             )
-            self._prob_sums = [np.zeros(len(p)) for p, _ in self._heldout_parts]
+            self._heldout_parts = [PerplexityEstimator(*p, config.delta) for p in parts]
 
         ctx = mp.get_context("fork")
         # One PRIVATE command pipe and one PRIVATE result pipe per
@@ -862,13 +796,9 @@ class MultiprocessAMMSBSampler:
         grad_total = np.zeros_like(self.theta)
         for w in active:
             grad_total += partials[w]
-        self.theta = gradients.update_theta(
-            self.theta,
-            grad_total,
-            eps_t=cfg.step_theta.at(self.iteration),
-            eta=cfg.eta,
-            scale=1.0,
-            noise=self.master.theta_noise(self.theta.shape),
+        self.theta = stages.apply_theta(
+            self.kernels, self.workspace, cfg, self.theta, grad_total,
+            self.iteration, self.master.theta_noise(self.theta.shape),
         )
 
     def run(self, n_iterations: int, perplexity_every: int = 0) -> None:
@@ -896,20 +826,16 @@ class MultiprocessAMMSBSampler:
                 break
             except WorkerCrashed as crash:
                 self._recover(crash)
-        self._prob_count += 1
-        log_sum = 0.0
-        count = 0
-        for j, p in probs.items():
-            self._prob_sums[j] += p
-            avg = self._prob_sums[j] / self._prob_count
-            log_sum += float(np.log(np.maximum(avg, 1e-12)).sum())
-            count += len(p)
-        return float(np.exp(-log_sum / max(count, 1)))
+        for j, part in enumerate(self._heldout_parts):
+            part.add(probs[j])
+        return stages.pooled_perplexity(self._heldout_parts)
 
     def _perplexity_once(self) -> dict[int, np.ndarray]:
         beta = self.beta
         seq = self._next_seq()
         n = len(self._active)
-        for j, (pairs, labels) in enumerate(self._heldout_parts):
-            self._send(self._active[j % n], ("perplexity", seq, j, pairs, labels, beta))
+        for j, part in enumerate(self._heldout_parts):
+            self._send(
+                self._active[j % n], ("perplexity", seq, j, part.pairs, part.labels, beta)
+            )
         return self._collect("perp", range(len(self._heldout_parts)), seq)

@@ -25,6 +25,7 @@ clock composition, exactly as in Section III-D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,10 +37,13 @@ from repro.cluster.costmodel import CostModel, StageTimes
 from repro.cluster.dkv import DKVStore, DKVTraffic
 from repro.cluster.spec import ClusterSpec, das5
 from repro.faults import FaultPlan
+from repro.core import stages
+from repro.core.kernels import KernelWorkspace
 from repro.core.minibatch import Minibatch, NeighborSample
+from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
 from repro.dist.master import MasterContext
-from repro.dist.worker import WorkerContext
+from repro.dist.worker import DKVRows, WorkerContext
 from repro.dist.partition import partition_heldout
 from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit
@@ -108,7 +112,8 @@ class DistributedAMMSBSampler:
         comm_timeout: Optional[float] = 60.0,
     ) -> None:
         self.graph = graph
-        self.config = config
+        self.kernels, self.config = stages.pinned_backend(config)
+        self.workspace = KernelWorkspace()
         self.cluster = cluster or das5(4)
         self.pipelined = pipelined
         self.cost = CostModel(self.cluster)
@@ -139,19 +144,19 @@ class DistributedAMMSBSampler:
         self.theta = init.theta.copy()
 
         self.workers = [
-            WorkerContext(w, config, graph.n_vertices, self.dkv, heldout_keys)
+            WorkerContext(w, config, graph.n_vertices, DKVRows(self.dkv, w), heldout_keys)
             for w in range(n_workers)
         ]
+        self._master_rows = DKVRows(self.dkv, MASTER_CLIENT)
 
-        # Static E_h partition over all ranks (master participates too).
-        self._heldout_parts: list[tuple[np.ndarray, np.ndarray]] = []
-        self._prob_sums: list[np.ndarray] = []
-        self._prob_count = 0
+        # Static E_h partition over all ranks (master participates too),
+        # each part with its own running average.
+        self._heldout_parts: list[PerplexityEstimator] = []
         if heldout is not None:
-            self._heldout_parts = partition_heldout(
+            parts = partition_heldout(
                 heldout.heldout_pairs, heldout.heldout_labels, n_workers + 1
             )
-            self._prob_sums = [np.zeros(len(p)) for p, _ in self._heldout_parts]
+            self._heldout_parts = [PerplexityEstimator(*p, config.delta) for p in parts]
 
         self.iteration = 0
         self.timing = DistributedTiming()
@@ -283,21 +288,13 @@ class DistributedAMMSBSampler:
         )
         if theta_noise is None:
             theta_noise = self.master.theta_noise(self.theta.shape)
-        from repro.core import gradients
-
-        self.theta = gradients.update_theta(
-            self.theta,
-            grad_total,
-            eps_t=cfg.step_theta.at(self.iteration),
-            eta=cfg.eta,
-            scale=1.0,
-            noise=theta_noise,
+        self.theta = stages.apply_theta(
+            self.kernels, self.workspace, cfg, self.theta, grad_total,
+            self.iteration, theta_noise,
         )
         self.comm.bcast(self.beta)
-        import math as _math
-
         theta_bytes = self.theta.nbytes
-        steps = max(1, _math.ceil(_math.log2(self.cluster.n_nodes)))
+        steps = max(1, math.ceil(math.log2(self.cluster.n_nodes)))
         t.update_beta_theta = (
             t_beta_work
             + cost.tree_collective_time(theta_bytes)
@@ -349,34 +346,28 @@ class DistributedAMMSBSampler:
             raise RuntimeError("no held-out split was provided")
         beta = self.beta
         t_pass = 0.0
-        # Master's slice: read through the DKV as a pure client.
-        log_sum = 0.0
-        count = 0
-        self._prob_count += 1
-        for rank, (pairs, labels) in enumerate(self._heldout_parts):
+        for rank, part in enumerate(self._heldout_parts):
             if rank == 0:
-                if len(pairs):
-                    values, traffic = self.dkv.read_batch(MASTER_CLIENT, pairs.reshape(-1))
-                    from repro.core.perplexity import link_probability
-
-                    pi_pairs = values[:, :-1].reshape(len(pairs), 2, self.config.n_communities)
-                    p1 = link_probability(pi_pairs[:, 0], pi_pairs[:, 1], beta, self.config.delta)
-                    probs = np.where(labels, p1, 1.0 - p1)
-                else:
-                    probs, traffic = np.zeros(0), DKVTraffic()
+                # Master's slice: read through the DKV as a pure client.
+                probs = stages.heldout_probabilities(
+                    self._master_rows, self.config, part.pairs, part.labels, beta
+                )
+                traffic = self._master_rows.traffic
             else:
-                probs, traffic = self.workers[rank - 1].perplexity_partial(pairs, labels, beta)
-            self._prob_sums[rank] += probs
-            avg = self._prob_sums[rank] / self._prob_count
-            log_sum += float(np.log(np.maximum(avg, 1e-12)).sum())
-            count += len(pairs)
-            compute = len(pairs) * self.config.n_communities / self.cost.node_kernel_rate()
+                probs, traffic = self.workers[rank - 1].perplexity_partial(
+                    part.pairs, part.labels, beta
+                )
+            part.add(probs)
+            compute = len(part.pairs) * self.config.n_communities / self.cost.node_kernel_rate()
             load = (
                 traffic.n_requests * self.cost.c_dkv_request
                 + traffic.bytes_remote / self.cluster.network.bandwidth
             )
             t_pass = max(t_pass, compute + load)
-        reduced = self.comm.reduce([np.array([log_sum, count])] + [np.zeros(2)] * self.cluster.n_workers)
+        reduced = self.comm.reduce(
+            [np.array(stages.heldout_log_sum(self._heldout_parts))]
+            + [np.zeros(2)] * self.cluster.n_workers
+        )
         t_pass += self.cost.tree_collective_time(16)
         t_pass += self.dkv.fault_stats.drain_delay()
         self.timing.perplexity_passes.append(t_pass)
@@ -402,12 +393,4 @@ class DistributedAMMSBSampler:
 
     def last_perplexity(self) -> float:
         """Recompute the current averaged perplexity without a new sample."""
-        if not self._heldout_parts or self._prob_count == 0:
-            return float("inf")
-        log_sum = 0.0
-        count = 0
-        for rank, (pairs, _labels) in enumerate(self._heldout_parts):
-            avg = self._prob_sums[rank] / self._prob_count
-            log_sum += float(np.log(np.maximum(avg, 1e-12)).sum())
-            count += len(pairs)
-        return float(np.exp(-log_sum / max(count, 1)))
+        return stages.pooled_perplexity(self._heldout_parts)

@@ -1,8 +1,10 @@
 """Multi-threaded single-node sampler (the paper's vertical-scaling rival).
 
-:class:`ThreadedAMMSBSampler` extends the sequential reference by running
-update_phi (the dominant stage) and the theta-gradient partials over a
-thread pool, chunked across mini-batch vertices / stratum edges. Noise is
+:class:`ThreadedAMMSBSampler` is the sequential reference with a
+different executor: update_phi (the dominant stage) and the
+theta-gradient partials run over a thread pool, chunked across
+mini-batch vertices / stratum edges. It overrides only how chunks are
+mapped; the stages themselves are the sequential sampler's. Noise is
 pre-drawn for the whole mini-batch before chunking, so the threaded run is
 numerically identical to the sequential one given the same RNG seeds —
 the property the equivalence tests rely on.
@@ -13,11 +15,8 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-import numpy as np
-
 from repro.config import AMMSBConfig
 from repro.core.kernels import KernelWorkspace
-from repro.core.minibatch import Minibatch, NeighborSample
 from repro.core.sampler import AMMSBSampler
 from repro.graph.graph import Graph
 from repro.graph.split import HeldoutSplit
@@ -63,103 +62,9 @@ class ThreadedAMMSBSampler(AMMSBSampler):
             raise ValueError("n_threads must be >= 1")
         self.n_threads = n_threads
 
-    def update_phi_pi(
-        self,
-        minibatch: Minibatch,
-        neighbor_sample: NeighborSample,
-        noise: Optional[np.ndarray] = None,
-    ) -> None:
-        """Chunked thread-parallel version of the phi/pi stage.
-
-        The chunk kernel reads shared state (pi rows of neighbors) and
-        writes disjoint rows (its own mini-batch vertices), so no locking
-        is needed — the same argument the paper makes for the absence of
-        read/write hazards in the DKV stages.
-        """
-        cfg = self.config
-        vs = minibatch.vertices
-        m = vs.size
-        if noise is None:
-            noise = self.noise_rng.standard_normal((m, cfg.n_communities))
-        eps_t = cfg.step_phi.at(self.iteration)
-        beta = self.state.beta
-        n_vertices = self.graph.n_vertices
-
-        pi = self.state.pi
-        phi_sum = self.state.phi_sum
-        new_phi = np.empty((m, cfg.n_communities), dtype=pi.dtype)
-
-        def work(a: int, b: int) -> None:
-            ws = thread_workspace()
-            sl = slice(a, b)
-            v = vs[sl]
-            pi_a = pi[v]
-            phi_sum_a = phi_sum[v]
-            pi_b = pi[neighbor_sample.neighbors[sl]]
-            grad = self.kernels.phi_gradient_sum(
-                pi_a,
-                phi_sum_a,
-                pi_b,
-                neighbor_sample.labels[sl],
-                beta,
-                cfg.delta,
-                mask=neighbor_sample.mask[sl],
-                workspace=ws,
-            )
-            counts = np.maximum(neighbor_sample.mask[sl].sum(axis=1, keepdims=True), 1)
-            new_phi[sl] = self.kernels.update_phi(
-                pi_a * phi_sum_a[:, None],
-                grad,
-                eps_t=eps_t,
-                alpha=cfg.effective_alpha,
-                scale=n_vertices / counts,
-                noise=noise[sl],
-                phi_floor=cfg.phi_floor,
-                phi_clip=cfg.phi_clip,
-                workspace=ws,
-            )
-
-        chunked_thread_map(work, m, self.n_threads)
-        self.state.set_phi_rows(vs, new_phi)
-
-    def update_beta_theta(
-        self, minibatch: Minibatch, noise: Optional[np.ndarray] = None
-    ) -> None:
-        """Thread-parallel theta gradient over the concatenated strata.
-
-        The strata are batched into one edge array with per-edge h-weights
-        (as in the sequential engine) and chunked by edge range; partial
-        sums are reduced in chunk order, so results match the sequential
-        engine up to float-addition reordering across chunk boundaries.
-        """
-        cfg = self.config
-        pairs, labels, scales = minibatch.all_pairs()
-        theta = self.state.theta
-        pi = self.state.pi
-
-        def work(a: int, b: int) -> np.ndarray:
-            sl = slice(a, b)
-            return self.kernels.theta_gradient_weighted(
-                pi[pairs[sl, 0]],
-                pi[pairs[sl, 1]],
-                labels[sl],
-                theta,
-                cfg.delta,
-                weights=scales[sl],
-                workspace=thread_workspace(),
-            )
-
-        parts = chunked_thread_map(work, pairs.shape[0], self.n_threads)
-        grad_total = np.zeros_like(theta)
-        for p in parts:
-            grad_total += p
-        if noise is None:
-            noise = self.noise_rng.standard_normal(theta.shape)
-        self.state.theta = self.kernels.update_theta(
-            theta,
-            grad_total,
-            eps_t=cfg.step_theta.at(self.iteration),
-            eta=cfg.eta,
-            scale=1.0,
-            noise=noise,
+    def _map_chunks(self, fn, n: int) -> list:
+        """The thread-pool executor: ``n_threads`` contiguous chunks, each
+        on its pool thread's own workspace, results in chunk order."""
+        return chunked_thread_map(
+            lambda a, b: fn(a, b, thread_workspace()), n, self.n_threads
         )

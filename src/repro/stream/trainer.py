@@ -20,10 +20,9 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
 4. **trains** a bounded number of iterations — sequentially, or on the
    multiprocess backend (``engine="mp"``);
 5. **checkpoints** (:func:`repro.core.checkpoint.save_state_checkpoint`)
-   and **publishes** a serving artifact: through the
-   :class:`~repro.dist.mp.MultiprocessAMMSBSampler` publish hook on the
-   mp engine, or :func:`repro.serve.artifact.export_artifact` (the same
-   machinery that hook calls) sequentially. An injected publish failure
+   and then **publishes** a serving artifact
+   (:func:`repro.serve.artifact.export_artifact`), in that order on
+   either engine. An injected publish failure
    (:class:`repro.faults.StreamFaultPlan`) skips the publish and records
    the error — the previous artifact keeps serving — rather than
    aborting the generation.
@@ -167,7 +166,7 @@ class StreamTrainer:
         publish_callback: called as ``callback(path, generation)`` after
             each successful publish — the live-server hot-swap hook.
         engine: ``"sequential"`` (in-process sampler) or ``"mp"`` (the
-            multiprocess backend; publishes through its publish hook).
+            multiprocess backend).
         n_workers: worker count for the mp engine.
         faults: optional :class:`repro.faults.StreamFaultPlan`.
         max_pending / max_new_nodes: overlay bounds (see
@@ -521,15 +520,7 @@ class StreamTrainer:
             )
 
         t0 = time.perf_counter()
-        if self.engine == "mp":
-            self._train_mp(heldout, n_iter, gen)
-        else:
-            sampler = AMMSBSampler(
-                heldout.train, self.config, heldout=heldout, state=self.state
-            )
-            sampler.iteration = self.iteration
-            sampler.run(n_iter)
-            self.state = sampler.state
+        self.state = self._train(heldout, n_iter)
         train_seconds = time.perf_counter() - t0
         self.iteration += n_iter
 
@@ -549,15 +540,12 @@ class StreamTrainer:
         if self.publish_path is not None:
             if self.faults is not None and self.faults.publish_fails(gen):
                 publish_error = f"injected publish failure (generation {gen})"
-            elif self.engine != "mp":
+            else:
                 export_artifact(
                     self.publish_path, self.state, self.config,
                     iteration=self.iteration,
                 )
                 published = True
-            else:
-                published = self._mp_published
-            if published:
                 self.last_published = self.publish_path
                 if self.publish_callback is not None:
                     self.publish_callback(self.publish_path, gen)
@@ -618,28 +606,28 @@ class StreamTrainer:
             else:
                 path.unlink(missing_ok=True)
 
-    def _train_mp(self, heldout: HeldoutSplit, n_iter: int, gen: int) -> None:
-        """One generation on the multiprocess backend (publishes via hook)."""
-        from repro.dist.mp import MultiprocessAMMSBSampler
+    def _train(self, heldout: HeldoutSplit, n_iter: int) -> ModelState:
+        """``n_iter`` iterations from the current state on this trainer's
+        engine, continuing the stream's schedule clock."""
+        if self.engine == "mp":
+            from repro.dist.mp import MultiprocessAMMSBSampler
 
-        publish = (
-            self.publish_path is not None
-            and not (self.faults is not None and self.faults.publish_fails(gen))
+            with MultiprocessAMMSBSampler(
+                heldout.train,
+                self.config,
+                n_workers=self.n_workers,
+                heldout=heldout,
+                state=self.state,
+            ) as sampler:
+                sampler.iteration = self.iteration
+                sampler.run(n_iter)
+                return sampler.state_snapshot()
+        sampler = AMMSBSampler(
+            heldout.train, self.config, heldout=heldout, state=self.state
         )
-        self._mp_published = False
-        with MultiprocessAMMSBSampler(
-            heldout.train,
-            self.config,
-            n_workers=self.n_workers,
-            heldout=heldout,
-            state=self.state,
-        ) as sampler:
-            sampler.iteration = self.iteration
-            sampler.run(n_iter)
-            self.state = sampler.state_snapshot()
-            if publish:
-                sampler.publish_artifact(self.publish_path)
-                self._mp_published = True
+        sampler.iteration = self.iteration
+        sampler.run(n_iter)
+        return sampler.state
 
     def run(
         self,

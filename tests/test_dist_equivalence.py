@@ -1,6 +1,6 @@
 """E11: sequential vs threaded vs distributed numerical equivalence.
 
-All three engines share the kernels in repro.core.gradients; fed identical
+All engines execute the stage math of repro.core.stages; fed identical
 mini-batches, neighbor samples, and noise, they must produce identical
 states (up to float-addition reordering in the theta reduce, hence the
 tight-but-not-exact tolerance on theta for the multi-worker cases).
@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster.spec import das5
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core import kernels
 from repro.core.minibatch import MinibatchSampler, NeighborSample
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
@@ -112,6 +113,65 @@ class TestSequentialVsThreaded:
         thr.run(8)
         np.testing.assert_allclose(thr.state.pi, seq.state.pi, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(thr.state.theta, seq.state.theta, rtol=1e-9)
+
+
+# -- every registered backend x storage dtype, by registration ------------------
+#
+# A new kernel backend or row store is covered here without a new test:
+# the matrix is read from the registry. The documented equivalence
+# classes (DESIGN section 5): one part (1 thread / 1 worker) reproduces
+# the sequential engine bit for bit in float64; several parts differ
+# only by the order in which the theta partials are added; float32
+# storage rounds each written row, so it is compared to tolerance.
+
+MATRIX = [(b, d) for b in kernels.available_backends() for d in ("float64", "float32")]
+
+
+def assert_equivalent(got, want, dtype, n_parts):
+    if dtype == "float64" and n_parts == 1:
+        np.testing.assert_array_equal(got.pi, want.pi)
+        np.testing.assert_array_equal(got.theta, want.theta)
+        return
+    tol = dict(rtol=1e-9, atol=1e-12) if dtype == "float64" else dict(rtol=1e-3, atol=1e-5)
+    np.testing.assert_allclose(got.pi, want.pi, **tol)
+    np.testing.assert_allclose(got.theta, want.theta, rtol=tol["rtol"])
+
+
+@pytest.mark.parametrize("backend,dtype", MATRIX)
+class TestEngineMatrix:
+    @pytest.mark.parametrize("n_workers", [1, 3, 4])
+    def test_distributed_replay(self, problem, backend, dtype, n_workers):
+        split, cfg = problem
+        cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
+        st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(1))
+        seq = AMMSBSampler(split.train, cfg, state=st0.copy())
+        dist = DistributedAMMSBSampler(
+            split.train, cfg, cluster=das5(n_workers), pipelined=False, state=st0.copy()
+        )
+        for mb, ns, noise, tnoise in replay_inputs(split, cfg, 6):
+            seq.update_phi_pi(mb, ns, noise=noise)
+            seq.update_beta_theta(mb, noise=tnoise)
+            seq.iteration += 1
+            parts = [
+                NeighborSample(
+                    ns.neighbors[w::n_workers], ns.labels[w::n_workers], ns.mask[w::n_workers]
+                )
+                for w in range(n_workers)
+            ]
+            dist.step(minibatch=mb, neighbor_samples=parts, phi_noise=noise, theta_noise=tnoise)
+        snap = dist.state_snapshot()
+        assert snap.pi.dtype == seq.state.pi.dtype == np.dtype(dtype)
+        assert_equivalent(snap, seq.state, dtype, n_workers)
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 4])
+    def test_threaded_free_run(self, problem, backend, dtype, n_threads):
+        split, cfg = problem
+        cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
+        seq = AMMSBSampler(split.train, cfg)
+        thr = ThreadedAMMSBSampler(split.train, cfg, n_threads=n_threads)
+        seq.run(8)
+        thr.run(8)
+        assert_equivalent(thr.state, seq.state, dtype, n_threads)
 
 
 class TestStatisticalAgreement:

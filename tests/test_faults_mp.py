@@ -157,8 +157,8 @@ class TestPipeDiscipline:
             assert s.active_workers == (0,)
             # Both ~20k-pair parts (≈320KB command, ≈160KB result) now
             # go to worker 0 back-to-back.
-            for part_pairs, _ in s._heldout_parts:
-                assert part_pairs.nbytes > 65536
+            for part in s._heldout_parts:
+                assert part.pairs.nbytes > 65536
             perp = s.evaluate_perplexity()
             assert np.isfinite(perp) and perp > 1.0
 

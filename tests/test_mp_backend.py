@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.spec import das5
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core import kernels
 from repro.core.state import init_state
 from repro.dist.mp import MultiprocessAMMSBSampler
 from repro.dist.sampler import DistributedAMMSBSampler
@@ -61,6 +62,30 @@ class TestMultiprocess:
         snap_in = inproc.state_snapshot()
         np.testing.assert_allclose(snap_mp.pi, snap_in.pi, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(snap_mp.theta, snap_in.theta, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_matches_inprocess_backend_bit_for_bit(self, problem, backend, dtype):
+        """Both engines host the same WorkerContext over a ``[pi | phi_sum]``
+        table, so free runs (held-out pairs masked out of the neighbor
+        sets) are bit-identical for every registered backend and dtype."""
+        split, cfg = problem
+        cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
+        st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(9))
+        inproc = DistributedAMMSBSampler(
+            split.train, cfg, cluster=das5(3), heldout=split, state=st0.copy()
+        )
+        inproc.run(8)
+        with MultiprocessAMMSBSampler(
+            split.train, cfg, n_workers=3, heldout=split, state=st0.copy()
+        ) as mproc:
+            mproc.run(8)
+            snap_mp = mproc.state_snapshot()
+        snap_in = inproc.state_snapshot()
+        assert snap_mp.pi.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(snap_mp.pi, snap_in.pi)
+        np.testing.assert_array_equal(snap_mp.phi_sum, snap_in.phi_sum)
+        np.testing.assert_array_equal(snap_mp.theta, snap_in.theta)
 
     def test_perplexity_tracks_and_converges(self, problem):
         split, cfg = problem

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import AMMSBConfig, StepSizeConfig
-from repro.faults import PublishFailure, StreamFaultPlan
+from repro.faults import InjectedCrash, PublishFailure, StreamFaultPlan, TrainerCrash
 from repro.serve.artifact import load_artifact
 from repro.stream import StreamTrainer, SyntheticArrivalSource
 
@@ -179,3 +179,22 @@ class TestMultiprocessEngine:
         art = load_artifact(tmp_path / "artifact.npz")
         assert art.n_nodes == rep1.n_vertices
         assert trainer.state.pi.shape[0] == rep1.n_vertices
+
+    def test_mp_generation_killed_before_publish_has_not_published(
+        self, stream, tmp_path
+    ):
+        """Either engine checkpoints, then publishes: a kill between the
+        two leaves the checkpoint on disk and the previous artifact serving."""
+        base, batches = stream
+        crash = TrainerCrash(phase="post-checkpoint-pre-publish", generation=1)
+        trainer = StreamTrainer(
+            base, _config(), tmp_path, iterations_per_generation=8,
+            publish_path=tmp_path / "artifact.npz", engine="mp", n_workers=2,
+            faults=StreamFaultPlan(seed=0, trainer_crashes=(crash,)),
+        )
+        trainer.run_generation()
+        v0 = load_artifact(tmp_path / "artifact.npz").version
+        with pytest.raises(InjectedCrash, match="post-checkpoint-pre-publish"):
+            trainer.run_generation(batches[0])
+        assert (tmp_path / "checkpoint_g0001.npz").exists()
+        assert load_artifact(tmp_path / "artifact.npz").version == v0
