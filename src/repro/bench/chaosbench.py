@@ -1,4 +1,4 @@
-"""Chaos drill for the durable streaming tier: kill it, then prove recovery.
+"""Chaos drills for the streaming and serving tiers: break it, then prove recovery.
 
 ``run_chaos_stream`` replays one deterministic arrival stream through
 :class:`~repro.stream.trainer.StreamTrainer` while injecting every fault
@@ -26,19 +26,35 @@ invariants end to end:
 ``repro chaos-stream`` runs this drill and exits non-zero when any
 invariant fails, which is what makes it a CI gate rather than a demo.
 Schema v1 (``repro-chaos-stream/1``).
+
+``run_chaos_serve`` is the serving counterpart: a seeded
+:class:`~repro.faults.ServeFaultPlan` (two corrupt publish payloads, a
+mid-swap failure, a worker-thread crash, engine latency spikes) runs
+against a live :class:`~repro.serve.server.ModelServer` while seeded
+closed-loop clients issue Zipf-skewed link-probability requests (a small
+hot set dominates, as real query traffic does), each keeping a bounded
+pipeline of outstanding futures. The report asserts that the server
+survives, rolls back to last-known-good, respawns the dead worker,
+quarantines the damage, and accounts for every request with a typed
+error — zero silent drops (``repro chaos-serve``, schema
+``repro-chaos-serve/1``).
 """
 
 from __future__ import annotations
 
-import json
+import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
+from repro.config import AMMSBConfig
+
 SCHEMA = "repro-chaos-stream/1"
+CHAOS_SCHEMA = "repro-chaos-serve/1"
 
 
 def _final_state(workdir: Path) -> tuple[str, frozenset, int]:
@@ -355,5 +371,348 @@ def report_rows(report: dict[str, Any]) -> list[str]:
     return rows
 
 
-def save_report(report: dict[str, Any], path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+# -- serving tier ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ServeWorkload:
+    """Sizing of the serving drill's closed-loop client load."""
+
+    n_vertices: int
+    n_communities: int
+    n_clients: int
+    requests_per_client: int
+    pairs_per_request: int
+    pool_size: int  # distinct requests (Zipf-sampled -> cache hits)
+    pipeline_depth: int = 8
+    zipf_exponent: float = 1.1
+
+    @property
+    def total_requests(self) -> int:
+        return self.n_clients * self.requests_per_client
+
+
+def synthetic_artifact(n_vertices: int, n_communities: int, seed: int):
+    """A model-shaped artifact without training (random gamma posterior)."""
+    from repro.core.state import init_state
+    from repro.serve.artifact import build_artifact
+
+    config = AMMSBConfig(n_communities=n_communities, seed=seed)
+    state = init_state(n_vertices, config, np.random.default_rng(seed))
+    return build_artifact(state, config, iteration=0)
+
+
+def perturbed_artifact(artifact, seed: int):
+    """A distinct-version snapshot of the same shape (the hot-swap payload)."""
+    from repro.core.state import ModelState
+    from repro.serve.artifact import build_artifact
+
+    rng = np.random.default_rng(seed)
+    pi = artifact.pi * rng.uniform(0.9, 1.1, size=artifact.pi.shape)
+    state = ModelState(
+        pi=pi / pi.sum(axis=1, keepdims=True),
+        phi_sum=np.ones(artifact.n_nodes),
+        theta=artifact.theta.copy(),
+    )
+    return build_artifact(state, artifact.config, iteration=artifact.iteration + 1)
+
+
+def _zipf_indices(
+    rng: np.random.Generator, n: int, size: int, exponent: float
+) -> np.ndarray:
+    """``size`` draws from a Zipf law over ``range(n)`` (rank 0 hottest)."""
+    weights = np.arange(1, n + 1, dtype=np.float64) ** -exponent
+    weights /= weights.sum()
+    return rng.choice(n, size=size, p=weights)
+
+
+def _request_pool(rng: np.random.Generator, w: ServeWorkload) -> list[np.ndarray]:
+    """Distinct (B, 2) pair requests over Zipf-popular nodes."""
+    pool = []
+    for _ in range(w.pool_size):
+        a = _zipf_indices(rng, w.n_vertices, w.pairs_per_request, w.zipf_exponent)
+        b = (a + 1 + rng.integers(0, w.n_vertices - 1, size=a.shape)) % w.n_vertices
+        pool.append(np.column_stack([a, b]).astype(np.int64))
+    return pool
+
+
+@dataclass
+class _ClientResult:
+    completed: int = 0
+    errors: int = 0
+    overloads: int = 0
+    sheds: int = 0
+    deadline_exceeded: int = 0
+    error_types: set = field(default_factory=set)
+
+
+def _client_loop(
+    server, schedule: list[np.ndarray], depth: int, result: _ClientResult
+) -> None:
+    """Closed-loop client: bounded pipeline of outstanding requests.
+
+    Every terminal outcome lands in exactly one taxonomy bucket:
+    completed, deadline-exceeded (typed, no retry — the answer is
+    already worthless), or errored (with the exception type recorded).
+    Backpressure (:class:`ServerOverloaded`) and shedding
+    (:class:`RequestShed`) are retried with backoff and *counted*, but a
+    request that exhausts its retry budget becomes a counted error —
+    never a silent drop.
+    """
+    from repro.serve.server import DeadlineExceeded, RequestShed, ServerOverloaded
+
+    outstanding: list[tuple] = []
+
+    def drain(block_all: bool = False) -> None:
+        while outstanding and (block_all or len(outstanding) >= depth):
+            fut, n_pairs = outstanding.pop(0)
+            try:
+                probs = fut.result(timeout=60.0)
+                ok = (
+                    len(probs) == n_pairs
+                    and bool(np.all(np.isfinite(probs)))
+                    and bool(np.all((probs > 0) & (probs < 1)))
+                )
+                if not ok:
+                    result.errors += 1
+                    result.error_types.add("BadAnswer")
+                    continue
+                result.completed += 1
+            except DeadlineExceeded:
+                result.deadline_exceeded += 1
+            except Exception as exc:  # noqa: BLE001 - counted, not raised
+                result.errors += 1
+                result.error_types.add(type(exc).__name__)
+
+    for pairs in schedule:
+        fut = None
+        for _attempt in range(2000):  # bounded: a dead server can't hang us
+            try:
+                fut = server.link_probability(pairs)
+                break
+            except ServerOverloaded:
+                result.overloads += 1
+            except RequestShed:
+                result.sheds += 1
+            drain(block_all=False)
+            time.sleep(0.0005)
+        if fut is None:  # retry budget exhausted: counted, not dropped
+            result.errors += 1
+            result.error_types.add("RetriesExhausted")
+            continue
+        outstanding.append((fut, len(pairs)))
+        drain(block_all=False)
+    drain(block_all=True)
+
+
+def run_chaos_serve(quick: bool = True, seed: int = 2026) -> dict[str, Any]:
+    """The serving chaos drill: a seeded fault plan against a live server.
+
+    While the closed-loop clients hammer link-probability, the drill
+    attempts four publishes: a truncated file (archive-layer corruption),
+    a payload-swapped file (only the SHA-256 verify can catch it), a
+    clean file whose swap fails mid-flight (rolls back to last-known-
+    good), and a clean file that must install. Meanwhile the fault plan
+    crashes a worker thread (the watchdog must respawn it) and injects
+    engine latency spikes; a post-load burst of microscopic deadlines
+    proves deadline enforcement. The report's ``invariants`` section is
+    the acceptance contract — ``passed`` is their conjunction.
+    """
+    from repro.faults import chaos_serve_plan
+    from repro.serve.artifact import ArtifactCorrupt, save_artifact
+    from repro.serve.server import (
+        DeadlineExceeded,
+        ModelServer,
+        ShedPolicy,
+        SwapFailed,
+    )
+
+    w = ServeWorkload(
+        n_vertices=600 if quick else 2000,
+        n_communities=16 if quick else 32,
+        n_clients=2,
+        requests_per_client=250 if quick else 1000,
+        pairs_per_request=16 if quick else 32,
+        pool_size=64 if quick else 128,
+    )
+    plan = chaos_serve_plan(seed=seed, n_workers=2)
+    artifact = synthetic_artifact(w.n_vertices, w.n_communities, seed)
+    v0 = artifact.version
+
+    rng = np.random.default_rng(seed)
+    pool = _request_pool(rng, w)
+    schedules = [
+        [
+            pool[i]
+            for i in _zipf_indices(
+                np.random.default_rng(seed + 100 + c),
+                w.pool_size,
+                w.requests_per_client,
+                w.zipf_exponent,
+            )
+        ]
+        for c in range(w.n_clients)
+    ]
+    results = [_ClientResult() for _ in range(w.n_clients)]
+
+    start = time.perf_counter()
+    with TemporaryDirectory() as tmpdir:
+        server = ModelServer(
+            artifact,
+            n_workers=2,
+            max_batch=16,
+            max_delay_ms=0.2,
+            queue_limit=512,
+            cache_size=4 * w.pool_size,
+            faults=plan,
+            shed_policy=ShedPolicy(),
+            stall_timeout_s=2.0,
+            watchdog_interval_s=0.05,
+        )
+        threads = [
+            threading.Thread(
+                target=_client_loop,
+                args=(server, schedules[c], w.pipeline_depth, results[c]),
+                name=f"chaos-client-{c}",
+            )
+            for c in range(w.n_clients)
+        ]
+        for t in threads:
+            t.start()
+        time.sleep(0.05)  # let traffic build before the first publish
+
+        outcomes: list[dict[str, Any]] = []
+        version_after_rollback = None
+        final_version = None
+        for attempt in range(4):
+            payload = perturbed_artifact(artifact, seed + 10 + attempt)
+            path = save_artifact(Path(tmpdir) / f"swap{attempt}.npz", payload)
+            mode = plan.artifact_fault(attempt)
+            if mode is not None:
+                plan.corrupt_file(path, mode)
+            try:
+                gen = server.publish_path(path)
+                outcomes.append(
+                    {"attempt": attempt, "outcome": "published", "generation": gen}
+                )
+                final_version = payload.version
+            except ArtifactCorrupt as exc:
+                outcomes.append(
+                    {
+                        "attempt": attempt,
+                        "outcome": "quarantined",
+                        "mode": mode,
+                        "quarantined_as": Path(exc.quarantined).name,
+                    }
+                )
+            except SwapFailed as exc:
+                outcomes.append(
+                    {
+                        "attempt": attempt,
+                        "outcome": "rolled_back",
+                        "serving_version": exc.serving_version,
+                    }
+                )
+                version_after_rollback = server.artifact.version
+            time.sleep(0.05)
+
+        for t in threads:
+            t.join()
+
+        # deadline burst: microscopic deadlines on distinct (uncached)
+        # membership queries — queue wait alone must expire most of them.
+        burst = [
+            server.membership(i % w.n_vertices, deadline_ms=0.005)
+            for i in range(100)
+        ]
+        deadline_hits = completed_in_burst = 0
+        for fut in burst:
+            try:
+                fut.result(timeout=30.0)
+                completed_in_burst += 1
+            except DeadlineExceeded:
+                deadline_hits += 1
+
+        health = server.health()
+        final_answer_ok = server.query("membership", 0, timeout=30.0) is not None
+        stats = server.stats()
+        quarantined_files = sorted(
+            p.name for p in Path(tmpdir).glob("*.quarantined*")
+        )
+        server.close()
+    elapsed = time.perf_counter() - start
+
+    completed = sum(r.completed for r in results)
+    errors = sum(r.errors for r in results)
+    deadline_exceeded = sum(r.deadline_exceeded for r in results)
+    error_types = sorted(set().union(*(r.error_types for r in results)))
+    dropped = w.total_requests - completed - errors - deadline_exceeded
+    res = stats["resilience"]
+
+    by_attempt = {o["attempt"]: o["outcome"] for o in outcomes}
+    invariants = {
+        "server_survived": bool(health["healthy"]) and final_answer_ok,
+        "corrupt_publishes_quarantined": (
+            by_attempt.get(0) == "quarantined"
+            and by_attempt.get(1) == "quarantined"
+            and len(quarantined_files) == 2
+            and res["quarantines"] == 2
+        ),
+        "rolled_back_to_last_known_good": (
+            by_attempt.get(2) == "rolled_back"
+            and version_after_rollback == v0
+            and res["rollbacks"] >= 1
+        ),
+        "final_publish_installed": (
+            by_attempt.get(3) == "published"
+            and stats["artifact"]["version"] == final_version
+        ),
+        "worker_respawned": res["worker_respawns"] >= 1,
+        "deadline_enforced": deadline_hits >= 1,
+        "zero_silent_drops": dropped == 0,
+        "typed_errors_only": set(error_types) <= {"WorkerCrashed"},
+    }
+    return {
+        "schema": CHAOS_SCHEMA,
+        "quick": bool(quick),
+        "seed": int(seed),
+        "plan": plan.describe(),
+        "elapsed_seconds": elapsed,
+        "passed": all(invariants.values()),
+        "invariants": invariants,
+        "publish_attempts": outcomes,
+        "quarantined_files": quarantined_files,
+        "client": {
+            "requests": w.total_requests,
+            "completed": completed,
+            "errors": errors,
+            "error_types": error_types,
+            "deadline_exceeded": deadline_exceeded,
+            "shed_rejections": sum(r.sheds for r in results),
+            "overload_rejections": sum(r.overloads for r in results),
+            "dropped": dropped,
+        },
+        "deadline_burst": {
+            "sent": len(burst),
+            "deadline_exceeded": deadline_hits,
+            "completed": completed_in_burst,
+        },
+        "server": stats,
+    }
+
+
+def chaos_report_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """Flatten the drill verdicts for :func:`repro.bench.harness.format_table`."""
+    rows = [
+        {"metric": f"invariant: {name}", "value": str(ok)}
+        for name, ok in report["invariants"].items()
+    ]
+    c = report["client"]
+    rows += [
+        {"metric": "requests completed", "value": c["completed"]},
+        {"metric": "typed errors", "value": c["errors"]},
+        {"metric": "deadline exceeded", "value": c["deadline_exceeded"]},
+        {"metric": "worker respawns", "value": report["server"]["resilience"]["worker_respawns"]},
+        {"metric": "drill passed", "value": str(report["passed"])},
+    ]
+    return rows

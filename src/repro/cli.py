@@ -7,14 +7,10 @@ Subcommands:
 - ``repro generate`` — write a synthetic SNAP stand-in (or a planted
   graph) as an edge list;
 - ``repro benchmark`` — regenerate a paper figure/table on stdout;
-- ``repro bench-kernels`` — time the kernel backends (reference, fused,
-  numba when installed) and write machine-readable ``BENCH_kernels.json``;
-- ``repro bench-check`` — rerun a bench suite (``kernels``, ``mem``,
-  ``serve``, or ``stream``) and compare against its checked-in baseline
-  JSON, failing on ratio regressions;
-- ``repro bench-mem`` — measure graph-load time and peak RSS per storage
-  format (edge list, NPZ, resident CSR, mapped CSR) and write
-  ``BENCH_mem.json``;
+- ``repro bench`` — run a microbenchmark suite (``kernels``: every
+  registered kernel backend against ``reference``; ``store``: graph load
+  and artifact cold start per storage format) and hold its same-run
+  ratios to the floors in :mod:`repro.bench.gate`, exit 2 on a miss;
 - ``repro convert-graph`` — convert an edge list or ``.npz`` graph into
   a memory-mappable CSR store container;
 - ``repro calibrate`` — print the Table III calibration report;
@@ -29,8 +25,6 @@ Subcommands:
   community / recommend) from a serving artifact;
 - ``repro serve`` — stand up the micro-batching model server and answer
   a line protocol on stdin;
-- ``repro bench-serve`` — run the serving load generator (Zipf traffic +
-  mid-run hot-swap) and write ``BENCH_serve.json``;
 - ``repro chaos-stream`` — run the streaming durability drill (kill -9
   at every crash phase, torn journal writes, source I/O faults + file
   rotation) and assert the recovery invariants end to end;
@@ -41,8 +35,6 @@ Subcommands:
   supervisor and ``--resume`` to continue a crashed run from its
   write-ahead journal + manifest,
   and answer membership-drift queries;
-- ``repro bench-stream`` — run the closed-loop streaming bench
-  (warm-start vs cold retrain) and write ``BENCH_stream.json``;
 - ``repro auc`` — held-out link-prediction AUC of a checkpoint or
   artifact.
 
@@ -54,6 +46,10 @@ Examples::
     repro query --artifact dblp_model.npz membership 17 --top 5
     repro auc --edges dblp.txt --artifact dblp_model.npz
     repro benchmark --experiment fig1
+
+An invalid argument value ends in one ``error: ...`` line on stderr and
+exit code 2 (:class:`ArgumentError`) on the commands that check theirs
+up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``.
 """
 
 from __future__ import annotations
@@ -63,6 +59,23 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+
+class ArgumentError(ValueError):
+    """An argument value no run can use; ``main`` prints it and exits 2."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ArgumentError(message)
+
+
+def _require_seed_and_output(args: argparse.Namespace) -> None:
+    """Reject before a long run what would only fail at its end."""
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    if args.output:
+        parent = Path(args.output).resolve().parent
+        _require(parent.is_dir(), f"--output: no such directory {str(parent)!r}")
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -193,124 +206,29 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    from repro.bench import kernbench
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run one microbenchmark suite; exit 2 if it misses a floor."""
+    from repro.bench import gate, kernbench, storebench
     from repro.bench.harness import format_table
 
-    report = kernbench.run_kernel_bench(
-        quick=args.quick, seed=args.seed, backends=args.backends
-    )
-    print(format_table(kernbench.report_rows(report), title="Kernel backends"))
-    if args.output:
-        kernbench.save_report(report, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-#: per-suite (baseline file, default regression threshold). The storage
-#: suites tolerate more drift than the kernel gate because their ratios
-#: fold in disk and page-cache behavior.
-_BENCH_SUITES = {
-    "kernels": ("BENCH_kernels.json", 0.25),
-    "mem": ("BENCH_mem.json", 0.5),
-    "serve": ("BENCH_serve.json", 0.5),
-    "stream": ("BENCH_stream.json", 0.5),
-}
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """Compare a fresh bench run against the committed baseline.
-
-    ``--suite kernels`` (default) reruns the kernel bench; ``--suite
-    mem`` the storage/memory bench; ``--suite serve`` the serving load
-    generator; ``--suite stream`` the streaming warm-vs-cold loop. Exit
-    codes: 0 = within threshold, 2 = regression, 3 = baseline
-    missing/unreadable. Every suite compares *ratios* (backend speedups,
-    CSR-vs-edge-list load speedups, v2-vs-v1 cold-start speedup,
-    warm-vs-cold retrain speedup), so the checks hold across machines of
-    different speed and across environments with different optional
-    backends installed.
-    """
-    from repro.bench.harness import format_table
-
+    _require_seed_and_output(args)
     if args.suite == "kernels":
-        from repro.bench import kernbench as bench
-
-        def run_fresh():
-            return bench.run_kernel_bench(quick=args.quick, seed=args.seed)
-    elif args.suite == "mem":
-        from repro.bench import membench as bench
-
-        def run_fresh():
-            return bench.run_mem_bench(quick=args.quick, seed=args.seed)
-    elif args.suite == "serve":
-        from repro.bench import servebench as bench
-
-        def run_fresh():
-            return bench.run_serve_bench(quick=args.quick, seed=args.seed)
+        report = kernbench.run_kernel_bench(seed=args.seed)
+        measured = kernbench.report_rows(report)
     else:
-        from repro.bench import streambench as bench
-
-        def run_fresh():
-            return bench.run_stream_bench(quick=args.quick, seed=args.seed)
-
-    default_baseline, default_threshold = _BENCH_SUITES[args.suite]
-    baseline_path = args.baseline or default_baseline
-    threshold = args.threshold if args.threshold is not None else default_threshold
-    try:
-        baseline = bench.load_report(baseline_path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load baseline: {exc}", file=sys.stderr)
-        return 3
-    fresh = run_fresh()
+        report = storebench.run_store_bench(seed=args.seed)
+        measured = storebench.report_rows(report)
+    print(format_table(measured, title=f"bench {args.suite}"))
     if args.output:
-        bench.save_report(fresh, args.output)
+        gate.save_report(report, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
-    rows = bench.compare_reports(baseline, fresh, threshold=threshold)
-    print(format_table(rows, title=f"bench-check --suite {args.suite} vs "
-                                   f"{baseline_path} (threshold {threshold:.0%})"))
-    regressed = [r for r in rows if r["regressed"]]
-    if regressed:
-        names = ", ".join(r["metric"] for r in regressed)
-        print(f"REGRESSION: {names}", file=sys.stderr)
+    rows = gate.check(report)
+    print(format_table(rows, title="floors"))
+    missed = [r["metric"] for r in rows if not r["ok"]]
+    if missed:
+        print(f"FAIL: floor(s) missed: {', '.join(missed)}", file=sys.stderr)
         return 2
-    print(f"ok: no {args.suite} regression", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_mem(args: argparse.Namespace) -> int:
-    """Run the storage/memory bench; exit 2 if an acceptance bar fails."""
-    from repro.bench import membench
-
-    report = membench.run_mem_bench(quick=args.quick, seed=args.seed)
-    for line in membench.report_rows(report):
-        print(line)
-    if args.output:
-        membench.save_report(report, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    failed = [k for k, ok in report["acceptance"].items() if not ok]
-    if failed:
-        print(f"FAIL: acceptance bar(s) not met: {failed}", file=sys.stderr)
-        return 2
-    print("ok: storage acceptance bars met", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_stream(args: argparse.Namespace) -> int:
-    """Run the streaming bench; exit 2 if an acceptance bar fails."""
-    from repro.bench import streambench
-
-    report = streambench.run_stream_bench(quick=args.quick, seed=args.seed)
-    for line in streambench.report_rows(report):
-        print(line)
-    if args.output:
-        streambench.save_report(report, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    failed = [k for k, ok in report["acceptance"].items() if not ok]
-    if failed:
-        print(f"FAIL: acceptance bar(s) not met: {failed}", file=sys.stderr)
-        return 2
-    print("ok: streaming acceptance bars met", file=sys.stderr)
+    print(f"ok: {len(rows)} of {len(rows)} {args.suite} floors met", file=sys.stderr)
     return 0
 
 
@@ -529,13 +447,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_chaos_stream(args: argparse.Namespace) -> int:
     """Run the streaming chaos drill; exit 2 if any invariant fails."""
-    from repro.bench import chaosbench
+    from repro.bench import chaosbench, gate
 
+    _require_seed_and_output(args)
     report = chaosbench.run_chaos_stream(quick=args.quick, seed=args.seed)
     for line in chaosbench.report_rows(report):
         print(line)
     if args.output:
-        chaosbench.save_report(report, args.output)
+        gate.save_report(report, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     if not report["passed"]:
         failed = [k for k, ok in report["invariants"].items() if not ok]
@@ -579,25 +498,33 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.graph.generators import planted_overlapping_graph
     from repro.graph.split import split_heldout
 
-    rng = np.random.default_rng(args.seed)
-    graph, _ = planted_overlapping_graph(
-        args.vertices, args.communities, memberships_per_vertex=2, rng=rng
-    )
-    split = split_heldout(graph, 0.03, np.random.default_rng(args.seed + 1))
-    config = AMMSBConfig(
-        n_communities=args.communities,
-        mini_batch_vertices=max(16, args.vertices // 8),
-        neighbor_sample_size=16,
-        step_phi=StepSizeConfig(a=0.05),
-        step_theta=StepSizeConfig(a=0.05),
-        seed=args.seed,
-    )
-    plan = chaos_plan(
-        seed=args.seed,
-        n_workers=args.workers,
-        crash_iteration=max(1, args.iterations // 3),
-        rdma_failure_rate=args.rdma_failure_rate,
-    )
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(args.iterations >= 1,
+             f"--iterations must be >= 1, got {args.iterations}")
+    _require(args.heartbeat_timeout > 0,
+             f"--heartbeat-timeout must be > 0, got {args.heartbeat_timeout}")
+    try:  # the library's own range checks on sizes, worker count and rates
+        rng = np.random.default_rng(args.seed)
+        graph, _ = planted_overlapping_graph(
+            args.vertices, args.communities, memberships_per_vertex=2, rng=rng
+        )
+        split = split_heldout(graph, 0.03, np.random.default_rng(args.seed + 1))
+        config = AMMSBConfig(
+            n_communities=args.communities,
+            mini_batch_vertices=max(16, args.vertices // 8),
+            neighbor_sample_size=16,
+            step_phi=StepSizeConfig(a=0.05),
+            step_theta=StepSizeConfig(a=0.05),
+            seed=args.seed,
+        )
+        plan = chaos_plan(
+            seed=args.seed,
+            n_workers=args.workers,
+            crash_iteration=max(1, args.iterations // 3),
+            rdma_failure_rate=args.rdma_failure_rate,
+        )
+    except ValueError as exc:
+        raise ArgumentError(str(exc)) from None
     print(f"drill plan: {plan.describe()}", file=sys.stderr)
 
     print("== multiprocess backend: crash + repartition ==")
@@ -787,40 +714,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Run the serving load generator; exit 2 if any query dropped/errored."""
-    from repro.bench import servebench
-    from repro.bench.harness import format_table
-
-    report = servebench.run_serve_bench(quick=args.quick, seed=args.seed)
-    print(format_table(servebench.report_rows(report), title="Serving bench"))
-    if args.output:
-        servebench.save_report(report, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if not report["hot_swap"]["zero_dropped_or_errored"]:
-        print("FAIL: queries dropped or errored under load", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     """Serving-tier chaos drill: corrupt publishes, a mid-swap failure,
     a worker-thread crash, and latency spikes against a live server
     under load; exit 2 unless every recovery invariant holds."""
-    import json
-
-    from repro.bench import servebench
+    from repro.bench import chaosbench, gate
     from repro.bench.harness import format_table
 
-    report = servebench.run_chaos_serve(quick=args.quick, seed=args.seed)
+    _require_seed_and_output(args)
+    report = chaosbench.run_chaos_serve(quick=args.quick, seed=args.seed)
     print(f"drill plan: {report['plan']}", file=sys.stderr)
     print(format_table(
-        servebench.chaos_report_rows(report), title="Serving chaos drill"
+        chaosbench.chaos_report_rows(report), title="Serving chaos drill"
     ))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        gate.save_report(report, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     if not report["passed"]:
         failed = [k for k, ok in report["invariants"].items() if not ok]
@@ -920,40 +828,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the rows as CSV")
     p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("bench-kernels", help="time the kernel backends")
+    p = sub.add_parser("bench",
+                       help="run a microbenchmark suite against its floors")
+    p.add_argument("suite", choices=["kernels", "store"])
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None,
                    help="write the machine-readable report JSON here")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads / fewer repeats (for CI)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backends", nargs="+", default=None,
-                   help="backends to time (default: every registered one)")
-    p.set_defaults(func=_cmd_bench_kernels)
-
-    p = sub.add_parser("bench-check",
-                       help="compare a bench suite against a baseline JSON")
-    p.add_argument("--suite", choices=sorted(_BENCH_SUITES), default="kernels",
-                   help="which bench to rerun and compare (default kernels)")
-    p.add_argument("--baseline", default=None,
-                   help="checked-in baseline report (default: the suite's "
-                        "BENCH_*.json)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="max tolerated relative ratio drop (default: 0.25 "
-                        "for kernels, 0.5 for mem/serve/stream)")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads / fewer repeats (for CI)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default=None,
-                   help="also write the fresh report JSON here (CI artifact)")
-    p.set_defaults(func=_cmd_bench_check)
-
-    p = sub.add_parser("bench-mem", help="run the storage/memory bench")
-    p.add_argument("--output", "-o", default=None,
-                   help="write the machine-readable report JSON here")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller graph / fewer repeats (for CI)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_mem)
+    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("convert-graph",
                        help="convert an edge list / NPZ into a CSR container")
@@ -997,14 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retain this many generations of membership "
                         "history for 'drift' queries (default: off)")
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("bench-serve", help="run the serving load-generator bench")
-    p.add_argument("--output", "-o", default=None,
-                   help="write the machine-readable report JSON here")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workload (for CI)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_serve)
 
     p = sub.add_parser("stream",
                        help="replay a timestamped edge file through the "
@@ -1058,15 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_stream)
 
-    p = sub.add_parser("bench-stream",
-                       help="run the streaming warm-vs-cold bench")
-    p.add_argument("--output", "-o", default=None,
-                   help="write the machine-readable report JSON here")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workload (for CI)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_stream)
-
     p = sub.add_parser("auc", help="held-out link-prediction AUC")
     p.add_argument("--edges", required=True, help="edge-list file (SNAP format)")
     p.add_argument("--checkpoint", default=None, help="model checkpoint (.npz)")
@@ -1109,7 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - direct execution

@@ -438,7 +438,7 @@ class ServeFaultPlan:
     Consumed by :class:`~repro.serve.server.ModelServer` (worker
     crashes/stalls, swap failures), :class:`~repro.serve.engine.QueryEngine`
     (latency spikes), and the chaos-serve drill
-    (:func:`repro.bench.servebench.run_chaos_serve`, artifact
+    (:func:`repro.bench.chaosbench.run_chaos_serve`, artifact
     corruption). Mirrors :class:`FaultPlan`: private RNG streams, an
     empty plan is a guaranteed no-op, and a fixed plan reproduces a
     fixed fault sequence (``tests/test_serve_faults.py`` pins this with

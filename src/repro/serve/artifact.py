@@ -189,7 +189,11 @@ class ModelArtifact:
         return int(self.pi.shape[1])
 
     def row_of(self, node_id: int) -> int:
-        """Row index of an external node id (O(1) after first use)."""
+        """Row index of an external node id; identity mappings need no index."""
+        if self._identity_ids():
+            if not 0 <= int(node_id) < self.n_nodes:
+                raise KeyError(f"unknown node id {node_id!r}")
+            return int(node_id)
         if not self._row_index:
             self._row_index.update(
                 (int(v), i) for i, v in enumerate(self.node_ids)

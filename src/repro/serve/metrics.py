@@ -2,8 +2,8 @@
 
 The serving loop records every answered request into a
 :class:`ServerMetrics` instance; :meth:`ServerMetrics.snapshot` exports
-the whole thing as one JSON-ready dict (the shape ``repro bench-serve``
-embeds in ``BENCH_serve.json``).
+the whole thing as one JSON-ready dict (what ``ModelServer.stats()``
+returns and the ``chaos-serve`` drill report embeds).
 
 Latency is tracked in a fixed geometric-bucket histogram
 (:class:`LatencyHistogram`) rather than a reservoir: constant memory, a
@@ -17,8 +17,8 @@ All methods are thread-safe; the hot-path cost is one lock + two adds.
 
 Resilience counters (deadline misses, shed requests, degraded answers,
 worker respawns, rollbacks, publish failures, quarantines, stale cache
-evictions) live next to the throughput counters so ``BENCH_serve.json``
-can pin the full error taxonomy. The admission-control loop reads
+evictions) live next to the throughput counters so one snapshot pins
+the full error taxonomy. The admission-control loop reads
 :meth:`ServerMetrics.observed_p99_ms` — an *exact* p99 over a small
 sliding window of recent requests with a staleness horizon, so a burst
 of slow requests raises it immediately and an idle (or fully shedding)

@@ -89,103 +89,70 @@ class TestBenchmark:
         assert len(lines) >= 4
 
 
-class TestBenchCheck:
-    """bench-check plumbing; the real bench runs are exercised via
-    ``repro bench-kernels --quick`` in CI, not here (too slow for tier-1)."""
+class TestBench:
+    """``repro bench`` plumbing over a canned report; the suites themselves
+    run at tiny size in ``tests/test_bench_gate.py`` and at full size in CI."""
 
-    def _report(self, phi=2.0, theta=2.0, upd=1.2, link=1.5, e2e=1.1,
-                numba=None):
-        from repro.bench.kernbench import SCHEMA
-
-        def kernel(speedup):
-            entry = {
-                "reference": {"seconds": speedup, "elements_per_s": 1.0},
-                "fused": {"seconds": 1.0, "elements_per_s": speedup},
-                "speedups": {"fused": speedup},
-            }
-            if numba is not None:
-                entry["numba"] = {
-                    "seconds": speedup / numba,
-                    "elements_per_s": numba,
-                }
-                entry["speedups"]["numba"] = numba
-            return entry
-
-        return {
-            "schema": SCHEMA,
-            "quick": False,
-            "seed": 0,
-            "backends": ["reference", "fused"] + (["numba"] if numba else []),
-            "workloads": {},
-            "kernels": {
-                "phi_gradient": kernel(phi),
-                "phi_update": kernel(upd),
-                "theta_gradient": kernel(theta),
-                "link_probability": kernel(link),
-            },
-            "sampler": {"end_to_end": {"speedups": {"fused": e2e}}},
-        }
-
-    def test_missing_baseline_exit_3(self, tmp_path):
-        assert main(["bench-check", "--baseline", str(tmp_path / "no.json")]) == 3
-
-    def test_wrong_schema_exit_3(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "something-else"}')
-        assert main(["bench-check", "--baseline", str(bad)]) == 3
-
-    def test_compare_reports_flags_regression(self):
-        from repro.bench.kernbench import compare_reports
-
-        baseline = self._report(phi=2.0)
-        ok = compare_reports(baseline, self._report(phi=1.6), threshold=0.25)
-        assert not any(r["regressed"] for r in ok)
-        bad = compare_reports(baseline, self._report(phi=1.4), threshold=0.25)
-        flagged = {r["metric"] for r in bad if r["regressed"]}
-        assert flagged == {"kernels/phi_gradient:fused"}
-
-    def test_compare_reports_gates_only_shared_backends(self):
-        """A backend present in one environment but not the other (numba
-        on the baseline host only, say) is skipped, not failed."""
-        from repro.bench.kernbench import compare_reports
-
-        baseline = self._report(numba=4.0)
-        fresh = self._report()  # no numba column in this environment
-        rows = compare_reports(baseline, fresh, threshold=0.25)
-        assert rows and all(r["backend"] == "fused" for r in rows)
-        assert not any(r["regressed"] for r in rows)
-        # Both sides have numba: it is gated, and a collapse is flagged.
-        slow = compare_reports(
-            self._report(numba=4.0), self._report(numba=1.0), threshold=0.25
-        )
-        flagged = {r["metric"] for r in slow if r["regressed"]}
-        assert "kernels/phi_gradient:numba" in flagged
-
-    def test_compare_reports_faster_never_flags(self):
-        from repro.bench.kernbench import compare_reports
-
-        rows = compare_reports(self._report(), self._report(phi=9.0, e2e=4.0))
-        assert not any(r["regressed"] for r in rows)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        from repro.bench.kernbench import load_report, save_report
-
-        path = tmp_path / "r.json"
-        report = self._report()
-        save_report(report, path)
-        assert load_report(path) == report
-
-    def test_committed_baseline_is_valid_and_meets_acceptance(self):
-        """The checked-in BENCH_kernels.json parses, tracks every metric,
-        and records the >=1.5x fused phi-gradient speedup."""
+    @pytest.fixture
+    def committed(self, monkeypatch):
+        """The committed kernels record stands in for a fresh run."""
         from pathlib import Path
 
-        from repro.bench.kernbench import TRACKED_SPEEDUPS, load_report, _speedups_at
+        from repro.bench import gate, kernbench
 
-        baseline = load_report(Path(__file__).parent.parent / "BENCH_kernels.json")
-        for path in TRACKED_SPEEDUPS:
-            assert _speedups_at(baseline, path).get("fused") is not None, path
-        assert _speedups_at(baseline, ("kernels", "phi_gradient"))["fused"] >= 1.5
+        report = gate.load_report(Path(__file__).parent.parent / "BENCH_kernels.json")
+        monkeypatch.setattr(kernbench, "run_kernel_bench", lambda seed: report)
+        return report
+
+    def test_every_floor_met_exit_0_and_report_written(self, committed, tmp_path, capsys):
+        from repro.bench import gate
+
+        out = tmp_path / "k.json"
+        assert main(["bench", "kernels", "-o", str(out)]) == 0
+        assert gate.load_report(out) == committed
+        captured = capsys.readouterr()
+        assert "floors" in captured.out and "floors met" in captured.err
+
+    def test_one_missed_floor_exit_2_names_it(self, committed, capsys):
+        committed["kernels"]["phi_gradient"]["speedups"]["fused"] = 0.5
+        assert main(["bench", "kernels"]) == 2
+        err = capsys.readouterr().err
+        assert "kernels/phi_gradient/speedups/fused" in err
+        assert "link_probability" not in err
+
+    def test_removed_commands_and_options_are_gone(self, capsys):
+        for argv in (["bench-check"], ["bench-kernels"], ["bench-mem"],
+                     ["bench-serve"], ["bench-stream"], ["bench", "stream"],
+                     ["bench", "kernels", "--quick"],
+                     ["bench", "kernels", "--baseline", "BENCH_kernels.json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
+
+
+class TestArgumentErrors:
+    """An unusable argument value is one ``error:`` line and exit 2, never a
+    traceback and never after the work is done."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["bench", "kernels", "--seed", "-1"], "--seed"),
+        (["bench", "store", "-o", "/no/such/dir/r.json"], "--output"),
+        (["chaos", "--workers", "1"], ">= 2 workers"),
+        (["chaos", "--iterations", "0"], "--iterations"),
+        (["chaos", "--rdma-failure-rate", "1.5"], "rdma_failure_rate"),
+        (["chaos", "--heartbeat-timeout", "0"], "--heartbeat-timeout"),
+        (["chaos-serve", "--quick", "--seed", "-3"], "--seed"),
+        (["chaos-serve", "--quick", "-o", "/no/such/dir/r.json"], "--output"),
+        (["chaos-stream", "--quick", "--seed", "-3"], "--seed"),
+        (["chaos-stream", "--quick", "-o", "/no/such/dir/r.json"], "--output"),
+    ])
+    def test_one_error_line_exit_2(self, argv, needle, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestDetectCheckpointing:
@@ -510,25 +477,3 @@ class TestServeDrift:
                    "--workers", "1"])
         assert rc == 0  # the server keeps running; the error is per-query
         assert "drift" in capsys.readouterr().err
-
-
-class TestStreamBaseline:
-    def test_committed_stream_baseline_is_valid_and_meets_acceptance(self):
-        """The checked-in BENCH_stream.json parses, tracks every metric,
-        and records passing acceptance bars."""
-        from pathlib import Path
-
-        from repro.bench.streambench import (
-            TRACKED_FRACTIONS,
-            TRACKED_SPEEDUPS,
-            load_report,
-        )
-
-        baseline = load_report(
-            Path(__file__).parent.parent / "BENCH_stream.json"
-        )
-        for name in TRACKED_SPEEDUPS:
-            assert baseline["speedups"].get(name) is not None, name
-        for name in TRACKED_FRACTIONS:
-            assert baseline["fractions"].get(name) is not None, name
-        assert all(baseline["acceptance"].values())

@@ -439,7 +439,7 @@ class TestFailSoftResolution:
         elsewhere): the engine serves on fused instead of crashing."""
         import dataclasses
 
-        from repro.bench.servebench import synthetic_artifact
+        from repro.bench.chaosbench import synthetic_artifact
         from repro.serve.engine import QueryEngine
 
         art = synthetic_artifact(30, 4, seed=0)

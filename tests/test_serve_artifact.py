@@ -71,6 +71,7 @@ class TestBuildArtifact:
         ids = np.arange(50, dtype=np.int64) * 7 + 3
         art = build_artifact(small_state, config, node_ids=ids)
         assert art.row_of(3) == 0 and art.row_of(10) == 1
+        assert len(art._row_index) == 50  # non-identity ids go through the dict
         with pytest.raises(KeyError, match="unknown node id"):
             art.row_of(4)
         np.testing.assert_array_equal(
@@ -83,6 +84,11 @@ class TestBuildArtifact:
             art.rows_of(np.array([0, 50]))
         with pytest.raises(KeyError):
             art.rows_of(np.array([-1]))
+        assert [art.row_of(v) for v in (0, 17, np.int64(49))] == [0, 17, 49]
+        for bad in (50, -1):  # -1 must not wrap to the last row
+            with pytest.raises(KeyError, match="unknown node id"):
+                art.row_of(bad)
+        assert art._row_index == {}  # identity ids never build the N-entry dict
 
     def test_wrong_node_id_count_rejected(self, small_state, config):
         with pytest.raises(ValueError, match="one entry per pi row"):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import servebench
+from repro.bench import chaosbench
 from repro.config import AMMSBConfig
 from repro.core.state import ModelState, init_state
 from repro.faults import (
@@ -751,14 +751,14 @@ class TestChaosServeDrill:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return servebench.run_chaos_serve(quick=True, seed=2026)
+        return chaosbench.run_chaos_serve(quick=True, seed=2026)
 
     def test_all_invariants_hold(self, report):
         assert report["invariants"] == {k: True for k in report["invariants"]}
         assert report["passed"] is True
 
     def test_schema_and_plan(self, report):
-        assert report["schema"] == servebench.CHAOS_SCHEMA
+        assert report["schema"] == chaosbench.CHAOS_SCHEMA
         assert "worker crash" in report["plan"]
 
     def test_publish_sequence(self, report):
@@ -773,5 +773,5 @@ class TestChaosServeDrill:
         assert set(c["error_types"]) <= {"WorkerCrashed"}
 
     def test_rows_render(self, report):
-        rows = servebench.chaos_report_rows(report)
+        rows = chaosbench.chaos_report_rows(report)
         assert any("drill passed" == r["metric"] for r in rows)

@@ -6,8 +6,8 @@ generation that reaches cold-retrain held-out perplexity within 2% in
 at most half the cold iterations, a published artifact a live server
 hot-swaps, and ``membership_drift`` answers for both a pre-existing and
 a newly arrived node. The bars are work counts, so the test is
-deterministic; the warm/cold wall-clock ratio is ``bench-stream``'s to
-report (``speedups.warm_vs_cold_speedup``).
+deterministic; wall-clock belongs to ``e2e_bench``'s ``stream_*``
+workloads (``arrival_to_servable_s``, paired runs).
 """
 
 from __future__ import annotations
