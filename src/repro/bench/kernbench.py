@@ -5,8 +5,12 @@ update, weighted theta gradient, link probability) under every backend
 registered in this environment on the acceptance workloads (m=256, n=32,
 K=128 for phi; E=8192 for theta; H=8192 pairs for link scoring — each
 1,048,576 elements), plus an end-to-end sequential sampler run per
-backend, and returns a JSON-ready report: per-kernel elements/sec and
-per-backend ``speedups`` over ``reference`` measured in the same run.
+backend. The phi gradient is timed as the engines run it, from a ``pi``
+table and the neighbor ids, so the row gather is inside the timed call
+for every backend (up front for ``reference`` and ``numba``, block by
+block inside ``fused``). The JSON-ready report holds per-kernel
+elements/sec and per-backend ``speedups`` over ``reference`` measured in
+the same run.
 
 The runner only measures. Which of those speedups are held to a floor,
 and what a miss costs, is :mod:`repro.bench.gate`'s business
@@ -34,6 +38,7 @@ class KernelWorkload:
 
     m: int = 256  # phi: mini-batch vertices
     n: int = 32  # phi: neighbors per vertex
+    table_rows: int = 10_000  # phi: rows of the pi table the neighbors come from
     k: int = 128  # communities, every kernel
     e: int = 8192  # theta: weighted pairs
     h: int = 8192  # link scoring: pairs
@@ -44,10 +49,11 @@ class KernelWorkload:
     sampler_passes: int = 3
 
 
-def _phi_workload(rng: np.random.Generator, m: int, n: int, k: int):
+def _phi_workload(rng: np.random.Generator, m: int, n: int, k: int, table_rows: int):
     pi_a = rng.dirichlet(np.ones(k), size=m)
     phi_sum = rng.gamma(5.0, 1.0, size=m) + 1.0
-    pi_b = rng.dirichlet(np.ones(k), size=(m, n))
+    pi = rng.dirichlet(np.ones(k), size=table_rows)
+    pi_b = (pi, rng.integers(0, table_rows, size=(m, n)))  # a deferred gather
     y = rng.random((m, n)) < 0.1
     beta = rng.uniform(0.1, 0.9, k)
     mask = np.ones((m, n), dtype=bool)
@@ -78,7 +84,7 @@ def _bench_kernels(
     rng = np.random.default_rng(seed)
     m, n, k, e, h = w.m, w.n, w.k, w.e, w.h
 
-    pi_a, phi_sum, pi_b, y, beta, mask = _phi_workload(rng, m, n, k)
+    pi_a, phi_sum, pi_b, y, beta, mask = _phi_workload(rng, m, n, k, w.table_rows)
     delta = 1e-4
     t_pi_a, t_pi_b, t_y, theta, t_weights = _theta_workload(rng, e, k)
     l_pi_a, l_pi_b, l_beta = _link_workload(rng, h, k)

@@ -7,13 +7,16 @@ engines can swap implementations without touching orchestration code:
   :mod:`repro.core.gradients`, unchanged. This is the correctness contract:
   every other backend must match it (bit-for-bit in float64, to tolerance
   in float32 — see ``tests/test_kernels.py``).
-- ``fused`` (default) — computes the shared intermediates (``B_k``, ``D``,
-  ``f``, ``Z``) once per mini-batch into a reusable preallocated
-  :class:`KernelWorkspace` using ``out=``/in-place ufunc calls, so the
-  roughly six ``(m, n, K)`` temporaries the reference path allocates per
-  phi step disappear. The float64 arithmetic replays the reference
-  operation order exactly (same ufuncs, same association), so results are
-  bit-identical; only the allocations go away.
+- ``fused`` (default) — in-place ufunc calls into a reusable preallocated
+  :class:`KernelWorkspace`, so the temporaries the reference path
+  allocates per step disappear. The phi gradient, the one kernel with
+  ``(m, n, K)`` operands, never holds one: it walks the mini-batch in
+  blocks of rows whose buffers fit in L2 and, handed a *deferred gather*
+  (:func:`gather_rows`), copies each block's neighbor rows out of the
+  ``pi`` table right before it consumes them. The float64 arithmetic
+  replays the reference's operations on every element (same ufuncs,
+  same association), so results are bit-identical; only the
+  allocations and the passes over memory go away.
 - ``numba`` (:mod:`repro.core.kernels_numba`) — registered only when
   numba is importable: ``@njit(parallel=True, cache=True)`` loops with
   ``prange`` over mini-batch rows/edge blocks and *zero* ``(m, n, K)``
@@ -40,7 +43,9 @@ raises :class:`ValueError` with the available names.
 
 Workspace lifecycle: one :class:`KernelWorkspace` per sequential sampler /
 distributed worker, one per *thread* in :mod:`repro.parallel`
-(kernel buffers are not thread-safe; threads must not share one).
+(kernel buffers are not thread-safe; threads must not share one). The
+phi gradient's big buffers are block-sized (``_PHI_BLOCK_BYTES`` each),
+not mini-batch-sized; everything else is ``(m, K)`` or ``(E, K)``.
 Returned gradient arrays are views into the workspace — valid until the
 same kernel is called again on the same workspace, which is exactly the
 lifetime the engines need (consume the gradient in the same iteration).
@@ -155,13 +160,49 @@ class KernelBackend:
         return f"KernelBackend({self.name!r})"
 
 
+# -- the deferred neighbor-row gather -------------------------------------------
+
+
+def _split_rows(pi_b) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(table, index)`` of a deferred gather, ``(rows, None)`` of
+    gathered rows.
+
+    The index comes back checked: every id lies in ``[0, len(table))``,
+    because ``np.take(..., mode="clip")`` would clip a stray id silently
+    and plain indexing would wrap a negative one.
+    """
+    if not isinstance(pi_b, tuple):
+        return np.asarray(pi_b), None
+    table, index = pi_b
+    index = np.asarray(index)
+    if index.size and (index.min() < 0 or index.max() >= table.shape[0]):
+        raise IndexError(
+            f"row ids {int(index.min())}..{int(index.max())} reach outside "
+            f"a table of {table.shape[0]} rows"
+        )
+    return table, index
+
+
+def gather_rows(pi_b) -> np.ndarray:
+    """The ``(m, n, K)`` neighbor rows of a phi-gradient call, materialised.
+
+    ``pi_b`` is either those rows or the deferred gather ``(table, index)``
+    that a resident row store hands out in their place (``table[index]``,
+    not yet copied). Backends without a blocked loop call this first.
+    """
+    table, index = _split_rows(pi_b)
+    return table if index is None else table[index]
+
+
 # -- reference backend: delegate to repro.core.gradients ---------------------
 
 
 def _ref_phi_gradient_sum(
     pi_a, phi_sum_a, pi_b, y, beta, delta, mask=None, workspace=None
 ):
-    return gradients.phi_gradient_sum(pi_a, phi_sum_a, pi_b, y, beta, delta, mask=mask)
+    return gradients.phi_gradient_sum(
+        pi_a, phi_sum_a, gather_rows(pi_b), y, beta, delta, mask=mask
+    )
 
 
 def _ref_update_phi(
@@ -200,76 +241,119 @@ def _ref_link_probability(pi_a, pi_b, beta, delta, workspace=None):
 
 
 def _bernoulli_factors_into(
-    ws: KernelWorkspace,
-    prefix: str,
-    y: np.ndarray,
-    beta: np.ndarray,
-    delta: float,
-    ct: np.dtype,
-    shape_bk: tuple[int, ...],
+    ws: KernelWorkspace, y: np.ndarray, beta: np.ndarray, delta: float, ct: np.dtype
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill workspace buffers with ``link`` mask, ``B_k`` and ``D``.
+    """Fill workspace buffers with the theta kernel's ``link`` mask,
+    ``(E, K)`` ``B_k`` and ``(E,)`` ``D``.
 
     The factor values are identical to the reference
     ``bernoulli_factor``/``delta_factor`` ``np.where`` results; two masked
     ``copyto`` passes replace the fresh allocation.
     """
-    link = ws.array(prefix + "link", y.shape, bool)
+    link = ws.array("th_link", y.shape, bool)
     np.not_equal(y, 0, out=link)
-    notlink = ws.array(prefix + "notlink", y.shape, bool)
+    notlink = ws.array("th_notlink", y.shape, bool)
     np.logical_not(link, out=notlink)
 
-    beta_c = ws.cast(prefix + "beta", np.asarray(beta), ct)
-    one_minus_beta = ws.array(prefix + "omb", beta_c.shape, ct)
+    beta_c = ws.cast("th_beta", np.asarray(beta), ct)
+    one_minus_beta = ws.array("th_omb", beta_c.shape, ct)
     np.subtract(1.0, beta_c, out=one_minus_beta)
 
-    cond = link if y.ndim == len(shape_bk) else link[..., None]
-    ncond = notlink if y.ndim == len(shape_bk) else notlink[..., None]
-    bfac = ws.array(prefix + "bfac", shape_bk, ct)
-    np.copyto(bfac, beta_c, where=cond)
-    np.copyto(bfac, one_minus_beta, where=ncond)
+    bfac = ws.array("th_bfac", y.shape + beta_c.shape, ct)
+    np.copyto(bfac, beta_c, where=link[:, None])
+    np.copyto(bfac, one_minus_beta, where=notlink[:, None])
 
-    dfac = ws.array(prefix + "dfac", y.shape, ct)
+    dfac = ws.array("th_dfac", y.shape, ct)
     np.copyto(dfac, ct.type(delta), where=link)
     np.copyto(dfac, ct.type(1.0 - delta), where=notlink)
     return link, bfac, dfac
 
 
+#: Bytes one ``(rows, n, K)`` buffer of the fused phi kernel may hold. The
+#: kernel walks the mini-batch that many rows at a time, so the gathered
+#: neighbor rows and its two intermediates are still in L2 when the next
+#: pass reads them (4 rows at n=64, K=128 in float64; 32 at n=32, K=32).
+_PHI_BLOCK_BYTES = 256 * 1024
+
+
 def _fused_phi_gradient_sum(
     pi_a, phi_sum_a, pi_b, y, beta, delta, mask=None, workspace=None
 ):
-    """Eqn 6 with zero ``(m, n, K)`` allocations.
+    """Eqn 6 one L2-sized block of mini-batch rows at a time.
 
-    Replays the reference arithmetic (same ufuncs, same association) into
-    workspace buffers, so float64 results are bit-identical.
+    No ``(m, n, K)`` array is allocated, written or (for a deferred
+    ``pi_b``, see :func:`gather_rows`) even gathered: each block's neighbor
+    rows are taken from the table into a workspace buffer and consumed
+    while hot. Every element goes through the reference's operations in
+    the reference's association, so float64 results are bit-identical,
+    but in fewer passes: all slots get the non-link factors by
+    broadcasting (``1 - beta``, the scalar ``1 - delta``), the few link
+    slots are then redone with theirs, and a masked slot gets ``Z = inf``
+    (``w / inf`` and ``w * 0`` agree bit for bit) instead of a pass over
+    ``w``.
     """
     ws = workspace if workspace is not None else KernelWorkspace()
     pi_a = np.asarray(pi_a)
-    pi_b = np.asarray(pi_b)
     y = np.asarray(y)
-    ct = _compute_dtype(pi_a, pi_b)
-    m, n, k = pi_b.shape
+    table, index = _split_rows(pi_b)
+    ct = _compute_dtype(pi_a, table)
+    (m, n), k = y.shape, pi_a.shape[1]
     eps = _z_floor(ct)
+    rows = max(1, min(m, _PHI_BLOCK_BYTES // max(1, n * k * ct.itemsize)))
 
-    _, bfac, dfac = _bernoulli_factors_into(ws, "phi_", y, beta, delta, ct, (m, n, k))
+    beta_c = ws.cast("phi_beta", np.asarray(beta), ct)
+    one_minus_beta = ws.array("phi_omb", beta_c.shape, ct)
+    np.subtract(1.0, beta_c, out=one_minus_beta)
+    d_link, d_nonlink = ct.type(delta), ct.type(1.0 - delta)
+    link_row, link_col = np.nonzero(y)  # row-major, so sorted by row
+    link_from = np.searchsorted(link_row, np.arange(0, m + rows, rows))
+    if mask is not None:
+        hidden = ws.array("phi_hidden", (m, n), bool)
+        np.logical_not(mask, out=hidden)
 
-    # f = pi_a[:, None, :] * (pi_b * B + (1 - pi_b) * D)
-    u = ws.array("phi_u", (m, n, k), ct)
-    np.subtract(1.0, pi_b, out=u)
-    u *= dfac[..., None]
-    f = ws.array("phi_f", (m, n, k), ct)
-    np.multiply(pi_b, bfac, out=f)
-    f += u
-    f *= pi_a[:, None, :]
+    s = ws.array("phi_s", (m, k), ct)
+    u_buf = ws.array("phi_u", (rows, n, k), ct)
+    f_buf = ws.array("phi_f", (rows, n, k), ct)
+    z_buf = ws.array("phi_z", (rows, n), ct)
+    # np.take gathers from C-contiguous memory only: it would first copy
+    # any other table whole (the pi columns of a [pi | phi_sum] table),
+    # so those are indexed, which allocates the block instead.
+    take_into = None
+    if index is not None and table.flags.c_contiguous:
+        take_into = ws.array("phi_rows", (rows, n, k), table.dtype)
+    for block, a in enumerate(range(0, m, rows)):
+        b = min(a + rows, m)
+        if index is None:
+            rows_b = table[a:b]
+        elif take_into is None:
+            rows_b = table[index[a:b]]
+        else:
+            rows_b = np.take(
+                table, index[a:b], axis=0, out=take_into[: b - a], mode="clip"
+            )
+        u, f, z = u_buf[: b - a], f_buf[: b - a], z_buf[: b - a]
 
-    z = ws.array("phi_z", (m, n), ct)
-    np.sum(f, axis=-1, out=z)
-    np.maximum(z, eps, out=z)
-    f /= z[..., None]  # f is now w
+        # f = pi_a[:, None, :] * (pi_b * B + (1 - pi_b) * D)
+        np.subtract(1.0, rows_b, out=u)
+        u *= d_nonlink
+        np.multiply(rows_b, one_minus_beta, out=f)
+        f += u
+        lo, hi = link_from[block], link_from[block + 1]
+        if lo < hi:
+            at = (link_row[lo:hi] - a, link_col[lo:hi])
+            linked = rows_b[at]
+            f[at] = linked * beta_c + (1.0 - linked) * d_link
+        f *= pi_a[a:b, None, :]
+
+        np.add.reduce(f, axis=-1, out=z)
+        np.maximum(z, eps, out=z)
+        if mask is not None:
+            np.copyto(z, np.inf, where=hidden[a:b])
+        f /= z[..., None]  # f is now w
+        np.add.reduce(f, axis=1, out=s[a:b])
 
     n_eff = ws.array("phi_neff", (m, 1), ct)
     if mask is not None:
-        f *= mask[..., None]
         n_eff_i = ws.array("phi_neff_i", (m, 1), np.int64)
         np.sum(mask, axis=1, keepdims=True, out=n_eff_i)
         np.divide(n_eff_i, phi_sum_a[:, None], out=n_eff, casting="same_kind")
@@ -277,8 +361,6 @@ def _fused_phi_gradient_sum(
         n_eff.fill(float(n))
         n_eff /= phi_sum_a[:, None]
 
-    s = ws.array("phi_s", (m, k), ct)
-    np.sum(f, axis=1, out=s)
     phi_a = ws.array("phi_phia", (m, k), ct)
     np.multiply(pi_a, phi_sum_a[:, None], out=phi_a)
     np.maximum(phi_a, eps, out=phi_a)
@@ -335,7 +417,7 @@ def _fused_theta_gradient_weighted(
 
     theta_row_sum = theta.sum(axis=1)
     beta = theta[:, 1] / theta_row_sum
-    link, bfac, dfac = _bernoulli_factors_into(ws, "th_", y, beta, delta, ct, (e, k))
+    link, bfac, dfac = _bernoulli_factors_into(ws, y, beta, delta, ct)
 
     # z = (pi_a * (pi_b * B + (1 - pi_b) * D)).sum(axis=1)
     u = ws.array("th_u", (e, k), ct)

@@ -261,11 +261,11 @@ def phi_gradient_sum(
     pi_a, phi_sum_a, pi_b, y, beta, delta, mask=None, workspace=None
 ):
     """Eqn 6 as a parallel per-row loop; zero ``(m, n, K)`` temporaries."""
-    from repro.core.kernels import _compute_dtype, _z_floor
+    from repro.core.kernels import _compute_dtype, _z_floor, gather_rows
 
     ws = _workspace(workspace)
     pi_a = np.asarray(pi_a)
-    pi_b = np.asarray(pi_b)
+    pi_b = gather_rows(pi_b)
     ct = _compute_dtype(pi_a, pi_b)
     m, _, k = pi_b.shape
 

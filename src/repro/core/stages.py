@@ -10,12 +10,14 @@ these functions; ``tests/test_layout.py`` keeps each training kernel
 called from this module and nowhere else.
 
 Two row layouts exist. :class:`~repro.core.state.ModelState`'s split
-``pi`` / ``phi_sum`` arrays are a row store themselves (three fancy-index
-reads per phi stage). :class:`TableRows` is the ``[pi | phi_sum]`` table,
-one ``K + 1``-wide row per vertex (one concatenated read, answered as
-column views): directly over an ndarray such as :mod:`repro.dist.mp`'s
-POSIX-shm table, or over a DKV client's batched operations
-(:class:`repro.dist.worker.DKVRows`).
+``pi`` / ``phi_sum`` arrays are a row store themselves.
+:class:`TableRows` is the ``[pi | phi_sum]`` table, one ``K + 1``-wide
+row per vertex, over an ndarray such as :mod:`repro.dist.mp`'s POSIX-shm
+table. Both are resident, so they answer a stage's neighbor rows as a
+*deferred gather* ``(table, index)`` and the phi kernel copies them one
+cache-sized block at a time (:func:`repro.core.kernels.gather_rows`). A
+store behind a network (:class:`repro.dist.worker.DKVRows`) answers the
+gathered rows from its one batched read.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ class RowStore(Protocol):
 
     def read_rows(
         self, vertices: np.ndarray, others: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | tuple[np.ndarray, np.ndarray]]:
         """One stage's reads in one round trip: ``(pi[vertices],
         phi_sum[vertices], pi[others])`` for 1-D ``vertices`` and an
-        ``others`` index array of any shape."""
+        ``others`` index array of any shape. The third element may be the
+        deferred gather ``(pi, others)`` in place of the copy."""
 
     def write_rows(
         self, vertices: np.ndarray, pi_rows: np.ndarray, phi_sum: np.ndarray
@@ -53,8 +56,7 @@ class RowStore(Protocol):
 
 class TableRows:
     """The ``[pi | phi_sum]`` table layout as a :class:`RowStore`, over an
-    ``(N, K + 1)`` ndarray. Subclasses put another store behind
-    :meth:`_get` / :meth:`_put`."""
+    ``(N, K + 1)`` ndarray."""
 
     def __init__(self, table: np.ndarray) -> None:
         self.table = table
@@ -63,20 +65,12 @@ class TableRows:
     def dtype(self) -> np.dtype:
         return self.table.dtype
 
-    def _get(self, keys: np.ndarray) -> np.ndarray:
-        return self.table[keys]
-
-    def _put(self, keys: np.ndarray, values: np.ndarray) -> None:
-        self.table[keys] = values
-
     def read_rows(self, vertices, others):
-        m = vertices.size
-        values = self._get(np.concatenate([vertices, others.reshape(-1)]))
-        pi = values[:, :-1]
-        return pi[:m], values[:m, -1], pi[m:].reshape(others.shape + pi.shape[1:])
+        own = self.table[vertices]
+        return own[:, :-1], own[:, -1], (self.table[:, :-1], others)
 
     def write_rows(self, vertices, pi_rows, phi_sum) -> None:
-        self._put(vertices, np.concatenate([pi_rows, phi_sum[:, None]], axis=1))
+        self.table[vertices] = np.concatenate([pi_rows, phi_sum[:, None]], axis=1)
 
 
 def pinned_backend(config: AMMSBConfig) -> tuple[KernelBackend, AMMSBConfig]:
@@ -127,7 +121,7 @@ def phi_stage(
 
 def _pair_rows(rows: RowStore, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``pi`` rows of both endpoints of ``(E, 2)`` pairs."""
-    pi = rows.read_rows(_NO_KEYS, pairs)[2]
+    pi = kernels.gather_rows(rows.read_rows(_NO_KEYS, pairs)[2])
     return pi[:, 0], pi[:, 1]
 
 

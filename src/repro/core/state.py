@@ -55,9 +55,10 @@ class ModelState:
 
     def read_rows(
         self, vertices: np.ndarray, others: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(pi[vertices], phi_sum[vertices], pi[others])``."""
-        return self.pi[vertices], self.phi_sum[vertices], self.pi[others]
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """``(pi[vertices], phi_sum[vertices], pi[others])``, the last as
+        the deferred gather ``(pi, others)`` (nothing copied yet)."""
+        return self.pi[vertices], self.phi_sum[vertices], (self.pi, others)
 
     def write_rows(
         self, vertices: np.ndarray, pi_rows: np.ndarray, phi_sum: np.ndarray

@@ -26,12 +26,13 @@ from repro.cluster.dkv import DKVStore, DKVTraffic
 from repro.dist.partition import WorkerShard
 
 
-class DKVRows(stages.TableRows):
-    """One client's view of the DKV store as a row store.
+class DKVRows:
+    """One client's view of the DKV store as a row store
+    (:class:`repro.core.stages.RowStore`).
 
     Reads and writes go through the store's batched operations (with
-    their dedupe, fault ladder and accounting); ``traffic`` is the
-    accounting of this client's last batch.
+    their dedupe, fault ladder and accounting), one batch per stage;
+    ``traffic`` is the accounting of this client's last batch.
     """
 
     def __init__(self, dkv: DKVStore, client: int) -> None:
@@ -43,12 +44,16 @@ class DKVRows(stages.TableRows):
     def dtype(self) -> np.dtype:
         return np.dtype(self.dkv.dtype)
 
-    def _get(self, keys: np.ndarray) -> np.ndarray:
+    def read_rows(self, vertices, others):
+        m = vertices.size
+        keys = np.concatenate([vertices, others.reshape(-1)])
         values, self.traffic = self.dkv.read_batch(self.client, keys)
-        return values
+        pi = values[:, :-1]
+        return pi[:m], values[:m, -1], pi[m:].reshape(others.shape + pi.shape[1:])
 
-    def _put(self, keys: np.ndarray, values: np.ndarray) -> None:
-        self.traffic = self.dkv.write_batch(self.client, keys, values)
+    def write_rows(self, vertices, pi_rows, phi_sum) -> None:
+        values = np.concatenate([pi_rows, phi_sum[:, None]], axis=1)
+        self.traffic = self.dkv.write_batch(self.client, vertices, values)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core import kernels
 from repro.core.minibatch import MinibatchSampler, NeighborSample
 from repro.core.sampler import AMMSBSampler
-from repro.core.state import init_state
+from repro.core.state import ModelState, init_state
 from repro.dist.sampler import DistributedAMMSBSampler
 from repro.graph.split import split_heldout
 from repro.parallel.sampler import ThreadedAMMSBSampler
@@ -115,7 +115,7 @@ class TestSequentialVsThreaded:
         np.testing.assert_allclose(thr.state.theta, seq.state.theta, rtol=1e-9)
 
 
-# -- every registered backend x storage dtype, by registration ------------------
+# -- every registered backend x storage dtype x row form, by registration -------
 #
 # A new kernel backend or row store is covered here without a new test:
 # the matrix is read from the registry. The documented equivalence
@@ -123,8 +123,29 @@ class TestSequentialVsThreaded:
 # the sequential engine bit for bit in float64; several parts differ
 # only by the order in which the theta partials are added; float32
 # storage rounds each written row, so it is compared to tolerance.
+#
+# The sequential side runs once per form of the neighbor rows: deferred
+# (what ``ModelState`` answers: the kernel gathers block by block) and
+# gathered up front (what the DKV answers). The classes above do not
+# depend on it, because the form never changes a bit.
 
 MATRIX = [(b, d) for b in kernels.available_backends() for d in ("float64", "float32")]
+ROW_FORMS = ("deferred", "gathered")
+
+
+class GatheredState(ModelState):
+    """A ``ModelState`` that answers the neighbor rows as a copy."""
+
+    def read_rows(self, vertices, others):
+        pi_a, phi_sum_a, pi_b = super().read_rows(vertices, others)
+        return pi_a, phi_sum_a, kernels.gather_rows(pi_b)
+
+
+def sequential(graph, cfg, form, state=None):
+    seq = AMMSBSampler(graph, cfg, state=state)
+    if form == "gathered":
+        seq.state = GatheredState(seq.state.pi, seq.state.phi_sum, seq.state.theta)
+    return seq
 
 
 def assert_equivalent(got, want, dtype, n_parts):
@@ -144,14 +165,15 @@ class TestEngineMatrix:
         split, cfg = problem
         cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
         st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(1))
-        seq = AMMSBSampler(split.train, cfg, state=st0.copy())
+        seqs = [sequential(split.train, cfg, form, state=st0.copy()) for form in ROW_FORMS]
         dist = DistributedAMMSBSampler(
             split.train, cfg, cluster=das5(n_workers), pipelined=False, state=st0.copy()
         )
         for mb, ns, noise, tnoise in replay_inputs(split, cfg, 6):
-            seq.update_phi_pi(mb, ns, noise=noise)
-            seq.update_beta_theta(mb, noise=tnoise)
-            seq.iteration += 1
+            for seq in seqs:
+                seq.update_phi_pi(mb, ns, noise=noise)
+                seq.update_beta_theta(mb, noise=tnoise)
+                seq.iteration += 1
             parts = [
                 NeighborSample(
                     ns.neighbors[w::n_workers], ns.labels[w::n_workers], ns.mask[w::n_workers]
@@ -160,18 +182,20 @@ class TestEngineMatrix:
             ]
             dist.step(minibatch=mb, neighbor_samples=parts, phi_noise=noise, theta_noise=tnoise)
         snap = dist.state_snapshot()
-        assert snap.pi.dtype == seq.state.pi.dtype == np.dtype(dtype)
-        assert_equivalent(snap, seq.state, dtype, n_workers)
+        for seq in seqs:
+            assert snap.pi.dtype == seq.state.pi.dtype == np.dtype(dtype)
+            assert_equivalent(snap, seq.state, dtype, n_workers)
 
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_threaded_free_run(self, problem, backend, dtype, n_threads):
         split, cfg = problem
         cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
-        seq = AMMSBSampler(split.train, cfg)
         thr = ThreadedAMMSBSampler(split.train, cfg, n_threads=n_threads)
-        seq.run(8)
         thr.run(8)
-        assert_equivalent(thr.state, seq.state, dtype, n_threads)
+        for form in ROW_FORMS:
+            seq = sequential(split.train, cfg, form)
+            seq.run(8)
+            assert_equivalent(thr.state, seq.state, dtype, n_threads)
 
 
 class TestStatisticalAgreement:

@@ -9,6 +9,8 @@ with hypothesis; a reused workspace must never leak state between calls.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,132 @@ class TestFloat64BitExact:
         ref = REF.update_theta(theta, grad, 0.01, (1.0, 1.0), 5.0, noise)
         got = FUSED.update_theta(theta, grad, 0.01, (1.0, 1.0), 5.0, noise)
         np.testing.assert_array_equal(got, ref)
+
+
+def _gather_case(rng, n_rows, m, n, k, dtype=np.float64, link=0.2, shown=0.9):
+    """A phi case whose neighbor rows live in a ``pi`` table: the deferred
+    gather ``(pi, index)`` and the rows it stands for."""
+    pi = rng.dirichlet(np.ones(k), size=n_rows).astype(dtype)
+    index = rng.integers(0, n_rows, size=(m, n))
+    pi_a = rng.dirichlet(np.ones(k), size=m).astype(dtype)
+    phi_sum = (rng.gamma(5.0, 1.0, size=m) + 1.0).astype(dtype)
+    y = rng.random((m, n)) < link
+    beta = rng.uniform(0.05, 0.95, k)
+    mask = None if shown is None else rng.random((m, n)) < shown
+    return pi, index, pi_a, phi_sum, y, beta, mask
+
+
+def _assert_same_bits(got, want):
+    """Equal including the sign of zeros and the position of NaNs."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@contextlib.contextmanager
+def _blocks_of(rows: int, row_bytes: int):
+    """The phi kernel's block budget set to ``rows`` mini-batch rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_PHI_BLOCK_BYTES", rows * row_bytes)
+        yield
+
+
+class TestDeferredGather:
+    """The blocked phi kernel: a deferred ``(table, index)`` gather, the
+    pre-gathered rows and the reference are one function of their inputs,
+    wherever the block boundaries fall."""
+
+    @given(
+        n_rows=st.integers(min_value=1, max_value=50),
+        m=st.integers(min_value=0, max_value=40),
+        n=st.integers(min_value=1, max_value=20),
+        k=st.integers(min_value=1, max_value=48),
+        seed=st.integers(min_value=0, max_value=10_000),
+        link=st.sampled_from([0.0, 0.03, 0.5, 1.0]),  # no-link .. all-link rows
+        shown=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]),  # mask=None .. all hidden
+        block_rows=st.sampled_from([1, 3, 7, 10_000]),  # one-row block .. one block
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_float64_bit_exact(self, n_rows, m, n, k, seed, link, shown, block_rows):
+        rng = np.random.default_rng(seed)
+        pi, index, pi_a, phi_sum, y, beta, mask = _gather_case(
+            rng, n_rows, m, n, k, link=link, shown=shown
+        )
+        if mask is not None and m:
+            mask[rng.integers(m)] = False  # a fully masked row
+        table = np.concatenate([pi, np.ones((n_rows, 1))], axis=1)
+        ref = REF.phi_gradient_sum(pi_a, phi_sum, pi[index], y, beta, 1e-4, mask=mask)
+        # deferred; deferred with pi a non-contiguous column view; gathered
+        forms = [(pi, index), (table[:, :-1], index), pi[index]]
+        with _blocks_of(block_rows, n * k * 8):
+            for pi_b in forms:
+                got = FUSED.phi_gradient_sum(
+                    pi_a, phi_sum, pi_b, y, beta, 1e-4, mask=mask,
+                    workspace=kernels.KernelWorkspace(),
+                )
+                _assert_same_bits(got, ref)
+        _assert_same_bits(
+            REF.phi_gradient_sum(pi_a, phi_sum, (pi, index), y, beta, 1e-4, mask=mask), ref
+        )
+
+    @given(
+        m=st.integers(min_value=1, max_value=24),
+        n=st.integers(min_value=1, max_value=12),
+        k=st.integers(min_value=2, max_value=32),
+        seed=st.integers(min_value=0, max_value=10_000),
+        block_rows=st.sampled_from([1, 5, 10_000]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_float32_tolerance(self, m, n, k, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        pi, index, pi_a, phi_sum, y, beta, mask = _gather_case(
+            rng, 30, m, n, k, dtype=np.float32
+        )
+        ws = kernels.KernelWorkspace()
+        with _blocks_of(block_rows, n * k * 4):
+            got = FUSED.phi_gradient_sum(
+                pi_a, phi_sum, (pi, index), y, beta, 1e-4, mask=mask, workspace=ws
+            )
+        assert np.asarray(got).dtype == np.float32
+        assert all(buf.dtype != np.float64 for buf in ws.buffers().values())
+        # float32 too is one function of its inputs, whatever their form ...
+        gathered = FUSED.phi_gradient_sum(pi_a, phi_sum, pi[index], y, beta, 1e-4, mask=mask)
+        np.testing.assert_array_equal(np.array(got), gathered)
+        # ... and tracks the float64 reference as TestFloat32Tolerance asks.
+        ref = REF.phi_gradient_sum(
+            pi_a.astype(np.float64), phi_sum.astype(np.float64),
+            pi.astype(np.float64)[index], y, beta, 1e-4, mask=mask,
+        )
+        scale = np.maximum(np.abs(ref).max(), 1.0)
+        np.testing.assert_allclose(
+            np.asarray(got, dtype=np.float64) / scale, ref / scale, rtol=0, atol=5e-5
+        )
+
+    def test_block_rows_follow_the_shapes(self):
+        """~256 KiB per buffer: 4 rows at n=64, K=128; a last short block
+        when m is no multiple of that; never more rows than the mini-batch."""
+        rng = np.random.default_rng(3)
+        for m, n, k, rows in [(10, 64, 128, 4), (3, 64, 128, 3), (40, 32, 32, 32)]:
+            pi, index, pi_a, phi_sum, y, beta, mask = _gather_case(rng, 200, m, n, k)
+            ws = kernels.KernelWorkspace()
+            got = FUSED.phi_gradient_sum(
+                pi_a, phi_sum, (pi, index), y, beta, 1e-4, mask=mask, workspace=ws
+            )
+            assert ws.buffers()["phi_f"].size == rows * n * k
+            _assert_same_bits(
+                got, REF.phi_gradient_sum(pi_a, phi_sum, pi[index], y, beta, 1e-4, mask=mask)
+            )
+
+    def test_memmap_backed_table(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pi, index, pi_a, phi_sum, y, beta, mask = _gather_case(rng, 300, 20, 64, 128)
+        np.save(tmp_path / "pi.npy", pi)
+        mapped = np.load(tmp_path / "pi.npy", mmap_mode="r")
+        assert isinstance(mapped, np.memmap)
+        got = FUSED.phi_gradient_sum(pi_a, phi_sum, (mapped, index), y, beta, 1e-4, mask=mask)
+        _assert_same_bits(
+            got, REF.phi_gradient_sum(pi_a, phi_sum, pi[index], y, beta, 1e-4, mask=mask)
+        )
 
 
 class TestFloat32Tolerance:

@@ -82,6 +82,27 @@ class TestFloat64Tolerance:
 
     @given(
         m=st.integers(min_value=1, max_value=_DIM(12, 40)),
+        n=st.integers(min_value=1, max_value=_DIM(8, 20)),
+        k=st.integers(min_value=1, max_value=_DIM(16, 48)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_phi_gradient_from_a_deferred_gather(self, m, n, k, seed):
+        """``(table, index)`` in place of the gathered rows: gathered up
+        front here, the same answer, and a stray id is an IndexError."""
+        rng = np.random.default_rng(seed)
+        pi_a, phi_sum, _, y, beta, mask = _phi_case(rng, m, n, k)
+        table = np.concatenate([rng.dirichlet(np.ones(k), size=30), np.ones((30, 1))], axis=1)
+        pi, index = table[:, :-1], rng.integers(0, 30, size=(m, n))
+        got = kn.phi_gradient_sum(pi_a, phi_sum, (pi, index), y, beta, 1e-4, mask=mask)
+        want = kn.phi_gradient_sum(pi_a, phi_sum, pi[index], y, beta, 1e-4, mask=mask)
+        np.testing.assert_array_equal(np.array(got), want)
+        for index[-1, -1] in (-1, 30):
+            with pytest.raises(IndexError, match="table of 30 rows"):
+                kn.phi_gradient_sum(pi_a, phi_sum, (pi, index), y, beta, 1e-4, mask=mask)
+
+    @given(
+        m=st.integers(min_value=1, max_value=_DIM(12, 40)),
         k=st.integers(min_value=1, max_value=_DIM(16, 48)),
         seed=st.integers(min_value=0, max_value=10_000),
         array_scale=st.booleans(),

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.dkv import DKVStore
 from repro.config import AMMSBConfig
-from repro.core import stages
+from repro.core import kernels, stages
+from repro.core.minibatch import NeighborSample
 from repro.core.state import ModelState
 from repro.dist.partition import WorkerShard
 from repro.dist.worker import DKVRows, WorkerContext
@@ -48,10 +49,13 @@ class TestRowStoreContract:
         assert store.dtype == np.dtype(dtype)
 
         # A read answers exactly the stored rows, in the store's dtype,
-        # for repeated keys and an ``others`` block of any shape.
+        # for repeated keys and an ``others`` block of any shape; the
+        # resident stores defer the ``others`` gather, the DKV does not.
         vertices = rng.integers(0, n, size=int(rng.integers(0, n)))
         others = rng.integers(0, n, size=(int(rng.integers(0, 5)), 2, 3))
         pi_v, phi_sum_v, pi_o = store.read_rows(vertices, others)
+        assert isinstance(pi_o, tuple) == (kind != "DKVStore")
+        pi_o = kernels.gather_rows(pi_o)
         np.testing.assert_array_equal(pi_v, pi[vertices])
         np.testing.assert_array_equal(phi_sum_v, phi_sum[vertices])
         np.testing.assert_array_equal(pi_o, pi[others])
@@ -84,3 +88,51 @@ def test_empty_shard_rows_keep_the_store_dtype():
     assert result.pi_rows.dtype == result.phi_sum.dtype == np.float32
     ctx.write_pi(result)
     assert (table == 0.25).all()
+
+
+def run_phi_stage(store, workspace, n_vertices, k, neighbors, backend="fused"):
+    """One phi stage for the first ``len(neighbors)`` vertices."""
+    cfg = AMMSBConfig(n_communities=k, kernel_backend=backend)
+    rng = np.random.default_rng(0)
+    m = neighbors.shape[0]
+    sample = NeighborSample(
+        neighbors, rng.random(neighbors.shape) < 0.05, rng.random(neighbors.shape) < 0.95
+    )
+    return stages.phi_stage(
+        store, kernels.get_backend(backend), workspace, cfg, n_vertices, np.arange(m),
+        sample, np.full(k, 0.4), 0.01, rng.standard_normal((m, k)),
+    )
+
+
+@pytest.mark.parametrize("backend", ["fused", "reference"])
+@pytest.mark.parametrize("kind", ["ModelState", "ndarray table"])
+@pytest.mark.parametrize("stray", [-1, 40, 10**9])
+def test_stray_neighbor_id_is_an_index_error(kind, backend, stray):
+    """The resident stores defer the neighbor gather to the kernel, which
+    takes rows with ``mode="clip"`` (``ModelState``) or indexes the
+    non-contiguous ``pi`` columns (the table): neither may clip or wrap a
+    stray id into some other vertex's row."""
+    rng = np.random.default_rng(1)
+    n, k = 40, 6
+    store = make_store(kind, rng.dirichlet(np.ones(k), size=n), rng.random(n) + 1.0)
+    neighbors = rng.integers(0, n, size=(8, 5))
+    run_phi_stage(store, kernels.KernelWorkspace(), n, k, neighbors, backend)
+    neighbors[7, 4] = stray
+    with pytest.raises(IndexError, match="table of 40 rows"):
+        run_phi_stage(store, kernels.KernelWorkspace(), n, k, neighbors, backend)
+
+
+def test_phi_stage_workspace_holds_blocks_not_the_mini_batch():
+    """Work-count guard: after a phi stage at (m, n, K) = (512, 64, 128)
+    in float64 the fused workspace is three block buffers and some
+    (m, K) / (m, n) ones, ~3 MB; the (m, n, K) buffers they replaced held
+    135 MB (and the gathered rows another 34 MB outside the workspace)."""
+    rng = np.random.default_rng(2)
+    n_vertices, m, n, k = 2000, 512, 64, 128
+    store = make_store(
+        "ModelState", rng.dirichlet(np.ones(k), size=n_vertices), rng.random(n_vertices) + 1.0
+    )
+    workspace = kernels.KernelWorkspace()
+    run_phi_stage(store, workspace, n_vertices, k, rng.integers(0, n_vertices, size=(m, n)))
+    assert workspace.nbytes <= 16 * kernels._PHI_BLOCK_BYTES
+    assert max(buf.nbytes for buf in workspace.buffers().values()) <= m * k * 8
