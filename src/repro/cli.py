@@ -892,10 +892,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-fraction", type=float, default=0.9,
                    help="arrival prefix forming the warm-start base graph")
     p.add_argument("--workdir", default="stream-work",
-                   help="per-generation CSR containers + checkpoints")
+                   help="per-generation CSR and model containers")
     p.add_argument("--artifact", default=None,
-                   help="published artifact path "
-                        "(default: WORKDIR/artifact.npz)")
+                   help="published artifact path: a container directory of "
+                        "hard links to the newest generation's model container, "
+                        "whatever its suffix (default: WORKDIR/artifact.npz)")
     p.add_argument("--workers", type=int, default=0,
                    help="mp-engine worker count (0 = in-process sequential)")
     p.add_argument("--drift-window", type=int, default=8,

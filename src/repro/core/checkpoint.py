@@ -7,11 +7,15 @@ configuration, and the exact RNG states, so a resumed run continues
 **bit-for-bit identically** to an uninterrupted one (verified in
 ``tests/test_checkpoint.py``).
 
-Format: a single ``.npz`` with arrays plus JSON-encoded metadata.
+Format: a single ``.npz`` with arrays plus JSON-encoded metadata. (The
+stream tier writes its per-generation state as a sealed
+:mod:`repro.store` container instead — the same files are the serving
+artifact; :func:`load_state_checkpoint` reads either.)
 
-Durability: checkpoints are written *atomically* — the archive is
-serialized to a temporary file in the target directory, fsynced, and
-renamed over the destination with ``os.replace``. A crash mid-write
+Durability: checkpoints are written *atomically* through
+:func:`repro.store.atomic.atomic_file` — the archive is serialized to a
+temporary file in the target directory, fsynced, and renamed over the
+destination with ``os.replace``. A crash mid-write
 (power loss, OOM-killed master) can therefore never leave a truncated
 checkpoint under the real name; the previous checkpoint survives intact.
 Anything wrong with a checkpoint at load time (missing file, corrupt or
@@ -34,8 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import Union
@@ -45,10 +47,16 @@ import numpy as np
 from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import ModelState
+from repro.store.atomic import atomic_file
+from repro.store.container import Container, StoreError, is_container
 
 PathLike = Union[str, Path]
 
 FORMAT_VERSION = 1
+
+#: kind tag of a store container that holds a model state and nothing to
+#: serve from (a stream generation whose rows failed the serving checks)
+STATE_KIND = "repro-model-state/1"
 
 
 class CheckpointError(ValueError):
@@ -118,32 +126,9 @@ def _atomic_savez(path: PathLike, compress: bool = True, **arrays) -> Path:
     target = Path(path)
     if target.suffix != ".npz":
         target = target.with_name(target.name + ".npz")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{target.name}.", suffix=".tmp", dir=target.parent
-    )
     savez = np.savez_compressed if compress else np.savez
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    # Make the rename itself durable (directory entry update).
-    try:
-        dir_fd = os.open(target.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
+    with atomic_file(target) as fh:
+        savez(fh, **arrays)
     return target
 
 
@@ -274,7 +259,7 @@ def save_state_checkpoint(
     """Atomically write a bare model state (no RNG streams).
 
     The portable subset every backend shares — used by the multiprocess
-    runtime's auto-checkpointing and the stream's generation loop. A
+    runtime's auto-checkpointing and as the stream's warm start. A
     stored archive unless ``compress=True`` (see :func:`save_checkpoint`
     for the tradeoff).
     """
@@ -297,26 +282,52 @@ def save_state_checkpoint(
 def load_state_checkpoint(path: PathLike) -> tuple[ModelState, int, AMMSBConfig]:
     """Read a model-state checkpoint: ``(state, iteration, config)``.
 
+    ``path`` is either the ``.npz`` :func:`save_state_checkpoint` writes
+    or a sealed :mod:`repro.store` container holding ``pi``, ``phi_sum``
+    and ``theta`` with ``iteration`` and ``config`` in its meta (what a
+    stream generation writes). A container is read in full and every
+    array digest verified before the state is adopted.
+
     Raises:
         CheckpointError: missing/corrupt file, missing keys, or a state
             that fails validation.
     """
-    with _open_archive(path) as data:
-        meta = _read_meta(path, data)
-        try:
-            config = _config_from_json(path, meta["config"])
-            iteration = int(meta["iteration"])
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(path, f"invalid metadata ({exc})") from exc
-        state = ModelState(
-            pi=_read_array(path, data, "pi"),
-            phi_sum=_read_array(path, data, "phi_sum"),
-            theta=_read_array(path, data, "theta"),
-        )
+    if is_container(path):
+        state, iteration, config = _load_state_container(path)
+    else:
+        with _open_archive(path) as data:
+            meta = _read_meta(path, data)
+            iteration, config = _clock_and_config(path, meta)
+            state = ModelState(
+                pi=_read_array(path, data, "pi"),
+                phi_sum=_read_array(path, data, "phi_sum"),
+                theta=_read_array(path, data, "theta"),
+            )
     try:
         state.validate()
     except ValueError as exc:
         raise CheckpointError(path, f"invalid state ({exc})") from exc
+    return state, iteration, config
+
+
+def _clock_and_config(path: PathLike, meta: dict) -> tuple[int, AMMSBConfig]:
+    try:
+        return int(meta["iteration"]), _config_from_json(path, meta["config"])
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(path, f"invalid metadata ({exc})") from exc
+
+
+def _load_state_container(path: PathLike) -> tuple[ModelState, int, AMMSBConfig]:
+    try:
+        container = Container(path, provider="resident", verify="eager")
+        iteration, config = _clock_and_config(path, container.meta)
+        state = ModelState(
+            pi=container.array("pi"),
+            phi_sum=container.array("phi_sum"),
+            theta=container.array("theta"),
+        )
+    except StoreError as exc:  # StoreCorrupt included
+        raise CheckpointError(path, exc.reason) from exc
     return state, iteration, config

@@ -16,6 +16,7 @@ from repro.serve.artifact import (
     build_artifact,
     export_artifact,
     export_from_sampler,
+    export_state_artifact,
     load_artifact,
     save_artifact,
     save_artifact_v2,
@@ -32,6 +33,7 @@ __all__ = [
     "build_artifact",
     "export_artifact",
     "export_from_sampler",
+    "export_state_artifact",
     "load_artifact",
     "save_artifact",
     "QueryEngine",

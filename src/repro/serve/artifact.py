@@ -18,7 +18,7 @@ No graph object is needed to load or serve an artifact.
 
 Durability and identity: artifacts are written with the same atomic
 tmp + fsync + ``os.replace`` machinery as checkpoints
-(:mod:`repro.core.checkpoint`), and carry a deterministic content
+(:mod:`repro.store.atomic`), and carry a deterministic content
 ``version`` — a SHA-256 over the model arrays and config — so two
 exports of the same posterior get the same version and a hot-swapped
 server can report exactly which model answered. Anything wrong at load
@@ -49,7 +49,14 @@ Two on-disk formats coexist (DESIGN.md section 10):
   a swap, never mid-query).
 
 :func:`save_artifact` picks the format from the path (``.npz`` -> v1,
-anything else -> v2 directory); :func:`load_artifact` auto-detects.
+anything else -> v2 directory); :func:`load_artifact` auto-detects from
+what is on disk (a container directory loads as v2 whatever its name).
+
+The stream tier writes neither: each generation persists ONE sealed v2
+container that is its checkpoint *and* its artifact
+(:func:`export_state_artifact` — the state's own ``pi`` rows plus
+``phi_sum``, no renormalized copy) and publishes it by hard link
+(:func:`repro.store.link_container`).
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 from zipfile import BadZipFile
 
 import numpy as np
@@ -73,6 +80,7 @@ from repro.core.checkpoint import (
     _config_to_json,
     _open_archive,
     CheckpointError,
+    STATE_KIND,
 )
 from repro.core.state import ModelState
 from repro.store import (
@@ -96,9 +104,15 @@ SCHEMA_V2 = "repro-serve-artifact/2"
 FORMAT_VERSION_V2 = 2
 
 _ARRAY_KEYS = ("pi", "theta", "beta", "node_ids", "top_communities", "top_weights")
+#: the members derived at export time (everything but the posterior itself)
+_SERVING_KEYS = _ARRAY_KEYS[2:]
 
 #: default number of precomputed top communities per node.
 DEFAULT_TOP_K = 8
+
+#: block size of the walks over ``pi`` (hashing, top-K, row checks)
+_BLOCK_BYTES = 1 << 20
+_ROWS_INVALID = "pi rows must be normalized and non-negative"
 
 
 class ArtifactError(ValueError):
@@ -118,15 +132,44 @@ class ArtifactCorrupt(ArtifactError):
     never serving from it."""
 
 
-def _content_version(config_json: str, pi: np.ndarray, theta: np.ndarray) -> str:
-    """Deterministic content id: same posterior + config -> same version."""
+def _row_blocks(arr: np.ndarray):
+    """``(lo, hi, rows)`` over ``arr`` in C-contiguous blocks of at most
+    ~1 MiB (a view where ``arr`` is contiguous, a bounded copy otherwise)."""
+    arr = np.atleast_1d(arr)
+    rows = max(1, _BLOCK_BYTES // max(1, arr[:1].nbytes))
+    for lo in range(0, arr.shape[0], rows):
+        yield lo, min(lo + rows, arr.shape[0]), np.ascontiguousarray(arr[lo : lo + rows])
+
+
+def _content_version(
+    config_json: str,
+    pi: np.ndarray,
+    theta: np.ndarray,
+    on_pi_block: Optional[Callable[[int, int, np.ndarray], None]] = None,
+) -> str:
+    """Deterministic content id: same posterior + config -> same version.
+
+    The arrays' buffers are fed to the hash block by block (no
+    ``tobytes()`` copy of an N*K array). ``on_pi_block(lo, hi, rows)`` sees
+    each ``pi`` block while it is cache-hot — how the stream's writer
+    derives the serving members and checks the rows in the same walk.
+    """
     h = hashlib.sha256()
     h.update(config_json.encode())
-    for arr in (pi, theta):
+    for arr, visit in ((pi, on_pi_block), (theta, None)):
         h.update(str(arr.dtype).encode())
         h.update(str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        for lo, hi, block in _row_blocks(arr):
+            h.update(block)
+            if visit is not None:
+                visit(lo, hi, block)
     return h.hexdigest()[:16]
+
+
+def _rows_valid(pi: np.ndarray) -> bool:
+    """Rows non-negative and normalized within the serving tolerance."""
+    atol = 1e-6 if pi.dtype == np.float64 else 1e-3
+    return not np.any(pi < 0) and bool(np.allclose(pi.sum(axis=1), 1.0, atol=atol))
 
 
 def _top_communities(pi: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +301,21 @@ class ModelArtifact:
 
     def validate(self) -> None:
         """Raise ``ValueError`` when an invariant is broken."""
+        if not _rows_valid(self.pi):
+            raise ValueError(_ROWS_INVALID)
+        self._validate_members()
+
+    def _validate_members(self) -> None:
+        """Every invariant of :meth:`validate` except the O(N*K) row check."""
         n, k = self.pi.shape
-        atol = 1e-6 if self.pi.dtype == np.float64 else 1e-3
-        if np.any(self.pi < 0) or not np.allclose(self.pi.sum(axis=1), 1.0, atol=atol):
-            raise ValueError("pi rows must be normalized and non-negative")
         if self.theta.shape != (k, 2) or np.any(self.theta <= 0):
             raise ValueError("theta must be (K, 2) positive")
         if self.beta.shape != (k,) or np.any(self.beta <= 0) or np.any(self.beta >= 1):
             raise ValueError("beta must be (K,) in (0, 1)")
-        if self.node_ids.shape != (n,) or len(np.unique(self.node_ids)) != n:
+        # 0..N-1 in order is unique by construction (memoized O(N) compare)
+        if self.node_ids.shape != (n,) or not (
+            (n > 0 and self._identity_ids()) or len(np.unique(self.node_ids)) == n
+        ):
             raise ValueError("node_ids must be (N,) unique")
         if self.top_communities.shape != self.top_weights.shape:
             raise ValueError("top_communities/top_weights shape mismatch")
@@ -332,6 +381,86 @@ def export_artifact(
     return save_artifact(path, artifact)
 
 
+def export_state_artifact(
+    path: PathLike,
+    state: ModelState,
+    config: AMMSBConfig,
+    iteration: int = 0,
+    node_ids: Optional[np.ndarray] = None,
+    top_k: int = DEFAULT_TOP_K,
+) -> Path:
+    """Write ONE sealed container that is both the checkpoint of ``state``
+    and its serving artifact — what a stream generation persists.
+
+    Members: ``pi`` (the state's own rows — not copied, not
+    renormalized, so the served ``link_probability`` equals the
+    trainer's bit for bit), ``phi_sum``, ``theta``, and the serving
+    members ``beta``, ``node_ids``, ``top_communities``, ``top_weights``;
+    ``iteration``, config and the content version go in the sealed meta.
+    :func:`repro.core.checkpoint.load_state_checkpoint` resumes from it,
+    :func:`load_artifact` serves from it (or from a
+    :func:`repro.store.link_container` of it). The serving members, the
+    content version and :meth:`ModelArtifact.validate`'s row checks come
+    out of one block-wise walk over ``state.pi``; no second N*K array
+    exists at any point.
+
+    Raises:
+        ArtifactError: the state's rows fail the serving invariants (or
+            ``node_ids`` is unusable). The container is still written —
+            as a checkpoint only (kind :data:`STATE_KIND`, no serving
+            members), which :func:`load_artifact` refuses — so the
+            caller keeps its durable state and skips the publish.
+    """
+    pi, theta = state.pi, state.theta
+    n, k = pi.shape
+    top_k = min(int(top_k), k)
+    top_idx = np.empty((n, top_k), dtype=np.int32)
+    top_w = np.empty((n, top_k), dtype=pi.dtype)
+    rows_ok = True
+
+    def members_and_checks(lo: int, hi: int, rows: np.ndarray) -> None:
+        nonlocal rows_ok
+        top_idx[lo:hi], top_w[lo:hi] = _top_communities(rows, top_k)
+        rows_ok = rows_ok and _rows_valid(rows)
+
+    version = _content_version(
+        _config_to_json(config), pi, theta, on_pi_block=members_and_checks
+    )
+    artifact = ModelArtifact(
+        config=config,
+        pi=pi,
+        theta=theta,
+        beta=state.beta,
+        node_ids=(
+            np.arange(n, dtype=np.int64)
+            if node_ids is None
+            else np.asarray(node_ids, dtype=np.int64)
+        ),
+        top_communities=top_idx,
+        top_weights=top_w,
+        iteration=int(iteration),
+        version=version,
+    )
+    problem = None if rows_ok else _ROWS_INVALID
+    if problem is None:
+        try:
+            artifact._validate_members()
+        except ValueError as exc:
+            problem = str(exc)
+    arrays = {"pi": pi, "phi_sum": state.phi_sum, "theta": theta}
+    if problem is None:
+        arrays.update({key: getattr(artifact, key) for key in _SERVING_KEYS})
+    write_container(
+        path,
+        arrays,
+        kind=SCHEMA_V2 if problem is None else STATE_KIND,
+        meta=_meta_v2(artifact),
+    )
+    if problem is not None:
+        raise ArtifactError(path, f"invalid snapshot ({problem}); written as a checkpoint only")
+    return Path(path)
+
+
 def export_from_sampler(
     path: PathLike,
     sampler: "AMMSBSampler",
@@ -395,13 +524,17 @@ def save_artifact_v2(path: PathLike, artifact: ModelArtifact) -> Path:
         path,
         {key: getattr(artifact, key) for key in _ARRAY_KEYS},
         kind=SCHEMA_V2,
-        meta={
-            "format_version": FORMAT_VERSION_V2,
-            "artifact_version": artifact.version,
-            "iteration": int(artifact.iteration),
-            "config": _config_to_json(artifact.config),
-        },
+        meta=_meta_v2(artifact),
     )
+
+
+def _meta_v2(artifact: ModelArtifact) -> dict:
+    return {
+        "format_version": FORMAT_VERSION_V2,
+        "artifact_version": artifact.version,
+        "iteration": int(artifact.iteration),
+        "config": _config_to_json(artifact.config),
+    }
 
 
 def load_artifact(

@@ -402,6 +402,11 @@ class ModelServer:
         the failed snapshot survives — and raises :class:`SwapFailed`.
         """
         artifact.validate()
+        return self._swap(artifact)
+
+    def _swap(self, artifact: ModelArtifact) -> int:
+        """:meth:`publish` for an artifact whose invariants the caller has
+        just checked (artifacts are immutable: once is enough)."""
         rollback_to: Optional[ModelArtifact] = None
         with self._not_empty:
             swap_index = self._publishes
@@ -451,7 +456,8 @@ class ModelServer:
             # "full" forces every per-array digest even for lazy v2
             # container artifacts: a server must find corruption at
             # publish time, never mid-query. (For v1 .npz this is the
-            # same full verification as always.)
+            # same full verification as always.) Either way the load ran
+            # validate() on the frozen object, so the swap does not repeat it.
             artifact = load_artifact(path, verify="full")
         except ArtifactCorrupt as exc:
             exc.quarantined = quarantine_artifact(path)
@@ -461,7 +467,7 @@ class ModelServer:
         except ArtifactError:
             self.metrics.record_publish_failure()
             raise
-        return self.publish(artifact)
+        return self._swap(artifact)
 
     def rollback(self) -> int:
         """Manually re-install the previous known-good artifact.

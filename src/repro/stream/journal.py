@@ -65,6 +65,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.store.atomic import fsync_dir
 from repro.stream.delta import StreamError
 
 PathLike = Union[str, Path]
@@ -106,17 +107,6 @@ class _Segment:
     last_seqno: int = -1
     n_frames: int = 0
     size: int = 0
-
-
-def _fsync_dir(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
 
 
 def _crc(kind: int, flags: int, seqno: int, payload: bytes) -> int:
@@ -255,7 +245,7 @@ class IngestJournal:
         with open(path, "wb") as fh:
             fh.flush()
             os.fsync(fh.fileno())
-        _fsync_dir(self.directory)
+        fsync_dir(self.directory)
         return _Segment(index=index, path=path)
 
     @property
@@ -404,7 +394,7 @@ class IngestJournal:
                 survivors.append(seg)
         self._segments = survivors
         if removed:
-            _fsync_dir(self.directory)
+            fsync_dir(self.directory)
         self.compactions += 1
         return removed
 

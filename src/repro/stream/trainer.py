@@ -19,16 +19,22 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
    falling back to random init on degenerate graphs;
 4. **trains** a bounded number of iterations — sequentially, or on the
    multiprocess backend (``engine="mp"``);
-5. **checkpoints** (:func:`repro.core.checkpoint.save_state_checkpoint`)
-   and then **publishes** a serving artifact
-   (:func:`repro.serve.artifact.export_artifact`), in that order on
-   either engine. An injected publish failure
-   (:class:`repro.faults.StreamFaultPlan`) skips the publish and records
-   the error — the previous artifact keeps serving — rather than
-   aborting the generation.
+5. **persists** the state once — one sealed :mod:`repro.store`
+   container ``model_gNNNN.store`` that is both the generation's
+   checkpoint and its serving artifact
+   (:func:`repro.serve.artifact.export_state_artifact`: the state's own
+   ``pi`` rows, ``phi_sum``, ``theta`` and the serving members) — and
+   then **publishes** it by hard link
+   (:func:`repro.store.link_container`: ``publish_path`` becomes a
+   directory of links to the container's files, zero N*K bytes moved),
+   in that order on either engine. An injected publish failure
+   (:class:`repro.faults.StreamFaultPlan`) or a state whose rows fail the
+   serving invariants skips the publish and records the error — the
+   previous artifact keeps serving — rather than aborting the generation.
 
 The trainer never mutates a served artifact in place: the publish path
-is rewritten atomically, and a ``publish_callback`` lets a live
+is replaced atomically (whatever its suffix it is a container
+directory), and a ``publish_callback`` lets a live
 :class:`~repro.serve.server.ModelServer` hot-swap it per generation.
 
 Durability (DESIGN.md §11): every arrival batch is journaled to a
@@ -39,12 +45,13 @@ each generation ends by atomically rewriting ``manifest.json`` — the
 single durable record of (next generation, cumulative iteration clock,
 digested journal seqno, checkpoint/graph/artifact paths). Journal
 segments covered by the manifest are garbage-collected only *after* the
-manifest hits disk — and so are the graph containers and checkpoints of
+manifest hits disk — and so are the graph and model containers of
 generations before the previous one, which the manifest no longer names
 (the workdir holds two of each, not one per generation ever run) — so
 :meth:`StreamTrainer.resume` can always rebuild
-the exact pre-crash overlay: load the manifest's checkpoint and graph,
-then replay the journal suffix past the digested seqno. A kill at any
+the exact pre-crash overlay: load the manifest's model container
+(digests verified) and graph, then replay the journal suffix past the
+digested seqno. A kill at any
 point between ingest and manifest loses nothing and duplicates nothing
 (overlay dedup absorbs at-least-once replay) — pinned by the
 kill-at-every-phase tests and the ``repro chaos-stream`` drill.
@@ -53,10 +60,8 @@ kill-at-every-phase tests and the ``repro chaos-stream`` drill.
 from __future__ import annotations
 
 import json
-import os
 import re
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +70,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.core.checkpoint import load_state_checkpoint, save_state_checkpoint
+from repro.core.checkpoint import load_state_checkpoint, save_state_checkpoint  # noqa: F401
 from repro.core.init import extend_state_informed, init_state_spectral
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
@@ -73,17 +78,28 @@ from repro.core.state import ModelState, init_state
 from repro.graph.graph import Graph
 from repro.graph.io import load_csr, save_csr
 from repro.graph.split import HeldoutSplit, split_heldout
-from repro.serve.artifact import export_artifact
+from repro.serve.artifact import ArtifactError
+from repro.serve.artifact import export_state_artifact as export_artifact
+from repro.store import atomic_file, link_container, recover_container, recover_containers
 from repro.stream.delta import DeltaOverlay, IngestReport, StreamError
 from repro.stream.journal import IngestJournal, QuarantineLog
 from repro.stream.source import EdgeArrival, arrivals_to_arrays
+
+# e2e_bench's tracer rebinds five names *of this module*: ``split_heldout``,
+# ``extend_state_informed``, ``AMMSBSampler``, and the two writers
+# ``save_state_checkpoint`` and ``export_artifact``, whose first argument it
+# sizes. A generation's one write is the ``export_artifact`` call in
+# ``run_generation``; ``save_state_checkpoint`` (the ``.npz`` writer warm
+# starts come from) is not called here and stays bound for the tracer alone.
 
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 BASE_GRAPH_NAME = "base.csr"
-_GENERATION_FILE = re.compile(r"(?:graph|checkpoint)_g(\d+)\.(?:csr|npz)")
+#: per-generation files; ``checkpoint_gNNNN.npz`` is what workdirs written
+#: before the model container hold
+_GENERATION_FILE = re.compile(r"(?:graph|model|checkpoint)_g(\d+)\.(?:csr|store|npz)")
 
 
 class ResumeError(StreamError):
@@ -96,42 +112,13 @@ class ResumeError(StreamError):
         super().__init__(f"stream workdir {self.path}: {reason}")
 
 
-def _atomic_write_json(path: Path, obj: dict) -> None:
-    """tmp + fsync + ``os.replace`` + dir fsync — same idiom as
-    :func:`repro.core.checkpoint._atomic_savez`, for small JSON records."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
-
-
 @dataclass(frozen=True)
 class GenerationReport:
     """What one :meth:`StreamTrainer.run_generation` call did.
 
-    ``checkpoint_path`` is on disk for the current and the previous
-    generation only; older generations' files are removed (see
+    ``checkpoint_path`` is the generation's model container (state and
+    serving artifact in one); it is on disk for the current and the
+    previous generation only, older generations' are removed (see
     :meth:`StreamTrainer.run_generation`).
     """
 
@@ -302,25 +289,25 @@ class StreamTrainer:
     def _write_manifest(self) -> None:
         """Atomically record the durable generation frontier.
 
-        Written *last* in every generation (after checkpoint + publish),
-        and always *before* journal GC: the manifest's
+        Written *last* in every generation (after the model container
+        and the publish), and always *before* journal GC: the manifest's
         ``digested_seqno`` is the promise that every journal frame at or
         below it is already inside ``graph_path``.
         """
-        _atomic_write_json(
-            self.manifest_path,
-            {
-                "version": MANIFEST_VERSION,
-                "generation": self.generation,
-                "iteration": self.iteration,
-                "digested_seqno": self.digested_seqno,
-                "graph_path": self._rel_or_abs(self._graph_path),
-                "checkpoint_path": self._rel_or_abs(self._checkpoint_path),
-                "artifact_path": self._rel_or_abs(self.last_published),
-                "history_path": self._rel_or_abs(self.history_path),
-                "publish_path": self._rel_or_abs(self.publish_path),
-            },
-        )
+        record = {
+            "version": MANIFEST_VERSION,
+            "generation": self.generation,
+            "iteration": self.iteration,
+            "digested_seqno": self.digested_seqno,
+            "graph_path": self._rel_or_abs(self._graph_path),
+            "checkpoint_path": self._rel_or_abs(self._checkpoint_path),
+            "artifact_path": self._rel_or_abs(self.last_published),
+            "history_path": self._rel_or_abs(self.history_path),
+            "publish_path": self._rel_or_abs(self.publish_path),
+        }
+        with atomic_file(self.manifest_path, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
 
     @staticmethod
     def read_manifest(workdir: PathLike) -> dict:
@@ -355,8 +342,13 @@ class StreamTrainer:
     ) -> "StreamTrainer":
         """Reconstruct a trainer from a (possibly crashed) stream workdir.
 
-        Rebuilds exactly the durable frontier: the manifest's graph
-        becomes the overlay base, its checkpoint (if any) restores the
+        First finishes what a killed writer left behind
+        (:func:`repro.store.recover_container`: a publish path or
+        generation container caught between the two renames of a
+        rotation is put back, stale hidden temp directories are swept).
+        Then rebuilds exactly the durable frontier: the manifest's graph
+        becomes the overlay base, its model container (if any; every
+        array digest verified) restores the
         warm-start state and cumulative iteration clock, and the journal
         suffix past ``digested_seqno`` is replayed through the overlay —
         so edges that were acknowledged but not yet digested are pending
@@ -374,6 +366,12 @@ class StreamTrainer:
                 return None
             p = Path(rec)
             return p if p.is_absolute() else workdir / p
+
+        if "publish_path" not in kwargs and manifest.get("publish_path"):
+            kwargs["publish_path"] = _resolve(manifest["publish_path"])
+        recover_containers(workdir)
+        if kwargs.get("publish_path"):
+            recover_container(kwargs["publish_path"])
 
         graph_path = _resolve(manifest["graph_path"])
         try:
@@ -396,8 +394,6 @@ class StreamTrainer:
                 workdir,
                 "no checkpoint recorded yet — pass the run's config to resume()",
             )
-        if "publish_path" not in kwargs and manifest.get("publish_path"):
-            kwargs["publish_path"] = _resolve(manifest["publish_path"])
         if "history_path" not in kwargs and manifest.get("history_path"):
             kwargs["history_path"] = _resolve(manifest["history_path"])
 
@@ -472,7 +468,7 @@ class StreamTrainer:
         n_iterations: Optional[int] = None,
         heldout: Optional[HeldoutSplit] = None,
     ) -> GenerationReport:
-        """Ingest → compact → warm-start → train → checkpoint → publish.
+        """Ingest → compact → warm-start → train → persist → publish.
 
         Args:
             arrivals: this generation's arrivals (already-``ingest``-ed
@@ -529,10 +525,15 @@ class StreamTrainer:
         )
         perplexity = estimator.single_sample_value(self.state.pi, self.state.beta)
 
-        checkpoint_path = self.workdir / f"checkpoint_g{gen:04d}.npz"
-        save_state_checkpoint(
-            checkpoint_path, self.state, self.iteration, self.config
-        )
+        # The generation's one N*K write: checkpoint and artifact at once.
+        checkpoint_path = self.workdir / f"model_g{gen:04d}.store"
+        unservable: Optional[str] = None
+        try:
+            export_artifact(
+                checkpoint_path, self.state, self.config, iteration=self.iteration
+            )
+        except ArtifactError as exc:  # written, as a checkpoint only
+            unservable = str(exc)
         self._crash_if("post-checkpoint-pre-publish", gen)
 
         published = False
@@ -540,11 +541,10 @@ class StreamTrainer:
         if self.publish_path is not None:
             if self.faults is not None and self.faults.publish_fails(gen):
                 publish_error = f"injected publish failure (generation {gen})"
+            elif unservable is not None:
+                publish_error = unservable
             else:
-                export_artifact(
-                    self.publish_path, self.state, self.config,
-                    iteration=self.iteration,
-                )
+                link_container(checkpoint_path, self.publish_path)
                 published = True
                 self.last_published = self.publish_path
                 if self.publish_callback is not None:
@@ -583,8 +583,10 @@ class StreamTrainer:
         return report
 
     def _remove_stale_generations(self, gen: int) -> None:
-        """Delete graph containers and checkpoints older than generation
-        ``gen - 1`` (``base.csr`` counts as generation -1).
+        """Delete graph and model containers older than generation
+        ``gen - 1`` (``base.csr`` counts as generation -1). A published
+        artifact or a live server's memory map that shares a deleted
+        container's files keeps them readable (hard link / unlinked inode).
 
         Called only once the manifest naming generation ``gen`` is durable:
         a kill before that resumes from generation ``gen - 1``'s files,

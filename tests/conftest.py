@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -67,3 +71,40 @@ def tiny_graph():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+# -- simulated process death and filesystem refusals (store / stream tests) ---
+
+
+def die_like_kill_9(patch, where: str):
+    """Raise :class:`InjectedCrash` the way ``kill -9`` would land: a dead
+    process cleans nothing up, so the writers' own error-path ``rmtree`` is
+    disarmed first. ``patch`` is a ``monkeypatch.context()``; leaving it is
+    the restart."""
+    from repro.faults import InjectedCrash
+
+    patch.setattr(shutil, "rmtree", lambda *a, **k: None)
+    raise InjectedCrash(where)
+
+
+def kill_in_os(patch, attr: str, when) -> None:
+    """Make ``os.<attr>`` die (see :func:`die_like_kill_9`) the first time
+    ``when(*args)`` holds."""
+    real = getattr(os, attr)
+
+    def call(*args, **kwargs):
+        if when(*args):
+            die_like_kill_9(patch, f"os.{attr}")
+        return real(*args, **kwargs)
+
+    patch.setattr(os, attr, call)
+
+
+@pytest.fixture()
+def no_hard_links(monkeypatch):
+    """Every ``os.link`` fails with ``EXDEV``, as across two mounts."""
+
+    def exdev(*_a, **_k):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "link", exdev)

@@ -186,7 +186,7 @@ class TestAtomicWrite:
         save_checkpoint(ckpt, s)
         good = ckpt.read_bytes()
 
-        import repro.core.checkpoint as cp
+        import repro.store.atomic as cp  # where the rename is spelled out
 
         orig_replace = cp.os.replace
 

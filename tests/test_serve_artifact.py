@@ -2,26 +2,39 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serve.artifact as artifact_module
 from repro.config import AMMSBConfig
+from repro.core.checkpoint import (
+    STATE_KIND,
+    CheckpointError,
+    _config_to_json,
+    load_state_checkpoint,
+)
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
 from repro.serve.artifact import (
     ArtifactCorrupt,
     ArtifactError,
+    _content_version,
+    _top_communities,
     build_artifact,
     export_artifact,
     export_from_sampler,
+    export_state_artifact,
     load_artifact,
     save_artifact,
     save_artifact_v2,
 )
+from repro.store import Container, write_container
 
 
 @pytest.fixture()
@@ -340,3 +353,143 @@ class TestValidate:
         )
         with pytest.raises(ArtifactError, match="unique"):
             load_artifact(path)
+
+
+def _version_by_copy(config_json, pi, theta):
+    """The content version as it was first written: through ``tobytes()``."""
+    h = hashlib.sha256(config_json.encode())
+    for arr in (pi, theta):
+        h.update(str(arr.dtype).encode())
+        h.update(str(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestContentVersionHashesTheBuffer:
+    """Same digest as the ``tobytes()`` spelling, without the N*K copy."""
+
+    @pytest.fixture()
+    def posterior(self):
+        rng = np.random.default_rng(7)
+        pi = rng.random((300, 6))
+        pi /= pi.sum(axis=1, keepdims=True)
+        return pi, rng.random((6, 2)) + 0.1
+
+    def test_pinned_f64_and_f32(self, posterior):
+        pi, theta = posterior
+        assert _content_version("cfg", pi, theta) == "938180cc9ba48b44"
+        assert _content_version("cfg", pi.astype(np.float32), theta) == "63f38dae849df8f1"
+
+    def test_non_contiguous_view_and_memmap(self, posterior, tmp_path):
+        pi, theta = posterior
+        table = np.concatenate([pi, np.ones((300, 1))], axis=1)  # the mp (N, K+1) layout
+        view = table[:, :-1]
+        assert not view.flags.c_contiguous
+        np.save(tmp_path / "pi.npy", pi)
+        mapped = np.load(tmp_path / "pi.npy", mmap_mode="r")
+        for arr in (view, mapped, pi[::-1][::-1]):
+            assert _content_version("cfg", arr, theta) == "938180cc9ba48b44"
+
+    def test_more_rows_than_one_block(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        pi, theta = rng.random((1000, 8)), rng.random((8, 2))
+        monkeypatch.setattr(artifact_module, "_BLOCK_BYTES", 4096)  # 64 rows a block
+        seen = []
+        version = _content_version(
+            "c", pi, theta, on_pi_block=lambda lo, hi, rows: seen.append((lo, hi, rows.shape))
+        )
+        assert version == _version_by_copy("c", pi, theta)
+        assert seen[0] == (0, 64, (64, 8)) and seen[-1] == (960, 1000, (40, 8))
+        assert [lo for lo, _, _ in seen[1:]] == [hi for _, hi, _ in seen[:-1]]
+
+    def test_no_array_sized_copy_is_made(self):
+        rng = np.random.default_rng(2)
+        pi, theta = rng.random((65536, 8)), rng.random((8, 2))  # 4 MiB of rows
+        tracemalloc.start()
+        try:
+            _content_version("cfg", pi, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pi.nbytes // 4  # tobytes() alone would be pi.nbytes
+
+
+class TestStateArtifact:
+    """One sealed container: checkpoint and serving artifact at once."""
+
+    def test_serves_the_states_own_rows(self, small_state, config, tmp_path):
+        path = export_state_artifact(tmp_path / "m", small_state, config, iteration=9)
+        art = load_artifact(path, verify="full")
+        assert np.array_equal(art.pi, small_state.pi)  # not renormalized
+        assert np.array_equal(art.theta, small_state.theta)
+        assert np.array_equal(art.beta, small_state.beta)
+        assert art.iteration == 9 and art.config == config
+        tops, weights = _top_communities(small_state.pi, 8)
+        assert np.array_equal(art.top_communities, tops)
+        assert np.array_equal(art.top_weights, weights)
+        assert art.version == _version_by_copy(
+            _config_to_json(config), small_state.pi, small_state.theta
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m"]
+
+    def test_build_artifact_is_unchanged(self, small_state, config):
+        art = build_artifact(small_state, config)
+        renormalized = small_state.pi / small_state.pi.sum(axis=1, keepdims=True)
+        assert np.array_equal(art.pi, renormalized)
+        assert not np.array_equal(art.pi, small_state.pi)  # why a file cannot hold both
+        tops, weights = _top_communities(renormalized, 8)
+        assert np.array_equal(art.top_communities, tops)
+        assert np.array_equal(art.top_weights, weights)
+        assert art.version == _version_by_copy(
+            _config_to_json(config), renormalized, small_state.theta
+        )
+
+    def test_resumes_bit_for_bit(self, small_state, config, tmp_path):
+        path = export_state_artifact(tmp_path / "m", small_state, config, iteration=9)
+        state, iteration, loaded_config = load_state_checkpoint(path)
+        assert iteration == 9 and loaded_config == config
+        for name in ("pi", "phi_sum", "theta"):
+            got = getattr(state, name)
+            assert np.array_equal(got, getattr(small_state, name)) and got.flags.writeable
+        assert isinstance(state.pi, np.ndarray) and not isinstance(state.pi, np.memmap)
+
+    def test_float32_and_many_blocks(self, tmp_path, monkeypatch):
+        cfg = AMMSBConfig(n_communities=5, dtype="float32", seed=2)
+        state = init_state(700, cfg, np.random.default_rng(2))
+        monkeypatch.setattr(artifact_module, "_BLOCK_BYTES", 2048)
+        path = export_state_artifact(tmp_path / "m", state, cfg, top_k=3)
+        art = load_artifact(path, verify="full")
+        assert art.pi.dtype == np.float32 and np.array_equal(art.pi, state.pi)
+        tops, weights = _top_communities(state.pi, 3)
+        assert np.array_equal(art.top_communities, tops)
+        assert np.array_equal(art.top_weights, weights)
+
+    def test_damage_is_a_typed_checkpoint_error(self, small_state, config, tmp_path):
+        path = export_state_artifact(tmp_path / "m", small_state, config)
+        raw = bytearray((path / "phi_sum.npy").read_bytes())
+        raw[-5] ^= 0x10
+        (path / "phi_sum.npy").write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="sha256 mismatch"):
+            load_state_checkpoint(path)
+        with pytest.raises(CheckpointError, match="invalid metadata"):  # not a state at all
+            load_state_checkpoint(
+                write_container(tmp_path / "g", {"edges": np.zeros((2, 2))}, kind="x")
+            )
+
+    def test_unnormalized_rows_are_not_servable(self, small_state, config, tmp_path):
+        small_state.pi[7] *= 1.5
+        with pytest.raises(ArtifactError, match="normalized.*checkpoint only"):
+            export_state_artifact(tmp_path / "m", small_state, config)
+        assert Container(tmp_path / "m").kind == STATE_KIND
+        with pytest.raises(ArtifactError, match="expected container kind"):
+            load_artifact(tmp_path / "m")
+
+    def test_unservable_state_is_still_a_checkpoint(self, small_state, config, tmp_path):
+        # theta so lopsided that beta rounds to 1.0: a valid state, no artifact
+        small_state.theta[0] = (1e-30, 1.0)
+        small_state.validate()
+        with pytest.raises(ArtifactError, match="beta"):
+            export_state_artifact(tmp_path / "m", small_state, config, iteration=3)
+        assert Container(tmp_path / "m").names() == ["phi_sum", "pi", "theta"]
+        state, iteration, _ = load_state_checkpoint(tmp_path / "m")
+        assert iteration == 3 and np.array_equal(state.theta, small_state.theta)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.bench import chaosbench
 from repro.config import AMMSBConfig
+from repro.core.checkpoint import _config_to_json
 from repro.core.state import ModelState, init_state
 from repro.faults import (
     ArtifactFault,
@@ -36,6 +37,8 @@ from repro.serve.artifact import (
     ArtifactCorrupt,
     ArtifactError,
     ArtifactRegistry,
+    ModelArtifact,
+    _content_version,
     build_artifact,
     load_artifact,
     quarantine_artifact,
@@ -402,6 +405,68 @@ class TestV2ArtifactFaults:
         with ModelServer(art, n_workers=0) as server:
             assert server.publish_path(self._save_v2(tmp_path, new)) == 1
             assert server.artifact.version == new.version
+
+
+class TestValidateOnce:
+    """``publish_path`` loads with ``verify="full"``, which validates; the
+    swap does not validate the same frozen object again. ``publish()``
+    called with an artifact of unknown provenance still does."""
+
+    @pytest.fixture()
+    def validations(self, monkeypatch):
+        calls = []
+        real = ModelArtifact.validate
+
+        def counting(self):
+            calls.append(self.version)
+            return real(self)
+
+        monkeypatch.setattr(ModelArtifact, "validate", counting)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["dir", "npz"])
+    def test_publish_path_validates_once(self, tmp_path, validations, fmt):
+        art = _artifact()
+        new = _perturbed(art)
+        path = save_artifact(tmp_path / f"swap.{fmt}", new, format=fmt)
+        with ModelServer(art, n_workers=0) as server:
+            validations.clear()
+            assert server.publish_path(path) == 1
+            assert validations == [new.version]
+
+    def test_direct_publish_still_validates(self, validations):
+        art = _artifact()
+        new = _perturbed(art)
+        with ModelServer(art, n_workers=0) as server:
+            validations.clear()
+            server.publish(new)
+            assert validations == [new.version]
+            broken = type(new)(
+                config=new.config, pi=new.pi * 2.0, theta=new.theta, beta=new.beta,
+                node_ids=new.node_ids, top_communities=new.top_communities,
+                top_weights=new.top_weights, version="broken",
+            )
+            with pytest.raises(ValueError, match="normalized"):
+                server.publish(broken)
+            assert server.artifact.version == new.version
+
+    def test_invalid_rows_on_disk_still_quarantine(self, tmp_path):
+        # digests and content version agree with the (bad) payload, so only
+        # validate() can catch it: once must be enough
+        art = _artifact()
+        bad_pi = art.pi * 1.5
+        bad = type(art)(
+            config=art.config, pi=bad_pi, theta=art.theta, beta=art.beta,
+            node_ids=art.node_ids, top_communities=art.top_communities,
+            top_weights=art.top_weights,
+            version=_content_version(_config_to_json(art.config), bad_pi, art.theta),
+        )
+        path = save_artifact(tmp_path / "bad", bad, format="dir")
+        with ModelServer(art, n_workers=0) as server:
+            with pytest.raises(ArtifactCorrupt, match="normalized"):
+                server.publish_path(path)
+            assert (tmp_path / "bad.quarantined").is_dir()
+            assert server.generation == 0
 
 
 class TestStaleCacheEviction:

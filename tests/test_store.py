@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.store.container as container_module
+from repro.faults import InjectedCrash
 from repro.store import (
     Container,
     MmapProvider,
@@ -17,9 +23,13 @@ from repro.store import (
     content_version,
     get_provider,
     is_container,
+    link_container,
     read_manifest,
+    recover_container,
+    recover_containers,
     write_container,
 )
+from tests.conftest import kill_in_os
 
 
 @pytest.fixture()
@@ -201,3 +211,158 @@ class TestProviders:
         a = np.asarray(Container(box, provider="resident")["pi"])
         b = np.asarray(Container(box, provider="mmap")["pi"])
         np.testing.assert_array_equal(a, b)
+
+
+def _np_save_bytes(arr) -> bytes:
+    """What the pre-hash-on-write writer put on disk: ``np.save`` of the
+    C-contiguous little-endian array."""
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype.byteorder == ">":
+        arr = arr.astype(arr.dtype.newbyteorder("<"))
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+class TestHashOnWrite:
+    """Digests are computed while the bytes go out; files and manifest
+    are exactly what ``np.save`` + a re-read used to produce."""
+
+    CASES = {
+        "f64": np.random.default_rng(1).random((70, 9)),
+        "f32": np.random.default_rng(2).random((33, 5)).astype(np.float32),
+        "zero_d": np.float64(3.5),
+        "empty": np.zeros((0, 2)),
+        "strided": np.arange(40, dtype=np.int64)[::3],
+        "fortran": np.asfortranarray(np.random.default_rng(3).random((4, 3))),
+        "big_endian": np.arange(6, dtype=">i4"),
+        "flags": np.array([True, False, True]),
+        "wide": np.random.default_rng(4).random((1, 300_000)),  # > one write chunk
+    }
+
+    def test_files_and_manifest_equal_np_save_plus_reread(self, tmp_path):
+        path = write_container(tmp_path / "box", self.CASES, kind="k", meta={"m": 1})
+        manifest = read_manifest(path)
+        expected = {}
+        for name, arr in self.CASES.items():
+            raw = _np_save_bytes(arr)
+            assert (path / f"{name}.npy").read_bytes() == raw, name
+            stored = np.load(io.BytesIO(raw))
+            expected[name] = {
+                "file": f"{name}.npy",
+                "sha256": hashlib.sha256(raw).hexdigest(),
+                "shape": list(stored.shape),
+                "dtype": np.lib.format.dtype_to_descr(stored.dtype),
+                "nbytes": int(stored.nbytes),
+            }
+        assert manifest["arrays"] == expected
+        assert manifest["content_version"] == content_version("k", {"m": 1}, expected)
+        Container(path, verify="eager")
+
+    def test_no_file_is_read_back(self, arrays, tmp_path, monkeypatch):
+        def no_reread(*_a, **_k):
+            raise AssertionError("the writer re-read a file it just wrote")
+
+        monkeypatch.setattr(container_module, "_sha256_file", no_reread)
+        write_container(tmp_path / "box", arrays, kind="k")
+
+    def test_object_arrays_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="object"):
+            write_container(tmp_path / "box", {"a": np.array([{}])}, kind="k")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRotateAsideRecovery:
+    """A kill between ``replace(path, old)`` and ``replace(tmp, path)``
+    leaves nothing at ``path``; the writer, not a reader, repairs it."""
+
+    def _killed_between_the_renames(self, arrays, box, monkeypatch):
+        with monkeypatch.context() as patch:
+            kill_in_os(patch, "replace", lambda src, dst: Path(dst) == box)
+            with pytest.raises(InjectedCrash):
+                write_container(box, {"pi": arrays["pi"] + 1.0}, kind="test-kind/1")
+        names = sorted(p.name for p in box.parent.iterdir())
+        assert len(names) == 2 and not box.exists()
+        assert names[0].startswith(".box.old-") and names[1].startswith(".box.tmp-")
+
+    def test_reader_does_not_repair(self, arrays, box, monkeypatch):
+        self._killed_between_the_renames(arrays, box, monkeypatch)
+        with pytest.raises(StoreError):
+            Container(box)
+        assert not box.exists()
+
+    def test_recover_moves_the_sealed_copy_back_and_sweeps(self, arrays, box, monkeypatch):
+        self._killed_between_the_renames(arrays, box, monkeypatch)
+        recover_container(box)
+        assert sorted(p.name for p in box.parent.iterdir()) == ["box"]
+        np.testing.assert_array_equal(Container(box, verify="eager")["pi"], arrays["pi"])
+
+    def test_next_write_to_the_path_recovers_first(self, arrays, box, monkeypatch):
+        self._killed_between_the_renames(arrays, box, monkeypatch)
+        with pytest.raises(StoreError, match="overwrite=False"):
+            # the rotated copy is back before the existence check
+            write_container(box, arrays, kind="test-kind/1", overwrite=False)
+        write_container(box, {"pi": arrays["pi"] + 2.0}, kind="test-kind/1")
+        assert sorted(p.name for p in box.parent.iterdir()) == ["box"]
+        np.testing.assert_array_equal(Container(box)["pi"], arrays["pi"] + 2.0)
+
+    def test_unsealed_leftovers_are_swept_not_adopted(self, box):
+        torn = box.parent / ".box.old-123-0badf00d"
+        shutil.copytree(box, torn)
+        (torn / "manifest.json").write_text("{")
+        stale = box.parent / ".box.tmp-123-deadbeef"
+        stale.mkdir()
+        other = box.parent / ".other.tmp-1-00000000"  # another path's: not ours
+        other.mkdir()
+        shutil.rmtree(box)
+        recover_container(box)
+        assert sorted(p.name for p in box.parent.iterdir()) == [other.name]
+        recover_containers(box.parent)
+        assert list(box.parent.iterdir()) == []
+
+
+class TestLinkContainer:
+    def test_links_share_inodes_and_the_manifest_is_byte_identical(self, box, tmp_path):
+        pub = link_container(box, tmp_path / "pub")
+        assert (pub / "manifest.json").read_bytes() == (box / "manifest.json").read_bytes()
+        for name in Container(box).names():
+            assert (pub / f"{name}.npy").stat().st_ino == (box / f"{name}.npy").stat().st_ino
+        Container(pub, verify="eager")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "pub"]
+
+    def test_replaces_an_existing_container_or_legacy_file(self, arrays, box, tmp_path):
+        (tmp_path / "pub").write_bytes(b"a v1 archive used to live here")
+        link_container(box, tmp_path / "pub")
+        newer = write_container(tmp_path / "box2", {"pi": arrays["pi"] * 2}, kind="k")
+        link_container(newer, tmp_path / "pub")
+        assert Container(tmp_path / "pub").names() == ["pi"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "box2", "pub"]
+
+    def test_either_name_survives_the_other(self, arrays, box, tmp_path):
+        pub = link_container(box, tmp_path / "pub")
+        mapped = Container(pub)["pi"]
+        shutil.rmtree(box)
+        np.testing.assert_array_equal(Container(pub, verify="eager")["pi"], arrays["pi"])
+        shutil.rmtree(pub)
+        np.testing.assert_array_equal(mapped, arrays["pi"])  # unlinked inode
+
+    def test_refused_link_publishes_a_verified_copy(self, arrays, box, tmp_path, no_hard_links):
+        pub = link_container(box, tmp_path / "pub")
+        assert (pub / "pi.npy").stat().st_ino != (box / "pi.npy").stat().st_ino
+        np.testing.assert_array_equal(Container(pub, verify="eager")["pi"], arrays["pi"])
+
+    def test_a_copy_that_misses_its_digest_is_not_installed(self, box, tmp_path, no_hard_links):
+        before = link_container(box, tmp_path / "pub")
+        raw = bytearray((box / "pi.npy").read_bytes())
+        raw[-3] ^= 0x40
+        (box / "pi.npy").write_bytes(bytes(raw))
+        with pytest.raises(StoreCorrupt, match="digest"):
+            link_container(box, tmp_path / "pub")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "pub"]
+        Container(before, verify="eager")  # the copy made earlier is untouched
+
+    def test_unsealed_source_refused(self, box, tmp_path):
+        (box / "manifest.json").write_text("{}")
+        with pytest.raises(StoreCorrupt):
+            link_container(box, tmp_path / "pub")
+        assert not (tmp_path / "pub").exists()

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
-import functools
+import gc
+import hashlib
+import json
+import os
+import shutil
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.stream.trainer as trainer_module
 from repro.config import AMMSBConfig, StepSizeConfig
-from repro.core.checkpoint import save_state_checkpoint
+from repro.core.checkpoint import CheckpointError, load_state_checkpoint, save_state_checkpoint
 from repro.core.state import init_state
 from repro.faults import CRASH_PHASES, InjectedCrash, StreamFaultPlan, TrainerCrash
 from repro.graph.io import load_csr
-from repro.store.container import read_manifest
+from repro.serve.artifact import ArtifactCorrupt, build_artifact, load_artifact, save_artifact
+from repro.serve.server import ModelServer
+from repro.store.container import Container, read_manifest
 from repro.stream import EdgeArrival, ResumeError, StreamTrainer, SyntheticArrivalSource
+from tests.conftest import die_like_kill_9, kill_in_os
 
 N_ITER = 8
 
@@ -226,7 +232,7 @@ def _generation_files(workdir: Path) -> list[str]:
     return sorted(
         p.name
         for p in workdir.iterdir()
-        if p.name.startswith(("base.", "graph_g", "checkpoint_g"))
+        if p.name.startswith(("base.", "graph_g", "model_g", "checkpoint_g"))
     )
 
 
@@ -243,20 +249,23 @@ class TestWorkdirStaysBounded:
         trainer.run_generation()
         # generation 0's predecessor is the base graph
         assert _generation_files(work) == [
-            "base.csr", "checkpoint_g0000.npz", "graph_g0000.csr",
+            "base.csr", "graph_g0000.csr", "model_g0000.store",
         ]
         for batch in batches:
             trainer.run_generation(batch)
         assert trainer.generation == 5
         assert _generation_files(work) == [
-            "checkpoint_g0003.npz", "checkpoint_g0004.npz",
             "graph_g0003.csr", "graph_g0004.csr",
+            "model_g0003.store", "model_g0004.store",
         ]
         assert [r.checkpoint_path.exists() for r in trainer.reports] == [
             False, False, False, True, True,
         ]
-        with zipfile.ZipFile(trainer.reports[-1].checkpoint_path) as archive:
-            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        # one sealed container: the state and the serving members side by side
+        assert Container(trainer.reports[-1].checkpoint_path).names() == [
+            "beta", "node_ids", "phi_sum", "pi", "theta",
+            "top_communities", "top_weights",
+        ]
         trainer.journal.close()
 
     def test_kill_before_the_manifest_still_finds_its_files(self, stream, tmp_path):
@@ -278,7 +287,7 @@ class TestWorkdirStaysBounded:
         # names generation 2's, and nothing has removed them.
         manifest = StreamTrainer.read_manifest(work)
         assert manifest["graph_path"] == "graph_g0002.csr"
-        assert manifest["checkpoint_path"] == "checkpoint_g0002.npz"
+        assert manifest["checkpoint_path"] == "model_g0002.store"
         resumed = StreamTrainer.resume(
             work, iterations_per_generation=N_ITER, heldout_fraction=0.05
         )
@@ -286,8 +295,8 @@ class TestWorkdirStaysBounded:
         for batch in batches[2:]:
             resumed.run_generation(batch)
         assert _generation_files(work) == [
-            "checkpoint_g0003.npz", "checkpoint_g0004.npz",
             "graph_g0003.csr", "graph_g0004.csr",
+            "model_g0003.store", "model_g0004.store",
         ]
         resumed.journal.close()
 
@@ -310,22 +319,220 @@ class TestWorkdirStaysBounded:
         trainer.journal.close()
 
 
-def test_resume_reads_a_deflated_checkpoint(stream, tmp_path, monkeypatch):
-    """Workdirs written before checkpoints became stored archives resume."""
+def test_resume_reads_a_deflated_checkpoint(stream, tmp_path):
+    """A workdir as the parent commits wrote it still resumes: the manifest
+    names a ``checkpoint_gNNNN.npz`` (deflated, as the oldest writers left
+    it) and the publish path is a v1 ``.npz`` *file*."""
     base, batches = stream
-    monkeypatch.setattr(
-        trainer_module,
-        "save_state_checkpoint",
-        functools.partial(save_state_checkpoint, compress=True),
-    )
+    work = tmp_path / "work"
     trainer = _trainer(base, tmp_path)
-    report = trainer.run_generation(batches[0])
-    with zipfile.ZipFile(report.checkpoint_path) as archive:
-        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    trainer.run_generation(batches[0])
     trainer.journal.close()
+    legacy = save_state_checkpoint(
+        work / "checkpoint_g0000.npz", trainer.state, trainer.iteration,
+        trainer.config, compress=True,
+    )
+    with zipfile.ZipFile(legacy) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    shutil.rmtree(work / "model_g0000.store")
+    shutil.rmtree(tmp_path / "artifact.npz")
+    save_artifact(
+        tmp_path / "artifact.npz",
+        build_artifact(trainer.state, trainer.config, trainer.iteration),
+        format="npz",
+    )
+    manifest = StreamTrainer.read_manifest(work)
+    manifest["checkpoint_path"] = legacy.name
+    (work / "manifest.json").write_text(json.dumps(manifest))
+
     resumed = StreamTrainer.resume(
-        tmp_path / "work", iterations_per_generation=N_ITER, heldout_fraction=0.05
+        work, iterations_per_generation=N_ITER, heldout_fraction=0.05
     )
     np.testing.assert_array_equal(resumed.state.pi, trainer.state.pi)
     assert resumed.iteration == trainer.iteration
+    # the next generation replaces the v1 file by a container directory and
+    # sweeps the legacy checkpoint once two newer generations exist
+    with ModelServer(load_artifact(tmp_path / "artifact.npz"), n_workers=0) as server:
+        resumed.publish_callback = lambda path, _gen: server.publish_path(path)
+        resumed.run_generation(batches[1])
+        resumed.run_generation(batches[2])
+        assert server.generation == 2
+        np.testing.assert_array_equal(server.artifact.pi, resumed.state.pi)
+    assert _generation_files(work) == [
+        "graph_g0001.csr", "graph_g0002.csr",
+        "model_g0001.store", "model_g0002.store",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.npz", "work"]
     resumed.journal.close()
+
+
+def _digest(state) -> str:
+    h = hashlib.sha256()
+    for arr in (state.pi, state.phi_sum, state.theta):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _kill_sealing_the_model_container(patch, tmp_path):
+    # all seven arrays are written and fsynced; the manifest is not in yet
+    kill_in_os(
+        patch, "replace",
+        lambda src, dst: Path(dst).name == "manifest.json"
+        and Path(dst).parent.name.startswith(".model_g0002.store.tmp-"),
+    )
+
+
+def _kill_linking_the_third_file(patch, tmp_path):
+    links = []
+    kill_in_os(patch, "link", lambda src, dst: links.append(dst) or len(links) == 3)
+
+
+def _kill_before_the_artifact_manifest(patch, tmp_path):
+    # every member is linked into the hidden temp directory; its manifest
+    # (the seal) is the file about to be renamed into it
+    kill_in_os(
+        patch, "replace",
+        lambda src, dst: Path(dst).name == "manifest.json"
+        and Path(dst).parent.name.startswith(".artifact.npz.tmp-"),
+    )
+
+
+def _kill_between_the_publish_renames(patch, tmp_path):
+    kill_in_os(patch, "replace", lambda src, dst: Path(dst) == tmp_path / "artifact.npz")
+
+
+def _kill_removing_stale_generations(patch, tmp_path):
+    real = shutil.rmtree
+
+    def rmtree(path, *args, **kwargs):
+        if Path(path).name.startswith(("graph_g", "model_g")):  # a generation's, not a temp dir
+            die_like_kill_9(patch, "rmtree")
+        return real(path, *args, **kwargs)
+
+    patch.setattr(shutil, "rmtree", rmtree)
+
+
+class TestOneWritePerGeneration:
+    """The generation's single container write, its link publish, and every
+    place a kill can fall around them."""
+
+    CRASH_AT = 2
+
+    def _reference_digests(self, base, batches, tmp_path):
+        ref = _trainer(base, tmp_path / "ref")
+        digests = []
+        for batch in batches[: self.CRASH_AT + 1]:
+            ref.run_generation(batch)
+            digests.append(_digest(ref.state))
+        ref.journal.close()
+        return digests
+
+    @pytest.mark.parametrize(
+        "kill, lands",
+        [
+            (_kill_sealing_the_model_container, "pre"),
+            ("post-checkpoint-pre-publish", "pre"),  # sealed, not yet linked
+            (_kill_linking_the_third_file, "pre"),
+            (_kill_before_the_artifact_manifest, "pre"),
+            (_kill_between_the_publish_renames, "pre"),
+            ("post-publish-pre-manifest", "pre"),  # linked, stream manifest not yet
+            (_kill_removing_stale_generations, "post"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
+    )
+    def test_kill_resumes_in_the_pre_or_post_generation_state(
+        self, stream, tmp_path, monkeypatch, kill, lands
+    ):
+        base, batches = stream
+        digests = self._reference_digests(base, batches, tmp_path)
+        work, publish = tmp_path / "work", tmp_path / "artifact.npz"
+        faults = None
+        if isinstance(kill, str):
+            faults = StreamFaultPlan(
+                seed=0, trainer_crashes=(TrainerCrash(phase=kill, generation=self.CRASH_AT),)
+            )
+        trainer = _trainer(base, tmp_path, faults=faults)
+        for batch in batches[: self.CRASH_AT]:
+            trainer.run_generation(batch)
+        with monkeypatch.context() as patch:
+            if faults is None:
+                kill(patch, tmp_path)
+            with pytest.raises(InjectedCrash):
+                trainer.run_generation(batches[self.CRASH_AT])
+        trainer.journal.close()
+
+        resumed = StreamTrainer.resume(
+            work, iterations_per_generation=N_ITER, heldout_fraction=0.05
+        )
+        pre, post = digests[self.CRASH_AT - 1], digests[self.CRASH_AT]
+        assert _digest(resumed.state) == (pre if lands == "pre" else post)
+        assert resumed.generation == self.CRASH_AT + (lands == "post")
+        # whatever the kill interrupted, the publish path is a sealed artifact
+        # of one of the two generations, and nothing hidden is left behind
+        served = load_artifact(publish, verify="full")
+        assert _digest_of_rows(served.pi) in {_digest_of_rows(s) for s in (
+            load_state_checkpoint(p)[0].pi for p in sorted(work.glob("model_g*.store"))
+        )}
+        with ModelServer(served, n_workers=0) as server:
+            assert server.publish_path(publish) == 1
+        hidden = [p.name for d in (work, tmp_path) for p in d.iterdir() if p.name.startswith(".")]
+        assert hidden == []
+        # and the stream goes on to the uninterrupted run's state
+        if lands == "pre":
+            resumed.run_generation(batches[self.CRASH_AT])
+            assert _digest(resumed.state) == post
+        assert np.array_equal(load_artifact(publish).pi, resumed.state.pi)
+        resumed.journal.close()
+
+    def test_flipped_byte_is_caught_at_publish_and_at_resume(self, stream, tmp_path):
+        base, batches = stream
+        publish = tmp_path / "artifact.npz"
+        trainer = _trainer(base, tmp_path)
+        trainer.run_generation(batches[0])
+        with ModelServer(load_artifact(publish), n_workers=0) as server:
+            good = server.artifact.version
+            trainer.run_generation(batches[1])
+            with open(publish / "pi.npy", "r+b") as fh:  # in place: both names see it
+                fh.seek(-40, os.SEEK_END)
+                byte = fh.read(1)
+                fh.seek(-40, os.SEEK_END)
+                fh.write(bytes([byte[0] ^ 0x01]))
+            with pytest.raises(ArtifactCorrupt, match="sha256 mismatch") as err:
+                server.publish_path(publish)
+            assert err.value.quarantined.name == "artifact.npz.quarantined"
+            assert not publish.exists()
+            assert server.artifact.version == good and server.generation == 0
+        trainer.journal.close()
+        with pytest.raises(CheckpointError, match="sha256 mismatch"):
+            StreamTrainer.resume(
+                tmp_path / "work", iterations_per_generation=N_ITER, heldout_fraction=0.05
+            )
+
+    def test_mapped_artifact_bytes_stop_growing(self, stream, tmp_path):
+        """Earlier generations' files stay mapped only while the server's
+        ``ArtifactRegistry`` (capacity 4) holds them as rollback targets."""
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("needs /proc/self/maps")
+        base, batches = stream
+
+        def mapped_pi_files():
+            gc.collect()
+            lines = Path("/proc/self/maps").read_text().splitlines()
+            return sum(1 for ln in lines if str(tmp_path) in ln and "pi.npy" in ln)
+
+        trainer = _trainer(base, tmp_path)
+        trainer.run_generation()
+        counts = []
+        with ModelServer(load_artifact(tmp_path / "artifact.npz"), n_workers=0) as server:
+            trainer.publish_callback = lambda path, _gen: server.publish_path(path)
+            for batch in (batches + batches)[:7]:
+                trainer.run_generation(batch)
+                counts.append(mapped_pi_files())
+            assert len(server._registry) == 4
+        assert counts[:3] == [2, 3, 4]
+        assert set(counts[3:]) == {4}
+        trainer.journal.close()
+
+
+def _digest_of_rows(pi) -> str:
+    return hashlib.sha256(np.ascontiguousarray(pi).tobytes()).hexdigest()
