@@ -10,7 +10,9 @@ table and the neighbor ids, so the row gather is inside the timed call
 for every backend (up front for ``reference`` and ``numba``, block by
 block inside ``fused``). The JSON-ready report holds per-kernel
 elements/sec and per-backend ``speedups`` over ``reference`` measured in
-the same run.
+the same run. Beside the phi gradient it records, ungated, what the
+fused kernel cannot go below on this host (``headroom``): its block by
+block gather alone, and the gather plus the two contractions.
 
 The runner only measures. Which of those speedups are held to a floor,
 and what a miss costs, is :mod:`repro.bench.gate`'s business
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any, Optional
 
 import numpy as np
@@ -74,6 +77,58 @@ def _link_workload(rng: np.random.Generator, h: int, k: int):
     pi_b = rng.dirichlet(np.ones(k), size=h)
     beta = rng.uniform(0.1, 0.9, k)
     return pi_a, pi_b, beta
+
+
+def _phi_headroom_operands(m: int, n: int, k: int, itemsize: int) -> dict[str, tuple]:
+    """Shapes of what :func:`_phi_headroom` times, under the names of the
+    fused kernel's workspace buffers of the same role — a test holds the
+    two to each other, so this cannot go on describing a kernel that has
+    changed."""
+    from repro.core import kernels
+
+    rows = kernels._phi_block_rows(m, n, k, itemsize)
+    return {
+        "phi_rows": (rows, n, k),
+        "phi_q": (m, 3, k),
+        "phi_o": (rows, 3, n),
+        "phi_w": (rows, 2, n),
+        "phi_g": (m, 2, k),
+    }
+
+
+def _phi_headroom(pi_b, w: KernelWorkload) -> dict[str, Any]:
+    """Seconds of the fused phi gradient's two unavoidable parts.
+
+    The kernel's block loop with everything else taken out: ``gather_s``
+    takes each block's neighbor rows from the table and nothing more,
+    ``gather_contractions_s`` adds the ``(rows, 3, K) @ (rows, K, n)`` and
+    ``(rows, 2, n) @ (rows, n, K)`` products on operands of the kernel's
+    shapes (their values do not matter to the time). What the fused
+    timing shows above the second is ``(rows, n)`` ufunc calls and the
+    ``(m, K)`` epilogue.
+    """
+    table, index = pi_b
+    (m, n), k = index.shape, table.shape[1]
+    shapes = _phi_headroom_operands(m, n, k, table.itemsize)
+    block, q, overlaps, weights, sums = (
+        np.ones(shapes[name], table.dtype)
+        for name in ("phi_rows", "phi_q", "phi_o", "phi_w", "phi_g")
+    )
+    rows = len(block)
+
+    def walk(contract: bool) -> None:
+        for a in range(0, m, rows):
+            b = min(a + rows, m)
+            taken = np.take(table, index[a:b], axis=0, out=block[: b - a], mode="clip")
+            if contract:
+                np.matmul(q[a:b], taken.transpose(0, 2, 1), out=overlaps[: b - a])
+                np.matmul(weights[: b - a], taken, out=sums[a:b])
+
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(w.repeats):
+        for contract in best:
+            best[contract] = min(best[contract], best_of(partial(walk, contract), 1, w.inner))
+    return {"block_rows": rows, "gather_s": best[False], "gather_contractions_s": best[True]}
 
 
 def _bench_kernels(
@@ -140,6 +195,8 @@ def _bench_kernels(
                 "seconds": seconds,
                 "elements_per_s": count / seconds,
             }
+    if "fused" in backend_names:
+        report["phi_gradient"]["headroom"] = _phi_headroom(pi_b, w)
     return report
 
 
@@ -239,6 +296,11 @@ def report_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
         for name, value in data.get("speedups", {}).items():
             row[f"{name}_speedup"] = value
         rows.append(row)
+        headroom = data.get("headroom", {})
+        for part, label in (("gather_s", "gather"), ("gather_contractions_s", "gather + contractions")):
+            if part in headroom and "fused_Melem/s" in row:
+                rate = data["elements"] / headroom[part] / 1e6
+                rows.append({"kernel": f"  fused: {label} alone", "fused_Melem/s": rate})
     sampler = report["sampler"]["end_to_end"]
     row = {"kernel": "sampler end-to-end"}
     for name in columns:

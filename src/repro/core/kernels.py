@@ -5,18 +5,26 @@ engines can swap implementations without touching orchestration code:
 
 - ``reference`` — the plain vectorized functions of
   :mod:`repro.core.gradients`, unchanged. This is the correctness contract:
-  every other backend must match it (bit-for-bit in float64, to tolerance
-  in float32 — see ``tests/test_kernels.py``).
+  every other backend must match it (see ``tests/test_kernels.py`` for
+  how closely, kernel by kernel).
 - ``fused`` (default) — in-place ufunc calls into a reusable preallocated
   :class:`KernelWorkspace`, so the temporaries the reference path
-  allocates per step disappear. The phi gradient, the one kernel with
-  ``(m, n, K)`` operands, never holds one: it walks the mini-batch in
-  blocks of rows whose buffers fit in L2 and, handed a *deferred gather*
-  (:func:`gather_rows`), copies each block's neighbor rows out of the
-  ``pi`` table right before it consumes them. The float64 arithmetic
-  replays the reference's operations on every element (same ufuncs,
-  same association), so results are bit-identical; only the
-  allocations and the passes over memory go away.
+  allocates per step disappear. For ``update_phi``,
+  ``theta_gradient_weighted``, ``update_theta`` and ``link_probability``
+  the float64 arithmetic replays the reference's operations on every
+  element (same ufuncs, same association), so results are bit-identical;
+  only the allocations and the passes over memory go away. The phi
+  gradient, the one kernel with ``(m, n, K)`` operands, is different
+  arithmetic: ``f_ab(k)`` is linear in ``pi_b``, so per L2-sized block
+  of mini-batch rows it is two batched matrix products over the block's
+  neighbor rows — which, handed a *deferred gather*
+  (:func:`gather_rows`), it copies out of the ``pi`` table right before
+  it consumes them — and no ``f``, ``w`` or other ``(rows, n, K)``
+  intermediate exists. That one result equals the reference to rounding
+  (oracle-bounded in the tests), not bit for bit; bit for bit it is a
+  function of each row's own inputs, whatever call, block, workspace or
+  form of ``pi_b`` the row comes in, which is what the engines'
+  equivalence classes rest on.
 - ``numba`` (:mod:`repro.core.kernels_numba`) — registered only when
   numba is importable: ``@njit(parallel=True, cache=True)`` loops with
   ``prange`` over mini-batch rows/edge blocks and *zero* ``(m, n, K)``
@@ -44,8 +52,9 @@ raises :class:`ValueError` with the available names.
 Workspace lifecycle: one :class:`KernelWorkspace` per sequential sampler /
 distributed worker, one per *thread* in :mod:`repro.parallel`
 (kernel buffers are not thread-safe; threads must not share one). The
-phi gradient's big buffers are block-sized (``_PHI_BLOCK_BYTES`` each),
-not mini-batch-sized; everything else is ``(m, K)`` or ``(E, K)``.
+phi gradient's one big buffer is block-sized (``_PHI_BLOCK_BYTES``),
+not mini-batch-sized; everything else is ``(m, K)`` or ``(E, K)``, a
+small multiple of it at most.
 Returned gradient arrays are views into the workspace — valid until the
 same kernel is called again on the same workspace, which is exactly the
 lifetime the engines need (consume the gradient in the same iteration).
@@ -269,28 +278,79 @@ def _bernoulli_factors_into(
     return link, bfac, dfac
 
 
-#: Bytes one ``(rows, n, K)`` buffer of the fused phi kernel may hold. The
-#: kernel walks the mini-batch that many rows at a time, so the gathered
-#: neighbor rows and its two intermediates are still in L2 when the next
-#: pass reads them (4 rows at n=64, K=128 in float64; 32 at n=32, K=32).
-_PHI_BLOCK_BYTES = 256 * 1024
+#: Bytes the fused phi kernel's one ``(rows, n, K)`` buffer may hold. The
+#: kernel walks the mini-batch that many rows at a time, so a block's
+#: gathered neighbor rows are still in L2 when the two contractions read
+#: them (8 rows at n=64, K=128 in float64; 64 at n=32, K=32). Smaller
+#: blocks pay the per-block ufunc calls more often, larger ones fall out
+#: of L2: ms per call at 64K / 128K / 256K / 512K / 1M / 2M on the
+#: reference host (2 MiB of L2 a core; interleaved, best of 40) —
+#: (m, n, K) = (512, 64, 128): 12.6 / 9.0 / 6.9 / 6.5 / 7.1 / 8.7;
+#: (256, 32, 128): 3.3 / 2.3 / 1.9 / 1.75 / 2.0 / 2.3;
+#: (256, 32, 32) from a 25 MB table: 1.1 / 0.80 / 0.63 / 0.66 / 0.72 / 0.71
+#: (in a busier hour, with the near-slot check: 15.2 / 11.2 / 9.9 / 9.7 /
+#: 9.7 / 12.3, 7.1 / 4.7 / 3.6 / 3.5 / 3.6 / 3.4, 1.44 / 1.02 / 0.82 /
+#: 0.88 / 0.80 / 0.92 — the same flat stretch from 256 KiB to 1 MiB).
+_PHI_BLOCK_BYTES = 512 * 1024
+
+
+#: A slot is *near* when ``sum(pi_a) - <pi_a, pi_b>`` is under this share of
+#: ``sum(pi_a)``: both rows more than 99 % on one community, so the
+#: difference has cancelled. The fused phi kernel computes those slots as
+#: the reference does; finding that a block has none is ~4 % of a call.
+#: None in 160 iterations of ``train_kernel``, one slot in a million over
+#: 1200 of ``train_sampling`` (the ``e2e_bench`` workloads).
+_PHI_NEAR = 1.0 / 128.0
+
+
+def _phi_block_rows(m: int, n: int, k: int, itemsize: int) -> int:
+    """Mini-batch rows per block of the fused phi kernel: what fits in
+    ``_PHI_BLOCK_BYTES``, at least one, never more than the mini-batch."""
+    return max(1, min(m, _PHI_BLOCK_BYTES // max(1, n * k * itemsize)))
 
 
 def _fused_phi_gradient_sum(
     pi_a, phi_sum_a, pi_b, y, beta, delta, mask=None, workspace=None
 ):
-    """Eqn 6 one L2-sized block of mini-batch rows at a time.
+    """Eqn 6 as two batched contractions per L2-sized block of rows.
 
-    No ``(m, n, K)`` array is allocated, written or (for a deferred
-    ``pi_b``, see :func:`gather_rows`) even gathered: each block's neighbor
-    rows are taken from the table into a workspace buffer and consumed
-    while hot. Every element goes through the reference's operations in
-    the reference's association, so float64 results are bit-identical,
-    but in fewer passes: all slots get the non-link factors by
-    broadcasting (``1 - beta``, the scalar ``1 - delta``), the few link
-    slots are then redone with theirs, and a masked slot gets ``Z = inf``
-    (``w / inf`` and ``w * 0`` agree bit for bit) instead of a pass over
-    ``w``.
+    ``f_ab(k) = pi_ak * (D_ab + (B_abk - D_ab) * pi_bk)`` is linear in
+    ``pi_b``, so neither ``f`` nor ``w = f / Z`` is ever formed. Per block
+    of mini-batch rows, after the neighbor rows are taken from the table
+    into the workspace (a deferred ``pi_b``, see :func:`gather_rows`):
+
+    1. ``q @ rows_b^T`` with ``q = [pi_a * (1 - beta), pi_a, pi_a * beta]``
+       gives the three overlaps of every slot, and from them
+       ``Z(y=0) = <pi_a (1 - beta), pi_b> + (1 - delta) (sum(pi_a) - <pi_a, pi_b>)``
+       and ``Z(y=1) = <pi_a beta, pi_b> + delta (sum(pi_a) - <pi_a, pi_b>)``
+       in a few ``(rows, n)`` ufuncs. A link slot's ``Z`` comes from its
+       own row of ``q``, never from the difference of the other two, which
+       cancels when ``beta`` is small. ``Z`` is floored as in the
+       reference; a masked slot gets ``Z = inf``, hence weight 0.
+    2. ``w @ rows_b`` with ``w = [1/Z on non-link slots, 1/Z on link
+       slots]`` gives ``g_c = sum_b w_c pi_b``; with ``c = sum_b w_c``,
+       ``sum_b f_ab(k)/Z_ab = pi_ak * ((1 - beta_k) g0 + (1 - delta)
+       (c0 - g0) + beta_k g1 + delta (c1 - g1))``.
+
+    The block's rows are read twice and nothing else ``(rows, n, K)``-sized
+    exists. Each mini-batch row is its own pair of GEMMs over operands of
+    one layout (``q`` and ``w`` in the workspace, the block C-contiguous:
+    gathered rows that arrive as a strided view are copied into the block
+    buffer first), so a row's value does not depend on the rows it shares
+    a call or a block with, nor on the form ``pi_b`` arrived in.
+
+    It equals the reference to rounding, not bit for bit: the association
+    differs. One difference would cost more than rounding. ``sum(pi_a) -
+    <pi_a, pi_b>``, and ``c - g`` after it, cancel where the reference's
+    ``sum_k pi_ak (1 - pi_bk)`` does not: when both rows sit on one
+    community. If that community's ``beta`` is against an end of (0, 1),
+    nothing else in ``Z`` covers the loss (``ulp * D sum(pi_a) / Z``: 1e-7
+    with ``beta`` 1e-9 from 1). So a *near* slot, one whose difference is
+    under ``_PHI_NEAR`` of ``sum(pi_a)``, leaves both contractions (weight
+    0): its ``f / Z`` is written out as the reference writes it and added
+    to its row. Every other slot has ``Z >= D sum(pi_a) / 128``, which
+    bounds what it can lose at 128 roundings; ``tests/test_kernels.py``
+    holds the kernel to 1e-12 of an extended-precision oracle.
     """
     ws = workspace if workspace is not None else KernelWorkspace()
     pi_a = np.asarray(pi_a)
@@ -299,7 +359,7 @@ def _fused_phi_gradient_sum(
     ct = _compute_dtype(pi_a, table)
     (m, n), k = y.shape, pi_a.shape[1]
     eps = _z_floor(ct)
-    rows = max(1, min(m, _PHI_BLOCK_BYTES // max(1, n * k * ct.itemsize)))
+    rows = _phi_block_rows(m, n, k, ct.itemsize)
 
     beta_c = ws.cast("phi_beta", np.asarray(beta), ct)
     one_minus_beta = ws.array("phi_omb", beta_c.shape, ct)
@@ -311,46 +371,98 @@ def _fused_phi_gradient_sum(
         hidden = ws.array("phi_hidden", (m, n), bool)
         np.logical_not(mask, out=hidden)
 
-    s = ws.array("phi_s", (m, k), ct)
-    u_buf = ws.array("phi_u", (rows, n, k), ct)
-    f_buf = ws.array("phi_f", (rows, n, k), ct)
+    # q's middle row is also the one copy of pi_a that sum(pi_a) is taken
+    # from: the reduction sees one layout whatever pi_a's strides were.
+    q = ws.array("phi_q", (m, 3, k), ct)
+    np.multiply(pi_a, one_minus_beta, out=q[:, 0])
+    np.copyto(q[:, 1], pi_a, casting="same_kind")
+    np.multiply(pi_a, beta_c, out=q[:, 2])
+    sum_a = ws.array("phi_suma", (m, 1), ct)
+    np.add.reduce(q[:, 1], axis=-1, keepdims=True, out=sum_a)
+    near_below = ws.array("phi_near_below", (m, 1), ct)
+    np.multiply(sum_a, _PHI_NEAR, out=near_below)
+
+    o_buf = ws.array("phi_o", (rows, 3, n), ct)
+    t_buf = ws.array("phi_t", (rows, n), ct)
     z_buf = ws.array("phi_z", (rows, n), ct)
-    # np.take gathers from C-contiguous memory only: it would first copy
-    # any other table whole (the pi columns of a [pi | phi_sum] table),
-    # so those are indexed, which allocates the block instead.
-    take_into = None
-    if index is not None and table.flags.c_contiguous:
-        take_into = ws.array("phi_rows", (rows, n, k), table.dtype)
+    w_buf = ws.array("phi_w", (rows, 2, n), ct)
+    c = ws.array("phi_c", (m, 2, 1), ct)
+    g = ws.array("phi_g", (m, 2, k), ct)
+    near_buf = ws.array("phi_near", (rows, n), bool)
+    near_terms = []  # (rows, f / Z) of the near slots, block by block
+    # Both contractions read one layout, a C-contiguous (rows, n, K) block,
+    # whatever form pi_b arrived in: gathered rows that are a strided view
+    # (the pi columns of [pi | phi_sum] rows) are copied into the block
+    # buffer. np.take gathers from C-contiguous memory only: it would
+    # first copy any other table whole, so those are indexed, which
+    # allocates the block instead.
+    block_buf = None
+    if table.flags.c_contiguous != (index is None):
+        block_buf = ws.array("phi_rows", (rows, n, k), table.dtype)
     for block, a in enumerate(range(0, m, rows)):
         b = min(a + rows, m)
         if index is None:
             rows_b = table[a:b]
-        elif take_into is None:
+            if block_buf is not None:
+                np.copyto(block_buf[: b - a], rows_b)
+                rows_b = block_buf[: b - a]
+        elif block_buf is None:
             rows_b = table[index[a:b]]
         else:
             rows_b = np.take(
-                table, index[a:b], axis=0, out=take_into[: b - a], mode="clip"
+                table, index[a:b], axis=0, out=block_buf[: b - a], mode="clip"
             )
-        u, f, z = u_buf[: b - a], f_buf[: b - a], z_buf[: b - a]
+        o, t, z, w = o_buf[: b - a], t_buf[: b - a], z_buf[: b - a], w_buf[: b - a]
 
-        # f = pi_a[:, None, :] * (pi_b * B + (1 - pi_b) * D)
-        np.subtract(1.0, rows_b, out=u)
-        u *= d_nonlink
-        np.multiply(rows_b, one_minus_beta, out=f)
-        f += u
+        np.matmul(q[a:b], rows_b.transpose(0, 2, 1), out=o)
+        np.subtract(sum_a[a:b], o[:, 1], out=t)  # sum_k pi_ak (1 - pi_bk)
+        np.multiply(t, d_nonlink, out=z)
+        z += o[:, 0]
         lo, hi = link_from[block], link_from[block + 1]
+        at = (link_row[lo:hi] - a, link_col[lo:hi])
         if lo < hi:
-            at = (link_row[lo:hi] - a, link_col[lo:hi])
-            linked = rows_b[at]
-            f[at] = linked * beta_c + (1.0 - linked) * d_link
-        f *= pi_a[a:b, None, :]
-
-        np.add.reduce(f, axis=-1, out=z)
+            z[at] = o[:, 2][at] + t[at] * d_link
         np.maximum(z, eps, out=z)
         if mask is not None:
             np.copyto(z, np.inf, where=hidden[a:b])
-        f /= z[..., None]  # f is now w
-        np.add.reduce(f, axis=1, out=s[a:b])
+        near = np.less(t, near_below[a:b], out=near_buf[: b - a])
+        if near.any():
+            # Slots whose t cancelled: f / Z as the reference writes it,
+            # added to the row after the contractions (weight 0 in them).
+            if mask is not None:
+                np.logical_and(near, mask[a:b], out=near)
+            row, col = np.nonzero(near)
+            f = rows_b[row, col].astype(ct, copy=False)
+            linked = y[a + row, col] != 0
+            big_b = np.where(linked[:, None], beta_c, one_minus_beta)
+            big_d = np.where(linked, d_link, d_nonlink)[:, None]
+            f = q[a + row, 1] * (f * big_b + (1.0 - f) * big_d)
+            f /= np.maximum(f.sum(axis=-1, keepdims=True), eps)
+            near_terms.append((a + row, f))
+            z[row, col] = np.inf
+        np.divide(1.0, z, out=w[:, 0])
+        w[:, 1] = 0.0
+        if lo < hi:
+            w[:, 1][at] = w[:, 0][at]
+            w[:, 0][at] = 0.0
+        np.add.reduce(w, axis=-1, keepdims=True, out=c[a:b])
+        np.matmul(w, rows_b, out=g[a:b])
+
+    # s = pi_a * ((1-beta) g0 + (1-delta)(c0 - g0) + beta g1 + delta (c1 - g1))
+    s = ws.array("phi_s", (m, k), ct)
+    u = ws.array("phi_u", (m, k), ct)
+    np.multiply(g[:, 0], one_minus_beta, out=s)
+    np.subtract(c[:, 0], g[:, 0], out=u)
+    u *= d_nonlink
+    s += u
+    np.multiply(g[:, 1], beta_c, out=u)
+    s += u
+    np.subtract(c[:, 1], g[:, 1], out=u)
+    u *= d_link
+    s += u
+    s *= pi_a
+    for near_rows, f in near_terms:  # slot by slot, in slot order
+        np.add.at(s, near_rows, f)
 
     n_eff = ws.array("phi_neff", (m, 1), ct)
     if mask is not None:
@@ -361,10 +473,9 @@ def _fused_phi_gradient_sum(
         n_eff.fill(float(n))
         n_eff /= phi_sum_a[:, None]
 
-    phi_a = ws.array("phi_phia", (m, k), ct)
-    np.multiply(pi_a, phi_sum_a[:, None], out=phi_a)
-    np.maximum(phi_a, eps, out=phi_a)
-    s /= phi_a
+    np.multiply(pi_a, phi_sum_a[:, None], out=u)  # phi_a
+    np.maximum(u, eps, out=u)
+    s /= u
     s -= n_eff
     return s
 

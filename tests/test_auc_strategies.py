@@ -56,25 +56,35 @@ class TestAUC:
                                 np.array([True]), 1e-6)
 
     def test_training_improves_auc(self, planted):
+        """Seed 3 and the four after it. Every one must end above where it
+        started and above 0.65, and their median above 0.75. 2000 SGRLD
+        steps amplify a last-bit difference in any kernel, so one seed's
+        AUC belongs to (seed, commit, BLAS build): over seeds 0-11 it ends
+        at 0.69 to 0.91 before ISSUE 23 and 0.72 to 0.90 after (from 0.41
+        to 0.60), and above 0.75 on 11 resp. 9 of the 12, seed 3 not among
+        them any more (0.84, then 0.72)."""
         graph, _ = planted
         split = split_heldout(graph, 0.05, np.random.default_rng(0))
         from repro.core.sampler import AMMSBSampler
 
-        cfg = AMMSBConfig(
-            n_communities=4, mini_batch_vertices=48, neighbor_sample_size=24,
-            seed=3, step_phi=StepSizeConfig(a=0.05), step_theta=StepSizeConfig(a=0.05),
-        )
-        s = AMMSBSampler(split.train, cfg, heldout=split)
-        before = link_prediction_auc(
-            s.state.pi, s.state.beta, split.heldout_pairs, split.heldout_labels,
-            cfg.delta,
-        )
-        s.run(2000)
-        after = link_prediction_auc(
-            s.state.pi, s.state.beta, split.heldout_pairs, split.heldout_labels,
-            cfg.delta,
-        )
-        assert after > max(before, 0.75)
+        def auc(state):
+            return link_prediction_auc(
+                state.pi, state.beta, split.heldout_pairs, split.heldout_labels, cfg.delta
+            )
+
+        before, after = [], []
+        for seed in (3, 4, 5, 6, 7):
+            cfg = AMMSBConfig(
+                n_communities=4, mini_batch_vertices=48, neighbor_sample_size=24,
+                seed=seed, step_phi=StepSizeConfig(a=0.05), step_theta=StepSizeConfig(a=0.05),
+            )
+            s = AMMSBSampler(split.train, cfg, heldout=split)
+            before.append(auc(s.state))
+            s.run(2000)
+            after.append(auc(s.state))
+        for seed_before, seed_after in zip(before, after):
+            assert seed_after > max(seed_before, 0.65)
+        assert np.median(after) > max(np.median(before), 0.75)
 
 
 class TestFullBatchStrategy:

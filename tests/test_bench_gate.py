@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,6 +129,27 @@ class TestSuitesRun:
         assert report["kernels"]["phi_gradient"]["elements"] == 8 * 4 * 8
         table = format_table(kernbench.report_rows(report))
         assert "fused_speedup" in table and "sampler end-to-end" in table
+        assert report["kernels"]["phi_gradient"]["headroom"]["block_rows"] == 8
+
+    def test_phi_headroom_times_the_fused_kernels_operands(self):
+        """The report-only gather / gather + contractions timing rebuilds
+        the fused phi kernel's block loop; its operands are the size of
+        the workspace buffers the kernel itself just used."""
+        from repro.core import kernels
+
+        rng = np.random.default_rng(0)
+        m, n, k = 40, 64, 128  # five blocks of 8 rows
+        pi_a, phi_sum, pi_b, y, beta, mask = kernbench._phi_workload(rng, m, n, k, 100)
+        workspace = kernels.KernelWorkspace()
+        kernels.get_backend("fused").phi_gradient_sum(
+            pi_a, phi_sum, pi_b, y, beta, 1e-4, mask=mask, workspace=workspace
+        )
+        used = workspace.buffers()
+        timed = kernbench._phi_headroom_operands(m, n, k, pi_a.itemsize)
+        assert timed["phi_rows"][0] == 8
+        assert {name: used[name].size for name in timed} == {
+            name: int(np.prod(shape)) for name, shape in timed.items()
+        }
 
     @pytest.fixture(scope="class")
     def store_report(self):

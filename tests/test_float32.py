@@ -93,8 +93,10 @@ class TestHotPathStaysFloat32:
             name for name, buf in buffers.items() if buf.dtype == np.float64
         )
         assert not float64_buffers, float64_buffers
-        # The big phi-path buffers exist and are float32.
-        assert buffers["phi_f"].dtype == np.float32
+        # The phi path's block of neighbor rows and both contractions'
+        # operands and outputs (sgemm, never an upcast) are float32.
+        for name in ("phi_rows", "phi_q", "phi_o", "phi_w", "phi_g"):
+            assert buffers[name].dtype == np.float32, name
         assert buffers["th_u"].dtype == np.float32
 
     def test_fused_outputs_match_state_dtype(self, planted, f32_config):
