@@ -129,8 +129,8 @@ def run_chaos_stream(
         kw = dict(
             workdir=tmp / "work",
             iterations_per_generation=n_iterations,
-            publish_path=tmp / "artifact.npz",
-            history_path=tmp / "history.npz",
+            publish_path=tmp / "artifact",
+            history_path=tmp / "history",
             heldout_fraction=0.05,
             journal_segment_bytes=1 << 12,  # roll often: GC paths exercised
         )
@@ -327,10 +327,10 @@ def run_chaos_stream(
 
         # -- serving after the follow run: the published artifact answers
         # a query about a node that only exists because the stream ran.
-        artifact = load_artifact(tmp / "artifact.npz")
+        artifact = load_artifact(tmp / "artifact")
         server = ModelServer(
             artifact, n_workers=0, drift_window=4,
-            history_path=tmp / "history.npz",
+            history_path=tmp / "history",
         )
         try:
             new_node = graph.n_vertices - 1
@@ -509,10 +509,11 @@ def run_chaos_serve(quick: bool = True, seed: int = 2026) -> dict[str, Any]:
     """The serving chaos drill: a seeded fault plan against a live server.
 
     While the closed-loop clients hammer link-probability, the drill
-    attempts four publishes: a truncated file (archive-layer corruption),
-    a payload-swapped file (only the SHA-256 verify can catch it), a
-    clean file whose swap fails mid-flight (rolls back to last-known-
-    good), and a clean file that must install. Meanwhile the fault plan
+    attempts four publishes: a container whose ``pi.npy`` is truncated
+    (caught opening the member), one with two ``pi`` rows swapped (only
+    the manifest's sha256 digest can catch it), a clean one whose swap
+    fails mid-flight (rolls back to last-known-good), and a clean one
+    that must install. Meanwhile the fault plan
     crashes a worker thread (the watchdog must respawn it) and injects
     engine latency spikes; a post-load burst of microscopic deadlines
     proves deadline enforcement. The report's ``invariants`` section is
@@ -586,7 +587,7 @@ def run_chaos_serve(quick: bool = True, seed: int = 2026) -> dict[str, Any]:
         final_version = None
         for attempt in range(4):
             payload = perturbed_artifact(artifact, seed + 10 + attempt)
-            path = save_artifact(Path(tmpdir) / f"swap{attempt}.npz", payload)
+            path = save_artifact(Path(tmpdir) / f"swap{attempt}", payload)
             mode = plan.artifact_fault(attempt)
             if mode is not None:
                 plan.corrupt_file(path, mode)

@@ -2,16 +2,16 @@
 
 Every gated number is a ratio of two measurements taken inside ONE run on
 ONE machine — fused over reference seconds, edge-list parse over mapped
-CSR load, v1 archive over v2 container cold start, one resident set over
-another — so the verdict does not move with the speed of the host and a
-missed floor can block a merge (``repro bench`` exits 2). ``FLOORS`` is
-the only place a floor is written down; a suite's runner
-(:mod:`repro.bench.kernbench`, :mod:`repro.bench.storebench`) only
-measures. A floor is either an acceptance bar an earlier issue fixed
-(mapped CSR > 5x the text parse and no more resident than it, v2 cold
-start >= 10x v1) or was calibrated on the reference host as at most
-0.8x the worst of at least forty full-size runs (at least worst/0.8
-where lower is better); DESIGN.md section 12 has the runs.
+CSR load, an artifact read whole and hashed over the same container
+mapped, one resident set over another — so the verdict does not move
+with the speed of the host and a missed floor can block a merge
+(``repro bench`` exits 2). ``FLOORS`` is the only place a floor is
+written down; a suite's runner (:mod:`repro.bench.kernbench`,
+:mod:`repro.bench.storebench`) only measures. A floor is either an
+acceptance bar an earlier issue fixed (mapped CSR > 5x the text parse
+and no more resident than it) or was calibrated on the reference host as
+at most 0.8x the worst of at least forty full-size runs (at least
+worst/0.8 where lower is better); DESIGN.md section 12 has the runs.
 
 A metric the report does not hold — another suite's, or a backend such
 as ``numba`` that this host lacks or that has no declared floor — is
@@ -37,8 +37,8 @@ FLOORS = (
     ("store", "graph_load/csr_mmap/speedup", "higher", 5.0),
     ("store", "graph_load/csr_resident/speedup", "higher", 40.0),
     ("store", "graph_load/csr_mmap/rss_fraction", "lower", 1.0),
-    ("store", "cold_start/v2_dir/speedup", "higher", 10.0),
-    ("store", "cold_start/v2_dir/rss_fraction", "lower", 0.05),
+    ("store", "cold_start/mmap/speedup", "higher", 14.9),
+    ("store", "cold_start/mmap/rss_fraction", "lower", 0.041),
 )
 
 

@@ -14,15 +14,20 @@ the graph up and answering a small query mix:
 - ``csr_mmap`` — container memory-mapped read-only; load is
   O(manifest) and only touched pages become resident.
 
-*Artifact cold start.* One synthetic model is saved as a legacy v1
-``.npz`` and as a v2 container directory; each is timed from "imports
-done" to the first verified link-probability answer, which charges v1
-for its full decompress and v2 only for the pages the answer touches.
+*Artifact cold start.* One synthetic model is saved as an artifact
+container and opened two ways, each timed from "imports done" to the
+first link-probability answer:
+
+- ``resident`` — ``provider="resident", verify="full"``: every byte read
+  into heap arrays and hashed, what any format that must be read whole
+  costs;
+- ``mmap`` — the default load: O(manifest) work, lazy digests, only the
+  pages the answer touches resident.
 
 A ``baseline`` child per phase imports the stack but loads nothing and
 pins the interpreter+NumPy floor, so every mode also reports
 ``rss_delta_bytes`` — the memory the *payload* cost — and, against the
-phase's slow path (``edge_list``, ``v1_npz``) in the same run, a
+phase's slow path (``edge_list``, ``resident``) in the same run, a
 ``speedup`` and an ``rss_fraction``. The runner only measures;
 :mod:`repro.bench.gate` holds the floors (``repro bench store``).
 """
@@ -43,7 +48,8 @@ import numpy as np
 from repro.bench import gate
 
 MODES = ("edge_list", "npz", "csr_resident", "csr_mmap")
-ARTIFACT_FORMATS = ("v1_npz", "v2_dir")
+#: cold-start rows, named by the provider the artifact is opened with
+ARTIFACT_LOADS = ("resident", "mmap")
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,8 @@ class StoreWorkload:
     """Synthetic graph and artifact sizes; the defaults are full size.
 
     The artifact is sized on its own: the cold-start gap only shows
-    where the v1 decompress costs something (``pi`` alone is
-    ``artifact_vertices * artifact_communities * 8`` bytes).
+    where reading and hashing every byte costs something (``pi`` alone
+    is ``artifact_vertices * artifact_communities * 8`` bytes).
     """
 
     n_vertices: int = 200_000
@@ -132,8 +138,8 @@ print(json.dumps({
 }))
 """
 
-# Runs inside the artifact child: load by path, answer one small
-# link-probability batch, emit time-to-first-answer and peak RSS.
+# Runs inside the artifact child: load the container as argv says, answer
+# one small link-probability batch, emit time-to-first-answer and peak RSS.
 _COLD_SCRIPT = PEAK_RSS_SNIPPET + r"""
 import json, sys, time
 t0 = time.perf_counter()
@@ -143,7 +149,8 @@ from repro.serve.engine import QueryEngine
 t1 = time.perf_counter()
 path = sys.argv[1]
 if path != "baseline":
-    art = load_artifact(path)
+    provider = sys.argv[2]  # resident is the slow path: read whole, hash everything
+    art = load_artifact(path, provider=provider, verify="full" if provider == "resident" else True)
     eng = QueryEngine(art)
     n = art.n_nodes
     pairs = np.column_stack(
@@ -286,24 +293,23 @@ def _graph_load(w: StoreWorkload, seed: int, tmp: Path) -> dict[str, Any]:
 
 
 def _cold_start(w: StoreWorkload, seed: int, tmp: Path) -> dict[str, Any]:
-    """Cold-start-to-first-answer and peak RSS, v1 ``.npz`` vs v2 container."""
+    """Cold-start-to-first-answer and peak RSS of one artifact container,
+    read whole and verified against mapped with lazy digests."""
     from repro.bench.chaosbench import synthetic_artifact
     from repro.serve.artifact import save_artifact
 
-    artifact = synthetic_artifact(w.artifact_vertices, w.artifact_communities, seed)
-    paths = {"v1_npz": tmp / "model_v1.npz", "v2_dir": tmp / "model_v2"}
-    save_artifact(paths["v1_npz"], artifact, format="npz")  # same payload both
-    save_artifact(paths["v2_dir"], artifact, format="dir")  # formats: fair race
-    del artifact  # as above: keep the children's floor low
-    trim_heap()
+    path = save_artifact(
+        tmp / "model", synthetic_artifact(w.artifact_vertices, w.artifact_communities, seed)
+    )
+    trim_heap()  # as above: keep the children's floor low
     results = _race(
         _COLD_SCRIPT,
         ["baseline"],
-        {name: [str(paths[name])] for name in ARTIFACT_FORMATS},
+        {provider: [str(path), provider] for provider in ARTIFACT_LOADS},
         "first_answer_s",
         w.reps,
     )
-    results["file_bytes"] = _file_bytes(paths)
+    results["file_bytes"] = _file_bytes({"model": path})
     return results
 
 
@@ -326,13 +332,13 @@ def run_store_bench(
 def report_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
     """Flatten a report for :func:`repro.bench.harness.format_table`.
 
-    One row per graph-load mode and per artifact format; ``speedup`` and
+    One row per graph-load mode and per artifact load; ``speedup`` and
     ``rss_fraction`` are against the phase's slow path (``edge_list``,
-    ``v1_npz``), so every gated ratio is a cell of this table.
+    ``resident``), so every gated ratio is a cell of this table.
     """
     phases = (
         ("graph_load", "load_s", MODES),
-        ("cold_start", "first_answer_s", ARTIFACT_FORMATS),
+        ("cold_start", "first_answer_s", ARTIFACT_LOADS),
     )
     return [
         {

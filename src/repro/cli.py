@@ -36,15 +36,20 @@ Subcommands:
   write-ahead journal + manifest,
   and answer membership-drift queries;
 - ``repro auc`` — held-out link-prediction AUC of a checkpoint or
-  artifact.
+  artifact;
+- ``repro convert`` — rewrite a legacy ``.npz`` checkpoint, artifact or
+  membership history as the store container every loader reads.
+
+Checkpoints, artifacts and histories are store-container *directories*
+(DESIGN.md "Persistence"); nothing reads a file suffix.
 
 Examples::
 
     repro generate --dataset com-DBLP --scale 2e-3 --output dblp.txt
     repro detect --edges dblp.txt --communities 32 --iterations 4000 \\
-        --output covers.txt --export-artifact dblp_model.npz
-    repro query --artifact dblp_model.npz membership 17 --top 5
-    repro auc --edges dblp.txt --artifact dblp_model.npz
+        --output covers.txt --export-artifact dblp_model
+    repro query --artifact dblp_model membership 17 --top 5
+    repro auc --edges dblp.txt --artifact dblp_model
     repro benchmark --experiment fig1
 
 An invalid argument value ends in one ``error: ...`` line on stderr and
@@ -98,9 +103,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.resume:
-        from repro.core.checkpoint import load_checkpoint
+        from repro.core.checkpoint import CheckpointError, load_checkpoint
 
-        sampler = load_checkpoint(args.resume, split.train, heldout=split)
+        try:
+            sampler = load_checkpoint(args.resume, split.train, heldout=split)
+        except CheckpointError as exc:
+            print(f"cannot load checkpoint: {exc}", file=sys.stderr)
+            return 3
         print(f"resumed from {args.resume} at iteration {sampler.iteration}",
               file=sys.stderr)
     else:
@@ -275,7 +284,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     workdir = Path(args.workdir)
     history_path = (
-        Path(args.history) if args.history else workdir / "history.npz"
+        Path(args.history) if args.history else workdir / "history"
     )
 
     def _report(rep, trigger: str = "") -> None:
@@ -336,7 +345,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
         config = AMMSBConfig(n_communities=args.communities, seed=args.seed)
         publish_path = (
-            Path(args.artifact) if args.artifact else workdir / "artifact.npz"
+            Path(args.artifact) if args.artifact else workdir / "artifact"
         )
         try:
             trainer = StreamTrainer(
@@ -470,6 +479,19 @@ def _cmd_convert_graph(args: argparse.Namespace) -> int:
 
     graph = convert_graph(args.input, args.output, n_vertices=args.vertices)
     print(f"wrote {graph} as CSR container to {args.output}", file=sys.stderr)
+    return 0
+
+
+def _cmd_convert(args: argparse.Namespace) -> int:
+    """Rewrite one legacy ``.npz`` model file as a store container."""
+    from repro.legacy import ConvertError, convert
+
+    try:
+        kind, dst = convert(args.src, args.dst)
+    except ConvertError as exc:
+        print(f"cannot convert: {exc}", file=sys.stderr)
+        return 3
+    print(f"converted {kind} {args.src} to container {dst}", file=sys.stderr)
     return 0
 
 
@@ -808,9 +830,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None, help="covers file (default stdout)")
     p.add_argument("--checkpoint", default=None,
                    help="write a resumable checkpoint here after each report")
-    p.add_argument("--resume", default=None, help="resume from a checkpoint file")
+    p.add_argument("--resume", default=None,
+                   help="resume from a --checkpoint container")
     p.add_argument("--export-artifact", default=None,
-                   help="also export a serving artifact (.npz) of the final state")
+                   help="also export a serving artifact (a container "
+                        "directory) of the final state")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("generate", help="write a synthetic graph edge list")
@@ -847,11 +871,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: inferred, ids are densely remapped)")
     p.set_defaults(func=_cmd_convert_graph)
 
+    p = sub.add_parser("convert",
+                       help="rewrite a legacy .npz checkpoint / artifact / "
+                            "history as a store container")
+    p.add_argument("src", metavar="SRC", help="legacy .npz model file")
+    p.add_argument("dst", metavar="DST",
+                   help="container directory to write (must not exist)")
+    p.set_defaults(func=_cmd_convert)
+
     p = sub.add_parser("calibrate", help="print the Table III calibration report")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("query", help="one-shot query against a serving artifact")
-    p.add_argument("--artifact", required=True, help="serving artifact (.npz)")
+    p.add_argument("--artifact", required=True, help="serving artifact container")
     p.add_argument("--backend", default=None,
                    help="kernel backend override (default: artifact config)")
     p.add_argument("--top", type=int, default=10,
@@ -862,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve",
                        help="serve an artifact over a stdin line protocol")
-    p.add_argument("--artifact", required=True, help="serving artifact (.npz)")
+    p.add_argument("--artifact", required=True, help="serving artifact container")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--max-batch", type=int, default=64)
     p.add_argument("--max-delay-ms", type=float, default=1.0)
@@ -896,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifact", default=None,
                    help="published artifact path: a container directory of "
                         "hard links to the newest generation's model container, "
-                        "whatever its suffix (default: WORKDIR/artifact.npz)")
+                        "(default: WORKDIR/artifact)")
     p.add_argument("--workers", type=int, default=0,
                    help="mp-engine worker count (0 = in-process sequential)")
     p.add_argument("--drift-window", type=int, default=8,
@@ -925,8 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=float, default=None,
                    help="follow: stop after this much wall time")
     p.add_argument("--history", default=None,
-                   help="membership-history checkpoint path "
-                        "(default: WORKDIR/history.npz)")
+                   help="membership-history container path "
+                        "(default: WORKDIR/history)")
     p.add_argument("--drift", nargs="*", type=int, default=[],
                    help="nodes to print membership_drift JSON for at the end")
     p.add_argument("--seed", type=int, default=0)
@@ -934,8 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("auc", help="held-out link-prediction AUC")
     p.add_argument("--edges", required=True, help="edge-list file (SNAP format)")
-    p.add_argument("--checkpoint", default=None, help="model checkpoint (.npz)")
-    p.add_argument("--artifact", default=None, help="serving artifact (.npz)")
+    p.add_argument("--checkpoint", default=None, help="model checkpoint container")
+    p.add_argument("--artifact", default=None, help="serving artifact container")
     p.add_argument("--heldout-fraction", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_auc)

@@ -369,12 +369,14 @@ ARTIFACT_FAULT_MODES = ("flip", "truncate", "payload")
 
 @dataclass(frozen=True)
 class ArtifactFault:
-    """Corrupt the artifact file used by the ``publish``-th publish attempt.
+    """Corrupt the artifact container used by the ``publish``-th publish
+    attempt, through its ``pi.npy`` member.
 
-    ``mode`` selects the damage: ``flip`` XORs bytes mid-archive (caught
-    by the zip CRC layer), ``truncate`` cuts the file short (caught by
-    the archive opener), ``payload`` rewrites the arrays while keeping
-    the recorded content version (caught only by the SHA-256 verify).
+    ``mode`` selects the damage: ``truncate`` cuts the member short
+    (caught when it is opened: the header promises more bytes), ``flip``
+    XORs bytes mid-payload and ``payload`` swaps two ``pi`` rows — both
+    leave a well-formed member that only its sha256 digest in the sealed
+    manifest can catch, which is why a publish verifies in full.
     """
 
     publish: int
@@ -540,44 +542,36 @@ class ServeFaultPlan:
         return None
 
     def corrupt_file(self, path: Union[str, Path], mode: str) -> None:
-        """Apply ``mode`` damage to the real file at ``path``.
+        """Apply ``mode`` damage to the artifact container at ``path`` —
+        to its ``pi.npy`` member, in place (a hard-linked second name of
+        the container sees it too).
 
         Deterministic: the damaged bytes come from the plan's private
         corruption stream, so a fixed plan applied to fixed bytes
-        produces a fixed corrupted file.
+        produces a fixed corrupted member.
         """
-        p = Path(path)
+        member = Path(path) / "pi.npy"
         if mode not in ARTIFACT_FAULT_MODES:
             raise ValueError(f"mode must be one of {ARTIFACT_FAULT_MODES}")
-        if mode == "truncate":
-            data = p.read_bytes()
-            p.write_bytes(data[: max(1, int(len(data) * 0.6))])
+        if mode == "payload":
+            # A well-formed member that no longer matches the manifest:
+            # swap two pi rows (header, shape and simplex invariants all
+            # hold). Only the sha256 digest can catch this one.
+            pi = np.lib.format.open_memmap(member, mode="r+")
+            pi[[0, 1]] = pi[[1, 0]]
+            pi.flush()
             return
-        if mode == "flip":
-            data = bytearray(p.read_bytes())
+        data = bytearray(member.read_bytes())
+        if mode == "truncate":
+            del data[max(1, int(len(data) * 0.6)) :]
+        else:  # "flip": mid-payload, so the header still parses and maps
             with self._rng_lock:
-                # Damage the middle of the archive (member data, not the
-                # zip end-of-central-directory), so the file still *opens*
-                # and the CRC/verify layers have to catch it.
                 lo, hi = len(data) // 4, max(len(data) // 4 + 1, len(data) // 2)
                 offsets = self._corrupt_rng.integers(lo, hi, size=64)
                 masks = self._corrupt_rng.integers(1, 256, size=64)
             for off, mask in zip(offsets, masks):
                 data[int(off)] ^= int(mask)
-            p.write_bytes(bytes(data))
-            return
-        # mode == "payload": rewrite a *structurally valid* archive whose
-        # arrays no longer match the recorded content version — swap two pi
-        # rows (all shape/simplex invariants still hold). Only the SHA-256
-        # verify layer can catch this one.
-        with np.load(p, allow_pickle=False) as data:
-            arrays = {key: data[key].copy() for key in data.files}
-        pi = arrays["pi"]
-        if pi.shape[0] >= 2:
-            pi[[0, 1]] = pi[[1, 0]]
-        else:  # pragma: no cover - degenerate single-row artifact
-            arrays["beta"] = arrays["beta"][::-1].copy()
-        np.savez(p, **arrays)
+        member.write_bytes(bytes(data))
 
     # -- display ------------------------------------------------------------
 

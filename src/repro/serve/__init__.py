@@ -19,7 +19,6 @@ from repro.serve.artifact import (
     export_state_artifact,
     load_artifact,
     save_artifact,
-    save_artifact_v2,
 )
 from repro.serve.engine import QueryEngine
 from repro.serve.metrics import LatencyHistogram, ServerMetrics
@@ -28,7 +27,6 @@ from repro.serve.server import ModelServer, ServerOverloaded
 __all__ = [
     "ArtifactCorrupt",
     "ArtifactError",
-    "save_artifact_v2",
     "ModelArtifact",
     "build_artifact",
     "export_artifact",

@@ -16,92 +16,65 @@ self-contained, read-only export that the serving layer loads:
 
 No graph object is needed to load or serve an artifact.
 
-Durability and identity: artifacts are written with the same atomic
-tmp + fsync + ``os.replace`` machinery as checkpoints
-(:mod:`repro.store.atomic`), and carry a deterministic content
-``version`` — a SHA-256 over the model arrays and config — so two
-exports of the same posterior get the same version and a hot-swapped
-server can report exactly which model answered. Anything wrong at load
-time surfaces as a typed :class:`ArtifactError` naming the path.
+Format, durability and identity: an artifact is a sealed
+:mod:`repro.store` container directory (DESIGN.md "Persistence") — one
+raw ``.npy`` per array plus a sha256-sealed ``manifest.json``, written
+atomically — and carries a deterministic content ``version``, a SHA-256
+over the model arrays and config, so two exports of the same posterior
+get the same version and a hot-swapped server can report exactly which
+model answered. Loads memory-map the arrays read-only (default provider
+``mmap``), so a query server answers its first request after O(manifest)
+work with only the touched pages resident.
 
-Integrity: :func:`load_artifact` *verifies* by default — it recomputes
-the SHA-256 content version from the loaded arrays and the stored config
-string and compares it to the recorded ``artifact_version``, on top of
-the archive's per-member CRC and :meth:`ModelArtifact.validate`. Damage
-of any kind (truncation, flipped bytes, or a structurally valid payload
-that silently differs from what was exported) raises
-:class:`ArtifactCorrupt`; callers that serve traffic quarantine the file
-(:func:`quarantine_artifact`) and fall back to the last-known-good entry
-tracked in an :class:`ArtifactRegistry`.
+Integrity: per-array digests are verified lazily on first touch, or all
+at once with ``verify="full"`` (what ``ModelServer.publish_path`` uses,
+so corruption is caught *before* a swap, never mid-query), which also
+recomputes the content version and runs :meth:`ModelArtifact.validate`.
+Damage of any kind (truncation, flipped bytes, an edited manifest, or a
+structurally valid payload that differs from what was exported) raises
+:class:`ArtifactCorrupt`; callers that serve traffic quarantine the
+directory (:func:`quarantine_artifact`) and fall back to the
+last-known-good entry tracked in an :class:`ArtifactRegistry`. Anything
+else wrong at load time is a typed :class:`ArtifactError` naming the
+path — including a regular file there: a v1 ``.npz`` artifact is read by
+``repro convert`` (:mod:`repro.legacy`) and by nothing else.
 
-Two on-disk formats coexist (DESIGN.md section 10):
-
-- **v1** — a compressed ``.npz`` archive. Simple and compact, but a
-  load must decompress every array into fresh resident memory, so
-  cold start and RSS are both O(artifact size).
-- **v2** — a :mod:`repro.store` container directory: one raw ``.npy``
-  per array plus a sha256-sealed ``manifest.json``. Loads memory-map
-  the arrays read-only (default provider ``mmap``), so a query server
-  answers its first request after O(manifest) work with only the
-  touched pages resident; per-array digests are verified lazily on
-  first touch, or all at once with ``verify="full"`` (what
-  ``ModelServer.publish_path`` uses, so corruption is caught *before*
-  a swap, never mid-query).
-
-:func:`save_artifact` picks the format from the path (``.npz`` -> v1,
-anything else -> v2 directory); :func:`load_artifact` auto-detects from
-what is on disk (a container directory loads as v2 whatever its name).
-
-The stream tier writes neither: each generation persists ONE sealed v2
-container that is its checkpoint *and* its artifact
-(:func:`export_state_artifact` — the state's own ``pi`` rows plus
-``phi_sum``, no renormalized copy) and publishes it by hard link
-(:func:`repro.store.link_container`).
+A stream generation persists ONE such container that is its checkpoint
+*and* its artifact (:func:`export_state_artifact` — the state's own
+``pi`` rows plus ``phi_sum``, no renormalized copy) and publishes it by
+hard link (:func:`repro.store.link_container`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Union
-from zipfile import BadZipFile
 
 import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.core.checkpoint import (
-    _atomic_savez,
+    STATE_KIND,
+    CheckpointError,
     _config_from_json,
     _config_to_json,
-    _open_archive,
-    CheckpointError,
-    STATE_KIND,
+    open_model_container,
 )
 from repro.core.state import ModelState
-from repro.store import (
-    Container,
-    StoreCorrupt,
-    StoreError,
-    is_container,
-    write_container,
-)
+from repro.store import Container, StoreCorrupt, StoreError, write_container
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.core.sampler import AMMSBSampler
 
 PathLike = Union[str, Path]
 
-SCHEMA = "repro-serve-artifact/1"
-FORMAT_VERSION = 1
-
-#: v2 directory format: store-container kind tag.
-SCHEMA_V2 = "repro-serve-artifact/2"
-FORMAT_VERSION_V2 = 2
+#: store-container kind tag of a serving artifact (``/1`` was the ``.npz``)
+ARTIFACT_KIND = "repro-serve-artifact/2"
+FORMAT_VERSION = 2
 
 _ARRAY_KEYS = ("pi", "theta", "beta", "node_ids", "top_communities", "top_weights")
 #: the members derived at export time (everything but the posterior itself)
@@ -125,9 +98,9 @@ class ArtifactError(ValueError):
 
 
 class ArtifactCorrupt(ArtifactError):
-    """The file exists and parses as *something*, but its payload is
-    damaged: CRC/decompression failure, broken model invariants, or a
-    content-version mismatch against the recorded SHA-256. The standard
+    """The container exists, but its payload is damaged: a member that
+    does not match its header or digest, an edited manifest, broken
+    model invariants, or a content-version mismatch. The standard
     response is :func:`quarantine_artifact` + last-known-good fallback,
     never serving from it."""
 
@@ -215,9 +188,9 @@ class ModelArtifact:
     iteration: int = 0
     version: str = ""
     _row_index: dict = field(default_factory=dict, repr=False, compare=False)
-    # Backing store container for v2 (mmap) artifacts; None for v1 /
-    # in-memory builds. Enables verify_deep() and nbytes() without
-    # re-opening the directory.
+    # Backing store container of a loaded artifact; None for in-memory
+    # builds. Enables verify_deep() and nbytes() without re-opening the
+    # directory.
     _container: Optional[Container] = field(default=None, repr=False, compare=False)
     # Memoized _identity_ids() answer — the check is an O(N) scan, far
     # too hot to repeat per rows_of() call on a mapped million-row map.
@@ -273,7 +246,7 @@ class ModelArtifact:
         return self._ids_identity
 
     def nbytes(self) -> int:
-        """Total model payload bytes (manifest-sourced for v2 artifacts)."""
+        """Total model payload bytes (manifest-sourced for loaded artifacts)."""
         if self._container is not None:
             return self._container.nbytes()
         return sum(
@@ -283,9 +256,9 @@ class ModelArtifact:
     def verify_deep(self) -> None:
         """Full integrity pass: every per-array digest + model invariants.
 
-        For v2 (container-backed) artifacts this forces the lazy sha256
-        digests that the default load defers; for v1 / in-memory
-        artifacts it is just :meth:`validate`. Raises
+        For a loaded (container-backed) artifact this forces the lazy
+        sha256 digests that the default load defers; for an in-memory
+        build it is just :meth:`validate`. Raises
         :class:`ArtifactCorrupt` on any damage.
         """
         source = self._container.path if self._container is not None else "<memory>"
@@ -453,8 +426,8 @@ def export_state_artifact(
     write_container(
         path,
         arrays,
-        kind=SCHEMA_V2 if problem is None else STATE_KIND,
-        meta=_meta_v2(artifact),
+        kind=ARTIFACT_KIND if problem is None else STATE_KIND,
+        meta=_artifact_meta(artifact),
     )
     if problem is not None:
         raise ArtifactError(path, f"invalid snapshot ({problem}); written as a checkpoint only")
@@ -478,42 +451,9 @@ def export_from_sampler(
     )
 
 
-def save_artifact(path: PathLike, artifact: ModelArtifact, format: str = "auto") -> Path:
-    """Atomically write an in-memory artifact; returns the final path.
-
-    ``format="auto"`` (default) picks from the path: a ``.npz`` suffix
-    writes the compressed v1 archive (appended to suffix-less paths for
-    backward compatibility when forcing ``format="npz"``), anything else
-    writes the v2 mmap-ready container directory. Pass ``"npz"`` or
-    ``"dir"`` to force a format regardless of suffix.
-    """
-    if format not in ("auto", "npz", "dir"):
-        raise ValueError(f"format must be 'auto', 'npz' or 'dir', got {format!r}")
-    if format == "auto":
-        format = "npz" if Path(path).suffix == ".npz" else "dir"
-    if format == "dir":
-        return save_artifact_v2(path, artifact)
-    meta = {
-        "schema": SCHEMA,
-        "version": FORMAT_VERSION,
-        "artifact_version": artifact.version,
-        "iteration": int(artifact.iteration),
-        "config": _config_to_json(artifact.config),
-    }
-    return _atomic_savez(
-        path,
-        _meta=json.dumps(meta),
-        pi=artifact.pi,
-        theta=artifact.theta,
-        beta=artifact.beta,
-        node_ids=artifact.node_ids,
-        top_communities=artifact.top_communities,
-        top_weights=artifact.top_weights,
-    )
-
-
-def save_artifact_v2(path: PathLike, artifact: ModelArtifact) -> Path:
-    """Write the v2 directory format: raw ``.npy`` arrays + sealed manifest.
+def save_artifact(path: PathLike, artifact: ModelArtifact) -> Path:
+    """Atomically write an in-memory artifact as a sealed container
+    directory at ``path`` (whatever its suffix); returns the path.
 
     Uncompressed on purpose — the arrays are page-aligned ``np.save``
     payloads a reader can memory-map directly. Atomicity (tmp dir +
@@ -523,14 +463,14 @@ def save_artifact_v2(path: PathLike, artifact: ModelArtifact) -> Path:
     return write_container(
         path,
         {key: getattr(artifact, key) for key in _ARRAY_KEYS},
-        kind=SCHEMA_V2,
-        meta=_meta_v2(artifact),
+        kind=ARTIFACT_KIND,
+        meta=_artifact_meta(artifact),
     )
 
 
-def _meta_v2(artifact: ModelArtifact) -> dict:
+def _artifact_meta(artifact: ModelArtifact) -> dict:
     return {
-        "format_version": FORMAT_VERSION_V2,
+        "format_version": FORMAT_VERSION,
         "artifact_version": artifact.version,
         "iteration": int(artifact.iteration),
         "config": _config_to_json(artifact.config),
@@ -544,130 +484,45 @@ def load_artifact(
 ) -> ModelArtifact:
     """Load a serving artifact; no graph object required.
 
-    v2 container directories and legacy v1 ``.npz`` archives are
-    auto-detected; ``provider`` applies to v2 only (``"mmap"`` default:
-    read-only maps, MB-scale RSS; ``"resident"``: full read).
+    ``provider``: ``"mmap"`` (default) maps the arrays read-only,
+    MB-scale RSS; ``"resident"`` reads them in full.
 
     Verification levels:
 
-    - ``verify=True`` (default): v1 recomputes the SHA-256 content
-      version from the loaded arrays (it already paid the full read);
-      v2 checks the sealed manifest + tiny arrays eagerly and defers
-      per-array digests to first touch, keeping the load O(manifest).
-    - ``verify="full"``: v2 additionally digests every array and runs
-      the complete invariant + content-version check up front — what
+    - ``verify=True`` (default): the sealed manifest and the tiny
+      globals (``theta``, ``beta`` — corrupt globals would poison
+      *every* answer) are checked eagerly; the O(N) arrays keep their
+      digests deferred to :meth:`ModelArtifact.verify_deep`, so the load
+      stays O(manifest) whatever the artifact's size.
+    - ``verify="full"``: additionally digests every array and runs the
+      complete invariant + content-version check up front — what
       ``ModelServer.publish_path`` uses so damage surfaces as
       :class:`ArtifactCorrupt` *before* a swap, never mid-query.
-      Equivalent to ``True`` for v1.
     - ``verify=False``: structural checks only.
 
     Raises:
-        ArtifactCorrupt: damaged payload — CRC/decompression failure
-            while reading arrays, digest or content-version mismatch,
-            an edited manifest, or broken model invariants.
-        ArtifactError: everything else — missing file, wrong schema or
-            format version, missing arrays, unreadable metadata.
+        ArtifactCorrupt: damaged payload — a member that does not match
+            its header or digest, a content-version mismatch, an edited
+            manifest, or broken model invariants.
+        ArtifactError: everything else — missing path, a regular file
+            (legacy ``.npz``: ``repro convert``), wrong container kind
+            or format version, missing arrays, unreadable metadata.
     """
     if verify not in (True, False, "full"):
         raise ValueError(f"verify must be True, False or 'full', got {verify!r}")
     p = Path(path)
-    if is_container(p):
-        return _load_artifact_v2(p, verify=verify, provider=provider)
     try:
-        archive = _open_archive(p)
-    except CheckpointError as exc:
-        # A file that exists but will not open is damage (truncation,
-        # garbage bytes); a missing file is an operator error.
-        if p.exists():
-            raise ArtifactCorrupt(p, exc.reason) from exc
-        raise ArtifactError(p, exc.reason) from exc
-    with archive as data:
-        try:
-            meta = json.loads(str(data["_meta"]))
-        except KeyError as exc:
-            raise ArtifactError(p, "missing _meta record") from exc
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise ArtifactError(p, f"unreadable metadata ({exc})") from exc
-        except (BadZipFile, zlib.error, OSError, EOFError) as exc:
-            raise ArtifactCorrupt(p, f"corrupt metadata record ({exc})") from exc
-        if meta.get("schema") != SCHEMA:
-            raise ArtifactError(
-                p, f"expected schema {SCHEMA!r}, got {meta.get('schema')!r}"
-            )
-        if meta.get("version") != FORMAT_VERSION:
-            raise ArtifactError(
-                p, f"unsupported artifact version {meta.get('version')}"
-            )
-        try:
-            config = _config_from_json(p, meta["config"])
-        except CheckpointError as exc:
-            raise ArtifactError(p, exc.reason) from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(p, f"invalid config metadata ({exc})") from exc
-        arrays = {}
-        for key in (
-            "pi", "theta", "beta", "node_ids", "top_communities", "top_weights"
-        ):
-            try:
-                arrays[key] = data[key].copy()
-            except KeyError as exc:
-                raise ArtifactError(p, f"missing array {key!r}") from exc
-            except (BadZipFile, zlib.error, OSError, EOFError, ValueError) as exc:
-                # npz member CRC/decompression failure: flipped or missing
-                # bytes inside the archive.
-                raise ArtifactCorrupt(
-                    p, f"corrupt array {key!r} ({exc})"
-                ) from exc
-        artifact = ModelArtifact(
-            config=config,
-            iteration=int(meta.get("iteration", 0)),
-            version=str(meta.get("artifact_version", "")),
-            **arrays,
-        )
-    try:
-        artifact.validate()
-    except ValueError as exc:
-        raise ArtifactCorrupt(p, f"invalid snapshot ({exc})") from exc
-    if verify:
-        recorded = str(meta.get("artifact_version", ""))
-        recomputed = _content_version(
-            str(meta["config"]), artifact.pi, artifact.theta
-        )
-        if recorded != recomputed:
-            raise ArtifactCorrupt(
-                p,
-                "content version mismatch "
-                f"(recorded {recorded!r}, recomputed {recomputed!r})",
-            )
-    return artifact
-
-
-def _load_artifact_v2(
-    p: Path, verify: Union[bool, str], provider: Union[str, None]
-) -> ModelArtifact:
-    """Open a v2 container artifact (see :func:`load_artifact` for levels).
-
-    ``ModelArtifact`` adopts all six arrays at construction, so digest
-    laziness is realized here by policy, not by touch-tracking: the
-    container is opened with digests off, the tiny globals (``theta``,
-    ``beta``) are digested and invariant-checked eagerly (corrupt
-    globals would poison *every* answer), and the O(N) arrays keep
-    their digests deferred to :meth:`ModelArtifact.verify_deep` /
-    ``verify="full"`` — a default load stays O(manifest) regardless of
-    artifact size.
-    """
-    try:
-        container = Container(p, provider=provider or "resident", verify="none")
+        container = open_model_container(p, provider=provider or "resident", verify="none")
     except StoreCorrupt as exc:
         raise ArtifactCorrupt(p, exc.reason) from exc
     except StoreError as exc:
         raise ArtifactError(p, exc.reason) from exc
-    if container.kind != SCHEMA_V2:
+    if container.kind != ARTIFACT_KIND:
         raise ArtifactError(
-            p, f"expected container kind {SCHEMA_V2!r}, got {container.kind!r}"
+            p, f"expected container kind {ARTIFACT_KIND!r}, got {container.kind!r}"
         )
     meta = container.meta
-    if meta.get("format_version") != FORMAT_VERSION_V2:
+    if meta.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(
             p, f"unsupported artifact version {meta.get('format_version')}"
         )

@@ -89,6 +89,7 @@ from repro.serve.artifact import (
 )
 from repro.serve.engine import QueryEngine
 from repro.serve.metrics import ServerMetrics
+from repro.store import StoreError
 
 ENDPOINTS = (
     "link_probability",
@@ -224,8 +225,8 @@ class ModelServer:
             history (:class:`repro.stream.tracking.MembershipHistory`)
             survives hot-swaps: each successful publish is aligned and
             recorded, so drift answers span artifact generations.
-        history_path: optional checkpoint file for the drift history.
-            When it exists at startup the history is *reloaded* from it
+        history_path: optional checkpoint (a store container) for the
+            drift history. When it exists at startup the history is *reloaded* from it
             — drift answers survive a server restart, staying in the
             same canonical label space — and every subsequent record is
             checkpointed back atomically. The startup artifact is only
@@ -280,6 +281,7 @@ class ModelServer:
         self._registry.record(0, artifact)
         self._history = None
         self._history_path = Path(history_path) if history_path else None
+        self._history_save_lock = threading.Lock()
         if drift_window:
             # Lazy import: serve must stay importable without the
             # streaming tier (and vice versa — stream imports serve).
@@ -375,13 +377,16 @@ class ModelServer:
 
     def _save_history(self) -> None:
         """Checkpoint the drift history beside the artifact (atomic; a
-        failed save degrades durability, never serving)."""
+        failed save degrades durability, never serving). Never called
+        with the queue lock held — the write is O(window * N) — and one
+        save at a time: a container path has one writer."""
         if self._history is None or self._history_path is None:
             return
-        try:
-            self._history.save(self._history_path)
-        except OSError:  # pragma: no cover - disk-full etc.
-            pass
+        with self._history_save_lock:
+            try:
+                self._history.save(self._history_path)
+            except (OSError, StoreError):  # disk full, unwritable path
+                pass
 
     @property
     def artifact(self) -> ModelArtifact:
@@ -428,10 +433,12 @@ class ModelServer:
                     # record_next (not the server's gen counter) keeps a
                     # history reloaded from disk monotone: a restarted
                     # server's counter restarts at 0, the history's
-                    # doesn't.
+                    # doesn't. Saved below, once submits and workers can
+                    # have the lock back.
                     self._history.record_next(artifact)
-                    self._save_history()
             purged = self._purge_stale_cache_locked()
+        if rollback_to is None:
+            self._save_history()
         if purged:
             self.metrics.record_stale_eviction(purged)
         if rollback_to is not None:
@@ -453,11 +460,10 @@ class ModelServer:
         :class:`SwapFailed`.
         """
         try:
-            # "full" forces every per-array digest even for lazy v2
-            # container artifacts: a server must find corruption at
-            # publish time, never mid-query. (For v1 .npz this is the
-            # same full verification as always.) Either way the load ran
-            # validate() on the frozen object, so the swap does not repeat it.
+            # "full" forces every per-array digest the default load
+            # defers: a server must find corruption at publish time,
+            # never mid-query. The load ran validate() on the frozen
+            # object, so the swap does not repeat it.
             artifact = load_artifact(path, verify="full")
         except ArtifactCorrupt as exc:
             exc.quarantined = quarantine_artifact(path)

@@ -1,8 +1,9 @@
 """The one spelling of a durable write: tmp -> fsync -> ``os.replace`` -> directory fsync.
 
-Checkpoints (``.npz``), the stream manifest (JSON), container manifests
-and the ingest journal all make a file durable the same way; this module
-is the only place that sequence is written down.
+The stream manifest (JSON), container manifests (and through them every
+checkpoint, artifact and membership history) and the ingest journal all
+make a file durable the same way; this module is the only place that
+sequence is written down.
 """
 
 from __future__ import annotations

@@ -29,9 +29,7 @@ long the stream runs. It is the storage behind the serving tier's
 from __future__ import annotations
 
 import dataclasses
-import json
 import threading
-import zipfile
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,13 +37,16 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.checkpoint import open_model_container
 from repro.core.estimation import align_communities
 from repro.serve.artifact import DEFAULT_TOP_K, ModelArtifact, _top_communities
+from repro.store import StoreError, write_container
 from repro.stream.delta import StreamError
 
 PathLike = Union[str, Path]
 
-HISTORY_FORMAT_VERSION = 1
+#: store-container kind tag of a persisted history
+HISTORY_KIND = "repro-membership-history/1"
 
 
 @dataclass(frozen=True)
@@ -329,19 +330,18 @@ class MembershipHistory:
 
     def save(self, path: PathLike) -> Path:
         """Atomically checkpoint the full history (ring, events, alignment
-        reference, first-seen map) to an ``.npz`` beside the artifact.
+        reference, first-seen map) as a sealed :mod:`repro.store`
+        container beside the artifact.
 
-        Uses the tmp+fsync+replace idiom, so a crash mid-save leaves the
-        previous checkpoint intact. :meth:`load` restores a history that
-        continues exactly where this one stopped — including the aligned
-        label space, so drift stays in canonical generation-0 labels
-        across a server restart.
+        A crash mid-save leaves the previous checkpoint intact.
+        :meth:`load` restores a history that continues exactly where this
+        one stopped — including the aligned label space, so drift stays
+        in canonical generation-0 labels across a server restart. The
+        snapshot is taken under the history's lock; the write happens
+        after it is released.
         """
-        from repro.core.checkpoint import _atomic_savez
-
         with self._lock:
             meta = {
-                "version": HISTORY_FORMAT_VERSION,
                 "window": self.window,
                 "top_k": self.top_k,
                 "event_threshold": self.event_threshold,
@@ -362,69 +362,50 @@ class MembershipHistory:
             if self._ref_pi is not None:
                 arrays["ref_pi"] = self._ref_pi
                 arrays["ref_ids"] = self._ref_ids
-            fs = (
-                np.array(sorted(self._first_seen.items()), dtype=np.int64)
-                if self._first_seen
-                else np.zeros((0, 2), dtype=np.int64)
-            )
-            arrays["first_seen"] = fs
-        return _atomic_savez(path, _meta=json.dumps(meta), **arrays)
+            arrays["first_seen"] = np.array(
+                sorted(self._first_seen.items()), dtype=np.int64
+            ).reshape(-1, 2)
+        return write_container(path, arrays, kind=HISTORY_KIND, meta=meta)
 
     @classmethod
     def load(cls, path: PathLike) -> "MembershipHistory":
-        """Restore a history checkpointed by :meth:`save` (typed errors)."""
+        """Restore a history checkpointed by :meth:`save`; every member is
+        read and digest-checked. Raises :class:`StreamError` for a missing
+        path, a regular file (a legacy ``.npz``: ``repro convert``), a
+        damaged container or contents that do not make a history."""
         p = Path(path)
-        if not p.exists():
-            raise StreamError(f"membership history {p}: file does not exist")
         try:
-            data = np.load(str(p), allow_pickle=False)
-        except (zipfile.BadZipFile, OSError, ValueError) as exc:
-            raise StreamError(
-                f"membership history {p}: corrupt archive ({exc})"
-            ) from exc
-        with data:
-            try:
-                meta = json.loads(str(data["_meta"]))
-            except (KeyError, json.JSONDecodeError, ValueError) as exc:
-                raise StreamError(
-                    f"membership history {p}: unreadable metadata ({exc})"
-                ) from exc
-            if meta.get("version") != HISTORY_FORMAT_VERSION:
-                raise StreamError(
-                    f"membership history {p}: unsupported version"
-                    f" {meta.get('version')!r}"
-                )
-            try:
-                hist = cls(
-                    window=int(meta["window"]),
-                    top_k=int(meta["top_k"]),
-                    event_threshold=float(meta["event_threshold"]),
-                    max_events_per_generation=int(
-                        meta["max_events_per_generation"]
-                    ),
-                )
-                for i, gen in enumerate(meta["generations"]):
-                    hist._ring.append(
-                        _Snapshot(
-                            generation=int(gen),
-                            node_ids=data[f"s{i}_node_ids"].copy(),
-                            top_communities=data[f"s{i}_tops"].copy(),
-                            top_weights=data[f"s{i}_weights"].copy(),
-                            community_drift=data[f"s{i}_drift"].copy(),
-                            permutation=data[f"s{i}_perm"].copy(),
-                        )
+            data = open_model_container(p)
+            if data.kind != HISTORY_KIND:
+                raise StoreError(p, f"expected container kind {HISTORY_KIND!r}, got {data.kind!r}")
+            meta = data.meta
+            hist = cls(
+                window=int(meta["window"]),
+                top_k=int(meta["top_k"]),
+                event_threshold=float(meta["event_threshold"]),
+                max_events_per_generation=int(meta["max_events_per_generation"]),
+            )
+            for i, gen in enumerate(meta["generations"]):
+                hist._ring.append(
+                    _Snapshot(
+                        generation=int(gen),
+                        node_ids=data[f"s{i}_node_ids"],
+                        top_communities=data[f"s{i}_tops"],
+                        top_weights=data[f"s{i}_weights"],
+                        community_drift=data[f"s{i}_drift"],
+                        permutation=data[f"s{i}_perm"],
                     )
-                for evs in meta["events"]:
-                    hist._events.append([DriftEvent(**e) for e in evs])
-                if "ref_pi" in data:
-                    hist._ref_pi = data["ref_pi"].copy()
-                    hist._ref_ids = data["ref_ids"].copy()
-                hist._first_seen = {
-                    int(a): int(b) for a, b in data["first_seen"]
-                }
-                hist.last_version = meta.get("last_version")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StreamError(
-                    f"membership history {p}: invalid contents ({exc})"
-                ) from exc
+                )
+            for evs in meta["events"]:
+                hist._events.append([DriftEvent(**e) for e in evs])
+            if "ref_pi" in data:
+                hist._ref_pi, hist._ref_ids = data["ref_pi"], data["ref_ids"]
+            hist._first_seen = {int(a): int(b) for a, b in data["first_seen"]}
+            hist.last_version = meta.get("last_version")
+        except StoreError as exc:
+            raise StreamError(f"membership history {p}: {exc.reason}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StreamError(
+                f"membership history {p}: invalid contents ({exc})"
+            ) from exc
         return hist

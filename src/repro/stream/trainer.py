@@ -70,7 +70,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.core.checkpoint import load_state_checkpoint, save_state_checkpoint  # noqa: F401
+from repro.core.checkpoint import (  # noqa: F401
+    CheckpointError,
+    load_state_checkpoint,
+    save_state_checkpoint,
+)
 from repro.core.init import extend_state_informed, init_state_spectral
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
@@ -89,17 +93,16 @@ from repro.stream.source import EdgeArrival, arrivals_to_arrays
 # ``extend_state_informed``, ``AMMSBSampler``, and the two writers
 # ``save_state_checkpoint`` and ``export_artifact``, whose first argument it
 # sizes. A generation's one write is the ``export_artifact`` call in
-# ``run_generation``; ``save_state_checkpoint`` (the ``.npz`` writer warm
-# starts come from) is not called here and stays bound for the tracer alone.
+# ``run_generation``; ``save_state_checkpoint`` (the writer warm starts
+# come from) is not called here and stays bound for the tracer alone.
 
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 BASE_GRAPH_NAME = "base.csr"
-#: per-generation files; ``checkpoint_gNNNN.npz`` is what workdirs written
-#: before the model container hold
-_GENERATION_FILE = re.compile(r"(?:graph|model|checkpoint)_g(\d+)\.(?:csr|store|npz)")
+#: per-generation containers
+_GENERATION_FILE = re.compile(r"(?:graph|model)_g(\d+)\.(?:csr|store)")
 
 
 class ResumeError(StreamError):
@@ -348,8 +351,12 @@ class StreamTrainer:
         rotation is put back, stale hidden temp directories are swept).
         Then rebuilds exactly the durable frontier: the manifest's graph
         becomes the overlay base, its model container (if any; every
-        array digest verified) restores the
-        warm-start state and cumulative iteration clock, and the journal
+        array digest verified) restores the warm-start state and
+        cumulative iteration clock — a container that will not load, or
+        the ``checkpoint_gNNNN.npz`` *file* a workdir written before the
+        model container names, is a :class:`ResumeError` (such a workdir
+        is not resumed in place: ``repro convert`` the file and seed
+        :meth:`from_checkpoint` with it) — and the journal
         suffix past ``digested_seqno`` is replayed through the overlay —
         so edges that were acknowledged but not yet digested are pending
         again, exactly once. Quarantined records re-derived during
@@ -386,7 +393,12 @@ class StreamTrainer:
         ckpt_path = _resolve(manifest.get("checkpoint_path"))
         ckpt_config = None
         if ckpt_path is not None:
-            state, iteration, ckpt_config = load_state_checkpoint(ckpt_path)
+            try:
+                state, iteration, ckpt_config = load_state_checkpoint(ckpt_path)
+            except CheckpointError as exc:
+                raise ResumeError(
+                    workdir, f"cannot load checkpoint {ckpt_path} ({exc.reason})"
+                ) from exc
         if config is None:
             config = ckpt_config
         if config is None:
@@ -601,12 +613,8 @@ class StreamTrainer:
                 index = -1
             else:
                 continue
-            if index >= gen - 1:
-                continue
-            if path.is_dir():
+            if index < gen - 1:
                 shutil.rmtree(path, ignore_errors=True)
-            else:
-                path.unlink(missing_ok=True)
 
     def _train(self, heldout: HeldoutSplit, n_iter: int) -> ModelState:
         """``n_iter`` iterations from the current state on this trainer's

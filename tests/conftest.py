@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 import os
 import shutil
 
@@ -13,6 +14,7 @@ from repro.config import AMMSBConfig, StepSizeConfig
 from repro.graph.generators import generate_ammsb_graph, planted_overlapping_graph
 from repro.graph.graph import Graph
 from repro.graph.split import split_heldout
+from repro.store import Container, write_container
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +73,20 @@ def tiny_graph():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+def reseal_container(path, meta=None, arrays=None, drop=(), kind=None):
+    """Rewrite the container at ``path`` with its meta and/or members
+    mutated and a fresh seal: what only a writer (never bit rot, which is
+    tests/test_persistence.py's matrix) can produce."""
+    old = Container(path, provider="resident")
+    new_meta = json.loads(json.dumps(old.meta))
+    members = {name: old[name].copy() for name in old if name not in drop}
+    if meta:
+        meta(new_meta)
+    if arrays:
+        arrays(members)
+    write_container(path, members, kind=kind or old.kind, meta=new_meta)
 
 
 # -- simulated process death and filesystem refusals (store / stream tests) ---

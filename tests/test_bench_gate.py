@@ -164,24 +164,25 @@ class TestSuitesRun:
         for mode in storebench.MODES:
             r = store_report["graph_load"][mode]
             assert r["load_s"] > 0 and r["query_s"] > 0 and r["rss_delta_bytes"] >= 0
-        for fmt in storebench.ARTIFACT_FORMATS:
-            r = store_report["cold_start"][fmt]
+        for load in storebench.ARTIFACT_LOADS:
+            r = store_report["cold_start"][load]
             assert r["first_answer_s"] > 0 and r["rss_delta_bytes"] >= 0
         assert store_report["graph_load"]["n_edges"] > 0
-        # what the formats exist for, with a wide margin even at this size
+        # what the format exists for, with a wide margin even at this size
         assert store_report["graph_load"]["csr_mmap"]["speedup"] > 1.0
-        assert store_report["cold_start"]["v2_dir"]["speedup"] > 1.0
-        assert 0 <= store_report["cold_start"]["v2_dir"]["rss_fraction"] < 1.0
+        assert store_report["cold_start"]["mmap"]["speedup"] > 1.0
+        assert 0 <= store_report["cold_start"]["mmap"]["rss_fraction"] < 1.0
+        assert list(store_report["cold_start"]["file_bytes"]) == ["model"]  # one container raced
 
     def test_store_table_shows_the_cold_start_rows(self, store_report):
         """``bench-serve`` computed these after its ``return`` and never
         printed them."""
         rows = {r["what"]: r for r in storebench.report_rows(store_report)}
         cold = store_report["cold_start"]
-        assert rows["cold_start v1_npz"]["ms"] == cold["v1_npz"]["first_answer_s"] * 1e3
-        assert rows["cold_start v2_dir"]["ms"] == cold["v2_dir"]["first_answer_s"] * 1e3
-        assert rows["cold_start v2_dir"]["speedup"] == cold["v2_dir"]["speedup"]
-        assert rows["cold_start v2_dir"]["rss_fraction"] == cold["v2_dir"]["rss_fraction"]
+        assert rows["cold_start resident"]["ms"] == cold["resident"]["first_answer_s"] * 1e3
+        assert rows["cold_start mmap"]["ms"] == cold["mmap"]["first_answer_s"] * 1e3
+        assert rows["cold_start mmap"]["speedup"] == cold["mmap"]["speedup"]
+        assert rows["cold_start mmap"]["rss_fraction"] == cold["mmap"]["rss_fraction"]
         table = format_table(list(rows.values()))
-        for cell in ("cold_start v1_npz", "cold_start v2_dir", "speedup", "rss_fraction"):
+        for cell in ("cold_start resident", "cold_start mmap", "speedup", "rss_fraction"):
             assert cell in table

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import zipfile
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from repro.core.checkpoint import (
 )
 from repro.core.sampler import AMMSBSampler
 from repro.graph.split import split_heldout
+from repro.store import Container
+from tests.conftest import reseal_container as _rewrite
 
 
 class TestCheckpoint:
@@ -59,111 +61,38 @@ class TestCheckpoint:
         restored = load_checkpoint(ckpt, graph)
         assert restored.config == cfg
 
-    def test_bad_version_rejected(self, planted, config, tmp_path):
-        import json
-
+    def test_rng_streams_and_window_live_in_the_sealed_meta(self, planted, config, tmp_path):
         graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        ckpt = tmp_path / "v.npz"
-        save_checkpoint(ckpt, s)
-        with np.load(str(ckpt)) as data:
-            meta = json.loads(str(data["_meta"]))
-            arrays = {k: data[k] for k in data.files if k != "_meta"}
-        meta["version"] = 999
-        np.savez_compressed(str(ckpt), _meta=json.dumps(meta), **arrays)
-        with pytest.raises(ValueError):
+        split = split_heldout(graph, 0.03, np.random.default_rng(5))
+        s = AMMSBSampler(split.train, config, heldout=split)
+        s.run(12, perplexity_every=4)
+        ckpt = Container(save_checkpoint(tmp_path / "ck", s), verify="eager")
+        assert ckpt.names() == ["perp_prob_sum", "phi_sum", "pi", "theta"]
+        assert ckpt.meta["rng_state"] == s.rng.bit_generator.state
+        assert ckpt.meta["noise_rng_state"] == s.noise_rng.bit_generator.state
+        assert ckpt.meta["perp_count"] == s.perplexity_estimator.n_samples == 3
+        assert ckpt.meta["iteration"] == 12
+
+    def test_bad_version_rejected(self, planted, config, tmp_path):
+        """The version a checkpoint carries is the store schema's."""
+        graph, _ = planted
+        ckpt = save_checkpoint(tmp_path / "v.npz", AMMSBSampler(graph, config))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["schema"] = "repro-store/999"
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="unsupported store schema"):
             load_checkpoint(ckpt, graph)
 
     def test_state_validated_on_load(self, planted, config, tmp_path):
-        import json
-
         graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        ckpt = tmp_path / "bad.npz"
-        save_checkpoint(ckpt, s)
-        with np.load(str(ckpt)) as data:
-            meta = str(data["_meta"])
-            arrays = {k: data[k].copy() for k in data.files if k != "_meta"}
-        arrays["theta"][0, 0] = -1.0
-        np.savez_compressed(str(ckpt), _meta=meta, **arrays)
-        with pytest.raises(ValueError):
+        ckpt = save_checkpoint(tmp_path / "bad.npz", AMMSBSampler(graph, config))
+
+        def poison(members):
+            members["theta"][0, 0] = -1.0
+
+        _rewrite(ckpt, arrays=poison)  # digests agree: only validate() can object
+        with pytest.raises(CheckpointError, match="invalid state"):
             load_checkpoint(ckpt, graph)
-
-
-class TestUncompressedCheckpoint:
-    def test_compress_false_round_trip(self, planted, config, tmp_path):
-        graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        s.run(5)
-        fast = tmp_path / "fast.npz"
-        slow = tmp_path / "slow.npz"
-        save_checkpoint(fast, s, compress=False)
-        save_checkpoint(slow, s, compress=True)
-        # loads auto-detect either variant and restore identical state
-        r = load_checkpoint(fast, graph)
-        np.testing.assert_array_equal(r.state.pi, s.state.pi)
-        np.testing.assert_array_equal(r.state.theta, s.state.theta)
-        assert r.iteration == s.iteration
-        # the stored archive skips deflate, so it can only be >= in size
-        assert fast.stat().st_size >= slow.stat().st_size
-
-    def test_uncompressed_resume_is_bit_identical(self, planted, config, tmp_path):
-        graph, _ = planted
-        reference = AMMSBSampler(graph, config)
-        reference.run(10)
-        half = AMMSBSampler(graph, config)
-        half.run(5)
-        ckpt = tmp_path / "half.npz"
-        save_checkpoint(ckpt, half, compress=False)
-        resumed = load_checkpoint(ckpt, graph)
-        resumed.run(5)
-        np.testing.assert_array_equal(resumed.state.pi, reference.state.pi)
-
-
-class TestStoredByDefault:
-    """The default archive is stored (no zlib); loads read both variants."""
-
-    @staticmethod
-    def _compress_types(path):
-        with zipfile.ZipFile(path) as archive:
-            return {info.compress_type for info in archive.infolist()}
-
-    def test_default_is_stored_and_compress_deflates(self, planted, config, tmp_path):
-        graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        full = save_checkpoint(tmp_path / "full.npz", s)
-        state = save_state_checkpoint(tmp_path / "state.npz", s.state, 0, config)
-        assert self._compress_types(full) == {zipfile.ZIP_STORED}
-        assert self._compress_types(state) == {zipfile.ZIP_STORED}
-        packed = save_state_checkpoint(
-            tmp_path / "packed.npz", s.state, 0, config, compress=True
-        )
-        assert self._compress_types(packed) == {zipfile.ZIP_DEFLATED}
-
-    @pytest.mark.parametrize("compress", [False, True], ids=["stored", "deflated"])
-    def test_both_variants_load_and_fail_typed_when_truncated(
-        self, planted, config, tmp_path, compress
-    ):
-        graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        s.run(3)
-        full = save_checkpoint(tmp_path / "full.npz", s, compress=compress)
-        state = save_state_checkpoint(
-            tmp_path / "state.npz", s.state, s.iteration, config, compress=compress
-        )
-        np.testing.assert_array_equal(load_checkpoint(full, graph).state.pi, s.state.pi)
-        np.testing.assert_array_equal(load_state_checkpoint(state)[0].pi, s.state.pi)
-        for path, load in (
-            (full, lambda p: load_checkpoint(p, graph)),
-            (state, load_state_checkpoint),
-        ):
-            blob = path.read_bytes()
-            # losing the tail loses the zip directory; losing the head
-            # leaves a directory that points at damaged members
-            for damaged in (blob[: len(blob) // 2], blob[len(blob) // 2 :]):
-                path.write_bytes(damaged)
-                with pytest.raises(CheckpointError, match=str(path)):
-                    load(path)
 
 
 class TestAtomicWrite:
@@ -177,14 +106,14 @@ class TestAtomicWrite:
     def test_overwrite_is_all_or_nothing(self, planted, config, tmp_path):
         """An interrupted save must leave the previous checkpoint intact.
 
-        Simulated by making the final rename fail: the target directory
+        Simulated by making every rename fail: the target directory
         content is unchanged and still loads.
         """
         graph, _ = planted
         s = AMMSBSampler(graph, config)
         ckpt = tmp_path / "b.npz"
         save_checkpoint(ckpt, s)
-        good = ckpt.read_bytes()
+        good = {f.name: f.read_bytes() for f in ckpt.iterdir()}
 
         import repro.store.atomic as cp  # where the rename is spelled out
 
@@ -200,16 +129,18 @@ class TestAtomicWrite:
                 save_checkpoint(ckpt, s)
         finally:
             cp.os.replace = orig_replace
-        assert ckpt.read_bytes() == good
+        assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.npz"]
         load_checkpoint(ckpt, graph)
 
-    def test_bare_name_gets_npz_suffix(self, planted, config, tmp_path):
+    def test_path_is_used_as_given(self, planted, config, tmp_path):
+        """No suffix is appended or read: the path names a directory."""
         graph, _ = planted
         s = AMMSBSampler(graph, config)
-        written = save_checkpoint(tmp_path / "bare", s)
-        assert written.name == "bare.npz"
-        load_checkpoint(written, graph)
+        for name in ("bare", "dotted.npz"):
+            written = save_checkpoint(tmp_path / name, s)
+            assert written == tmp_path / name and written.is_dir()
+            load_checkpoint(written, graph)
 
 
 class TestCheckpointErrors:
@@ -222,41 +153,39 @@ class TestCheckpointErrors:
 
     def test_truncated_archive(self, planted, config, tmp_path):
         graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        ckpt = tmp_path / "t.npz"
-        save_checkpoint(ckpt, s)
-        blob = ckpt.read_bytes()
-        ckpt.write_bytes(blob[: len(blob) // 2])
+        ckpt = save_checkpoint(tmp_path / "t.npz", AMMSBSampler(graph, config))
+        blob = (ckpt / "pi.npy").read_bytes()
+        (ckpt / "pi.npy").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match=str(ckpt)):
             load_checkpoint(ckpt, graph)
 
     def test_garbage_file(self, planted, tmp_path):
         graph, _ = planted
         ckpt = tmp_path / "g.npz"
-        ckpt.write_bytes(b"this is not a zip archive")
-        with pytest.raises(CheckpointError, match="corrupt"):
+        ckpt.write_bytes(b"this is not a container")
+        with pytest.raises(CheckpointError, match="regular file.*repro convert"):
             load_checkpoint(ckpt, graph)
 
     def test_missing_array_key(self, planted, config, tmp_path):
-        import json
-
         graph, _ = planted
-        s = AMMSBSampler(graph, config)
-        ckpt = tmp_path / "k.npz"
-        save_checkpoint(ckpt, s)
-        with np.load(str(ckpt)) as data:
-            meta = str(data["_meta"])
-            arrays = {k: data[k] for k in data.files if k not in ("_meta", "pi")}
-        np.savez_compressed(str(ckpt), _meta=meta, **arrays)
+        ckpt = save_checkpoint(tmp_path / "k.npz", AMMSBSampler(graph, config))
+        _rewrite(ckpt, drop=("pi",))
         with pytest.raises(CheckpointError, match="'pi'"):
             load_checkpoint(ckpt, graph)
 
-    def test_missing_meta(self, planted, tmp_path):
+    def test_missing_meta(self, planted, config, tmp_path):
         graph, _ = planted
-        ckpt = tmp_path / "m.npz"
-        np.savez_compressed(str(ckpt), pi=np.zeros((2, 2)))
-        with pytest.raises(CheckpointError, match="_meta"):
+        ckpt = save_checkpoint(tmp_path / "m.npz", AMMSBSampler(graph, config))
+        _rewrite(ckpt, meta=lambda m: m.pop("iteration"))
+        with pytest.raises(CheckpointError, match="invalid metadata"):
             load_checkpoint(ckpt, graph)
+
+    def test_state_checkpoint_has_no_rng_streams(self, planted, config, tmp_path):
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        path = save_state_checkpoint(tmp_path / "st", s.state, 0, config)
+        with pytest.raises(CheckpointError, match="no RNG streams"):
+            load_checkpoint(path, graph)
 
     def test_error_is_a_value_error(self, planted, tmp_path):
         graph, _ = planted
@@ -281,21 +210,27 @@ class TestStateCheckpoint:
             load_state_checkpoint(tmp_path / "nope.npz")
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"junk")
-        with pytest.raises(CheckpointError, match="corrupt"):
+        with pytest.raises(CheckpointError, match="repro convert"):
             load_state_checkpoint(bad)
+
+    def test_reads_a_sampler_checkpoint_too(self, planted, config, tmp_path):
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        s.run(3)
+        state, iteration, cfg = load_state_checkpoint(save_checkpoint(tmp_path / "full", s))
+        assert iteration == 3 and cfg == config
+        np.testing.assert_array_equal(state.pi, s.state.pi)
 
 
 def _rewrite_config(path, mutate):
-    """Load a checkpoint archive, mutate its config dict, write it back."""
-    import json
+    """Mutate the config dict of the checkpoint at ``path`` and re-seal it."""
 
-    with np.load(str(path)) as data:
-        meta = json.loads(str(data["_meta"]))
-        arrays = {k: data[k] for k in data.files if k != "_meta"}
-    cfg = json.loads(meta["config"])
-    mutate(cfg)
-    meta["config"] = json.dumps(cfg)
-    np.savez_compressed(str(path), _meta=json.dumps(meta), **arrays)
+    def edit(meta):
+        cfg = json.loads(meta["config"])
+        mutate(cfg)
+        meta["config"] = json.dumps(cfg)
+
+    _rewrite(path, meta=edit)
 
 
 class TestConfigRoundTripHardening:

@@ -174,31 +174,66 @@ class TestDetectCheckpointing:
         assert rc == 0
         assert (tmp_path / "c2.txt").exists()
 
-    def test_resume_reads_a_deflated_checkpoint(self, tmp_path, monkeypatch):
-        """``--checkpoint`` writes stored archives; ``--resume`` also reads
-        the deflated ones earlier versions wrote."""
-        import functools
-        import zipfile
+    def test_killed_run_resumes_bit_for_bit(self, tmp_path, capsys):
+        """A run killed after a ``--checkpoint`` write and resumed ends
+        where the uninterrupted run ends: same covers, same perplexity
+        window (the last report line averages it)."""
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        detect = ["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32"]
+        assert main(detect + ["--iterations", "100", "--output", str(tmp_path / "whole.txt"),
+                              "--checkpoint", str(tmp_path / "whole")]) == 0
+        whole = capsys.readouterr().err.strip().splitlines()
+        # the "kill": a run that stops at iteration 50 having just checkpointed
+        assert main(detect + ["--iterations", "50", "--output", str(tmp_path / "half.txt"),
+                              "--checkpoint", str(tmp_path / "half")]) == 0
+        capsys.readouterr()
+        assert main(detect + ["--iterations", "100", "--output", str(tmp_path / "resumed.txt"),
+                              "--resume", str(tmp_path / "half"),
+                              "--checkpoint", str(tmp_path / "half")]) == 0
+        resumed = capsys.readouterr().err.strip().splitlines()
+        last_report = [line for line in whole if line.startswith("iter")][-1]
+        assert last_report.split()[1] == "100"
+        assert last_report in resumed  # the perplexity window continued
+        from repro.core.checkpoint import load_state_checkpoint
 
-        import repro.core.checkpoint as checkpoint_module
+        a, b = load_state_checkpoint(tmp_path / "whole"), load_state_checkpoint(tmp_path / "half")
+        assert a[1] == b[1] == 100
+        for name in ("pi", "phi_sum", "theta"):
+            assert np.array_equal(getattr(a[0], name), getattr(b[0], name))
+
+    @pytest.mark.parametrize("damage", ["missing", "legacy-npz", "flipped-byte", "edited-manifest"])
+    def test_unloadable_checkpoint_is_one_line_exit_3(self, tmp_path, capsys, damage):
+        import json
 
         edges = tmp_path / "g.txt"
         main(["generate", "--vertices", "120", "--communities", "3",
               "--output", str(edges)])
-        detect = ["detect", "--edges", str(edges), "-k", "3",
-                  "--mini-batch", "32", "--output", str(tmp_path / "c.txt")]
-        stored, deflated = tmp_path / "stored.npz", tmp_path / "deflated.npz"
-        assert main(detect + ["--iterations", "50", "--checkpoint", str(stored)]) == 0
-        monkeypatch.setattr(
-            checkpoint_module,
-            "save_checkpoint",
-            functools.partial(checkpoint_module.save_checkpoint, compress=True),
-        )
-        assert main(detect + ["--iterations", "50", "--checkpoint", str(deflated)]) == 0
-        for path, kind in ((stored, zipfile.ZIP_STORED), (deflated, zipfile.ZIP_DEFLATED)):
-            with zipfile.ZipFile(path) as archive:
-                assert {i.compress_type for i in archive.infolist()} == {kind}
-            assert main(detect + ["--iterations", "80", "--resume", str(path)]) == 0
+        detect = ["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32",
+                  "--iterations", "20", "--output", str(tmp_path / "c.txt")]
+        ckpt = tmp_path / "ck"
+        assert main(detect + ["--checkpoint", str(ckpt)]) == 0
+        if damage == "missing":
+            ckpt = tmp_path / "nope"
+        elif damage == "legacy-npz":
+            ckpt = tmp_path / "old.npz"
+            np.savez(ckpt, _meta=json.dumps({"version": 1}), pi=np.ones((2, 2)))
+        elif damage == "flipped-byte":
+            raw = bytearray((ckpt / "pi.npy").read_bytes())
+            raw[-3] ^= 0x40
+            (ckpt / "pi.npy").write_bytes(bytes(raw))
+        else:
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["meta"]["iteration"] = 7
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(detect + ["--resume", str(ckpt)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("loaded ")  # the graph, then the refusal
+        assert err[1].startswith("cannot load checkpoint: ") and str(ckpt) in err[1]
+        if damage == "legacy-npz":
+            assert "repro convert" in err[1]
 
 
 class TestChaos:
@@ -379,7 +414,8 @@ class TestStreamCommand:
         assert len(drift["generations"]) == 3
         assert "drift 999999" in captured.err
         assert "final artifact" in captured.err
-        assert (tmp_path / "wd" / "artifact.npz").exists()
+        assert (tmp_path / "wd" / "artifact" / "manifest.json").exists()
+        assert (tmp_path / "wd" / "history" / "manifest.json").exists()
 
     def test_too_few_arrivals_exit_2(self, tmp_path, capsys):
         f = tmp_path / "tiny.txt"

@@ -32,9 +32,9 @@ from repro.serve.artifact import (
     export_state_artifact,
     load_artifact,
     save_artifact,
-    save_artifact_v2,
 )
 from repro.store import Container, write_container
+from tests.conftest import reseal_container
 
 
 @pytest.fixture()
@@ -146,20 +146,6 @@ class TestRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.npz"]
 
 
-def _tamper(path, mutate_meta=None, drop=None, mutate_arrays=None):
-    with np.load(str(path)) as data:
-        meta = json.loads(str(data["_meta"]))
-        arrays = {
-            k: data[k].copy() for k in data.files
-            if k != "_meta" and k != drop
-        }
-    if mutate_meta:
-        mutate_meta(meta)
-    if mutate_arrays:
-        mutate_arrays(arrays)
-    np.savez_compressed(str(path), _meta=json.dumps(meta), **arrays)
-
-
 class TestArtifactErrors:
     @pytest.fixture()
     def saved(self, small_state, config, tmp_path):
@@ -172,23 +158,24 @@ class TestArtifactErrors:
 
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "junk.npz"
-        bad.write_bytes(b"not a zip")
-        with pytest.raises(ArtifactError, match="corrupt"):
+        bad.write_bytes(b"not a container")
+        with pytest.raises(ArtifactError, match="regular file.*repro convert") as ei:
             load_artifact(bad)
+        assert not isinstance(ei.value, ArtifactCorrupt)  # nothing to quarantine
 
     def test_wrong_schema(self, saved):
-        _tamper(saved, mutate_meta=lambda m: m.update(schema="bogus/9"))
-        with pytest.raises(ArtifactError, match="expected schema"):
+        reseal_container(saved, kind="bogus/9")
+        with pytest.raises(ArtifactError, match="expected container kind"):
             load_artifact(saved)
 
     def test_wrong_format_version(self, saved):
-        _tamper(saved, mutate_meta=lambda m: m.update(version=999))
+        reseal_container(saved, meta=lambda m: m.update(format_version=999))
         with pytest.raises(ArtifactError, match="unsupported artifact version"):
             load_artifact(saved)
 
     def test_missing_array(self, saved):
-        _tamper(saved, drop="beta")
-        with pytest.raises(ArtifactError, match="missing array 'beta'"):
+        reseal_container(saved, drop=("beta",))
+        with pytest.raises(ArtifactError, match="no array 'beta'"):
             load_artifact(saved)
 
     def test_tampered_config(self, saved):
@@ -197,7 +184,7 @@ class TestArtifactErrors:
             cfg.pop("delta")
             m["config"] = json.dumps(cfg)
 
-        _tamper(saved, mutate_meta=strip_field)
+        reseal_container(saved, meta=strip_field)
         with pytest.raises(ArtifactError, match="missing config field"):
             load_artifact(saved)
 
@@ -205,9 +192,9 @@ class TestArtifactErrors:
         def poison(arrays):
             arrays["pi"][0] = -1.0
 
-        _tamper(saved, mutate_arrays=poison)
-        with pytest.raises(ArtifactError, match="invalid snapshot"):
-            load_artifact(saved)
+        reseal_container(saved, arrays=poison)
+        with pytest.raises(ArtifactCorrupt, match="invalid snapshot"):
+            load_artifact(saved, verify="full")
 
     def test_error_is_a_value_error(self, tmp_path):
         with pytest.raises(ValueError):
@@ -215,39 +202,32 @@ class TestArtifactErrors:
 
 
 class TestV2Format:
-    """v2 store-container directories next to the legacy v1 ``.npz``."""
+    """The artifact is a store-container directory, whatever its name."""
 
     @pytest.fixture()
     def art(self, small_state, config):
         return build_artifact(small_state, config, iteration=5)
 
-    def test_auto_dispatch_by_suffix(self, art, tmp_path):
-        p1 = save_artifact(tmp_path / "m.npz", art)  # v1: single file
-        p2 = save_artifact(tmp_path / "m_v2", art)  # v2: directory
-        assert p1.is_file() and p2.is_dir()
+    def test_suffix_is_ignored(self, art, tmp_path):
         from repro.store import is_container
 
-        assert is_container(p2) and not is_container(p1)
+        for name in ("m.npz", "m_v2", "m.store"):
+            path = save_artifact(tmp_path / name, art)
+            assert path == tmp_path / name and is_container(path)
+            assert load_artifact(path, verify="full").version == art.version
 
-    def test_forced_formats(self, art, tmp_path):
-        assert save_artifact(tmp_path / "a", art, format="npz").is_file()
-        assert save_artifact(tmp_path / "b.npz", art, format="dir").is_dir()
-        with pytest.raises(ValueError, match="format"):
-            save_artifact(tmp_path / "c", art, format="bogus")
-
-    def test_v2_round_trip_matches_v1(self, art, tmp_path):
-        v1 = load_artifact(save_artifact(tmp_path / "m.npz", art))
-        v2 = load_artifact(save_artifact_v2(tmp_path / "m_v2", art))
-        assert v2.version == v1.version == art.version
+    def test_v2_round_trip(self, art, tmp_path):
+        v2 = load_artifact(save_artifact(tmp_path / "m_v2", art))
+        assert v2.version == art.version
         assert v2.iteration == 5 and v2.config == art.config
         for name in ("pi", "theta", "beta", "node_ids", "top_communities",
                      "top_weights"):
             np.testing.assert_array_equal(
-                np.asarray(getattr(v2, name)), getattr(v1, name)
+                np.asarray(getattr(v2, name)), getattr(art, name)
             )
 
     def test_v2_arrays_are_mapped_readonly(self, art, tmp_path):
-        v2 = load_artifact(save_artifact_v2(tmp_path / "m", art))
+        v2 = load_artifact(save_artifact(tmp_path / "m", art))
         base = v2.pi if isinstance(v2.pi, np.memmap) else v2.pi.base
         assert isinstance(base, np.memmap)
         with pytest.raises((ValueError, RuntimeError)):
@@ -255,21 +235,21 @@ class TestV2Format:
 
     def test_v2_resident_provider(self, art, tmp_path):
         v2 = load_artifact(
-            save_artifact_v2(tmp_path / "m", art), provider="resident"
+            save_artifact(tmp_path / "m", art), provider="resident"
         )
         assert not isinstance(v2.pi, np.memmap)
         assert not isinstance(v2.pi.base, np.memmap)
         np.testing.assert_array_equal(np.asarray(v2.pi), art.pi)
 
     def test_verify_levels(self, art, tmp_path):
-        path = save_artifact_v2(tmp_path / "m", art)
+        path = save_artifact(tmp_path / "m", art)
         for verify in (False, True, "full"):
             got = load_artifact(path, verify=verify)
             assert got.version == art.version
         load_artifact(path, verify="full").verify_deep()
 
     def test_v2_corruption_caught_at_full_verify(self, art, tmp_path):
-        path = save_artifact_v2(tmp_path / "m", art)
+        path = save_artifact(tmp_path / "m", art)
         f = path / "pi.npy"
         raw = bytearray(f.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
@@ -289,7 +269,7 @@ class TestV2Format:
             load_artifact(tmp_path / "absent_dir")
 
     def test_nbytes_reported(self, art, tmp_path):
-        v2 = load_artifact(save_artifact_v2(tmp_path / "m", art))
+        v2 = load_artifact(save_artifact(tmp_path / "m", art))
         assert v2.nbytes() >= art.pi.nbytes
 
 
@@ -316,7 +296,7 @@ class TestProviderBitEquivalence:
         rng = np.random.default_rng(seed + 1)
         pairs = rng.integers(0, n, size=(32, 2)).astype(np.int64)
         with tempfile.TemporaryDirectory() as tmp:
-            path = save_artifact_v2(Path(tmp) / "m", art)
+            path = save_artifact(Path(tmp) / "m", art)
             results = {}
             for provider in ("resident", "mmap"):
                 loaded = load_artifact(path, provider=provider)
@@ -352,7 +332,7 @@ class TestValidate:
             ),
         )
         with pytest.raises(ArtifactError, match="unique"):
-            load_artifact(path)
+            load_artifact(path, verify="full")
 
 
 def _version_by_copy(config_json, pi, theta):

@@ -158,10 +158,10 @@ class TestPlanBitReproducible:
         art = _artifact(n=20, k=3)
         damaged = []
         for run in range(2):
-            path = tmp_path_factory.mktemp("bitrepro") / f"a{run}.npz"
+            path = tmp_path_factory.mktemp("bitrepro") / f"a{run}"
             save_artifact(path, art)
             ServeFaultPlan(seed=seed).corrupt_file(path, "flip")
-            damaged.append(path.read_bytes())
+            damaged.append((path / "pi.npy").read_bytes())
         assert damaged[0] == damaged[1]
 
     def test_truncate_and_payload_deterministic(self, tmp_path):
@@ -169,10 +169,10 @@ class TestPlanBitReproducible:
         blobs = {"truncate": [], "payload": []}
         for mode in blobs:
             for run in range(2):
-                path = tmp_path / f"{mode}{run}.npz"
+                path = tmp_path / f"{mode}{run}"
                 save_artifact(path, art)
                 ServeFaultPlan(seed=11).corrupt_file(path, mode)
-                blobs[mode].append(path.read_bytes())
+                blobs[mode].append((path / "pi.npy").read_bytes())
         assert blobs["truncate"][0] == blobs["truncate"][1]
         assert blobs["payload"][0] == blobs["payload"][1]
 
@@ -199,7 +199,7 @@ class TestArtifactIntegrity:
     @pytest.fixture()
     def saved(self, tmp_path):
         art = _artifact()
-        return art, save_artifact(tmp_path / "model.npz", art)
+        return art, save_artifact(tmp_path / "model", art)
 
     def test_clean_roundtrip_verifies(self, saved):
         art, path = saved
@@ -208,21 +208,23 @@ class TestArtifactIntegrity:
 
     @pytest.mark.parametrize("mode", ["flip", "truncate", "payload"])
     def test_each_corruption_mode_is_caught(self, saved, mode):
+        """By the full verify a publish runs — every mode damages ``pi.npy``,
+        whose digest the default load defers."""
         _, path = saved
         ServeFaultPlan(seed=0).corrupt_file(path, mode)
         with pytest.raises(ArtifactCorrupt):
-            load_artifact(path)
+            load_artifact(path, verify="full")
 
     def test_payload_swap_passes_without_verify(self, saved):
-        """The payload mode is invisible to CRC + invariants — only the
-        recomputed SHA-256 content version catches it."""
+        """The payload mode is invisible to headers + invariants — only
+        the member's sha256 in the sealed manifest catches it."""
         art, path = saved
         ServeFaultPlan(seed=0).corrupt_file(path, "payload")
         loaded = load_artifact(path, verify=False)
         loaded.validate()  # structurally fine...
         assert not np.array_equal(loaded.pi, art.pi)  # ...but not what we wrote
-        with pytest.raises(ArtifactCorrupt, match="content version mismatch"):
-            load_artifact(path, verify=True)
+        with pytest.raises(ArtifactCorrupt, match="sha256 mismatch"):
+            load_artifact(path, verify="full")
 
     def test_corrupt_is_a_typed_subclass(self, saved):
         _, path = saved
@@ -244,13 +246,13 @@ class TestArtifactIntegrity:
         art = _artifact()
         names = []
         for _ in range(3):
-            path = save_artifact(tmp_path / "model.npz", art)
+            path = save_artifact(tmp_path / "model", art)
             names.append(quarantine_artifact(path).name)
             assert not path.exists()
         assert names == [
-            "model.npz.quarantined",
-            "model.npz.quarantined.1",
-            "model.npz.quarantined.2",
+            "model.quarantined",
+            "model.quarantined.1",
+            "model.quarantined.2",
         ]
 
 
@@ -324,12 +326,12 @@ class TestSwapFailureRollback:
     def test_publish_path_quarantines_corruption(self, tmp_path):
         art = _artifact()
         with ModelServer(art, n_workers=0) as server:
-            path = save_artifact(tmp_path / "swap.npz", _perturbed(art))
+            path = save_artifact(tmp_path / "swap", _perturbed(art))
             ServeFaultPlan(seed=0).corrupt_file(path, "payload")
             with pytest.raises(ArtifactCorrupt) as ei:
                 server.publish_path(path)
             assert not path.exists()  # moved aside
-            assert ei.value.quarantined.name == "swap.npz.quarantined"
+            assert ei.value.quarantined.name == "swap.quarantined"
             assert server.generation == 0  # untouched
             res = server.metrics.snapshot()["resilience"]
             assert res["quarantines"] == 1 and res["publish_failures"] == 1
@@ -338,16 +340,16 @@ class TestSwapFailureRollback:
         art = _artifact()
         new = _perturbed(art)
         with ModelServer(art, n_workers=0) as server:
-            path = save_artifact(tmp_path / "swap.npz", new)
+            path = save_artifact(tmp_path / "swap", new)
             assert server.publish_path(path) == 1
             assert server.artifact.version == new.version
 
 
 class TestV2ArtifactFaults:
-    """Corruption handling for v2 (store-container) artifact directories."""
+    """Corruption handling for artifact container directories."""
 
     def _save_v2(self, tmp_path, art, name="swap_v2"):
-        return save_artifact(tmp_path / name, art, format="dir")
+        return save_artifact(tmp_path / name, art)
 
     def test_corrupt_array_file_quarantined(self, tmp_path):
         art = _artifact()
@@ -424,11 +426,12 @@ class TestValidateOnce:
         monkeypatch.setattr(ModelArtifact, "validate", counting)
         return calls
 
-    @pytest.mark.parametrize("fmt", ["dir", "npz"])
+    @pytest.mark.parametrize("fmt", ["dir", "npz"])  # a name, not a format
     def test_publish_path_validates_once(self, tmp_path, validations, fmt):
         art = _artifact()
         new = _perturbed(art)
-        path = save_artifact(tmp_path / f"swap.{fmt}", new, format=fmt)
+        path = save_artifact(tmp_path / f"swap.{fmt}", new)
+        assert path.is_dir()
         with ModelServer(art, n_workers=0) as server:
             validations.clear()
             assert server.publish_path(path) == 1
@@ -461,7 +464,7 @@ class TestValidateOnce:
             top_weights=art.top_weights,
             version=_content_version(_config_to_json(art.config), bad_pi, art.theta),
         )
-        path = save_artifact(tmp_path / "bad", bad, format="dir")
+        path = save_artifact(tmp_path / "bad", bad)
         with ModelServer(art, n_workers=0) as server:
             with pytest.raises(ArtifactCorrupt, match="normalized"):
                 server.publish_path(path)

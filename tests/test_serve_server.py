@@ -382,6 +382,54 @@ class TestHistoryPersistence:
             pass
         assert hpath.exists()
 
+    def test_queries_are_answered_while_a_history_save_is_in_flight(
+        self, tmp_path, monkeypatch
+    ):
+        """The publish records the generation under the queue lock and
+        writes the history after releasing it: a submit (and the worker
+        that answers it) does not wait for the write."""
+        from repro.stream.tracking import MembershipHistory
+
+        art = _artifact()
+        new = _perturbed(art)
+        started, release = threading.Event(), threading.Event()
+        real_save = MembershipHistory.save
+
+        def slow_save(self, path):
+            started.set()
+            assert release.wait(timeout=30)
+            return real_save(self, path)
+
+        hpath = tmp_path / "history"
+        with ModelServer(art, n_workers=1, drift_window=4, history_path=hpath) as server:
+            monkeypatch.setattr(MembershipHistory, "save", slow_save)
+            publisher = threading.Thread(target=server.publish, args=(new,))
+            publisher.start()
+            try:
+                assert started.wait(timeout=30)
+                pairs = np.array([[0, 1], [2, 3]])
+                answer = server.link_probability(pairs).result(timeout=10)
+                assert publisher.is_alive()  # the save has not returned
+                np.testing.assert_array_equal(
+                    answer, QueryEngine(new).link_probability(pairs)
+                )
+                d = server.query("membership_drift", 0, None, timeout=10)
+                assert len(d["generations"]) == 2  # recorded before the write
+            finally:
+                release.set()
+                publisher.join(timeout=30)
+            assert not publisher.is_alive()
+        assert len(MembershipHistory.load(hpath).generations) == 2
+
+    def test_unwritable_history_path_degrades_durability_not_serving(self, tmp_path):
+        art = _artifact()
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with ModelServer(
+            art, n_workers=0, drift_window=4, history_path=blocker / "history"
+        ) as server:
+            assert server.publish(_perturbed(art)) == 1
+
     def test_no_history_path_keeps_memory_only_behavior(self):
         art = _artifact()
         with ModelServer(art, n_workers=0, drift_window=4) as server:

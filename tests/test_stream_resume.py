@@ -319,51 +319,42 @@ class TestWorkdirStaysBounded:
         trainer.journal.close()
 
 
-def test_resume_reads_a_deflated_checkpoint(stream, tmp_path):
-    """A workdir as the parent commits wrote it still resumes: the manifest
-    names a ``checkpoint_gNNNN.npz`` (deflated, as the oldest writers left
-    it) and the publish path is a v1 ``.npz`` *file*."""
+def test_pre_container_workdir_is_refused_naming_the_file_and_the_command(stream, tmp_path):
+    """A workdir whose manifest names a ``checkpoint_gNNNN.npz`` *file* is
+    not resumed in place; the converted checkpoint seeds a new stream."""
+    from repro.legacy import convert
+
     base, batches = stream
     work = tmp_path / "work"
     trainer = _trainer(base, tmp_path)
     trainer.run_generation(batches[0])
     trainer.journal.close()
-    legacy = save_state_checkpoint(
-        work / "checkpoint_g0000.npz", trainer.state, trainer.iteration,
-        trainer.config, compress=True,
+    legacy = work / "checkpoint_g0000.npz"
+    config_json = read_manifest(work / "model_g0000.store")["meta"]["config"]
+    np.savez_compressed(  # the v1 state-checkpoint layout (repro/legacy.py)
+        legacy,
+        _meta=json.dumps({"version": 1, "kind": "state", "iteration": trainer.iteration,
+                          "config": config_json}),
+        pi=trainer.state.pi, phi_sum=trainer.state.phi_sum, theta=trainer.state.theta,
     )
-    with zipfile.ZipFile(legacy) as archive:
-        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
     shutil.rmtree(work / "model_g0000.store")
-    shutil.rmtree(tmp_path / "artifact.npz")
-    save_artifact(
-        tmp_path / "artifact.npz",
-        build_artifact(trainer.state, trainer.config, trainer.iteration),
-        format="npz",
-    )
     manifest = StreamTrainer.read_manifest(work)
     manifest["checkpoint_path"] = legacy.name
     (work / "manifest.json").write_text(json.dumps(manifest))
 
-    resumed = StreamTrainer.resume(
-        work, iterations_per_generation=N_ITER, heldout_fraction=0.05
+    with pytest.raises(ResumeError, match=r"checkpoint_g0000\.npz.*repro convert"):
+        StreamTrainer.resume(work, iterations_per_generation=N_ITER, heldout_fraction=0.05)
+
+    kind, warm = convert(legacy, tmp_path / "warm")
+    assert kind == "state checkpoint"
+    seeded = StreamTrainer.from_checkpoint(
+        warm, load_csr(work / "graph_g0000.csr"), tmp_path / "work2",
+        iterations_per_generation=N_ITER, heldout_fraction=0.05,
     )
-    np.testing.assert_array_equal(resumed.state.pi, trainer.state.pi)
-    assert resumed.iteration == trainer.iteration
-    # the next generation replaces the v1 file by a container directory and
-    # sweeps the legacy checkpoint once two newer generations exist
-    with ModelServer(load_artifact(tmp_path / "artifact.npz"), n_workers=0) as server:
-        resumed.publish_callback = lambda path, _gen: server.publish_path(path)
-        resumed.run_generation(batches[1])
-        resumed.run_generation(batches[2])
-        assert server.generation == 2
-        np.testing.assert_array_equal(server.artifact.pi, resumed.state.pi)
-    assert _generation_files(work) == [
-        "graph_g0001.csr", "graph_g0002.csr",
-        "model_g0001.store", "model_g0002.store",
-    ]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.npz", "work"]
-    resumed.journal.close()
+    np.testing.assert_array_equal(seeded.state.pi, trainer.state.pi)
+    assert seeded.iteration == trainer.iteration and seeded.config == trainer.config
+    seeded.run_generation(batches[1])
+    seeded.journal.close()
 
 
 def _digest(state) -> str:
@@ -503,7 +494,7 @@ class TestOneWritePerGeneration:
             assert not publish.exists()
             assert server.artifact.version == good and server.generation == 0
         trainer.journal.close()
-        with pytest.raises(CheckpointError, match="sha256 mismatch"):
+        with pytest.raises(ResumeError, match=r"model_g0001\.store.*sha256 mismatch"):
             StreamTrainer.resume(
                 tmp_path / "work", iterations_per_generation=N_ITER, heldout_fraction=0.05
             )
