@@ -15,8 +15,9 @@ Subcommands:
   a memory-mappable CSR store container;
 - ``repro calibrate`` — print the Table III calibration report;
 - ``repro chaos`` — run the fault-injection drill (worker crash, DKV
-  server stall, RDMA failures) against the multiprocess backend and
-  report the recovery;
+  server stall, RDMA failures) against the multiprocess backend, report
+  the recovery and check that the recovered run ends on the fault-free
+  run's digest;
 - ``repro chaos-serve`` — run the serving-tier chaos drill (corrupt
   publishes, mid-swap failure, worker-thread crash, latency spikes)
   against a live model server under load and assert the recovery
@@ -60,6 +61,7 @@ up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -504,16 +506,28 @@ def _cmd_calibrate(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _state_digest(state) -> str:
+    h = hashlib.sha256()
+    for array in (state.pi, state.phi_sum, state.theta):
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()[:16]
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injection drill: prove a run survives the chaos plan.
+    """Fault-injection drill: prove a run survives the chaos plan on the
+    fault-free trajectory.
 
     Runs the real multiprocess backend under a seeded
     :class:`~repro.faults.FaultPlan` (one worker crash + background
-    faults), then replays the plan's DKV server stall on the simulated
-    cluster to show the stale-read degradation accounting.
+    faults), then the same configuration without faults (multiprocess)
+    and sequentially: the three final states must have one digest (exit
+    1 otherwise). Then replays the plan's DKV server stall on the
+    simulated cluster to show the stale-read degradation accounting —
+    stale reads are real numerics, so that run leaves the trajectory.
     """
     from repro.cluster.spec import das5
     from repro.config import AMMSBConfig, StepSizeConfig
+    from repro.core.sampler import AMMSBSampler
     from repro.dist.mp import MultiprocessAMMSBSampler
     from repro.dist.sampler import DistributedAMMSBSampler
     from repro.faults import FaultPlan, chaos_plan
@@ -533,7 +547,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         split = split_heldout(graph, 0.03, np.random.default_rng(args.seed + 1))
         config = AMMSBConfig(
             n_communities=args.communities,
-            mini_batch_vertices=max(16, args.vertices // 8),
+            # a budget of N: a few row blocks, so the victim owns rows
+            mini_batch_vertices=args.vertices,
             neighbor_sample_size=16,
             step_phi=StepSizeConfig(a=0.05),
             step_theta=StepSizeConfig(a=0.05),
@@ -567,7 +582,29 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"  completed {s.iteration} iterations on "
               f"{len(s.active_workers)}/{args.workers} workers, "
               f"perplexity {perp:.4f}")
-        s.state_snapshot().validate()
+        crashed = s.state_snapshot()
+        crashed.validate()
+
+    print("== trajectory: crashed run vs fault-free runs ==")
+    with MultiprocessAMMSBSampler(
+        split.train, config, n_workers=args.workers, heldout=split,
+        heartbeat_timeout=args.heartbeat_timeout,
+    ) as s:
+        s.run(args.iterations)
+        clean_mp = s.state_snapshot()
+    sequential = AMMSBSampler(split.train, config, heldout=split)
+    sequential.run(args.iterations)
+    digests = {
+        "crashed multiprocess": _state_digest(crashed),
+        "fault-free multiprocess": _state_digest(clean_mp),
+        "sequential": _state_digest(sequential.state),
+    }
+    for name, digest in digests.items():
+        print(f"  {name:<24} {digest}")
+    if len(set(digests.values())) != 1:
+        print("drill failed: the recovered run left the fault-free trajectory",
+              file=sys.stderr)
+        return 1
 
     print("== simulated cluster: DKV stall + stale-read degradation ==")
     sim_plan = FaultPlan(seed=plan.seed, server_stalls=plan.server_stalls)
@@ -585,7 +622,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"breaker_opens={fs.breaker_opens} max_staleness={fs.max_staleness}")
     print(f"  simulated time {clean.timing.total_seconds:.4f}s clean -> "
           f"{armed.timing.total_seconds:.4f}s degraded")
-    print("drill passed: no hang, run completed under faults")
+    print("drill passed: no hang, run completed under faults on the fault-free trajectory")
     return 0
 
 

@@ -3,7 +3,8 @@
 The paper's convergence runs take up to ~40 hours (Figure 6); any
 production deployment needs durable checkpoints. A checkpoint captures
 the model state (pi, phi_sum, theta), the iteration counter, the
-configuration, and the exact RNG states, so a resumed run continues
+configuration, and the master RNG stream's state (every other random
+number is keyed by iteration and block), so a resumed run continues
 **bit-for-bit identically** to an uninterrupted one (verified in
 ``tests/test_checkpoint.py``).
 
@@ -24,12 +25,11 @@ checkpoints written before this format are read by ``repro convert``
 Two granularities are offered:
 
 - :func:`save_checkpoint` / :func:`load_checkpoint` — full single-process
-  sampler state including RNG streams (bit-exact resume);
+  sampler state including the master RNG stream (bit-exact resume);
 - :func:`save_state_checkpoint` / :func:`load_state_checkpoint` — model
   state + iteration + config only, backend-agnostic. Used by the
-  multiprocess runtime's auto-checkpointing, where per-worker RNG
-  streams live in other processes and a resume restarts them from seed
-  (coarse-grained disaster recovery). :func:`load_state_checkpoint`
+  multiprocess runtime's auto-checkpointing, whose resume restarts the
+  master stream from its seed (coarse-grained disaster recovery). :func:`load_state_checkpoint`
   reads every container that holds a state: either checkpoint above, or
   a stream generation's model container.
 """
@@ -141,13 +141,12 @@ def _state_arrays(state: ModelState) -> dict[str, np.ndarray]:
 def save_checkpoint(path: PathLike, sampler: AMMSBSampler) -> Path:
     """Atomically write the sampler's full state as a container at ``path``:
     the state arrays and the perplexity window's running sum as members,
-    iteration, config, both RNG streams and the window's count in the
-    sealed meta."""
+    iteration, config, the master RNG stream and the window's count in
+    the sealed meta."""
     meta = {
         "iteration": sampler.iteration,
         "config": _config_to_json(sampler.config),
         "rng_state": sampler.rng.bit_generator.state,
-        "noise_rng_state": sampler.noise_rng.bit_generator.state,
     }
     arrays = _state_arrays(sampler.state)
     est = sampler.perplexity_estimator
@@ -173,18 +172,17 @@ def load_checkpoint(path: PathLike, graph, heldout=None) -> AMMSBSampler:
     Raises:
         CheckpointError: the path is missing or a regular file, a member
             or the manifest is damaged, required keys are missing (a
-            state-only checkpoint has no RNG streams), or the state
+            state-only checkpoint has no RNG stream), or the state
             fails validation.
     """
     container, state, iteration, config = _read_state(path)
     meta = container.meta
-    if "rng_state" not in meta or "noise_rng_state" not in meta:
-        raise CheckpointError(path, "holds a model state but no RNG streams (a state checkpoint)")
+    if "rng_state" not in meta:
+        raise CheckpointError(path, "holds a model state but no RNG stream (a state checkpoint)")
     sampler = AMMSBSampler(graph, config, heldout=heldout, state=state)
     sampler.iteration = iteration
     try:
         sampler.rng.bit_generator.state = meta["rng_state"]
-        sampler.noise_rng.bit_generator.state = meta["noise_rng_state"]
         est = sampler.perplexity_estimator
         if est is not None and "perp_prob_sum" in container:
             est._prob_sum = container.array("perp_prob_sum")
@@ -200,7 +198,7 @@ def load_checkpoint(path: PathLike, graph, heldout=None) -> AMMSBSampler:
 def save_state_checkpoint(
     path: PathLike, state: ModelState, iteration: int, config: AMMSBConfig
 ) -> Path:
-    """Atomically write a bare model state (no RNG streams).
+    """Atomically write a bare model state (no RNG stream).
 
     The portable subset every backend shares — used by the multiprocess
     runtime's auto-checkpointing and as the stream's warm start.

@@ -23,18 +23,105 @@ vertices per mini-batch vertex, with held-out pairs masked out so test
 data never leaks into training. Both ``y_ab`` and the held-out test are
 row lookups (:func:`repro.graph.graph.rows_contain`) in the adjacency of
 the mini-batch vertices only.
+
+Randomness past the mini-batch draw is keyed by *what* is computed, not
+by who computes it: the mini-batch rows fall into fixed blocks of
+:data:`ROW_BLOCK`, its pairs into fixed blocks of :data:`PAIR_BLOCK`, and
+every per-block random number comes from :func:`block_rng`, a
+counter-based generator that is a pure function of (key, stream, block,
+iteration). So every engine, thread count and worker count draws the
+same neighbor sets and noise for the same row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.graph.graph import Graph, in_sorted
+
+#: Mini-batch rows per random block. ``train_sampling``'s M = 256 budget
+#: is four blocks: work for up to four threads or workers, for two
+#: generator constructions and six re-seatings (~9 and ~2.5 us) an
+#: iteration.
+ROW_BLOCK = 64
+#: Mini-batch pairs per theta-partial block: one block an iteration at
+#: M = 256 (~250 pairs), one or two at M = 512, because each block is one
+#: kernel call with a fixed cost (~50 us at K = 32, ~80 at K = 128) and
+#: its own term of the reduce.
+PAIR_BLOCK = 512
+
+#: ``block_rng`` streams: one per kind of random number of an iteration
+NEIGHBORS, PHI_NOISE, THETA_NOISE = range(3)
+
+
+def _key_and_counter(key: int, stream: int, block: int, iteration: int):
+    # uint64 arrays: a list holding a key >= 2**63 would go through float64
+    return (
+        np.array([key, stream], dtype=np.uint64),
+        np.array([0, block, iteration, 0], dtype=np.uint64),
+    )
+
+
+def block_rng(key: int, stream: int, block: int, iteration: int = 0) -> np.random.Generator:
+    """The generator of one block's random numbers: Philox keyed by
+    ``(key, stream)``, counter ``[0, block, iteration, 0]``.
+
+    The only per-block generator there is. Philox increments the first
+    counter word, so keeping it at 0 gives every (block, iteration) its
+    own 2**64 counters; ``[iteration, block, 0, 0]`` would make block b
+    of iteration t+1 block b of iteration t shifted by four outputs.
+    """
+    key_words, counter = _key_and_counter(key, stream, block, iteration)
+    return np.random.Generator(np.random.Philox(key=key_words, counter=counter))
+
+
+def seat(
+    generator: np.random.Generator, key: int, stream: int, block: int, iteration: int = 0
+) -> np.random.Generator:
+    """Put a :func:`block_rng` generator where a fresh ``block_rng(key,
+    stream, block, iteration)`` starts, for a third of a construction's
+    cost (a construction also gathers OS entropy, then discards it)."""
+    key_words, counter = _key_and_counter(key, stream, block, iteration)
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"key": key_words, "counter": counter},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
+
+
+def n_blocks(n: int, size: int) -> int:
+    """How many blocks of ``size`` cover ``n`` items (the last may be short)."""
+    return -(-n // size)
+
+
+def block_draws(
+    key: int,
+    stream: int,
+    blocks: Sequence[int],
+    n_rows: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    iteration: int = 0,
+) -> np.ndarray:
+    """``draw(generator, rows)`` per row block, stacked in the order of
+    ``blocks``: ``n_rows`` rows in all, :data:`ROW_BLOCK` per block but
+    the last, which may be short (a shard's blocks are whole blocks of the
+    mini-batch, and only the mini-batch's last one is short). One
+    generator, re-seated from block to block."""
+    generator = block_rng(key, stream, blocks[0] if len(blocks) else 0, iteration)
+    parts = [draw(generator, min(n_rows, ROW_BLOCK))]
+    for j, b in enumerate(blocks[1:], start=1):
+        seat(generator, key, stream, b, iteration)
+        parts.append(draw(generator, min(ROW_BLOCK, n_rows - j * ROW_BLOCK)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -67,10 +154,10 @@ def concat_strata(
     """Concatenated (pairs, labels, per-pair scales) over a stratum list.
 
     The per-pair scale array carries each stratum's h-factor per edge, so
-    one weighted theta-gradient call over the concatenation equals the
-    per-stratum ``sum_s scale_s * grad_s`` loop — every engine batches its
-    strata through this helper in the same order, keeping the engines'
-    float-summation orders aligned.
+    weighted theta-gradient calls over the concatenation equal the
+    per-stratum ``sum_s scale_s * grad_s`` loop — every engine cuts its
+    :data:`PAIR_BLOCK` blocks from this one concatenation, so a block
+    holds the same pairs whoever computes it.
     """
     if not strata:
         z = np.zeros(0, dtype=np.int64)
@@ -136,9 +223,16 @@ def heldout_rows(heldout_keys: Optional[np.ndarray], n_vertices: int) -> Optiona
     return Graph(n_vertices, np.column_stack([lo, hi])[lo != hi])
 
 
+def draw_key(rng: np.random.Generator) -> int:
+    """An iteration's neighbor-set key: one 64-bit draw from the master
+    stream, taken right after the mini-batch in every engine."""
+    return int(rng.integers(2**64, dtype=np.uint64))
+
+
 def sample_neighbor_sets(
     vertices: np.ndarray,
-    rng: np.random.Generator,
+    key: int,
+    blocks: Sequence[int],
     n_vertices: int,
     n_sample: int,
     links_against: Callable[[np.ndarray], np.ndarray],
@@ -146,18 +240,24 @@ def sample_neighbor_sets(
 ) -> NeighborSample:
     """Sample V_n (``n_sample`` uniform vertices) per mini-batch vertex.
 
-    The one neighbor-sampling routine of every engine. ``links_against``
-    answers ``y_ab`` for an (m, n) candidate matrix against the rows of
-    ``vertices`` and is the only thing that differs between them:
-    ``Graph.links_from`` on the training graph or on a mapped CSR
-    container, ``AdjacencySlice.links_against`` on a scattered slice.
+    The one neighbor-sampling routine of every engine. ``vertices`` are
+    the mini-batch rows of the row ``blocks`` (:func:`block_draws`), and
+    each block's candidates come from its own :func:`block_rng` under the
+    iteration's ``key``. ``links_against`` answers ``y_ab`` for an (m, n)
+    candidate matrix against the rows of ``vertices`` and is the only
+    thing that differs between engines: ``Graph.links_from`` on the
+    training graph or on a mapped CSR container,
+    ``AdjacencySlice.links_against`` on a scattered slice.
 
     Self-pairs and held-out pairs are masked out rather than resampled,
     which keeps the draw vectorized; the phi update divides by the
     per-row effective count, so the estimator stays unbiased.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    neighbors = rng.integers(0, n_vertices, size=(vertices.size, n_sample))
+    neighbors = block_draws(
+        key, NEIGHBORS, blocks, vertices.size,
+        lambda g, rows: g.integers(0, n_vertices, size=(rows, n_sample)),
+    )
     mask = neighbors != vertices[:, None]
     if heldout is not None:
         mask &= ~heldout.links_from(vertices, neighbors)
@@ -345,10 +445,12 @@ class MinibatchSampler:
     def sample_neighbors(
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> NeighborSample:
-        """Sample V_n per mini-batch vertex (:func:`sample_neighbor_sets`)."""
+        """Sample V_n for all mini-batch rows (:func:`sample_neighbor_sets`)
+        under a key drawn from ``rng`` (:func:`draw_key`)."""
         return sample_neighbor_sets(
             vertices,
-            rng,
+            draw_key(rng),
+            range(n_blocks(len(vertices), ROW_BLOCK)),
             self.graph.n_vertices,
             self.config.neighbor_sample_size,
             partial(self.graph.links_from, vertices),

@@ -10,10 +10,15 @@ against. Each iteration:
    (Eqns 3-4) and derive beta.
 
 All the numerics live in :mod:`repro.core.stages` (over the kernel
-backends); this module only orchestrates. Noise is drawn through a
-dedicated ``np.random.Generator`` so runs are reproducible and the
-distributed engine can replay identical iterations (see
-``tests/test_dist_equivalence.py``).
+backends); this module only orchestrates. One generator, ``rng`` (the
+master stream), draws the mini-batch and the iteration's neighbor-set
+key; every other random number is keyed by (iteration, block)
+(:func:`repro.core.minibatch.block_rng`). The stages run over whole row
+and pair blocks and the theta partials are summed in block order, so the
+threaded, distributed and multiprocess engines end on this engine's
+state bit for bit, for every thread and worker count
+(``tests/test_dist_equivalence.py``), and ``rng``'s state alone resumes
+a run.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.core import kernels, stages
-from repro.core.minibatch import Minibatch, MinibatchSampler, NeighborSample
+from repro.core.minibatch import (
+    PAIR_BLOCK, ROW_BLOCK, Minibatch, MinibatchSampler, NeighborSample, n_blocks,
+)
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
 from repro.graph.graph import Graph
@@ -78,7 +85,6 @@ class AMMSBSampler:
         self.kernels, config = stages.pinned_backend(config)
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.noise_rng = np.random.default_rng(config.seed + 1)
         heldout_keys = None
         self.perplexity_estimator: Optional[PerplexityEstimator] = None
         if heldout is not None:
@@ -96,73 +102,60 @@ class AMMSBSampler:
 
     # -- update stages: repro.core.stages over this engine's executor -------
 
-    def _map_chunks(
+    def _map_blocks(
         self, fn: Callable[[int, int, kernels.KernelWorkspace], T], n: int
     ) -> list[T]:
-        """Run ``fn(start, stop, workspace)`` over chunks covering
-        ``range(n)``; results in chunk order. This engine is the inline
-        executor: one chunk, the sampler's own workspace."""
+        """Run ``fn(first, stop, workspace)`` over runs of whole blocks
+        covering ``range(n)`` blocks; results in block order. This engine
+        is the inline executor: one run, the sampler's own workspace."""
         return [fn(0, n, self.workspace)]
 
-    def update_phi_pi(
-        self,
-        minibatch: Minibatch,
-        neighbor_sample: NeighborSample,
-        noise: Optional[np.ndarray] = None,
-    ) -> None:
+    def update_phi_pi(self, minibatch: Minibatch, neighbor_sample: NeighborSample) -> None:
         """Stage: phi update (Eqn 5) + pi renormalization for the mini-batch.
 
-        Chunks read shared state (pi rows of neighbors) and produce
-        disjoint rows (their own mini-batch vertices), stored only after
-        every chunk is done — the same argument the paper makes for the
-        absence of read/write hazards in the DKV stages.
+        Runs of row blocks read shared state (pi rows of neighbors) and
+        produce disjoint rows (their own mini-batch vertices), stored only
+        after every run is done — the same argument the paper makes for
+        the absence of read/write hazards in the DKV stages.
         """
-        cfg = self.config
         vs = minibatch.vertices
-        if noise is None:
-            noise = self.noise_rng.standard_normal((vs.size, cfg.n_communities))
-        eps_t = cfg.step_phi.at(self.iteration)
         beta = self.state.beta
         ns = neighbor_sample
 
-        def chunk(a: int, b: int, workspace: kernels.KernelWorkspace):
-            sample = NeighborSample(ns.neighbors[a:b], ns.labels[a:b], ns.mask[a:b])
+        def run(first: int, stop: int, workspace: kernels.KernelWorkspace):
+            rows = slice(first * ROW_BLOCK, stop * ROW_BLOCK)
+            sample = NeighborSample(ns.neighbors[rows], ns.labels[rows], ns.mask[rows])
             return stages.phi_stage(
-                self.state, self.kernels, workspace, cfg, self.graph.n_vertices,
-                vs[a:b], sample, beta, eps_t, noise[a:b],
+                self.state, self.kernels, workspace, self.config, self.graph.n_vertices,
+                vs[rows], sample, beta, self.iteration, range(first, stop),
             )
 
-        parts = self._map_chunks(chunk, vs.size)
+        parts = self._map_blocks(run, n_blocks(vs.size, ROW_BLOCK))
         pi_rows, phi_sum = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         self.state.write_rows(vs, pi_rows, phi_sum)
 
-    def update_beta_theta(
-        self, minibatch: Minibatch, noise: Optional[np.ndarray] = None
-    ) -> None:
+    def update_beta_theta(self, minibatch: Minibatch) -> None:
         """Stage: theta update (Eqn 3) from h-scaled stratum gradients.
 
-        All strata are batched into one edge array with per-edge
+        All strata are batched into one pair array with per-pair
         h-weights, which keep the mixed-strata estimator unbiased (the
-        gradient is linear in the per-edge terms). Chunk partials are
-        reduced in chunk order, so a multi-chunk executor matches this
-        one up to float-addition reordering across chunk boundaries.
+        gradient is linear in the per-pair terms), and cut into fixed
+        pair blocks whose partials are summed in block order.
         """
         pairs, labels, scales = minibatch.all_pairs()
         theta = self.state.theta
 
-        def chunk(a: int, b: int, workspace: kernels.KernelWorkspace) -> np.ndarray:
-            return stages.theta_partial(
+        def run(first: int, stop: int, workspace: kernels.KernelWorkspace):
+            cut = slice(first * PAIR_BLOCK, stop * PAIR_BLOCK)
+            return stages.theta_partials(
                 self.state, self.kernels, workspace, self.config,
-                pairs[a:b], labels[a:b], scales[a:b], theta,
+                pairs[cut], labels[cut], scales[cut], theta,
             )
 
-        grad_total, *rest = self._map_chunks(chunk, pairs.shape[0])
-        for part in rest:
-            grad_total = grad_total + part
-        if noise is None:
-            noise = self.noise_rng.standard_normal(theta.shape)
+        runs = self._map_blocks(run, n_blocks(len(pairs), PAIR_BLOCK))
         self.state.theta = stages.apply_theta(
-            self.kernels, self.workspace, self.config, theta, grad_total, self.iteration, noise
+            self.kernels, self.workspace, self.config, theta,
+            dict(enumerate(part for parts in runs for part in parts)), self.iteration,
         )
 
     # -- main loop -----------------------------------------------------------

@@ -22,14 +22,16 @@ gathered rows from its one batched read.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.core import kernels
 from repro.core.kernels import KernelBackend, KernelWorkspace
-from repro.core.minibatch import NeighborSample
+from repro.core.minibatch import (
+    PAIR_BLOCK, PHI_NOISE, THETA_NOISE, NeighborSample, block_draws, block_rng,
+)
 from repro.core.perplexity import PerplexityEstimator, link_probability
 
 _NO_KEYS = np.zeros(0, dtype=np.int64)
@@ -89,14 +91,24 @@ def pinned_backend(config: AMMSBConfig) -> tuple[KernelBackend, AMMSBConfig]:
 def phi_stage(
     rows: RowStore, backend: KernelBackend, workspace: KernelWorkspace,
     config: AMMSBConfig, n_vertices: int, vertices: np.ndarray,
-    neighbor_sample: NeighborSample, beta: np.ndarray, eps_t: float, noise: np.ndarray,
+    neighbor_sample: NeighborSample, beta: np.ndarray, iteration: int,
+    blocks: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eqns 5-6 for ``vertices``: their new ``(pi_rows, phi_sum)``.
+    """Eqns 5-6 at ``iteration`` for ``vertices``, the mini-batch rows of
+    the row ``blocks``: their new ``(pi_rows, phi_sum)``.
 
-    Nothing is written: the caller stores the rows once every reader of
-    the old ones is done (the paper's barrier between update_phi and
-    update_pi).
+    Each block's noise is its own :func:`~repro.core.minibatch.block_rng`
+    stream, and the kernels compute every row from that row's inputs
+    alone, so a row's result does not depend on which blocks share the
+    call. Nothing is written: the caller stores the rows once every
+    reader of the old ones is done (the paper's barrier between
+    update_phi and update_pi).
     """
+    k = config.n_communities
+    noise = block_draws(
+        config.seed, PHI_NOISE, blocks, vertices.size,
+        lambda g, n: g.standard_normal((n, k)), iteration,
+    )
     pi_a, phi_sum_a, pi_b = rows.read_rows(vertices, neighbor_sample.neighbors)
     grad = backend.phi_gradient_sum(
         pi_a, phi_sum_a, pi_b, neighbor_sample.labels, beta, config.delta,
@@ -105,7 +117,7 @@ def phi_stage(
     new_phi = backend.update_phi(
         pi_a * phi_sum_a[:, None],
         grad,
-        eps_t=eps_t,
+        eps_t=config.step_phi.at(iteration),
         alpha=config.effective_alpha,
         scale=n_vertices / np.maximum(neighbor_sample.counts, 1),  # Eqn 5's N/|V_n|
         noise=noise,
@@ -125,25 +137,37 @@ def _pair_rows(rows: RowStore, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pi[:, 0], pi[:, 1]
 
 
-def theta_partial(
+def theta_partials(
     rows: RowStore, backend: KernelBackend, workspace: KernelWorkspace,
     config: AMMSBConfig, pairs: np.ndarray, labels: np.ndarray,
     weights: np.ndarray, theta: np.ndarray,
-) -> np.ndarray:
-    """h-weighted theta-gradient sum (Eqn 4) over a slice of mini-batch
-    pairs. The gradient is linear in the per-pair terms, so slices
-    computed anywhere add up to the whole mini-batch's gradient."""
+) -> list[np.ndarray]:
+    """h-weighted theta-gradient sums (Eqn 4), one per pair block, over
+    whole :data:`~repro.core.minibatch.PAIR_BLOCK` blocks of mini-batch
+    pairs (the last may be short) read in one round trip. The gradient is
+    linear in the per-pair terms, so the blocks computed anywhere add up
+    to the whole mini-batch's gradient (:func:`apply_theta`)."""
     pi_a, pi_b = _pair_rows(rows, pairs)
-    return backend.theta_gradient_weighted(
-        pi_a, pi_b, labels, theta, config.delta, weights=weights, workspace=workspace
-    )
+    return [
+        backend.theta_gradient_weighted(
+            pi_a[a : a + PAIR_BLOCK], pi_b[a : a + PAIR_BLOCK], labels[a : a + PAIR_BLOCK],
+            theta, config.delta, weights=weights[a : a + PAIR_BLOCK], workspace=workspace,
+        )
+        for a in range(0, len(pairs), PAIR_BLOCK)
+    ]
 
 
 def apply_theta(
     backend: KernelBackend, workspace: KernelWorkspace, config: AMMSBConfig,
-    theta: np.ndarray, grad_total: np.ndarray, iteration: int, noise: np.ndarray,
+    theta: np.ndarray, partials: Mapping[int, np.ndarray], iteration: int,
 ) -> np.ndarray:
-    """SGRLD theta update (Eqn 3) from the reduced mini-batch gradient."""
+    """SGRLD theta update (Eqn 3) at ``iteration`` from the mini-batch's
+    pair-block partials, ``{block: partial}``, summed in block order by
+    whoever reduces: one rounding, whatever computed the blocks."""
+    grad_total = np.zeros_like(theta)
+    for block in sorted(partials):
+        grad_total += partials[block]
+    noise = block_rng(config.seed, THETA_NOISE, 0, iteration).standard_normal(theta.shape)
     return backend.update_theta(
         theta, grad_total, eps_t=config.step_theta.at(iteration), eta=config.eta,
         scale=1.0, noise=noise, workspace=workspace,

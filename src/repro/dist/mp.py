@@ -11,10 +11,10 @@ the same master-worker protocol across **operating-system processes**:
   worker its shard (vertices, adjacency slice, strata) over a pipe —
   exactly the scatter of Section III-A;
 - each worker process hosts the in-process engine's
-  :class:`~repro.dist.worker.WorkerContext` (same stages, same
-  per-worker RNG streams) over the shared table instead of the DKV
-  store, so the two backends produce bit-identical states (tested in
-  ``tests/test_mp_backend.py``);
+  :class:`~repro.dist.worker.WorkerContext` (same stages, randomness
+  keyed by block, not by worker) over the shared table instead of the
+  DKV store, so this backend ends on the sequential engine's state bit
+  for bit, for every worker count (``tests/test_dist_equivalence.py``);
 - the stage protocol preserves the paper's hazard discipline: phi is
   computed from a consistent snapshot, then written back only after a
   barrier (compute-ack round trip), then theta partials are reduced.
@@ -26,12 +26,12 @@ Failure model (see DESIGN.md "Failure model & degradation"): every
 result collection carries a poll deadline, so a dead or wedged worker
 can never hang the master. A worker whose process exits (detected via
 ``Process.exitcode``) — or that stays silent past ``heartbeat_timeout``
-and is fenced by termination — is removed from the active set, its
-shard is re-partitioned across the survivors, and the interrupted
-iteration is retried. A mid-iteration loss is safe for SG-MCMC: phi
-writes target disjoint rows, so a partially applied iteration is just
-one extra stochastic step; correctness degrades to staleness, never to
-corruption. Opt-in auto-checkpointing (``checkpoint_path`` +
+and is fenced by termination — is removed from the active set, the
+mini-batch rows are restored from an undo log taken before the
+iteration wrote any, and the iteration's draw is re-dealt to the
+survivors and retried. Blocks, not workers, key every random number and
+order the theta reduce, so a recovered run ends on the fault-free run's
+state bit for bit. Opt-in auto-checkpointing (``checkpoint_path`` +
 ``checkpoint_every``) reuses :mod:`repro.core.checkpoint`'s atomic
 writer so a master crash can resume from the last durable state.
 Every command/result carries a sequence number; results from an aborted
@@ -65,7 +65,7 @@ from repro.core import stages
 from repro.core.kernels import KernelWorkspace
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
-from repro.dist.master import MasterContext
+from repro.dist.master import MasterContext, MasterDraw
 from repro.dist.partition import WorkerShard, partition_heldout
 from repro.dist.worker import PhiStageResult, WorkerContext
 from repro.faults import FaultPlan, WorkerCrashed
@@ -145,10 +145,8 @@ def _worker_loop(
 
         table = np.ndarray(table_shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
         # The in-process engine's worker over the shared table instead of
-        # the DKV store: same streams, same stages, bit-identical states.
-        ctx = WorkerContext(
-            worker_id, config, n_vertices, stages.TableRows(table), heldout_keys
-        )
+        # the DKV store: same stages, bit-identical states.
+        ctx = WorkerContext(config, n_vertices, stages.TableRows(table), heldout_keys)
         pending: Optional[PhiStageResult] = None
         shard: Optional[WorkerShard] = None
 
@@ -165,7 +163,7 @@ def _worker_loop(
                 break
             seq = cmd[1]
             if op == "phi_compute":
-                _, _, shard, beta, eps_t, iteration = cmd
+                _, _, shard, beta, iteration = cmd
                 if faults is not None:
                     # Injected process faults for the chaos tests: a crash
                     # is an abrupt death (no cleanup, like a real SIGKILL
@@ -183,7 +181,7 @@ def _worker_loop(
                     else None
                 )
                 pending = ctx.update_phi_pi(
-                    shard, ctx.sample_neighbors(shard, links_against), beta, eps_t
+                    shard, ctx.sample_neighbors(shard, links_against), beta, iteration
                 )
                 send_result(("phi_done", worker_id, seq, worker_id, None))
             elif op == "pi_write":
@@ -321,7 +319,6 @@ class MultiprocessAMMSBSampler:
         self._table[:] = table
         self.theta = init.theta.copy()
 
-        self._heldout = heldout
         # Static E_h partition, each part with its own running average.
         self._heldout_parts: list[PerplexityEstimator] = []
         if heldout is not None:
@@ -551,9 +548,10 @@ class MultiprocessAMMSBSampler:
         """Gather one result per key, with heartbeat-based failure detection.
 
         Returns ``{key: payload}``. Raises :class:`WorkerCrashed` listing
-        every worker found dead (process exited) or fenced (silent past
-        ``heartbeat_timeout`` — those are terminated first, so the failure
-        set is stable by the time the caller recovers).
+        every worker found dead (process exited) once every live worker
+        has answered — so no survivor is mid-command, mid-write, when the
+        caller recovers — or fenced (silent past ``heartbeat_timeout``:
+        terminated first, so the failure set is stable).
         """
         remaining = set(keys)
         out: dict = {}
@@ -604,7 +602,8 @@ class MultiprocessAMMSBSampler:
             dead = [
                 w for w in self._active if self._procs[w].exitcode is not None
             ]
-            if dead:
+            live = [w for w in self._active if w not in dead]
+            if dead and not any(self._expects(w, remaining, expected_tag) for w in live):
                 raise WorkerCrashed(dead)
             if time.monotonic() > deadline:
                 # Alive but silent past the heartbeat: fence by
@@ -703,10 +702,10 @@ class MultiprocessAMMSBSampler:
         """Resume a run from an auto-checkpoint.
 
         Restores model state and the iteration counter (and therefore the
-        step-size schedule). RNG streams restart from their seeds — this
-        is coarse-grained disaster recovery for a crashed *master*, not
-        the bit-exact single-process resume of
-        :func:`repro.core.checkpoint.load_checkpoint`.
+        step-size schedule and every block-keyed random number). The
+        master stream restarts from its seed — this is coarse-grained
+        disaster recovery for a crashed *master*, not the bit-exact
+        resume of :func:`repro.core.checkpoint.load_checkpoint`.
         """
         from repro.core.checkpoint import load_state_checkpoint
 
@@ -754,51 +753,50 @@ class MultiprocessAMMSBSampler:
     def step(self) -> None:
         """One BSP iteration across the worker processes.
 
-        Retries transparently when workers are lost mid-iteration: the
-        failure is healed (:meth:`_recover`) and the iteration re-runs on
-        the survivors. Worker losses are visible in :attr:`recoveries`.
+        The draw is kept until the iteration commits. A worker loss is
+        healed (:meth:`_recover`), the mini-batch rows are restored from
+        their undo log and the same draw is re-dealt to the survivors:
+        the retry is the fault-free iteration. Losses are in
+        :attr:`recoveries`.
         """
         if self._closed:
             raise RuntimeError("sampler is closed")
+        draw = self.master.next_draw()
         while True:
             try:
-                self._step_once()
+                self._step_once(draw)
                 break
             except WorkerCrashed as crash:
                 self._recover(crash)
+                self._table[draw.minibatch.vertices] = self._undo
+                draw = self.master.deal(draw.minibatch, draw.key)
         self.iteration += 1
         self._maybe_autocheckpoint()
         self._maybe_publish()
 
-    def _step_once(self) -> None:
-        cfg = self.config
+    def _step_once(self, draw: MasterDraw) -> None:
         active = list(self._active)
-        draw = self.master.next_draw()
-        eps_phi = cfg.step_phi.at(self.iteration)
-        beta = self.beta
         # Stage: scatter + phi compute (reads only) ... barrier.
         seq = self._next_seq()
         for idx, w in enumerate(active):
-            self._send(
-                w, ("phi_compute", seq, draw.shards[idx], beta, eps_phi, self.iteration)
-            )
+            self._send(w, ("phi_compute", seq, draw.shards[idx], self.beta, self.iteration))
+        # Undo log of the rows this iteration writes, copied while the
+        # workers compute (no worker writes before pi_write).
+        self._undo = self._table[draw.minibatch.vertices]
         self._collect("phi_done", active, seq)
         # Stage: pi write-back (disjoint rows) ... barrier.
         seq = self._next_seq()
         for w in active:
             self._send(w, ("pi_write", seq))
         self._collect("write_done", active, seq)
-        # Stage: theta partials -> reduce at master -> update.
+        # Stage: pair-block theta partials -> block-order reduce at master.
         seq = self._next_seq()
         for w in active:
             self._send(w, ("theta_partial", seq, self.theta))
         partials = self._collect("theta", active, seq)
-        grad_total = np.zeros_like(self.theta)
-        for w in active:
-            grad_total += partials[w]
         self.theta = stages.apply_theta(
-            self.kernels, self.workspace, cfg, self.theta, grad_total,
-            self.iteration, self.master.theta_noise(self.theta.shape),
+            self.kernels, self.workspace, self.config, self.theta,
+            {b: part for w in active for b, part in partials[w].items()}, self.iteration,
         )
 
     def run(self, n_iterations: int, perplexity_every: int = 0) -> None:

@@ -3,22 +3,28 @@
 The master owns E; workers never see the whole graph. For each iteration
 the master scatters, per worker:
 
-- its share of the mini-batch vertices (round-robin for balance),
+- its share of the mini-batch vertices: whole row blocks
+  (:data:`~repro.core.minibatch.ROW_BLOCK`), dealt round-robin for
+  balance, with the iteration's neighbor-set key;
 - the CSR adjacency slice of exactly those vertices ("the subset of E
   touched by the mini-batch", paper Section III-A) — this is what lets a
   worker answer ``y_ab`` for any pair whose first endpoint is one of its
-  mini-batch vertices,
-- its share of the mini-batch strata (whole strata, round-robin), used by
-  the update_beta stage.
+  mini-batch vertices;
+- its share of the mini-batch pairs with their h-weights: whole pair
+  blocks (:data:`~repro.core.minibatch.PAIR_BLOCK`), dealt round-robin,
+  used by the update_beta stage.
+
+Blocks are fixed by the mini-batch alone, so a row's random numbers and
+a pair block's partial do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.minibatch import Minibatch, Stratum
+from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK, Minibatch, n_blocks
 from repro.graph.graph import Graph, rows_contain
 
 
@@ -61,49 +67,69 @@ def adjacency_slice(graph: Graph, vertices: np.ndarray) -> AdjacencySlice:
 class WorkerShard:
     """Everything one worker receives for one iteration.
 
-    ``adjacency`` is ``None`` when the runtime gives every worker a
-    shared read-only memory-mapped graph instead (``graph_path`` mode in
-    :mod:`repro.dist.mp`): the worker then answers ``y_ab`` straight
-    from the mapped CSR, and the per-iteration adjacency payload
-    disappears from the scatter entirely.
+    ``vertices`` are the mini-batch rows of ``row_blocks`` and ``pairs``
+    the pairs of ``pair_blocks``, each in block order. ``adjacency`` is
+    ``None`` when the runtime gives every worker a shared read-only
+    memory-mapped graph instead (``graph_path`` mode in
+    :mod:`repro.dist.mp`): the worker then answers ``y_ab`` straight from
+    the mapped CSR, and the per-iteration adjacency payload disappears
+    from the scatter entirely.
     """
 
-    worker: int  # 0-based worker index (rank = worker + 1)
+    key: int  # the iteration's neighbor-set key
+    row_blocks: tuple[int, ...]
     vertices: np.ndarray  # this worker's mini-batch vertices
     adjacency: AdjacencySlice | None  # adjacency of exactly those vertices
-    strata: list[Stratum] = field(default_factory=list)  # for update_beta
+    pair_blocks: tuple[int, ...]
+    pairs: np.ndarray  # (E, 2) mini-batch pairs, for update_beta
+    labels: np.ndarray
+    weights: np.ndarray  # per-pair h-weights
 
     def payload_bytes(self) -> int:
-        strata_bytes = sum(
-            s.pairs.nbytes + s.labels.nbytes + 8 for s in self.strata
-        )
         adj_bytes = self.adjacency.payload_bytes() if self.adjacency is not None else 0
-        return int(self.vertices.nbytes + adj_bytes + strata_bytes)
+        return int(
+            self.vertices.nbytes + adj_bytes + self.pairs.nbytes + self.labels.nbytes
+            + self.weights.nbytes + 8 * (1 + len(self.row_blocks) + len(self.pair_blocks))
+        )
+
+
+def _dealt(n: int, size: int, n_workers: int, w: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Worker ``w``'s round-robin share of ``n`` items in blocks of
+    ``size``: its block ids and the item indices they cover, in order."""
+    items = np.flatnonzero(np.arange(n) // size % n_workers == w)
+    return tuple(range(w, n_blocks(n, size), n_workers)), items
 
 
 def partition_minibatch(
-    graph: Graph, minibatch: Minibatch, n_workers: int, with_adjacency: bool = True
+    graph: Graph, minibatch: Minibatch, n_workers: int, key: int, with_adjacency: bool = True
 ) -> list[WorkerShard]:
     """Split a mini-batch into per-worker shards.
 
-    Vertices are dealt round-robin (they arrive sorted and degree-skewed,
-    so round-robin balances both count and expected adjacency size);
-    strata are dealt whole, round-robin by index.
+    Whole row blocks and whole pair blocks are dealt round-robin (the
+    vertices arrive sorted and degree-skewed, so round-robin balances
+    both count and expected adjacency size).
 
     ``with_adjacency=False`` skips the CSR slice extraction and ships
     ``adjacency=None`` — for workers that hold a shared mapped graph.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
+    pairs, labels, weights = minibatch.all_pairs()
     shards = []
     for w in range(n_workers):
-        vs = minibatch.vertices[w::n_workers]
+        row_blocks, rows = _dealt(minibatch.n_vertices, ROW_BLOCK, n_workers, w)
+        pair_blocks, cut = _dealt(len(pairs), PAIR_BLOCK, n_workers, w)
+        vs = minibatch.vertices[rows]
         shards.append(
             WorkerShard(
-                worker=w,
+                key=key,
+                row_blocks=row_blocks,
                 vertices=vs,
                 adjacency=adjacency_slice(graph, vs) if with_adjacency else None,
-                strata=list(minibatch.strata[w::n_workers]),
+                pair_blocks=pair_blocks,
+                pairs=pairs[cut],
+                labels=labels[cut],
+                weights=weights[cut],
             )
         )
     return shards

@@ -15,8 +15,8 @@ sequence (Section III-C):
    broadcasts beta;
 6. periodically, **perplexity** over the statically partitioned E_h.
 
-Every stage really executes (the result is a valid SG-MCMC run, validated
-against the sequential reference), while a simulated clock charges each
+Every stage really executes (the result is the sequential reference's
+run, bit for bit, for any worker count), while a simulated clock charges each
 stage from the calibrated :class:`~repro.cluster.costmodel.CostModel`
 using the *actual* traffic and op counts of the run; stage time is the
 max over workers (BSP barrier semantics). Pipelining changes only the
@@ -39,7 +39,6 @@ from repro.cluster.spec import ClusterSpec, das5
 from repro.faults import FaultPlan
 from repro.core import stages
 from repro.core.kernels import KernelWorkspace
-from repro.core.minibatch import Minibatch, NeighborSample
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
 from repro.dist.master import MasterContext
@@ -126,7 +125,6 @@ class DistributedAMMSBSampler:
         )
 
         heldout_keys = None
-        self._heldout = heldout
         if heldout is not None:
             heldout_keys = np.sort(edge_keys(heldout.heldout_pairs, graph.n_vertices))
         self.master = MasterContext(graph, config, n_workers, heldout_keys)
@@ -144,7 +142,7 @@ class DistributedAMMSBSampler:
         self.theta = init.theta.copy()
 
         self.workers = [
-            WorkerContext(w, config, graph.n_vertices, DKVRows(self.dkv, w), heldout_keys)
+            WorkerContext(config, graph.n_vertices, DKVRows(self.dkv, w), heldout_keys)
             for w in range(n_workers)
         ]
         self._master_rows = DKVRows(self.dkv, MASTER_CLIENT)
@@ -196,30 +194,17 @@ class DistributedAMMSBSampler:
 
     # -- one iteration --------------------------------------------------------------
 
-    def step(
-        self,
-        minibatch: Optional[Minibatch] = None,
-        neighbor_samples: Optional[list[NeighborSample]] = None,
-        phi_noise: Optional[np.ndarray] = None,
-        theta_noise: Optional[np.ndarray] = None,
-    ) -> StageTimes:
-        """Run one distributed iteration.
-
-        The optional arguments inject a fixed mini-batch / neighbor sets /
-        noise for replay against the sequential reference (used by the
-        equivalence tests); in normal operation they are all drawn
-        internally.
-        """
+    def step(self) -> StageTimes:
+        """Run one distributed iteration."""
         cfg = self.config
         cost = self.cost
-        n_workers = self.cluster.n_workers
         t = StageTimes()
         # Fault windows are indexed by iteration; advance the DKV clock.
         if self.faults is not None:
             self.dkv.set_iteration(self.iteration)
 
         # -- stage 1: draw + deploy (master) --------------------------------
-        draw = self.master.next_draw(minibatch)
+        draw = self.master.next_draw()
         shards = self.comm.scatter([None] + list(draw.shards))[1:]
         payload = draw.scatter_payload_bytes()
         t.draw_deploy = (
@@ -229,23 +214,12 @@ class DistributedAMMSBSampler:
         )
 
         # -- stage 2+3: neighbor sampling + update_phi (workers) ------------
-        eps_phi = cfg.step_phi.at(self.iteration)
         beta = self.beta
         results = []
         t_sample = t_load = t_comp = 0.0
-        vertex_order = draw.minibatch.vertices
-        for w, worker in enumerate(self.workers):
-            shard = shards[w]
-            if neighbor_samples is not None:
-                ns = neighbor_samples[w]
-            else:
-                ns = worker.sample_neighbors(shard)
-            noise_w = None
-            if phi_noise is not None:
-                # phi_noise rows follow minibatch.vertices order; shard w
-                # holds vertices [w::n_workers] of that order.
-                noise_w = phi_noise[w::n_workers]
-            res = worker.update_phi_pi(shard, ns, beta, eps_phi, noise=noise_w)
+        for worker, shard in zip(self.workers, shards):
+            ns = worker.sample_neighbors(shard)
+            res = worker.update_phi_pi(shard, ns, beta, self.iteration)
             results.append(res)
             t_sample = max(t_sample, shard.vertices.size * cfg.neighbor_sample_size * cost.c_neighbor_draw)
             t_load = max(t_load, self._read_time(res.read_traffic))
@@ -258,7 +232,7 @@ class DistributedAMMSBSampler:
         # Pipelined: the master prepares the *next* mini-batch while the
         # workers are inside update_phi (this really happens — the next
         # step() consumes the prefetched draw).
-        if self.pipelined and minibatch is None:
+        if self.pipelined:
             self.master.prefetch()
 
         # -- stage 4: update_pi (write-back) ---------------------------------
@@ -275,22 +249,21 @@ class DistributedAMMSBSampler:
         # -- stage 5: update_beta/theta ---------------------------------------
         partials = []
         t_beta_work = 0.0
-        for w, worker in enumerate(self.workers):
-            grad, traffic, ops = worker.theta_partial(shards[w], self.theta)
-            partials.append(grad)
+        for worker, shard in zip(self.workers, shards):
+            part, traffic, ops = worker.theta_partial(shard, self.theta)
+            partials.append(part)
             t_beta_work = max(
                 t_beta_work,
                 ops * cost.c_beta_element + self._read_time(traffic),
             )
         t_beta_work += self.dkv.fault_stats.drain_delay()
-        grad_total = self.comm.reduce(
-            [np.zeros_like(self.theta)] + partials, iteration=self.iteration
+        # The reduce gathers the pair-block partials; the master adds
+        # them in block order, as every engine does.
+        blocks = self.comm.reduce(
+            [{}] + partials, op=lambda a, b: {**a, **b}, iteration=self.iteration
         )
-        if theta_noise is None:
-            theta_noise = self.master.theta_noise(self.theta.shape)
         self.theta = stages.apply_theta(
-            self.kernels, self.workspace, cfg, self.theta, grad_total,
-            self.iteration, theta_noise,
+            self.kernels, self.workspace, cfg, self.theta, blocks, self.iteration
         )
         self.comm.bcast(self.beta)
         theta_bytes = self.theta.nbytes

@@ -7,8 +7,10 @@ DKV store; its outputs are DKV writes (new pi rows) and a theta-gradient
 partial sum handed to the MPI reduce.
 
 The stage math is the shared one from :mod:`repro.core.stages` — a worker
-computes exactly what the sequential sampler would compute for its slice
-of the mini-batch.
+computes exactly what the sequential sampler would compute for its blocks
+of the mini-batch. It owns no random stream: its neighbor sets come from
+the key in its shard and its noise from the config's seed, per block
+(:func:`repro.core.minibatch.block_rng`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from repro.config import AMMSBConfig
 from repro.core import stages
 from repro.core.kernels import KernelWorkspace
-from repro.core.minibatch import NeighborSample, concat_strata, heldout_rows, sample_neighbor_sets
+from repro.core.minibatch import NeighborSample, heldout_rows, sample_neighbor_sets
 from repro.cluster.dkv import DKVStore, DKVTraffic
 from repro.dist.partition import WorkerShard
 
@@ -77,7 +79,6 @@ class WorkerContext:
     (:mod:`repro.dist.mp`); only ``rows`` differs.
 
     Args:
-        worker: 0-based worker index (DKV server id; MPI rank worker+1).
         config: shared configuration.
         n_vertices: N (needed for neighbor sampling and update scales).
         rows: the store holding ``[pi | phi_sum]`` rows
@@ -89,20 +90,14 @@ class WorkerContext:
 
     def __init__(
         self,
-        worker: int,
         config: AMMSBConfig,
         n_vertices: int,
         rows: stages.RowStore,
         heldout_keys: Optional[np.ndarray] = None,
     ) -> None:
-        self.worker = worker
         self.n_vertices = n_vertices
         self.rows = rows
         self.heldout = heldout_rows(heldout_keys, n_vertices)
-        # Independent per-worker streams; offsets keep them disjoint from
-        # the master's streams for any worker count.
-        self.rng = np.random.default_rng(config.seed + 1009 * (worker + 1))
-        self.noise_rng = np.random.default_rng(config.seed + 2003 * (worker + 1))
         self.kernels, self.config = stages.pinned_backend(config)
         self.workspace = KernelWorkspace()
 
@@ -118,12 +113,14 @@ class WorkerContext:
         shard: WorkerShard,
         links_against: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> NeighborSample:
-        """Draw V_n per shard vertex; labels come from the scattered
-        adjacency slice — the worker has no other view of E — unless the
-        host answers ``y_ab`` itself (``links_against``: a mapped graph)."""
+        """Draw V_n per shard vertex, block by block under the shard's
+        key; labels come from the scattered adjacency slice — the worker
+        has no other view of E — unless the host answers ``y_ab`` itself
+        (``links_against``: a mapped graph)."""
         return sample_neighbor_sets(
             shard.vertices,
-            self.rng,
+            shard.key,
+            shard.row_blocks,
             self.n_vertices,
             self.config.neighbor_sample_size,
             links_against or shard.adjacency.links_against,
@@ -137,10 +134,10 @@ class WorkerContext:
         shard: WorkerShard,
         neighbor_sample: NeighborSample,
         beta: np.ndarray,
-        eps_t: float,
-        noise: Optional[np.ndarray] = None,
+        iteration: int,
     ) -> PhiStageResult:
-        """Load pi from the store, run Eqns 5-6 for the shard, produce new rows.
+        """Load pi from the store, run Eqns 5-6 at ``iteration`` for the
+        shard, produce new rows.
 
         The write-back is separate (:meth:`write_pi`) because the paper
         puts an MPI barrier between update_phi and update_pi for memory
@@ -152,12 +149,10 @@ class WorkerContext:
         if m == 0:
             empty = np.zeros((0, k + 1), dtype=self.rows.dtype)
             return PhiStageResult(vs, empty[:, :-1], empty[:, -1], DKVTraffic())
-        if noise is None:
-            noise = self.noise_rng.standard_normal((m, k))
         # One batched read covers the shard vertices and all neighbors.
         pi_rows, phi_sum = stages.phi_stage(
             self.rows, self.kernels, self.workspace, self.config,
-            self.n_vertices, vs, neighbor_sample, beta, eps_t, noise,
+            self.n_vertices, vs, neighbor_sample, beta, iteration, shard.row_blocks,
         )
         return PhiStageResult(
             vs, pi_rows, phi_sum, self._last_traffic(),
@@ -177,21 +172,21 @@ class WorkerContext:
 
     def theta_partial(
         self, shard: WorkerShard, theta: np.ndarray
-    ) -> tuple[np.ndarray, DKVTraffic, int]:
-        """h-scaled theta-gradient partial sum over this worker's strata.
+    ) -> tuple[dict[int, np.ndarray], DKVTraffic, int]:
+        """h-scaled theta-gradient partials of this worker's pair blocks,
+        ``{block: partial}`` for the block-order reduce at the master.
 
-        All strata are concatenated into one batched read (fresh
-        values — the stage runs after the update_pi barrier) and one
-        weighted kernel call, instead of a per-stratum Python loop.
+        One batched read (fresh values — the stage runs after the
+        update_pi barrier) and one weighted kernel call per block.
         """
-        if not shard.strata:
-            return np.zeros_like(theta), DKVTraffic(), 0
-        pairs, labels, weights = concat_strata(shard.strata)
-        grad = stages.theta_partial(
+        if not shard.pair_blocks:
+            return {}, DKVTraffic(), 0
+        partials = stages.theta_partials(
             self.rows, self.kernels, self.workspace, self.config,
-            pairs, labels, weights, theta,
+            shard.pairs, shard.labels, shard.weights, theta,
         )
-        return grad, self._last_traffic(), len(pairs) * self.config.n_communities
+        ops = len(shard.pairs) * self.config.n_communities
+        return dict(zip(shard.pair_blocks, partials)), self._last_traffic(), ops
 
     # -- perplexity partials ------------------------------------------------------------
 

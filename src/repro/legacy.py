@@ -34,6 +34,8 @@ membership history    ``window``, ``top_k``,                      ``s<i>_node_id
 ``config`` is the JSON string of the full :class:`~repro.config.AMMSBConfig`
 in every kind and is carried over verbatim. The arrays keep their names;
 only the metadata moves, into the container manifest's sealed ``meta``.
+A sampler checkpoint's ``noise_rng_state`` is dropped: noise is keyed by
+iteration and block since, and ``rng_state`` alone resumes a run.
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ _KINDS = (
         "sampler checkpoint",
         lambda m: "rng_state" in m,
         STATE_KIND,
-        ("iteration", "config", "rng_state", "noise_rng_state", "perp_count"),
+        ("iteration", "config", "rng_state", "perp_count"),
         {},
         load_state_checkpoint,
     ),
 )
 #: stored as JSON strings inside the JSON ``_meta``; plain objects in a manifest
-_JSON_STRINGS = ("rng_state", "noise_rng_state")
+_JSON_STRINGS = ("rng_state",)
 
 
 def read_legacy(src: PathLike) -> tuple[_Kind, dict, dict[str, np.ndarray]]:

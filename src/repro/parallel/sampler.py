@@ -2,12 +2,12 @@
 
 :class:`ThreadedAMMSBSampler` is the sequential reference with a
 different executor: update_phi (the dominant stage) and the
-theta-gradient partials run over a thread pool, chunked across
-mini-batch vertices / stratum edges. It overrides only how chunks are
-mapped; the stages themselves are the sequential sampler's. Noise is
-pre-drawn for the whole mini-batch before chunking, so the threaded run is
-numerically identical to the sequential one given the same RNG seeds —
-the property the equivalence tests rely on.
+theta-gradient partials run over a thread pool, on runs of whole row /
+pair blocks. It overrides only how block runs are mapped; the stages
+themselves are the sequential sampler's. A block's noise and neighbor
+set are keyed by the block and its theta partial is its own term of the
+block-order reduce, so the threaded run is the sequential one bit for
+bit, for every thread count.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class ThreadedAMMSBSampler(AMMSBSampler):
             raise ValueError("n_threads must be >= 1")
         self.n_threads = n_threads
 
-    def _map_chunks(self, fn, n: int) -> list:
-        """The thread-pool executor: ``n_threads`` contiguous chunks, each
-        on its pool thread's own workspace, results in chunk order."""
+    def _map_blocks(self, fn, n: int) -> list:
+        """The thread-pool executor: ``n_threads`` contiguous runs of
+        blocks, each on its pool thread's own workspace, results in block
+        order."""
         return chunked_thread_map(
             lambda a, b: fn(a, b, thread_workspace()), n, self.n_threads
         )

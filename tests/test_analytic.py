@@ -70,16 +70,22 @@ class TestSweeps:
 
 
 class TestCrossValidation:
-    def test_analytic_close_to_functional_timing(self, planted, config):
+    def test_analytic_close_to_functional_timing(self, config):
         """On a shape small enough to execute, the analytic closed form and
         the functional engine's measured-traffic clock must agree within
         ~35% on the dominant stage (they share constants but the
         functional engine bills actual traffic: dedup, local/remote
-        split, real stratum sizes)."""
+        split, real stratum sizes). The mini-batch is four row blocks, one
+        per worker, as the closed form's even split assumes, on a graph
+        large enough that a worker's 64 x 17 keys are mostly distinct."""
         from repro.dist.sampler import DistributedAMMSBSampler
+        from repro.graph.generators import planted_overlapping_graph
 
-        graph, _ = planted
-        cfg = config.with_updates(mini_batch_vertices=64, n_communities=8)
+        graph, _ = planted_overlapping_graph(
+            2000, 8, memberships_per_vertex=1, p_in=0.05, p_out=0.0004,
+            rng=np.random.default_rng(1234),
+        )
+        cfg = config.with_updates(mini_batch_vertices=256, n_communities=8)
         cluster = das5(4)
         d = DistributedAMMSBSampler(graph, cfg, cluster=cluster, pipelined=False)
         d.run(20)
@@ -89,7 +95,7 @@ class TestCrossValidation:
             n_vertices=graph.n_vertices,
             n_edges=graph.n_edges,
             n_communities=8,
-            mini_batch_vertices=64,
+            mini_batch_vertices=256,
             neighbor_sample_size=cfg.neighbor_sample_size,
             heldout_pairs=0,
         )

@@ -62,14 +62,16 @@ class TestCheckpoint:
         assert restored.config == cfg
 
     def test_rng_streams_and_window_live_in_the_sealed_meta(self, planted, config, tmp_path):
+        """The master stream is the one RNG state: everything else an
+        iteration draws is keyed by iteration and block."""
         graph, _ = planted
         split = split_heldout(graph, 0.03, np.random.default_rng(5))
         s = AMMSBSampler(split.train, config, heldout=split)
         s.run(12, perplexity_every=4)
         ckpt = Container(save_checkpoint(tmp_path / "ck", s), verify="eager")
         assert ckpt.names() == ["perp_prob_sum", "phi_sum", "pi", "theta"]
+        assert set(ckpt.meta) == {"iteration", "config", "rng_state", "perp_count"}
         assert ckpt.meta["rng_state"] == s.rng.bit_generator.state
-        assert ckpt.meta["noise_rng_state"] == s.noise_rng.bit_generator.state
         assert ckpt.meta["perp_count"] == s.perplexity_estimator.n_samples == 3
         assert ckpt.meta["iteration"] == 12
 
@@ -184,7 +186,7 @@ class TestCheckpointErrors:
         graph, _ = planted
         s = AMMSBSampler(graph, config)
         path = save_state_checkpoint(tmp_path / "st", s.state, 0, config)
-        with pytest.raises(CheckpointError, match="no RNG streams"):
+        with pytest.raises(CheckpointError, match="no RNG stream"):
             load_checkpoint(path, graph)
 
     def test_error_is_a_value_error(self, planted, tmp_path):

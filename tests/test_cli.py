@@ -237,14 +237,31 @@ class TestDetectCheckpointing:
 
 
 class TestChaos:
+    ARGS = ["chaos", "--vertices", "200", "-k", "3",
+            "--workers", "3", "--iterations", "6", "--seed", "2026"]
+
     def test_drill_reports_recovery(self, capsys):
-        rc = main(["chaos", "--vertices", "120", "-k", "3",
-                   "--workers", "3", "--iterations", "6", "--seed", "2026"])
+        rc = main(self.ARGS)
         assert rc == 0
         out = capsys.readouterr().out
         assert "re-partitioned across survivors" in out
+        digests = {
+            line.split()[-1] for line in out.splitlines()
+            if line.strip().startswith(("crashed", "fault-free", "sequential"))
+        }
+        assert len(digests) == 1  # the three runs, one trajectory
         assert "drill passed" in out
         assert "stale_batches" in out
+
+    def test_a_digest_mismatch_fails_the_drill(self, capsys, monkeypatch):
+        import repro.cli
+
+        seen = []
+        monkeypatch.setattr(repro.cli, "_state_digest", lambda state: seen.append(1) or str(len(seen)))
+        assert main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert "left the fault-free trajectory" in captured.err
+        assert "drill passed" not in captured.out
 
 
 class TestChaosServe:

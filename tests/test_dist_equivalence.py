@@ -1,9 +1,11 @@
-"""E11: sequential vs threaded vs distributed numerical equivalence.
+"""E11: one trajectory from every engine, thread count and worker count.
 
-All engines execute the stage math of repro.core.stages; fed identical
-mini-batches, neighbor samples, and noise, they must produce identical
-states (up to float-addition reordering in the theta reduce, hence the
-tight-but-not-exact tolerance on theta for the multi-worker cases).
+Every random number past the mini-batch draw is keyed by (iteration,
+block), the stages run over whole row / pair blocks and the theta
+partials are summed in block order, so free runs of the threaded,
+distributed and multiprocess engines end on the sequential engine's
+state bit for bit — for every registered kernel backend, in float64 and
+float32 storage alike. One assertion, :func:`assert_same_state`, says so.
 """
 
 from __future__ import annotations
@@ -14,120 +16,73 @@ import pytest
 from repro.cluster.spec import das5
 from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core import kernels
-from repro.core.minibatch import MinibatchSampler, NeighborSample
+from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK
 from repro.core.sampler import AMMSBSampler
-from repro.core.state import ModelState, init_state
+from repro.core.state import ModelState
+from repro.dist.mp import MultiprocessAMMSBSampler
 from repro.dist.sampler import DistributedAMMSBSampler
 from repro.graph.split import split_heldout
 from repro.parallel.sampler import ThreadedAMMSBSampler
 
+N_ITER = 20
+
 
 @pytest.fixture(scope="module")
 def problem():
+    """Mini-batches of ~1,300 rows and >= 1,700 pairs: twenty row blocks
+    and four pair blocks, so every worker count below splits both, and
+    at three workers worker 0 reduces pair blocks 0 and 3."""
     from repro.graph.generators import planted_overlapping_graph
 
-    rng = np.random.default_rng(7)
     graph, _ = planted_overlapping_graph(
-        180, 4, memberships_per_vertex=1, p_in=0.25, p_out=0.005, rng=rng
+        2000, 4, memberships_per_vertex=1, p_in=0.075, p_out=0.003,
+        rng=np.random.default_rng(7),
     )
     split = split_heldout(graph, 0.03, np.random.default_rng(2))
     cfg = AMMSBConfig(
         n_communities=4,
-        mini_batch_vertices=40,
+        mini_batch_vertices=2000,
         neighbor_sample_size=12,
         seed=5,
         step_phi=StepSizeConfig(a=0.05),
         step_theta=StepSizeConfig(a=0.05),
     )
+    draw = AMMSBSampler(split.train, cfg, heldout=split).minibatch_sampler.sample(
+        np.random.default_rng(cfg.seed)
+    )
+    assert draw.n_vertices > 8 * ROW_BLOCK and draw.n_edges > 3 * PAIR_BLOCK
     return split, cfg
 
 
-def replay_inputs(split, cfg, n_iters, seed=99):
-    """Pre-draw a fixed stream of (minibatch, neighbors, noises)."""
-    ms = MinibatchSampler(split.train, cfg)
-    r = np.random.default_rng(seed)
-    stream = []
-    for _ in range(n_iters):
-        mb = ms.sample(r)
-        ns = ms.sample_neighbors(mb.vertices, r)
-        noise = r.standard_normal((mb.vertices.size, cfg.n_communities))
-        tnoise = r.standard_normal((cfg.n_communities, 2))
-        stream.append((mb, ns, noise, tnoise))
-    return stream
-
-
-class TestSequentialVsDistributed:
-    @pytest.mark.parametrize("n_workers", [1, 3, 4])
-    def test_identical_states_after_replay(self, problem, n_workers):
-        split, cfg = problem
-        st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(1))
-        seq = AMMSBSampler(split.train, cfg, state=st0.copy())
-        dist = DistributedAMMSBSampler(
-            split.train, cfg, cluster=das5(n_workers), pipelined=False, state=st0.copy()
-        )
-        for mb, ns, noise, tnoise in replay_inputs(split, cfg, 6):
-            seq.update_phi_pi(mb, ns, noise=noise)
-            seq.update_beta_theta(mb, noise=tnoise)
-            seq.iteration += 1
-            parts = [
-                NeighborSample(
-                    ns.neighbors[w::n_workers], ns.labels[w::n_workers], ns.mask[w::n_workers]
-                )
-                for w in range(n_workers)
-            ]
-            dist.step(minibatch=mb, neighbor_samples=parts, phi_noise=noise, theta_noise=tnoise)
-        snap = dist.state_snapshot()
-        np.testing.assert_allclose(snap.pi, seq.state.pi, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(snap.theta, seq.state.theta, rtol=1e-9)
-
-    def test_pipelined_replay_also_matches(self, problem):
-        """Pipelining changes the clock, never the numbers."""
-        split, cfg = problem
-        st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(1))
-        seq = AMMSBSampler(split.train, cfg, state=st0.copy())
-        dist = DistributedAMMSBSampler(
-            split.train, cfg, cluster=das5(2), pipelined=True, state=st0.copy()
-        )
-        for mb, ns, noise, tnoise in replay_inputs(split, cfg, 4):
-            seq.update_phi_pi(mb, ns, noise=noise)
-            seq.update_beta_theta(mb, noise=tnoise)
-            seq.iteration += 1
-            parts = [
-                NeighborSample(ns.neighbors[w::2], ns.labels[w::2], ns.mask[w::2])
-                for w in range(2)
-            ]
-            dist.step(minibatch=mb, neighbor_samples=parts, phi_noise=noise, theta_noise=tnoise)
-        np.testing.assert_allclose(dist.state_snapshot().pi, seq.state.pi, rtol=1e-9)
+def assert_same_state(got: ModelState, want: ModelState) -> None:
+    """The one equivalence assertion: the same bits."""
+    assert got.pi.dtype == want.pi.dtype
+    np.testing.assert_array_equal(got.pi, want.pi)
+    np.testing.assert_array_equal(got.phi_sum, want.phi_sum)
+    np.testing.assert_array_equal(got.theta, want.theta)
 
 
 class TestSequentialVsThreaded:
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_identical_given_same_seed(self, problem, n_threads):
-        """The threaded engine pre-draws noise exactly like the sequential
-        one, so whole runs match bit-for-bit from the same seed (modulo
-        chunk-sum reordering in theta, covered by the tolerance)."""
+        """Held-out tracking on: the same states and the same averaged
+        perplexity, whatever the thread count."""
         split, cfg = problem
-        seq = AMMSBSampler(split.train, cfg)
-        thr = ThreadedAMMSBSampler(split.train, cfg, n_threads=n_threads)
-        seq.run(8)
-        thr.run(8)
-        np.testing.assert_allclose(thr.state.pi, seq.state.pi, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(thr.state.theta, seq.state.theta, rtol=1e-9)
+        seq = AMMSBSampler(split.train, cfg, heldout=split)
+        thr = ThreadedAMMSBSampler(split.train, cfg, heldout=split, n_threads=n_threads)
+        seq.run(N_ITER, perplexity_every=5)
+        thr.run(N_ITER, perplexity_every=5)
+        assert_same_state(thr.state, seq.state)
+        assert thr.perplexity_estimator.value() == seq.perplexity_estimator.value()
 
 
-# -- every registered backend x storage dtype x row form, by registration -------
+# -- every engine x every registered backend x storage dtype x row form -------
 #
 # A new kernel backend or row store is covered here without a new test:
-# the matrix is read from the registry. The documented equivalence
-# classes (DESIGN section 5): one part (1 thread / 1 worker) reproduces
-# the sequential engine bit for bit in float64; several parts differ
-# only by the order in which the theta partials are added; float32
-# storage rounds each written row, so it is compared to tolerance.
-#
-# The sequential side runs once per form of the neighbor rows: deferred
-# (what ``ModelState`` answers: the kernel gathers block by block) and
-# gathered up front (what the DKV answers). The classes above do not
-# depend on it, because the form never changes a bit.
+# the matrix is read from the registry. The sequential side runs once per
+# form of the neighbor rows: deferred (what ``ModelState`` answers: the
+# kernel gathers block by block) and gathered up front (what the DKV
+# answers); the form never changes a bit.
 
 MATRIX = [(b, d) for b in kernels.available_backends() for d in ("float64", "float32")]
 ROW_FORMS = ("deferred", "gathered")
@@ -141,72 +96,69 @@ class GatheredState(ModelState):
         return pi_a, phi_sum_a, kernels.gather_rows(pi_b)
 
 
-def sequential(graph, cfg, form, state=None):
-    seq = AMMSBSampler(graph, cfg, state=state)
-    if form == "gathered":
-        seq.state = GatheredState(seq.state.pi, seq.state.phi_sum, seq.state.theta)
-    return seq
+def replay_stage_calls(seq: AMMSBSampler, n_iter: int) -> None:
+    """``step()`` as its four public stage calls — how the benchmark's
+    traced run drives the sequential engine."""
+    draws = seq.minibatch_sampler
+    for _ in range(n_iter):
+        minibatch = draws.sample(seq.rng)
+        neighbors = draws.sample_neighbors(minibatch.vertices, seq.rng)
+        seq.update_phi_pi(minibatch, neighbors)
+        seq.update_beta_theta(minibatch)
+        seq.iteration += 1
 
 
-def assert_equivalent(got, want, dtype, n_parts):
-    if dtype == "float64" and n_parts == 1:
-        np.testing.assert_array_equal(got.pi, want.pi)
-        np.testing.assert_array_equal(got.theta, want.theta)
-        return
-    tol = dict(rtol=1e-9, atol=1e-12) if dtype == "float64" else dict(rtol=1e-3, atol=1e-5)
-    np.testing.assert_allclose(got.pi, want.pi, **tol)
-    np.testing.assert_allclose(got.theta, want.theta, rtol=tol["rtol"])
+@pytest.fixture(scope="module")
+def sequential(problem):
+    """``sequential(cfg, form, replayed)``: the sequential engine's state
+    after ``N_ITER`` iterations, by ``run`` or by its stage calls."""
+    split, _ = problem
+    cache = {}
+
+    def get(cfg, form, replayed=False):
+        if (cfg, form, replayed) not in cache:
+            seq = AMMSBSampler(split.train, cfg, heldout=split)
+            if form == "gathered":
+                seq.state = GatheredState(seq.state.pi, seq.state.phi_sum, seq.state.theta)
+            if replayed:
+                replay_stage_calls(seq, N_ITER)
+            else:
+                seq.run(N_ITER)
+            cache[cfg, form, replayed] = seq.state
+        return cache[cfg, form, replayed]
+
+    return get
 
 
 @pytest.mark.parametrize("backend,dtype", MATRIX)
 class TestEngineMatrix:
-    @pytest.mark.parametrize("n_workers", [1, 3, 4])
-    def test_distributed_replay(self, problem, backend, dtype, n_workers):
-        split, cfg = problem
-        cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
-        st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(1))
-        seqs = [sequential(split.train, cfg, form, state=st0.copy()) for form in ROW_FORMS]
-        dist = DistributedAMMSBSampler(
-            split.train, cfg, cluster=das5(n_workers), pipelined=False, state=st0.copy()
-        )
-        for mb, ns, noise, tnoise in replay_inputs(split, cfg, 6):
-            for seq in seqs:
-                seq.update_phi_pi(mb, ns, noise=noise)
-                seq.update_beta_theta(mb, noise=tnoise)
-                seq.iteration += 1
-            parts = [
-                NeighborSample(
-                    ns.neighbors[w::n_workers], ns.labels[w::n_workers], ns.mask[w::n_workers]
-                )
-                for w in range(n_workers)
-            ]
-            dist.step(minibatch=mb, neighbor_samples=parts, phi_noise=noise, theta_noise=tnoise)
-        snap = dist.state_snapshot()
-        for seq in seqs:
-            assert snap.pi.dtype == seq.state.pi.dtype == np.dtype(dtype)
-            assert_equivalent(snap, seq.state, dtype, n_workers)
-
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
-    def test_threaded_free_run(self, problem, backend, dtype, n_threads):
+    def test_threaded_free_run(self, problem, sequential, backend, dtype, n_threads):
         split, cfg = problem
         cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
-        thr = ThreadedAMMSBSampler(split.train, cfg, n_threads=n_threads)
-        thr.run(8)
+        thr = ThreadedAMMSBSampler(split.train, cfg, heldout=split, n_threads=n_threads)
+        thr.run(N_ITER)
         for form in ROW_FORMS:
-            seq = sequential(split.train, cfg, form)
-            seq.run(8)
-            assert_equivalent(thr.state, seq.state, dtype, n_threads)
+            assert_same_state(thr.state, sequential(cfg, form))
 
-
-class TestStatisticalAgreement:
-    def test_free_running_engines_reach_similar_perplexity(self, problem):
-        """Without replay, the engines use different RNG streams; their
-        converged perplexities must agree statistically."""
+    @pytest.mark.parametrize("n_workers", [1, 3, 4])
+    def test_distributed_replay(self, problem, sequential, backend, dtype, n_workers):
+        """Free distributed runs, pipelined and not, against the
+        sequential engine replayed as its four stage calls."""
         split, cfg = problem
-        seq = AMMSBSampler(split.train, cfg, heldout=split)
-        seq.run(1500, perplexity_every=100)
-        dist = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3), heldout=split)
-        dist.run(1500, perplexity_every=100)
-        a = seq.perplexity_estimator.value()
-        b = dist.last_perplexity()
-        assert abs(a - b) / a < 0.2
+        cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
+        for pipelined in (True, False):
+            dist = DistributedAMMSBSampler(
+                split.train, cfg, cluster=das5(n_workers), heldout=split, pipelined=pipelined
+            )
+            dist.run(N_ITER)
+            for form in ROW_FORMS:
+                assert_same_state(dist.state_snapshot(), sequential(cfg, form, replayed=True))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_mp_free_run(self, problem, sequential, backend, dtype, n_workers):
+        split, cfg = problem
+        cfg = cfg.with_updates(kernel_backend=backend, dtype=dtype)
+        with MultiprocessAMMSBSampler(split.train, cfg, n_workers=n_workers, heldout=split) as mp:
+            mp.run(N_ITER)
+            assert_same_state(mp.state_snapshot(), sequential(cfg, "deferred"))

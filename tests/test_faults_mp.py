@@ -17,11 +17,25 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointError, load_state_checkpoint
+from repro.core.sampler import AMMSBSampler
 from repro.dist.mp import MultiprocessAMMSBSampler
 from repro.faults import FaultPlan, WorkerCrash, WorkerStall, chaos_plan
 from repro.graph.split import HeldoutSplit
 
 FAST = dict(heartbeat_timeout=15.0, poll_interval=0.02, shutdown_timeout=2.0)
+
+
+def assert_same_state(got, want):
+    np.testing.assert_array_equal(got.pi, want.pi)
+    np.testing.assert_array_equal(got.phi_sum, want.phi_sum)
+    np.testing.assert_array_equal(got.theta, want.theta)
+
+
+def fault_free(split, config, n_iter):
+    """The run without faults: on any engine and worker count, one state."""
+    with MultiprocessAMMSBSampler(split.train, config, n_workers=2, **FAST) as s:
+        s.run(n_iter)
+        return s.state_snapshot()
 
 
 class TestCrashRecovery:
@@ -108,6 +122,60 @@ class TestCrashRecovery:
             assert s.recoveries == []
 
 
+class TestRecoveryKeepsTheTrajectory:
+    """A lost worker costs a retry, never a different run: the master
+    keeps the iteration's draw, restores the mini-batch rows from its undo
+    log and re-deals the draw to the survivors."""
+
+    @pytest.fixture()
+    def wide(self, split, config):
+        """Three to four row blocks a mini-batch: every worker owns rows."""
+        return config.with_updates(mini_batch_vertices=400)
+
+    @pytest.mark.parametrize(
+        "stage,when",
+        [
+            ("write_done", "after"),  # right after the victim acknowledged pi_write
+            ("theta", "before"),  # during theta_partial
+            ("write_done", "before"),  # while the pi writes are in flight
+        ],
+    )
+    def test_sigkill_mid_iteration_ends_on_the_fault_free_state(
+        self, split, wide, monkeypatch, stage, when
+    ):
+        s = MultiprocessAMMSBSampler(split.train, wide, n_workers=3, **FAST)
+        real_collect = s._collect
+        fired = []
+
+        def kill_victim():
+            victim = s._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            fired.append(s.iteration)
+
+        def collect(tag, keys, seq):
+            due = tag == stage and s.iteration == 3 and not fired
+            if due and when == "before":
+                kill_victim()
+            out = real_collect(tag, keys, seq)
+            if due and when == "after":
+                kill_victim()
+            return out
+
+        monkeypatch.setattr(s, "_collect", collect)
+        try:
+            s.run(6)
+            assert fired == [3] and s.active_workers == (0, 2)
+            # Killed during theta_partial, the victim may have sent its
+            # partial already: then iteration 4's phi stage finds it dead.
+            late = [4] if (stage, when) == ("theta", "before") else []
+            assert [ev.iteration for ev in s.recoveries] in ([3], late)
+            crashed = s.state_snapshot()
+        finally:
+            s.close()
+        assert_same_state(crashed, fault_free(split, wide, 6))
+
+
 class TestPipeDiscipline:
     def test_sigkilled_worker_result_pipe_reaches_eof(self, split, config):
         """Regression: forked workers used to inherit (and keep open)
@@ -183,7 +251,7 @@ class TestPromptClose:
             shutdown_timeout=1.0,
         )
         draw = s.master.draw()
-        s._send(0, ("phi_compute", 1, draw.shards[0], s.beta, 0.01, 0))
+        s._send(0, ("phi_compute", 1, draw.shards[0], s.beta, 0))
         time.sleep(0.3)  # let worker 0 enter the stall
         t0 = time.monotonic()
         s.close()
@@ -274,8 +342,12 @@ class TestChaosDrill:
             assert s.iteration == 8
             assert len(s.recoveries) == 1
             assert len(s.active_workers) == 2
-            s.state_snapshot().validate()
+            crashed = s.state_snapshot()
         assert time.monotonic() - t0 < 60.0
+        # ... and ends where the run without the crash does.
+        sequential = AMMSBSampler(split.train, config)
+        sequential.run(8)
+        assert_same_state(crashed, sequential.state)
 
         # DKV server stall on the simulated cluster: stale degradation.
         sim_plan = FaultPlan(

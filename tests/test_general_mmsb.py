@@ -167,26 +167,34 @@ def bipartite_planted(n_per_side=80, p_cross=0.25, p_within=0.005, seed=0):
 class TestDisassortativeFit:
     def test_general_beats_assortative_on_bipartite(self):
         """On a bipartite-like graph the a-MMSB has no way to say 'members
-        of k link to members of l != k'; the general model does."""
+        of k link to members of l != k'; the general model does.
+
+        Over three seeds: the general model's held-out perplexity is below
+        the assortative one's on every seed, and 5 % below it pooled. Per
+        seed the gap is 3-20 % (10 % in the median of 44 seeds), so the
+        one-seed 10 % bar this replaces held on about half the seeds."""
         from repro.core.sampler import AMMSBSampler
 
         graph = bipartite_planted()
         split = split_heldout(graph, 0.05, np.random.default_rng(1))
-        cfg = AMMSBConfig(
-            n_communities=2,
-            mini_batch_vertices=48,
-            neighbor_sample_size=24,
-            seed=3,
-            step_phi=StepSizeConfig(a=0.05),
-            step_theta=StepSizeConfig(a=0.05),
-        )
-        general = GeneralMMSBSampler(split.train, cfg, heldout=split)
-        general.run(2500, perplexity_every=100)
-        assortative = AMMSBSampler(split.train, cfg, heldout=split)
-        assortative.run(2500, perplexity_every=100)
-        p_general = general.perplexity_estimator.value()
-        p_assort = assortative.perplexity_estimator.value()
-        assert p_general < p_assort * 0.9
+        p_general, p_assort = [], []
+        for seed in range(3):
+            cfg = AMMSBConfig(
+                n_communities=2,
+                mini_batch_vertices=48,
+                neighbor_sample_size=24,
+                seed=seed,
+                step_phi=StepSizeConfig(a=0.05),
+                step_theta=StepSizeConfig(a=0.05),
+            )
+            for sampler, out in (
+                (GeneralMMSBSampler(split.train, cfg, heldout=split), p_general),
+                (AMMSBSampler(split.train, cfg, heldout=split), p_assort),
+            ):
+                sampler.run(2500, perplexity_every=100)
+                out.append(sampler.perplexity_estimator.value())
+        assert all(g < a for g, a in zip(p_general, p_assort)), (p_general, p_assort)
+        assert sum(p_general) < 0.95 * sum(p_assort)
 
     def test_learns_off_diagonal_block_from_informed_start(self):
         """Given memberships that roughly identify the two sides, the theta

@@ -5,6 +5,11 @@
 :mod:`repro.core.stages`; none of them may call a training kernel or
 resolve a backend itself.
 
+*One trajectory.* Past the mini-batch draw, randomness is keyed by what
+is computed: in the engine modules the only generator is the master
+stream, and :func:`repro.core.minibatch.block_rng` is the only per-block
+generator in the package.
+
 *One on-disk format.* Model state is written by
 :func:`repro.store.write_container` and by nothing else; ``.npz`` /
 zip / zlib I/O lives in the graph interchange, the array provider and
@@ -129,3 +134,50 @@ def test_the_format_knobs_and_the_npz_helpers_are_gone():
         (artifact, ("save_artifact_v2", "SCHEMA", "SCHEMA_V2")),
     ):
         assert [name for name in names if hasattr(module, name)] == []
+
+
+# -- one trajectory ------------------------------------------------------------
+
+GENERATORS = {
+    "default_rng", "Generator", "RandomState", "SeedSequence",
+    "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
+}
+
+
+def _generator_calls(tree: ast.AST) -> list[tuple[ast.Call, ast.stmt, str]]:
+    """``(call, enclosing statement, enclosing def's name)`` for every
+    generator a module builds."""
+    found = []
+
+    def visit(node, stmt, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")) in GENERATORS:
+                    found.append((child, stmt, func))
+            visit(
+                child,
+                child if isinstance(child, ast.stmt) else stmt,
+                child.name if isinstance(child, ast.FunctionDef) else func,
+            )
+
+    visit(tree, None, "")
+    return found
+
+
+def test_the_engines_build_only_the_master_stream():
+    built = {}
+    for path in ENGINE_MODULES:
+        for _call, stmt, _func in _generator_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            built.setdefault(str(path.relative_to(SRC)), []).append(ast.unparse(stmt))
+    master = ["self.rng = np.random.default_rng(config.seed)"]
+    assert built == {"core/sampler.py": master, "dist/master.py": master}
+
+
+def test_block_rng_is_the_only_per_block_generator():
+    makers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for call, _stmt, func in _generator_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if ast.unparse(call.func).split(".")[-1] in ("Generator", "Philox"):
+                makers.add((str(path.relative_to(SRC)), func))
+    assert makers == {("core/minibatch.py", "block_rng")}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import AMMSBConfig
-from repro.core.minibatch import MinibatchSampler, Stratum
+from repro.core.minibatch import PHI_NOISE, MinibatchSampler, Stratum, block_rng, seat
 from repro.graph.graph import edge_keys
 from repro.graph.split import split_heldout
 
@@ -173,3 +173,67 @@ class TestNeighborSampling:
             keys = edge_keys(flat[ok], graph.n_vertices)
             held = np.isin(keys, hk)
             assert not (held & ns.mask.reshape(-1)[ok]).any()
+
+
+def _iteration_first(key, stream, block, iteration):
+    """The layout ``block_rng`` must not have: counter ``[t, b, 0, 0]``."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([key, stream], dtype=np.uint64),
+        counter=np.array([iteration, block, 0, 0], dtype=np.uint64),
+    ))
+
+
+class TestBlockStreams:
+    @staticmethod
+    def shared_windows(layout) -> int:
+        """8-output windows that the first 64 raw outputs of adjacent
+        (iteration, block) cells have in common."""
+        shared = 0
+        for t, b in [(0, 0), (5, 3), (1000, 63)]:
+            cells = [(t, b), (t, b + 1), (t + 1, b), (t + 1, b + 1)]
+            windows = []
+            for tt, bb in cells:
+                raw = layout(42, PHI_NOISE, bb, tt).bit_generator.random_raw(64)
+                windows.append({tuple(raw[i : i + 8]) for i in range(64 - 8 + 1)})
+            shared += sum(
+                len(windows[i] & windows[j]) for i in range(4) for j in range(i + 1, 4)
+            )
+        return shared
+
+    def test_adjacent_cells_share_no_window(self):
+        assert self.shared_windows(block_rng) == 0
+
+    def test_the_check_catches_an_iteration_first_counter(self):
+        """Philox steps the first counter word: with the iteration there,
+        block b of iteration t+1 is block b of iteration t four outputs on."""
+        assert self.shared_windows(_iteration_first) > 0
+
+    def test_a_pure_function_of_its_arguments(self):
+        a = block_rng(7, PHI_NOISE, 3, 11).standard_normal(5)
+        np.testing.assert_array_equal(a, block_rng(7, PHI_NOISE, 3, 11).standard_normal(5))
+        for other in ((8, PHI_NOISE, 3, 11), (7, PHI_NOISE + 1, 3, 11), (7, PHI_NOISE, 4, 11),
+                      (7, PHI_NOISE, 3, 12)):
+            assert not np.array_equal(a, block_rng(*other).standard_normal(5))
+
+    def test_a_seated_generator_is_a_fresh_one(self):
+        """Re-seating (what a run of blocks does) starts where a new
+        ``block_rng`` starts, even after draws that left a buffered half."""
+        used = block_rng(1, PHI_NOISE, 0, 0)
+        used.integers(0, 2**32, dtype=np.uint32)  # leaves a buffered uint32
+        used.standard_normal(3)
+        seated = seat(used, 2**63 + 5, PHI_NOISE, 9, 4)
+        fresh = block_rng(2**63 + 5, PHI_NOISE, 9, 4)
+        for draw in (
+            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+            lambda g: g.standard_normal(16),
+            lambda g: g.bit_generator.random_raw(8),
+        ):
+            np.testing.assert_array_equal(draw(seated), draw(fresh))
+
+    def test_every_bit_of_a_64_bit_key_counts(self):
+        """A list holding a key >= 2**63 would go through float64 and lose
+        its low bits; the helper builds the uint64 key itself."""
+        key = 2**64 - 3
+        assert block_rng(key, 0, 0).bit_generator.state["state"]["key"][0] == key
+        low = block_rng(key, 0, 0).bit_generator.random_raw(4)
+        assert not np.array_equal(low, block_rng(key - 1, 0, 0).bit_generator.random_raw(4))

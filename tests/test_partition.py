@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.minibatch import MinibatchSampler
+from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK, MinibatchSampler, n_blocks
 from repro.dist.partition import (
     adjacency_slice,
     partition_heldout,
@@ -42,27 +42,44 @@ class TestAdjacencySlice:
 
 class TestPartitionMinibatch:
     def make_minibatch(self, graph, config, seed=0):
-        ms = MinibatchSampler(graph, config)
-        return ms.sample(np.random.default_rng(seed))
+        ms = MinibatchSampler(graph, config.with_updates(mini_batch_vertices=1500))
+        mb = ms.sample(np.random.default_rng(seed))
+        # a short last block after >= 2 whole ones, of rows and of pairs
+        assert mb.n_vertices > 2 * ROW_BLOCK and mb.n_edges > 2 * PAIR_BLOCK
+        return mb
 
     def test_vertices_partitioned_exactly(self, planted, config):
+        """Whole row blocks, dealt round-robin, each shard in block order."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, 3)
+        shards = partition_minibatch(graph, mb, 3, key=7)
+        for w, shard in enumerate(shards):
+            assert shard.key == 7
+            assert shard.row_blocks == tuple(range(w, n_blocks(mb.n_vertices, ROW_BLOCK), 3))
+            expect = [mb.vertices[b * ROW_BLOCK : (b + 1) * ROW_BLOCK] for b in shard.row_blocks]
+            np.testing.assert_array_equal(shard.vertices, np.concatenate(expect))
         recombined = np.sort(np.concatenate([s.vertices for s in shards]))
         np.testing.assert_array_equal(recombined, mb.vertices)
 
     def test_strata_partitioned_exactly(self, planted, config):
+        """The strata's pairs, labels and h-weights, in whole pair blocks:
+        put back in block order they are the mini-batch's."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, 3)
-        total = sum(len(s.strata) for s in shards)
-        assert total == len(mb.strata)
+        shards = partition_minibatch(graph, mb, 3, key=7)
+        blocks = {}
+        for shard in shards:
+            for j, b in enumerate(shard.pair_blocks):
+                cut = slice(j * PAIR_BLOCK, (j + 1) * PAIR_BLOCK)
+                blocks[b] = (shard.pairs[cut], shard.labels[cut], shard.weights[cut])
+        assert sorted(blocks) == list(range(n_blocks(mb.n_edges, PAIR_BLOCK)))
+        for got, want in zip(zip(*(blocks[b] for b in sorted(blocks))), mb.all_pairs()):
+            np.testing.assert_array_equal(np.concatenate(got), want)
 
     def test_adjacency_matches_shard_vertices(self, planted, config):
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        for shard in partition_minibatch(graph, mb, 4):
+        for shard in partition_minibatch(graph, mb, 4, key=0):
             np.testing.assert_array_equal(shard.adjacency.vertices, shard.vertices)
             for i, v in enumerate(shard.vertices):
                 np.testing.assert_array_equal(
@@ -72,22 +89,25 @@ class TestPartitionMinibatch:
     def test_single_worker_gets_everything(self, planted, config):
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, 1)
-        np.testing.assert_array_equal(shards[0].vertices, mb.vertices)
-        assert len(shards[0].strata) == len(mb.strata)
+        (shard,) = partition_minibatch(graph, mb, 1, key=0)
+        np.testing.assert_array_equal(shard.vertices, mb.vertices)
+        for got, want in zip((shard.pairs, shard.labels, shard.weights), mb.all_pairs()):
+            np.testing.assert_array_equal(got, want)
 
     def test_more_workers_than_vertices(self, planted, config):
+        """Work goes in whole blocks: one worker per block, the rest idle."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, mb.n_vertices + 5)
+        shards = partition_minibatch(graph, mb, mb.n_vertices + 5, key=0)
         nonempty = [s for s in shards if s.vertices.size]
-        assert len(nonempty) == mb.n_vertices
+        assert len(nonempty) == n_blocks(mb.n_vertices, ROW_BLOCK)
+        assert sum(len(s.pair_blocks) for s in shards) == n_blocks(mb.n_edges, PAIR_BLOCK)
 
     def test_invalid_worker_count(self, planted, config):
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
         with pytest.raises(ValueError):
-            partition_minibatch(graph, mb, 0)
+            partition_minibatch(graph, mb, 0, key=0)
 
 
 class TestPartitionHeldout:

@@ -189,7 +189,10 @@ class TestConvert:
                 "iteration": half.iteration,
                 "config": _config_to_json(config),
                 "rng_state": json.dumps(half.rng.bit_generator.state),
-                "noise_rng_state": json.dumps(half.noise_rng.bit_generator.state),
+                # what the old writers recorded; convert drops it
+                "noise_rng_state": json.dumps(
+                    np.random.default_rng(config.seed + 1).bit_generator.state
+                ),
                 "perp_count": half.perplexity_estimator.n_samples,
             }),
             pi=half.state.pi, phi_sum=half.state.phi_sum, theta=half.state.theta,

@@ -17,9 +17,14 @@ from hypothesis import strategies as st
 
 from repro.config import AMMSBConfig
 from repro.core.minibatch import (
+    NEIGHBORS,
+    ROW_BLOCK,
     MinibatchSampler,
     NeighborSample,
+    block_rng,
+    draw_key,
     heldout_rows,
+    n_blocks,
     sample_neighbor_sets,
 )
 from repro.dist.partition import adjacency_slice
@@ -105,13 +110,17 @@ class TestRowLookupEqualsHasEdges:
             rows_contain(indptr, indices, np.zeros((3, 2), dtype=np.int64))
 
 
-def _parent_sample_neighbors(graph, heldout_keys, n_sample, vertices, rng) -> NeighborSample:
+def _parent_sample_neighbors(graph, heldout_keys, n_sample, vertices, key) -> NeighborSample:
     """``MinibatchSampler.sample_neighbors`` as it was before the row
     lookup, on the global ``has_edges`` — minus its degenerate-row
-    fallback, which the callers below never reach."""
+    fallback, which the callers below never reach — with the candidates
+    of each 64-row block drawn from that block's keyed generator."""
     vertices = np.asarray(vertices, dtype=np.int64)
     m, n = vertices.size, graph.n_vertices
-    neighbors = rng.integers(0, n, size=(m, n_sample))
+    neighbors = np.concatenate([
+        block_rng(key, NEIGHBORS, b).integers(0, n, size=(min(m - start, ROW_BLOCK), n_sample))
+        for b, start in enumerate(range(0, m, ROW_BLOCK))
+    ])
     mask = neighbors != vertices[:, None]
     flat_pairs = np.column_stack([np.repeat(vertices, n_sample), neighbors.reshape(-1)])
     if len(heldout_keys):
@@ -142,18 +151,17 @@ class TestSharedSamplerMatchesParent:
         draw = np.random.default_rng(3)
         masked = 0
         for seed in range(20):
-            vertices = np.unique(draw.integers(0, n, size=40))
+            vertices = np.unique(draw.integers(0, n, size=120))  # two row blocks
             links_against = {
                 "graph": partial(train.links_from, vertices),
                 "slice": adjacency_slice(train, vertices).links_against,
                 "graph_path": partial(mapped_train.links_from, vertices),
             }[source]
             got = sample_neighbor_sets(
-                vertices, np.random.default_rng(seed), n, self.N_SAMPLE, links_against, heldout
+                vertices, seed, range(n_blocks(vertices.size, ROW_BLOCK)), n,
+                self.N_SAMPLE, links_against, heldout,
             )
-            want = _parent_sample_neighbors(
-                train, keys, self.N_SAMPLE, vertices, np.random.default_rng(seed)
-            )
+            want = _parent_sample_neighbors(train, keys, self.N_SAMPLE, vertices, seed)
             np.testing.assert_array_equal(got.neighbors, want.neighbors)
             np.testing.assert_array_equal(got.labels, want.labels)
             np.testing.assert_array_equal(got.mask, want.mask)
@@ -163,11 +171,11 @@ class TestSharedSamplerMatchesParent:
     def test_minibatch_sampler_uses_it(self, split, config):
         hk = edge_keys(split.heldout_pairs, split.train.n_vertices)
         ms = MinibatchSampler(split.train, config, heldout_keys=hk)
-        vertices = np.arange(0, 60, 3)
+        vertices = np.arange(0, 190, 2)  # two row blocks
         got = ms.sample_neighbors(vertices, np.random.default_rng(8))
         want = _parent_sample_neighbors(
             split.train, np.sort(hk), config.neighbor_sample_size, vertices,
-            np.random.default_rng(8),
+            draw_key(np.random.default_rng(8)),
         )
         np.testing.assert_array_equal(got.neighbors, want.neighbors)
         np.testing.assert_array_equal(got.labels, want.labels)
@@ -227,6 +235,6 @@ class TestDegenerateRowFallback:
         vertices = np.array([0])
         lonely = Graph(1, np.zeros((0, 2)))
         ns = sample_neighbor_sets(
-            vertices, np.random.default_rng(0), 1, 3, partial(lonely.links_from, vertices), None
+            vertices, 0, [0], 1, 3, partial(lonely.links_from, vertices), None
         )
         assert not ns.mask.any() and not ns.labels.any()

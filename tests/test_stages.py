@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster.dkv import DKVStore
 from repro.config import AMMSBConfig
 from repro.core import kernels, stages
-from repro.core.minibatch import NeighborSample
+from repro.core.minibatch import ROW_BLOCK, NeighborSample, n_blocks
 from repro.core.state import ModelState
 from repro.dist.partition import WorkerShard
 from repro.dist.worker import DKVRows, WorkerContext
@@ -79,15 +79,20 @@ def test_empty_shard_rows_keep_the_store_dtype():
     dtype (it used to answer float64 zeros whatever the table held)."""
     cfg = AMMSBConfig(n_communities=3, dtype="float32")
     table = np.full((10, 4), 0.25, dtype=np.float32)
-    ctx = WorkerContext(0, cfg, 10, stages.TableRows(table))
+    ctx = WorkerContext(cfg, 10, stages.TableRows(table))
     nobody = np.zeros(0, dtype=np.int64)
-    shard = WorkerShard(0, nobody, adjacency=None)
+    shard = WorkerShard(
+        key=1, row_blocks=(), vertices=nobody, adjacency=None, pair_blocks=(),
+        pairs=nobody.reshape(0, 2), labels=nobody.astype(bool), weights=nobody.astype(float),
+    )
     sample = ctx.sample_neighbors(shard, lambda neighbors: np.zeros(neighbors.shape, bool))
-    result = ctx.update_phi_pi(shard, sample, beta=np.full(3, 0.5), eps_t=0.01)
+    assert sample.neighbors.shape == (0, cfg.neighbor_sample_size)
+    result = ctx.update_phi_pi(shard, sample, beta=np.full(3, 0.5), iteration=0)
     assert result.pi_rows.shape == (0, 3) and result.phi_sum.shape == (0,)
     assert result.pi_rows.dtype == result.phi_sum.dtype == np.float32
     ctx.write_pi(result)
     assert (table == 0.25).all()
+    assert ctx.theta_partial(shard, np.ones((3, 2)))[0] == {}
 
 
 def run_phi_stage(store, workspace, n_vertices, k, neighbors, backend="fused"):
@@ -100,7 +105,7 @@ def run_phi_stage(store, workspace, n_vertices, k, neighbors, backend="fused"):
     )
     return stages.phi_stage(
         store, kernels.get_backend(backend), workspace, cfg, n_vertices, np.arange(m),
-        sample, np.full(k, 0.4), 0.01, rng.standard_normal((m, k)),
+        sample, np.full(k, 0.4), 0, range(n_blocks(m, ROW_BLOCK)),
     )
 
 
