@@ -120,7 +120,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     report_every = max(1, args.iterations // 10)
     sample_from = int(args.iterations * 0.75)
     while sampler.iteration < args.iterations:
-        sampler.run(report_every, perplexity_every=50)
+        chunk = min(report_every, args.iterations - sampler.iteration)
+        sampler.run(chunk, perplexity_every=50)
         if sampler.iteration >= sample_from:
             posterior.record(sampler.state.pi, sampler.state.beta)
         print(

@@ -19,10 +19,26 @@ threaded, distributed and multiprocess engines end on this engine's
 state bit for bit, for every thread and worker count
 (``tests/test_dist_equivalence.py``), and ``rng``'s state alone resumes
 a run.
+
+An iteration is a draw (:meth:`AMMSBSampler._draw`: mini-batch, then
+neighbor sets) and an apply (:meth:`AMMSBSampler._apply`: the phi and
+theta stages). The draw reads the graph and the master stream, never the
+state, so :meth:`AMMSBSampler.run` draws iteration t+1 on one helper
+thread, from a copy of ``rng``, while iteration t is applied on the
+calling thread, and hands the copy's state back to ``rng`` when t+1
+starts. The stream is consumed in the same order (mini-batch, key,
+mini-batch, key), so ``run(n)`` ends on ``n`` calls of :meth:`step`'s
+state and stream bit for bit, and whenever a callback, a checkpoint
+writer or an exception handler sees ``rng``, it is where ``step()`` would
+have left it. :attr:`IterationStats.draw_wait_s` is what the calling
+thread still waited for its draw.
 """
 
 from __future__ import annotations
 
+import copy
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar
 
@@ -51,6 +67,10 @@ class IterationStats:
     step_phi: float
     step_theta: float
     perplexity: Optional[float] = None
+    #: seconds the calling thread blocked on this iteration's draw: all of
+    #: it in ``step()`` and in ``run()``'s first iteration, afterwards only
+    #: what the look-ahead had not finished
+    draw_wait_s: float = 0.0
 
 
 class AMMSBSampler:
@@ -160,10 +180,15 @@ class AMMSBSampler:
 
     # -- main loop -----------------------------------------------------------
 
-    def step(self) -> IterationStats:
-        """Run one full iteration of Algorithm 1."""
-        minibatch = self.minibatch_sampler.sample(self.rng)
-        neighbor_sample = self.minibatch_sampler.sample_neighbors(minibatch.vertices, self.rng)
+    def _draw(self, rng: np.random.Generator) -> tuple[Minibatch, NeighborSample]:
+        """An iteration's draw from ``rng``: the mini-batch, then its
+        neighbor sets under a key drawn right after it. Reads the graph and
+        ``rng`` only, never the state."""
+        minibatch = self.minibatch_sampler.sample(rng)
+        return minibatch, self.minibatch_sampler.sample_neighbors(minibatch.vertices, rng)
+
+    def _apply(self, minibatch: Minibatch, neighbor_sample: NeighborSample) -> IterationStats:
+        """An iteration's update stages over its draw; advances the clock."""
         self.update_phi_pi(minibatch, neighbor_sample)
         self.update_beta_theta(minibatch)
         stats = IterationStats(
@@ -177,6 +202,15 @@ class AMMSBSampler:
         self.history.append(stats)
         return stats
 
+    def step(self) -> IterationStats:
+        """Run one full iteration of Algorithm 1."""
+        start = time.perf_counter()
+        draw = self._draw(self.rng)
+        waited = time.perf_counter() - start
+        stats = self._apply(*draw)
+        stats.draw_wait_s = waited
+        return stats
+
     def run(
         self,
         n_iterations: int,
@@ -184,6 +218,14 @@ class AMMSBSampler:
         callback: Optional[Callable[[IterationStats], None]] = None,
     ) -> list[IterationStats]:
         """Run ``n_iterations``; optionally record perplexity periodically.
+
+        Ends on the state and ``rng`` of ``n_iterations`` calls of
+        :meth:`step` while drawing each next iteration on a helper thread
+        (module docstring). ``rng`` is handed back before any callback runs
+        and before any error surfaces, so both see it where ``step()``
+        would have left it. A draw's error surfaces at the iteration that
+        needs the draw; if a callback moves ``rng`` (a ``step()``, a
+        re-seat), the next draw is taken again from where it left it.
 
         Args:
             n_iterations: iterations to run.
@@ -193,20 +235,43 @@ class AMMSBSampler:
             callback: called after each iteration with its stats.
         """
         out = []
-        for _ in range(n_iterations):
-            stats = self.step()
-            if (
-                perplexity_every
-                and self.perplexity_estimator is not None
-                and self.iteration % perplexity_every == 0
-            ):
-                self.perplexity_estimator.record(
-                    self.state.pi, self.state.beta, iteration=self.iteration
-                )
-                stats.perplexity = self.perplexity_estimator.value()
-            if callback:
-                callback(stats)
-            out.append(stats)
+        ahead = copy.deepcopy(self.rng)
+        pending = seated = None
+        # The thread starts at the first submit, so never for n < 2; leaving
+        # the block joins it. A draw still in flight when an apply or a
+        # callback raises is one step() would never have made: dropped.
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for i in range(n_iterations):
+                start = time.perf_counter()
+                if pending is not None and self.rng.bit_generator.state != seated:
+                    wait([pending])  # the stream moved under the look-ahead
+                    pending = None
+                if pending is None:
+                    draw = self._draw(self.rng)
+                else:
+                    try:
+                        draw = pending.result()
+                    finally:
+                        self.rng.bit_generator.state = ahead.bit_generator.state
+                waited = time.perf_counter() - start
+                if i + 1 < n_iterations:
+                    seated = self.rng.bit_generator.state
+                    ahead.bit_generator.state = seated
+                    pending = helper.submit(self._draw, ahead)
+                stats = self._apply(*draw)
+                stats.draw_wait_s = waited
+                if (
+                    perplexity_every
+                    and self.perplexity_estimator is not None
+                    and self.iteration % perplexity_every == 0
+                ):
+                    self.perplexity_estimator.record(
+                        self.state.pi, self.state.beta, iteration=self.iteration
+                    )
+                    stats.perplexity = self.perplexity_estimator.value()
+                if callback:
+                    callback(stats)
+                out.append(stats)
         return out
 
     def run_until_converged(

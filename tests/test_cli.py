@@ -203,6 +203,32 @@ class TestDetectCheckpointing:
         for name in ("pi", "phi_sum", "theta"):
             assert np.array_equal(getattr(a[0], name), getattr(b[0], name))
 
+    @pytest.mark.parametrize("start", [7, 8])
+    def test_stops_at_iterations(self, tmp_path, capsys, start):
+        """``--iterations 25`` reports in chunks of 2 and must not end on 26,
+        whether it starts at 0 or resumes from an odd or even iteration."""
+        from repro.core.checkpoint import load_state_checkpoint
+        from repro.store import Container
+
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        detect = ["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32",
+                  "--output", str(tmp_path / "c.txt")]
+        assert main(detect + ["--iterations", "25", "--checkpoint", str(tmp_path / "whole")]) == 0
+        assert main(detect + ["--iterations", str(start),
+                              "--checkpoint", str(tmp_path / "part")]) == 0
+        assert main(detect + ["--iterations", "25", "--resume", str(tmp_path / "part"),
+                              "--checkpoint", str(tmp_path / "part")]) == 0
+        err = capsys.readouterr().err
+        assert "iter     26" not in err
+        whole, part = load_state_checkpoint(tmp_path / "whole"), load_state_checkpoint(tmp_path / "part")
+        assert whole[1] == part[1] == 25
+        for name in ("pi", "phi_sum", "theta"):
+            assert np.array_equal(getattr(whole[0], name), getattr(part[0], name))
+        rng_state = lambda name: Container(tmp_path / name).meta["rng_state"]  # noqa: E731
+        assert rng_state("whole") == rng_state("part")
+
     @pytest.mark.parametrize("damage", ["missing", "legacy-npz", "flipped-byte", "edited-manifest"])
     def test_unloadable_checkpoint_is_one_line_exit_3(self, tmp_path, capsys, damage):
         import json

@@ -8,7 +8,9 @@ resolve a backend itself.
 *One trajectory.* Past the mini-batch draw, randomness is keyed by what
 is computed: in the engine modules the only generator is the master
 stream, and :func:`repro.core.minibatch.block_rng` is the only per-block
-generator in the package.
+generator in the package. The master stream has one copy, the one
+``AMMSBSampler.run`` draws the next iteration from on its helper thread,
+and that helper is one of two thread pools in the package.
 
 *One on-disk format.* Model state is written by
 :func:`repro.store.write_container` and by nothing else; ``.npz`` /
@@ -142,19 +144,19 @@ GENERATORS = {
     "default_rng", "Generator", "RandomState", "SeedSequence",
     "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
 }
+#: copies of a generator (``ndarray.copy()`` is not one of these)
+COPIES = {"copy.copy", "copy.deepcopy", "deepcopy"}
 
 
-def _generator_calls(tree: ast.AST) -> list[tuple[ast.Call, ast.stmt, str]]:
-    """``(call, enclosing statement, enclosing def's name)`` for every
-    generator a module builds."""
+def _calls(tree: ast.AST, match) -> list[tuple[ast.Call, ast.stmt, str]]:
+    """``(call, enclosing statement, enclosing def's name)`` for every call
+    whose callee expression ``match`` accepts."""
     found = []
 
     def visit(node, stmt, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")) in GENERATORS:
-                    found.append((child, stmt, func))
+            if isinstance(child, ast.Call) and match(child.func):
+                found.append((child, stmt, func))
             visit(
                 child,
                 child if isinstance(child, ast.stmt) else stmt,
@@ -163,6 +165,14 @@ def _generator_calls(tree: ast.AST) -> list[tuple[ast.Call, ast.stmt, str]]:
 
     visit(tree, None, "")
     return found
+
+
+def _generator_calls(tree: ast.AST) -> list[tuple[ast.Call, ast.stmt, str]]:
+    """:func:`_calls` for every generator a module builds."""
+    return _calls(
+        tree,
+        lambda f: (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")) in GENERATORS,
+    )
 
 
 def test_the_engines_build_only_the_master_stream():
@@ -181,3 +191,23 @@ def test_block_rng_is_the_only_per_block_generator():
             if ast.unparse(call.func).split(".")[-1] in ("Generator", "Philox"):
                 makers.add((str(path.relative_to(SRC)), func))
     assert makers == {("core/minibatch.py", "block_rng")}
+
+
+def test_the_one_copy_of_the_master_stream_is_the_look_ahead():
+    copies = set()
+    for path in ENGINE_MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for _call, _stmt, func in _calls(tree, lambda f: ast.unparse(f) in COPIES):
+            copies.add((str(path.relative_to(SRC)), func))
+    assert copies == {("core/sampler.py", "run")}
+
+
+def test_thread_pools_are_the_look_ahead_and_the_block_map():
+    pools = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for _call, _stmt, func in _calls(
+            tree, lambda f: ast.unparse(f).split(".")[-1] == "ThreadPoolExecutor"
+        ):
+            pools.add((str(path.relative_to(SRC)), func))
+    assert pools == {("core/sampler.py", "run"), ("parallel/threadpool.py", "chunked_thread_map")}

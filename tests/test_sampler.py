@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.sampler import AMMSBSampler
 from repro.graph.split import split_heldout
+from repro.parallel.sampler import ThreadedAMMSBSampler
 
 
 class TestStep:
@@ -127,3 +132,215 @@ class TestConvergence:
         f1 = best_match_f1(covers, truth.covers)
         # Chance-level best-match F1 for 4 planted communities is ~0.35.
         assert f1 > 0.6
+
+
+# -- run() draws one iteration ahead ---------------------------------------------
+
+
+def step_by_step(sampler, n, perplexity_every=0, callback=None):
+    """``run(n)`` as it was before the look-ahead: ``n`` calls of ``step()``,
+    each followed by the perplexity record and the callback. The reference
+    every look-ahead test compares against."""
+    for _ in range(n):
+        stats = sampler.step()
+        if (
+            perplexity_every
+            and sampler.perplexity_estimator is not None
+            and sampler.iteration % perplexity_every == 0
+        ):
+            sampler.perplexity_estimator.record(
+                sampler.state.pi, sampler.state.beta, iteration=sampler.iteration
+            )
+            stats.perplexity = sampler.perplexity_estimator.value()
+        if callback:
+            callback(stats)
+
+
+def assert_same_run(a, b):
+    """Same state, clock, history and master stream (``draw_wait_s`` is a
+    timing, so it is the one field allowed to differ)."""
+    for name in ("pi", "phi_sum", "theta"):
+        np.testing.assert_array_equal(getattr(a.state, name), getattr(b.state, name))
+    assert a.iteration == b.iteration
+    untimed = lambda s: [dataclasses.replace(x, draw_wait_s=0.0) for x in s.history]  # noqa: E731
+    assert untimed(a) == untimed(b)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def raise_on_call(fn, n):
+    """``fn`` that raises :class:`Boom` on its ``n``-th call."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise Boom(f"call {n}")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+ENGINES = {
+    "sequential": AMMSBSampler,
+    "threaded": lambda *a, **k: ThreadedAMMSBSampler(*a, n_threads=2, **k),
+}
+
+
+class TestLookAhead:
+    """``run()`` draws iteration t+1 on a helper thread while iteration t
+    is applied: nothing a caller can see may differ from ``n x step()``."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("strategy", ["stratified-random-node", "random-pair", "full-batch"])
+    def test_run_is_n_steps(self, split, config, engine, dtype, strategy):
+        cfg = config.with_updates(dtype=dtype, strategy=strategy)
+        looked, stepped = (ENGINES[engine](split.train, cfg, heldout=split) for _ in range(2))
+        looked.run(12, perplexity_every=5)
+        step_by_step(stepped, 12, perplexity_every=5)
+        assert_same_run(looked, stepped)
+        assert [x.perplexity is not None for x in looked.history].count(True) == 2
+        # and across calls: a second run() continues the same stream
+        looked.run(3)
+        stepped.run(1)
+        step_by_step(stepped, 2)
+        assert_same_run(looked, stepped)
+
+    def test_callbacks_see_the_step_by_step_stream(self, planted, config):
+        graph, _ = planted
+        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+
+        def recorder(s, seen):
+            return lambda _stats: seen.append((s.iteration, s.rng.bit_generator.state))
+
+        seen_looked, seen_stepped = [], []
+        looked.run(9, callback=recorder(looked, seen_looked))
+        step_by_step(stepped, 9, callback=recorder(stepped, seen_stepped))
+        assert seen_looked == seen_stepped
+        assert [it for it, _ in seen_looked] == list(range(1, 10))
+
+    @pytest.mark.parametrize("move", ["step", "reseat"])
+    def test_a_callback_that_moves_the_stream_is_followed(self, planted, config, move):
+        graph, _ = planted
+
+        def callback_of(s):
+            def callback(stats):
+                if stats.iteration == 3:
+                    if move == "step":
+                        s.step()
+                    else:
+                        s.rng.bit_generator.state = np.random.default_rng(9).bit_generator.state
+            return callback
+
+        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+        looked.run(8, callback=callback_of(looked))
+        step_by_step(stepped, 8, callback=callback_of(stepped))
+        assert_same_run(looked, stepped)
+
+    def test_checkpoint_from_a_callback_resumes_to_the_uninterrupted_state(
+        self, split, config, tmp_path
+    ):
+        whole = AMMSBSampler(split.train, config, heldout=split)
+
+        def save_at_7(_stats):
+            if whole.iteration == 7:
+                save_checkpoint(tmp_path / "ck", whole)
+
+        whole.run(20, perplexity_every=4, callback=save_at_7)
+        resumed = load_checkpoint(tmp_path / "ck", split.train, heldout=split)
+        assert resumed.iteration == 7
+        resumed.run(13, perplexity_every=4)
+        for name in ("pi", "phi_sum", "theta"):
+            np.testing.assert_array_equal(getattr(whole.state, name), getattr(resumed.state, name))
+        assert resumed.iteration == 20
+        assert whole.rng.bit_generator.state == resumed.rng.bit_generator.state
+        assert whole.perplexity_estimator.value() == resumed.perplexity_estimator.value()
+
+    @pytest.mark.parametrize("n, threads", [(0, 0), (1, 0), (2, 1), (5, 1)])
+    def test_runs_of_two_or_more_start_one_helper(self, planted, config, monkeypatch, n, threads):
+        graph, _ = planted
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+        looked.run(n)
+        monkeypatch.undo()
+        step_by_step(stepped, n)
+        assert len(started) == threads
+        assert_same_run(looked, stepped)
+
+    def test_draw_wait_is_timed(self, planted, config):
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        assert s.step().draw_wait_s > 0
+        assert all(x.draw_wait_s >= 0 for x in s.run(5))
+        assert s.history[1].draw_wait_s > 0  # run()'s first draw is not looked ahead
+
+
+class TestLookAheadFailures:
+    """An error stops ``run()`` where ``step()`` by ``step()`` stops: same
+    applied iterations, same state, ``rng`` where ``step()`` left it, the
+    error itself surfaced and the helper thread joined."""
+
+    def _fail_both(self, graph, config, arm, n=10, callback_of=None):
+        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+        for s in (looked, stepped):
+            arm(s)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            looked.run(n, callback=callback_of(looked) if callback_of else None)
+        assert threading.active_count() == before
+        with pytest.raises(Boom):
+            step_by_step(stepped, n, callback=callback_of(stepped) if callback_of else None)
+        assert_same_run(looked, stepped)
+        return looked
+
+    def test_a_draw_error_surfaces_after_the_iterations_before_it(self, planted, config):
+        graph, _ = planted
+
+        def arm(s):
+            s.minibatch_sampler.sample = raise_on_call(s.minibatch_sampler.sample, 4)
+
+        looked = self._fail_both(graph, config, arm)
+        assert looked.iteration == 3 and len(looked.history) == 3
+        three = AMMSBSampler(graph, config)
+        step_by_step(three, 3)
+        assert looked.rng.bit_generator.state == three.rng.bit_generator.state
+
+    def test_a_neighbor_draw_error_hands_back_the_stream_it_moved(self, planted, config):
+        graph, _ = planted
+
+        def arm(s):
+            s.minibatch_sampler.sample_neighbors = raise_on_call(
+                s.minibatch_sampler.sample_neighbors, 4
+            )
+
+        # the 4th mini-batch was drawn before the error, so rng is past it,
+        # as step() leaves it: the helper's copy is handed back on the error
+        assert self._fail_both(graph, config, arm).iteration == 3
+
+    def test_an_update_error_at_iteration_5(self, planted, config):
+        graph, _ = planted
+
+        def arm(s):
+            s.update_phi_pi = raise_on_call(s.update_phi_pi, 6)
+
+        assert self._fail_both(graph, config, arm).iteration == 5
+
+    def test_a_callback_error(self, planted, config):
+        graph, _ = planted
+
+        def callback_of(_s):
+            return raise_on_call(lambda _stats: None, 5)
+
+        looked = self._fail_both(graph, config, lambda s: None, callback_of=callback_of)
+        assert looked.iteration == 5
