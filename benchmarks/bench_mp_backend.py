@@ -64,9 +64,10 @@ def test_mp_multi_worker_not_slower(benchmark, workload):
     assert t4 < t1 * 1.35
 
 
-def test_mp_result_independent_of_worker_count_statistically(benchmark, workload):
-    """Different worker counts shard differently (different RNG streams),
-    but the learned model quality must agree."""
+def test_mp_result_independent_of_worker_count(benchmark, workload):
+    """Different worker counts shard the same blocks differently, but every
+    random number is keyed by (iteration, block), not by worker: one
+    trajectory, so the held-out perplexity is the same number."""
     from repro.graph.split import split_heldout
 
     graph, cfg = workload
@@ -83,4 +84,4 @@ def test_mp_result_independent_of_worker_count_statistically(benchmark, workload
         return run(1), run(3)
 
     p1, p3 = benchmark.pedantic(compare, rounds=1, iterations=1, warmup_rounds=0)
-    assert abs(p1 - p3) / p1 < 0.25
+    assert p1 == p3

@@ -36,7 +36,7 @@ same neighbor sets and noise for the same row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -164,9 +164,10 @@ def concat_strata(
         return z.reshape(0, 2), z.astype(bool), z.astype(np.float64)
     pairs = np.vstack([s.pairs for s in strata])
     labels = np.concatenate([s.labels for s in strata])
-    scales = np.concatenate([
-        np.full(s.pairs.shape[0], s.scale) for s in strata
-    ])
+    scales = np.repeat(
+        np.array([s.scale for s in strata], dtype=np.float64),
+        [s.pairs.shape[0] for s in strata],
+    )
     return pairs, labels, scales
 
 
@@ -186,7 +187,12 @@ class Minibatch:
         return int(sum(s.pairs.shape[0] for s in self.strata))
 
     def all_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated (pairs, labels, per-pair scales)."""
+        """Concatenated (pairs, labels, per-pair scales), built on the
+        first call and shared by every later one: read-only."""
+        return self._all_pairs
+
+    @cached_property
+    def _all_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return concat_strata(self.strata)
 
 

@@ -9,15 +9,13 @@ workspace and a :class:`RowStore`, and every engine is an executor of
 these functions; ``tests/test_layout.py`` keeps each training kernel
 called from this module and nowhere else.
 
-Two row layouts exist. :class:`~repro.core.state.ModelState`'s split
-``pi`` / ``phi_sum`` arrays are a row store themselves.
-:class:`TableRows` is the ``[pi | phi_sum]`` table, one ``K + 1``-wide
-row per vertex, over an ndarray such as :mod:`repro.dist.mp`'s POSIX-shm
-table. Both are resident, so they answer a stage's neighbor rows as a
-*deferred gather* ``(table, index)`` and the phi kernel copies them one
-cache-sized block at a time (:func:`repro.core.kernels.gather_rows`). A
-store behind a network (:class:`repro.dist.worker.DKVRows`) answers the
-gathered rows from its one batched read.
+Two row stores exist. :class:`~repro.core.state.ModelState`'s split
+``pi`` / ``phi_sum`` arrays, on the heap or over :mod:`repro.dist.mp`'s
+POSIX-shm segment, are resident, so they answer a stage's neighbor rows
+as a *deferred gather* ``(pi, index)`` and the phi kernel copies them
+one cache-sized block at a time (:func:`repro.core.kernels.gather_rows`).
+A store behind a network (:class:`repro.dist.worker.DKVRows`) answers
+the gathered rows from its one batched read.
 """
 
 from __future__ import annotations
@@ -54,25 +52,6 @@ class RowStore(Protocol):
         self, vertices: np.ndarray, pi_rows: np.ndarray, phi_sum: np.ndarray
     ) -> None:
         """Store new rows for unique ``vertices``; other rows are untouched."""
-
-
-class TableRows:
-    """The ``[pi | phi_sum]`` table layout as a :class:`RowStore`, over an
-    ``(N, K + 1)`` ndarray."""
-
-    def __init__(self, table: np.ndarray) -> None:
-        self.table = table
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.table.dtype
-
-    def read_rows(self, vertices, others):
-        own = self.table[vertices]
-        return own[:, :-1], own[:, -1], (self.table[:, :-1], others)
-
-    def write_rows(self, vertices, pi_rows, phi_sum) -> None:
-        self.table[vertices] = np.concatenate([pi_rows, phi_sum[:, None]], axis=1)
 
 
 def pinned_backend(config: AMMSBConfig) -> tuple[KernelBackend, AMMSBConfig]:

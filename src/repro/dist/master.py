@@ -3,10 +3,11 @@
 The master is rank 0. It is the only rank holding the full edge set (13.5
 GB for com-Friendster in the paper — too large to replicate), the
 mini-batch sampler state, and the authoritative copy of theta. In the
-pipelined configuration the master prepares iteration ``t+1``'s mini-batch
+pipelined configuration the master draws iteration ``t+1``'s mini-batch
 while the workers compute iteration ``t``'s update_phi (Section III-D).
 Its generator, ``rng``, is the sequential engine's master stream, seeded
-and consumed alike (mini-batch, then neighbor-set key, prefetched or not).
+and consumed alike (mini-batch, then neighbor-set key, looked ahead or
+not).
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class MasterContext:
         config: shared configuration.
         n_workers: worker count.
         heldout_keys: sorted canonical keys of held-out pairs.
+        ship_adjacency: scatter each shard's CSR adjacency slice. False
+            when the workers hold the graph themselves (:mod:`repro.dist.mp`'s
+            forked workers): shards then carry ``adjacency=None``.
     """
 
     def __init__(
@@ -55,17 +59,21 @@ class MasterContext:
         self.graph = graph
         self.config = config
         self.n_workers = n_workers
-        # False when workers hold a shared mapped graph (dist.mp
-        # graph_path mode): shards then carry no adjacency slices.
         self.ship_adjacency = ship_adjacency
         self.rng = np.random.default_rng(config.seed)
         self.minibatch_sampler = MinibatchSampler(graph, config, heldout_keys=heldout_keys)
-        self._prefetched: Optional[MasterDraw] = None
+        #: The look-ahead: the next iteration's ``(minibatch, key)``, not
+        #: yet dealt, so a worker loss in between never strands it.
+        self._ahead: Optional[tuple[Minibatch, int]] = None
+
+    def _sample(self) -> tuple[Minibatch, int]:
+        minibatch = self.minibatch_sampler.sample(self.rng)
+        minibatch.all_pairs()  # concatenated in the look-ahead: a deal only cuts
+        return minibatch, draw_key(self.rng)
 
     def draw(self) -> MasterDraw:
         """Draw a mini-batch and its neighbor-set key; build shards."""
-        minibatch = self.minibatch_sampler.sample(self.rng)
-        return self.deal(minibatch, draw_key(self.rng))
+        return self.deal(*self._sample())
 
     def deal(self, minibatch: Minibatch, key: int) -> MasterDraw:
         """Shard a drawn mini-batch across the current worker count (a
@@ -76,18 +84,18 @@ class MasterContext:
         return MasterDraw(minibatch=minibatch, key=key, shards=shards)
 
     def next_draw(self) -> MasterDraw:
-        """Return the prefetched draw if present, else draw now.
+        """The looked-ahead draw if one is held, else a new one, dealt
+        over the current worker count.
 
-        The pipelined runtime calls :meth:`prefetch` during update_phi of
-        the previous iteration; the non-pipelined runtime never prefetches,
-        so this degrades to a synchronous draw.
+        The pipelined runtimes call :meth:`prefetch` during update_phi of
+        the previous iteration; without it this is a synchronous draw.
         """
-        if self._prefetched is not None:
-            out, self._prefetched = self._prefetched, None
-            return out
-        return self.draw()
+        ahead, self._ahead = self._ahead or self._sample(), None
+        return self.deal(*ahead)
 
     def prefetch(self) -> None:
-        """Prepare the next iteration's draw (overlapped with update_phi)."""
-        if self._prefetched is None:
-            self._prefetched = self.draw()
+        """Draw the next iteration's mini-batch and key now (overlapped
+        with update_phi); :meth:`next_draw` deals them. A no-op while a
+        draw is held, so a retried iteration draws nothing twice."""
+        if self._ahead is None:
+            self._ahead = self._sample()

@@ -4,15 +4,19 @@ The in-process :class:`~repro.dist.sampler.DistributedAMMSBSampler`
 executes ranks sequentially (with a simulated clock). This module runs
 the same master-worker protocol across **operating-system processes**:
 
-- the global ``[pi | phi_sum]`` table lives in POSIX shared memory (the
-  shared-memory analogue of the RDMA DKV store — every worker maps the
-  same pages);
+- the global ``pi`` (one C-contiguous ``(N, K)`` array) and ``phi_sum``
+  live in one POSIX shared-memory segment (the shared-memory analogue of
+  the RDMA DKV store — every worker maps the same pages);
 - the master (the parent process) draws mini-batches and ships each
-  worker its shard (vertices, adjacency slice, strata) over a pipe —
-  exactly the scatter of Section III-A;
+  worker its shard (vertices, strata) over a pipe — the scatter of
+  Section III-A without the adjacency slice: a forked worker inherits
+  the training graph (copy-on-write, one physical copy) and answers
+  ``y_ab`` from it;
+- the master draws iteration ``t+1`` while the workers compute phi of
+  ``t`` (the paper's Section III-C pipelining);
 - each worker process hosts the in-process engine's
   :class:`~repro.dist.worker.WorkerContext` (same stages, randomness
-  keyed by block, not by worker) over the shared table instead of the
+  keyed by block, not by worker) over the shared rows instead of the
   DKV store, so this backend ends on the sequential engine's state bit
   for bit, for every worker count (``tests/test_dist_equivalence.py``);
 - the stage protocol preserves the paper's hazard discipline: phi is
@@ -29,9 +33,10 @@ can never hang the master. A worker whose process exits (detected via
 and is fenced by termination — is removed from the active set, the
 mini-batch rows are restored from an undo log taken before the
 iteration wrote any, and the iteration's draw is re-dealt to the
-survivors and retried. Blocks, not workers, key every random number and
-order the theta reduce, so a recovered run ends on the fault-free run's
-state bit for bit. Opt-in auto-checkpointing (``checkpoint_path`` +
+survivors and retried. The look-ahead holds ``t+1`` undealt, so it is
+dealt to whichever workers are left when ``t+1`` starts. Blocks, not
+workers, key every random number and order the theta reduce, so a
+recovered run ends on the fault-free run's state bit for bit. Opt-in auto-checkpointing (``checkpoint_path`` +
 ``checkpoint_every``) reuses :mod:`repro.core.checkpoint`'s atomic
 writer so a master crash can resume from the last durable state.
 Every command/result carries a sequence number; results from an aborted
@@ -82,19 +87,27 @@ class RecoveryEvent:
     stalled: bool
 
 
+def shared_rows(buf, n_vertices: int, config: AMMSBConfig) -> ModelState:
+    """The shared segment as the split-array row store: ``pi`` as one
+    C-contiguous ``(N, K)`` array, then ``phi_sum`` ``(N,)``, in
+    ``config.dtype``. ``theta`` is not in the segment (the master keeps
+    it), so the store's own is empty."""
+    dtype = np.dtype(config.dtype)
+    pi = np.ndarray((n_vertices, config.n_communities), dtype, buffer=buf)
+    phi_sum = np.ndarray((n_vertices,), dtype, buffer=buf, offset=pi.nbytes)
+    return ModelState(pi=pi, phi_sum=phi_sum, theta=np.zeros((0, 2)))
+
+
 def _worker_loop(
     worker_id: int,
     shm_name: str,
-    table_shape: tuple[int, int],
-    dtype_str: str,
     config: AMMSBConfig,
-    n_vertices: int,
+    graph: Graph,
     heldout_keys: Optional[np.ndarray],
     faults: Optional[FaultPlan],
     pipes: list,
-    graph_path: Optional[str] = None,
 ) -> None:
-    """Worker process: command loop over the shared pi table.
+    """Worker process: command loop over the shared pi rows.
 
     Every result message is ``(tag, worker_id, seq, key, payload)`` where
     ``seq`` echoes the command's sequence number — the master uses it to
@@ -115,11 +128,10 @@ def _worker_loop(
     master closing its pipe ends at shutdown likewise never surfaces as
     ``BrokenPipeError``/``EOFError`` here.
 
-    ``graph_path`` (a CSR container from ``repro convert-graph``) turns
-    on shared-graph mode: the worker memory-maps the full graph
-    read-only — every worker process shares ONE physical copy through
-    the page cache — and answers ``y_ab`` from it directly, so shards
-    arrive without adjacency slices.
+    ``graph`` is the master's training graph, inherited through ``fork``
+    (never pickled; copy-on-write leaves one physical copy for every
+    process): the worker answers ``y_ab`` from it, so shards arrive
+    without adjacency slices.
     """
     cmd_recv, _, _, res_send = pipes[worker_id]
     for i, (cr, cs, rr, rs) in enumerate(pipes):
@@ -130,11 +142,6 @@ def _worker_loop(
             rs.close()
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
-        mapped_graph: Optional[Graph] = None
-        if graph_path is not None:
-            from repro.graph.io import load_csr
-
-            mapped_graph = load_csr(graph_path, provider="mmap")
         def send_result(msg) -> None:
             try:
                 res_send.send(msg)
@@ -143,10 +150,10 @@ def _worker_loop(
                 # left, nothing useful to do in this process.
                 os._exit(0)
 
-        table = np.ndarray(table_shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        # The in-process engine's worker over the shared table instead of
+        # The in-process engine's worker over the shared rows instead of
         # the DKV store: same stages, bit-identical states.
-        ctx = WorkerContext(config, n_vertices, stages.TableRows(table), heldout_keys)
+        rows = shared_rows(shm.buf, graph.n_vertices, config)
+        ctx = WorkerContext(config, graph.n_vertices, rows, heldout_keys)
         pending: Optional[PhiStageResult] = None
         shard: Optional[WorkerShard] = None
 
@@ -173,13 +180,7 @@ def _worker_loop(
                         time.sleep(stall)
                     if faults.crash_due(worker_id, iteration):
                         os._exit(23)
-                # Shared-graph mode ships no adjacency: the rows come
-                # from the mapped CSR (same lookup, same answers).
-                links_against = (
-                    partial(mapped_graph.links_from, shard.vertices)
-                    if shard.adjacency is None
-                    else None
-                )
+                links_against = partial(graph.links_from, shard.vertices)
                 pending = ctx.update_phi_pi(
                     shard, ctx.sample_neighbors(shard, links_against), beta, iteration
                 )
@@ -244,13 +245,6 @@ class MultiprocessAMMSBSampler:
             watching the path can hot-swap mid-run).
         publish_every: iterations between artifact publishes (0 = only
             explicit :meth:`publish_artifact` calls).
-        graph_path: opt-in shared-graph mode. Path to a CSR container
-            (built once with ``repro convert-graph``) matching ``graph``;
-            each worker memory-maps it read-only, so all workers share
-            one physical copy of the graph through the page cache and
-            the master stops shipping per-iteration adjacency slices
-            entirely (smaller scatter payloads, flat worker RSS).
-            Bit-identical results to the default ship-adjacency mode.
     """
 
     def __init__(
@@ -268,7 +262,6 @@ class MultiprocessAMMSBSampler:
         checkpoint_every: int = 0,
         publish_path: Optional[Union[str, Path]] = None,
         publish_every: int = 0,
-        graph_path: Optional[Union[str, Path]] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -289,34 +282,24 @@ class MultiprocessAMMSBSampler:
         self.publish_every = int(publish_every)
         self.recoveries: list[RecoveryEvent] = []
 
-        self.graph_path = Path(graph_path) if graph_path else None
-        if self.graph_path is not None:
-            from repro.store import read_manifest
-
-            meta = read_manifest(self.graph_path).get("meta", {})
-            if int(meta.get("n_vertices", -1)) != graph.n_vertices:
-                raise ValueError(
-                    f"graph_path container has n_vertices={meta.get('n_vertices')}, "
-                    f"training graph has {graph.n_vertices}"
-                )
-
         heldout_keys = None
         if heldout is not None:
             heldout_keys = np.sort(edge_keys(heldout.heldout_pairs, graph.n_vertices))
+        # The workers inherit the graph: shards carry no adjacency.
         self.master = MasterContext(
-            graph, config, n_workers, heldout_keys,
-            ship_adjacency=self.graph_path is None,
+            graph, config, n_workers, heldout_keys, ship_adjacency=False
         )
 
-        k = config.n_communities
         init = state if state is not None else init_state(
             graph.n_vertices, config, self.master.rng
         )
-        dtype = np.dtype(config.dtype)
-        table = np.concatenate([init.pi, init.phi_sum[:, None]], axis=1).astype(dtype)
-        self._shm = shared_memory.SharedMemory(create=True, size=table.nbytes)
-        self._table = np.ndarray(table.shape, dtype=dtype, buffer=self._shm.buf)
-        self._table[:] = table
+        n_values = graph.n_vertices * (config.n_communities + 1)
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=n_values * np.dtype(config.dtype).itemsize
+        )
+        self._rows = shared_rows(self._shm.buf, graph.n_vertices, config)
+        self._rows.pi[:] = init.pi
+        self._rows.phi_sum[:] = init.phi_sum
         self.theta = init.theta.copy()
 
         # Static E_h partition, each part with its own running average.
@@ -361,18 +344,7 @@ class MultiprocessAMMSBSampler:
         for w in range(n_workers):
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(
-                    w,
-                    self._shm.name,
-                    table.shape,
-                    str(dtype),
-                    config,
-                    graph.n_vertices,
-                    heldout_keys,
-                    self.faults,
-                    pipes,
-                    str(self.graph_path) if self.graph_path is not None else None,
-                ),
+                args=(w, self._shm.name, config, graph, heldout_keys, self.faults, pipes),
                 daemon=True,
             )
             proc.start()
@@ -672,9 +644,7 @@ class MultiprocessAMMSBSampler:
 
     def state_snapshot(self) -> ModelState:
         return ModelState(
-            pi=self._table[:, :-1].copy(),
-            phi_sum=self._table[:, -1].copy(),
-            theta=self.theta.copy(),
+            pi=self._rows.pi.copy(), phi_sum=self._rows.phi_sum.copy(), theta=self.theta.copy()
         )
 
     # -- checkpointing --------------------------------------------------------------
@@ -768,7 +738,7 @@ class MultiprocessAMMSBSampler:
                 break
             except WorkerCrashed as crash:
                 self._recover(crash)
-                self._table[draw.minibatch.vertices] = self._undo
+                self._rows.write_rows(draw.minibatch.vertices, *self._undo)
                 draw = self.master.deal(draw.minibatch, draw.key)
         self.iteration += 1
         self._maybe_autocheckpoint()
@@ -780,9 +750,12 @@ class MultiprocessAMMSBSampler:
         seq = self._next_seq()
         for idx, w in enumerate(active):
             self._send(w, ("phi_compute", seq, draw.shards[idx], self.beta, self.iteration))
-        # Undo log of the rows this iteration writes, copied while the
-        # workers compute (no worker writes before pi_write).
-        self._undo = self._table[draw.minibatch.vertices]
+        # While the workers compute: draw t+1 (a retry finds it held), and
+        # copy the undo log of the rows this iteration writes (no worker
+        # writes before pi_write).
+        self.master.prefetch()
+        vertices = draw.minibatch.vertices
+        self._undo = (self._rows.pi[vertices], self._rows.phi_sum[vertices])
         self._collect("phi_done", active, seq)
         # Stage: pi write-back (disjoint rows) ... barrier.
         seq = self._next_seq()

@@ -69,11 +69,10 @@ class WorkerShard:
 
     ``vertices`` are the mini-batch rows of ``row_blocks`` and ``pairs``
     the pairs of ``pair_blocks``, each in block order. ``adjacency`` is
-    ``None`` when the runtime gives every worker a shared read-only
-    memory-mapped graph instead (``graph_path`` mode in
-    :mod:`repro.dist.mp`): the worker then answers ``y_ab`` straight from
-    the mapped CSR, and the per-iteration adjacency payload disappears
-    from the scatter entirely.
+    ``None`` when the workers hold the graph themselves
+    (:mod:`repro.dist.mp`'s forked workers, which inherit it): the worker
+    then answers ``y_ab`` from that graph, and the per-iteration adjacency
+    payload disappears from the scatter entirely.
     """
 
     key: int  # the iteration's neighbor-set key
@@ -93,13 +92,6 @@ class WorkerShard:
         )
 
 
-def _dealt(n: int, size: int, n_workers: int, w: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Worker ``w``'s round-robin share of ``n`` items in blocks of
-    ``size``: its block ids and the item indices they cover, in order."""
-    items = np.flatnonzero(np.arange(n) // size % n_workers == w)
-    return tuple(range(w, n_blocks(n, size), n_workers)), items
-
-
 def partition_minibatch(
     graph: Graph, minibatch: Minibatch, n_workers: int, key: int, with_adjacency: bool = True
 ) -> list[WorkerShard]:
@@ -110,23 +102,26 @@ def partition_minibatch(
     both count and expected adjacency size).
 
     ``with_adjacency=False`` skips the CSR slice extraction and ships
-    ``adjacency=None`` — for workers that hold a shared mapped graph.
+    ``adjacency=None`` — for workers that hold the graph themselves.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
     pairs, labels, weights = minibatch.all_pairs()
+    # The worker each row and each pair goes to, block by block.
+    m, e = minibatch.n_vertices, len(pairs)
+    row_owner = np.arange(m) // ROW_BLOCK % n_workers
+    pair_owner = np.arange(e) // PAIR_BLOCK % n_workers
     shards = []
     for w in range(n_workers):
-        row_blocks, rows = _dealt(minibatch.n_vertices, ROW_BLOCK, n_workers, w)
-        pair_blocks, cut = _dealt(len(pairs), PAIR_BLOCK, n_workers, w)
+        rows, cut = row_owner == w, pair_owner == w
         vs = minibatch.vertices[rows]
         shards.append(
             WorkerShard(
                 key=key,
-                row_blocks=row_blocks,
+                row_blocks=tuple(range(w, n_blocks(m, ROW_BLOCK), n_workers)),
                 vertices=vs,
                 adjacency=adjacency_slice(graph, vs) if with_adjacency else None,
-                pair_blocks=pair_blocks,
+                pair_blocks=tuple(range(w, n_blocks(e, PAIR_BLOCK), n_workers)),
                 pairs=pairs[cut],
                 labels=labels[cut],
                 weights=weights[cut],

@@ -81,8 +81,8 @@ class WorkerContext:
     Args:
         config: shared configuration.
         n_vertices: N (needed for neighbor sampling and update scales).
-        rows: the store holding ``[pi | phi_sum]`` rows
-            (:class:`DKVRows`, or :class:`~repro.core.stages.TableRows`
+        rows: the store holding ``pi`` / ``phi_sum`` rows
+            (:class:`DKVRows`, or a :class:`~repro.core.state.ModelState`
             over shared memory).
         heldout_keys: canonical held-out keys (broadcast at init), masked
             out of neighbor sets.
@@ -116,7 +116,7 @@ class WorkerContext:
         """Draw V_n per shard vertex, block by block under the shard's
         key; labels come from the scattered adjacency slice — the worker
         has no other view of E — unless the host answers ``y_ab`` itself
-        (``links_against``: a mapped graph)."""
+        (``links_against``: the graph a forked mp worker inherited)."""
         return sample_neighbor_sets(
             shard.vertices,
             shard.key,

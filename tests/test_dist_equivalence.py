@@ -162,3 +162,25 @@ class TestEngineMatrix:
         with MultiprocessAMMSBSampler(split.train, cfg, n_workers=n_workers, heldout=split) as mp:
             mp.run(N_ITER)
             assert_same_state(mp.state_snapshot(), sequential(cfg, "deferred"))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_mp_held_draw_carries_across_calls(problem, n_workers, dtype):
+    """``run(3); evaluate_perplexity(); run(4)`` ≡ ``run(7)`` ≡ sequential:
+    between calls the mp master holds the next iteration's draw, and a
+    held-out evaluation in between neither moves nor strands it."""
+    split, cfg = problem
+    cfg = cfg.with_updates(dtype=dtype)
+    with MultiprocessAMMSBSampler(split.train, cfg, n_workers=n_workers, heldout=split) as mp:
+        mp.run(3)
+        mp.evaluate_perplexity()
+        mp.run(4)
+        interrupted = mp.state_snapshot()
+    with MultiprocessAMMSBSampler(split.train, cfg, n_workers=n_workers, heldout=split) as mp:
+        mp.run(7)
+        whole = mp.state_snapshot()
+    seq = AMMSBSampler(split.train, cfg, heldout=split)
+    seq.run(7)
+    assert_same_state(interrupted, whole)
+    assert_same_state(interrupted, seq.state)

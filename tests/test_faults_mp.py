@@ -122,10 +122,18 @@ class TestCrashRecovery:
             assert s.recoveries == []
 
 
+def sequential_state(split, config, n_iter, heldout=None):
+    sampler = AMMSBSampler(split.train, config, heldout=heldout)
+    sampler.run(n_iter)
+    return sampler.state
+
+
 class TestRecoveryKeepsTheTrajectory:
     """A lost worker costs a retry, never a different run: the master
     keeps the iteration's draw, restores the mini-batch rows from its undo
-    log and re-deals the draw to the survivors."""
+    log and re-deals the draw to the survivors. The look-ahead (iteration
+    t+1's draw, taken while phi of t runs) is held undealt, so it goes to
+    whichever workers are left when t+1 starts."""
 
     @pytest.fixture()
     def wide(self, split, config):
@@ -138,6 +146,7 @@ class TestRecoveryKeepsTheTrajectory:
             ("write_done", "after"),  # right after the victim acknowledged pi_write
             ("theta", "before"),  # during theta_partial
             ("write_done", "before"),  # while the pi writes are in flight
+            ("phi_done", "before"),  # during phi_compute
         ],
     )
     def test_sigkill_mid_iteration_ends_on_the_fault_free_state(
@@ -145,9 +154,10 @@ class TestRecoveryKeepsTheTrajectory:
     ):
         s = MultiprocessAMMSBSampler(split.train, wide, n_workers=3, **FAST)
         real_collect = s._collect
-        fired = []
+        fired, held = [], []
 
         def kill_victim():
+            held.append(s.master._ahead is not None)
             victim = s._procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
@@ -165,7 +175,8 @@ class TestRecoveryKeepsTheTrajectory:
         monkeypatch.setattr(s, "_collect", collect)
         try:
             s.run(6)
-            assert fired == [3] and s.active_workers == (0, 2)
+            # Every stage of an iteration runs with iteration 4's draw held.
+            assert fired == [3] and held == [True] and s.active_workers == (0, 2)
             # Killed during theta_partial, the victim may have sent its
             # partial already: then iteration 4's phi stage finds it dead.
             late = [4] if (stage, when) == ("theta", "before") else []
@@ -174,6 +185,45 @@ class TestRecoveryKeepsTheTrajectory:
         finally:
             s.close()
         assert_same_state(crashed, fault_free(split, wide, 6))
+        assert_same_state(crashed, sequential_state(split, wide, 6))
+
+    def test_sigkill_during_perplexity_with_a_draw_held(self, split, wide, monkeypatch):
+        """A loss between iterations: the held draw of iteration 3 was
+        taken for three workers and is dealt to the two survivors."""
+        with MultiprocessAMMSBSampler(
+            split.train, wide, n_workers=3, heldout=split, **FAST
+        ) as clean:
+            clean.run(3)
+            want_perplexity = clean.evaluate_perplexity()
+            clean.run(3)
+            want = clean.state_snapshot()
+
+        s = MultiprocessAMMSBSampler(split.train, wide, n_workers=3, heldout=split, **FAST)
+        real_send = s._send
+        fired = []
+
+        def send(worker, payload):
+            # Killed before its held-out part is sent: the loss surfaces
+            # inside evaluate_perplexity, not in the next step.
+            if payload[0] == "perplexity" and not fired:
+                fired.append((s.iteration, s.master._ahead is not None))
+                victim = s._procs[1]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+            real_send(worker, payload)
+
+        monkeypatch.setattr(s, "_send", send)
+        try:
+            s.run(3)
+            assert s.evaluate_perplexity() == want_perplexity
+            assert fired == [(3, True)] and s.active_workers == (0, 2)
+            assert [ev.iteration for ev in s.recoveries] == [3]
+            s.run(3)
+            crashed = s.state_snapshot()
+        finally:
+            s.close()
+        assert_same_state(crashed, want)
+        assert_same_state(crashed, sequential_state(split, wide, 6, heldout=split))
 
 
 class TestPipeDiscipline:

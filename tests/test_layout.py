@@ -16,12 +16,17 @@ and that helper is one of two thread pools in the package.
 :func:`repro.store.write_container` and by nothing else; ``.npz`` /
 zip / zlib I/O lives in the graph interchange, the array provider and
 the one legacy reader behind ``repro convert``.
+
+*No source file is ignored.* ``.gitignore`` hides no module, present or
+new, under ``src/`` or ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,6 +34,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).parent
+REPO = SRC.parent.parent
 ENGINE_MODULES = sorted(
     [SRC / "core" / "sampler.py", SRC / "core" / "stages.py"]
     + list((SRC / "parallel").glob("*.py"))
@@ -211,3 +217,28 @@ def test_thread_pools_are_the_look_ahead_and_the_block_map():
         ):
             pools.add((str(path.relative_to(SRC)), func))
     assert pools == {("core/sampler.py", "run"), ("parallel/threadpool.py", "chunked_thread_map")}
+
+
+# -- no source file is ignored ---------------------------------------------------
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (REPO / ".git").exists(),
+    reason="needs git and a git checkout",
+)
+def test_gitignore_hides_no_source_or_test_file():
+    """An unanchored ``dist/`` once matched ``src/repro/dist/``: ``git add``
+    skipped new modules of that package and ripgrep skipped all of it.
+    Every module, and a new one in every directory, must be visible."""
+    paths = []
+    for top in ("src", "tests"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            paths.append(path)
+            paths.append(path.with_name("new_module.py"))
+    names = sorted({str(p.relative_to(REPO)) for p in paths})
+    result = subprocess.run(
+        ["git", "check-ignore", "--no-index", "--stdin"],
+        input="\n".join(names), cwd=REPO, capture_output=True, text=True,
+    )
+    assert result.returncode in (0, 1), result.stderr  # 1: nothing ignored
+    assert result.stdout.split() == []

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.cluster.spec import das5
 from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core import kernels
+from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
 from repro.dist.mp import MultiprocessAMMSBSampler
 from repro.dist.sampler import DistributedAMMSBSampler
@@ -67,8 +70,8 @@ class TestMultiprocess:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("backend", kernels.available_backends())
     def test_matches_inprocess_backend_bit_for_bit(self, problem, backend, dtype):
-        """Both engines host the same WorkerContext, over a ``[pi | phi_sum]``
-        shm table and behind the DKV store: free runs (held-out pairs
+        """Both engines host the same WorkerContext, over the shared
+        ``pi`` / ``phi_sum`` segment and behind the DKV store: free runs (held-out pairs
         masked out of the neighbor sets) are bit-identical for every
         registered backend and dtype."""
         split, cfg = problem
@@ -125,45 +128,34 @@ class TestMultiprocess:
         snap.validate()
 
 
-class TestSharedGraphPath:
-    def test_graph_path_run_is_bit_identical(self, problem, tmp_path):
-        """Workers mapping a shared read-only CSR container reproduce the
-        ship-adjacency-over-pipes run exactly."""
-        from repro.graph.io import save_csr
-
+class TestInheritedGraph:
+    def test_workers_answer_y_ab_from_the_graph_they_forked_with(self, problem, monkeypatch):
+        """No ``phi_compute`` shard carries an adjacency slice, and the
+        workers — forked with ``repro.graph.io`` made unimportable — end
+        on the sequential engine's state: they read ``y_ab`` from the
+        graph they inherited, not from a slice or a container."""
         split, cfg = problem
-        st0 = init_state(split.train.n_vertices, cfg, np.random.default_rng(4))
-        container = save_csr(split.train, tmp_path / "train_csr")
+        cfg = cfg.with_updates(mini_batch_vertices=140)
+        monkeypatch.setitem(sys.modules, "repro.graph.io", None)
+        shards = []
+        with MultiprocessAMMSBSampler(split.train, cfg, n_workers=2) as s:
+            real_send = s._send
 
-        with MultiprocessAMMSBSampler(
-            split.train, cfg, n_workers=2, state=st0.copy()
-        ) as piped:
-            piped.run(8)
-            snap_piped = piped.state_snapshot()
-        with MultiprocessAMMSBSampler(
-            split.train, cfg, n_workers=2, state=st0.copy(),
-            graph_path=container,
-        ) as mapped:
-            mapped.run(8)
-            snap_mapped = mapped.state_snapshot()
+            def send(worker, payload):
+                if payload[0] == "phi_compute":
+                    shards.append(payload[2])
+                real_send(worker, payload)
 
-        np.testing.assert_array_equal(snap_mapped.pi, snap_piped.pi)
-        np.testing.assert_array_equal(snap_mapped.theta, snap_piped.theta)
-
-    def test_graph_path_vertex_mismatch_rejected(self, problem, tmp_path):
-        from repro.graph.generators import planted_overlapping_graph
-        from repro.graph.io import save_csr
-
-        split, cfg = problem
-        other, _ = planted_overlapping_graph(
-            60, 3, memberships_per_vertex=1, p_in=0.3, p_out=0.01,
-            rng=np.random.default_rng(0),
-        )
-        container = save_csr(other, tmp_path / "other_csr")
-        with pytest.raises(ValueError, match="n_vertices"):
-            MultiprocessAMMSBSampler(
-                split.train, cfg, n_workers=2, graph_path=container
-            )
+            s._send = send
+            s.run(8)
+            snap = s.state_snapshot()
+        assert len(shards) == 16 and all(shard.adjacency is None for shard in shards)
+        assert any(shard.vertices.size for shard in shards[1::2])  # not one worker alone
+        sequential = AMMSBSampler(split.train, cfg)
+        sequential.run(8)
+        np.testing.assert_array_equal(snap.pi, sequential.state.pi)
+        np.testing.assert_array_equal(snap.phi_sum, sequential.state.phi_sum)
+        np.testing.assert_array_equal(snap.theta, sequential.state.theta)
 
 
 class TestArtifactPublishing:

@@ -13,6 +13,7 @@ from repro.config import AMMSBConfig
 from repro.core import kernels, stages
 from repro.core.minibatch import ROW_BLOCK, NeighborSample, n_blocks
 from repro.core.state import ModelState
+from repro.dist.mp import shared_rows
 from repro.dist.partition import WorkerShard
 from repro.dist.worker import DKVRows, WorkerContext
 
@@ -25,7 +26,13 @@ def make_store(kind: str, pi: np.ndarray, phi_sum: np.ndarray):
     if kind == "ModelState":
         return ModelState(pi.copy(), phi_sum.copy(), theta=np.ones((pi.shape[1], 2)))
     if kind == "ndarray table":
-        return stages.TableRows(table)
+        # dist.mp's shared segment: pi (N, K), then phi_sum (N,), one buffer
+        n, k = pi.shape
+        rows = shared_rows(
+            bytearray(table.nbytes), n, AMMSBConfig(n_communities=k, dtype=str(pi.dtype))
+        )
+        rows.pi[:], rows.phi_sum[:] = pi, phi_sum
+        return rows
     dkv = DKVStore(*table.shape, n_servers=3, dtype=table.dtype)
     dkv.populate(table)
     return DKVRows(dkv, client=1)
@@ -75,11 +82,11 @@ class TestRowStoreContract:
 
 
 def test_empty_shard_rows_keep_the_store_dtype():
-    """A worker with no vertices this iteration answers in the table's
-    dtype (it used to answer float64 zeros whatever the table held)."""
+    """A worker with no vertices this iteration answers in the store's
+    dtype (it used to answer float64 zeros whatever the store held)."""
     cfg = AMMSBConfig(n_communities=3, dtype="float32")
-    table = np.full((10, 4), 0.25, dtype=np.float32)
-    ctx = WorkerContext(cfg, 10, stages.TableRows(table))
+    rows = make_store("ndarray table", np.full((10, 3), 0.25, np.float32), np.ones(10, np.float32))
+    ctx = WorkerContext(cfg, 10, rows)
     nobody = np.zeros(0, dtype=np.int64)
     shard = WorkerShard(
         key=1, row_blocks=(), vertices=nobody, adjacency=None, pair_blocks=(),
@@ -91,7 +98,7 @@ def test_empty_shard_rows_keep_the_store_dtype():
     assert result.pi_rows.shape == (0, 3) and result.phi_sum.shape == (0,)
     assert result.pi_rows.dtype == result.phi_sum.dtype == np.float32
     ctx.write_pi(result)
-    assert (table == 0.25).all()
+    assert (rows.pi == 0.25).all() and (rows.phi_sum == 1).all()
     assert ctx.theta_partial(shard, np.ones((3, 2)))[0] == {}
 
 
@@ -114,9 +121,9 @@ def run_phi_stage(store, workspace, n_vertices, k, neighbors, backend="fused"):
 @pytest.mark.parametrize("stray", [-1, 40, 10**9])
 def test_stray_neighbor_id_is_an_index_error(kind, backend, stray):
     """The resident stores defer the neighbor gather to the kernel, which
-    takes rows with ``mode="clip"`` (``ModelState``) or indexes the
-    non-contiguous ``pi`` columns (the table): neither may clip or wrap a
-    stray id into some other vertex's row."""
+    takes rows with ``mode="clip"``, on the heap and in the shared
+    segment alike: it may not clip or wrap a stray id into some other
+    vertex's row."""
     rng = np.random.default_rng(1)
     n, k = 40, 6
     store = make_store(kind, rng.dirichlet(np.ones(k), size=n), rng.random(n) + 1.0)
