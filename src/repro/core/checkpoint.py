@@ -1,15 +1,17 @@
 """Checkpoint / resume for long sampling runs.
 
 The paper's convergence runs take up to ~40 hours (Figure 6); any
-production deployment needs durable checkpoints. A checkpoint captures
-the model state (pi, phi_sum, theta), the iteration counter, the
-configuration, and the master RNG stream's state (every other random
-number is keyed by iteration and block), so a resumed run continues
-**bit-for-bit identically** to an uninterrupted one (verified in
-``tests/test_checkpoint.py``).
+production deployment needs durable checkpoints. An iteration is a pure
+function of (seed, t, state) — every random number, the mini-batch draw
+included, is keyed by iteration — so a checkpoint is the model state
+(pi, phi_sum, theta), the iteration counter and the configuration, plus
+the held-out perplexity window when a sampler tracks one. A resumed run
+continues **bit-for-bit identically** to an uninterrupted one, on any
+engine (verified in ``tests/test_checkpoint.py`` and
+``tests/test_mp_backend.py``).
 
 Format: a sealed :mod:`repro.store` container (DESIGN.md "Persistence")
-— one raw ``.npy`` per array, iteration / config / RNG streams in the
+— one raw ``.npy`` per array, iteration / config / window count in the
 manifest's sealed ``meta`` — the same format a stream generation, a
 serving artifact and the membership history use. The write is atomic
 (temp directory, fsync, rename: a crash mid-write leaves the previous
@@ -22,16 +24,13 @@ A regular file at the path is refused with the same error: ``.npz``
 checkpoints written before this format are read by ``repro convert``
 (:mod:`repro.legacy`) and by nothing else.
 
-Two granularities are offered:
-
-- :func:`save_checkpoint` / :func:`load_checkpoint` — full single-process
-  sampler state including the master RNG stream (bit-exact resume);
-- :func:`save_state_checkpoint` / :func:`load_state_checkpoint` — model
-  state + iteration + config only, backend-agnostic. Used by the
-  multiprocess runtime's auto-checkpointing, whose resume restarts the
-  master stream from its seed (coarse-grained disaster recovery). :func:`load_state_checkpoint`
-  reads every container that holds a state: either checkpoint above, or
-  a stream generation's model container.
+One container shape: :func:`save_checkpoint` is
+:func:`save_state_checkpoint` plus the sampler's perplexity window.
+:func:`load_checkpoint` resumes a sampler from any container that holds
+a state — either checkpoint, the multiprocess runtime's auto-checkpoint,
+a stream generation's model container — and :func:`load_state_checkpoint`
+reads the same containers as ``(state, iteration, config)``. An
+``rng_state`` key that earlier writers left in the meta is ignored.
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import ModelState
 from repro.store.container import Container, StoreError, write_container
@@ -134,77 +132,70 @@ def open_model_container(
     return Container(p, provider=provider, verify=verify)
 
 
-def _state_arrays(state: ModelState) -> dict[str, np.ndarray]:
-    return {"pi": state.pi, "phi_sum": state.phi_sum, "theta": state.theta}
-
-
 def save_checkpoint(path: PathLike, sampler: AMMSBSampler) -> Path:
-    """Atomically write the sampler's full state as a container at ``path``:
-    the state arrays and the perplexity window's running sum as members,
-    iteration, config, the master RNG stream and the window's count in
-    the sealed meta."""
-    meta = {
-        "iteration": sampler.iteration,
-        "config": _config_to_json(sampler.config),
-        "rng_state": sampler.rng.bit_generator.state,
-    }
-    arrays = _state_arrays(sampler.state)
-    est = sampler.perplexity_estimator
-    if est is not None:
-        arrays["perp_prob_sum"] = est._prob_sum
-        meta["perp_count"] = est.n_samples
-    return write_container(path, arrays, kind=STATE_KIND, meta=meta)
+    """Atomically write the sampler's checkpoint at ``path``: its state
+    container (:func:`save_state_checkpoint`) plus the perplexity
+    window, its running sum a member and its count in the sealed meta."""
+    return _write_state(
+        path, sampler.state, sampler.iteration, sampler.config, sampler.perplexity_estimator
+    )
 
 
 def load_checkpoint(path: PathLike, graph, heldout=None) -> AMMSBSampler:
-    """Reconstruct a sampler from a checkpoint.
+    """Reconstruct a sampler from any state container.
 
     Args:
-        path: checkpoint container.
+        path: a checkpoint, an auto-checkpoint or a stream generation's
+            model container.
         graph: the training graph the run used (graphs are large and
             deterministic to regenerate, so they are not embedded).
         heldout: the held-out split the run used, if any (required to
-            resume perplexity tracking).
+            resume perplexity tracking; the window is restored when the
+            container holds one).
 
     Returns:
         A sampler that continues exactly where the saved one stopped.
 
     Raises:
         CheckpointError: the path is missing or a regular file, a member
-            or the manifest is damaged, required keys are missing (a
-            state-only checkpoint has no RNG stream), or the state
-            fails validation.
+            or the manifest is damaged, required keys are missing, or the
+            state fails validation.
     """
     container, state, iteration, config = _read_state(path)
-    meta = container.meta
-    if "rng_state" not in meta:
-        raise CheckpointError(path, "holds a model state but no RNG stream (a state checkpoint)")
     sampler = AMMSBSampler(graph, config, heldout=heldout, state=state)
     sampler.iteration = iteration
-    try:
-        sampler.rng.bit_generator.state = meta["rng_state"]
-        est = sampler.perplexity_estimator
-        if est is not None and "perp_prob_sum" in container:
+    est = sampler.perplexity_estimator
+    if est is not None and "perp_prob_sum" in container:
+        try:
             est._prob_sum = container.array("perp_prob_sum")
-            est._count = int(meta.get("perp_count", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(path, f"invalid metadata ({exc})") from exc
+            est._count = int(container.meta.get("perp_count", 0))
+        except (TypeError, ValueError) as exc:  # StoreError is a ValueError
+            raise CheckpointError(path, f"invalid metadata ({exc})") from exc
     return sampler
-
-
-# -- backend-agnostic model-state checkpoints ---------------------------------
 
 
 def save_state_checkpoint(
     path: PathLike, state: ModelState, iteration: int, config: AMMSBConfig
 ) -> Path:
-    """Atomically write a bare model state (no RNG stream).
+    """Atomically write a model state container: ``pi``, ``phi_sum``,
+    ``theta`` with ``iteration`` and ``config`` in the sealed meta.
 
     The portable subset every backend shares — used by the multiprocess
     runtime's auto-checkpointing and as the stream's warm start.
     """
+    return _write_state(path, state, iteration, config, None)
+
+
+def _write_state(
+    path: PathLike, state: ModelState, iteration: int, config: AMMSBConfig,
+    window: Optional[PerplexityEstimator],
+) -> Path:
     meta = {"iteration": int(iteration), "config": _config_to_json(config)}
-    return write_container(path, _state_arrays(state), kind=STATE_KIND, meta=meta)
+    arrays = {"pi": state.pi, "phi_sum": state.phi_sum, "theta": state.theta}
+    if window is not None:
+        arrays["perp_prob_sum"] = window._prob_sum
+        meta["perp_count"] = window.n_samples
+    return write_container(path, arrays, kind=STATE_KIND, meta=meta)
 
 
 def load_state_checkpoint(path: PathLike) -> tuple[ModelState, int, AMMSBConfig]:

@@ -24,13 +24,15 @@ data never leaks into training. Both ``y_ab`` and the held-out test are
 row lookups (:func:`repro.graph.graph.rows_contain`) in the adjacency of
 the mini-batch vertices only.
 
-Randomness past the mini-batch draw is keyed by *what* is computed, not
-by who computes it: the mini-batch rows fall into fixed blocks of
-:data:`ROW_BLOCK`, its pairs into fixed blocks of :data:`PAIR_BLOCK`, and
-every per-block random number comes from :func:`block_rng`, a
-counter-based generator that is a pure function of (key, stream, block,
-iteration). So every engine, thread count and worker count draws the
-same neighbor sets and noise for the same row.
+Every random number of an iteration is keyed by *what* is computed, not
+by who computes it or what ran before: iteration t's mini-batch and then
+its neighbor-set key come from ``block_rng(seed, DRAW, 0, t)``; the
+mini-batch rows fall into fixed blocks of :data:`ROW_BLOCK`, its pairs
+into :func:`pair_bounds`' blocks, and every per-block random number comes
+from :func:`block_rng`, a counter-based generator that is a pure function
+of (key, stream, block, iteration). So every engine, thread count and
+worker count draws the same mini-batch, neighbor sets and noise for the
+same iteration and row, and a state plus its iteration resumes a run.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ from repro.graph.graph import Graph, in_sorted
 #: generator constructions and six re-seatings (~9 and ~2.5 us) an
 #: iteration.
 ROW_BLOCK = 64
-#: Mini-batch pairs per theta-partial block: one block an iteration at
-#: M = 256 (~250 pairs), one or two at M = 512, because each block is one
-#: kernel call with a fixed cost (~50 us at K = 32, ~80 at K = 128) and
-#: its own term of the reduce.
+#: Most mini-batch pairs per theta-partial block: one block an iteration
+#: at M = 256 (~250 pairs), one or two at M = 512, because each block is
+#: one kernel call with a fixed cost (~50 us at K = 32, ~80 at K = 128)
+#: and its own term of the reduce. :func:`pair_bounds` cuts the blocks.
 PAIR_BLOCK = 512
 
 #: ``block_rng`` streams: one per kind of random number of an iteration
-NEIGHBORS, PHI_NOISE, THETA_NOISE = range(3)
+NEIGHBORS, PHI_NOISE, THETA_NOISE, DRAW = range(4)
 
 
 def _key_and_counter(key: int, stream: int, block: int, iteration: int):
@@ -101,6 +103,16 @@ def seat(
 def n_blocks(n: int, size: int) -> int:
     """How many blocks of ``size`` cover ``n`` items (the last may be short)."""
     return -(-n // size)
+
+
+def pair_bounds(n_pairs: int) -> np.ndarray:
+    """Offsets of a mini-batch's pair blocks: block b is pairs
+    ``[bounds[b], bounds[b + 1])``. The one place pair blocks are cut:
+    ``n_blocks(n_pairs, PAIR_BLOCK)`` blocks whose sizes differ by at most
+    one, so W workers dealt one block each get equal work (~530 pairs are
+    two blocks of ~265, not 512 and ~18) for as many kernel calls."""
+    count = n_blocks(n_pairs, PAIR_BLOCK)
+    return np.arange(count + 1) * n_pairs // max(count, 1)
 
 
 def block_draws(
@@ -156,7 +168,7 @@ def concat_strata(
     The per-pair scale array carries each stratum's h-factor per edge, so
     weighted theta-gradient calls over the concatenation equal the
     per-stratum ``sum_s scale_s * grad_s`` loop — every engine cuts its
-    :data:`PAIR_BLOCK` blocks from this one concatenation, so a block
+    :func:`pair_bounds` blocks from this one concatenation, so a block
     holds the same pairs whoever computes it.
     """
     if not strata:
@@ -230,8 +242,9 @@ def heldout_rows(heldout_keys: Optional[np.ndarray], n_vertices: int) -> Optiona
 
 
 def draw_key(rng: np.random.Generator) -> int:
-    """An iteration's neighbor-set key: one 64-bit draw from the master
-    stream, taken right after the mini-batch in every engine."""
+    """An iteration's neighbor-set key: one 64-bit draw from the
+    iteration's ``DRAW`` generator, taken right after the mini-batch in
+    every engine."""
     return int(rng.integers(2**64, dtype=np.uint64))
 
 

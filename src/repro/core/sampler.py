@@ -10,35 +10,31 @@ against. Each iteration:
    (Eqns 3-4) and derive beta.
 
 All the numerics live in :mod:`repro.core.stages` (over the kernel
-backends); this module only orchestrates. One generator, ``rng`` (the
-master stream), draws the mini-batch and the iteration's neighbor-set
-key; every other random number is keyed by (iteration, block)
-(:func:`repro.core.minibatch.block_rng`). The stages run over whole row
-and pair blocks and the theta partials are summed in block order, so the
-threaded, distributed and multiprocess engines end on this engine's
-state bit for bit, for every thread and worker count
-(``tests/test_dist_equivalence.py``), and ``rng``'s state alone resumes
-a run.
+backends); this module only orchestrates. An iteration is a pure function
+of (seed, t, state): its mini-batch, then its neighbor-set key, come from
+``block_rng(seed, DRAW, 0, t)``, and every other random number is keyed
+by (iteration, block) (:func:`repro.core.minibatch.block_rng`). The
+stages run over whole row and pair blocks and the theta partials are
+summed in block order, so the threaded, distributed and multiprocess
+engines end on this engine's state bit for bit, for every thread and
+worker count (``tests/test_dist_equivalence.py``), and a state plus its
+iteration resumes a run. :attr:`AMMSBSampler.rng` is the current
+iteration's draw generator, for callers that replay the stages one call
+at a time.
 
 An iteration is a draw (:meth:`AMMSBSampler._draw`: mini-batch, then
 neighbor sets) and an apply (:meth:`AMMSBSampler._apply`: the phi and
-theta stages). The draw reads the graph and the master stream, never the
-state, so :meth:`AMMSBSampler.run` draws iteration t+1 on one helper
-thread, from a copy of ``rng``, while iteration t is applied on the
-calling thread, and hands the copy's state back to ``rng`` when t+1
-starts. The stream is consumed in the same order (mini-batch, key,
-mini-batch, key), so ``run(n)`` ends on ``n`` calls of :meth:`step`'s
-state and stream bit for bit, and whenever a callback, a checkpoint
-writer or an exception handler sees ``rng``, it is where ``step()`` would
-have left it. :attr:`IterationStats.draw_wait_s` is what the calling
-thread still waited for its draw.
+theta stages). The draw of t reads the graph and t, never the state, so
+:meth:`AMMSBSampler.run` draws iteration t+1 on one helper thread while
+iteration t is applied on the calling thread, and uses that draw when
+the clock reads t+1. :attr:`IterationStats.draw_wait_s` is what the
+calling thread still waited for its draw.
 """
 
 from __future__ import annotations
 
-import copy
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar
 
@@ -47,7 +43,8 @@ import numpy as np
 from repro.config import AMMSBConfig
 from repro.core import kernels, stages
 from repro.core.minibatch import (
-    PAIR_BLOCK, ROW_BLOCK, Minibatch, MinibatchSampler, NeighborSample, n_blocks,
+    DRAW, ROW_BLOCK, Minibatch, MinibatchSampler, NeighborSample, block_rng, n_blocks,
+    pair_bounds, seat,
 )
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.state import ModelState, init_state
@@ -104,7 +101,6 @@ class AMMSBSampler:
         self.graph = graph
         self.kernels, config = stages.pinned_backend(config)
         self.config = config
-        self.rng = np.random.default_rng(config.seed)
         heldout_keys = None
         self.perplexity_estimator: Optional[PerplexityEstimator] = None
         if heldout is not None:
@@ -115,10 +111,22 @@ class AMMSBSampler:
                 heldout.heldout_pairs, heldout.heldout_labels, config.delta
             )
         self.minibatch_sampler = MinibatchSampler(graph, config, heldout_keys=heldout_keys)
-        self.state = state if state is not None else init_state(graph.n_vertices, config, self.rng)
+        self.state = state if state is not None else init_state(graph.n_vertices, config)
         self.workspace = kernels.KernelWorkspace()
         self.iteration = 0
         self.history: list[IterationStats] = []
+        self._rng, self._seated_at = block_rng(config.seed, DRAW, 0, 0), 0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator of the current iteration's draw, ``block_rng(seed,
+        DRAW, 0, iteration)``: re-seated whenever the clock has moved since
+        it last was, so ``sample(rng)`` then ``sample_neighbors(vertices,
+        rng)`` is this iteration's draw."""
+        if self._seated_at != self.iteration:
+            self._seated_at = self.iteration
+            seat(self._rng, self.config.seed, DRAW, 0, self.iteration)
+        return self._rng
 
     # -- update stages: repro.core.stages over this engine's executor -------
 
@@ -164,15 +172,17 @@ class AMMSBSampler:
         """
         pairs, labels, scales = minibatch.all_pairs()
         theta = self.state.theta
+        bounds = pair_bounds(len(pairs))
 
         def run(first: int, stop: int, workspace: kernels.KernelWorkspace):
-            cut = slice(first * PAIR_BLOCK, stop * PAIR_BLOCK)
+            cut = slice(bounds[first], bounds[stop])
             return stages.theta_partials(
                 self.state, self.kernels, workspace, self.config,
                 pairs[cut], labels[cut], scales[cut], theta,
+                bounds[first : stop + 1] - bounds[first],
             )
 
-        runs = self._map_blocks(run, n_blocks(len(pairs), PAIR_BLOCK))
+        runs = self._map_blocks(run, len(bounds) - 1)
         self.state.theta = stages.apply_theta(
             self.kernels, self.workspace, self.config, theta,
             dict(enumerate(part for parts in runs for part in parts)), self.iteration,
@@ -180,10 +190,11 @@ class AMMSBSampler:
 
     # -- main loop -----------------------------------------------------------
 
-    def _draw(self, rng: np.random.Generator) -> tuple[Minibatch, NeighborSample]:
-        """An iteration's draw from ``rng``: the mini-batch, then its
-        neighbor sets under a key drawn right after it. Reads the graph and
-        ``rng`` only, never the state."""
+    def _draw(self, iteration: int) -> tuple[Minibatch, NeighborSample]:
+        """Iteration ``iteration``'s draw: the mini-batch, then its neighbor
+        sets under a key drawn right after it, both from ``block_rng(seed,
+        DRAW, 0, iteration)``. Reads the graph only, never the state."""
+        rng = block_rng(self.config.seed, DRAW, 0, iteration)
         minibatch = self.minibatch_sampler.sample(rng)
         return minibatch, self.minibatch_sampler.sample_neighbors(minibatch.vertices, rng)
 
@@ -205,7 +216,7 @@ class AMMSBSampler:
     def step(self) -> IterationStats:
         """Run one full iteration of Algorithm 1."""
         start = time.perf_counter()
-        draw = self._draw(self.rng)
+        draw = self._draw(self.iteration)
         waited = time.perf_counter() - start
         stats = self._apply(*draw)
         stats.draw_wait_s = waited
@@ -219,13 +230,12 @@ class AMMSBSampler:
     ) -> list[IterationStats]:
         """Run ``n_iterations``; optionally record perplexity periodically.
 
-        Ends on the state and ``rng`` of ``n_iterations`` calls of
-        :meth:`step` while drawing each next iteration on a helper thread
-        (module docstring). ``rng`` is handed back before any callback runs
-        and before any error surfaces, so both see it where ``step()``
-        would have left it. A draw's error surfaces at the iteration that
-        needs the draw; if a callback moves ``rng`` (a ``step()``, a
-        re-seat), the next draw is taken again from where it left it.
+        Ends on the state of ``n_iterations`` calls of :meth:`step` while
+        drawing each next iteration on a helper thread (module docstring).
+        A held draw is used only at the iteration it was drawn for, so a
+        callback that moves the clock (a ``step()``) is followed: the
+        next draw is then taken inline. A draw's error surfaces at the
+        iteration that needs the draw.
 
         Args:
             n_iterations: iterations to run.
@@ -235,29 +245,20 @@ class AMMSBSampler:
             callback: called after each iteration with its stats.
         """
         out = []
-        ahead = copy.deepcopy(self.rng)
-        pending = seated = None
+        ahead = None  # (iteration, future of its draw)
         # The thread starts at the first submit, so never for n < 2; leaving
-        # the block joins it. A draw still in flight when an apply or a
-        # callback raises is one step() would never have made: dropped.
+        # the block joins it. A held draw no iteration uses is dropped.
         with ThreadPoolExecutor(max_workers=1) as helper:
             for i in range(n_iterations):
                 start = time.perf_counter()
-                if pending is not None and self.rng.bit_generator.state != seated:
-                    wait([pending])  # the stream moved under the look-ahead
-                    pending = None
-                if pending is None:
-                    draw = self._draw(self.rng)
+                if ahead is not None and ahead[0] == self.iteration:
+                    draw = ahead[1].result()
                 else:
-                    try:
-                        draw = pending.result()
-                    finally:
-                        self.rng.bit_generator.state = ahead.bit_generator.state
+                    draw = self._draw(self.iteration)
                 waited = time.perf_counter() - start
+                ahead = None
                 if i + 1 < n_iterations:
-                    seated = self.rng.bit_generator.state
-                    ahead.bit_generator.state = seated
-                    pending = helper.submit(self._draw, ahead)
+                    ahead = (self.iteration + 1, helper.submit(self._draw, self.iteration + 1))
                 stats = self._apply(*draw)
                 stats.draw_wait_s = waited
                 if (

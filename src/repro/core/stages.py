@@ -28,7 +28,7 @@ from repro.config import AMMSBConfig
 from repro.core import kernels
 from repro.core.kernels import KernelBackend, KernelWorkspace
 from repro.core.minibatch import (
-    PAIR_BLOCK, PHI_NOISE, THETA_NOISE, NeighborSample, block_draws, block_rng,
+    PHI_NOISE, THETA_NOISE, NeighborSample, block_draws, block_rng,
 )
 from repro.core.perplexity import PerplexityEstimator, link_probability
 
@@ -119,20 +119,21 @@ def _pair_rows(rows: RowStore, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def theta_partials(
     rows: RowStore, backend: KernelBackend, workspace: KernelWorkspace,
     config: AMMSBConfig, pairs: np.ndarray, labels: np.ndarray,
-    weights: np.ndarray, theta: np.ndarray,
+    weights: np.ndarray, theta: np.ndarray, bounds: Sequence[int],
 ) -> list[np.ndarray]:
     """h-weighted theta-gradient sums (Eqn 4), one per pair block, over
-    whole :data:`~repro.core.minibatch.PAIR_BLOCK` blocks of mini-batch
-    pairs (the last may be short) read in one round trip. The gradient is
+    whole blocks of mini-batch pairs read in one round trip: block j is
+    ``[bounds[j], bounds[j + 1])`` of ``pairs``, as
+    :func:`~repro.core.minibatch.pair_bounds` cut it. The gradient is
     linear in the per-pair terms, so the blocks computed anywhere add up
     to the whole mini-batch's gradient (:func:`apply_theta`)."""
     pi_a, pi_b = _pair_rows(rows, pairs)
     return [
         backend.theta_gradient_weighted(
-            pi_a[a : a + PAIR_BLOCK], pi_b[a : a + PAIR_BLOCK], labels[a : a + PAIR_BLOCK],
-            theta, config.delta, weights=weights[a : a + PAIR_BLOCK], workspace=workspace,
+            pi_a[a:b], pi_b[a:b], labels[a:b], theta, config.delta,
+            weights=weights[a:b], workspace=workspace,
         )
-        for a in range(0, len(pairs), PAIR_BLOCK)
+        for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
 

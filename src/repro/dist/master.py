@@ -2,12 +2,12 @@
 
 The master is rank 0. It is the only rank holding the full edge set (13.5
 GB for com-Friendster in the paper — too large to replicate), the
-mini-batch sampler state, and the authoritative copy of theta. In the
+mini-batch sampler, and the authoritative copy of theta. In the
 pipelined configuration the master draws iteration ``t+1``'s mini-batch
 while the workers compute iteration ``t``'s update_phi (Section III-D).
-Its generator, ``rng``, is the sequential engine's master stream, seeded
-and consumed alike (mini-batch, then neighbor-set key, looked ahead or
-not).
+A draw is the sequential engine's: iteration t's mini-batch, then its
+neighbor-set key, from ``block_rng(seed, DRAW, 0, t)`` — a function of t
+alone, so a draw made ahead is only a cache.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.core.minibatch import Minibatch, MinibatchSampler, draw_key
+from repro.core.minibatch import DRAW, Minibatch, MinibatchSampler, block_rng, draw_key
 from repro.dist.partition import WorkerShard, partition_minibatch
 from repro.graph.graph import Graph
 
@@ -60,20 +60,16 @@ class MasterContext:
         self.config = config
         self.n_workers = n_workers
         self.ship_adjacency = ship_adjacency
-        self.rng = np.random.default_rng(config.seed)
         self.minibatch_sampler = MinibatchSampler(graph, config, heldout_keys=heldout_keys)
-        #: The look-ahead: the next iteration's ``(minibatch, key)``, not
-        #: yet dealt, so a worker loss in between never strands it.
-        self._ahead: Optional[tuple[Minibatch, int]] = None
+        #: The look-ahead: ``(t, minibatch, key)`` of a draw not yet dealt,
+        #: so a worker loss in between never strands it.
+        self._ahead: Optional[tuple[int, Minibatch, int]] = None
 
-    def _sample(self) -> tuple[Minibatch, int]:
-        minibatch = self.minibatch_sampler.sample(self.rng)
+    def _sample(self, iteration: int) -> tuple[int, Minibatch, int]:
+        rng = block_rng(self.config.seed, DRAW, 0, iteration)
+        minibatch = self.minibatch_sampler.sample(rng)
         minibatch.all_pairs()  # concatenated in the look-ahead: a deal only cuts
-        return minibatch, draw_key(self.rng)
-
-    def draw(self) -> MasterDraw:
-        """Draw a mini-batch and its neighbor-set key; build shards."""
-        return self.deal(*self._sample())
+        return iteration, minibatch, draw_key(rng)
 
     def deal(self, minibatch: Minibatch, key: int) -> MasterDraw:
         """Shard a drawn mini-batch across the current worker count (a
@@ -83,19 +79,19 @@ class MasterContext:
         )
         return MasterDraw(minibatch=minibatch, key=key, shards=shards)
 
-    def next_draw(self) -> MasterDraw:
-        """The looked-ahead draw if one is held, else a new one, dealt
-        over the current worker count.
+    def next_draw(self, iteration: int) -> MasterDraw:
+        """Iteration ``iteration``'s draw, dealt over the current worker
+        count: the looked-ahead one if it is held, else drawn now (the
+        same bits). The pipelined runtimes call :meth:`prefetch` during
+        update_phi of the previous iteration."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is None or ahead[0] != iteration:
+            ahead = self._sample(iteration)
+        return self.deal(*ahead[1:])
 
-        The pipelined runtimes call :meth:`prefetch` during update_phi of
-        the previous iteration; without it this is a synchronous draw.
-        """
-        ahead, self._ahead = self._ahead or self._sample(), None
-        return self.deal(*ahead)
-
-    def prefetch(self) -> None:
-        """Draw the next iteration's mini-batch and key now (overlapped
-        with update_phi); :meth:`next_draw` deals them. A no-op while a
+    def prefetch(self, iteration: int) -> None:
+        """Draw iteration ``iteration``'s mini-batch and key now (overlapped
+        with update_phi); :meth:`next_draw` deals them. A no-op while that
         draw is held, so a retried iteration draws nothing twice."""
-        if self._ahead is None:
-            self._ahead = self._sample()
+        if self._ahead is None or self._ahead[0] != iteration:
+            self._ahead = self._sample(iteration)

@@ -36,9 +36,11 @@ iteration wrote any, and the iteration's draw is re-dealt to the
 survivors and retried. The look-ahead holds ``t+1`` undealt, so it is
 dealt to whichever workers are left when ``t+1`` starts. Blocks, not
 workers, key every random number and order the theta reduce, so a
-recovered run ends on the fault-free run's state bit for bit. Opt-in auto-checkpointing (``checkpoint_path`` +
-``checkpoint_every``) reuses :mod:`repro.core.checkpoint`'s atomic
-writer so a master crash can resume from the last durable state.
+recovered run ends on the fault-free run's state bit for bit. Opt-in
+auto-checkpointing (``checkpoint_path`` + ``checkpoint_every``) reuses
+:mod:`repro.core.checkpoint`'s atomic writer, and an iteration is a
+function of (seed, t, state), so a crashed master resumes from the last
+durable state bit for bit (:meth:`MultiprocessAMMSBSampler.from_checkpoint`).
 Every command/result carries a sequence number; results from an aborted
 round are recognized and dropped, so recovery never mis-attributes a
 straggler's answer.
@@ -290,9 +292,7 @@ class MultiprocessAMMSBSampler:
             graph, config, n_workers, heldout_keys, ship_adjacency=False
         )
 
-        init = state if state is not None else init_state(
-            graph.n_vertices, config, self.master.rng
-        )
+        init = state if state is not None else init_state(graph.n_vertices, config)
         n_values = graph.n_vertices * (config.n_communities + 1)
         self._shm = shared_memory.SharedMemory(
             create=True, size=n_values * np.dtype(config.dtype).itemsize
@@ -669,13 +669,12 @@ class MultiprocessAMMSBSampler:
         heldout: Optional[HeldoutSplit] = None,
         **kwargs,
     ) -> "MultiprocessAMMSBSampler":
-        """Resume a run from an auto-checkpoint.
+        """Resume a run from any state container (an auto-checkpoint, a
+        ``detect --checkpoint``, a stream generation's model container).
 
-        Restores model state and the iteration counter (and therefore the
-        step-size schedule and every block-keyed random number). The
-        master stream restarts from its seed — this is coarse-grained
-        disaster recovery for a crashed *master*, not the bit-exact
-        resume of :func:`repro.core.checkpoint.load_checkpoint`.
+        Restores model state and the iteration counter, which key every
+        random number and the step-size schedule: the run continues bit
+        for bit where the saved one stopped.
         """
         from repro.core.checkpoint import load_state_checkpoint
 
@@ -731,7 +730,7 @@ class MultiprocessAMMSBSampler:
         """
         if self._closed:
             raise RuntimeError("sampler is closed")
-        draw = self.master.next_draw()
+        draw = self.master.next_draw(self.iteration)
         while True:
             try:
                 self._step_once(draw)
@@ -753,7 +752,7 @@ class MultiprocessAMMSBSampler:
         # While the workers compute: draw t+1 (a retry finds it held), and
         # copy the undo log of the rows this iteration writes (no worker
         # writes before pi_write).
-        self.master.prefetch()
+        self.master.prefetch(self.iteration + 1)
         vertices = draw.minibatch.vertices
         self._undo = (self._rows.pi[vertices], self._rows.phi_sum[vertices])
         self._collect("phi_done", active, seq)

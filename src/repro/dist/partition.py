@@ -11,7 +11,7 @@ the master scatters, per worker:
   worker answer ``y_ab`` for any pair whose first endpoint is one of its
   mini-batch vertices;
 - its share of the mini-batch pairs with their h-weights: whole pair
-  blocks (:data:`~repro.core.minibatch.PAIR_BLOCK`), dealt round-robin,
+  blocks (:func:`~repro.core.minibatch.pair_bounds`), dealt round-robin,
   used by the update_beta stage.
 
 Blocks are fixed by the mini-batch alone, so a row's random numbers and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK, Minibatch, n_blocks
+from repro.core.minibatch import ROW_BLOCK, Minibatch, n_blocks, pair_bounds
 from repro.graph.graph import Graph, rows_contain
 
 
@@ -68,7 +68,8 @@ class WorkerShard:
     """Everything one worker receives for one iteration.
 
     ``vertices`` are the mini-batch rows of ``row_blocks`` and ``pairs``
-    the pairs of ``pair_blocks``, each in block order. ``adjacency`` is
+    the pairs of ``pair_blocks``, each in block order; ``pair_bounds``
+    are the offsets of those blocks in ``pairs``. ``adjacency`` is
     ``None`` when the workers hold the graph themselves
     (:mod:`repro.dist.mp`'s forked workers, which inherit it): the worker
     then answers ``y_ab`` from that graph, and the per-iteration adjacency
@@ -80,6 +81,7 @@ class WorkerShard:
     vertices: np.ndarray  # this worker's mini-batch vertices
     adjacency: AdjacencySlice | None  # adjacency of exactly those vertices
     pair_blocks: tuple[int, ...]
+    pair_bounds: np.ndarray  # (len(pair_blocks) + 1,) block offsets in pairs
     pairs: np.ndarray  # (E, 2) mini-batch pairs, for update_beta
     labels: np.ndarray
     weights: np.ndarray  # per-pair h-weights
@@ -88,7 +90,8 @@ class WorkerShard:
         adj_bytes = self.adjacency.payload_bytes() if self.adjacency is not None else 0
         return int(
             self.vertices.nbytes + adj_bytes + self.pairs.nbytes + self.labels.nbytes
-            + self.weights.nbytes + 8 * (1 + len(self.row_blocks) + len(self.pair_blocks))
+            + self.weights.nbytes + self.pair_bounds.nbytes
+            + 8 * (1 + len(self.row_blocks) + len(self.pair_blocks))
         )
 
 
@@ -108,9 +111,10 @@ def partition_minibatch(
         raise ValueError("need at least one worker")
     pairs, labels, weights = minibatch.all_pairs()
     # The worker each row and each pair goes to, block by block.
-    m, e = minibatch.n_vertices, len(pairs)
+    m = minibatch.n_vertices
+    sizes = np.diff(pair_bounds(len(pairs)))
     row_owner = np.arange(m) // ROW_BLOCK % n_workers
-    pair_owner = np.arange(e) // PAIR_BLOCK % n_workers
+    pair_owner = np.repeat(np.arange(sizes.size) % n_workers, sizes)
     shards = []
     for w in range(n_workers):
         rows, cut = row_owner == w, pair_owner == w
@@ -121,7 +125,8 @@ def partition_minibatch(
                 row_blocks=tuple(range(w, n_blocks(m, ROW_BLOCK), n_workers)),
                 vertices=vs,
                 adjacency=adjacency_slice(graph, vs) if with_adjacency else None,
-                pair_blocks=tuple(range(w, n_blocks(e, PAIR_BLOCK), n_workers)),
+                pair_blocks=tuple(range(w, sizes.size, n_workers)),
+                pair_bounds=np.concatenate([[0], np.cumsum(sizes[w::n_workers])]),
                 pairs=pairs[cut],
                 labels=labels[cut],
                 weights=weights[cut],

@@ -137,7 +137,7 @@ class DistributedAMMSBSampler:
             dtype=np.dtype(config.dtype),
             faults=self.faults,
         )
-        init = state if state is not None else init_state(graph.n_vertices, config, self.master.rng)
+        init = state if state is not None else init_state(graph.n_vertices, config)
         self.dkv.populate(np.concatenate([init.pi, init.phi_sum[:, None]], axis=1))
         self.theta = init.theta.copy()
 
@@ -204,7 +204,7 @@ class DistributedAMMSBSampler:
             self.dkv.set_iteration(self.iteration)
 
         # -- stage 1: draw + deploy (master) --------------------------------
-        draw = self.master.next_draw()
+        draw = self.master.next_draw(self.iteration)
         shards = self.comm.scatter([None] + list(draw.shards))[1:]
         payload = draw.scatter_payload_bytes()
         t.draw_deploy = (
@@ -233,7 +233,7 @@ class DistributedAMMSBSampler:
         # workers are inside update_phi (this really happens — the next
         # step() consumes the prefetched draw).
         if self.pipelined:
-            self.master.prefetch()
+            self.master.prefetch(self.iteration + 1)
 
         # -- stage 4: update_pi (write-back) ---------------------------------
         t_pi = 0.0

@@ -183,7 +183,7 @@ class WorkerContext:
             return {}, DKVTraffic(), 0
         partials = stages.theta_partials(
             self.rows, self.kernels, self.workspace, self.config,
-            shard.pairs, shard.labels, shard.weights, theta,
+            shard.pairs, shard.labels, shard.weights, theta, shard.pair_bounds,
         )
         ops = len(shard.pairs) * self.config.n_communities
         return dict(zip(shard.pair_blocks, partials)), self._last_traffic(), ops

@@ -34,8 +34,9 @@ membership history    ``window``, ``top_k``,                      ``s<i>_node_id
 ``config`` is the JSON string of the full :class:`~repro.config.AMMSBConfig`
 in every kind and is carried over verbatim. The arrays keep their names;
 only the metadata moves, into the container manifest's sealed ``meta``.
-A sampler checkpoint's ``noise_rng_state`` is dropped: noise is keyed by
-iteration and block since, and ``rng_state`` alone resumes a run.
+A sampler checkpoint's ``rng_state`` and ``noise_rng_state`` are
+dropped: every random number is keyed by iteration since, so a state and
+its iteration resume a run.
 """
 
 from __future__ import annotations
@@ -106,13 +107,11 @@ _KINDS = (
         "sampler checkpoint",
         lambda m: "rng_state" in m,
         STATE_KIND,
-        ("iteration", "config", "rng_state", "perp_count"),
+        ("iteration", "config", "perp_count"),
         {},
         load_state_checkpoint,
     ),
 )
-#: stored as JSON strings inside the JSON ``_meta``; plain objects in a manifest
-_JSON_STRINGS = ("rng_state",)
 
 
 def read_legacy(src: PathLike) -> tuple[_Kind, dict, dict[str, np.ndarray]]:
@@ -129,9 +128,6 @@ def read_legacy(src: PathLike) -> tuple[_Kind, dict, dict[str, np.ndarray]]:
         legacy_meta = json.loads(str(arrays.pop("_meta")))
         kind = next(k for k in _KINDS if k.matches(legacy_meta))
         meta = {key: legacy_meta[key] for key in kind.carried if key in legacy_meta}
-        for key in _JSON_STRINGS:
-            if key in meta:
-                meta[key] = json.loads(meta[key])
     except (KeyError, StopIteration, TypeError, ValueError, AttributeError) as exc:
         raise ConvertError(
             src, "no _meta record of a legacy checkpoint, artifact or history"

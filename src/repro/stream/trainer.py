@@ -13,7 +13,9 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
    vertex count by :func:`repro.core.init.extend_state_informed`
    (neighbor-averaged rows for new nodes), and the sampler's iteration
    counter continues from where the stream left off — so the step-size
-   schedule resumes on its annealed tail instead of re-running burn-in.
+   schedule resumes on its annealed tail instead of re-running burn-in,
+   and every draw is keyed by that cumulative clock (no generation
+   replays another's mini-batches).
    Generation 0 cold-starts from
    :func:`repro.core.init.init_state_spectral` (successive projections),
    falling back to random init on degenerate graphs;

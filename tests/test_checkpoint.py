@@ -61,19 +61,35 @@ class TestCheckpoint:
         restored = load_checkpoint(ckpt, graph)
         assert restored.config == cfg
 
-    def test_rng_streams_and_window_live_in_the_sealed_meta(self, planted, config, tmp_path):
-        """The master stream is the one RNG state: everything else an
-        iteration draws is keyed by iteration and block."""
+    def test_the_window_lives_in_the_sealed_meta(self, planted, config, tmp_path):
+        """No RNG state: every random number an iteration draws is keyed
+        by the iteration. The perplexity window is the one extra."""
         graph, _ = planted
         split = split_heldout(graph, 0.03, np.random.default_rng(5))
         s = AMMSBSampler(split.train, config, heldout=split)
         s.run(12, perplexity_every=4)
         ckpt = Container(save_checkpoint(tmp_path / "ck", s), verify="eager")
         assert ckpt.names() == ["perp_prob_sum", "phi_sum", "pi", "theta"]
-        assert set(ckpt.meta) == {"iteration", "config", "rng_state", "perp_count"}
-        assert ckpt.meta["rng_state"] == s.rng.bit_generator.state
+        assert set(ckpt.meta) == {"iteration", "config", "perp_count"}
         assert ckpt.meta["perp_count"] == s.perplexity_estimator.n_samples == 3
         assert ckpt.meta["iteration"] == 12
+
+    def test_an_old_rng_state_key_is_ignored(self, planted, config, tmp_path):
+        """Containers written before the draw was keyed carry the master
+        stream's state in the meta; the resume does not need it."""
+        graph, _ = planted
+        reference = AMMSBSampler(graph, config)
+        reference.run(10)
+        half = AMMSBSampler(graph, config)
+        half.run(5)
+        ckpt = save_checkpoint(tmp_path / "old", half)
+        old_stream = np.random.default_rng(config.seed).bit_generator.state
+        _rewrite(ckpt, meta=lambda m: m.update(rng_state=old_stream))
+        assert Container(ckpt).meta["rng_state"] == old_stream
+        resumed = load_checkpoint(ckpt, graph)
+        resumed.run(5)
+        for name in ("pi", "phi_sum", "theta"):
+            np.testing.assert_array_equal(getattr(resumed.state, name), getattr(reference.state, name))
 
     def test_bad_version_rejected(self, planted, config, tmp_path):
         """The version a checkpoint carries is the store schema's."""
@@ -183,11 +199,20 @@ class TestCheckpointErrors:
             load_checkpoint(ckpt, graph)
 
     def test_state_checkpoint_has_no_rng_streams(self, planted, config, tmp_path):
+        """Nor needs one: a bare state container resumes a sampler bit for
+        bit, as the one with a perplexity window does."""
         graph, _ = planted
+        reference = AMMSBSampler(graph, config)
+        reference.run(9)
         s = AMMSBSampler(graph, config)
-        path = save_state_checkpoint(tmp_path / "st", s.state, 0, config)
-        with pytest.raises(CheckpointError, match="no RNG stream"):
-            load_checkpoint(path, graph)
+        s.run(4)
+        path = save_state_checkpoint(tmp_path / "st", s.state, s.iteration, config)
+        assert set(Container(path).meta) == {"iteration", "config"}
+        resumed = load_checkpoint(path, graph)
+        assert resumed.iteration == 4
+        resumed.run(5)
+        for name in ("pi", "phi_sum", "theta"):
+            np.testing.assert_array_equal(getattr(resumed.state, name), getattr(reference.state, name))
 
     def test_error_is_a_value_error(self, planted, tmp_path):
         graph, _ = planted

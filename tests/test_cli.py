@@ -226,8 +226,42 @@ class TestDetectCheckpointing:
         assert whole[1] == part[1] == 25
         for name in ("pi", "phi_sum", "theta"):
             assert np.array_equal(getattr(whole[0], name), getattr(part[0], name))
-        rng_state = lambda name: Container(tmp_path / name).meta["rng_state"]  # noqa: E731
-        assert rng_state("whole") == rng_state("part")
+        assert "rng_state" not in Container(tmp_path / "part").meta
+
+    def test_resume_continues_an_mp_auto_checkpoint(self, tmp_path, capsys):
+        """An iteration is a function of (seed, t, state): ``--resume``
+        continues the multiprocess runtime's auto-checkpoint container
+        and ends where an uninterrupted ``detect`` does."""
+        from repro.core.checkpoint import load_state_checkpoint
+        from repro.dist.mp import MultiprocessAMMSBSampler
+        from repro.graph.io import load_edge_list
+        from repro.graph.split import split_heldout
+
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        detect = ["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32",
+                  "--iterations", "20", "--output", str(tmp_path / "c.txt")]
+        assert main(detect + ["--checkpoint", str(tmp_path / "whole")]) == 0
+        _, _, config = load_state_checkpoint(tmp_path / "whole")
+        # detect's split: --heldout-fraction 0.02 under --seed
+        split = split_heldout(
+            load_edge_list(str(edges)), 0.02, np.random.default_rng(config.seed)
+        )
+        with MultiprocessAMMSBSampler(
+            split.train, config, n_workers=2, heldout=split,
+            checkpoint_path=tmp_path / "auto", checkpoint_every=6,
+        ) as mp_run:
+            mp_run.run(13)
+        capsys.readouterr()
+        assert main(detect + ["--resume", str(tmp_path / "auto"),
+                              "--checkpoint", str(tmp_path / "resumed")]) == 0
+        assert "resumed from" in capsys.readouterr().err
+        whole = load_state_checkpoint(tmp_path / "whole")
+        resumed = load_state_checkpoint(tmp_path / "resumed")
+        assert whole[1] == resumed[1] == 20
+        for name in ("pi", "phi_sum", "theta"):
+            assert np.array_equal(getattr(whole[0], name), getattr(resumed[0], name))
 
     @pytest.mark.parametrize("damage", ["missing", "legacy-npz", "flipped-byte", "edited-manifest"])
     def test_unloadable_checkpoint_is_one_line_exit_3(self, tmp_path, capsys, damage):

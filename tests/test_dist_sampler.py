@@ -62,6 +62,22 @@ class TestStep:
         np.testing.assert_array_equal(snaps[0].pi, snaps[1].pi)
         np.testing.assert_array_equal(snaps[0].theta, snaps[1].theta)
 
+    def test_a_held_draw_is_used_only_at_its_iteration(self, problem):
+        """The pipelined master holds t+1's draw; a clock moved in between
+        (a resume, a stream generation) gets its own iteration's draw."""
+        from repro.core.sampler import AMMSBSampler
+
+        split, cfg, _ = problem
+        d = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3), pipelined=True)
+        s = AMMSBSampler(split.train, cfg)
+        for engine in (d, s):
+            engine.step()
+            engine.iteration = 5
+            engine.step()
+        assert d.iteration == s.iteration == 6
+        np.testing.assert_array_equal(d.state_snapshot().pi, s.state.pi)
+        np.testing.assert_array_equal(d.theta, s.state.theta)
+
     def test_dkv_holds_the_state(self, problem):
         split, cfg, _ = problem
         d = DistributedAMMSBSampler(split.train, cfg, cluster=das5(4))

@@ -300,7 +300,7 @@ class TestPromptClose:
             heartbeat_timeout=60.0,
             shutdown_timeout=1.0,
         )
-        draw = s.master.draw()
+        draw = s.master.next_draw(0)
         s._send(0, ("phi_compute", 1, draw.shards[0], s.beta, 0))
         time.sleep(0.3)  # let worker 0 enter the stall
         t0 = time.monotonic()

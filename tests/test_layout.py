@@ -5,12 +5,12 @@
 :mod:`repro.core.stages`; none of them may call a training kernel or
 resolve a backend itself.
 
-*One trajectory.* Past the mini-batch draw, randomness is keyed by what
-is computed: in the engine modules the only generator is the master
-stream, and :func:`repro.core.minibatch.block_rng` is the only per-block
-generator in the package. The master stream has one copy, the one
-``AMMSBSampler.run`` draws the next iteration from on its helper thread,
-and that helper is one of two thread pools in the package.
+*One trajectory.* Every random number of an iteration, the mini-batch
+draw included, is keyed by what is computed:
+:func:`repro.core.minibatch.block_rng` (re-seated by ``seat``) is the
+only generator the engine modules draw from; they build and copy none.
+``AMMSBSampler.run``'s helper thread, which draws the next iteration, is
+one of two thread pools in the package.
 
 *One on-disk format.* Model state is written by
 :func:`repro.store.write_container` and by nothing else; ``.npz`` /
@@ -181,13 +181,14 @@ def _generator_calls(tree: ast.AST) -> list[tuple[ast.Call, ast.stmt, str]]:
     )
 
 
-def test_the_engines_build_only_the_master_stream():
-    built = {}
+def test_the_engines_draw_from_block_rng_only():
+    """No engine module builds a generator: every draw comes from
+    ``block_rng`` (``init_state`` seeds its own from ``config.seed``)."""
+    built = set()
     for path in ENGINE_MODULES:
         for _call, stmt, _func in _generator_calls(ast.parse(path.read_text(encoding="utf-8"))):
-            built.setdefault(str(path.relative_to(SRC)), []).append(ast.unparse(stmt))
-    master = ["self.rng = np.random.default_rng(config.seed)"]
-    assert built == {"core/sampler.py": master, "dist/master.py": master}
+            built.add((str(path.relative_to(SRC)), ast.unparse(stmt)))
+    assert built == set()
 
 
 def test_block_rng_is_the_only_per_block_generator():
@@ -199,13 +200,24 @@ def test_block_rng_is_the_only_per_block_generator():
     assert makers == {("core/minibatch.py", "block_rng")}
 
 
-def test_the_one_copy_of_the_master_stream_is_the_look_ahead():
+def test_the_engines_copy_no_generator():
     copies = set()
     for path in ENGINE_MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for _call, _stmt, func in _calls(tree, lambda f: ast.unparse(f) in COPIES):
             copies.add((str(path.relative_to(SRC)), func))
-    assert copies == {("core/sampler.py", "run")}
+    assert copies == set()
+
+
+def test_no_writer_records_an_rng_state():
+    """A state and its iteration resume a run; only the legacy reader
+    still names the stream state old files carry."""
+    named = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value == "rng_state":
+                named.add(str(path.relative_to(SRC)))
+    assert named == {"legacy.py"}
 
 
 def test_thread_pools_are_the_look_ahead_and_the_block_map():

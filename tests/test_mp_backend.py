@@ -128,6 +128,34 @@ class TestMultiprocess:
         snap.validate()
 
 
+class TestResume:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_resumed_run_is_the_uninterrupted_run(self, problem, tmp_path, dtype):
+        """``run(6)``, checkpoint, close, ``from_checkpoint``, ``run(6)`` ends
+        on ``run(12)``'s state, mp and sequential: an iteration is a pure
+        function of (seed, t, state), so the checkpoint needs no stream."""
+        split, cfg = problem
+        cfg = cfg.with_updates(dtype=dtype, mini_batch_vertices=140)
+        with MultiprocessAMMSBSampler(split.train, cfg, n_workers=2, heldout=split) as s:
+            s.run(6)
+            s.save_checkpoint(tmp_path / "ck")
+        with MultiprocessAMMSBSampler.from_checkpoint(
+            tmp_path / "ck", split.train, heldout=split, n_workers=2
+        ) as resumed:
+            assert resumed.iteration == 6
+            resumed.run(6)
+            got = resumed.state_snapshot()
+        with MultiprocessAMMSBSampler(split.train, cfg, n_workers=2, heldout=split) as s:
+            s.run(12)
+            whole = s.state_snapshot()
+        sequential = AMMSBSampler(split.train, cfg, heldout=split)
+        sequential.run(12)
+        for name in ("pi", "phi_sum", "theta"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(whole, name))
+            np.testing.assert_array_equal(getattr(got, name), getattr(sequential.state, name))
+        assert got.pi.dtype == np.dtype(dtype)
+
+
 class TestInheritedGraph:
     def test_workers_answer_y_ab_from_the_graph_they_forked_with(self, problem, monkeypatch):
         """No ``phi_compute`` shard carries an adjacency slice, and the

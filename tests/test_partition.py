@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK, MinibatchSampler, n_blocks
+from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK, MinibatchSampler, n_blocks, pair_bounds
 from repro.dist.partition import (
     adjacency_slice,
     partition_heldout,
@@ -40,6 +40,24 @@ class TestAdjacencySlice:
         assert sl.payload_bytes() > 0
 
 
+class TestPairBounds:
+    @pytest.mark.parametrize("n_pairs", [0, 1, 250, 511, 512, 513, 530, 1024, 1025, 1500, 4097])
+    def test_as_many_blocks_as_fixed_cuts_of_sizes_within_one(self, n_pairs):
+        """The cut makes no more kernel calls than fixed 512-pair blocks
+        would, and evens them: ~530 pairs are 265 + 265, not 512 + 18."""
+        bounds = pair_bounds(n_pairs)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n_pairs
+        assert sizes.size == n_blocks(n_pairs, PAIR_BLOCK)
+        if n_pairs:
+            assert sizes.max() - sizes.min() <= 1
+            assert sizes.max() <= PAIR_BLOCK and sizes.min() >= 1
+
+    def test_train_mp_shape_splits_evenly_over_two_workers(self):
+        assert np.diff(pair_bounds(530)).tolist() == [265, 265]
+        assert np.diff(pair_bounds(531)).tolist() == [265, 266]
+
+
 class TestPartitionMinibatch:
     def make_minibatch(self, graph, config, seed=0):
         ms = MinibatchSampler(graph, config.with_updates(mini_batch_vertices=1500))
@@ -62,15 +80,19 @@ class TestPartitionMinibatch:
         np.testing.assert_array_equal(recombined, mb.vertices)
 
     def test_strata_partitioned_exactly(self, planted, config):
-        """The strata's pairs, labels and h-weights, in whole pair blocks:
-        put back in block order they are the mini-batch's."""
+        """The strata's pairs, labels and h-weights, in whole pair blocks
+        as :func:`pair_bounds` cuts them: put back in block order they are
+        the mini-batch's."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
         shards = partition_minibatch(graph, mb, 3, key=7)
+        sizes = np.diff(pair_bounds(mb.n_edges))
         blocks = {}
         for shard in shards:
+            assert shard.pair_bounds[0] == 0 and shard.pair_bounds[-1] == len(shard.pairs)
             for j, b in enumerate(shard.pair_blocks):
-                cut = slice(j * PAIR_BLOCK, (j + 1) * PAIR_BLOCK)
+                cut = slice(shard.pair_bounds[j], shard.pair_bounds[j + 1])
+                assert cut.stop - cut.start == sizes[b]
                 blocks[b] = (shard.pairs[cut], shard.labels[cut], shard.weights[cut])
         assert sorted(blocks) == list(range(n_blocks(mb.n_edges, PAIR_BLOCK)))
         for got, want in zip(zip(*(blocks[b] for b in sorted(blocks))), mb.all_pairs()):

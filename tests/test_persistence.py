@@ -188,8 +188,11 @@ class TestConvert:
                 "version": 1,
                 "iteration": half.iteration,
                 "config": _config_to_json(config),
-                "rng_state": json.dumps(half.rng.bit_generator.state),
-                # what the old writers recorded; convert drops it
+                # what the old writers recorded, a PCG64 master stream and
+                # a noise stream; convert drops both
+                "rng_state": json.dumps(
+                    np.random.default_rng(config.seed).bit_generator.state
+                ),
                 "noise_rng_state": json.dumps(
                     np.random.default_rng(config.seed + 1).bit_generator.state
                 ),

@@ -156,15 +156,30 @@ def step_by_step(sampler, n, perplexity_every=0, callback=None):
             callback(stats)
 
 
-def assert_same_run(a, b):
-    """Same state, clock, history and master stream (``draw_wait_s`` is a
-    timing, so it is the one field allowed to differ)."""
+def replayed(sampler, n):
+    """``n`` iterations as their public stage calls, drawn from
+    ``sampler.rng`` — the shape a tracer replays ``step()`` in."""
+    draws = sampler.minibatch_sampler
+    for _ in range(n):
+        minibatch = draws.sample(sampler.rng)
+        neighbors = draws.sample_neighbors(minibatch.vertices, sampler.rng)
+        sampler.update_phi_pi(minibatch, neighbors)
+        sampler.update_beta_theta(minibatch)
+        sampler.iteration += 1
+
+
+def assert_same_state(a, b):
     for name in ("pi", "phi_sum", "theta"):
         np.testing.assert_array_equal(getattr(a.state, name), getattr(b.state, name))
     assert a.iteration == b.iteration
+
+
+def assert_same_run(a, b):
+    """Same state, clock and history (``draw_wait_s`` is a timing, so it
+    is the one field allowed to differ)."""
+    assert_same_state(a, b)
     untimed = lambda s: [dataclasses.replace(x, draw_wait_s=0.0) for x in s.history]  # noqa: E731
     assert untimed(a) == untimed(b)
-    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 class Boom(RuntimeError):
@@ -192,54 +207,66 @@ ENGINES = {
 
 class TestLookAhead:
     """``run()`` draws iteration t+1 on a helper thread while iteration t
-    is applied: nothing a caller can see may differ from ``n x step()``."""
+    is applied: nothing a caller can see may differ from ``n x step()``.
+    A draw is a function of (seed, t), so there is nothing to hand back."""
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("strategy", ["stratified-random-node", "random-pair", "full-batch"])
     def test_run_is_n_steps(self, split, config, engine, dtype, strategy):
         cfg = config.with_updates(dtype=dtype, strategy=strategy)
-        looked, stepped = (ENGINES[engine](split.train, cfg, heldout=split) for _ in range(2))
+        looked, stepped, replay = (
+            ENGINES[engine](split.train, cfg, heldout=split) for _ in range(3)
+        )
         looked.run(12, perplexity_every=5)
         step_by_step(stepped, 12, perplexity_every=5)
+        replayed(replay, 12)
         assert_same_run(looked, stepped)
+        assert_same_state(looked, replay)
         assert [x.perplexity is not None for x in looked.history].count(True) == 2
-        # and across calls: a second run() continues the same stream
+        # and across calls
         looked.run(3)
         stepped.run(1)
         step_by_step(stepped, 2)
+        replayed(replay, 3)
         assert_same_run(looked, stepped)
+        assert_same_state(looked, replay)
 
-    def test_callbacks_see_the_step_by_step_stream(self, planted, config):
-        graph, _ = planted
-        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+    @pytest.mark.parametrize("t", [0, 1, 7])
+    def test_a_sampler_set_to_t_draws_what_one_that_ran_t_draws(self, split, config, t):
+        ran, fresh = (AMMSBSampler(split.train, config, heldout=split) for _ in range(2))
+        ran.run(t)
+        fresh.iteration = t
+        draws = []
+        for s in (ran, fresh):
+            minibatch = s.minibatch_sampler.sample(s.rng)
+            neighbors = s.minibatch_sampler.sample_neighbors(minibatch.vertices, s.rng)
+            draws.append((minibatch.all_pairs()[0], neighbors.neighbors))
+        minibatch, neighbors = fresh._draw(t)  # what step() draws at t
+        draws.append((minibatch.all_pairs()[0], neighbors.neighbors))
+        for pairs, neighbors in draws[1:]:
+            np.testing.assert_array_equal(pairs, draws[0][0])
+            np.testing.assert_array_equal(neighbors, draws[0][1])
+        # and given the state too, it continues as the one that ran
+        fresh.state = ran.state.copy()
+        ran.run(5)
+        fresh.run(5)
+        assert_same_state(ran, fresh)
 
-        def recorder(s, seen):
-            return lambda _stats: seen.append((s.iteration, s.rng.bit_generator.state))
-
-        seen_looked, seen_stepped = [], []
-        looked.run(9, callback=recorder(looked, seen_looked))
-        step_by_step(stepped, 9, callback=recorder(stepped, seen_stepped))
-        assert seen_looked == seen_stepped
-        assert [it for it, _ in seen_looked] == list(range(1, 10))
-
-    @pytest.mark.parametrize("move", ["step", "reseat"])
-    def test_a_callback_that_moves_the_stream_is_followed(self, planted, config, move):
+    def test_a_callback_that_steps_is_followed(self, planted, config):
         graph, _ = planted
 
         def callback_of(s):
             def callback(stats):
                 if stats.iteration == 3:
-                    if move == "step":
-                        s.step()
-                    else:
-                        s.rng.bit_generator.state = np.random.default_rng(9).bit_generator.state
+                    s.step()
             return callback
 
         looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
         looked.run(8, callback=callback_of(looked))
         step_by_step(stepped, 8, callback=callback_of(stepped))
         assert_same_run(looked, stepped)
+        assert looked.iteration == 9
 
     def test_checkpoint_from_a_callback_resumes_to_the_uninterrupted_state(
         self, split, config, tmp_path
@@ -257,7 +284,6 @@ class TestLookAhead:
         for name in ("pi", "phi_sum", "theta"):
             np.testing.assert_array_equal(getattr(whole.state, name), getattr(resumed.state, name))
         assert resumed.iteration == 20
-        assert whole.rng.bit_generator.state == resumed.rng.bit_generator.state
         assert whole.perplexity_estimator.value() == resumed.perplexity_estimator.value()
 
     @pytest.mark.parametrize("n, threads", [(0, 0), (1, 0), (2, 1), (5, 1)])
@@ -288,8 +314,8 @@ class TestLookAhead:
 
 class TestLookAheadFailures:
     """An error stops ``run()`` where ``step()`` by ``step()`` stops: same
-    applied iterations, same state, ``rng`` where ``step()`` left it, the
-    error itself surfaced and the helper thread joined."""
+    applied iterations, same state, the error itself surfaced and the
+    helper thread joined."""
 
     def _fail_both(self, graph, config, arm, n=10, callback_of=None):
         looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
@@ -314,9 +340,9 @@ class TestLookAheadFailures:
         assert looked.iteration == 3 and len(looked.history) == 3
         three = AMMSBSampler(graph, config)
         step_by_step(three, 3)
-        assert looked.rng.bit_generator.state == three.rng.bit_generator.state
+        assert_same_run(looked, three)
 
-    def test_a_neighbor_draw_error_hands_back_the_stream_it_moved(self, planted, config):
+    def test_a_neighbor_draw_error_surfaces_at_its_iteration(self, planted, config):
         graph, _ = planted
 
         def arm(s):
@@ -324,8 +350,6 @@ class TestLookAheadFailures:
                 s.minibatch_sampler.sample_neighbors, 4
             )
 
-        # the 4th mini-batch was drawn before the error, so rng is past it,
-        # as step() leaves it: the helper's copy is handed back on the error
         assert self._fail_both(graph, config, arm).iteration == 3
 
     def test_an_update_error_at_iteration_5(self, planted, config):

@@ -90,7 +90,7 @@ def test_empty_shard_rows_keep_the_store_dtype():
     nobody = np.zeros(0, dtype=np.int64)
     shard = WorkerShard(
         key=1, row_blocks=(), vertices=nobody, adjacency=None, pair_blocks=(),
-        pairs=nobody.reshape(0, 2), labels=nobody.astype(bool), weights=nobody.astype(float),
+        pair_bounds=np.zeros(1, dtype=np.int64), pairs=nobody.reshape(0, 2), labels=nobody.astype(bool), weights=nobody.astype(float),
     )
     sample = ctx.sample_neighbors(shard, lambda neighbors: np.zeros(neighbors.shape, bool))
     assert sample.neighbors.shape == (0, cfg.neighbor_sample_size)

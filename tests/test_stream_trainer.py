@@ -117,6 +117,24 @@ class TestFromCheckpoint:
         assert t2.iteration == 45
         assert rep.n_new_nodes > 0
 
+    def test_a_generation_container_resumes_a_sampler(self, stream, tmp_path):
+        """``load_checkpoint`` reads a generation's model container: the
+        state and the stream's clock, which is all an iteration needs."""
+        from repro.core.checkpoint import load_checkpoint
+        from repro.core.sampler import AMMSBSampler
+
+        base, _ = stream
+        trainer = StreamTrainer(base, _config(), tmp_path, iterations_per_generation=12)
+        rep0 = trainer.run_generation()
+        resumed = load_checkpoint(rep0.checkpoint_path, base)
+        assert resumed.iteration == trainer.iteration == 12
+        same = AMMSBSampler(base, _config(), state=trainer.state.copy())
+        same.iteration = 12
+        for s in (resumed, same):
+            s.run(4)
+        for name in ("pi", "phi_sum", "theta"):
+            np.testing.assert_array_equal(getattr(resumed.state, name), getattr(same.state, name))
+
     def test_vertex_mismatch_rejected(self, stream, tmp_path, tiny_graph):
         base, _ = stream
         t1 = StreamTrainer(
@@ -204,6 +222,52 @@ class TestMultiprocessEngine:
             trainer.run_generation(batches[0])
         assert (tmp_path / "model_g0001.store" / "manifest.json").exists()
         assert load_artifact(tmp_path / "artifact.npz").version == v0
+
+
+class TestEachGenerationDrawsAtItsClock:
+    """A generation's draws are keyed by the stream's cumulative clock.
+    They used to restart a master stream from the seed, so every
+    generation replayed generation 0's mini-batches, rescaled by N_g/N_0."""
+
+    @pytest.mark.parametrize("engine", ["sequential", "mp"])
+    def test_first_minibatch_is_the_one_keyed_by_the_clock(
+        self, stream, tmp_path, monkeypatch, engine
+    ):
+        from repro.core.minibatch import DRAW, MinibatchSampler, block_rng
+
+        base, batches = stream
+        first = {}  # sampler -> its first mini-batch, in order of use
+        sample = MinibatchSampler.sample
+
+        def recording(sampler, rng):
+            minibatch = sample(sampler, rng)
+            first.setdefault(sampler, minibatch)
+            return minibatch
+
+        monkeypatch.setattr(MinibatchSampler, "sample", recording)
+        config = _config().with_updates(mini_batch_vertices=256)  # several strata
+        trainer = StreamTrainer(
+            base, config, tmp_path, iterations_per_generation=6,
+            engine=engine, n_workers=2,
+        )
+        trainer.run([[], *batches])
+        monkeypatch.undo()
+        assert len(first) == 3
+        anchors, sizes = [], []
+        for gen, (sampler, got) in enumerate(first.items()):
+            want = sampler.sample(block_rng(config.seed, DRAW, 0, 6 * gen))
+            np.testing.assert_array_equal(got.vertices, want.vertices)
+            for a, b in zip(got.strata, want.strata, strict=True):
+                np.testing.assert_array_equal(a.pairs, b.pairs)
+                assert a.scale == b.scale
+            anchors.append(np.array([s.pairs[0, 0] for s in got.strata]))
+            sizes.append(sampler.graph.n_vertices)
+        assert sizes[0] < sizes[1] < sizes[2]  # the batches grew the graph
+        for gen in (1, 2):
+            ratio = sizes[gen] / sizes[0]
+            n = min(anchors[0].size, anchors[gen].size)
+            rescaled = np.abs(anchors[gen][:n] - anchors[0][:n] * ratio) <= ratio + 1
+            assert not rescaled.all()
 
 
 def _published(base, tmp_path):
