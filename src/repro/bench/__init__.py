@@ -7,7 +7,7 @@ package makes the experiments importable, unit-testable, and reusable from
 the examples.
 """
 
-from repro.bench.harness import format_table, Timer
+from repro.bench.harness import format_table
 from repro.bench import figures
 
-__all__ = ["format_table", "Timer", "figures"]
+__all__ = ["format_table", "figures"]

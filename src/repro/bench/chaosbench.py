@@ -519,7 +519,7 @@ def run_chaos_serve(quick: bool = True, seed: int = 2026) -> dict[str, Any]:
     proves deadline enforcement. The report's ``invariants`` section is
     the acceptance contract — ``passed`` is their conjunction.
     """
-    from repro.faults import chaos_serve_plan
+    from repro.faults import ArtifactFault, chaos_serve_plan
     from repro.serve.artifact import ArtifactCorrupt, save_artifact
     from repro.serve.server import (
         DeadlineExceeded,
@@ -588,7 +588,8 @@ def run_chaos_serve(quick: bool = True, seed: int = 2026) -> dict[str, Any]:
         for attempt in range(4):
             payload = perturbed_artifact(artifact, seed + 10 + attempt)
             path = save_artifact(Path(tmpdir) / f"swap{attempt}", payload)
-            mode = plan.artifact_fault(attempt)
+            faults = plan.scheduled(ArtifactFault, publish=attempt)
+            mode = faults[0].mode if faults else None
             if mode is not None:
                 plan.corrupt_file(path, mode)
             try:

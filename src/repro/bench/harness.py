@@ -38,17 +38,6 @@ def format_table(
     return "\n".join(lines)
 
 
-class Timer:
-    """Context-manager wall-clock timer."""
-
-    def __enter__(self) -> "Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self.start
-
-
 def best_of(fn, repeats: int = 5, inner: int = 5) -> float:
     """Best-of-``repeats`` mean seconds of ``inner`` calls to ``fn``.
 

@@ -55,7 +55,10 @@ Examples::
 
 An invalid argument value ends in one ``error: ...`` line on stderr and
 exit code 2 (:class:`ArgumentError`) on the commands that check theirs
-up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``.
+up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``, and
+``detect``, ``auc``, ``stream`` and ``convert-graph`` for a graph file
+that is missing, is not an edge list of integer ids, or (``detect``,
+``auc``) is too small or too dense to hold out pairs from.
 """
 
 from __future__ import annotations
@@ -85,17 +88,37 @@ def _require_seed_and_output(args: argparse.Namespace) -> None:
         _require(parent.is_dir(), f"--output: no such directory {str(parent)!r}")
 
 
+def _require_file(flag: str, path: str) -> None:
+    _require(Path(path).is_file(), f"{flag}: no such file {path!r}")
+
+
+def _load_edges(args: argparse.Namespace):
+    """``--edges`` as a graph and its ``--heldout-fraction`` split, or an
+    :class:`ArgumentError` saying why the file cannot be used."""
+    from repro.graph.io import load_edge_list
+    from repro.graph.split import split_heldout
+
+    _require_file("--edges", args.edges)
+    try:
+        graph = load_edge_list(args.edges)
+    except ValueError as exc:
+        raise ArgumentError(
+            f"--edges: {args.edges!r} is not an edge list of integer ids ({exc})"
+        ) from None
+    try:
+        split = split_heldout(graph, args.heldout_fraction, np.random.default_rng(args.seed))
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: too dense to sample non-links
+        raise ArgumentError(f"--edges: cannot hold out pairs from {graph} ({exc})") from None
+    return graph, split
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.config import AMMSBConfig, StepSizeConfig
     from repro.core.estimation import PosteriorMean, extract_communities
     from repro.core.sampler import AMMSBSampler
-    from repro.graph.io import load_edge_list
-    from repro.graph.split import split_heldout
 
-    graph = load_edge_list(args.edges)
+    graph, split = _load_edges(args)
     print(f"loaded {graph}", file=sys.stderr)
-    rng = np.random.default_rng(args.seed)
-    split = split_heldout(graph, args.heldout_fraction, rng)
     config = AMMSBConfig(
         n_communities=args.communities,
         mini_batch_vertices=args.mini_batch,
@@ -285,6 +308,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         follow_stream,
     )
 
+    _require_file("--edges", args.edges)
     workdir = Path(args.workdir)
     history_path = (
         Path(args.history) if args.history else workdir / "history"
@@ -480,7 +504,11 @@ def _cmd_convert_graph(args: argparse.Namespace) -> int:
     """Convert an edge list / NPZ graph into a mapped CSR container."""
     from repro.graph.io import convert_graph
 
-    graph = convert_graph(args.input, args.output, n_vertices=args.vertices)
+    _require_file("--input", args.input)
+    try:
+        graph = convert_graph(args.input, args.output, n_vertices=args.vertices)
+    except ValueError as exc:
+        raise ArgumentError(f"--input: cannot convert {args.input!r} ({exc})") from None
     print(f"wrote {graph} as CSR container to {args.output}", file=sys.stderr)
     return 0
 
@@ -531,7 +559,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.core.sampler import AMMSBSampler
     from repro.dist.mp import MultiprocessAMMSBSampler
     from repro.dist.sampler import DistributedAMMSBSampler
-    from repro.faults import FaultPlan, chaos_plan
+    from repro.faults import FaultPlan, ServerStall, chaos_plan
     from repro.graph.generators import planted_overlapping_graph
     from repro.graph.split import split_heldout
 
@@ -608,7 +636,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 1
 
     print("== simulated cluster: DKV stall + stale-read degradation ==")
-    sim_plan = FaultPlan(seed=plan.seed, server_stalls=plan.server_stalls)
+    sim_plan = FaultPlan(seed=plan.seed, server_stalls=plan.scheduled(ServerStall))
     clean = DistributedAMMSBSampler(
         split.train, config, cluster=das5(args.workers)
     )
@@ -802,8 +830,6 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
 def _cmd_auc(args: argparse.Namespace) -> int:
     """Held-out link-prediction AUC of a checkpoint or serving artifact."""
     from repro.core.perplexity import link_prediction_auc
-    from repro.graph.io import load_edge_list
-    from repro.graph.split import split_heldout
 
     if (args.checkpoint is None) == (args.artifact is None):
         print("exactly one of --checkpoint / --artifact is required",
@@ -830,14 +856,11 @@ def _cmd_auc(args: argparse.Namespace) -> int:
         pi, beta, delta = artifact.pi, artifact.beta, artifact.config.delta
         source = f"artifact {args.artifact} (version {artifact.version})"
 
-    graph = load_edge_list(args.edges)
+    graph, split = _load_edges(args)
     if graph.n_vertices > pi.shape[0]:
         print(f"graph has {graph.n_vertices} vertices but the model covers "
               f"{pi.shape[0]}", file=sys.stderr)
         return 2
-    split = split_heldout(
-        graph, args.heldout_fraction, np.random.default_rng(args.seed)
-    )
     auc = link_prediction_auc(
         pi, beta, split.heldout_pairs, split.heldout_labels, delta
     )

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.faults import CommTimeout, FaultPlan
+from repro.faults import CommTimeout, FaultPlan, armed
 
 
 @dataclass
@@ -88,7 +88,7 @@ class Communicator:
         self.size = size
         self.stats = CommStats()
         self.barriers = 0
-        self.faults = None if faults is None or faults.empty else faults
+        self.faults = armed(faults)
         self.timeout = timeout
 
     def check_deadline(self, op: str, iteration: int) -> float:
@@ -181,14 +181,3 @@ class Communicator:
         if src != dst:
             self.stats.log("p2p", _payload_bytes(payload))
         return payload
-
-
-def partition_round_robin(items: np.ndarray, size: int) -> list[np.ndarray]:
-    """Deal items round-robin to ranks (balanced mini-batch partitioning)."""
-    return [items[r::size] for r in range(size)]
-
-
-def partition_blocks(n: int, size: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal (start, stop) blocks of range(n)."""
-    bounds = [i * n // size for i in range(size + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(size)]

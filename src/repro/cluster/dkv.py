@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.faults import DKVTimeout, FaultPlan
+from repro.faults import DKVTimeout, FaultPlan, armed
 from repro.sim.core import ProcessGen, Simulator, Timeout
 from repro.sim.network import Network, NetworkParams
 from repro.sim.rdma import RdmaEngine, RdmaOp
@@ -187,7 +187,7 @@ class DKVStore:
         ]
         self.value_bytes = int(value_dim * np.dtype(dtype).itemsize)
         # -- fault tolerance (inert unless a non-empty plan is given) -----
-        self.faults = None if faults is None or faults.empty else faults
+        self.faults = armed(faults)
         self.request_timeout = float(request_timeout)
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)

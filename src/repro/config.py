@@ -60,8 +60,6 @@ class AMMSBConfig:
         step_phi / step_theta: SGRLD schedules for the local / global updates.
         phi_clip: upper clip on phi values for numerical stability.
         seed: master RNG seed.
-        sample_window: number of posterior (pi, beta) samples averaged by
-            the perplexity estimator (Eqn 7).
         dtype: storage precision for pi/phi_sum ("float32" matches the
             paper's 32-bit arrays and halves the DKV footprint; the
             ``fused`` backend also *computes* the hot path at this
@@ -89,7 +87,6 @@ class AMMSBConfig:
     phi_clip: float = 1e6
     phi_floor: float = 1e-12
     seed: int = 42
-    sample_window: int = 32
     dtype: str = "float64"
     kernel_backend: str = field(default_factory=_default_kernel_backend)
 

@@ -27,7 +27,6 @@ from repro.core.kernels import (
     register_backend,
     resolve_backend,
 )
-from repro.core.init import init_state_informed
 from repro.core.minibatch import Minibatch, MinibatchSampler, Stratum
 from repro.core.sampler import AMMSBSampler, IterationStats
 from repro.core.perplexity import (
@@ -50,7 +49,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "init_state_informed",
     "Minibatch",
     "MinibatchSampler",
     "Stratum",

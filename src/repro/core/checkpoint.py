@@ -30,7 +30,8 @@ One container shape: :func:`save_checkpoint` is
 a state — either checkpoint, the multiprocess runtime's auto-checkpoint,
 a stream generation's model container — and :func:`load_state_checkpoint`
 reads the same containers as ``(state, iteration, config)``. An
-``rng_state`` key that earlier writers left in the meta is ignored.
+``rng_state`` key that earlier writers left in the meta is ignored, and
+so is the retired ``sample_window`` config field.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ def _config_to_json(config: AMMSBConfig) -> str:
     return json.dumps(d)
 
 
+#: a config field older writers saved and nothing read; dropped on load
+RETIRED_CONFIG_FIELD = "sample_window"
+
+
 def _config_from_json(path: PathLike, blob: str) -> AMMSBConfig:
     """Rebuild the **full** saved config, or raise a typed error.
 
@@ -82,7 +87,9 @@ def _config_from_json(path: PathLike, blob: str) -> AMMSBConfig:
     run actually used (``kernel_backend`` even reads an environment
     variable) and change numerics on resume. Unknown fields mean the file
     comes from a newer writer and would otherwise die as a raw
-    ``TypeError`` inside the dataclass constructor.
+    ``TypeError`` inside the dataclass constructor. The one exception is
+    :data:`RETIRED_CONFIG_FIELD`, which older writers saved and nothing
+    ever read: it is dropped.
     """
     try:
         d = json.loads(blob)
@@ -90,6 +97,7 @@ def _config_from_json(path: PathLike, blob: str) -> AMMSBConfig:
         raise CheckpointError(path, f"unreadable config ({exc})") from exc
     if not isinstance(d, dict):
         raise CheckpointError(path, "config record is not an object")
+    d.pop(RETIRED_CONFIG_FIELD, None)
     expected = {f.name for f in dataclasses.fields(AMMSBConfig)}
     missing = sorted(expected - d.keys())
     unknown = sorted(d.keys() - expected)

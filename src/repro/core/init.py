@@ -1,23 +1,4 @@
-"""Informed initialization (optional extension).
-
-The paper initializes randomly and spends the first hours of a run mixing
-into the community structure. A cheap graph-aware initialization gives the
-chain a head start:
-
-1. seed each of the K communities with one high-degree vertex, chosen
-   greedily with a 2-hop exclusion zone so seeds land in different parts
-   of the graph;
-2. run damped label-propagation rounds with the seeds clamped (the
-   semi-supervised label-prop recipe), then sharpen the near-uniform tail
-   by squaring and renormalizing;
-3. convert to the sampler's expanded-mean parameterization with a
-   moderate per-vertex phi mass, so the first SGRLD steps can still move
-   the state freely.
-
-``tests/test_init.py`` verifies the head start on planted graphs: lower
-initial perplexity and the same-or-better value after a fixed budget.
-
-Two further initializers support the streaming tier (:mod:`repro.stream`):
+"""Graph-aware initializers for the streaming tier (:mod:`repro.stream`).
 
 - :func:`init_state_spectral` — the successive-projections recipe
   (Mixed-SCORE/SPA style): leading-K eigenvectors of the normalized
@@ -40,99 +21,6 @@ import numpy as np
 from repro.config import AMMSBConfig
 from repro.core.state import ModelState
 from repro.graph.graph import Graph
-
-
-def init_state_informed(
-    graph: Graph,
-    config: AMMSBConfig,
-    rng: Optional[np.random.Generator] = None,
-    smoothing_rounds: int = 15,
-    damping: float = 0.95,
-    phi_mass: float = 10.0,
-) -> ModelState:
-    """Label-propagation-seeded initial state.
-
-    Args:
-        graph: training graph.
-        config: sampler configuration (K, alpha, dtype).
-        rng: random generator.
-        smoothing_rounds: neighbor-averaging rounds.
-        damping: per-round weight of the neighbor average (0 = ignore
-            neighbors, 1 = pure propagation).
-        phi_mass: total phi mass per vertex; larger values make the
-            initialization "stickier" against early SGRLD noise.
-
-    Returns:
-        A valid :class:`ModelState`.
-    """
-    if not 0.0 <= damping <= 1.0:
-        raise ValueError("damping must be in [0, 1]")
-    rng = rng or np.random.default_rng(config.seed)
-    n = graph.n_vertices
-    k = config.n_communities
-    alpha = config.effective_alpha
-
-    # 1. Greedy far-apart seeding: take vertices in (jittered) degree
-    # order, banning the 2-hop neighborhood of every chosen seed, so two
-    # seeds rarely land in the same true community and fight over colors.
-    degrees = graph.degrees.astype(np.float64)
-    order = np.argsort(-(degrees + rng.random(n) * 1e-6))
-    chosen: list[int] = []
-    banned: set[int] = set()
-    for v in order:
-        if len(chosen) >= min(k, n):
-            break
-        v = int(v)
-        if v in banned:
-            continue
-        chosen.append(v)
-        banned.add(v)
-        for u in graph.neighbors(v):
-            banned.add(int(u))
-            for w in graph.neighbors(int(u)):
-                banned.add(int(w))
-    # If the ban was too aggressive (small or dense graph), fill up with
-    # arbitrary unchosen vertices.
-    if len(chosen) < min(k, n):
-        rest = [v for v in range(n) if v not in set(chosen)]
-        chosen.extend(rest[: min(k, n) - len(chosen)])
-    seeds = np.array(chosen, dtype=np.int64)
-    n_seeds = seeds.size
-    seed_label = np.arange(n_seeds) % k
-
-    onehot = np.full((n_seeds, k), 1e-3)
-    onehot[np.arange(n_seeds), seed_label] = 1.0
-    onehot /= onehot.sum(axis=1, keepdims=True)
-
-    pi = np.full((n, k), 1.0 / k)
-    pi[seeds] = onehot
-
-    # 2. Damped label propagation with clamped seeds (semi-supervised
-    # label-prop style: the sources never wash out).
-    for _ in range(smoothing_rounds):
-        nbr_avg = np.empty_like(pi)
-        for v in range(n):
-            nbrs = graph.neighbors(v)
-            nbr_avg[v] = pi[nbrs].mean(axis=0) if nbrs.size else pi[v]
-        pi = (1.0 - damping) * pi + damping * nbr_avg
-        pi[seeds] = onehot
-        pi /= pi.sum(axis=1, keepdims=True)
-
-    # 3a. Sharpen: the propagation output is close to uniform far from the
-    # seeds; squaring (then renormalizing) amplifies the winning color
-    # while keeping the full support the Dirichlet prior expects.
-    pi = pi**2 + alpha / k
-    pi /= pi.sum(axis=1, keepdims=True)
-
-    # 3. Expanded-mean parameterization with moderate mass.
-    dtype = np.dtype(config.dtype)
-    phi_sum = np.full(n, phi_mass)
-    theta = rng.gamma(100.0, 0.01, size=(k, 2)) + 1e-9
-    state = ModelState(
-        pi=pi.astype(dtype), phi_sum=phi_sum.astype(dtype), theta=theta
-    )
-    state.validate()
-    return state
 
 
 def _adjacency_matvec(graph: Graph, x: np.ndarray, rows: np.ndarray) -> np.ndarray:

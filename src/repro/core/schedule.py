@@ -2,8 +2,7 @@
 
 The SGRLD schedule lives in :class:`repro.config.StepSizeConfig`
 (``eps_t = a (1 + t/b)^-c``); this module re-exports it and adds the
-Robbins-Monro power schedule used by stochastic variational inference and
-a constant schedule for debugging/mixing studies.
+Robbins-Monro power schedule used by stochastic variational inference.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.config import StepSizeConfig
 
-__all__ = ["StepSizeConfig", "PowerSchedule", "ConstantSchedule", "check_robbins_monro"]
+__all__ = ["StepSizeConfig", "PowerSchedule"]
 
 
 @dataclass(frozen=True)
@@ -29,31 +28,3 @@ class PowerSchedule:
         if t < 0:
             raise ValueError("iteration must be >= 0")
         return (self.t0 + t) ** (-self.kappa)
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    """Fixed step size; biased but useful for mixing/throughput studies."""
-
-    eps: float = 1e-3
-
-    def at(self, t: int) -> float:
-        if t < 0:
-            raise ValueError("iteration must be >= 0")
-        return self.eps
-
-
-def check_robbins_monro(schedule, horizon: int = 100_000) -> tuple[float, float]:
-    """Empirical partial sums (sum eps, sum eps^2) over a horizon.
-
-    Used by tests to sanity-check that configured schedules are in the
-    convergent regime: the first sum should grow without bound (large),
-    the second should flatten (finite).
-    """
-    s1 = 0.0
-    s2 = 0.0
-    for t in range(horizon):
-        e = schedule.at(t)
-        s1 += e
-        s2 += e * e
-    return s1, s2

@@ -74,58 +74,3 @@ def analytic_single_node(
             f" has {machine.memory_bytes / 2**30:.0f} GiB"
         )
     return SingleNodeModel(machine, threads or machine.cores).iteration(shape)
-
-
-def strong_scaling(
-    shape: WorkloadShape,
-    worker_counts: list[int],
-    n_iterations: int = 2048,
-    pipelined: bool = True,
-) -> list[dict[str, float]]:
-    """Figure 1 sweep: total + per-phase cumulative time vs cluster size."""
-    rows = []
-    for c in worker_counts:
-        t = analytic_iteration(shape, cluster=das5(c), pipelined=pipelined)
-        rows.append(
-            {
-                "workers": c,
-                "total_s": t.total * n_iterations,
-                "update_phi_pi_s": (t.update_phi + t.update_pi) * n_iterations,
-                "minibatch_deploy_s": t.draw_deploy * n_iterations,
-                "update_beta_theta_s": t.update_beta_theta * n_iterations,
-                "perplexity_s": t.perplexity_amortized * n_iterations,
-            }
-        )
-    base = rows[0]["total_s"]
-    for r in rows:
-        r["speedup"] = base / r["total_s"]
-    return rows
-
-
-def weak_scaling(
-    base_shape: WorkloadShape,
-    worker_counts: list[int],
-    communities_per_worker: int,
-    pipelined: bool = True,
-) -> list[dict[str, float]]:
-    """Figure 2 sweep: K grows proportionally with the cluster size."""
-    rows = []
-    for c in worker_counts:
-        shape = WorkloadShape(
-            n_vertices=base_shape.n_vertices,
-            n_edges=base_shape.n_edges,
-            n_communities=communities_per_worker * c,
-            mini_batch_vertices=base_shape.mini_batch_vertices,
-            neighbor_sample_size=base_shape.neighbor_sample_size,
-            heldout_pairs=base_shape.heldout_pairs,
-            perplexity_interval=base_shape.perplexity_interval,
-        )
-        t = analytic_iteration(shape, cluster=das5(c), pipelined=pipelined)
-        rows.append(
-            {
-                "workers": c,
-                "communities": shape.n_communities,
-                "seconds_per_iteration": t.total,
-            }
-        )
-    return rows

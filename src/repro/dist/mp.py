@@ -75,7 +75,7 @@ from repro.core.state import ModelState, init_state
 from repro.dist.master import MasterContext, MasterDraw
 from repro.dist.partition import WorkerShard, partition_heldout
 from repro.dist.worker import PhiStageResult, WorkerContext
-from repro.faults import FaultPlan, WorkerCrashed
+from repro.faults import FaultPlan, WorkerCrashed, armed
 from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit
 
@@ -177,7 +177,7 @@ def _worker_loop(
                     # Injected process faults for the chaos tests: a crash
                     # is an abrupt death (no cleanup, like a real SIGKILL
                     # or OOM); a stall is a wedged worker.
-                    stall = faults.worker_stall_seconds(worker_id, iteration)
+                    stall = faults.stall_seconds(worker_id, iteration)
                     if stall > 0:
                         time.sleep(stall)
                     if faults.crash_due(worker_id, iteration):
@@ -274,7 +274,7 @@ class MultiprocessAMMSBSampler:
         self.config = config
         self.workspace = KernelWorkspace()
         self.n_workers = n_workers
-        self.faults = None if faults is None or faults.empty else faults
+        self.faults = armed(faults)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.poll_interval = float(poll_interval)
         self.shutdown_timeout = float(shutdown_timeout)

@@ -36,7 +36,7 @@ from repro.cluster.comm import Communicator
 from repro.cluster.costmodel import CostModel, StageTimes
 from repro.cluster.dkv import DKVStore, DKVTraffic
 from repro.cluster.spec import ClusterSpec, das5
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, armed
 from repro.core import stages
 from repro.core.kernels import KernelWorkspace
 from repro.core.perplexity import PerplexityEstimator
@@ -116,7 +116,7 @@ class DistributedAMMSBSampler:
         self.cluster = cluster or das5(4)
         self.pipelined = pipelined
         self.cost = CostModel(self.cluster)
-        self.faults = None if faults is None or faults.empty else faults
+        self.faults = armed(faults)
         n_workers = self.cluster.n_workers
         self.comm = Communicator(
             n_workers + 1,

@@ -2,49 +2,14 @@
 
 The Table II stand-ins claim to preserve the structural character of the
 SNAP originals; this module provides the statistics those claims are
-checked with (degree distribution, clustering, components), plus general
-exploration helpers for the examples.
+checked with (degree inequality, clustering, components).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graph.graph import Graph
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    """Headline statistics of a graph."""
-
-    n_vertices: int
-    n_edges: int
-    avg_degree: float
-    max_degree: int
-    degree_gini: float
-    clustering_coefficient: float
-    n_components: int
-    largest_component_fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "N": self.n_vertices,
-            "|E|": self.n_edges,
-            "avg_deg": self.avg_degree,
-            "max_deg": self.max_degree,
-            "deg_gini": self.degree_gini,
-            "clustering": self.clustering_coefficient,
-            "components": self.n_components,
-            "lcc_frac": self.largest_component_fraction,
-        }
-
-
-def degree_histogram(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, counts) of the degree distribution, sorted by degree."""
-    values, counts = np.unique(graph.degrees, return_counts=True)
-    return values, counts
 
 
 def degree_gini(graph: Graph) -> float:
@@ -110,20 +75,3 @@ def connected_components(graph: Graph) -> np.ndarray:
                     stack.append(u)
         current += 1
     return labels
-
-
-def summarize(graph: Graph, clustering_sample: int | None = 2000) -> GraphSummary:
-    """Compute a :class:`GraphSummary`."""
-    labels = connected_components(graph)
-    _, sizes = np.unique(labels, return_counts=True)
-    degrees = graph.degrees
-    return GraphSummary(
-        n_vertices=graph.n_vertices,
-        n_edges=graph.n_edges,
-        avg_degree=float(degrees.mean()) if graph.n_vertices else 0.0,
-        max_degree=int(degrees.max()) if graph.n_vertices else 0,
-        degree_gini=degree_gini(graph),
-        clustering_coefficient=clustering_coefficient(graph, clustering_sample),
-        n_components=int(sizes.size),
-        largest_component_fraction=float(sizes.max() / graph.n_vertices),
-    )

@@ -139,17 +139,3 @@ def load_dataset(
             break
         target *= m / max(graph.n_edges, 1)
     return graph, truth, spec
-
-
-def table2_rows() -> list[dict[str, object]]:
-    """Rows of Table II (full-scale stats), ready for tabular printing."""
-    return [
-        {
-            "Name": s.name,
-            "#Vertices": s.n_vertices,
-            "#Edges": s.n_edges,
-            "#Ground-truth communities": s.n_ground_truth_communities,
-            "Description": s.description,
-        }
-        for s in DATASETS.values()
-    ]

@@ -245,12 +245,3 @@ def convert_graph(
         graph = load_edge_list(input_path, n_vertices=n_vertices)
     save_csr(graph, output_path)
     return graph
-
-
-def from_networkx(g) -> Graph:  # pragma: no cover - optional dependency
-    """Convert a networkx graph (relabeling vertices densely)."""
-    import networkx as nx
-
-    mapping = {v: i for i, v in enumerate(g.nodes())}
-    edges = np.array([[mapping[a], mapping[b]] for a, b in g.edges() if a != b], dtype=np.int64)
-    return Graph(g.number_of_nodes(), edges)

@@ -24,16 +24,14 @@ empty plan leaves every query bit-identical to a plain engine.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.perplexity import _PROB_FLOOR
+from repro.faults import ServeFaultPlan, armed
 from repro.serve.artifact import ModelArtifact
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.faults import ServeFaultPlan
 
 #: Rows of ``pi`` per step of the recommend filter. 8192 rows of K=32
 #: float64 are 2 MiB: a block and its (rows, Q) scores stay in L2 between
@@ -63,7 +61,7 @@ class QueryEngine:
         self,
         artifact: ModelArtifact,
         backend: str | None = None,
-        faults: "ServeFaultPlan | None" = None,
+        faults: Optional[ServeFaultPlan] = None,
     ) -> None:
         self.artifact = artifact
         self.on_recommend: Callable[[int, int, int], None] | None = None
@@ -78,7 +76,7 @@ class QueryEngine:
             )
         self.kernels.warmup()
         self.workspace = kernels.KernelWorkspace()
-        self._faults = None if faults is None or faults.empty else faults
+        self._faults = armed(faults)
 
     def _fault_delay(self) -> None:
         if self._faults is not None:

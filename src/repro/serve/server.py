@@ -77,7 +77,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.faults import ServeFaultPlan, WorkerCrashed
+from repro.faults import ServeFaultPlan, SwapFailure, WorkerCrashed, armed
 from repro.serve.artifact import (
     ArtifactCorrupt,
     ArtifactError,
@@ -268,7 +268,7 @@ class ModelServer:
         self.shed_policy = shed_policy
         self.stall_timeout = float(stall_timeout_s)
         self.watchdog_interval = float(watchdog_interval_s)
-        self._faults = None if faults is None or faults.empty else faults
+        self._faults = armed(faults)
 
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -420,7 +420,7 @@ class ModelServer:
             self._artifact = artifact
             self._generation += 1
             gen = self._generation
-            if self._faults is not None and self._faults.swap_fails(swap_index):
+            if self._faults is not None and self._faults.scheduled(SwapFailure, publish=swap_index):
                 good = self._registry.previous(artifact.version) or previous
                 self._artifact = good
                 self._generation += 1
@@ -742,10 +742,10 @@ class ModelServer:
                 if not batch:
                     continue
                 if self._faults is not None:
-                    stall = self._faults.worker_stall_seconds(slot.index, slot.batches)
+                    stall = self._faults.stall_seconds(slot.index, slot.batches)
                     if stall > 0.0:
                         time.sleep(stall)
-                    if self._faults.worker_crash_due(slot.index, slot.batches):
+                    if self._faults.crash_due(slot.index, slot.batches):
                         raise WorkerCrashed([slot.index])
                 if engine is None or engine_gen != gen:
                     engine = self._engine(artifact)

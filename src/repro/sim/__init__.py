@@ -16,7 +16,7 @@ algorithm's communication, and directly by the Figure 5 benchmark.
 """
 
 from repro.sim.core import Event, EventQueue, Process, Resource, Simulator, Timeout
-from repro.sim.network import Link, Nic, Network, NetworkParams, Message
+from repro.sim.network import Nic, Network, NetworkParams, Message
 from repro.sim.rdma import QueuePair, RdmaEngine, RdmaOp, RdmaOpType
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Resource",
     "Simulator",
     "Timeout",
-    "Link",
     "Nic",
     "Network",
     "NetworkParams",

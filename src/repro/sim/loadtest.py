@@ -107,17 +107,3 @@ def run_all_to_all(
         per_client_bandwidth=per_client,
         aggregate_bandwidth=per_client * n_hosts,
     )
-
-
-def sweep_hosts(
-    host_counts: list[int],
-    payload_bytes: int = 49156,
-    requests_per_client: int = 64,
-) -> list[LoadTestResult]:
-    """Fabric scalability of the all-to-all pattern (per-client bandwidth
-    should stay roughly flat on a non-blocking switch)."""
-    return [
-        run_all_to_all(n_hosts=c, payload_bytes=payload_bytes,
-                       requests_per_client=requests_per_client)
-        for c in host_counts
-    ]

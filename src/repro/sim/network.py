@@ -21,12 +21,10 @@ latency, measured by ``qperf`` in the paper's Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
+from repro.faults import FaultPlan, armed
 from repro.sim.core import Event, Process, ProcessGen, Resource, Simulator, Timeout
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -96,15 +94,6 @@ class Nic:
         return min(1.0, self.bytes_sent / self.params.bandwidth / self.sim.now)
 
 
-class Link:
-    """A point-to-point logical link (src NIC TX -> switch -> dst NIC RX)."""
-
-    def __init__(self, network: "Network", src: int, dst: int) -> None:
-        self.network = network
-        self.src = src
-        self.dst = dst
-
-
 class Network:
     """A cluster fabric of ``n_nodes`` NICs behind a non-blocking switch."""
 
@@ -113,7 +102,7 @@ class Network:
         sim: Simulator,
         n_nodes: int,
         params: Optional[NetworkParams] = None,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         if n_nodes < 1:
             raise ValueError("need at least one node")
@@ -124,7 +113,7 @@ class Network:
         self.record_log = False
         # Link degradation windows; None or an empty plan leaves the
         # transfer math untouched (bit-identical clocks).
-        self.faults = None if faults is None or faults.empty else faults
+        self.faults = armed(faults)
 
     @property
     def n_nodes(self) -> int:

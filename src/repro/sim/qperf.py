@@ -91,14 +91,3 @@ def run_qperf(
         bandwidth=total / elapsed if elapsed > 0 else float("inf"),
         ops_per_sec=n_ops / elapsed if elapsed > 0 else float("inf"),
     )
-
-
-def sweep_payloads(
-    payloads: list[int],
-    op_type: RdmaOpType = RdmaOpType.READ,
-    n_ops: int = 256,
-    depth: int = 16,
-    params: NetworkParams | None = None,
-) -> list[QperfResult]:
-    """Run :func:`run_qperf` across a payload-size sweep (Figure 5 x-axis)."""
-    return [run_qperf(p, op_type=op_type, n_ops=n_ops, depth=depth, params=params) for p in payloads]

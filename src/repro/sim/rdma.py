@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from repro.faults import FaultPlan, armed
 from repro.sim.core import Event, ProcessGen, Simulator, Timeout, all_of
 from repro.sim.network import Network
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults import FaultPlan
 
 #: Size of the request packet an RDMA READ sends to the responder NIC.
 READ_REQUEST_BYTES = 28
@@ -91,13 +89,13 @@ class RdmaEngine:
         self,
         sim: Simulator,
         network: Network,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.sim = sim
         self.network = network
         self.ops: int = 0
         self.failed_ops: int = 0
-        self.faults = None if faults is None or faults.empty else faults
+        self.faults = armed(faults)
 
     def queue_pair(self, local: int, remote: int) -> QueuePair:
         return QueuePair(self, local, remote)

@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.faults import armed
 from repro.stream.delta import IngestReport, StreamError
 from repro.stream.source import EdgeArrival
 from repro.stream.trainer import GenerationReport, StreamTrainer
@@ -185,7 +186,7 @@ class FollowSupervisor:
         self.backoff_max_s = float(backoff_max_s)
         self.backoff_jitter = float(backoff_jitter)
         self.stall_deadline_s = stall_deadline_s
-        self._faults = faults if faults is not None and not faults.empty else None
+        self._faults = armed(faults)
         self._rng = np.random.default_rng(seed + 0xF011)
         self._sleep = sleep
         self._clock = clock

@@ -65,6 +65,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.faults import InjectedCrash, JournalTear, armed
 from repro.store.atomic import fsync_dir
 from repro.stream.delta import StreamError
 
@@ -167,7 +168,7 @@ class IngestJournal:
         fsync_batch: fsync every N appends (1 = every append; the only
             setting with a zero acknowledged-loss window).
         faults: optional :class:`repro.faults.StreamFaultPlan` whose
-            ``journal_tear_due`` schedule tears frame writes (drills).
+            :class:`~repro.faults.JournalTear` s tear frame writes (drills).
 
     Attributes:
         appends: lifetime append-attempt counter (fault schedule index).
@@ -190,7 +191,7 @@ class IngestJournal:
         self.directory = Path(directory)
         self.max_segment_bytes = int(max_segment_bytes)
         self.fsync_batch = int(fsync_batch)
-        self._faults = faults
+        self._faults = armed(faults)
         self.appends = 0
         self.compactions = 0
         self.repaired: Optional[tuple[Path, int, str]] = None
@@ -297,15 +298,12 @@ class IngestJournal:
 
         append_index = self.appends
         self.appends += 1
-        if self._faults is not None and not self._faults.empty:
-            if self._faults.journal_tear_due(append_index):
-                # Kill mid-write(2): half a frame reaches the file, no
-                # fsync, no acknowledgement. The next open must truncate it.
-                from repro.faults import InjectedCrash
-
-                self._fh.write(frame[: max(_HEADER.size - 4, len(frame) // 2)])
-                self._fh.flush()
-                raise InjectedCrash(f"journal append {append_index} (torn frame)")
+        if self._faults is not None and self._faults.scheduled(JournalTear, append=append_index):
+            # Kill mid-write(2): half a frame reaches the file, no
+            # fsync, no acknowledgement. The next open must truncate it.
+            self._fh.write(frame[: max(_HEADER.size - 4, len(frame) // 2)])
+            self._fh.flush()
+            raise InjectedCrash(f"journal append {append_index} (torn frame)")
 
         if self._active.size + len(frame) > self.max_segment_bytes and self._active.n_frames:
             self._roll()

@@ -81,6 +81,7 @@ from repro.core.init import extend_state_informed, init_state_spectral
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import ModelState, init_state
+from repro.faults import InjectedCrash, PublishFailure, TrainerCrash, armed
 from repro.graph.graph import Graph
 from repro.graph.io import load_csr, save_csr
 from repro.graph.split import HeldoutSplit, split_heldout
@@ -217,7 +218,7 @@ class StreamTrainer:
         self.publish_callback = publish_callback
         self.engine = engine
         self.n_workers = int(n_workers)
-        self.faults = faults if faults is not None and not faults.empty else None
+        self.faults = armed(faults)
         self.overlay = DeltaOverlay(
             base_graph, max_pending=max_pending, max_new_nodes=max_new_nodes
         )
@@ -444,9 +445,9 @@ class StreamTrainer:
     # -- ingestion -----------------------------------------------------------
 
     def _crash_if(self, phase: str, generation: int) -> None:
-        if self.faults is not None and self.faults.crash_due(phase, generation):
-            from repro.faults import InjectedCrash
-
+        if self.faults is not None and self.faults.scheduled(
+            TrainerCrash, phase=phase, generation=generation
+        ):
             raise InjectedCrash(f"{phase} (generation {generation})")
 
     def ingest(self, arrivals: Sequence[EdgeArrival]) -> IngestReport:
@@ -553,7 +554,9 @@ class StreamTrainer:
         published = False
         publish_error: Optional[str] = None
         if self.publish_path is not None:
-            if self.faults is not None and self.faults.publish_fails(gen):
+            if self.faults is not None and self.faults.scheduled(
+                PublishFailure, generation=gen
+            ):
                 publish_error = f"injected publish failure (generation {gen})"
             elif unservable is not None:
                 publish_error = unservable

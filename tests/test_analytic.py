@@ -12,9 +12,8 @@ from repro.dist.analytic import (
     analytic_iteration,
     analytic_single_node,
     dataset_shape,
-    strong_scaling,
-    weak_scaling,
 )
+from repro.bench.figures import fig1_strong_scaling, fig2_weak_scaling
 
 
 class TestDatasetShape:
@@ -47,24 +46,16 @@ class TestMemoryGates:
 
 class TestSweeps:
     def test_strong_scaling_rows(self):
-        shape = dataset_shape("com-Friendster", 1024)
-        rows = strong_scaling(shape, [8, 16, 32, 64], n_iterations=2048)
+        rows = fig1_strong_scaling([8, 16, 32, 64], n_communities=1024, n_iterations=2048)
         assert [r["workers"] for r in rows] == [8, 16, 32, 64]
         totals = [r["total_s"] for r in rows]
         assert totals == sorted(totals, reverse=True)
-        assert rows[0]["speedup"] == pytest.approx(1.0)
-        assert rows[-1]["speedup"] > 2.0
+        assert rows[0]["speedup_vs_8"] == pytest.approx(1.0)
+        assert rows[-1]["speedup_vs_8"] > 2.0
 
     def test_weak_scaling_rows_flat(self):
-        base = dataset_shape("com-Friendster", 128, heldout_fraction=0.0)
-        base = WorkloadShape(
-            n_vertices=base.n_vertices,
-            n_edges=base.n_edges,
-            n_communities=128,
-            heldout_pairs=0,
-        )
-        rows = weak_scaling(base, [8, 16, 32, 64], communities_per_worker=128)
-        secs = [r["seconds_per_iteration"] for r in rows]
+        rows = fig2_weak_scaling([8, 16, 32, 64], communities_per_worker=128)
+        secs = [r["sec_per_iteration"] for r in rows]
         assert max(secs) / min(secs) < 1.25
         assert [r["communities"] for r in rows] == [1024, 2048, 4096, 8192]
 

@@ -286,7 +286,6 @@ class TestConfigRoundTripHardening:
             phi_clip=1e5,
             phi_floor=1e-11,
             seed=7,
-            sample_window=16,
             dtype="float32",
             kernel_backend="reference",
         )
@@ -327,6 +326,19 @@ class TestConfigRoundTripHardening:
         save_checkpoint(ckpt, s)
         _rewrite_config(ckpt, lambda c: c.update(bogus_knob=1))
         with pytest.raises(CheckpointError, match="unknown config field"):
+            load_checkpoint(ckpt, graph)
+
+    def test_retired_sample_window_still_loads(self, planted, config, tmp_path):
+        """Older writers saved ``sample_window``, a field nothing read:
+        such a container loads, and only that retired key is forgiven."""
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        ckpt = tmp_path / "old.npz"
+        save_checkpoint(ckpt, s)
+        _rewrite_config(ckpt, lambda c: c.update(sample_window=32))
+        assert load_checkpoint(ckpt, graph).config == config
+        _rewrite_config(ckpt, lambda c: c.update(sample_window=32, window=32))
+        with pytest.raises(CheckpointError, match=r"unknown config field\(s\) \['window'\]"):
             load_checkpoint(ckpt, graph)
 
     def test_invalid_value_is_typed_error(self, planted, config, tmp_path):

@@ -154,6 +154,31 @@ class TestArgumentErrors:
         assert captured.err.startswith("error: ") and needle in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["detect", "--edges", "{missing}", "-k", "2"], "--edges: no such file"),
+        (["auc", "--edges", "{missing}", "--artifact", "{model}"], "--edges: no such file"),
+        (["stream", "--edges", "{missing}", "--workdir", "{tmp}/w", "-k", "2"],
+         "--edges: no such file"),
+        (["convert-graph", "--input", "{missing}", "--output", "{tmp}/g"],
+         "--input: no such file"),
+        (["convert-graph", "--input", "{words}", "--output", "{tmp}/g"], "--input"),
+        (["detect", "--edges", "{words}", "-k", "2"], "not an edge list of integer ids"),
+        (["detect", "--edges", "{triangle}", "-k", "2"], "non-link pairs"),
+    ])
+    def test_an_unusable_graph_file_is_one_error_line(self, argv, needle, tmp_path, capsys):
+        (tmp_path / "words.txt").write_text("a b\nc d\n")
+        (tmp_path / "triangle.txt").write_text("0 1\n1 2\n0 2\n")
+        model = tmp_path / "model"
+        if "auc" in argv:
+            main(["generate", "--vertices", "60", "--communities", "2",
+                  "--output", str(tmp_path / "g.txt")])
+            main(["detect", "--edges", str(tmp_path / "g.txt"), "-k", "2",
+                  "--iterations", "5", "--export-artifact", str(model)])
+            capsys.readouterr()
+        paths = {"missing": tmp_path / "missing.txt", "words": tmp_path / "words.txt",
+                 "triangle": tmp_path / "triangle.txt", "model": model, "tmp": tmp_path}
+        self.test_one_error_line_exit_2([a.format(**paths) for a in argv], needle, capsys)
+
 
 class TestDetectCheckpointing:
     def test_checkpoint_and_resume(self, tmp_path, capsys):

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cluster.comm import (
-    Communicator,
-    partition_blocks,
-    partition_round_robin,
-)
+from repro.cluster.comm import Communicator
 
 
 class TestCollectives:
@@ -93,24 +87,3 @@ class TestAccounting:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Communicator(0)
-
-
-class TestPartitionHelpers:
-    @given(n=st.integers(min_value=0, max_value=200), size=st.integers(min_value=1, max_value=17))
-    @settings(max_examples=50, deadline=None)
-    def test_round_robin_partitions(self, n, size):
-        items = np.arange(n)
-        parts = partition_round_robin(items, size)
-        assert len(parts) == size
-        recombined = np.sort(np.concatenate(parts)) if n else np.array([])
-        np.testing.assert_array_equal(recombined, items)
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    @given(n=st.integers(min_value=0, max_value=200), size=st.integers(min_value=1, max_value=17))
-    @settings(max_examples=50, deadline=None)
-    def test_blocks_cover_range(self, n, size):
-        blocks = partition_blocks(n, size)
-        assert len(blocks) == size
-        flat = [i for a, b in blocks for i in range(a, b)]
-        assert flat == list(range(n))

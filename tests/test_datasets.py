@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.datasets import DATASETS, load_dataset, table2_rows
+from repro.graph.datasets import DATASETS, load_dataset
 
 
 class TestRegistry:
@@ -26,11 +26,6 @@ class TestRegistry:
         assert fr.n_ground_truth_communities == 957_154
         dblp = DATASETS["com-DBLP"]
         assert (dblp.n_vertices, dblp.n_edges) == (317_080, 1_049_866)
-
-    def test_table2_rows_structure(self):
-        rows = table2_rows()
-        assert len(rows) == 6
-        assert all("#Vertices" in r and "Description" in r for r in rows)
 
     def test_avg_degree(self):
         yt = DATASETS["com-Youtube"]

@@ -105,8 +105,8 @@ class TestFaultPlan:
 
     def test_max_worker_lag(self):
         plan = FaultPlan(
-            worker_crashes=(WorkerCrash(worker=2, iteration=5),),
-            worker_stalls=(WorkerStall(worker=1, iteration=3, seconds=2.5),),
+            worker_crashes=(WorkerCrash(worker=2, at=5),),
+            worker_stalls=(WorkerStall(worker=1, at=3, seconds=2.5),),
         )
         assert plan.max_worker_lag(2) == (-1, 0.0)
         assert plan.max_worker_lag(3) == (1, 2.5)
@@ -121,7 +121,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             LinkDegradation(latency_factor=0.5)
         with pytest.raises(ValueError):
-            WorkerStall(worker=0, iteration=0, seconds=-1.0)
+            WorkerStall(worker=0, at=0, seconds=-1.0)
         with pytest.raises(ValueError):
             chaos_plan(n_workers=1)
 
@@ -141,8 +141,8 @@ class TestStreamFaultPlan:
         assert plan.empty
         arrivals = self._arrivals()
         assert plan.mangle_arrivals(arrivals) == arrivals
-        assert plan.mangle_draws == 0
-        assert not plan.publish_fails(0)
+        assert plan.draws["mangle"] == 0
+        assert not plan.scheduled(PublishFailure, generation=0)
 
     def test_mangling_is_deterministic(self):
         arrivals = self._arrivals()
@@ -191,8 +191,9 @@ class TestStreamFaultPlan:
             seed=0, publish_failures=(PublishFailure(2), PublishFailure(5))
         )
         assert not plan.empty
-        assert plan.publish_fails(2) and plan.publish_fails(5)
-        assert not plan.publish_fails(3)
+        assert plan.scheduled(PublishFailure, generation=2)
+        assert plan.scheduled(PublishFailure, generation=5)
+        assert not plan.scheduled(PublishFailure, generation=3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +210,75 @@ class TestStreamFaultPlan:
         plan = StreamFaultPlan(seed=1, malformed_rate=0.1)
         assert "malformed" in plan.describe()
         assert StreamFaultPlan().describe()
+
+
+class TestPinnedFaultSequences:
+    """Literal fault sequences for fixed seeds.
+
+    Two plans compared with each other cannot see a re-keyed private
+    stream; these literals can. Each stream is seeded at
+    ``seed + offset`` (``0x5DF0`` RDMA, ``0x5E12`` spikes, ``0xC0DE``
+    corruption, ``0x57E4`` mangling), so a fixed plan must keep drawing
+    exactly these values.
+    """
+
+    def test_rdma_op_fails(self):
+        plan = FaultPlan(seed=7, rdma_failure_rate=0.3)
+        bits = "".join("1" if plan.rdma_op_fails() else "0" for _ in range(64))
+        assert bits == (
+            "0011000101000010001110000010011011000000000010010000101000000001"
+        )
+
+    def test_engine_delay(self):
+        from repro.faults import ServeFaultPlan
+
+        plan = ServeFaultPlan(seed=11, spike_rate=0.25, spike_seconds=0.004)
+        delays = [plan.engine_delay() for _ in range(64)]
+        assert set(delays) == {0.0, 0.004}
+        bits = "".join("1" if d else "0" for d in delays)
+        assert bits == (
+            "0010010100010100010010000000010001010100101001010000001000011000"
+        )
+
+    def test_corrupt_file_flip(self, tmp_path):
+        import hashlib
+
+        from repro.faults import ServeFaultPlan
+
+        plan = ServeFaultPlan(seed=5)
+        digests = []
+        for name in ("a", "b"):  # the second flip continues the stream
+            container = tmp_path / name
+            container.mkdir()
+            (container / "pi.npy").write_bytes(bytes(range(256)) * 16)
+            plan.corrupt_file(container, "flip")
+            member = (container / "pi.npy").read_bytes()
+            digests.append(hashlib.sha256(member).hexdigest()[:16])
+        assert digests == ["cc165b4535a44308", "082de5b740117ede"]
+
+    def test_mangle_arrivals(self):
+        from repro.stream import EdgeArrival
+
+        arrivals = [EdgeArrival(float(i), i, i + 1) for i in range(50)]
+        plan = StreamFaultPlan(seed=9, malformed_rate=0.3, out_of_order_rate=0.2)
+        mangled = plan.mangle_arrivals(arrivals)
+        changed = [
+            (i, m.timestamp, m.src, m.dst)
+            for i, (m, a) in enumerate(zip(mangled, arrivals))
+            if m != a
+        ]
+        big = (1 << 31) + 7
+        assert changed == [
+            (2, -999998.0, 2, 3), (4, 4.0, 4, 4), (6, 6.0, -1, 7),
+            (8, 8.0, 8, big), (11, 11.0, 11, 11), (12, -999988.0, 12, 13),
+            (19, 19.0, -1, 20), (24, 24.0, 24, big), (29, -999971.0, 29, 30),
+            (30, -999970.0, 30, 31), (31, -999969.0, 31, 32),
+            (33, 33.0, 33, 33), (35, 35.0, -1, 36), (38, -999962.0, 38, 39),
+            (39, 39.0, 39, big), (43, 43.0, 43, 43), (44, -999956.0, 44, 45),
+            (45, 45.0, -1, 46), (46, 46.0, 46, big), (47, 47.0, 47, 47),
+            (49, -999951.0, 49, 50),
+        ]
+        assert plan.draws["mangle"] == 100
 
 
 class TestAnyOf:
@@ -399,7 +469,7 @@ class TestDistributedSamplerFaults:
 
     def test_worker_stall_charged_as_straggler_time(self, problem):
         split, cfg = problem
-        plan = FaultPlan(worker_stalls=(WorkerStall(worker=1, iteration=3, seconds=5.0),))
+        plan = FaultPlan(worker_stalls=(WorkerStall(worker=1, at=3, seconds=5.0),))
         clean = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3))
         armed = DistributedAMMSBSampler(
             split.train, cfg, cluster=das5(3), faults=plan, comm_timeout=60.0
@@ -410,7 +480,7 @@ class TestDistributedSamplerFaults:
 
     def test_crash_raises_typed_comm_timeout(self, problem):
         split, cfg = problem
-        plan = FaultPlan(worker_crashes=(WorkerCrash(worker=1, iteration=2),))
+        plan = FaultPlan(worker_crashes=(WorkerCrash(worker=1, at=2),))
         armed = DistributedAMMSBSampler(
             split.train, cfg, cluster=das5(3), faults=plan, comm_timeout=1.0
         )
@@ -422,7 +492,7 @@ class TestDistributedSamplerFaults:
 
     def test_stall_past_deadline_times_out(self, problem):
         split, cfg = problem
-        plan = FaultPlan(worker_stalls=(WorkerStall(worker=0, iteration=1, seconds=30.0),))
+        plan = FaultPlan(worker_stalls=(WorkerStall(worker=0, at=1, seconds=30.0),))
         armed = DistributedAMMSBSampler(
             split.train, cfg, cluster=das5(3), faults=plan, comm_timeout=10.0
         )

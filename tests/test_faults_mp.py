@@ -19,7 +19,7 @@ import pytest
 from repro.core.checkpoint import CheckpointError, load_state_checkpoint
 from repro.core.sampler import AMMSBSampler
 from repro.dist.mp import MultiprocessAMMSBSampler
-from repro.faults import FaultPlan, WorkerCrash, WorkerStall, chaos_plan
+from repro.faults import FaultPlan, ServerStall, WorkerCrash, WorkerStall, chaos_plan
 from repro.graph.split import HeldoutSplit
 
 FAST = dict(heartbeat_timeout=15.0, poll_interval=0.02, shutdown_timeout=2.0)
@@ -42,7 +42,7 @@ class TestCrashRecovery:
     def test_killed_worker_is_replaced_by_survivors(self, split, config):
         """A worker dying mid-run must not stop or corrupt the run: the
         master re-partitions its shard and completes all iterations."""
-        plan = FaultPlan(seed=1, worker_crashes=(WorkerCrash(worker=1, iteration=3),))
+        plan = FaultPlan(seed=1, worker_crashes=(WorkerCrash(worker=1, at=3),))
         with MultiprocessAMMSBSampler(
             split.train, config, n_workers=3, heldout=split, faults=plan, **FAST
         ) as s:
@@ -63,8 +63,8 @@ class TestCrashRecovery:
         plan = FaultPlan(
             seed=2,
             worker_crashes=(
-                WorkerCrash(worker=0, iteration=1),
-                WorkerCrash(worker=2, iteration=3),
+                WorkerCrash(worker=0, at=1),
+                WorkerCrash(worker=2, at=3),
             ),
         )
         with MultiprocessAMMSBSampler(
@@ -77,7 +77,7 @@ class TestCrashRecovery:
             s.state_snapshot().validate()
 
     def test_all_workers_lost_raises(self, split, config):
-        plan = FaultPlan(seed=3, worker_crashes=(WorkerCrash(worker=0, iteration=1),))
+        plan = FaultPlan(seed=3, worker_crashes=(WorkerCrash(worker=0, at=1),))
         s = MultiprocessAMMSBSampler(split.train, config, n_workers=1, faults=plan, **FAST)
         try:
             s.step()
@@ -90,7 +90,7 @@ class TestCrashRecovery:
         """A worker that stays silent (but alive) past the heartbeat is
         terminated and treated exactly like a crash."""
         plan = FaultPlan(
-            seed=4, worker_stalls=(WorkerStall(worker=1, iteration=2, seconds=30.0),)
+            seed=4, worker_stalls=(WorkerStall(worker=1, at=2, seconds=30.0),)
         )
         with MultiprocessAMMSBSampler(
             split.train,
@@ -112,7 +112,7 @@ class TestCrashRecovery:
     def test_short_stall_rides_out_without_recovery(self, split, config):
         """A stall shorter than the heartbeat costs time, not a worker."""
         plan = FaultPlan(
-            seed=5, worker_stalls=(WorkerStall(worker=0, iteration=1, seconds=0.2),)
+            seed=5, worker_stalls=(WorkerStall(worker=0, at=1, seconds=0.2),)
         )
         with MultiprocessAMMSBSampler(
             split.train, config, n_workers=2, faults=plan, **FAST
@@ -267,7 +267,7 @@ class TestPipeDiscipline:
         pairs = np.column_stack([a[keep], b[keep]]).astype(np.int64)
         labels = rng.random(len(pairs)) < 0.1
         heldout = HeldoutSplit(split.train, pairs, labels)
-        plan = FaultPlan(seed=9, worker_crashes=(WorkerCrash(worker=1, iteration=1),))
+        plan = FaultPlan(seed=9, worker_crashes=(WorkerCrash(worker=1, at=1),))
         with MultiprocessAMMSBSampler(
             split.train, config, n_workers=2, heldout=heldout, faults=plan, **FAST
         ) as s:
@@ -290,7 +290,7 @@ class TestPromptClose:
         timeout (plus slack), not after the stall finishes.
         """
         plan = FaultPlan(
-            seed=6, worker_stalls=(WorkerStall(worker=0, iteration=0, seconds=30.0),)
+            seed=6, worker_stalls=(WorkerStall(worker=0, at=0, seconds=30.0),)
         )
         s = MultiprocessAMMSBSampler(
             split.train,
@@ -347,7 +347,7 @@ class TestAutoCheckpoint:
     def test_checkpoint_survives_crash_recovery(self, split, config, tmp_path):
         """Auto-checkpointing keeps working after a worker loss."""
         ckpt = tmp_path / "chaos.npz"
-        plan = FaultPlan(seed=8, worker_crashes=(WorkerCrash(worker=1, iteration=2),))
+        plan = FaultPlan(seed=8, worker_crashes=(WorkerCrash(worker=1, at=2),))
         with MultiprocessAMMSBSampler(
             split.train,
             config,
@@ -380,8 +380,8 @@ class TestChaosDrill:
         from repro.dist.sampler import DistributedAMMSBSampler
 
         plan = chaos_plan(seed=2026, n_workers=3, crash_iteration=3)
-        assert plan.worker_crashes and plan.server_stalls
-        assert plan.rdma_failure_rate >= 0.05
+        assert plan.scheduled(WorkerCrash) and plan.scheduled(ServerStall)
+        assert plan.rates["rdma_failure_rate"] >= 0.05
 
         # Real process crash, healed by repartitioning.
         t0 = time.monotonic()
@@ -402,8 +402,8 @@ class TestChaosDrill:
         # DKV server stall on the simulated cluster: stale degradation.
         sim_plan = FaultPlan(
             seed=plan.seed,
-            server_stalls=plan.server_stalls,
-            worker_stalls=plan.worker_stalls,
+            server_stalls=plan.scheduled(ServerStall),
+            worker_stalls=plan.scheduled(WorkerStall),
         )
         d = DistributedAMMSBSampler(
             split.train, config, cluster=das5(3), faults=sim_plan
@@ -415,4 +415,4 @@ class TestChaosDrill:
         # RDMA transport failures on the simulated fabric: slower, done.
         elapsed = timed_read_batch(256, 1024, depth=8, faults=plan)
         assert np.isfinite(elapsed) and elapsed > 0.0
-        assert plan.rdma_draws > 0
+        assert plan.draws["rdma"] > 0

@@ -9,8 +9,6 @@ from repro.graph.analysis import (
     clustering_coefficient,
     connected_components,
     degree_gini,
-    degree_histogram,
-    summarize,
 )
 from repro.graph.graph import Graph
 
@@ -25,11 +23,6 @@ def to_networkx(graph: Graph):
 
 
 class TestDegreeStats:
-    def test_histogram_sums_to_n(self, tiny_graph):
-        values, counts = degree_histogram(tiny_graph)
-        assert counts.sum() == tiny_graph.n_vertices
-        assert (np.diff(values) > 0).all()
-
     def test_gini_zero_for_regular_graph(self):
         # 6-cycle: every vertex degree 2.
         edges = np.array([[i, (i + 1) % 6] for i in range(6)])
@@ -91,21 +84,13 @@ class TestComponents:
 
 
 class TestSummary:
-    def test_summary_fields(self, planted):
-        graph, _ = planted
-        s = summarize(graph)
-        assert s.n_vertices == graph.n_vertices
-        assert s.avg_degree == pytest.approx(2 * graph.n_edges / graph.n_vertices)
-        assert 0 <= s.largest_component_fraction <= 1
-        assert s.as_dict()["N"] == graph.n_vertices
-
     def test_standins_have_social_graph_character(self):
         """The stand-ins must show hub-dominated degrees and non-trivial
         clustering — the structural features of the SNAP originals."""
         from repro.graph.datasets import load_dataset
 
         graph, _, _ = load_dataset("com-LiveJournal", scale=5e-4)
-        s = summarize(graph)
-        assert s.degree_gini > 0.25
-        assert s.clustering_coefficient > 0.05
-        assert s.largest_component_fraction > 0.5
+        _, sizes = np.unique(connected_components(graph), return_counts=True)
+        assert degree_gini(graph) > 0.25
+        assert clustering_coefficient(graph) > 0.05
+        assert sizes.max() / graph.n_vertices > 0.5

@@ -1,83 +1,20 @@
-"""Informed initialization tests."""
+"""Graph-aware initializer tests (spectral cold start, informed extension)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.config import AMMSBConfig, StepSizeConfig
+from repro.config import AMMSBConfig
 from repro.core.init import (
     extend_state_informed,
-    init_state_informed,
     init_state_spectral,
     spectral_memberships,
 )
 from repro.core.perplexity import PerplexityEstimator
-from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
 from repro.graph.graph import Graph
 from repro.graph.split import split_heldout
-
-
-class TestInformedInit:
-    def test_valid_state(self, planted, config, rng):
-        graph, _ = planted
-        state = init_state_informed(graph, config, rng)
-        state.validate()
-        assert state.pi.shape == (graph.n_vertices, config.n_communities)
-
-    def test_damping_validated(self, planted, config, rng):
-        graph, _ = planted
-        with pytest.raises(ValueError):
-            init_state_informed(graph, config, rng, damping=1.5)
-
-    def test_deterministic(self, planted, config):
-        graph, _ = planted
-        a = init_state_informed(graph, config, np.random.default_rng(3))
-        b = init_state_informed(graph, config, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.pi, b.pi)
-
-    def test_neighbors_more_similar_than_random_pairs(self, planted, config, rng):
-        """Smoothing must make adjacent vertices' memberships correlate."""
-        graph, _ = planted
-        state = init_state_informed(graph, config, rng)
-        edges = graph.edges
-        nbr_sim = (state.pi[edges[:, 0]] * state.pi[edges[:, 1]]).sum(axis=1).mean()
-        rnd = rng.integers(0, graph.n_vertices, size=(len(edges), 2))
-        rnd = rnd[rnd[:, 0] != rnd[:, 1]]
-        rnd_sim = (state.pi[rnd[:, 0]] * state.pi[rnd[:, 1]]).sum(axis=1).mean()
-        assert nbr_sim > 1.15 * rnd_sim
-
-    def test_head_start_on_planted_graph(self, planted):
-        """Informed init starts better and stays at-least-as-good after a
-        short budget."""
-        graph, _ = planted
-        split = split_heldout(graph, 0.03, np.random.default_rng(5))
-        cfg = AMMSBConfig(
-            n_communities=4,
-            mini_batch_vertices=48,
-            neighbor_sample_size=24,
-            seed=11,
-            step_phi=StepSizeConfig(a=0.05),
-            step_theta=StepSizeConfig(a=0.05),
-        )
-
-        def initial_single_sample(state):
-            est = PerplexityEstimator(
-                split.heldout_pairs, split.heldout_labels, cfg.delta
-            )
-            return est.single_sample_value(state.pi, state.beta)
-
-        random_state = init_state(split.train.n_vertices, cfg, np.random.default_rng(2))
-        informed_state = init_state_informed(split.train, cfg, np.random.default_rng(2))
-        assert initial_single_sample(informed_state) < initial_single_sample(random_state)
-
-        results = {}
-        for name, st in (("random", random_state), ("informed", informed_state)):
-            s = AMMSBSampler(split.train, cfg, heldout=split, state=st.copy())
-            s.run(800, perplexity_every=100)
-            results[name] = s.perplexity_estimator.value()
-        assert results["informed"] < results["random"] * 1.05
 
 
 class TestSpectralInit:

@@ -19,6 +19,17 @@ the one legacy reader behind ``repro convert``.
 
 *No source file is ignored.* ``.gitignore`` hides no module, present or
 new, under ``src/`` or ``tests/``.
+
+*One fault-plan core.* :mod:`repro.faults` defines the plan's seeding,
+``empty``, ``describe``, event lookup and range check once, and no other
+module asks a plan whether it is empty: :func:`repro.faults.armed`
+decides the bypass.
+
+*Every public name is reached.* A public top-level function or class of
+``src/repro`` is used by the program — ``src/``, ``benchmarks/``,
+``examples/`` or ``e2e_bench/`` — outside its own definition and
+outside a package's re-exports, or it is on :data:`UNREACHED` with its
+reason.
 """
 
 from __future__ import annotations
@@ -229,6 +240,97 @@ def test_thread_pools_are_the_look_ahead_and_the_block_map():
         ):
             pools.add((str(path.relative_to(SRC)), func))
     assert pools == {("core/sampler.py", "run"), ("parallel/threadpool.py", "chunked_thread_map")}
+
+
+# -- one fault-plan core ------------------------------------------------------
+
+
+def test_the_fault_plan_core_is_defined_once():
+    tree = ast.parse((SRC / "faults.py").read_text(encoding="utf-8"))
+    defs = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for name in ("empty", "describe", "scheduled", "_check_floors", "_draw", "armed"):
+        assert defs.count(name) == 1, name
+    seeded = {func for _call, _stmt, func in _generator_calls(tree)}
+    assert seeded == {"__init__", "chaos_plan", "chaos_serve_plan"}  # streams; victims
+
+
+def test_only_the_fault_module_asks_whether_a_plan_is_empty():
+    askers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "empty"
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+            ):
+                askers.add(str(path.relative_to(SRC)))
+    assert askers <= {"faults.py"}
+
+
+# -- every public name is reached ------------------------------------------------
+
+#: public names only tests reach, each with why it stays
+UNREACHED = {
+    "core/gradients.py:brute_force_z": "test oracle of the fused phi kernels",
+    "sim/rdma.py:uncontended_read_time": "test oracle: closed-form latency of one RDMA read",
+    "sim/rdma.py:uncontended_write_time": "test oracle: closed-form latency of one RDMA write",
+    "graph/analysis.py:degree_gini": "stand-in validation statistic (DESIGN S17)",
+    "graph/analysis.py:clustering_coefficient": "stand-in validation statistic (DESIGN S17)",
+    "graph/analysis.py:connected_components": "stand-in validation statistic (DESIGN S17)",
+    "sim/loadtest.py:run_all_to_all": "the load test grounding dkv_read_bw_loaded (DESIGN S14)",
+    "sim/core.py:any_of": "simulator primitive racing an event against a timeout; only tests race",
+    "core/general.py:GeneralMMSBSampler": "general MMSB, waiting for an engine and a CLI verb",
+    "core/general.py:general_pair_z": "general MMSB, waiting for an engine and a CLI verb",
+    "core/general.py:assortative_block_matrix": "general MMSB, waiting for an engine and a CLI verb",
+    "bench/gate.py:load_report": "reads a committed bench report; only tests call it",
+    "store/container.py:is_container": "container probe; only tests call it",
+}
+PROGRAM = ("src", "benchmarks", "examples", "e2e_bench")
+
+
+def _public_definitions() -> dict[str, tuple[Path, str]]:
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[f"{path.relative_to(SRC)}:{node.name}"] = (path, node.name)
+    return found
+
+
+def _references() -> dict[str, set[tuple[Path, str]]]:
+    """Every name the program uses, with ``(module, enclosing top-level
+    definition)`` of each use. A package ``__init__`` re-exporting a name
+    does not use it."""
+    used: dict[str, set[tuple[Path, str]]] = {}
+    for top in PROGRAM:
+        for path in sorted((REPO / top).rglob("*.py")):
+            reexports = path.name == "__init__.py"
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                if reexports and isinstance(stmt, (ast.ImportFrom, ast.Assign)):
+                    continue
+                owner = getattr(stmt, "name", "")
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        names = [node.id]
+                    elif isinstance(node, ast.Attribute):
+                        names = [node.attr]
+                    elif isinstance(node, ast.ImportFrom):
+                        names = [alias.name for alias in node.names]
+                    else:
+                        continue
+                    for name in names:
+                        used.setdefault(name, set()).add((path, owner))
+    return used
+
+
+def test_every_public_name_is_reached_or_on_the_list():
+    used = _references()
+    unreached = {
+        key
+        for key, (path, name) in _public_definitions().items()
+        if not used.get(name, set()) - {(path, name)}
+    }
+    assert unreached == set(UNREACHED)
 
 
 # -- no source file is ignored ---------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.spec import das5
-from repro.sim.loadtest import run_all_to_all, sweep_hosts
+from repro.sim.loadtest import run_all_to_all
 from repro.sim.network import NetworkParams
 
 
@@ -22,7 +22,7 @@ class TestAllToAll:
         assert r.fabric_efficiency > 0.85
 
     def test_contention_reduces_per_client_bandwidth(self):
-        rows = sweep_hosts([2, 8], requests_per_client=32)
+        rows = [run_all_to_all(n_hosts=c, requests_per_client=32) for c in (2, 8)]
         assert rows[1].per_client_bandwidth < rows[0].per_client_bandwidth
 
     def test_loaded_bandwidth_brackets_calibrated_constant(self):
@@ -36,7 +36,7 @@ class TestAllToAll:
     def test_aggregate_scales_with_hosts(self):
         """A non-blocking switch: aggregate bandwidth grows with hosts even
         though per-client bandwidth drops."""
-        rows = sweep_hosts([4, 16], requests_per_client=32)
+        rows = [run_all_to_all(n_hosts=c, requests_per_client=32) for c in (4, 16)]
         assert rows[1].aggregate_bandwidth > 2 * rows[0].aggregate_bandwidth
 
     def test_invalid_hosts(self):

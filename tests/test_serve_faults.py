@@ -27,10 +27,10 @@ from repro.core.state import ModelState, init_state
 from repro.faults import (
     ArtifactFault,
     ServeFaultPlan,
-    ServeWorkerCrash,
-    ServeWorkerStall,
     SwapFailure,
+    WorkerCrash,
     WorkerCrashed,
+    WorkerStall,
     chaos_serve_plan,
 )
 from repro.serve.artifact import (
@@ -84,11 +84,11 @@ class TestServeFaultPlan:
     def test_empty_plan_injects_nothing(self):
         plan = ServeFaultPlan(seed=7)
         assert plan.engine_delay() == 0.0
-        assert plan.spike_draws == 0  # fast path: no RNG draw at all
-        assert not plan.worker_crash_due(0, 0)
-        assert plan.worker_stall_seconds(0, 0) == 0.0
-        assert not plan.swap_fails(0)
-        assert plan.artifact_fault(0) is None
+        assert plan.draws["spike"] == 0  # fast path: no RNG draw at all
+        assert not plan.crash_due(0, 0)
+        assert plan.stall_seconds(0, 0) == 0.0
+        assert not plan.scheduled(SwapFailure, publish=0)
+        assert not plan.scheduled(ArtifactFault, publish=0)
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -96,9 +96,9 @@ class TestServeFaultPlan:
         with pytest.raises(ValueError):
             ArtifactFault(publish=0, mode="nonsense")
         with pytest.raises(ValueError):
-            ServeWorkerCrash(worker=-1, batch=0)
+            WorkerCrash(worker=-1, at=0)
         with pytest.raises(ValueError):
-            ServeWorkerStall(worker=0, batch=0, seconds=-1.0)
+            WorkerStall(worker=0, at=0, seconds=-1.0)
         with pytest.raises(ValueError):
             SwapFailure(publish=-1)
         with pytest.raises(ValueError):
@@ -108,23 +108,24 @@ class TestServeFaultPlan:
 
     def test_scheduled_lookups(self):
         plan = ServeFaultPlan(
-            worker_crashes=(ServeWorkerCrash(1, 3),),
-            worker_stalls=(ServeWorkerStall(0, 2, 0.5), ServeWorkerStall(0, 2, 0.25)),
+            worker_crashes=(WorkerCrash(1, 3),),
+            worker_stalls=(WorkerStall(0, 2, 0.5), WorkerStall(0, 2, 0.25)),
             swap_failures=(SwapFailure(1),),
             artifact_faults=(ArtifactFault(0, "payload"),),
         )
-        assert plan.worker_crash_due(1, 3) and not plan.worker_crash_due(1, 2)
-        assert plan.worker_stall_seconds(0, 2) == pytest.approx(0.75)
-        assert plan.worker_stall_seconds(1, 2) == 0.0
-        assert plan.swap_fails(1) and not plan.swap_fails(0)
-        assert plan.artifact_fault(0) == "payload"
-        assert plan.artifact_fault(1) is None
+        assert plan.crash_due(1, 3) and not plan.crash_due(1, 2)
+        assert plan.stall_seconds(0, 2) == pytest.approx(0.75)
+        assert plan.stall_seconds(1, 2) == 0.0
+        assert plan.scheduled(SwapFailure, publish=1)
+        assert not plan.scheduled(SwapFailure, publish=0)
+        assert plan.scheduled(ArtifactFault, publish=0) == (ArtifactFault(0, "payload"),)
+        assert plan.scheduled(ArtifactFault, publish=1) == ()
 
     def test_describe(self):
         assert ServeFaultPlan().describe() == "ServeFaultPlan(empty)"
         text = chaos_serve_plan(seed=3).describe()
         assert "artifact fault" in text and "swap failure" in text
-        assert "worker crash" in text and "spikes" in text
+        assert "worker crash" in text and "spike_rate" in text
 
     def test_chaos_plan_needs_a_worker(self):
         with pytest.raises(ValueError):
@@ -192,7 +193,7 @@ class TestPlanBitReproducible:
         np.testing.assert_array_equal(
             QueryEngine(art).link_probability(pairs), spiked.link_probability(pairs)
         )
-        assert plan.spike_draws > 0
+        assert plan.draws["spike"] > 0
 
 
 class TestArtifactIntegrity:
@@ -654,7 +655,7 @@ class TestLoadShedding:
 
 class TestWatchdog:
     def test_crashed_worker_respawns_and_serves(self):
-        plan = ServeFaultPlan(seed=0, worker_crashes=(ServeWorkerCrash(0, 0),))
+        plan = ServeFaultPlan(seed=0, worker_crashes=(WorkerCrash(0, 0),))
         with ModelServer(
             _artifact(),
             n_workers=1,
@@ -675,7 +676,7 @@ class TestWatchdog:
 
     def test_stalled_worker_is_fenced_and_replaced(self):
         plan = ServeFaultPlan(
-            seed=0, worker_stalls=(ServeWorkerStall(0, 0, seconds=1.5),)
+            seed=0, worker_stalls=(WorkerStall(0, 0, seconds=1.5),)
         )
         with ModelServer(
             _artifact(),
@@ -698,7 +699,7 @@ class TestWatchdog:
         """When the fenced zombie finally wakes, the already-failed
         futures must keep their typed error (first writer wins)."""
         plan = ServeFaultPlan(
-            seed=0, worker_stalls=(ServeWorkerStall(0, 0, seconds=0.6),)
+            seed=0, worker_stalls=(WorkerStall(0, 0, seconds=0.6),)
         )
         with ModelServer(
             _artifact(),
@@ -772,7 +773,7 @@ class TestDeterministicShutdown:
     def test_close_fails_stuck_worker_batch(self):
         """A worker hung past the drain timeout cannot park its batch."""
         plan = ServeFaultPlan(
-            seed=0, worker_stalls=(ServeWorkerStall(0, 0, seconds=3.0),)
+            seed=0, worker_stalls=(WorkerStall(0, 0, seconds=3.0),)
         )
         server = ModelServer(
             _artifact(),

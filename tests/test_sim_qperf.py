@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.network import NetworkParams
-from repro.sim.qperf import run_qperf, sweep_payloads
+from repro.sim.qperf import run_qperf
 from repro.sim.rdma import RdmaOpType
 
 
 class TestQperf:
     def test_bandwidth_monotone_in_payload(self):
-        results = sweep_payloads([256, 1024, 4096, 65536, 1048576], n_ops=64)
+        results = [run_qperf(p, n_ops=64) for p in (256, 1024, 4096, 65536, 1048576)]
         bws = [r.bandwidth for r in results]
         assert bws == sorted(bws)
 
