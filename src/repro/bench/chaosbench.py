@@ -562,7 +562,6 @@ def run_chaos_serve(quick: bool = True, seed: int = 2026) -> dict[str, Any]:
             artifact,
             n_workers=2,
             max_batch=16,
-            max_delay_ms=0.2,
             queue_limit=512,
             cache_size=4 * w.pool_size,
             faults=plan,

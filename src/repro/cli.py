@@ -777,7 +777,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         artifact,
         n_workers=args.workers,
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         default_deadline_ms=args.deadline_ms,
         shed_policy=shed_policy,
         drift_window=args.drift_window,
@@ -957,8 +956,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve an artifact over a stdin line protocol")
     p.add_argument("--artifact", required=True, help="serving artifact container")
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--max-delay-ms", type=float, default=1.0)
+    p.add_argument("--max-batch", type=int, default=64,
+                   help="a free worker answers every request queued, up to "
+                        "this many, as one batch; it waits only while the "
+                        "queue is empty (default 64)")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="fail requests queued longer than this (default: none)")
     p.add_argument("--slo-p99-ms", type=float, default=None,

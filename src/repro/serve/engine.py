@@ -259,7 +259,7 @@ class QueryEngine:
         order.
         """
         art = self.artifact
-        pi = np.asarray(art.pi)  # a plain view: np.memmap pays per slice
+        pi = art.pi
         v, delta, tau = _filter_weights(art, rows)
         n_queries = len(rows)
 
@@ -323,7 +323,7 @@ def _filter_weights(
     break. ``tau = 4 * gap`` keeps a 2x margin over that for rows
     normalized only to ``ModelArtifact.validate``'s tolerance.
     """
-    pi = np.asarray(art.pi)
+    pi = art.pi
     tau = pi.dtype.type(4 * (art.n_communities + 4) * np.finfo(pi.dtype).eps)
     v = (pi[list(rows)] * (art.beta - art.config.delta)).astype(pi.dtype).T
     return v, pi.dtype.type(art.config.delta), tau

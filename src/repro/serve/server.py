@@ -2,13 +2,18 @@
 
 The online half of the train->serve stack. Clients submit queries and get
 :class:`concurrent.futures.Future` handles back immediately; worker
-threads coalesce queued requests into batches (flushed at ``max_batch``
-requests or ``max_delay_ms`` after the oldest request, whichever comes
-first) and answer them through a per-thread
-:class:`~repro.serve.engine.QueryEngine`. NumPy releases the GIL inside
-the batched kernels, so the worker pool overlaps scoring with request
-admission — the same chunked-thread-pool trick :mod:`repro.parallel`
-uses for training.
+threads coalesce queued requests into batches and answer them through a
+per-thread :class:`~repro.serve.engine.QueryEngine`. NumPy releases the
+GIL inside the batched kernels, so the worker pool overlaps scoring with
+request admission — the same chunked-thread-pool trick
+:mod:`repro.parallel` uses for training.
+
+The flush rule: a free worker takes every live request queued, up to
+``max_batch``, and answers them as one batch; it waits only while
+the queue is empty. Requests that arrive while a batch executes form the
+next one, so batches grow with load and nothing waits on a timer for a
+batch that cannot grow (in a closed loop the clients are blocked on
+futures inside the batch).
 
 Operational semantics:
 
@@ -34,8 +39,10 @@ Operational semantics:
   batch counter — no request ever hangs on a dead thread.
 - **Result cache**: an LRU keyed by (artifact generation, endpoint,
   canonical payload) with hit/miss/eviction accounting. Hits complete
-  without touching the queue. Stale-generation entries are purged
-  eagerly on every hot-swap instead of squatting on capacity.
+  without touching the queue. An answer is cached under the generation
+  whose artifact computed it, and only while that generation serves;
+  stale-generation entries are purged eagerly on every hot-swap instead
+  of squatting on capacity.
 - **Zero-downtime hot-swap**: :meth:`publish` atomically installs a new
   artifact mid-traffic. In-flight batches finish on the engine they
   started with; later batches (and cache keys, via the generation
@@ -175,7 +182,7 @@ class ShedPolicy:
 class _Request:
     endpoint: str
     payload: Any
-    key: Optional[tuple]
+    key: Optional[tuple]  # cache key without its generation; None = uncached
     queries: int
     deadline: Optional[float] = None  # absolute perf_counter seconds
     future: Future = field(default_factory=Future)
@@ -206,8 +213,7 @@ class ModelServer:
     Args:
         artifact: the snapshot to serve first (hot-swappable later).
         n_workers: worker threads (0 = manual :meth:`process_once` mode).
-        max_batch: flush a batch at this many coalesced requests.
-        max_delay_ms: ... or this long after the oldest queued request.
+        max_batch: most requests one batch takes from the queue.
         queue_limit: bounded-queue capacity; beyond it submits raise
             :class:`ServerOverloaded`.
         cache_size: LRU result-cache capacity (0 disables caching).
@@ -239,7 +245,6 @@ class ModelServer:
         artifact: ModelArtifact,
         n_workers: int = 2,
         max_batch: int = 64,
-        max_delay_ms: float = 1.0,
         queue_limit: int = 1024,
         cache_size: int = 4096,
         default_deadline_ms: Optional[float] = None,
@@ -252,14 +257,11 @@ class ModelServer:
     ) -> None:
         if n_workers < 0 or max_batch < 1 or queue_limit < 1 or cache_size < 0:
             raise ValueError("invalid server sizing parameter")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be > 0")
         if stall_timeout_s <= 0 or watchdog_interval_s <= 0:
             raise ValueError("watchdog timings must be > 0")
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay_ms) / 1e3
         self.queue_limit = int(queue_limit)
         self.cache_size = int(cache_size)
         self.default_deadline = (
@@ -670,7 +672,6 @@ class ModelServer:
         with self._not_empty:
             if self._stopped:
                 raise RuntimeError("server is closed")
-            key = None
             if self.cache_size > 0:
                 key = (self._generation, *key_suffix)
                 if key in self._cache:
@@ -689,7 +690,7 @@ class ModelServer:
                 if len(self._queue) >= self.queue_limit:
                     self.metrics.record_rejected()
                     raise ServerOverloaded(self.queue_limit)
-                req = _Request(endpoint, payload, key, queries)
+                req = _Request(endpoint, payload, key_suffix if self.cache_size else None, queries)
                 if deadline_s is not None:
                     req.deadline = req.enqueued + deadline_s
                 self._queue.append(req)
@@ -719,10 +720,10 @@ class ModelServer:
         taken = self._take_batch(wait=False)
         if taken is None:
             return 0
-        batch, artifact, _gen = taken
+        batch, artifact, gen = taken
         if not batch:
             return 0
-        self._execute(batch, self._engine(artifact))
+        self._execute(batch, self._engine(artifact), gen)
         return len(batch)
 
     def _engine(self, artifact: ModelArtifact) -> QueryEngine:
@@ -750,7 +751,7 @@ class ModelServer:
                 if engine is None or engine_gen != gen:
                     engine = self._engine(artifact)
                     engine_gen = gen
-                self._execute(batch, engine)
+                self._execute(batch, engine, gen)
                 with self._not_empty:
                     if slot.fenced:
                         return  # a watchdog replacement owns this index now
@@ -820,34 +821,30 @@ class ModelServer:
             self.metrics.record_worker_respawn()
 
     def _take_batch(self, wait: bool, slot: Optional[_WorkerSlot] = None):
-        """Pop up to ``max_batch`` live requests, honoring the coalescing
-        delay; expired-deadline requests are failed, never batched.
+        """Pop every live request queued, up to ``max_batch``; expired-
+        deadline requests are failed, never batched.
 
-        Returns ``(batch, artifact, generation)``; ``None`` means
+        Waits (untimed) only while the queue is empty, never for a batch
+        to grow. Returns ``(batch, artifact, generation)``; ``None`` means
         shutdown (or this worker was fenced) — the caller must exit.
         With ``wait=False`` (manual mode) an empty queue yields an empty
         batch immediately.
         """
         expired: list[_Request] = []
-
-        def pop_live() -> Optional[_Request]:
-            now = time.perf_counter()
-            while self._queue:
-                r = self._queue[0]
-                if r.deadline is not None and now > r.deadline:
-                    expired.append(self._queue.popleft())
-                    continue
-                return self._queue.popleft()
-            return None
-
+        batch: list[_Request] = []
         try:
             with self._not_empty:
-                first = None
                 while True:
                     if slot is not None and slot.fenced:
                         return None
-                    first = pop_live()
-                    if first is not None:
+                    now = time.perf_counter()
+                    while self._queue and len(batch) < self.max_batch:
+                        req = self._queue.popleft()
+                        if req.deadline is not None and now > req.deadline:
+                            expired.append(req)
+                        else:
+                            batch.append(req)
+                    if batch:
                         break
                     if self._stopped:
                         return None
@@ -861,32 +858,19 @@ class ModelServer:
                             self._expire(req)
                         expired.clear()
                     self._not_empty.wait()
-                batch = [first]
-                flush_at = first.enqueued + self.max_delay
-                while len(batch) < self.max_batch:
-                    nxt = pop_live()
-                    if nxt is not None:
-                        batch.append(nxt)
-                        continue
-                    remaining = flush_at - time.perf_counter()
-                    if remaining <= 0 or self._stopped or not wait:
-                        break
-                    self._not_empty.wait(timeout=remaining)
-                    if not self._queue:
-                        break
                 if slot is not None:
                     slot.inflight = batch
                     slot.busy_since = time.perf_counter()
-                art_gen = (self._artifact, self._generation)
+                artifact, gen = self._artifact, self._generation
         finally:
             for req in expired:
                 self._expire(req)
         self.metrics.record_batch(len(batch))
-        return batch, art_gen[0], art_gen[1]
+        return batch, artifact, gen
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(self, batch: list[_Request], engine: QueryEngine) -> None:
+    def _execute(self, batch: list[_Request], engine: QueryEngine, gen: int) -> None:
         # Coalesce all link-probability pairs into one kernel call; the
         # point of micro-batching (per-request Python overhead amortizes
         # over the batch, the gather+kernel is one shot).
@@ -898,7 +882,7 @@ class ModelServer:
                 offset = 0
                 for r in links:
                     n = len(r.payload)
-                    self._finish(r, probs[offset:offset + n])
+                    self._finish(r, probs[offset:offset + n], gen)
                     offset += n
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 for r in links:
@@ -917,7 +901,7 @@ class ModelServer:
                     if isinstance(outcome, Exception):
                         self._fail(r, outcome)
                     else:
-                        self._finish(r, outcome)
+                        self._finish(r, outcome, gen)
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 for r in recs:
                     self._fail(r, exc)
@@ -935,11 +919,12 @@ class ModelServer:
                     result = engine.membership_drift(node, self._history, last)
                 else:  # pragma: no cover - submit() filters endpoints
                     raise RuntimeError(f"unknown endpoint {r.endpoint!r}")
-                self._finish(r, result)
+                self._finish(r, result, gen)
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 self._fail(r, exc)
 
-    def _finish(self, req: _Request, result: Any) -> None:
+    def _finish(self, req: _Request, result: Any, gen: int) -> None:
+        """Answer ``req`` with what generation ``gen``'s artifact computed."""
         # A fenced zombie may race the watchdog, which already failed
         # this future; completion is first-writer-wins, silently.
         if req.future.done():
@@ -947,16 +932,21 @@ class ModelServer:
         self.metrics.record_request(
             req.endpoint, time.perf_counter() - req.enqueued, req.queries
         )
+        evicted = 0
         if req.key is not None:
             with self._lock:
-                self._cache[req.key] = result
-                self._cache.move_to_end(req.key)
-                evicted = 0
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-                    evicted += 1
-            if evicted:
-                self.metrics.record_eviction(evicted)
+                # Keyed by the generation that computed the answer, and
+                # only while it serves: a swap since then has purged its
+                # generation, and no lookup could hit the entry.
+                if gen == self._generation:
+                    key = (gen, *req.key)
+                    self._cache[key] = result
+                    self._cache.move_to_end(key)
+                    while len(self._cache) > self.cache_size:
+                        self._cache.popitem(last=False)
+                        evicted += 1
+        if evicted:
+            self.metrics.record_eviction(evicted)
         try:
             req.future.set_result(result)
         except InvalidStateError:  # pragma: no cover - lost a tight race

@@ -8,12 +8,14 @@ needs:
   anonymous memory; allocations are ``np.zeros``. This is the default
   for training-sized problems and the only provider whose arrays are
   safe to mutate freely.
-- ``mmap`` — file-backed memory maps. Loads return a read-only
-  ``np.memmap`` over the on-disk ``.npy`` payload (RSS grows only with
-  the pages actually touched, and the kernel may evict them under
-  pressure); allocations create an *unlinked* temporary file-backed map,
-  so scratch space is swappable and can never leak a file on disk even
-  if the process dies.
+- ``mmap`` — file-backed memory maps. Loads return a read-only plain
+  ``np.ndarray`` view of an ``np.memmap`` (its ``.base``) over the
+  on-disk ``.npy`` payload: RSS grows only with the pages actually
+  touched, and the kernel may evict them under pressure. The view is
+  zero-copy, and indexing it skips the ``np.memmap`` subclass hooks that
+  every slice and gather of a memmap pays. Allocations create an
+  *unlinked* temporary file-backed map, so scratch space is swappable
+  and can never leak a file on disk even if the process dies.
 
 Query results are bit-identical across providers: a memory map of an
 ``.npy`` file aliases the exact bytes ``resident`` would read, and every
@@ -83,7 +85,7 @@ class MmapProvider(ArrayProvider):
         self.scratch_dir = Path(scratch_dir) if scratch_dir is not None else None
 
     def load(self, path: PathLike) -> np.ndarray:
-        return np.load(str(path), mmap_mode="r", allow_pickle=False)
+        return np.load(str(path), mmap_mode="r", allow_pickle=False).view(np.ndarray)
 
     def allocate(self, shape, dtype) -> np.ndarray:
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)

@@ -545,7 +545,7 @@ class TestDeadlines:
         """Workers blocked on an empty queue must still fail expired
         leftovers instead of parking their futures forever."""
         with ModelServer(
-            _artifact(), n_workers=1, max_delay_ms=0.1, cache_size=0
+            _artifact(), n_workers=1, cache_size=0
         ) as server:
             # saturate the worker so the burst queues behind a real batch
             futs = [
@@ -659,7 +659,6 @@ class TestWatchdog:
         with ModelServer(
             _artifact(),
             n_workers=1,
-            max_delay_ms=0.1,
             cache_size=0,
             faults=plan,
             watchdog_interval_s=0.02,
@@ -681,7 +680,6 @@ class TestWatchdog:
         with ModelServer(
             _artifact(),
             n_workers=1,
-            max_delay_ms=0.1,
             cache_size=0,
             faults=plan,
             stall_timeout_s=0.2,
@@ -704,7 +702,6 @@ class TestWatchdog:
         with ModelServer(
             _artifact(),
             n_workers=1,
-            max_delay_ms=0.1,
             cache_size=0,
             faults=plan,
             stall_timeout_s=0.15,
@@ -719,7 +716,7 @@ class TestWatchdog:
 
     def test_healthy_workers_not_respawned(self):
         with ModelServer(
-            _artifact(), n_workers=2, max_delay_ms=0.1, watchdog_interval_s=0.02
+            _artifact(), n_workers=2, watchdog_interval_s=0.02
         ) as server:
             for i in range(5):
                 server.query("membership", i, timeout=10)
@@ -762,7 +759,7 @@ class TestDeterministicShutdown:
         leave zero unresolved futures."""
         for trial in range(3):
             server = ModelServer(
-                _artifact(n=60), n_workers=2, max_delay_ms=0.1, cache_size=0
+                _artifact(n=60), n_workers=2, cache_size=0
             )
             futs = [server.membership(i % 60) for i in range(100)]
             # close while batches are very likely in flight
@@ -778,7 +775,6 @@ class TestDeterministicShutdown:
         server = ModelServer(
             _artifact(),
             n_workers=1,
-            max_delay_ms=0.1,
             cache_size=0,
             faults=plan,
             stall_timeout_s=60.0,  # watchdog will NOT fence it first

@@ -99,6 +99,21 @@ class TestManualBatching:
             "survivors_per_returned": 1.0,
         }
 
+    def test_worker_takes_what_is_queued_without_a_timed_wait(
+        self, manual_server, monkeypatch
+    ):
+        """A batch that cannot grow is never held open on a timer: the
+        taker pops everything queued and returns without waiting."""
+        waits = []
+        monkeypatch.setattr(
+            manual_server._not_empty, "wait", lambda timeout=None: waits.append(timeout)
+        )
+        futs = [manual_server.membership(i) for i in range(3)]
+        batch, artifact, gen = manual_server._take_batch(wait=True)
+        assert [r.future for r in batch] == futs
+        assert (artifact, gen) == (manual_server.artifact, 0)
+        assert waits == []
+
     def test_bad_request_fails_future_not_batch(self, manual_server):
         good = manual_server.link_probability(np.array([[0, 1]]))
         bad = manual_server.membership(9999)  # unknown node id
@@ -182,6 +197,27 @@ class TestHotSwap:
         assert f1.result(5) != f2.result(5)
         assert manual_server.generation == 1
 
+    def test_answer_cached_under_the_generation_that_computed_it(self, manual_server):
+        """Submitted before a swap, answered after it: the answer came
+        from the new artifact, so it is cached under the new generation
+        and nothing is left under the old one."""
+        manual_server.membership(1)
+        manual_server.publish(_perturbed(manual_server.artifact))
+        manual_server.process_once()
+        assert list(manual_server._cache) == [(1, "mb", 1, None)]
+        assert manual_server.membership(1).done()  # a hit
+        assert manual_server.metrics.snapshot()["cache"]["hits"] == 1
+
+    def test_no_insert_after_a_swap_mid_batch(self, manual_server):
+        """An answer computed on an artifact swapped out while its batch
+        ran is delivered but not cached: no lookup could hit it."""
+        fut = manual_server.membership(1)
+        batch, artifact, gen = manual_server._take_batch(wait=False)
+        manual_server.publish(_perturbed(artifact))
+        manual_server._execute(batch, QueryEngine(artifact), gen)
+        assert fut.result(5) == QueryEngine(artifact).membership(1)
+        assert not manual_server._cache
+
     def test_results_reflect_new_artifact(self, manual_server):
         art = manual_server.artifact
         new = _perturbed(art)
@@ -204,7 +240,7 @@ class TestHotSwap:
         art = _artifact(n=60, k=4)
         new = _perturbed(art)
         with ModelServer(
-            art, n_workers=2, max_batch=8, max_delay_ms=0.2, cache_size=0
+            art, n_workers=2, max_batch=8, cache_size=0
         ) as server:
             swapped = threading.Event()
 
@@ -237,7 +273,7 @@ class TestHotSwap:
 
 class TestThreadedWorkers:
     def test_round_trip_through_worker_pool(self):
-        with ModelServer(_artifact(), n_workers=2, max_delay_ms=0.1) as server:
+        with ModelServer(_artifact(), n_workers=2) as server:
             engine = QueryEngine(server.artifact)
             pairs = np.array([[0, 1], [2, 3], [4, 5]])
             got = server.query("link_probability", pairs, timeout=30)
@@ -245,7 +281,7 @@ class TestThreadedWorkers:
             assert server.query("membership", 7, timeout=30) == engine.membership(7)
 
     def test_close_drains_queued_work(self):
-        server = ModelServer(_artifact(), n_workers=1, max_delay_ms=0.1)
+        server = ModelServer(_artifact(), n_workers=1)
         futs = [server.membership(i) for i in range(20)]
         server.close()
         done = sum(1 for f in futs if f.done() and not f.cancelled())
@@ -271,7 +307,6 @@ class TestSizingValidation:
             {"max_batch": 0},
             {"queue_limit": 0},
             {"cache_size": -1},
-            {"max_delay_ms": -0.5},
         ],
     )
     def test_bad_parameters(self, kwargs):

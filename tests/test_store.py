@@ -183,9 +183,12 @@ class TestProviders:
         assert isinstance(get_provider(None), MmapProvider)
 
     def test_mmap_load_is_readonly_map(self, box):
+        """A plain ndarray view of its read-only map: zero-copy, without
+        the np.memmap subclass hooks on every slice."""
         arr = Container(box, provider="mmap")["pi"]
-        base = arr if isinstance(arr, np.memmap) else arr.base
-        assert isinstance(base, np.memmap)
+        assert type(arr) is np.ndarray
+        assert isinstance(arr.base, np.memmap)
+        assert not arr.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             arr[0, 0] = 1.0
 
