@@ -55,10 +55,15 @@ Examples::
 
 An invalid argument value ends in one ``error: ...`` line on stderr and
 exit code 2 (:class:`ArgumentError`) on the commands that check theirs
-up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``, and
-``detect``, ``auc``, ``stream`` and ``convert-graph`` for a graph file
-that is missing, is not an edge list of integer ids, or (``detect``,
-``auc``) is too small or too dense to hold out pairs from.
+up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``;
+``detect`` and ``generate`` for a size the library's range checks refuse
+(``-k 0``, ``--mini-batch 0``, ``--vertices 0``); and ``detect``,
+``auc``, ``stream`` and ``convert-graph`` for a graph file that is
+missing, is not an edge list of integer ids, or (``detect``, ``auc``) is
+too small or too dense to hold out pairs from. ``detect
+--export-artifact`` of a state whose rows cannot be served is one
+``cannot export artifact:`` line and exit 3; the container is still
+written, as a checkpoint.
 """
 
 from __future__ import annotations
@@ -117,16 +122,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.estimation import PosteriorMean, extract_communities
     from repro.core.sampler import AMMSBSampler
 
+    try:  # the library's own range checks on -k, --mini-batch, --neighbors
+        config = AMMSBConfig(
+            n_communities=args.communities,
+            mini_batch_vertices=args.mini_batch,
+            neighbor_sample_size=args.neighbors,
+            step_phi=StepSizeConfig(a=args.step),
+            step_theta=StepSizeConfig(a=args.step),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ArgumentError(str(exc)) from None
     graph, split = _load_edges(args)
     print(f"loaded {graph}", file=sys.stderr)
-    config = AMMSBConfig(
-        n_communities=args.communities,
-        mini_batch_vertices=args.mini_batch,
-        neighbor_sample_size=args.neighbors,
-        step_phi=StepSizeConfig(a=args.step),
-        step_theta=StepSizeConfig(a=args.step),
-        seed=args.seed,
-    )
     if args.resume:
         from repro.core.checkpoint import CheckpointError, load_checkpoint
 
@@ -158,12 +166,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             save_checkpoint(args.checkpoint, sampler)
     if posterior.n_samples == 0:
         posterior.record(sampler.state.pi, sampler.state.beta)
-    if args.export_artifact:
-        from repro.serve.artifact import export_from_sampler
-
-        export_from_sampler(args.export_artifact, sampler)
-        print(f"exported serving artifact to {args.export_artifact}",
-              file=sys.stderr)
     covers = extract_communities(posterior.pi, threshold=args.threshold)
     out = Path(args.output) if args.output else None
     lines = [" ".join(str(int(v)) for v in c) for c in covers]
@@ -173,6 +175,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         print(f"wrote {len(covers)} communities to {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+    if args.export_artifact:
+        from repro.serve.artifact import ArtifactError, export_artifact
+
+        try:
+            export_artifact(
+                args.export_artifact, sampler.state, sampler.config,
+                iteration=sampler.iteration,
+            )
+        except ArtifactError as exc:  # written, as a checkpoint only
+            print(f"cannot export artifact: {exc}", file=sys.stderr)
+            return 3
+        print(f"exported serving artifact to {args.export_artifact}",
+              file=sys.stderr)
     return 0
 
 
@@ -191,9 +206,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                   f"K={truth.n_communities}")
     else:
         rng = np.random.default_rng(args.seed)
-        graph, truth = planted_overlapping_graph(
-            args.vertices, args.communities, memberships_per_vertex=2, rng=rng
-        )
+        try:  # the library's own range checks on --vertices, --communities
+            graph, truth = planted_overlapping_graph(
+                args.vertices, args.communities, memberships_per_vertex=2, rng=rng
+            )
+        except ValueError as exc:
+            raise ArgumentError(str(exc)) from None
         header = (f"planted overlapping graph, N={args.vertices}, "
                   f"K={args.communities}")
     save_edge_list(graph, args.output, header=header)

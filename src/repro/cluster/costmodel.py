@@ -297,10 +297,6 @@ class CostModel:
             )
         return t
 
-    def run_time(self, shape: WorkloadShape, n_iterations: int, pipelined: bool = False) -> float:
-        """Total seconds for ``n_iterations``."""
-        return self.iteration(shape, pipelined=pipelined).total * n_iterations
-
 
 @dataclass(frozen=True)
 class SingleNodeModel:

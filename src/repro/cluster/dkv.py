@@ -33,6 +33,15 @@ from repro.sim.rdma import RdmaEngine, RdmaOp
 #: Server-side bytes of DKV metadata fetched along with a value (header).
 VALUE_HEADER_BYTES = 16
 
+#: Simulated seconds charged per timed-out attempt against a stalled server.
+REQUEST_TIMEOUT = 2e-3
+#: Retry budget per batch after the first attempt.
+MAX_RETRIES = 3
+#: Exponential backoff between attempts: ``min(BACKOFF_BASE * 2**attempt,
+#: BACKOFF_CAP)`` simulated seconds.
+BACKOFF_BASE = 1e-3
+BACKOFF_CAP = 50e-3
+
 
 @dataclass
 class DKVTraffic:
@@ -142,11 +151,9 @@ class DKVStore:
             circuit breaker and fall back to the last-known snapshot
             (stale reads — the degradation Li/Ahn/Welling's sampler
             provably tolerates). ``None`` or an empty plan bypasses every
-            fault path (bit-identical behavior).
-        request_timeout: simulated seconds charged per timed-out attempt.
-        max_retries: retry budget per batch after the first attempt.
-        backoff_base / backoff_cap: exponential backoff schedule
-            (``min(base * 2**attempt, cap)`` seconds, simulated).
+            fault path (bit-identical behavior). The ladder's timeout,
+            retry budget and backoff are :data:`REQUEST_TIMEOUT`,
+            :data:`MAX_RETRIES`, :data:`BACKOFF_BASE` / :data:`BACKOFF_CAP`.
         breaker_threshold / breaker_cooldown: consecutive failed batches
             that open a server's breaker / iterations it stays open.
         stale_fallback: if False, exhausted retries raise
@@ -160,18 +167,12 @@ class DKVStore:
         n_servers: int,
         dtype=np.float64,
         faults: Optional[FaultPlan] = None,
-        request_timeout: float = 2e-3,
-        max_retries: int = 3,
-        backoff_base: float = 1e-3,
-        backoff_cap: float = 50e-3,
         breaker_threshold: int = 2,
         breaker_cooldown: int = 2,
         stale_fallback: bool = True,
     ) -> None:
         if n_keys < 1 or value_dim < 1 or n_servers < 1:
             raise ValueError("n_keys, value_dim, n_servers must be positive")
-        if max_retries < 0 or request_timeout < 0:
-            raise ValueError("max_retries and request_timeout must be >= 0")
         self.n_keys = int(n_keys)
         self.value_dim = int(value_dim)
         self.n_servers = int(n_servers)
@@ -188,10 +189,6 @@ class DKVStore:
         self.value_bytes = int(value_dim * np.dtype(dtype).itemsize)
         # -- fault tolerance (inert unless a non-empty plan is given) -----
         self.faults = armed(faults)
-        self.request_timeout = float(request_timeout)
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.stale_fallback = bool(stale_fallback)
         self.fault_stats = DKVFaultStats()
         self._iteration = 0
@@ -287,17 +284,15 @@ class DKVStore:
                 self._refresh_snapshot(server)
                 return None
             stats.timeouts += 1
-            stats.simulated_delay += self.request_timeout
-            if attempt >= self.max_retries:
+            stats.simulated_delay += REQUEST_TIMEOUT
+            if attempt >= MAX_RETRIES:
                 if breaker.record_failure(it):
                     stats.breaker_opens += 1
                 if not self.stale_fallback:
                     raise DKVTimeout(server, attempt + 1)
                 return self._serve_stale(server, n_requests)
             stats.retries += 1
-            stats.simulated_delay += min(
-                self.backoff_base * (2.0 ** attempt), self.backoff_cap
-            )
+            stats.simulated_delay += min(BACKOFF_BASE * (2.0 ** attempt), BACKOFF_CAP)
             attempt += 1
 
     # -- batched ops ------------------------------------------------------------

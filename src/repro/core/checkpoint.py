@@ -27,8 +27,9 @@ checkpoints written before this format are read by ``repro convert``
 One container shape: :func:`save_checkpoint` is
 :func:`save_state_checkpoint` plus the sampler's perplexity window.
 :func:`load_checkpoint` resumes a sampler from any container that holds
-a state — either checkpoint, the multiprocess runtime's auto-checkpoint,
-a stream generation's model container — and :func:`load_state_checkpoint`
+a state — either checkpoint, an exported artifact
+(:func:`repro.serve.artifact.export_artifact`: ``detect --export-artifact``,
+a stream generation's model container) — and :func:`load_state_checkpoint`
 reads the same containers as ``(state, iteration, config)``. An
 ``rng_state`` key that earlier writers left in the meta is ignored, and
 so is the retired ``sample_window`` config field.
@@ -153,8 +154,8 @@ def load_checkpoint(path: PathLike, graph, heldout=None) -> AMMSBSampler:
     """Reconstruct a sampler from any state container.
 
     Args:
-        path: a checkpoint, an auto-checkpoint or a stream generation's
-            model container.
+        path: a checkpoint or an exported artifact (``detect
+            --export-artifact``, a stream generation's model container).
         graph: the training graph the run used (graphs are large and
             deterministic to regenerate, so they are not embedded).
         heldout: the held-out split the run used, if any (required to
@@ -188,8 +189,9 @@ def save_state_checkpoint(
     """Atomically write a model state container: ``pi``, ``phi_sum``,
     ``theta`` with ``iteration`` and ``config`` in the sealed meta.
 
-    The portable subset every backend shares — used by the multiprocess
-    runtime's auto-checkpointing and as the stream's warm start.
+    The portable subset every backend shares — how a caller checkpoints
+    a multiprocess run (``s.state_snapshot()``, ``s.iteration``), and the
+    stream's warm start.
     """
     return _write_state(path, state, iteration, config, None)
 
@@ -211,9 +213,9 @@ def load_state_checkpoint(path: PathLike) -> tuple[ModelState, int, AMMSBConfig]
 
     ``path`` is any sealed container holding ``pi``, ``phi_sum`` and
     ``theta`` with ``iteration`` and ``config`` in its meta: what
-    :func:`save_state_checkpoint`, :func:`save_checkpoint` and a stream
-    generation write. It is read in full and every array digest verified
-    before the state is adopted.
+    :func:`save_state_checkpoint`, :func:`save_checkpoint` and
+    :func:`repro.serve.artifact.export_artifact` write. It is read in
+    full and every array digest verified before the state is adopted.
 
     Raises:
         CheckpointError: missing path, regular file, damaged member or

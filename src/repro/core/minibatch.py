@@ -263,10 +263,9 @@ def sample_neighbor_sets(
     the mini-batch rows of the row ``blocks`` (:func:`block_draws`), and
     each block's candidates come from its own :func:`block_rng` under the
     iteration's ``key``. ``links_against`` answers ``y_ab`` for an (m, n)
-    candidate matrix against the rows of ``vertices`` and is the only
-    thing that differs between engines: ``Graph.links_from`` on the
-    training graph or on a mapped CSR container,
-    ``AdjacencySlice.links_against`` on a scattered slice.
+    candidate matrix against the rows of ``vertices``: every engine
+    passes ``Graph.links_from`` on its training graph (in memory, on a
+    mapped CSR container, or inherited by a forked worker).
 
     Self-pairs and held-out pairs are masked out rather than resampled,
     which keeps the draw vectorized; the phi update divides by the
@@ -295,6 +294,11 @@ def sample_neighbor_sets(
     return NeighborSample(neighbors=neighbors, labels=labels, mask=mask)
 
 
+#: Floor of the stratified strategy's sampled non-link stratum: a stratum
+#: is ``max(NONLINK_STRATUM_MIN, avg_degree)`` pairs, at most N - 1.
+NONLINK_STRATUM_MIN = 64
+
+
 class MinibatchSampler:
     """Draws mini-batches and neighbor sets from a training graph.
 
@@ -303,8 +307,6 @@ class MinibatchSampler:
         config: sampler configuration.
         heldout_keys: sorted canonical keys of held-out pairs, excluded
             from non-link sampling and neighbor sets.
-        nonlink_stratum_size: size of a sampled non-link stratum for the
-            stratified strategy; defaults to ``max(64, avg_degree)``.
     """
 
     def __init__(
@@ -312,7 +314,6 @@ class MinibatchSampler:
         graph: Graph,
         config: AMMSBConfig,
         heldout_keys: Optional[np.ndarray] = None,
-        nonlink_stratum_size: Optional[int] = None,
     ) -> None:
         self.graph = graph
         self.config = config
@@ -324,12 +325,9 @@ class MinibatchSampler:
         n = graph.n_vertices
         self.heldout = heldout_rows(self.heldout_keys, n)
         avg_degree = 2.0 * graph.n_edges / n if n else 0.0
-        self.nonlink_stratum_size = int(
-            nonlink_stratum_size
-            if nonlink_stratum_size is not None
-            else max(64, int(round(avg_degree)))
+        self.nonlink_stratum_size = min(
+            max(NONLINK_STRATUM_MIN, int(round(avg_degree))), max(1, n - 1)
         )
-        self.nonlink_stratum_size = min(self.nonlink_stratum_size, max(1, n - 1))
         # m partitions of each vertex's ~N non-links.
         self.n_partitions = max(1, int(np.ceil((n - 1) / self.nonlink_stratum_size)))
 

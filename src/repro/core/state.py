@@ -81,17 +81,6 @@ class ModelState:
             raise ValueError("phi rows must have positive sums")
         self.write_rows(vertices, phi / sums[:, None], sums)
 
-    def kv_values(self, vertices: np.ndarray) -> np.ndarray:
-        """DKV value layout: (m, K+1) = [pi_row | phi_sum]."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        return np.concatenate([self.pi[vertices], self.phi_sum[vertices, None]], axis=1)
-
-    def set_kv_values(self, vertices: np.ndarray, values: np.ndarray) -> None:
-        """Inverse of :meth:`kv_values`."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        self.pi[vertices] = values[:, :-1]
-        self.phi_sum[vertices] = values[:, -1]
-
     def copy(self) -> "ModelState":
         return ModelState(pi=self.pi.copy(), phi_sum=self.phi_sum.copy(), theta=self.theta.copy())
 

@@ -33,6 +33,9 @@ from repro.core.schedule import PowerSchedule
 from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit
 
+#: Robbins-Monro step schedule ``rho_t`` of the global (lambda) update.
+RHO_SCHEDULE = PowerSchedule(t0=1024.0, kappa=0.9)
+
 
 @dataclass
 class SVIState:
@@ -58,7 +61,8 @@ class SVIAMMSB:
         config: shared configuration (K, alpha, eta, delta, mini-batch
             sizes, seed).
         heldout: optional held-out split for perplexity tracking.
-        schedule: Robbins-Monro step schedule (``rho_t``).
+
+    The global step follows :data:`RHO_SCHEDULE`.
     """
 
     def __init__(
@@ -66,11 +70,9 @@ class SVIAMMSB:
         graph: Graph,
         config: AMMSBConfig,
         heldout: Optional[HeldoutSplit] = None,
-        schedule: Optional[PowerSchedule] = None,
     ) -> None:
         self.graph = graph
         self.config = config
-        self.schedule = schedule or PowerSchedule(t0=1024.0, kappa=0.9)
         self.rng = np.random.default_rng(config.seed)
         heldout_keys = None
         self.perplexity_estimator: Optional[PerplexityEstimator] = None
@@ -147,7 +149,7 @@ class SVIAMMSB:
                 "the SVI baseline implements the stratified-random-node strategy"
             )
         mb = self.minibatch_sampler.sample(self.rng)
-        rho = self.schedule.at(self.iteration)
+        rho = RHO_SCHEDULE.at(self.iteration)
         k = cfg.n_communities
         m_parts = self.minibatch_sampler.n_partitions
         alpha = cfg.effective_alpha

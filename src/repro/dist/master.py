@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.config import AMMSBConfig
 from repro.core.minibatch import DRAW, Minibatch, MinibatchSampler, block_rng, draw_key
-from repro.dist.partition import WorkerShard, partition_minibatch
+from repro.dist.partition import WorkerShard, partition_minibatch, slice_bytes
 from repro.graph.graph import Graph
 
 
@@ -31,8 +31,10 @@ class MasterDraw:
     key: int
     shards: list[WorkerShard]
 
-    def scatter_payload_bytes(self) -> int:
-        return sum(s.payload_bytes() for s in self.shards)
+    def scatter_payload_bytes(self, degrees: np.ndarray) -> int:
+        """The shards' bytes plus the CSR adjacency slice of each shard's
+        vertices (``degrees``: the graph's), as the paper scatters them."""
+        return sum(s.payload_bytes() + slice_bytes(degrees, s.vertices) for s in self.shards)
 
 
 class MasterContext:
@@ -43,9 +45,6 @@ class MasterContext:
         config: shared configuration.
         n_workers: worker count.
         heldout_keys: sorted canonical keys of held-out pairs.
-        ship_adjacency: scatter each shard's CSR adjacency slice. False
-            when the workers hold the graph themselves (:mod:`repro.dist.mp`'s
-            forked workers): shards then carry ``adjacency=None``.
     """
 
     def __init__(
@@ -54,12 +53,9 @@ class MasterContext:
         config: AMMSBConfig,
         n_workers: int,
         heldout_keys: Optional[np.ndarray] = None,
-        ship_adjacency: bool = True,
     ) -> None:
-        self.graph = graph
         self.config = config
         self.n_workers = n_workers
-        self.ship_adjacency = ship_adjacency
         self.minibatch_sampler = MinibatchSampler(graph, config, heldout_keys=heldout_keys)
         #: The look-ahead: ``(t, minibatch, key)`` of a draw not yet dealt,
         #: so a worker loss in between never strands it.
@@ -74,9 +70,7 @@ class MasterContext:
     def deal(self, minibatch: Minibatch, key: int) -> MasterDraw:
         """Shard a drawn mini-batch across the current worker count (a
         retry after a worker loss re-deals the same draw)."""
-        shards = partition_minibatch(
-            self.graph, minibatch, self.n_workers, key, with_adjacency=self.ship_adjacency
-        )
+        shards = partition_minibatch(minibatch, self.n_workers, key)
         return MasterDraw(minibatch=minibatch, key=key, shards=shards)
 
     def next_draw(self, iteration: int) -> MasterDraw:

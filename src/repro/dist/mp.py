@@ -36,11 +36,7 @@ iteration wrote any, and the iteration's draw is re-dealt to the
 survivors and retried. The look-ahead holds ``t+1`` undealt, so it is
 dealt to whichever workers are left when ``t+1`` starts. Blocks, not
 workers, key every random number and order the theta reduce, so a
-recovered run ends on the fault-free run's state bit for bit. Opt-in
-auto-checkpointing (``checkpoint_path`` + ``checkpoint_every``) reuses
-:mod:`repro.core.checkpoint`'s atomic writer, and an iteration is a
-function of (seed, t, state), so a crashed master resumes from the last
-durable state bit for bit (:meth:`MultiprocessAMMSBSampler.from_checkpoint`).
+recovered run ends on the fault-free run's state bit for bit.
 Every command/result carries a sequence number; results from an aborted
 round are recognized and dropped, so recovery never mis-attributes a
 straggler's answer.
@@ -60,10 +56,8 @@ import time
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import shared_memory
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -132,8 +126,7 @@ def _worker_loop(
 
     ``graph`` is the master's training graph, inherited through ``fork``
     (never pickled; copy-on-write leaves one physical copy for every
-    process): the worker answers ``y_ab`` from it, so shards arrive
-    without adjacency slices.
+    process): the worker's :class:`WorkerContext` answers ``y_ab`` from it.
     """
     cmd_recv, _, _, res_send = pipes[worker_id]
     for i, (cr, cs, rr, rs) in enumerate(pipes):
@@ -155,7 +148,7 @@ def _worker_loop(
         # The in-process engine's worker over the shared rows instead of
         # the DKV store: same stages, bit-identical states.
         rows = shared_rows(shm.buf, graph.n_vertices, config)
-        ctx = WorkerContext(config, graph.n_vertices, rows, heldout_keys)
+        ctx = WorkerContext(config, graph, rows, heldout_keys)
         pending: Optional[PhiStageResult] = None
         shard: Optional[WorkerShard] = None
 
@@ -182,10 +175,7 @@ def _worker_loop(
                         time.sleep(stall)
                     if faults.crash_due(worker_id, iteration):
                         os._exit(23)
-                links_against = partial(graph.links_from, shard.vertices)
-                pending = ctx.update_phi_pi(
-                    shard, ctx.sample_neighbors(shard, links_against), beta, iteration
-                )
+                pending = ctx.update_phi_pi(shard, ctx.sample_neighbors(shard), beta, iteration)
                 send_result(("phi_done", worker_id, seq, worker_id, None))
             elif op == "pi_write":
                 assert pending is not None
@@ -236,17 +226,14 @@ class MultiprocessAMMSBSampler:
             finds a full pipe).
         shutdown_timeout: grace period :meth:`close` allows workers to
             exit before escalating to ``terminate()``.
-        checkpoint_path: opt-in auto-checkpoint target (atomic writes via
-            :mod:`repro.core.checkpoint`).
-        checkpoint_every: iterations between auto-checkpoints (0 = only
-            explicit :meth:`save_checkpoint` calls).
-        publish_path: opt-in serving-artifact target; the training loop
-            periodically exports an immutable
-            :class:`~repro.serve.artifact.ModelArtifact` here (atomic
-            replace, so a :class:`~repro.serve.server.ModelServer`
-            watching the path can hot-swap mid-run).
-        publish_every: iterations between artifact publishes (0 = only
-            explicit :meth:`publish_artifact` calls).
+
+    The engine does not persist itself: a caller writes
+    ``save_state_checkpoint(path, s.state_snapshot(), s.iteration,
+    s.config)`` or ``export_artifact(path, s.state_snapshot(), s.config,
+    iteration=s.iteration)``, and resumes with ``load_state_checkpoint``,
+    the constructor's ``state=`` and ``s.iteration = iteration`` (an
+    iteration is a function of (seed, t, state), so the resumed run is
+    the uninterrupted one bit for bit).
     """
 
     def __init__(
@@ -260,10 +247,6 @@ class MultiprocessAMMSBSampler:
         heartbeat_timeout: float = 30.0,
         poll_interval: float = 0.05,
         shutdown_timeout: float = 5.0,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 0,
-        publish_path: Optional[Union[str, Path]] = None,
-        publish_every: int = 0,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -278,19 +261,12 @@ class MultiprocessAMMSBSampler:
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.poll_interval = float(poll_interval)
         self.shutdown_timeout = float(shutdown_timeout)
-        self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        self.checkpoint_every = int(checkpoint_every)
-        self.publish_path = Path(publish_path) if publish_path else None
-        self.publish_every = int(publish_every)
         self.recoveries: list[RecoveryEvent] = []
 
         heldout_keys = None
         if heldout is not None:
             heldout_keys = np.sort(edge_keys(heldout.heldout_pairs, graph.n_vertices))
-        # The workers inherit the graph: shards carry no adjacency.
-        self.master = MasterContext(
-            graph, config, n_workers, heldout_keys, ship_adjacency=False
-        )
+        self.master = MasterContext(graph, config, n_workers, heldout_keys)
 
         init = state if state is not None else init_state(graph.n_vertices, config)
         n_values = graph.n_vertices * (config.n_communities + 1)
@@ -647,76 +623,6 @@ class MultiprocessAMMSBSampler:
             pi=self._rows.pi.copy(), phi_sum=self._rows.phi_sum.copy(), theta=self.theta.copy()
         )
 
-    # -- checkpointing --------------------------------------------------------------
-
-    def save_checkpoint(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Atomically write the current model state (see
-        :func:`repro.core.checkpoint.save_state_checkpoint`)."""
-        from repro.core.checkpoint import save_state_checkpoint
-
-        target = Path(path) if path is not None else self.checkpoint_path
-        if target is None:
-            raise ValueError("no checkpoint path configured")
-        return save_state_checkpoint(
-            target, self.state_snapshot(), self.iteration, self.config
-        )
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        path: Union[str, Path],
-        graph: Graph,
-        heldout: Optional[HeldoutSplit] = None,
-        **kwargs,
-    ) -> "MultiprocessAMMSBSampler":
-        """Resume a run from any state container (an auto-checkpoint, a
-        ``detect --checkpoint``, a stream generation's model container).
-
-        Restores model state and the iteration counter, which key every
-        random number and the step-size schedule: the run continues bit
-        for bit where the saved one stopped.
-        """
-        from repro.core.checkpoint import load_state_checkpoint
-
-        state, iteration, config = load_state_checkpoint(path)
-        sampler = cls(graph, config, heldout=heldout, state=state, **kwargs)
-        sampler.iteration = iteration
-        return sampler
-
-    def _maybe_autocheckpoint(self) -> None:
-        if (
-            self.checkpoint_path is not None
-            and self.checkpoint_every > 0
-            and self.iteration % self.checkpoint_every == 0
-        ):
-            self.save_checkpoint()
-
-    # -- serving-artifact publication -------------------------------------------------
-
-    def publish_artifact(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Atomically export the current posterior as a serving artifact.
-
-        The write goes through the same tmp+fsync+replace machinery as
-        checkpoints, so a serving process re-loading the path sees either
-        the previous artifact or the new one, never a torn file.
-        """
-        from repro.serve.artifact import export_artifact
-
-        target = Path(path) if path is not None else self.publish_path
-        if target is None:
-            raise ValueError("no publish path configured")
-        return export_artifact(
-            target, self.state_snapshot(), self.config, iteration=self.iteration
-        )
-
-    def _maybe_publish(self) -> None:
-        if (
-            self.publish_path is not None
-            and self.publish_every > 0
-            and self.iteration % self.publish_every == 0
-        ):
-            self.publish_artifact()
-
     # -- iteration -------------------------------------------------------------------
 
     def step(self) -> None:
@@ -740,8 +646,6 @@ class MultiprocessAMMSBSampler:
                 self._rows.write_rows(draw.minibatch.vertices, *self._undo)
                 draw = self.master.deal(draw.minibatch, draw.key)
         self.iteration += 1
-        self._maybe_autocheckpoint()
-        self._maybe_publish()
 
     def _step_once(self, draw: MasterDraw) -> None:
         active = list(self._active)

@@ -4,8 +4,9 @@ One :class:`DistributedAMMSBSampler` iteration executes the paper's stage
 sequence (Section III-C):
 
 1. **draw/deploy** — the master draws the mini-batch and scatters, per
-   worker, its vertices + adjacency slice + strata (in the pipelined
-   configuration this was prefetched during the previous update_phi);
+   worker, its vertices + strata, charged with the adjacency slice the
+   paper ships beside them (in the pipelined configuration this was
+   prefetched during the previous update_phi);
 2. **sample neighbors** — each worker draws V_n for its vertices;
 3. **update_phi** — each worker batch-reads the pi rows it needs from the
    DKV store and runs the phi kernel; *barrier*;
@@ -78,7 +79,8 @@ class DistributedAMMSBSampler:
     """Master-worker distributed SG-MCMC for a-MMSB.
 
     Args:
-        graph: training graph (conceptually master-only).
+        graph: training graph (the master's; its in-process workers
+            answer ``y_ab`` from it, the scatter charges their slices).
         config: shared configuration.
         cluster: cluster spec (worker count, machine, network). Defaults
             to 4 DAS5 workers.
@@ -142,9 +144,10 @@ class DistributedAMMSBSampler:
         self.theta = init.theta.copy()
 
         self.workers = [
-            WorkerContext(config, graph.n_vertices, DKVRows(self.dkv, w), heldout_keys)
+            WorkerContext(config, graph, DKVRows(self.dkv, w), heldout_keys)
             for w in range(n_workers)
         ]
+        self._degrees = graph.degrees
         self._master_rows = DKVRows(self.dkv, MASTER_CLIENT)
 
         # Static E_h partition over all ranks (master participates too),
@@ -206,7 +209,7 @@ class DistributedAMMSBSampler:
         # -- stage 1: draw + deploy (master) --------------------------------
         draw = self.master.next_draw(self.iteration)
         shards = self.comm.scatter([None] + list(draw.shards))[1:]
-        payload = draw.scatter_payload_bytes()
+        payload = draw.scatter_payload_bytes(self._degrees)
         t.draw_deploy = (
             draw.minibatch.n_vertices * cost.c_draw_per_vertex
             + payload / self.cluster.network.bandwidth

@@ -1,10 +1,11 @@
 """Worker rank: neighbor sampling and the update kernels against the DKV.
 
-A worker never touches the global graph or the full pi matrix. Its inputs
-per iteration are exactly what the master scattered (its
-:class:`~repro.dist.partition.WorkerShard`) plus values it reads from the
-DKV store; its outputs are DKV writes (new pi rows) and a theta-gradient
-partial sum handed to the MPI reduce.
+A worker never touches the full pi matrix. Its inputs per iteration are
+what the master scattered (its :class:`~repro.dist.partition.WorkerShard`),
+values it reads from the row store, and ``y_ab`` answered from the
+graph's rows of its shard vertices (``Graph.links_from``); its outputs
+are row-store writes (new pi rows) and a theta-gradient partial sum
+handed to the MPI reduce.
 
 The stage math is the shared one from :mod:`repro.core.stages` — a worker
 computes exactly what the sequential sampler would compute for its blocks
@@ -16,7 +17,8 @@ the key in its shard and its noise from the config's seed, per block
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from repro.core.kernels import KernelWorkspace
 from repro.core.minibatch import NeighborSample, heldout_rows, sample_neighbor_sets
 from repro.cluster.dkv import DKVStore, DKVTraffic
 from repro.dist.partition import WorkerShard
+from repro.graph.graph import Graph
 
 
 class DKVRows:
@@ -80,7 +83,9 @@ class WorkerContext:
 
     Args:
         config: shared configuration.
-        n_vertices: N (needed for neighbor sampling and update scales).
+        graph: the training graph — the master's for the in-process
+            workers, the one a forked mp worker inherited. It answers
+            ``y_ab`` for the shard's rows and gives N.
         rows: the store holding ``pi`` / ``phi_sum`` rows
             (:class:`DKVRows`, or a :class:`~repro.core.state.ModelState`
             over shared memory).
@@ -91,13 +96,13 @@ class WorkerContext:
     def __init__(
         self,
         config: AMMSBConfig,
-        n_vertices: int,
+        graph: Graph,
         rows: stages.RowStore,
         heldout_keys: Optional[np.ndarray] = None,
     ) -> None:
-        self.n_vertices = n_vertices
+        self.graph = graph
         self.rows = rows
-        self.heldout = heldout_rows(heldout_keys, n_vertices)
+        self.heldout = heldout_rows(heldout_keys, graph.n_vertices)
         self.kernels, self.config = stages.pinned_backend(config)
         self.workspace = KernelWorkspace()
 
@@ -108,22 +113,16 @@ class WorkerContext:
 
     # -- neighbor sampling ----------------------------------------------------
 
-    def sample_neighbors(
-        self,
-        shard: WorkerShard,
-        links_against: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ) -> NeighborSample:
+    def sample_neighbors(self, shard: WorkerShard) -> NeighborSample:
         """Draw V_n per shard vertex, block by block under the shard's
-        key; labels come from the scattered adjacency slice — the worker
-        has no other view of E — unless the host answers ``y_ab`` itself
-        (``links_against``: the graph a forked mp worker inherited)."""
+        key; labels come from the graph's rows of the shard vertices."""
         return sample_neighbor_sets(
             shard.vertices,
             shard.key,
             shard.row_blocks,
-            self.n_vertices,
+            self.graph.n_vertices,
             self.config.neighbor_sample_size,
-            links_against or shard.adjacency.links_against,
+            partial(self.graph.links_from, shard.vertices),
             self.heldout,
         )
 
@@ -152,7 +151,7 @@ class WorkerContext:
         # One batched read covers the shard vertices and all neighbors.
         pi_rows, phi_sum = stages.phi_stage(
             self.rows, self.kernels, self.workspace, self.config,
-            self.n_vertices, vs, neighbor_sample, beta, iteration, shard.row_blocks,
+            self.graph.n_vertices, vs, neighbor_sample, beta, iteration, shard.row_blocks,
         )
         return PhiStageResult(
             vs, pi_rows, phi_sum, self._last_traffic(),

@@ -1,8 +1,8 @@
 """Online inference serving for trained a-MMSB posteriors.
 
 The train->serve stack: export an immutable versioned
-:class:`~repro.serve.artifact.ModelArtifact` from a sampler or
-checkpoint, answer queries through the vectorized
+:class:`~repro.serve.artifact.ModelArtifact` from a model state (one
+container that is also its checkpoint), answer queries through the vectorized
 :class:`~repro.serve.engine.QueryEngine`, and put the micro-batching
 :class:`~repro.serve.server.ModelServer` (bounded queue, request
 coalescing, LRU cache, zero-downtime hot-swap) in front of traffic.
@@ -15,8 +15,6 @@ from repro.serve.artifact import (
     ModelArtifact,
     build_artifact,
     export_artifact,
-    export_from_sampler,
-    export_state_artifact,
     load_artifact,
     save_artifact,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "ModelArtifact",
     "build_artifact",
     "export_artifact",
-    "export_from_sampler",
-    "export_state_artifact",
     "load_artifact",
     "save_artifact",
     "QueryEngine",

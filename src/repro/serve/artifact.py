@@ -6,9 +6,7 @@ self-contained, read-only export that the serving layer loads:
 
 - the full :class:`~repro.config.AMMSBConfig` (so scoring uses the same
   ``delta`` / ``kernel_backend`` / dtype the run trained with);
-- ``pi`` (row-renormalized at export time, so queries never see float
-  drift from the sampler's incremental renormalizations), ``theta`` and
-  the derived ``beta``;
+- ``pi``, ``theta`` and the derived ``beta``;
 - a node-id mapping (row index -> external vertex id), so queries speak
   the graph's ids even when the trainer compacted them;
 - precomputed top-``K`` community assignments per node (indices +
@@ -39,10 +37,13 @@ else wrong at load time is a typed :class:`ArtifactError` naming the
 path — including a regular file there: a v1 ``.npz`` artifact is read by
 ``repro convert`` (:mod:`repro.legacy`) and by nothing else.
 
-A stream generation persists ONE such container that is its checkpoint
-*and* its artifact (:func:`export_state_artifact` — the state's own
-``pi`` rows plus ``phi_sum``, no renormalized copy) and publishes it by
-hard link (:func:`repro.store.link_container`).
+A model state is written by :func:`export_artifact`: ONE container that
+is its checkpoint *and* its artifact — the state's own ``pi`` rows plus
+``phi_sum``, no renormalized copy — so ``detect --resume`` and
+``auc --checkpoint`` read what ``query`` and ``serve`` read. A stream
+generation publishes it by hard link (:func:`repro.store.link_container`).
+:func:`build_artifact` + :func:`save_artifact` write artifacts built in
+memory (the serving drills and benchmarks), which carry no ``phi_sum``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -66,9 +67,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.state import ModelState
 from repro.store import Container, StoreCorrupt, StoreError, write_container
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.core.sampler import AMMSBSampler
 
 PathLike = Union[str, Path]
 
@@ -347,23 +345,9 @@ def export_artifact(
     node_ids: Optional[np.ndarray] = None,
     top_k: int = DEFAULT_TOP_K,
 ) -> Path:
-    """Atomically write a serving artifact for a model state; returns the path."""
-    artifact = build_artifact(
-        state, config, iteration=iteration, node_ids=node_ids, top_k=top_k
-    )
-    return save_artifact(path, artifact)
-
-
-def export_state_artifact(
-    path: PathLike,
-    state: ModelState,
-    config: AMMSBConfig,
-    iteration: int = 0,
-    node_ids: Optional[np.ndarray] = None,
-    top_k: int = DEFAULT_TOP_K,
-) -> Path:
     """Write ONE sealed container that is both the checkpoint of ``state``
-    and its serving artifact — what a stream generation persists.
+    and its serving artifact — what ``detect --export-artifact`` and a
+    stream generation persist; returns the path.
 
     Members: ``pi`` (the state's own rows — not copied, not
     renormalized, so the served ``link_probability`` equals the
@@ -432,23 +416,6 @@ def export_state_artifact(
     if problem is not None:
         raise ArtifactError(path, f"invalid snapshot ({problem}); written as a checkpoint only")
     return Path(path)
-
-
-def export_from_sampler(
-    path: PathLike,
-    sampler: "AMMSBSampler",
-    node_ids: Optional[np.ndarray] = None,
-    top_k: int = DEFAULT_TOP_K,
-) -> Path:
-    """Export the current posterior of a (possibly mid-run) sampler."""
-    return export_artifact(
-        path,
-        sampler.state,
-        sampler.config,
-        iteration=sampler.iteration,
-        node_ids=node_ids,
-        top_k=top_k,
-    )
 
 
 def save_artifact(path: PathLike, artifact: ModelArtifact) -> Path:

@@ -220,7 +220,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue = EventQueue()
-        self._steps = 0
 
     # -- scheduling ------------------------------------------------------
 
@@ -236,12 +235,6 @@ class Simulator:
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         return Process(self, gen, name=name)
 
-    def timeout_event(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """An event that fires ``delay`` seconds from now."""
-        ev = Event(self, name=name or f"timeout@{self.now + delay:.9f}")
-        self.schedule(delay, lambda: ev.trigger(value))
-        return ev
-
     # -- running ---------------------------------------------------------
 
     def step(self) -> bool:
@@ -252,7 +245,6 @@ class Simulator:
         if item.time < self.now - 1e-15:
             raise SimulationError("time went backwards")
         self.now = max(self.now, item.time)
-        self._steps += 1
         item.action()
         return True
 
@@ -281,10 +273,6 @@ class Simulator:
             raise SimulationError(f"process {proc.name!r} deadlocked")
         return proc.result
 
-    @property
-    def steps_executed(self) -> int:
-        return self._steps
-
 
 class Resource:
     """FIFO resource with ``capacity`` concurrent holders.
@@ -301,14 +289,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: list[Event] = []
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def request(self) -> Event:
         ev = Event(self.sim, name=f"{self.name}.grant")

@@ -87,12 +87,6 @@ class Nic:
         self.bytes_received = 0
         self.messages_sent = 0
 
-    def busy_fraction(self) -> float:
-        """Rough TX utilization proxy: serialized bytes over elapsed time."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.bytes_sent / self.params.bandwidth / self.sim.now)
-
 
 class Network:
     """A cluster fabric of ``n_nodes`` NICs behind a non-blocking switch."""

@@ -24,7 +24,7 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
 5. **persists** the state once — one sealed :mod:`repro.store`
    container ``model_gNNNN.store`` that is both the generation's
    checkpoint and its serving artifact
-   (:func:`repro.serve.artifact.export_state_artifact`: the state's own
+   (:func:`repro.serve.artifact.export_artifact`: the state's own
    ``pi`` rows, ``phi_sum``, ``theta`` and the serving members) — and
    then **publishes** it by hard link
    (:func:`repro.store.link_container`: ``publish_path`` becomes a
@@ -85,8 +85,7 @@ from repro.faults import InjectedCrash, PublishFailure, TrainerCrash, armed
 from repro.graph.graph import Graph
 from repro.graph.io import load_csr, save_csr
 from repro.graph.split import HeldoutSplit, split_heldout
-from repro.serve.artifact import ArtifactError
-from repro.serve.artifact import export_state_artifact as export_artifact
+from repro.serve.artifact import ArtifactError, export_artifact
 from repro.store import atomic_file, link_container, recover_container, recover_containers
 from repro.stream.delta import DeltaOverlay, IngestReport, StreamError
 from repro.stream.journal import IngestJournal, QuarantineLog

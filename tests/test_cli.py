@@ -146,6 +146,12 @@ class TestArgumentErrors:
         (["chaos-serve", "--quick", "-o", "/no/such/dir/r.json"], "--output"),
         (["chaos-stream", "--quick", "--seed", "-3"], "--seed"),
         (["chaos-stream", "--quick", "-o", "/no/such/dir/r.json"], "--output"),
+        # the library's own range checks, before any file is read or written
+        (["detect", "--edges", "/no/such/g.txt", "-k", "0"], "n_communities must be >= 1"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--mini-batch", "0"],
+         "mini_batch_vertices must be >= 1"),
+        (["generate", "--vertices", "0", "--output", "/no/such/dir/g.txt"],
+         "at least one vertex"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -255,9 +261,10 @@ class TestDetectCheckpointing:
 
     def test_resume_continues_an_mp_auto_checkpoint(self, tmp_path, capsys):
         """An iteration is a function of (seed, t, state): ``--resume``
-        continues the multiprocess runtime's auto-checkpoint container
-        and ends where an uninterrupted ``detect`` does."""
-        from repro.core.checkpoint import load_state_checkpoint
+        continues a checkpoint of a multiprocess run (written with
+        ``save_state_checkpoint``) and ends where an uninterrupted
+        ``detect`` does."""
+        from repro.core.checkpoint import load_state_checkpoint, save_state_checkpoint
         from repro.dist.mp import MultiprocessAMMSBSampler
         from repro.graph.io import load_edge_list
         from repro.graph.split import split_heldout
@@ -273,11 +280,11 @@ class TestDetectCheckpointing:
         split = split_heldout(
             load_edge_list(str(edges)), 0.02, np.random.default_rng(config.seed)
         )
-        with MultiprocessAMMSBSampler(
-            split.train, config, n_workers=2, heldout=split,
-            checkpoint_path=tmp_path / "auto", checkpoint_every=6,
-        ) as mp_run:
-            mp_run.run(13)
+        with MultiprocessAMMSBSampler(split.train, config, n_workers=2, heldout=split) as mp_run:
+            mp_run.run(12)
+            save_state_checkpoint(
+                tmp_path / "auto", mp_run.state_snapshot(), mp_run.iteration, mp_run.config
+            )
         capsys.readouterr()
         assert main(detect + ["--resume", str(tmp_path / "auto"),
                               "--checkpoint", str(tmp_path / "resumed")]) == 0
@@ -287,6 +294,55 @@ class TestDetectCheckpointing:
         assert whole[1] == resumed[1] == 20
         for name in ("pi", "phi_sum", "theta"):
             assert np.array_equal(getattr(whole[0], name), getattr(resumed[0], name))
+
+    def test_an_exported_artifact_resumes_like_a_checkpoint(self, tmp_path, capsys):
+        """``--export-artifact`` writes the state's own rows and ``phi_sum``
+        in one container: ``detect --resume`` continues it where the
+        ``--checkpoint`` of the same run continues, and ``auc
+        --checkpoint`` reads it as ``auc --artifact`` does."""
+        from repro.core.checkpoint import load_state_checkpoint
+
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        detect = ["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32",
+                  "--output", str(tmp_path / "c.txt")]
+        assert main(detect + ["--iterations", "20", "--checkpoint", str(tmp_path / "ck"),
+                              "--export-artifact", str(tmp_path / "model")]) == 0
+        for source in ("ck", "model"):
+            assert main(detect + ["--iterations", "30", "--resume", str(tmp_path / source),
+                                  "--checkpoint", str(tmp_path / f"from-{source}")]) == 0
+        via_ck = load_state_checkpoint(tmp_path / "from-ck")
+        via_model = load_state_checkpoint(tmp_path / "from-model")
+        assert via_ck[1] == via_model[1] == 30
+        for name in ("pi", "phi_sum", "theta"):
+            assert np.array_equal(getattr(via_ck[0], name), getattr(via_model[0], name))
+        capsys.readouterr()
+        aucs = []
+        for flag in ("--checkpoint", "--artifact"):
+            assert main(["auc", "--edges", str(edges), flag, str(tmp_path / "model")]) == 0
+            aucs.append(capsys.readouterr().out)
+        assert aucs[0] == aucs[1]
+
+    def test_an_unservable_export_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
+        """Rows the server cannot serve: one ``cannot export artifact:``
+        line, exit 3, the covers written and the container a checkpoint."""
+        import repro.serve.artifact as artifact_module
+        from repro.core.checkpoint import load_state_checkpoint
+
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        capsys.readouterr()
+        monkeypatch.setattr(artifact_module, "_rows_valid", lambda pi: False)
+        assert main(["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32",
+                     "--iterations", "10", "--output", str(tmp_path / "c.txt"),
+                     "--export-artifact", str(tmp_path / "model")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("cannot export artifact: ")
+        assert sum("cannot export artifact" in line for line in err) == 1
+        assert (tmp_path / "c.txt").exists()
+        assert load_state_checkpoint(tmp_path / "model")[1] == 10
 
     @pytest.mark.parametrize("damage", ["missing", "legacy-npz", "flipped-byte", "edited-manifest"])
     def test_unloadable_checkpoint_is_one_line_exit_3(self, tmp_path, capsys, damage):

@@ -126,6 +126,33 @@ class TestTiming:
             phi_stage[w] = means["load_pi"] + means["update_phi_compute"]
         assert phi_stage[8] < phi_stage[2]
 
+    def test_draw_deploy_charges_the_shards_and_their_csr_slices(self, problem):
+        """Workers answer ``y_ab`` from the graph, but the simulated scatter
+        still ships what the paper's master does: each shard plus the CSR
+        adjacency slice of its vertices, as ``Graph.adjacency_slice`` cuts
+        it (ids, ``indptr``, neighbor ids)."""
+        split, cfg, _ = problem
+        graph = split.train
+        cfg = cfg.with_updates(mini_batch_vertices=160)
+        d = DistributedAMMSBSampler(graph, cfg, cluster=das5(3))
+        draws = []
+        next_draw = d.master.next_draw
+        d.master.next_draw = lambda t: draws.append(next_draw(t)) or draws[-1]
+        d.run(4)
+        cost, net = d.cost, d.cluster.network
+        for draw, times in zip(draws, d.timing.per_iteration, strict=True):
+            payload = 0
+            for shard in draw.shards:
+                indptr, indices = graph.adjacency_slice(shard.vertices)
+                payload += shard.payload_bytes() + shard.vertices.nbytes
+                payload += indptr.nbytes + indices.nbytes
+            assert sum(s.vertices.size for s in draw.shards) > 0
+            assert times.draw_deploy == (
+                draw.minibatch.n_vertices * cost.c_draw_per_vertex
+                + payload / net.bandwidth
+                + net.latency
+            )
+
     def test_mean_stage_times_keys(self, problem):
         split, cfg, _ = problem
         d = DistributedAMMSBSampler(split.train, cfg, cluster=das5(2))

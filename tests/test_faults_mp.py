@@ -16,7 +16,7 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointError, load_state_checkpoint
+from repro.core.checkpoint import CheckpointError, load_state_checkpoint, save_state_checkpoint
 from repro.core.sampler import AMMSBSampler
 from repro.dist.mp import MultiprocessAMMSBSampler
 from repro.faults import FaultPlan, ServerStall, WorkerCrash, WorkerStall, chaos_plan
@@ -318,56 +318,48 @@ class TestPromptClose:
             s.step()
 
 
+def checkpoint_every(s, every: int, n_iterations: int, path) -> None:
+    """A caller's periodic checkpoint of an mp run: the engine does not
+    persist itself, the shared state-checkpoint writer does."""
+    for _ in range(n_iterations // every):
+        s.run(every)
+        save_state_checkpoint(path, s.state_snapshot(), s.iteration, s.config)
+
+
 class TestAutoCheckpoint:
     def test_periodic_checkpoints_and_resume(self, split, config, tmp_path):
-        ckpt = tmp_path / "auto.npz"
-        with MultiprocessAMMSBSampler(
-            split.train,
-            config,
-            n_workers=2,
-            checkpoint_path=ckpt,
-            checkpoint_every=3,
-            **FAST,
-        ) as s:
-            s.run(6)
+        ckpt = tmp_path / "auto"
+        with MultiprocessAMMSBSampler(split.train, config, n_workers=2, **FAST) as s:
+            checkpoint_every(s, 3, 6, ckpt)
             saved = s.state_snapshot()
-        assert ckpt.exists()
         state, iteration, cfg = load_state_checkpoint(ckpt)
         assert iteration == 6
         assert cfg == config
         np.testing.assert_array_equal(state.pi, saved.pi)
-        with MultiprocessAMMSBSampler.from_checkpoint(
-            ckpt, split.train, n_workers=2, **FAST
+        with MultiprocessAMMSBSampler(
+            split.train, cfg, n_workers=2, state=state, **FAST
         ) as resumed:
-            assert resumed.iteration == 6
+            resumed.iteration = iteration
             np.testing.assert_array_equal(resumed.state_snapshot().pi, saved.pi)
             resumed.run(2)
             assert resumed.iteration == 8
 
     def test_checkpoint_survives_crash_recovery(self, split, config, tmp_path):
-        """Auto-checkpointing keeps working after a worker loss."""
-        ckpt = tmp_path / "chaos.npz"
+        """Checkpointing keeps working after a worker loss."""
+        ckpt = tmp_path / "chaos"
         plan = FaultPlan(seed=8, worker_crashes=(WorkerCrash(worker=1, at=2),))
         with MultiprocessAMMSBSampler(
-            split.train,
-            config,
-            n_workers=2,
-            faults=plan,
-            checkpoint_path=ckpt,
-            checkpoint_every=2,
-            **FAST,
+            split.train, config, n_workers=2, faults=plan, **FAST
         ) as s:
-            s.run(4)
+            checkpoint_every(s, 2, 4, ckpt)
             assert len(s.recoveries) == 1
         state, iteration, _ = load_state_checkpoint(ckpt)
         assert iteration == 4
         state.validate()
 
-    def test_missing_checkpoint_is_typed_error(self, split, tmp_path):
+    def test_missing_checkpoint_is_typed_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):
-            MultiprocessAMMSBSampler.from_checkpoint(
-                tmp_path / "nope.npz", split.train
-            )
+            load_state_checkpoint(tmp_path / "nope")
 
 
 class TestChaosDrill:

@@ -29,12 +29,15 @@ decides the bypass.
 ``src/repro`` is used by the program — ``src/``, ``benchmarks/``,
 ``examples/`` or ``e2e_bench/`` — outside its own definition and
 outside a package's re-exports, or it is on :data:`UNREACHED` with its
-reason.
+reason; so is a public method of a public class, outside its own body,
+or it is on :data:`UNREACHED_METHODS`. Names and options deleted because
+nothing reached them stay deleted.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import shutil
 import subprocess
@@ -285,6 +288,31 @@ UNREACHED = {
     "bench/gate.py:load_report": "reads a committed bench report; only tests call it",
     "store/container.py:is_container": "container probe; only tests call it",
 }
+#: public methods of public classes only tests reach, each with why it stays
+UNREACHED_METHODS = {
+    "graph/graph.py:Graph.has_edge": "scalar y_ab test oracle; every engine asks links_from",
+    "graph/graph.py:Graph.density": "graph statistic; only tests read it",
+    "serve/artifact.py:ArtifactRegistry.latest": "registry probe; the server rolls back via previous",
+    "serve/artifact.py:ModelArtifact.verify_deep": "deep check; publish_path loads verify='full'",
+    "serve/server.py:ModelServer.rollback": "operator's manual rollback; no verb yet",
+    "stream/delta.py:DeltaOverlay.pending_pairs": "view of the pending delta; only tests read it",
+    "stream/journal.py:IngestJournal.n_segments": "segment-rotation probe; only tests read it",
+    "stream/journal.py:IngestJournal.segment_paths": "segment-rotation probe; only tests read it",
+    "stream/journal.py:QuarantineLog.extend": "batch form of append; only tests call it",
+    "stream/source.py:FileTailSource.reset": "rewinds a tailed file; only tests replay one",
+    "sim/rdma.py:RdmaEngine.read_sync": "blocking READ; the load test posts async",
+    "sim/rdma.py:RdmaEngine.write_sync": "blocking WRITE; the load test posts async",
+    "sim/network.py:Message.transfer_time": "per-message latency; only tests read it",
+    "sim/loadtest.py:LoadTestResult.fabric_efficiency": "load-test ratio; only tests read it",
+    "sim/core.py:Resource.use": "acquire-hold-release helper; only tests use it",
+    "core/sampler.py:AMMSBSampler.run_until_converged": "convergence driver; no verb yet",
+    "core/state.py:ModelState.phi_rows": "phi from pi and phi_sum; only tests read it",
+    "core/perplexity.py:PerplexityEstimator.reset": "clears the sample average; only tests clear one",
+    "core/kernels.py:KernelWorkspace.buffers": "snapshot for the dtype-tracking tests",
+    "cluster/comm.py:Communicator.gather": "MPI collective; the engines reduce",
+    "cluster/comm.py:Communicator.allreduce": "MPI collective; the engines reduce",
+    "cluster/dkv.py:DKVTraffic.merge": "sums two batches' traffic; only tests do",
+}
 PROGRAM = ("src", "benchmarks", "examples", "e2e_bench")
 
 
@@ -297,10 +325,36 @@ def _public_definitions() -> dict[str, tuple[Path, str]]:
     return found
 
 
+def _public_methods() -> dict[str, tuple[Path, str]]:
+    """``module:Class.method`` of every public method of a public class."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        owner = f"{node.name}.{item.name}"
+                        found[f"{path.relative_to(SRC)}:{owner}"] = (path, owner)
+    return found
+
+
+def _owned_parts(stmt: ast.stmt) -> list[tuple[ast.AST, str]]:
+    """A top-level statement cut by owner: a class's methods each own
+    themselves (``Class.method``), the rest of it is the class's."""
+    owner = getattr(stmt, "name", "")
+    if not isinstance(stmt, ast.ClassDef):
+        return [(stmt, owner)]
+    return [
+        (item, f"{owner}.{item.name}" if isinstance(item, ast.FunctionDef) else owner)
+        for item in stmt.body
+    ] + [(node, owner) for node in stmt.decorator_list + stmt.bases + stmt.keywords]
+
+
 def _references() -> dict[str, set[tuple[Path, str]]]:
-    """Every name the program uses, with ``(module, enclosing top-level
-    definition)`` of each use. A package ``__init__`` re-exporting a name
-    does not use it."""
+    """Every name the program uses, with ``(module, owner)`` of each use:
+    the enclosing top-level definition, or ``Class.method`` inside a
+    class's method. A package ``__init__`` re-exporting a name does not
+    use it."""
     used: dict[str, set[tuple[Path, str]]] = {}
     for top in PROGRAM:
         for path in sorted((REPO / top).rglob("*.py")):
@@ -308,18 +362,18 @@ def _references() -> dict[str, set[tuple[Path, str]]]:
             for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
                 if reexports and isinstance(stmt, (ast.ImportFrom, ast.Assign)):
                     continue
-                owner = getattr(stmt, "name", "")
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Name):
-                        names = [node.id]
-                    elif isinstance(node, ast.Attribute):
-                        names = [node.attr]
-                    elif isinstance(node, ast.ImportFrom):
-                        names = [alias.name for alias in node.names]
-                    else:
-                        continue
-                    for name in names:
-                        used.setdefault(name, set()).add((path, owner))
+                for part, owner in _owned_parts(stmt):
+                    for node in ast.walk(part):
+                        if isinstance(node, ast.Name):
+                            names = [node.id]
+                        elif isinstance(node, ast.Attribute):
+                            names = [node.attr]
+                        elif isinstance(node, ast.ImportFrom):
+                            names = [alias.name for alias in node.names]
+                        else:
+                            continue
+                        for name in names:
+                            used.setdefault(name, set()).add((path, owner))
     return used
 
 
@@ -328,9 +382,82 @@ def test_every_public_name_is_reached_or_on_the_list():
     unreached = {
         key
         for key, (path, name) in _public_definitions().items()
-        if not used.get(name, set()) - {(path, name)}
+        if not {
+            (p, owner) for p, owner in used.get(name, set())
+            if p != path or owner.split(".")[0] != name
+        }
     }
     assert unreached == set(UNREACHED)
+
+
+def test_every_public_method_is_reached_or_on_the_list():
+    used = _references()
+    unreached = {
+        key
+        for key, (path, owner) in _public_methods().items()
+        if not used.get(owner.split(".")[1], set()) - {(path, owner)}
+    }
+    assert unreached == set(UNREACHED_METHODS)
+
+
+#: ``(importable owner, names)`` deleted: second copies, or reached by their own tests alone
+DELETED = (
+    ("repro.dist.partition", ("AdjacencySlice", "adjacency_slice")),
+    ("repro.dist.partition.WorkerShard", ("adjacency",)),
+    ("repro.serve.artifact", ("export_state_artifact", "export_from_sampler")),
+    ("repro.serve", ("export_state_artifact", "export_from_sampler")),
+    ("repro.dist.mp.MultiprocessAMMSBSampler", (
+        "save_checkpoint", "from_checkpoint", "_maybe_autocheckpoint",
+        "publish_artifact", "_maybe_publish",
+    )),
+    ("repro.cluster.costmodel.CostModel", ("run_time",)),
+    ("repro.sim.core.Simulator", ("timeout_event", "steps_executed")),
+    ("repro.sim.core.Resource", ("in_use", "queue_length")),
+    ("repro.sim.network.Nic", ("busy_fraction",)),
+    ("repro.core.state.ModelState", ("kv_values", "set_kv_values")),
+)
+#: ``(callable, parameters)`` deleted: options nothing set, or a second route
+DELETED_OPTIONS = (
+    ("repro.dist.partition.partition_minibatch", ("graph", "with_adjacency")),
+    ("repro.dist.master.MasterContext", ("ship_adjacency",)),
+    ("repro.dist.worker.WorkerContext", ("n_vertices",)),
+    ("repro.dist.worker.WorkerContext.sample_neighbors", ("links_against",)),
+    ("repro.dist.mp.MultiprocessAMMSBSampler", (
+        "checkpoint_path", "checkpoint_every", "publish_path", "publish_every",
+    )),
+    ("repro.cluster.dkv.DKVStore", (
+        "request_timeout", "max_retries", "backoff_base", "backoff_cap",
+    )),
+    ("repro.core.minibatch.MinibatchSampler", ("nonlink_stratum_size",)),
+    ("repro.core.svi.SVIAMMSB", ("schedule",)),
+)
+
+
+def _resolve(dotted: str):
+    module, _, rest = dotted.partition(".")
+    target = importlib.import_module(module)
+    for part in rest.split(".") if rest else []:
+        target = (
+            getattr(target, part)
+            if hasattr(target, part)
+            else importlib.import_module(f"{target.__name__}.{part}")
+        )
+    return target
+
+
+@pytest.mark.parametrize("owner, names", DELETED, ids=[owner for owner, _ in DELETED])
+def test_the_deleted_names_stay_gone(owner, names):
+    target = _resolve(owner)
+    fields = getattr(target, "__dataclass_fields__", {})
+    assert [n for n in names if hasattr(target, n) or n in fields] == []
+
+
+@pytest.mark.parametrize(
+    "owner, names", DELETED_OPTIONS, ids=[owner for owner, _ in DELETED_OPTIONS]
+)
+def test_the_deleted_options_stay_gone(owner, names):
+    params = inspect.signature(_resolve(owner)).parameters
+    assert [n for n in names if n in params] == []
 
 
 # -- no source file is ignored ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""dist.partition tests: shards, adjacency slices, held-out partitions."""
+"""dist.partition tests: shards, charged adjacency slices, held-out partitions."""
 
 from __future__ import annotations
 
@@ -6,38 +6,43 @@ import numpy as np
 import pytest
 
 from repro.core.minibatch import PAIR_BLOCK, ROW_BLOCK, MinibatchSampler, n_blocks, pair_bounds
-from repro.dist.partition import (
-    adjacency_slice,
-    partition_heldout,
-    partition_minibatch,
-)
+from repro.dist.partition import partition_heldout, partition_minibatch, slice_bytes
+
+
+def cut_slice_bytes(graph, vertices) -> int:
+    """Bytes of the slice ``Graph.adjacency_slice`` cuts, with its vertex ids."""
+    indptr, indices = graph.adjacency_slice(vertices)
+    return int(np.asarray(vertices, dtype=np.int64).nbytes + indptr.nbytes + indices.nbytes)
 
 
 class TestAdjacencySlice:
+    """A worker answers ``y_ab`` from the graph's rows of its vertices; the
+    slice the paper ships is charged, not cut."""
+
     def test_rows_match_graph(self, tiny_graph):
         vs = np.array([2, 0, 5])
-        sl = adjacency_slice(tiny_graph, vs)
+        indptr, indices = tiny_graph.adjacency_slice(vs)
         for i, v in enumerate(vs):
-            np.testing.assert_array_equal(sl.row(i), tiny_graph.neighbors(int(v)))
-        assert sl.nnz == sum(tiny_graph.degree(int(v)) for v in vs)
+            np.testing.assert_array_equal(
+                indices[indptr[i] : indptr[i + 1]], tiny_graph.neighbors(int(v))
+            )
+        assert indices.size == sum(tiny_graph.degree(int(v)) for v in vs)
 
     def test_links_against_matches_graph(self, tiny_graph, rng):
         vs = np.array([0, 2, 4])
-        sl = adjacency_slice(tiny_graph, vs)
         neighbors = rng.integers(0, 6, size=(3, 8))
-        got = sl.links_against(neighbors)
+        got = tiny_graph.links_from(vs, neighbors)
         for i, v in enumerate(vs):
             for j in range(8):
                 assert got[i, j] == tiny_graph.has_edge(int(v), int(neighbors[i, j]))
 
     def test_links_against_shape_check(self, tiny_graph):
-        sl = adjacency_slice(tiny_graph, np.array([0]))
         with pytest.raises(ValueError):
-            sl.links_against(np.zeros((2, 3), dtype=np.int64))
+            tiny_graph.links_from(np.array([0]), np.zeros((2, 3), dtype=np.int64))
 
     def test_payload_bytes_positive(self, tiny_graph):
-        sl = adjacency_slice(tiny_graph, np.array([0, 1]))
-        assert sl.payload_bytes() > 0
+        vs = np.array([0, 1])
+        assert slice_bytes(tiny_graph.degrees, vs) == cut_slice_bytes(tiny_graph, vs) > 0
 
 
 class TestPairBounds:
@@ -70,7 +75,7 @@ class TestPartitionMinibatch:
         """Whole row blocks, dealt round-robin, each shard in block order."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, 3, key=7)
+        shards = partition_minibatch(mb, 3, key=7)
         for w, shard in enumerate(shards):
             assert shard.key == 7
             assert shard.row_blocks == tuple(range(w, n_blocks(mb.n_vertices, ROW_BLOCK), 3))
@@ -85,7 +90,7 @@ class TestPartitionMinibatch:
         the mini-batch's."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, 3, key=7)
+        shards = partition_minibatch(mb, 3, key=7)
         sizes = np.diff(pair_bounds(mb.n_edges))
         blocks = {}
         for shard in shards:
@@ -99,19 +104,19 @@ class TestPartitionMinibatch:
             np.testing.assert_array_equal(np.concatenate(got), want)
 
     def test_adjacency_matches_shard_vertices(self, planted, config):
+        """The bytes charged for a shard's slice are those of the slice
+        ``Graph.adjacency_slice`` cuts for exactly its vertices."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        for shard in partition_minibatch(graph, mb, 4, key=0):
-            np.testing.assert_array_equal(shard.adjacency.vertices, shard.vertices)
-            for i, v in enumerate(shard.vertices):
-                np.testing.assert_array_equal(
-                    shard.adjacency.row(i), graph.neighbors(int(v))
-                )
+        for shard in partition_minibatch(mb, 4, key=0):
+            assert slice_bytes(graph.degrees, shard.vertices) == cut_slice_bytes(
+                graph, shard.vertices
+            )
 
     def test_single_worker_gets_everything(self, planted, config):
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        (shard,) = partition_minibatch(graph, mb, 1, key=0)
+        (shard,) = partition_minibatch(mb, 1, key=0)
         np.testing.assert_array_equal(shard.vertices, mb.vertices)
         for got, want in zip((shard.pairs, shard.labels, shard.weights), mb.all_pairs()):
             np.testing.assert_array_equal(got, want)
@@ -120,7 +125,7 @@ class TestPartitionMinibatch:
         """Work goes in whole blocks: one worker per block, the rest idle."""
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
-        shards = partition_minibatch(graph, mb, mb.n_vertices + 5, key=0)
+        shards = partition_minibatch(mb, mb.n_vertices + 5, key=0)
         nonempty = [s for s in shards if s.vertices.size]
         assert len(nonempty) == n_blocks(mb.n_vertices, ROW_BLOCK)
         assert sum(len(s.pair_blocks) for s in shards) == n_blocks(mb.n_edges, PAIR_BLOCK)
@@ -129,7 +134,7 @@ class TestPartitionMinibatch:
         graph, _ = planted
         mb = self.make_minibatch(graph, config)
         with pytest.raises(ValueError):
-            partition_minibatch(graph, mb, 0, key=0)
+            partition_minibatch(mb, 0, key=0)
 
 
 class TestPartitionHeldout:

@@ -28,7 +28,6 @@ from repro.legacy import ConvertError, convert
 from repro.serve.artifact import (
     ArtifactError,
     build_artifact,
-    export_state_artifact,
     load_artifact,
     save_artifact,
 )
@@ -225,9 +224,9 @@ class TestConvert:
         _same_container(
             tmp_path / "auto", save_state_checkpoint(tmp_path / "native", state, 6, config)
         )
-        with MultiprocessAMMSBSampler.from_checkpoint(
-            tmp_path / "auto", split.train, n_workers=2
-        ) as resumed:
+        loaded, iteration, cfg = load_state_checkpoint(tmp_path / "auto")
+        with MultiprocessAMMSBSampler(split.train, cfg, n_workers=2, state=loaded) as resumed:
+            resumed.iteration = iteration
             assert resumed.iteration == 6
             np.testing.assert_array_equal(resumed.state_snapshot().pi, state.pi)
             resumed.run(1)

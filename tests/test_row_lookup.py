@@ -27,7 +27,6 @@ from repro.core.minibatch import (
     n_blocks,
     sample_neighbor_sets,
 )
-from repro.dist.partition import adjacency_slice
 from repro.graph.graph import Graph, edge_keys, rows_contain
 from repro.graph.io import load_csr, save_csr
 
@@ -80,7 +79,7 @@ class TestRowLookupEqualsHasEdges:
     @settings(max_examples=50, deadline=None)
     def test_slice_matches_has_edges(self, case):
         graph, vertices, candidates = case
-        got = adjacency_slice(graph, vertices).links_against(candidates)
+        got = rows_contain(*graph.adjacency_slice(vertices), candidates)
         np.testing.assert_array_equal(got, _has_edges_matrix(graph, vertices, candidates))
 
     @given(lookups())
@@ -154,7 +153,7 @@ class TestSharedSamplerMatchesParent:
             vertices = np.unique(draw.integers(0, n, size=120))  # two row blocks
             links_against = {
                 "graph": partial(train.links_from, vertices),
-                "slice": adjacency_slice(train, vertices).links_against,
+                "slice": partial(rows_contain, *train.adjacency_slice(vertices)),
                 "graph_path": partial(mapped_train.links_from, vertices),
             }[source]
             got = sample_neighbor_sets(

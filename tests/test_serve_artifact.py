@@ -28,8 +28,6 @@ from repro.serve.artifact import (
     _top_communities,
     build_artifact,
     export_artifact,
-    export_from_sampler,
-    export_state_artifact,
     load_artifact,
     save_artifact,
 )
@@ -114,14 +112,17 @@ class TestRoundTrip:
             tmp_path / "a.npz", small_state, config, iteration=17
         )
         art = load_artifact(path)
-        ref = build_artifact(small_state, config, iteration=17)
-        assert art.version == ref.version
+        assert art.version == _version_by_copy(
+            _config_to_json(config), small_state.pi, small_state.theta
+        )
         assert art.iteration == 17
         assert art.config == config
-        np.testing.assert_array_equal(art.pi, ref.pi)
-        np.testing.assert_array_equal(art.theta, ref.theta)
-        np.testing.assert_array_equal(art.beta, ref.beta)
-        np.testing.assert_array_equal(art.top_communities, ref.top_communities)
+        np.testing.assert_array_equal(art.pi, small_state.pi)  # the state's rows
+        np.testing.assert_array_equal(art.theta, small_state.theta)
+        np.testing.assert_array_equal(art.beta, small_state.beta)
+        np.testing.assert_array_equal(
+            art.top_communities, _top_communities(small_state.pi, 8)[0]
+        )
 
     def test_float32_round_trip(self, tmp_path):
         cfg = AMMSBConfig(n_communities=4, dtype="float32")
@@ -132,13 +133,20 @@ class TestRoundTrip:
         assert art.config.dtype == "float32"
 
     def test_export_from_sampler(self, planted, config, tmp_path):
+        """What ``detect --export-artifact`` writes: served and resumed
+        from one container, the sampler's own rows in both."""
         graph, _ = planted
         s = AMMSBSampler(graph, config)
         s.run(3)
-        path = export_from_sampler(tmp_path / "s.npz", s)
+        path = export_artifact(tmp_path / "s", s.state, s.config, iteration=s.iteration)
         art = load_artifact(path)
         assert art.iteration == 3
         assert art.n_nodes == graph.n_vertices
+        np.testing.assert_array_equal(art.pi, s.state.pi)
+        state, iteration, _ = load_state_checkpoint(path)
+        assert iteration == 3
+        for name in ("pi", "phi_sum", "theta"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(s.state, name))
 
     def test_atomic_overwrite_no_temp_files(self, small_state, config, tmp_path):
         export_artifact(tmp_path / "x.npz", small_state, config)
@@ -398,7 +406,7 @@ class TestStateArtifact:
     """One sealed container: checkpoint and serving artifact at once."""
 
     def test_serves_the_states_own_rows(self, small_state, config, tmp_path):
-        path = export_state_artifact(tmp_path / "m", small_state, config, iteration=9)
+        path = export_artifact(tmp_path / "m", small_state, config, iteration=9)
         art = load_artifact(path, verify="full")
         assert np.array_equal(art.pi, small_state.pi)  # not renormalized
         assert np.array_equal(art.theta, small_state.theta)
@@ -425,7 +433,7 @@ class TestStateArtifact:
         )
 
     def test_resumes_bit_for_bit(self, small_state, config, tmp_path):
-        path = export_state_artifact(tmp_path / "m", small_state, config, iteration=9)
+        path = export_artifact(tmp_path / "m", small_state, config, iteration=9)
         state, iteration, loaded_config = load_state_checkpoint(path)
         assert iteration == 9 and loaded_config == config
         for name in ("pi", "phi_sum", "theta"):
@@ -437,7 +445,7 @@ class TestStateArtifact:
         cfg = AMMSBConfig(n_communities=5, dtype="float32", seed=2)
         state = init_state(700, cfg, np.random.default_rng(2))
         monkeypatch.setattr(artifact_module, "_BLOCK_BYTES", 2048)
-        path = export_state_artifact(tmp_path / "m", state, cfg, top_k=3)
+        path = export_artifact(tmp_path / "m", state, cfg, top_k=3)
         art = load_artifact(path, verify="full")
         assert art.pi.dtype == np.float32 and np.array_equal(art.pi, state.pi)
         tops, weights = _top_communities(state.pi, 3)
@@ -445,7 +453,7 @@ class TestStateArtifact:
         assert np.array_equal(art.top_weights, weights)
 
     def test_damage_is_a_typed_checkpoint_error(self, small_state, config, tmp_path):
-        path = export_state_artifact(tmp_path / "m", small_state, config)
+        path = export_artifact(tmp_path / "m", small_state, config)
         raw = bytearray((path / "phi_sum.npy").read_bytes())
         raw[-5] ^= 0x10
         (path / "phi_sum.npy").write_bytes(bytes(raw))
@@ -459,7 +467,7 @@ class TestStateArtifact:
     def test_unnormalized_rows_are_not_servable(self, small_state, config, tmp_path):
         small_state.pi[7] *= 1.5
         with pytest.raises(ArtifactError, match="normalized.*checkpoint only"):
-            export_state_artifact(tmp_path / "m", small_state, config)
+            export_artifact(tmp_path / "m", small_state, config)
         assert Container(tmp_path / "m").kind == STATE_KIND
         with pytest.raises(ArtifactError, match="expected container kind"):
             load_artifact(tmp_path / "m")
@@ -469,7 +477,7 @@ class TestStateArtifact:
         small_state.theta[0] = (1e-30, 1.0)
         small_state.validate()
         with pytest.raises(ArtifactError, match="beta"):
-            export_state_artifact(tmp_path / "m", small_state, config, iteration=3)
+            export_artifact(tmp_path / "m", small_state, config, iteration=3)
         assert Container(tmp_path / "m").names() == ["phi_sum", "pi", "theta"]
         state, iteration, _ = load_state_checkpoint(tmp_path / "m")
         assert iteration == 3 and np.array_equal(state.theta, small_state.theta)

@@ -16,6 +16,7 @@ from repro.core.state import ModelState
 from repro.dist.mp import shared_rows
 from repro.dist.partition import WorkerShard
 from repro.dist.worker import DKVRows, WorkerContext
+from repro.graph.graph import Graph
 
 STORES = ("ModelState", "ndarray table", "DKVStore")
 
@@ -86,13 +87,13 @@ def test_empty_shard_rows_keep_the_store_dtype():
     dtype (it used to answer float64 zeros whatever the store held)."""
     cfg = AMMSBConfig(n_communities=3, dtype="float32")
     rows = make_store("ndarray table", np.full((10, 3), 0.25, np.float32), np.ones(10, np.float32))
-    ctx = WorkerContext(cfg, 10, rows)
+    ctx = WorkerContext(cfg, Graph(10, np.zeros((0, 2), dtype=np.int64)), rows)
     nobody = np.zeros(0, dtype=np.int64)
     shard = WorkerShard(
-        key=1, row_blocks=(), vertices=nobody, adjacency=None, pair_blocks=(),
+        key=1, row_blocks=(), vertices=nobody, pair_blocks=(),
         pair_bounds=np.zeros(1, dtype=np.int64), pairs=nobody.reshape(0, 2), labels=nobody.astype(bool), weights=nobody.astype(float),
     )
-    sample = ctx.sample_neighbors(shard, lambda neighbors: np.zeros(neighbors.shape, bool))
+    sample = ctx.sample_neighbors(shard)
     assert sample.neighbors.shape == (0, cfg.neighbor_sample_size)
     result = ctx.update_phi_pi(shard, sample, beta=np.full(3, 0.5), iteration=0)
     assert result.pi_rows.shape == (0, 3) and result.phi_sum.shape == (0,)

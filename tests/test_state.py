@@ -1,13 +1,10 @@
-"""ModelState invariants and KV-layout round-trips."""
+"""ModelState invariants and row round-trips."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.config import AMMSBConfig
 from repro.core.state import ModelState, init_state
 
 
@@ -87,20 +84,6 @@ class TestPhiRoundTrip:
         st0 = init_state(10, config, rng)
         with pytest.raises(ValueError):
             st0.set_phi_rows(np.array([0]), np.zeros((1, 4)))
-
-    @given(seed=st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=25, deadline=None)
-    def test_kv_round_trip(self, seed):
-        cfg = AMMSBConfig(n_communities=5)
-        rng = np.random.default_rng(seed)
-        st0 = init_state(15, cfg, rng)
-        vs = rng.choice(15, size=6, replace=False)
-        values = st0.kv_values(vs)
-        assert values.shape == (6, 6)
-        st1 = init_state(15, cfg, np.random.default_rng(seed + 1))
-        st1.set_kv_values(vs, values)
-        np.testing.assert_allclose(st1.pi[vs], st0.pi[vs])
-        np.testing.assert_allclose(st1.phi_sum[vs], st0.phi_sum[vs])
 
 
 class TestValidate:
