@@ -55,6 +55,9 @@ from repro.config import AMMSBConfig
 
 SCHEMA = "repro-chaos-stream/1"
 CHAOS_SCHEMA = "repro-chaos-serve/1"
+#: chaos-stream's per-generation training budget: its invariants are
+#: about durability, not model quality, so it stays tiny
+STREAM_ITERATIONS = 8
 
 
 def _final_state(workdir: Path) -> tuple[str, frozenset, int]:
@@ -72,17 +75,13 @@ def _final_state(workdir: Path) -> tuple[str, frozenset, int]:
     return version, frozenset(int(k) for k in graph.keys), graph.n_vertices
 
 
-def run_chaos_stream(
-    quick: bool = False, seed: int = 0, n_iterations: int = 8
-) -> dict[str, Any]:
+def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
     """Run the full chaos drill; returns the JSON-ready report.
 
     Args:
         quick: smaller graph and fewer batches (CI-sized; same fault
             coverage — every crash phase still runs).
         seed: master seed for the planted graph and stream.
-        n_iterations: per-generation training budget. The invariants are
-            about durability, not model quality, so this stays tiny.
     """
     from repro.config import AMMSBConfig, StepSizeConfig
     from repro.faults import CRASH_PHASES, InjectedCrash, JournalTear, \
@@ -128,7 +127,7 @@ def run_chaos_stream(
     def trainer_kwargs(tmp: Path, **extra) -> dict:
         kw = dict(
             workdir=tmp / "work",
-            iterations_per_generation=n_iterations,
+            iterations_per_generation=STREAM_ITERATIONS,
             publish_path=tmp / "artifact",
             history_path=tmp / "history",
             heldout_fraction=0.05,
@@ -172,7 +171,7 @@ def run_chaos_stream(
         trainer.journal.close()  # the "process" died; release the handle
         resumed = StreamTrainer.resume(
             tmp / "work",
-            iterations_per_generation=n_iterations,
+            iterations_per_generation=STREAM_ITERATIONS,
             heldout_fraction=0.05,
             **(resume_kwargs or {}),
         )
@@ -255,7 +254,7 @@ def run_chaos_stream(
         trainer.journal.close()
         resumed = StreamTrainer.resume(
             tmp / "work",
-            iterations_per_generation=n_iterations,
+            iterations_per_generation=STREAM_ITERATIONS,
             heldout_fraction=0.05,
         )
         records = resumed.quarantine_log.read()
@@ -297,7 +296,7 @@ def run_chaos_stream(
         policy = TriggerPolicy(max_edges=max(1, half // 2))
         report1 = follow_stream(
             trainer, supervisor, policy, idle_exit_polls=3,
-            n_iterations=n_iterations,
+            n_iterations=STREAM_ITERATIONS,
         )
         # Rotate: the feed is atomically replaced by a SHORTER file
         # holding only the tail of the stream.
@@ -305,7 +304,7 @@ def run_chaos_stream(
         (tmp / "feed.next").replace(feed)
         report2 = follow_stream(
             trainer, supervisor, policy, idle_exit_polls=3,
-            n_iterations=n_iterations,
+            n_iterations=STREAM_ITERATIONS,
         )
         version, keys, _ = _final_state(tmp / "work")
         invariants["source_retry_recovered"] = (

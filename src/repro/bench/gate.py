@@ -77,13 +77,3 @@ def check(report: dict[str, Any]) -> list[dict[str, Any]]:
 
 def save_report(report: dict[str, Any], path: str | Path) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def load_report(path: str | Path) -> dict[str, Any]:
-    report = json.loads(Path(path).read_text())
-    if report.get("schema") != SCHEMA or report.get("suite") not in SUITES:
-        raise ValueError(
-            f"{path}: expected schema {SCHEMA!r} and a suite in {SUITES}, got "
-            f"{report.get('schema')!r} / {report.get('suite')!r}"
-        )
-    return report

@@ -50,6 +50,8 @@ from repro.bench import gate
 MODES = ("edge_list", "npz", "csr_resident", "csr_mmap")
 #: cold-start rows, named by the provider the artifact is opened with
 ARTIFACT_LOADS = ("resident", "mmap")
+#: bound on one bench child, so a wedged sample fails instead of hanging
+SUBPROCESS_TIMEOUT_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -188,10 +190,9 @@ def trim_heap() -> None:
         pass
 
 
-def measure_subprocess(
-    script: str, argv: list[str], timeout: float = 600.0
-) -> dict[str, float]:
-    """Run ``script`` in a fresh interpreter and parse its JSON stdout.
+def measure_subprocess(script: str, argv: list[str]) -> dict[str, float]:
+    """Run ``script`` in a fresh interpreter (at most
+    :data:`SUBPROCESS_TIMEOUT_S`) and parse its JSON stdout.
 
     The child gets ``src/`` on ``PYTHONPATH`` so ``repro`` imports work
     regardless of how the parent was launched. A fresh process per
@@ -211,7 +212,7 @@ def measure_subprocess(
         capture_output=True,
         text=True,
         env=env,
-        timeout=timeout,
+        timeout=SUBPROCESS_TIMEOUT_S,
     )
     if proc.returncode != 0:
         raise RuntimeError(

@@ -55,12 +55,14 @@ Examples::
 
 An invalid argument value ends in one ``error: ...`` line on stderr and
 exit code 2 (:class:`ArgumentError`) on the commands that check theirs
-up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``;
-``detect`` and ``generate`` for a size the library's range checks refuse
-(``-k 0``, ``--mini-batch 0``, ``--vertices 0``); and ``detect``,
-``auc``, ``stream`` and ``convert-graph`` for a graph file that is
-missing, is not an edge list of integer ids, or (``detect``, ``auc``) is
-too small or too dense to hold out pairs from. ``detect
+up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``,
+``query``, ``serve`` and ``stream``; ``detect`` and ``generate`` for a
+size the library's range checks refuse (``-k 0``, ``--mini-batch 0``,
+``--vertices 0``); ``detect``, ``auc``, ``stream`` and ``convert-graph``
+for a graph file that is missing, is not an edge list of integer ids,
+or (``detect``, ``auc``) is too small or too dense to hold out pairs
+from; and ``query`` for a node id or community the artifact does not
+hold. ``detect
 --export-artifact`` of a state whose rows cannot be served is one
 ``cannot export artifact:`` line and exit 3; the container is still
 written, as a checkpoint.
@@ -326,6 +328,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         follow_stream,
     )
 
+    try:  # the library's own range checks on -k and the --trigger-* policy
+        config = AMMSBConfig(n_communities=args.communities, seed=args.seed)
+        policy = TriggerPolicy(
+            max_edges=args.trigger_edges,
+            max_seconds=args.trigger_seconds,
+            drift_threshold=args.trigger_drift,
+        )
+    except ValueError as exc:
+        raise ArgumentError(str(exc)) from None
+    _require(args.iterations >= 1, f"--iterations must be >= 1, got {args.iterations}")
+    _require(args.generations >= 1, f"--generations must be >= 1, got {args.generations}")
+    _require(0 < args.base_fraction < 1,
+             f"--base-fraction must be in (0, 1), got {args.base_fraction}")
+    _require(args.workers >= 0, f"--workers must be >= 0, got {args.workers}")
+    _require(args.drift_window >= 0, f"--drift-window must be >= 0, got {args.drift_window}")
+    _require(args.poll_interval >= 0, f"--poll-interval must be >= 0, got {args.poll_interval}")
+    _require(args.stall_deadline > 0, f"--stall-deadline must be > 0, got {args.stall_deadline}")
     _require_file("--edges", args.edges)
     workdir = Path(args.workdir)
     history_path = (
@@ -388,7 +407,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         edges = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
         base = Graph(int(edges[:, 1].max()) + 1, edges)
 
-        config = AMMSBConfig(n_communities=args.communities, seed=args.seed)
         publish_path = (
             Path(args.artifact) if args.artifact else workdir / "artifact"
         )
@@ -430,11 +448,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if args.follow:
             if arrivals:  # pre-follow backlog (resume re-read)
                 trainer.ingest(arrivals)
-            policy = TriggerPolicy(
-                max_edges=args.trigger_edges,
-                max_seconds=args.trigger_seconds,
-                drift_threshold=args.trigger_drift,
-            )
             supervisor = FollowSupervisor(
                 source,
                 poll_interval_s=args.poll_interval,
@@ -681,44 +694,54 @@ def _format_probs(pairs: np.ndarray, probs: np.ndarray) -> str:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """One-shot query against a serving artifact (no server needed)."""
+    from repro.core.kernels import available_backends
     from repro.serve.artifact import ArtifactError, load_artifact
     from repro.serve.engine import QueryEngine
 
+    _require(args.top >= 1, f"--top must be >= 1, got {args.top}")
+    _require(args.backend is None or args.backend in available_backends(),
+             f"--backend must be one of {available_backends()}, got {args.backend!r}")
+    try:
+        operands = [int(v) for v in args.args]
+    except ValueError:
+        raise ArgumentError(f"{args.op} operands must be integer ids, got {args.args}") from None
     try:
         artifact = load_artifact(args.artifact)
     except ArtifactError as exc:
         print(f"cannot load artifact: {exc}", file=sys.stderr)
         return 3
     engine = QueryEngine(artifact, backend=args.backend)
-    op, operands = args.op, [int(v) for v in args.args]
-
-    if op == "membership":
-        if len(operands) != 1:
-            print("usage: repro query ... membership NODE", file=sys.stderr)
+    op = args.op
+    try:  # the engine raises on an id the artifact does not hold
+        if op == "membership":
+            if len(operands) != 1:
+                print("usage: repro query ... membership NODE", file=sys.stderr)
+                return 2
+            for community, weight in engine.membership(operands[0], args.top):
+                print(f"{community} {weight:.6g}")
+        elif op == "link":
+            if not operands or len(operands) % 2:
+                print("usage: repro query ... link A B [A B ...]", file=sys.stderr)
+                return 2
+            pairs = np.asarray(operands, dtype=np.int64).reshape(-1, 2)
+            print(_format_probs(pairs, engine.link_probability(pairs)))
+        elif op == "community":
+            if len(operands) != 1:
+                print("usage: repro query ... community K", file=sys.stderr)
+                return 2
+            for node, weight in engine.community_members(operands[0], args.top):
+                print(f"{node} {weight:.6g}")
+        elif op == "recommend":
+            if len(operands) != 1:
+                print("usage: repro query ... recommend NODE", file=sys.stderr)
+                return 2
+            for node, score in engine.recommend_edges(operands[0], args.top):
+                print(f"{node} {score:.6g}")
+        else:  # pragma: no cover - argparse choices filter this
+            print(f"unknown op {op!r}", file=sys.stderr)
             return 2
-        for community, weight in engine.membership(operands[0], args.top):
-            print(f"{community} {weight:.6g}")
-    elif op == "link":
-        if not operands or len(operands) % 2:
-            print("usage: repro query ... link A B [A B ...]", file=sys.stderr)
-            return 2
-        pairs = np.asarray(operands, dtype=np.int64).reshape(-1, 2)
-        print(_format_probs(pairs, engine.link_probability(pairs)))
-    elif op == "community":
-        if len(operands) != 1:
-            print("usage: repro query ... community K", file=sys.stderr)
-            return 2
-        for node, weight in engine.community_members(operands[0], args.top):
-            print(f"{node} {weight:.6g}")
-    elif op == "recommend":
-        if len(operands) != 1:
-            print("usage: repro query ... recommend NODE", file=sys.stderr)
-            return 2
-        for node, score in engine.recommend_edges(operands[0], args.top):
-            print(f"{node} {score:.6g}")
-    else:  # pragma: no cover - argparse choices filter this
-        print(f"unknown op {op!r}", file=sys.stderr)
-        return 2
+    except (KeyError, ValueError) as exc:
+        raise ArgumentError(exc.args[0] if exc.args else repr(exc)) from None
     return 0
 
 
@@ -781,6 +804,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.artifact import ArtifactError, load_artifact
     from repro.serve.server import ModelServer, ShedPolicy
 
+    _require(args.workers >= 0, f"--workers must be >= 0, got {args.workers}")
+    _require(args.max_batch >= 1, f"--max-batch must be >= 1, got {args.max_batch}")
+    _require(args.drift_window >= 0, f"--drift-window must be >= 0, got {args.drift_window}")
+    for flag, value in (("--deadline-ms", args.deadline_ms), ("--slo-p99-ms", args.slo_p99_ms)):
+        _require(value is None or value > 0, f"{flag} must be > 0, got {value}")
     try:
         artifact = load_artifact(args.artifact)
     except ArtifactError as exc:

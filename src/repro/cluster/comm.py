@@ -1,8 +1,8 @@
 """In-process MPI-like communicator with message accounting.
 
 The distributed engine is written SPMD-style against this API, which
-mirrors the mpi4py verbs the paper's MVAPICH2 usage maps to: ``scatter``,
-``bcast``, ``reduce``, ``allreduce``, ``gather``, ``barrier``. Ranks run
+mirrors the four mpi4py collectives the paper's MVAPICH2 usage maps to
+(Section III-A/C): ``scatter``, ``bcast``, ``reduce``, ``barrier``. Ranks run
 inside one Python process (the BSP runtime calls each rank's stage
 function in turn), so the collectives are implemented functionally; every
 call logs the message sizes it *would* put on the fabric, and the cost
@@ -125,14 +125,6 @@ class Communicator:
         self.stats.log("bcast", nbytes, messages=self.size - 1)
         return [value for _ in range(self.size)]
 
-    def gather(self, values: Sequence[Any], root: int = 0) -> list[Any]:
-        """Each rank contributes ``values[r]``; root receives the list."""
-        if len(values) != self.size:
-            raise ValueError(f"need {self.size} values, got {len(values)}")
-        nbytes = sum(_payload_bytes(v) for i, v in enumerate(values) if i != root)
-        self.stats.log("gather", nbytes, messages=self.size - 1)
-        return list(values)
-
     def reduce(
         self,
         values: Sequence[Any],
@@ -151,15 +143,6 @@ class Communicator:
         for v in values[1:]:
             acc = op(acc, v)
         return acc
-
-    def allreduce(
-        self,
-        values: Sequence[Any],
-        op: Callable[[Any, Any], Any] = np.add,
-    ) -> list[Any]:
-        """Reduce + broadcast."""
-        total = self.reduce(values, op=op)
-        return self.bcast(total)
 
     def barrier(self, iteration: Optional[int] = None) -> float:
         """Synchronization point (counted; charged by the cost model).

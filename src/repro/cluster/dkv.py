@@ -53,14 +53,6 @@ class DKVTraffic:
     bytes_remote: int = 0
     per_server_requests: dict[int, int] = field(default_factory=dict)
 
-    def merge(self, other: "DKVTraffic") -> None:
-        self.n_requests += other.n_requests
-        self.n_remote_requests += other.n_remote_requests
-        self.bytes_total += other.bytes_total
-        self.bytes_remote += other.bytes_remote
-        for k, v in other.per_server_requests.items():
-            self.per_server_requests[k] = self.per_server_requests.get(k, 0) + v
-
 
 @dataclass
 class DKVFaultStats:
@@ -202,14 +194,8 @@ class DKVStore:
 
     # -- placement ----------------------------------------------------------
 
-    def owner(self, key: int) -> int:
-        """Server owning ``key``."""
-        if not 0 <= key < self.n_keys:
-            raise KeyError(f"key {key} out of range")
-        return int(np.searchsorted(self._bounds, key, side="right") - 1)
-
     def owners(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner`."""
+        """Server owning each of ``keys``."""
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size and (keys.min() < 0 or keys.max() >= self.n_keys):
             raise KeyError("key out of range")
@@ -441,8 +427,9 @@ def timed_read_batch(
     return sim.now
 
 
-def dkv_bandwidth(value_bytes: int, n_requests: int = 256, depth: int = 16,
+def dkv_bandwidth(value_bytes: int, n_requests: int = 256,
                   params: NetworkParams | None = None) -> float:
-    """Payload bandwidth (bytes/s) of the simulated DKV read stream."""
-    elapsed = timed_read_batch(n_requests, value_bytes, depth=depth, params=params)
+    """Payload bandwidth (bytes/s) of the simulated DKV read stream, at
+    :func:`timed_read_batch`'s default window depth."""
+    elapsed = timed_read_batch(n_requests, value_bytes, params=params)
     return n_requests * value_bytes / elapsed

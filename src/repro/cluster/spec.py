@@ -116,11 +116,6 @@ class ClusterSpec:
 
         return max(1, math.ceil(self.pi_storage_bytes(n_vertices, n_communities) / usable))
 
-    def max_communities(self, n_vertices: int) -> int:
-        """Largest K whose pi fills the collective memory (Fig 2/6 sizing)."""
-        usable = self.n_workers * self.machine.memory_bytes * self.memory_fraction
-        return max(1, int(usable / (4 * n_vertices)) - 1)
-
 
 def das5(n_workers: int) -> ClusterSpec:
     """Convenience constructor for the paper's standard testbed."""

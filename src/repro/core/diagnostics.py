@@ -63,8 +63,14 @@ def effective_sample_size(trace: np.ndarray) -> float:
     return float(min(ess, n))
 
 
-def geweke_z(trace: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
-    """Geweke convergence Z-score comparing early vs late window means.
+#: Geweke's windows: the first 10 % of a trace against the last 50 %
+GEWEKE_FIRST = 0.1
+GEWEKE_LAST = 0.5
+
+
+def geweke_z(trace: np.ndarray) -> float:
+    """Geweke convergence Z-score comparing early vs late window means
+    (:data:`GEWEKE_FIRST` against :data:`GEWEKE_LAST`).
 
     |z| < 2 is the usual "no evidence against convergence" threshold. The
     spectral variance at frequency zero is approximated by the windowed
@@ -74,8 +80,8 @@ def geweke_z(trace: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
     n = x.size
     if n < 20:
         raise ValueError("trace too short for Geweke diagnostic")
-    a = x[: int(first * n)]
-    b = x[int((1 - last) * n):]
+    a = x[: int(GEWEKE_FIRST * n)]
+    b = x[int((1 - GEWEKE_LAST) * n):]
 
     def spectral_var(y: np.ndarray) -> float:
         m = max(2, y.size // 8)  # batch size

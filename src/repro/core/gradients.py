@@ -206,24 +206,3 @@ def update_theta(
     drift = 0.5 * eps_t * (eta_arr - theta + scale * grad_sum)
     diffusion = np.sqrt(eps_t) * np.sqrt(np.maximum(theta, 0.0)) * noise
     return np.maximum(np.abs(theta + drift + diffusion), theta_floor)
-
-
-def brute_force_z(
-    pi_a: np.ndarray, pi_b: np.ndarray, y: int, beta: np.ndarray, delta: float
-) -> float:
-    """O(K^2) normalizer ``Z_ab = sum_{k,l} f_ab(k,l)`` for testing.
-
-    ``f_ab(k,l) = B_k pi_ak pi_bk`` on the diagonal and
-    ``D pi_ak pi_bl`` off-diagonal (paper Eqn after Eqn 4).
-    """
-    k = beta.shape[0]
-    d = delta**y * (1 - delta) ** (1 - y)
-    total = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                b = beta[i] ** y * (1 - beta[i]) ** (1 - y)
-                total += b * pi_a[i] * pi_b[i]
-            else:
-                total += d * pi_a[i] * pi_b[j]
-    return float(total)

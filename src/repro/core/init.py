@@ -22,6 +22,12 @@ from repro.config import AMMSBConfig
 from repro.core.state import ModelState
 from repro.graph.graph import Graph
 
+#: block power iterations behind the spectral estimate
+POWER_ITERATIONS = 60
+#: ``phi_sum`` of a row the initializers create: moderate, so the first
+#: SGRLD steps can still move it freely
+PHI_MASS = 10.0
+
 
 def _adjacency_matvec(graph: Graph, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``A @ x`` over the graph's CSR arrays for an (N, k) block ``x``.
@@ -39,7 +45,6 @@ def spectral_memberships(
     graph: Graph,
     k: int,
     rng: Optional[np.random.Generator] = None,
-    power_iterations: int = 60,
 ) -> np.ndarray:
     """Mixed-membership estimate via successive projections, shape (N, k).
 
@@ -70,7 +75,7 @@ def spectral_memberships(
     )
     x = rng.standard_normal((n, k))
     x, _ = np.linalg.qr(x)
-    for _ in range(power_iterations):
+    for _ in range(POWER_ITERATIONS):
         y = inv_sqrt_deg[:, None] * _adjacency_matvec(
             graph, inv_sqrt_deg[:, None] * x, rows
         )
@@ -103,8 +108,6 @@ def init_state_spectral(
     graph: Graph,
     config: AMMSBConfig,
     rng: Optional[np.random.Generator] = None,
-    phi_mass: float = 10.0,
-    power_iterations: int = 60,
 ) -> ModelState:
     """Cold-start state from :func:`spectral_memberships`.
 
@@ -116,13 +119,13 @@ def init_state_spectral(
     rng = rng or np.random.default_rng(config.seed)
     k = config.n_communities
     alpha = config.effective_alpha
-    pi = spectral_memberships(graph, k, rng=rng, power_iterations=power_iterations)
+    pi = spectral_memberships(graph, k, rng=rng)
     pi = pi + alpha / k
     pi /= pi.sum(axis=1, keepdims=True)
     dtype = np.dtype(config.dtype)
     state = ModelState(
         pi=pi.astype(dtype),
-        phi_sum=np.full(graph.n_vertices, phi_mass, dtype=dtype),
+        phi_sum=np.full(graph.n_vertices, PHI_MASS, dtype=dtype),
         theta=rng.gamma(100.0, 0.01, size=(k, 2)) + 1e-9,
     )
     state.validate()
@@ -133,7 +136,6 @@ def extend_state_informed(
     state: ModelState,
     graph: Graph,
     config: AMMSBConfig,
-    phi_mass: float = 10.0,
 ) -> ModelState:
     """Grow a trained state to ``graph.n_vertices`` rows (streaming warm start).
 
@@ -142,8 +144,7 @@ def extend_state_informed(
     neighbors in ``graph`` — trained rows, or earlier new rows when fresh
     vertices link to each other — smoothed toward the Dirichlet prior;
     a new vertex with no initialized neighbors falls back to the uniform
-    prior row. New ``phi_sum`` entries get a moderate ``phi_mass`` so the
-    first warm-start steps can still move them freely.
+    prior row. New ``phi_sum`` entries get :data:`PHI_MASS`.
     """
     n_old = state.n_vertices
     n_new = graph.n_vertices
@@ -168,7 +169,7 @@ def extend_state_informed(
         row = pi[nbrs].astype(np.float64).mean(axis=0) if nbrs.size else uniform
         row = row + alpha / k
         pi[v] = (row / row.sum()).astype(pi.dtype)
-        phi_sum[v] = phi_mass
+        phi_sum[v] = PHI_MASS
     new = ModelState(pi=pi, phi_sum=phi_sum, theta=state.theta.copy())
     new.validate()
     return new

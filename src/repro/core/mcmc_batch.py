@@ -28,6 +28,8 @@ from repro.graph.split import HeldoutSplit
 
 #: Hard cap — LMC materializes (N, N, K) intermediates.
 MAX_VERTICES = 2048
+#: Step of the exact MH chain's log-normal random walk.
+MH_SIGMA = 0.005
 
 
 def full_log_likelihood(state: ModelState, graph: Graph, config: AMMSBConfig,
@@ -173,8 +175,9 @@ class BatchLangevinAMMSB:
         )
         return proposal
 
-    def _propose_mh(self, sigma: float) -> tuple[ModelState, float]:
-        """Multiplicative log-normal random-walk proposal.
+    def _propose_mh(self) -> tuple[ModelState, float]:
+        """Multiplicative log-normal random-walk proposal of step
+        :data:`MH_SIGMA`.
 
         Returns the proposal and the log proposal-density correction
         ``log q(old|new) - log q(new|old)``, which for a log-normal walk is
@@ -185,8 +188,8 @@ class BatchLangevinAMMSB:
         """
         st = self.state
         phi = st.pi * st.phi_sum[:, None]
-        new_phi = phi * np.exp(sigma * self.rng.standard_normal(phi.shape))
-        new_theta = st.theta * np.exp(sigma * self.rng.standard_normal(st.theta.shape))
+        new_phi = phi * np.exp(MH_SIGMA * self.rng.standard_normal(phi.shape))
+        new_theta = st.theta * np.exp(MH_SIGMA * self.rng.standard_normal(st.theta.shape))
         proposal = st.copy()
         proposal.set_phi_rows(np.arange(self.graph.n_vertices), new_phi)
         proposal.theta = new_theta
@@ -195,7 +198,7 @@ class BatchLangevinAMMSB:
         )
         return proposal, log_jacobian
 
-    def step(self, mh_sigma: float = 0.005) -> LMCStats:
+    def step(self) -> LMCStats:
         """One iteration: Langevin drift, or exact random-walk MH.
 
         With ``mh_test=True`` the chain is an exact (but slow-mixing)
@@ -205,7 +208,7 @@ class BatchLangevinAMMSB:
         """
         accepted: Optional[bool] = None
         if self.mh_test:
-            proposal, log_jacobian = self._propose_mh(mh_sigma)
+            proposal, log_jacobian = self._propose_mh()
             lp_old = full_log_posterior(self.state, self.graph, self.config, self._heldout_keys)
             lp_new = full_log_posterior(proposal, self.graph, self.config, self._heldout_keys)
             accepted = bool(np.log(self.rng.random()) < lp_new - lp_old + log_jacobian)

@@ -148,6 +148,3 @@ class PerplexityEstimator:
         """Perplexity of one state alone (no averaging); for diagnostics."""
         return perplexity(pair_probabilities(pi, beta, self.pairs, self.labels, self.delta))
 
-    def reset(self) -> None:
-        self._prob_sum[:] = 0.0
-        self._count = 0

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
@@ -274,40 +274,3 @@ class AMMSBSampler:
                     callback(stats)
                 out.append(stats)
         return out
-
-    def run_until_converged(
-        self,
-        max_iterations: int = 100_000,
-        checkpoint_every: int = 200,
-        perplexity_every: int = 50,
-        monitor: Optional["ConvergenceMonitor"] = None,
-    ) -> tuple[float, int]:
-        """Run until the held-out perplexity trace flattens.
-
-        This is the paper's operational convergence criterion ("the
-        algorithm reached a stable state", Section IV-F) made explicit via
-        :class:`repro.core.diagnostics.ConvergenceMonitor`.
-
-        Args:
-            max_iterations: hard budget.
-            checkpoint_every: iterations between monitor updates.
-            perplexity_every: iterations between posterior samples.
-            monitor: custom monitor (default settings otherwise).
-
-        Returns:
-            ``(best_perplexity, iterations_run)``.
-
-        Raises:
-            RuntimeError: if no held-out split was provided.
-        """
-        if self.perplexity_estimator is None:
-            raise RuntimeError("run_until_converged needs a held-out split")
-        from repro.core.diagnostics import ConvergenceMonitor
-
-        monitor = monitor or ConvergenceMonitor()
-        start = self.iteration
-        while self.iteration - start < max_iterations:
-            self.run(checkpoint_every, perplexity_every=perplexity_every)
-            if monitor.update(self.perplexity_estimator.value()):
-                break
-        return monitor.best, self.iteration - start

@@ -68,11 +68,6 @@ class ModelState:
         self.phi_sum[vertices] = phi_sum
         self.pi[vertices] = pi_rows
 
-    def phi_rows(self, vertices: np.ndarray) -> np.ndarray:
-        """Reconstruct phi rows for the given vertices, shape (m, K)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        return self.pi[vertices] * self.phi_sum[vertices, None]
-
     def set_phi_rows(self, vertices: np.ndarray, phi: np.ndarray) -> None:
         """Store new phi rows (renormalizing into pi / phi_sum)."""
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -84,14 +79,13 @@ class ModelState:
     def copy(self) -> "ModelState":
         return ModelState(pi=self.pi.copy(), phi_sum=self.phi_sum.copy(), theta=self.theta.copy())
 
-    def validate(self, atol: float | None = None) -> None:
+    def validate(self) -> None:
         """Raise if simplex/positivity invariants are violated.
 
         The tolerance adapts to the storage precision (float32 rows
         normalize to 1 only within ~K * eps_f32).
         """
-        if atol is None:
-            atol = 1e-8 if self.pi.dtype == np.float64 else 1e-4
+        atol = 1e-8 if self.pi.dtype == np.float64 else 1e-4
         if np.any(self.pi < 0):
             raise ValueError("pi has negative entries")
         if not np.allclose(self.pi.sum(axis=1), 1.0, atol=atol):

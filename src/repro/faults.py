@@ -498,25 +498,27 @@ class FaultPlan(_SeededPlan):
         return worst
 
 
+#: the chaos drill's DKV server stall: server 0, iterations 2 and 3
+CHAOS_STALL = ServerStall(server=0, start=2, duration=2)
+
+
 def chaos_plan(
     seed: int = 0,
     n_workers: int = 4,
     crash_iteration: int = 5,
-    stall_server: int = 0,
-    stall_start: int = 2,
-    stall_duration: int = 2,
     rdma_failure_rate: float = 0.05,
 ) -> FaultPlan:
-    """A canonical chaos drill: one worker crash, one DKV server stall,
-    and a background RDMA failure rate — the acceptance scenario for the
-    chaos tests and the ``repro chaos`` CLI drill."""
+    """A canonical chaos drill: one worker crash, the
+    :data:`CHAOS_STALL` DKV server stall, and a background RDMA failure
+    rate — the acceptance scenario for the chaos tests and the
+    ``repro chaos`` CLI drill."""
     if n_workers < 2:
         raise ValueError("chaos drill needs >= 2 workers to survive a crash")
     rng = np.random.default_rng(seed)
     victim = int(rng.integers(n_workers))
     return FaultPlan(
         seed=seed,
-        server_stalls=(ServerStall(stall_server, stall_start, stall_duration),),
+        server_stalls=(CHAOS_STALL,),
         worker_crashes=(WorkerCrash(victim, crash_iteration),),
         rdma_failure_rate=rdma_failure_rate,
     )
@@ -611,13 +613,14 @@ class ServeFaultPlan(_SeededPlan):
         member.write_bytes(bytes(data))
 
 
-def chaos_serve_plan(
-    seed: int = 0,
-    n_workers: int = 2,
-    crash_batch: int = 3,
-    spike_rate: float = 0.05,
-    spike_seconds: float = 0.002,
-) -> ServeFaultPlan:
+#: the serving drill's crashed worker dies at this per-slot batch index
+CHAOS_SERVE_CRASH_BATCH = 3
+#: the serving drill's engine latency spikes: rate and seconds of each
+CHAOS_SERVE_SPIKE_RATE = 0.05
+CHAOS_SERVE_SPIKE_SECONDS = 0.002
+
+
+def chaos_serve_plan(seed: int = 0, n_workers: int = 2) -> ServeFaultPlan:
     """The canonical serving chaos drill: two corrupt publish payloads
     (one caught by the archive/CRC layer, one only by the SHA-256
     verify), one mid-swap failure on the first publish the server
@@ -635,9 +638,9 @@ def chaos_serve_plan(
             ArtifactFault(publish=1, mode="payload"),
         ),
         swap_failures=(SwapFailure(publish=0),),
-        worker_crashes=(WorkerCrash(victim, crash_batch),),
-        spike_rate=spike_rate,
-        spike_seconds=spike_seconds,
+        worker_crashes=(WorkerCrash(victim, CHAOS_SERVE_CRASH_BATCH),),
+        spike_rate=CHAOS_SERVE_SPIKE_RATE,
+        spike_seconds=CHAOS_SERVE_SPIKE_SECONDS,
     )
 
 

@@ -7,7 +7,7 @@ the full-scale shapes (N, \\|E\\|, #ground-truth communities) kept in a
 registry for the analytic scaling experiments.
 """
 
-from repro.graph.graph import Graph, edge_key, edge_keys
+from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit, split_heldout
 from repro.graph.generators import (
     GroundTruth,
@@ -18,7 +18,6 @@ from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
     "Graph",
-    "edge_key",
     "edge_keys",
     "HeldoutSplit",
     "split_heldout",

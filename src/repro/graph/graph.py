@@ -42,16 +42,9 @@ from typing import Optional
 import numpy as np
 
 
-def edge_key(a: int, b: int, n: int) -> int:
-    """Canonical scalar key of the undirected pair (a, b) in an n-vertex graph."""
-    if a == b:
-        raise ValueError(f"self-loop ({a},{a}) has no edge key")
-    lo, hi = (a, b) if a < b else (b, a)
-    return int(lo) * n + int(hi)
-
-
 def edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized :func:`edge_key` for an (m, 2) int array of pairs."""
+    """Canonical keys ``min * n + max`` of the undirected pairs of an
+    (m, 2) int array in an n-vertex graph."""
     pairs = np.asarray(pairs)
     lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
     hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
@@ -218,13 +211,6 @@ class Graph:
         """Sorted neighbor ids of ``v`` (a view; do not mutate)."""
         return self._csr_indices[self._csr_indptr[v] : self._csr_indptr[v + 1]]
 
-    def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        k = edge_key(a, b, self.n_vertices)
-        i = np.searchsorted(self._keys, k)
-        return bool(i < self._keys.size and self._keys[i] == k)
-
     def has_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Vectorized linkedness test for an (m, 2) array; self-pairs -> False."""
         pairs = np.asarray(pairs, dtype=np.int64)
@@ -306,12 +292,6 @@ class Graph:
         return picked
 
     # -- derived quantities --------------------------------------------------
-
-    @property
-    def density(self) -> float:
-        n = self.n_vertices
-        total = n * (n - 1) / 2
-        return self.n_edges / total if total else 0.0
 
     @property
     def keys(self) -> np.ndarray:

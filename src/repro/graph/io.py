@@ -172,7 +172,7 @@ def load_npz(path: PathLike) -> Graph:
 # -- mmap CSR container ------------------------------------------------------
 
 
-def save_csr(graph: Graph, path: PathLike, overwrite: bool = True) -> Path:
+def save_csr(graph: Graph, path: PathLike) -> Path:
     """Persist a graph's canonical CSR arrays as a store container.
 
     The container holds ``edges`` (m, 2), ``keys`` (m,), ``indptr``
@@ -190,14 +190,12 @@ def save_csr(graph: Graph, path: PathLike, overwrite: bool = True) -> Path:
         },
         kind=GRAPH_CSR_KIND,
         meta={"n_vertices": int(graph.n_vertices), "n_edges": int(graph.n_edges)},
-        overwrite=overwrite,
     )
 
 
 def load_csr(
     path: PathLike,
     provider: Union[str, ArrayProvider, None] = "mmap",
-    verify: str = "none",
     validate: bool = False,
 ) -> Graph:
     """Open a CSR container as a :class:`Graph` over provider-backed arrays.
@@ -208,15 +206,13 @@ def load_csr(
     copy shared across processes through the page cache).
 
     ``Graph`` adopts all four arrays at construction, so any digest
-    verification here is *eager by definition* — hence the default
-    ``verify="none"``: the sealed manifest and per-array header checks
-    still run (O(manifest)), but content digests are left to an explicit
-    pass (``verify="eager"``/``"touch"``, both equivalent here, cost one
-    sequential hashing read of every array — page-cache traffic, not
-    process RSS). ``validate=True`` additionally runs
+    verification here would be eager by definition: the container opens
+    with ``verify="none"``. The sealed manifest and per-array header
+    checks still run (O(manifest)); content digests are left to
+    :meth:`Container.verify_all`. ``validate=True`` additionally runs
     :meth:`Graph.from_csr`'s structural invariants.
     """
-    c = Container(path, provider=provider, verify=verify)
+    c = Container(path, provider=provider, verify="none")
     if c.kind != GRAPH_CSR_KIND:
         raise StoreError(path, f"not a graph CSR container (kind={c.kind!r})")
     return Graph.from_csr(

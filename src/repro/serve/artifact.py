@@ -187,8 +187,7 @@ class ModelArtifact:
     version: str = ""
     _row_index: dict = field(default_factory=dict, repr=False, compare=False)
     # Backing store container of a loaded artifact; None for in-memory
-    # builds. Enables verify_deep() and nbytes() without re-opening the
-    # directory.
+    # builds. Answers nbytes() without re-opening the directory.
     _container: Optional[Container] = field(default=None, repr=False, compare=False)
     # Memoized _identity_ids() answer — the check is an O(N) scan, far
     # too hot to repeat per rows_of() call on a mapped million-row map.
@@ -250,25 +249,6 @@ class ModelArtifact:
         return sum(
             int(np.asarray(getattr(self, key)).nbytes) for key in _ARRAY_KEYS
         )
-
-    def verify_deep(self) -> None:
-        """Full integrity pass: every per-array digest + model invariants.
-
-        For a loaded (container-backed) artifact this forces the lazy
-        sha256 digests that the default load defers; for an in-memory
-        build it is just :meth:`validate`. Raises
-        :class:`ArtifactCorrupt` on any damage.
-        """
-        source = self._container.path if self._container is not None else "<memory>"
-        if self._container is not None:
-            try:
-                self._container.verify_all()
-            except StoreCorrupt as exc:
-                raise ArtifactCorrupt(source, exc.reason) from exc
-        try:
-            self.validate()
-        except ValueError as exc:
-            raise ArtifactCorrupt(source, f"invalid snapshot ({exc})") from exc
 
     def validate(self) -> None:
         """Raise ``ValueError`` when an invariant is broken."""
@@ -342,7 +322,6 @@ def export_artifact(
     state: ModelState,
     config: AMMSBConfig,
     iteration: int = 0,
-    node_ids: Optional[np.ndarray] = None,
     top_k: int = DEFAULT_TOP_K,
 ) -> Path:
     """Write ONE sealed container that is both the checkpoint of ``state``
@@ -352,7 +331,8 @@ def export_artifact(
     Members: ``pi`` (the state's own rows — not copied, not
     renormalized, so the served ``link_probability`` equals the
     trainer's bit for bit), ``phi_sum``, ``theta``, and the serving
-    members ``beta``, ``node_ids``, ``top_communities``, ``top_weights``;
+    members ``beta``, ``node_ids`` (the row numbers), ``top_communities``,
+    ``top_weights``;
     ``iteration``, config and the content version go in the sealed meta.
     :func:`repro.core.checkpoint.load_state_checkpoint` resumes from it,
     :func:`load_artifact` serves from it (or from a
@@ -362,11 +342,11 @@ def export_artifact(
     exists at any point.
 
     Raises:
-        ArtifactError: the state's rows fail the serving invariants (or
-            ``node_ids`` is unusable). The container is still written —
-            as a checkpoint only (kind :data:`STATE_KIND`, no serving
-            members), which :func:`load_artifact` refuses — so the
-            caller keeps its durable state and skips the publish.
+        ArtifactError: the state's rows fail the serving invariants. The
+            container is still written — as a checkpoint only (kind
+            :data:`STATE_KIND`, no serving members), which
+            :func:`load_artifact` refuses — so the caller keeps its
+            durable state and skips the publish.
     """
     pi, theta = state.pi, state.theta
     n, k = pi.shape
@@ -388,11 +368,7 @@ def export_artifact(
         pi=pi,
         theta=theta,
         beta=state.beta,
-        node_ids=(
-            np.arange(n, dtype=np.int64)
-            if node_ids is None
-            else np.asarray(node_ids, dtype=np.int64)
-        ),
+        node_ids=np.arange(n, dtype=np.int64),
         top_communities=top_idx,
         top_weights=top_w,
         iteration=int(iteration),
@@ -458,9 +434,9 @@ def load_artifact(
 
     - ``verify=True`` (default): the sealed manifest and the tiny
       globals (``theta``, ``beta`` — corrupt globals would poison
-      *every* answer) are checked eagerly; the O(N) arrays keep their
-      digests deferred to :meth:`ModelArtifact.verify_deep`, so the load
-      stays O(manifest) whatever the artifact's size.
+      *every* answer) are checked eagerly; the O(N) arrays' digests
+      are left to ``verify="full"``, so the load stays O(manifest)
+      whatever the artifact's size.
     - ``verify="full"``: additionally digests every array and runs the
       complete invariant + content-version check up front — what
       ``ModelServer.publish_path`` uses so damage surfaces as
@@ -600,9 +576,6 @@ class ArtifactRegistry:
     def record(self, generation: int, artifact: ModelArtifact) -> None:
         """Remember ``artifact`` as known-good at ``generation``."""
         self._entries.append((generation, artifact))
-
-    def latest(self) -> Optional[ModelArtifact]:
-        return self._entries[-1][1] if self._entries else None
 
     def previous(self, version: str) -> Optional[ModelArtifact]:
         """Newest known-good artifact whose content version differs from

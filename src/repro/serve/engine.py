@@ -40,6 +40,33 @@ from repro.serve.artifact import ModelArtifact
 _FILTER_BLOCK_ROWS = 8192
 
 
+def top_memberships(
+    artifact: ModelArtifact, node: int, k: Optional[int], full_sort: bool
+) -> Optional[list[tuple[int, float]]]:
+    """Top-``k`` ``(community, weight)`` pairs of ``node`` (``k=None``:
+    the stored width), from the artifact's precomputed assignments when
+    ``k`` fits within them. A wider ``k`` sorts the full row when
+    ``full_sort``, else returns ``None`` (the degraded server sheds).
+
+    Raises ``ValueError`` for ``k < 1`` and ``KeyError`` for an unknown
+    node.
+    """
+    stored = artifact.top_communities.shape[1]
+    k = stored if k is None else int(k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > stored and not full_sort:
+        return None
+    row = artifact.row_of(node)
+    if k <= stored:
+        idx = artifact.top_communities[row, :k]
+        w = artifact.top_weights[row, :k]
+    else:
+        idx = np.argsort(-artifact.pi[row], kind="stable")[: min(k, artifact.n_communities)]
+        w = artifact.pi[row, idx]
+    return [(int(c), float(v)) for c, v in zip(idx, w)]
+
+
 class QueryEngine:
     """Answers model queries from an immutable :class:`ModelArtifact`.
 
@@ -87,26 +114,11 @@ class QueryEngine:
     # -- membership -----------------------------------------------------------
 
     def membership(self, node: int, k: int | None = None) -> list[tuple[int, float]]:
-        """Top-``k`` communities of ``node`` as ``(community, weight)`` pairs.
-
-        Served from the artifact's precomputed assignments when ``k`` fits
-        within them; falls back to a full-row sort for larger ``k``.
-        """
+        """Top-``k`` communities of ``node`` as ``(community, weight)``
+        pairs: :func:`top_memberships`, sorting the full row for a ``k``
+        wider than the stored assignments."""
         self._fault_delay()
-        art = self.artifact
-        row = art.row_of(node)
-        stored = art.top_communities.shape[1]
-        k = stored if k is None else int(k)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k <= stored:
-            idx = art.top_communities[row, :k]
-            w = art.top_weights[row, :k]
-        else:
-            k = min(k, art.n_communities)
-            order = np.argsort(-art.pi[row], kind="stable")[:k]
-            idx, w = order, art.pi[row, order]
-        return [(int(c), float(v)) for c, v in zip(idx, w)]
+        return top_memberships(self.artifact, node, k, full_sort=True)
 
     # -- temporal drift --------------------------------------------------------
 

@@ -94,7 +94,7 @@ from repro.serve.artifact import (
     load_artifact,
     quarantine_artifact,
 )
-from repro.serve.engine import QueryEngine
+from repro.serve.engine import QueryEngine, top_memberships
 from repro.serve.metrics import ServerMetrics
 from repro.store import StoreError
 
@@ -477,26 +477,6 @@ class ModelServer:
             raise
         return self._swap(artifact)
 
-    def rollback(self) -> int:
-        """Manually re-install the previous known-good artifact.
-
-        Returns the new generation; raises ``RuntimeError`` when the
-        registry holds no artifact with a different content version.
-        """
-        with self._not_empty:
-            good = self._registry.previous(self._artifact.version)
-            if good is None:
-                raise RuntimeError("no previous known-good artifact to roll back to")
-            self._artifact = good
-            self._generation += 1
-            gen = self._generation
-            self._registry.record(gen, good)
-            purged = self._purge_stale_cache_locked()
-        if purged:
-            self.metrics.record_stale_eviction(purged)
-        self.metrics.record_rollback()
-        return gen
-
     def _purge_stale_cache_locked(self) -> int:
         """Drop cache entries keyed to any generation but the current one."""
         if not self._cache:
@@ -625,32 +605,24 @@ class ModelServer:
         return None
 
     def _degraded_membership(self, payload: tuple, start: float) -> Optional[Future]:
-        """Answer a membership query from the precomputed top-K table.
-
-        Bit-identical to the engine's fast path for ``k`` within the
-        stored table; returns ``None`` when it cannot honor the request
+        """Answer a membership query from the precomputed top-K table
+        (:func:`~repro.serve.engine.top_memberships`, the engine's own
+        answer); returns ``None`` when it cannot honor the request
         (larger ``k``), in which case the caller sheds.
         """
         node, k = payload
-        art = self._artifact
-        stored = art.top_communities.shape[1]
-        k = stored if k is None else int(k)
         fut: Future = Future()
-        if k < 1:
-            fut.set_exception(ValueError("k must be >= 1"))
-            return fut
-        if k > stored:
-            return None
         try:
-            row = art.row_of(node)
+            result = top_memberships(self._artifact, node, k, full_sort=False)
+        except ValueError as exc:
+            fut.set_exception(exc)
+            return fut
         except KeyError as exc:
             self.metrics.record_error("membership")
             fut.set_exception(exc)
             return fut
-        result = [
-            (int(c), float(w))
-            for c, w in zip(art.top_communities[row, :k], art.top_weights[row, :k])
-        ]
+        if result is None:
+            return None
         self.metrics.record_degraded_answer()
         self.metrics.record_request("membership", time.perf_counter() - start)
         fut.set_result(result)

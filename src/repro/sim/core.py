@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 
 class SimulationError(RuntimeError):
@@ -307,49 +307,3 @@ class Resource:
             self.sim.schedule(0.0, lambda: ev.trigger(None))
         else:
             self._in_use -= 1
-
-    def use(self, hold_time: float) -> ProcessGen:
-        """Generator helper: acquire, hold for ``hold_time``, release."""
-        yield self.request()
-        try:
-            yield Timeout(hold_time)
-        finally:
-            self.release()
-
-
-def any_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that fires with the first input's value (the others are
-    left pending). The building block for racing an operation against a
-    timeout — how the fault layer models "give up after T seconds"."""
-    events = list(events)
-    out = Event(sim, name="any_of")
-    if not events:
-        raise SimulationError("any_of needs at least one event")
-
-    def on_fire(ev: Event) -> None:
-        if not out.fired:
-            out.trigger(ev.value)
-
-    for e in events:
-        e.add_callback(on_fire)
-    return out
-
-
-def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that fires (with the list of values) when all inputs fired."""
-    events = list(events)
-    out = Event(sim, name="all_of")
-    remaining = {"n": sum(0 if e.fired else 1 for e in events)}
-    if remaining["n"] == 0:
-        sim.schedule(0.0, lambda: out.trigger([e.value for e in events]))
-        return out
-
-    def on_fire(_ev: Event) -> None:
-        remaining["n"] -= 1
-        if remaining["n"] == 0:
-            out.trigger([e.value for e in events])
-
-    for e in events:
-        if not e.fired:
-            e.add_callback(on_fire)
-    return out

@@ -20,11 +20,11 @@ latency, measured by ``qperf`` in the paper's Figure 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.faults import FaultPlan, armed
-from repro.sim.core import Event, Process, ProcessGen, Resource, Simulator, Timeout
+from repro.sim.core import Process, ProcessGen, Resource, Simulator, Timeout
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,6 @@ class Message:
     tag: Any = None
     t_submit: float = 0.0
     t_complete: float = 0.0
-
-    @property
-    def transfer_time(self) -> float:
-        return self.t_complete - self.t_submit
 
 
 class Nic:
@@ -174,12 +170,3 @@ class Network:
         if self.record_log:
             self.log.append(msg)
         return msg
-
-    # -- simple timing helpers (no queuing) -------------------------------
-
-    def uncontended_transfer_time(self, nbytes: int, remote: bool = True) -> float:
-        """Closed-form time of one message on an idle fabric."""
-        p = self.params
-        if not remote:
-            return p.serialization_time(nbytes) * 0.5
-        return p.per_message_overhead + p.serialization_time(nbytes) + p.latency

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults import FaultPlan, armed
-from repro.sim.core import Event, ProcessGen, Simulator, Timeout, all_of
+from repro.sim.core import Event, ProcessGen, Simulator, Timeout
 from repro.sim.network import Network
 
 #: Size of the request packet an RDMA READ sends to the responder NIC.
@@ -54,10 +54,6 @@ class RdmaOp:
     #: True when the op surfaced an error CQE (injected transport fault);
     #: the payload never moved and the caller must repost.
     failed: bool = False
-
-    @property
-    def elapsed(self) -> float:
-        return self.t_completed - self.t_posted
 
 
 class QueuePair:
@@ -141,29 +137,3 @@ class RdmaEngine:
         op.t_completed = self.sim.now
         op.completion.trigger(op)
         return op
-
-    # -- synchronous convenience ------------------------------------------
-
-    def read_sync(self, initiator: int, target: int, nbytes: int) -> ProcessGen:
-        """Generator: post one READ and wait for its completion."""
-        op = self._post(RdmaOpType.READ, initiator, target, nbytes)
-        yield op.completion
-
-    def write_sync(self, initiator: int, target: int, nbytes: int) -> ProcessGen:
-        """Generator: post one WRITE and wait for its completion."""
-        op = self._post(RdmaOpType.WRITE, initiator, target, nbytes)
-        yield op.completion
-
-    def batch(self, ops: list[RdmaOp]) -> Event:
-        """Event firing when every op in the batch has completed."""
-        return all_of(self.sim, [op.completion for op in ops])
-
-
-def uncontended_read_time(net: Network, nbytes: int) -> float:
-    """Closed-form time of one RDMA READ on an idle fabric."""
-    return net.uncontended_transfer_time(READ_REQUEST_BYTES) + net.uncontended_transfer_time(nbytes)
-
-
-def uncontended_write_time(net: Network, nbytes: int) -> float:
-    """Closed-form time of one RDMA WRITE (including ACK) on an idle fabric."""
-    return net.uncontended_transfer_time(nbytes) + net.uncontended_transfer_time(ACK_BYTES)

@@ -16,7 +16,6 @@ from repro.store.container import (
     StoreCorrupt,
     StoreError,
     content_version,
-    is_container,
     link_container,
     read_manifest,
     recover_container,
@@ -36,7 +35,6 @@ __all__ = [
     "StoreCorrupt",
     "StoreError",
     "content_version",
-    "is_container",
     "link_container",
     "read_manifest",
     "recover_container",

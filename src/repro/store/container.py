@@ -126,12 +126,6 @@ def _native_little(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def is_container(path: PathLike) -> bool:
-    """True when ``path`` is a directory holding a store manifest."""
-    p = Path(path)
-    return p.is_dir() and (p / MANIFEST_NAME).is_file()
-
-
 def _hidden_sibling(path: Path, role: str) -> Path:
     return path.parent / f".{path.name}.{role}-{os.getpid()}-{os.urandom(4).hex()}"
 
@@ -406,10 +400,6 @@ class Container:
     def nbytes(self) -> int:
         """Total payload bytes across all arrays (from the manifest)."""
         return sum(int(e["nbytes"]) for e in self.manifest["arrays"].values())
-
-    @property
-    def content_version(self) -> str:
-        return self.manifest["content_version"]
 
     # -- integrity -------------------------------------------------------
 

@@ -153,13 +153,6 @@ class DeltaOverlay:
         return int(self._pending.keys.size)
 
     @property
-    def pending_pairs(self) -> np.ndarray:
-        """Canonical (lo, hi) pending pairs, key-sorted (read-only view)."""
-        pairs = self._pending.pairs
-        pairs.setflags(write=False)
-        return pairs
-
-    @property
     def n_vertices(self) -> int:
         """Vertex count of the graph a compaction would produce."""
         if self._pending.pairs.size == 0:

@@ -260,14 +260,6 @@ class IngestJournal:
         """Highest acknowledged seqno (``-1`` when the journal is empty)."""
         return self._next_seqno - 1
 
-    @property
-    def n_segments(self) -> int:
-        return len(self._segments)
-
-    @property
-    def segment_paths(self) -> tuple[Path, ...]:
-        return tuple(s.path for s in self._segments)
-
     # -- append --------------------------------------------------------------
 
     def append_edges(
@@ -443,10 +435,6 @@ class QuarantineLog:
             os.fsync(fh.fileno())
         if self._count is not None:
             self._count += 1
-
-    def extend(self, items: Sequence[tuple[str, object]]) -> None:
-        for reason, record in items:
-            self.append(reason, record)
 
     def _repair_tail(self) -> None:
         """Drop an unterminated (torn, unacknowledged) final line, if any;

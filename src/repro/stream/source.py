@@ -86,13 +86,6 @@ class FileTailSource:
         self._n_cols: Optional[int] = None
         self._line_no = 0  # data lines seen; synthesizes 2-col timestamps
 
-    def reset(self) -> None:
-        """Rewind to the start of the file (replay from scratch)."""
-        self._offset = 0
-        self._n_cols = None
-        self._line_no = 0
-        self.n_malformed = 0
-
     @property
     def offset(self) -> int:
         """Byte offset of the next unread line (resume token)."""

@@ -245,11 +245,12 @@ class MembershipHistory:
 
     # -- queries -------------------------------------------------------------
 
-    def community_drift(self, generation: Optional[int] = None) -> np.ndarray:
-        """Per-community drift scores for a retained generation (default last)."""
+    def community_drift(self) -> np.ndarray:
+        """Per-community drift scores of the latest generation."""
         with self._lock:
-            snap = self._find(generation)
-            return snap.community_drift.copy()
+            if not self._ring:
+                raise ValueError("no generations recorded")
+            return self._ring[-1].community_drift.copy()
 
     def drift(self, node: int, last: Optional[int] = None) -> dict:
         """How ``node``'s communities changed over the retained window.
@@ -315,16 +316,6 @@ class MembershipHistory:
             "generations": history,
             "events": events,
         }
-
-    def _find(self, generation: Optional[int]) -> _Snapshot:
-        if not self._ring:
-            raise ValueError("no generations recorded")
-        if generation is None:
-            return self._ring[-1]
-        for snap in self._ring:
-            if snap.generation == generation:
-                return snap
-        raise KeyError(f"generation {generation} not retained")
 
     # -- persistence ---------------------------------------------------------
 

@@ -252,22 +252,21 @@ class StreamTrainer:
         checkpoint_path: PathLike,
         base_graph: Graph,
         workdir: PathLike,
-        config: Optional[AMMSBConfig] = None,
         **kwargs,
     ) -> "StreamTrainer":
         """Resume streaming from a trained batch checkpoint.
 
-        The checkpoint's state/iteration seed generation 0's warm start
-        (its config is used unless overridden), so a long batch run
-        converts into a stream without a cold restart.
+        The checkpoint's state, iteration and config seed generation 0's
+        warm start, so a long batch run converts into a stream without a
+        cold restart.
         """
-        state, iteration, ckpt_config = load_state_checkpoint(checkpoint_path)
+        state, iteration, config = load_state_checkpoint(checkpoint_path)
         if state.n_vertices != base_graph.n_vertices:
             raise ValueError(
                 f"checkpoint covers {state.n_vertices} vertices but the base"
                 f" graph has {base_graph.n_vertices}"
             )
-        trainer = cls(base_graph, config or ckpt_config, workdir, **kwargs)
+        trainer = cls(base_graph, config, workdir, **kwargs)
         trainer.state = state
         trainer.iteration = int(iteration)
         # Re-record the warm start so a pre-generation-0 crash resumes
@@ -643,10 +642,6 @@ class StreamTrainer:
         sampler.run(n_iter)
         return sampler.state
 
-    def run(
-        self,
-        batches: Sequence[Sequence[EdgeArrival]],
-        n_iterations: Optional[int] = None,
-    ) -> list[GenerationReport]:
+    def run(self, batches: Sequence[Sequence[EdgeArrival]]) -> list[GenerationReport]:
         """Replay arrival batches, one generation each; returns the reports."""
-        return [self.run_generation(batch, n_iterations) for batch in batches]
+        return [self.run_generation(batch) for batch in batches]

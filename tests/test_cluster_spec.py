@@ -53,8 +53,8 @@ class TestClusterSpec:
         """Paper Figure 6-a: K = 12K 'fully occupied the aggregate memory
         resources of all 64 worker nodes' for com-Friendster."""
         fr = DATASETS["com-Friendster"]
-        k_max = das5(64).max_communities(fr.n_vertices)
-        assert 10_000 < k_max < 16_000
+        assert das5(64).fits_in_memory(fr.n_vertices, 10_000)
+        assert not das5(64).fits_in_memory(fr.n_vertices, 16_000)
 
     def test_pi_storage_bytes(self):
         spec = das5(4)

@@ -42,7 +42,7 @@ class TestPartitioning:
     def test_owner_out_of_range(self):
         store, _ = make_store()
         with pytest.raises(KeyError):
-            store.owner(100)
+            store.owners(np.array([100]))
         with pytest.raises(KeyError):
             store.owners(np.array([-1]))
 
@@ -53,9 +53,9 @@ class TestPartitioning:
     @settings(max_examples=50, deadline=None)
     def test_owner_consistent_with_shards(self, n_keys, servers):
         store = DKVStore(n_keys, 2, servers)
-        for key in {0, n_keys // 2, n_keys - 1}:
-            s = store.owner(key)
-            lo, hi = store.shard_slice(s)
+        keys = np.array(sorted({0, n_keys // 2, n_keys - 1}))
+        for key, s in zip(keys, store.owners(keys)):
+            lo, hi = store.shard_slice(int(s))
             assert lo <= key < hi
 
 
@@ -140,12 +140,13 @@ class TestTrafficAccounting:
         assert sum(traffic.per_server_requests.values()) == traffic.n_requests
 
     def test_merge(self):
+        """Two batches read as one cost what they cost apart."""
         store, _ = make_store()
         _, t1 = store.read_batch(0, np.arange(10))
         _, t2 = store.read_batch(0, np.arange(50, 60))
-        n = t1.n_requests + t2.n_requests
-        t1.merge(t2)
-        assert t1.n_requests == n
+        _, both = store.read_batch(0, np.r_[np.arange(10), np.arange(50, 60)])
+        assert both.n_requests == t1.n_requests + t2.n_requests
+        assert both.bytes_remote == t1.bytes_remote + t2.bytes_remote
 
 
 class TestTimedPath:

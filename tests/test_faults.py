@@ -32,7 +32,7 @@ from repro.faults import (
     chaos_plan,
 )
 from repro.graph.split import split_heldout
-from repro.sim.core import Simulator, any_of
+from repro.sim.core import Simulator
 from repro.sim.network import Network, NetworkParams
 from repro.sim.rdma import RdmaEngine
 
@@ -279,25 +279,6 @@ class TestPinnedFaultSequences:
             (49, -999951.0, 49, 50),
         ]
         assert plan.draws["mangle"] == 100
-
-
-class TestAnyOf:
-    def test_fires_with_first_value(self):
-        sim = Simulator()
-
-        def proc(ev, delay, value):
-            from repro.sim.core import Timeout
-
-            yield Timeout(delay)
-            ev.trigger(value)
-
-        slow = sim.event("slow")
-        fast = sim.event("fast")
-        sim.process(proc(slow, 2.0, "slow"))
-        sim.process(proc(fast, 1.0, "fast"))
-        race = any_of(sim, [slow, fast])
-        sim.run()
-        assert race.fired and race.value == "fast"
 
 
 class TestSimFaults:

@@ -27,6 +27,7 @@ from repro.core.general import (
 )
 from repro.graph.graph import Graph
 from repro.graph.split import split_heldout
+from tests.oracles import brute_force_z
 
 
 def random_simplex(rng, k):
@@ -49,7 +50,7 @@ class TestReductionToAssortative:
         delta = 1e-3
         b = assortative_block_matrix(beta, delta)
         z_general = general_pair_z(pi_a, pi_b, b, np.array(y))
-        z_ammsb = gradients.brute_force_z(pi_a, pi_b, y, beta, delta)
+        z_ammsb = brute_force_z(pi_a, pi_b, y, beta, delta)
         assert float(z_general) == pytest.approx(z_ammsb, rel=1e-10)
 
     @given(

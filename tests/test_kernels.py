@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import gradients, kernels
+from tests.oracles import brute_force_z
 
 REF = kernels.get_backend("reference")
 FUSED = kernels.get_backend("fused")
@@ -529,7 +530,7 @@ class TestPhiGradientOracle:
                     apart = pi_a[a] @ (1 - pi_b[a, b])
                     assert apart < 1.01 * kernels._PHI_NEAR * pi_a[a].sum()
                     continue
-                brute = gradients.brute_force_z(pi_a[a], pi_b[a, b], int(y[a, b]), beta, 1e-3)
+                brute = brute_force_z(pi_a[a], pi_b[a, b], int(y[a, b]), beta, 1e-3)
                 assert z[a, b] == pytest.approx(brute, rel=1e-12)
 
 

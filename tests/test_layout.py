@@ -29,15 +29,18 @@ decides the bypass.
 ``src/repro`` is used by the program — ``src/``, ``benchmarks/``,
 ``examples/`` or ``e2e_bench/`` — outside its own definition and
 outside a package's re-exports, or it is on :data:`UNREACHED` with its
-reason; so is a public method of a public class, outside its own body,
-or it is on :data:`UNREACHED_METHODS`. Names and options deleted because
-nothing reached them stay deleted.
+reason; so is a public method of a public class, read as an attribute
+(``x.method``) or imported outside its own body, or it is on
+:data:`UNREACHED_METHODS`. Modules, names and options deleted because
+nothing reached them stay deleted; a test-only oracle lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import shutil
 import subprocess
@@ -274,44 +277,17 @@ def test_only_the_fault_module_asks_whether_a_plan_is_empty():
 
 #: public names only tests reach, each with why it stays
 UNREACHED = {
-    "core/gradients.py:brute_force_z": "test oracle of the fused phi kernels",
-    "sim/rdma.py:uncontended_read_time": "test oracle: closed-form latency of one RDMA read",
-    "sim/rdma.py:uncontended_write_time": "test oracle: closed-form latency of one RDMA write",
-    "graph/analysis.py:degree_gini": "stand-in validation statistic (DESIGN S17)",
-    "graph/analysis.py:clustering_coefficient": "stand-in validation statistic (DESIGN S17)",
-    "graph/analysis.py:connected_components": "stand-in validation statistic (DESIGN S17)",
-    "sim/loadtest.py:run_all_to_all": "the load test grounding dkv_read_bw_loaded (DESIGN S14)",
-    "sim/core.py:any_of": "simulator primitive racing an event against a timeout; only tests race",
     "core/general.py:GeneralMMSBSampler": "general MMSB, waiting for an engine and a CLI verb",
     "core/general.py:general_pair_z": "general MMSB, waiting for an engine and a CLI verb",
     "core/general.py:assortative_block_matrix": "general MMSB, waiting for an engine and a CLI verb",
-    "bench/gate.py:load_report": "reads a committed bench report; only tests call it",
-    "store/container.py:is_container": "container probe; only tests call it",
 }
 #: public methods of public classes only tests reach, each with why it stays
 UNREACHED_METHODS = {
-    "graph/graph.py:Graph.has_edge": "scalar y_ab test oracle; every engine asks links_from",
-    "graph/graph.py:Graph.density": "graph statistic; only tests read it",
-    "serve/artifact.py:ArtifactRegistry.latest": "registry probe; the server rolls back via previous",
-    "serve/artifact.py:ModelArtifact.verify_deep": "deep check; publish_path loads verify='full'",
-    "serve/server.py:ModelServer.rollback": "operator's manual rollback; no verb yet",
-    "stream/delta.py:DeltaOverlay.pending_pairs": "view of the pending delta; only tests read it",
-    "stream/journal.py:IngestJournal.n_segments": "segment-rotation probe; only tests read it",
-    "stream/journal.py:IngestJournal.segment_paths": "segment-rotation probe; only tests read it",
-    "stream/journal.py:QuarantineLog.extend": "batch form of append; only tests call it",
-    "stream/source.py:FileTailSource.reset": "rewinds a tailed file; only tests replay one",
-    "sim/rdma.py:RdmaEngine.read_sync": "blocking READ; the load test posts async",
-    "sim/rdma.py:RdmaEngine.write_sync": "blocking WRITE; the load test posts async",
-    "sim/network.py:Message.transfer_time": "per-message latency; only tests read it",
-    "sim/loadtest.py:LoadTestResult.fabric_efficiency": "load-test ratio; only tests read it",
-    "sim/core.py:Resource.use": "acquire-hold-release helper; only tests use it",
-    "core/sampler.py:AMMSBSampler.run_until_converged": "convergence driver; no verb yet",
-    "core/state.py:ModelState.phi_rows": "phi from pi and phi_sum; only tests read it",
-    "core/perplexity.py:PerplexityEstimator.reset": "clears the sample average; only tests clear one",
+    "serve/server.py:ModelServer.publish": (
+        "swaps an in-memory artifact; the program publishes files (publish_path),"
+        " the server tests swap without one"
+    ),
     "core/kernels.py:KernelWorkspace.buffers": "snapshot for the dtype-tracking tests",
-    "cluster/comm.py:Communicator.gather": "MPI collective; the engines reduce",
-    "cluster/comm.py:Communicator.allreduce": "MPI collective; the engines reduce",
-    "cluster/dkv.py:DKVTraffic.merge": "sums two batches' traffic; only tests do",
 }
 PROGRAM = ("src", "benchmarks", "examples", "e2e_bench")
 
@@ -350,11 +326,13 @@ def _owned_parts(stmt: ast.stmt) -> list[tuple[ast.AST, str]]:
     ] + [(node, owner) for node in stmt.decorator_list + stmt.bases + stmt.keywords]
 
 
-def _references() -> dict[str, set[tuple[Path, str]]]:
+def _references(bare: bool = True) -> dict[str, set[tuple[Path, str]]]:
     """Every name the program uses, with ``(module, owner)`` of each use:
     the enclosing top-level definition, or ``Class.method`` inside a
     class's method. A package ``__init__`` re-exporting a name does not
-    use it."""
+    use it. ``bare=False`` counts attribute access (``x.name``) and
+    imports only: a method is not reached by a local or a field that
+    happens to share its spelling."""
     used: dict[str, set[tuple[Path, str]]] = {}
     for top in PROGRAM:
         for path in sorted((REPO / top).rglob("*.py")):
@@ -364,7 +342,7 @@ def _references() -> dict[str, set[tuple[Path, str]]]:
                     continue
                 for part, owner in _owned_parts(stmt):
                     for node in ast.walk(part):
-                        if isinstance(node, ast.Name):
+                        if isinstance(node, ast.Name) and bare:
                             names = [node.id]
                         elif isinstance(node, ast.Attribute):
                             names = [node.attr]
@@ -391,7 +369,7 @@ def test_every_public_name_is_reached_or_on_the_list():
 
 
 def test_every_public_method_is_reached_or_on_the_list():
-    used = _references()
+    used = _references(bare=False)
     unreached = {
         key
         for key, (path, owner) in _public_methods().items()
@@ -402,6 +380,33 @@ def test_every_public_method_is_reached_or_on_the_list():
 
 #: ``(importable owner, names)`` deleted: second copies, or reached by their own tests alone
 DELETED = (
+    ("repro.core.gradients", ("brute_force_z",)),
+    ("repro.sim.rdma", ("uncontended_read_time", "uncontended_write_time")),
+    ("repro.sim.rdma.RdmaEngine", ("read_sync", "write_sync", "batch")),
+    ("repro.sim.rdma.RdmaOp", ("elapsed",)),
+    ("repro.sim.network.Network", ("uncontended_transfer_time",)),
+    ("repro.sim.network.Message", ("transfer_time",)),
+    ("repro.sim.core", ("any_of", "all_of")),
+    ("repro.bench.gate", ("load_report",)),
+    ("repro.graph.graph", ("edge_key",)),
+    ("repro.graph", ("edge_key",)),
+    ("repro.graph.graph.Graph", ("has_edge", "density")),
+    ("repro.store.container", ("is_container",)),
+    ("repro.store", ("is_container",)),
+    ("repro.store.container.Container", ("content_version",)),
+    ("repro.serve.artifact.ArtifactRegistry", ("latest",)),
+    ("repro.serve.artifact.ModelArtifact", ("verify_deep",)),
+    ("repro.serve.server.ModelServer", ("rollback",)),
+    ("repro.stream.delta.DeltaOverlay", ("pending_pairs",)),
+    ("repro.stream.journal.IngestJournal", ("n_segments", "segment_paths")),
+    ("repro.stream.journal.QuarantineLog", ("extend",)),
+    ("repro.stream.source.FileTailSource", ("reset",)),
+    ("repro.core.perplexity.PerplexityEstimator", ("reset",)),
+    ("repro.core.sampler.AMMSBSampler", ("run_until_converged",)),
+    ("repro.cluster.comm.Communicator", ("gather", "allreduce")),
+    ("repro.cluster.dkv.DKVTraffic", ("merge",)),
+    ("repro.cluster.dkv.DKVStore", ("owner",)),
+    ("repro.cluster.spec.ClusterSpec", ("max_communities",)),
     ("repro.dist.partition", ("AdjacencySlice", "adjacency_slice")),
     ("repro.dist.partition.WorkerShard", ("adjacency",)),
     ("repro.serve.artifact", ("export_state_artifact", "export_from_sampler")),
@@ -412,12 +417,29 @@ DELETED = (
     )),
     ("repro.cluster.costmodel.CostModel", ("run_time",)),
     ("repro.sim.core.Simulator", ("timeout_event", "steps_executed")),
-    ("repro.sim.core.Resource", ("in_use", "queue_length")),
+    ("repro.sim.core.Resource", ("in_use", "queue_length", "use")),
     ("repro.sim.network.Nic", ("busy_fraction",)),
-    ("repro.core.state.ModelState", ("kv_values", "set_kv_values")),
+    ("repro.core.state.ModelState", ("kv_values", "set_kv_values", "phi_rows")),
 )
 #: ``(callable, parameters)`` deleted: options nothing set, or a second route
 DELETED_OPTIONS = (
+    ("repro.core.init.init_state_spectral", ("phi_mass", "power_iterations")),
+    ("repro.core.init.spectral_memberships", ("power_iterations",)),
+    ("repro.core.init.extend_state_informed", ("phi_mass",)),
+    ("repro.faults.chaos_plan", ("stall_server", "stall_start", "stall_duration")),
+    ("repro.faults.chaos_serve_plan", ("crash_batch", "spike_rate", "spike_seconds")),
+    ("repro.graph.io.save_csr", ("overwrite",)),
+    ("repro.graph.io.load_csr", ("verify",)),
+    ("repro.serve.artifact.export_artifact", ("node_ids",)),
+    ("repro.core.mcmc_batch.BatchLangevinAMMSB.step", ("mh_sigma",)),
+    ("repro.core.diagnostics.geweke_z", ("first", "last")),
+    ("repro.cluster.dkv.dkv_bandwidth", ("depth",)),
+    ("repro.stream.tracking.MembershipHistory.community_drift", ("generation",)),
+    ("repro.stream.trainer.StreamTrainer.from_checkpoint", ("config",)),
+    ("repro.stream.trainer.StreamTrainer.run", ("n_iterations",)),
+    ("repro.bench.chaosbench.run_chaos_stream", ("n_iterations",)),
+    ("repro.core.state.ModelState.validate", ("atol",)),
+    ("repro.bench.storebench.measure_subprocess", ("timeout",)),
     ("repro.dist.partition.partition_minibatch", ("graph", "with_adjacency")),
     ("repro.dist.master.MasterContext", ("ship_adjacency",)),
     ("repro.dist.worker.WorkerContext", ("n_vertices",)),
@@ -434,15 +456,31 @@ DELETED_OPTIONS = (
 
 
 def _resolve(dotted: str):
+    """The object a dotted path names; a submodule wins over a package
+    attribute of the same name (``repro.core.perplexity`` is a module and
+    a function)."""
     module, _, rest = dotted.partition(".")
     target = importlib.import_module(module)
     for part in rest.split(".") if rest else []:
-        target = (
-            getattr(target, part)
-            if hasattr(target, part)
-            else importlib.import_module(f"{target.__name__}.{part}")
-        )
+        if inspect.ismodule(target):
+            name = f"{target.__name__}.{part}"
+            try:
+                target = importlib.import_module(name)
+                continue
+            except ModuleNotFoundError as exc:
+                if exc.name != name:
+                    raise
+        target = getattr(target, part)
     return target
+
+
+#: modules whose code moved into the tests that were its only users
+DELETED_MODULES = ("repro.graph.analysis", "repro.sim.loadtest")
+
+
+@pytest.mark.parametrize("module", DELETED_MODULES)
+def test_the_deleted_modules_stay_gone(module):
+    assert importlib.util.find_spec(module) is None
 
 
 @pytest.mark.parametrize("owner, names", DELETED, ids=[owner for owner, _ in DELETED])

@@ -157,14 +157,6 @@ class TestEstimator:
         est.record(pi, beta, iteration=150)
         assert est.n_samples == 1
 
-    def test_reset(self, rng):
-        est, _ = self.make()
-        pi = rng.dirichlet(np.ones(3), size=25)
-        est.record(pi, rng.uniform(0.2, 0.8, 3))
-        est.reset()
-        assert est.n_samples == 0
-        assert est.value() == float("inf")
-
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             PerplexityEstimator(np.zeros((3, 2), dtype=int), np.zeros(2, dtype=bool), 1e-4)

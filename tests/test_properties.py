@@ -17,6 +17,7 @@ from repro.core.perplexity import PerplexityEstimator, pair_probabilities, perpl
 from repro.core.sampler import AMMSBSampler
 from repro.graph.generators import planted_overlapping_graph
 from repro.graph.graph import Graph
+from tests.oracles import uncontended_transfer_time
 
 
 class TestSamplerInvariantsProperty:
@@ -242,5 +243,5 @@ class TestSimulatorProperties:
             net.transfer(src, dst, nbytes)
         sim.run()
         for msg in net.log:
-            floor = net.uncontended_transfer_time(msg.nbytes)
-            assert msg.transfer_time >= floor - 1e-12
+            floor = uncontended_transfer_time(net, msg.nbytes)
+            assert msg.t_complete - msg.t_submit >= floor - 1e-12

@@ -29,6 +29,7 @@ from repro.core.minibatch import (
 )
 from repro.graph.graph import Graph, edge_keys, rows_contain
 from repro.graph.io import load_csr, save_csr
+from tests.oracles import has_edge
 
 
 def _has_edges_matrix(graph: Graph, vertices: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -184,7 +185,7 @@ class TestSharedSamplerMatchesParent:
         assert heldout_rows(None, 5) is None
         assert heldout_rows(np.zeros(0, dtype=np.int64), 5) is None
         held = heldout_rows(np.array([7, 1, 7]), 5)  # pairs (1,2) and (0,1)
-        assert held.n_edges == 2 and held.has_edge(2, 1) and held.has_edge(0, 1)
+        assert held.n_edges == 2 and has_edge(held, 2, 1) and has_edge(held, 0, 1)
 
 
 class TestDegenerateRowFallback:

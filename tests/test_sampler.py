@@ -10,6 +10,7 @@ import pytest
 
 from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
 from repro.graph.split import split_heldout
 from repro.parallel.sampler import ThreadedAMMSBSampler
@@ -107,7 +108,9 @@ class TestConvergence:
         s = AMMSBSampler(split.train, cfg, heldout=split)
         s.run(60, perplexity_every=30)
         early = s.perplexity_estimator.value()
-        s.perplexity_estimator.reset()
+        s.perplexity_estimator = PerplexityEstimator(  # a fresh average
+            split.heldout_pairs, split.heldout_labels, cfg.delta
+        )
         s.run(2500, perplexity_every=50)
         late = s.perplexity_estimator.value()
         assert late < early * 0.85

@@ -217,11 +217,9 @@ class TestV2Format:
         return build_artifact(small_state, config, iteration=5)
 
     def test_suffix_is_ignored(self, art, tmp_path):
-        from repro.store import is_container
-
         for name in ("m.npz", "m_v2", "m.store"):
             path = save_artifact(tmp_path / name, art)
-            assert path == tmp_path / name and is_container(path)
+            assert path == tmp_path / name and (path / "manifest.json").is_file()
             assert load_artifact(path, verify="full").version == art.version
 
     def test_v2_round_trip(self, art, tmp_path):
@@ -254,7 +252,6 @@ class TestV2Format:
         for verify in (False, True, "full"):
             got = load_artifact(path, verify=verify)
             assert got.version == art.version
-        load_artifact(path, verify="full").verify_deep()
 
     def test_v2_corruption_caught_at_full_verify(self, art, tmp_path):
         path = save_artifact(tmp_path / "m", art)

@@ -266,7 +266,6 @@ class TestArtifactRegistry:
         reg.record(1, b)
         assert reg.previous(b.version) is a
         assert reg.previous(a.version) is b
-        assert reg.latest() is b
         assert reg.versions() == [a.version, b.version]
 
     def test_bounded_history(self):
@@ -314,15 +313,16 @@ class TestSwapFailureRollback:
             np.testing.assert_array_equal(fut.result(timeout=5), expect)
 
     def test_manual_rollback(self):
+        """An operator rolls back by publishing the last good artifact
+        again: an ordinary hot swap, not a failure."""
         art = _artifact()
         new = _perturbed(art)
         with ModelServer(art, n_workers=0) as server:
-            with pytest.raises(RuntimeError, match="no previous"):
-                server.rollback()
             server.publish(new)
-            gen = server.rollback()
+            gen = server.publish(art)
             assert gen == 2 and server.artifact.version == art.version
-            assert server.metrics.snapshot()["resilience"]["rollbacks"] == 1
+            res = server.metrics.snapshot()["resilience"]
+            assert res["rollbacks"] == 0 and res["publish_failures"] == 0
 
     def test_publish_path_quarantines_corruption(self, tmp_path):
         art = _artifact()
@@ -491,11 +491,13 @@ class TestStaleCacheEviction:
             assert server.metrics.snapshot()["cache"]["hits"] == 0
 
     def test_rollback_also_purges(self):
-        with ModelServer(_artifact(), n_workers=0, cache_size=8) as server:
+        plan = ServeFaultPlan(seed=0, swap_failures=(SwapFailure(1),))
+        with ModelServer(_artifact(), n_workers=0, cache_size=8, faults=plan) as server:
             server.publish(_perturbed(server.artifact))
             server.membership(0)
             server.process_once()
-            server.rollback()
+            with pytest.raises(SwapFailed):
+                server.publish(_perturbed(server.artifact, seed=2))
             assert server.metrics.snapshot()["cache"]["stale_evictions"] == 1
 
 

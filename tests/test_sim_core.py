@@ -13,7 +13,6 @@ from repro.sim.core import (
     SimulationError,
     Simulator,
     Timeout,
-    all_of,
 )
 
 
@@ -171,7 +170,9 @@ class TestResource:
         times = []
 
         def user(hold):
-            yield from res.use(hold)
+            yield res.request()
+            yield Timeout(hold)
+            res.release()
             times.append(sim.now)
 
         sim.process(user(1.0))
@@ -185,7 +186,9 @@ class TestResource:
         times = []
 
         def user(hold):
-            yield from res.use(hold)
+            yield res.request()
+            yield Timeout(hold)
+            res.release()
             times.append(sim.now)
 
         for _ in range(3):
@@ -216,20 +219,32 @@ class TestResource:
 
 
 class TestAllOf:
+    """A process that yields a list waits for all of it."""
+
     def test_collects_values(self):
         sim = Simulator()
         e1, e2 = sim.event(), sim.event()
-        combined = all_of(sim, [e1, e2])
+
+        def proc():
+            return (yield [e1, e2])
+
+        combined = sim.process(proc())
         sim.schedule(1.0, lambda: e1.trigger("a"))
         sim.schedule(2.0, lambda: e2.trigger("b"))
         sim.run()
-        assert combined.fired and combined.value == ["a", "b"]
+        assert combined.finished and combined.done.value == ["a", "b"]
+        assert sim.now == pytest.approx(2.0)
 
     def test_empty_fires_immediately(self):
         sim = Simulator()
-        combined = all_of(sim, [])
+
+        def proc():
+            return (yield [])
+
+        combined = sim.process(proc())
         sim.run()
-        assert combined.fired and combined.value == []
+        assert combined.finished and combined.done.value == []
+        assert sim.now == 0.0
 
     def test_deadlock_detected(self):
         sim = Simulator()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.core import Simulator
 from repro.sim.network import Network, NetworkParams
+from tests.oracles import uncontended_transfer_time
 
 
 def make_net(n=3, **kw):
@@ -35,13 +36,13 @@ class TestTransfer:
         p = net.params
         expected = p.per_message_overhead + 1_000_000 / p.bandwidth + p.latency
         assert sim.now == pytest.approx(expected, rel=1e-9)
-        assert net.uncontended_transfer_time(1_000_000) == pytest.approx(expected)
+        assert uncontended_transfer_time(net, 1_000_000) == pytest.approx(expected)
 
     def test_local_transfer_cheaper(self):
         sim, net = make_net()
         net.transfer(0, 0, 1_000_000)
         sim.run()
-        assert sim.now < net.uncontended_transfer_time(1_000_000)
+        assert sim.now < uncontended_transfer_time(net, 1_000_000)
 
     def test_zero_bytes_allowed(self):
         sim, net = make_net()
@@ -78,7 +79,7 @@ class TestContention:
         net.transfer(0, 1, nbytes)
         net.transfer(0, 2, nbytes)
         sim.run()
-        one = net.uncontended_transfer_time(nbytes)
+        one = uncontended_transfer_time(net, nbytes)
         assert sim.now > 1.8 * one - 1e-6
 
     def test_disjoint_pairs_parallel(self):
@@ -89,7 +90,7 @@ class TestContention:
         net.transfer(0, 1, nbytes)
         net.transfer(2, 3, nbytes)
         sim.run()
-        one = net.uncontended_transfer_time(nbytes)
+        one = uncontended_transfer_time(net, nbytes)
         assert sim.now == pytest.approx(one, rel=0.01)
 
     def test_rx_port_serializes_same_destination(self):
@@ -100,7 +101,7 @@ class TestContention:
         for src in (0, 1, 2):
             net.transfer(src, 3, nbytes)
         sim.run()
-        one = net.uncontended_transfer_time(nbytes)
+        one = uncontended_transfer_time(net, nbytes)
         assert sim.now > 2.5 * one
 
     def test_duplex_tx_rx_independent(self):
@@ -110,7 +111,7 @@ class TestContention:
         net.transfer(0, 1, nbytes)
         net.transfer(1, 0, nbytes)
         sim.run()
-        one = net.uncontended_transfer_time(nbytes)
+        one = uncontended_transfer_time(net, nbytes)
         assert sim.now < 1.2 * one
 
     def test_log_recording_optional(self):
@@ -120,7 +121,7 @@ class TestContention:
         sim.run()
         assert len(net.log) == 1
         assert net.log[0].tag == "x"
-        assert net.log[0].transfer_time > 0
+        assert net.log[0].t_complete > net.log[0].t_submit
 
 
 class TestThroughputProperty:
@@ -128,8 +129,8 @@ class TestThroughputProperty:
     @settings(max_examples=20, deadline=None)
     def test_bigger_messages_never_faster(self, nbytes):
         sim, net = make_net()
-        t_small = net.uncontended_transfer_time(nbytes)
-        t_big = net.uncontended_transfer_time(nbytes * 2)
+        t_small = uncontended_transfer_time(net, nbytes)
+        t_big = uncontended_transfer_time(net, nbytes * 2)
         assert t_big >= t_small
 
     def test_back_to_back_stream_approaches_bandwidth(self):

@@ -6,14 +6,8 @@ import pytest
 
 from repro.sim.core import Simulator
 from repro.sim.network import Network
-from repro.sim.rdma import (
-    ACK_BYTES,
-    READ_REQUEST_BYTES,
-    RdmaEngine,
-    RdmaOpType,
-    uncontended_read_time,
-    uncontended_write_time,
-)
+from repro.sim.rdma import ACK_BYTES, READ_REQUEST_BYTES, RdmaEngine, RdmaOpType
+from tests.oracles import uncontended_read_time, uncontended_write_time
 
 
 @pytest.fixture()
@@ -30,7 +24,8 @@ class TestRead:
         op = qp.post_read(65536)
         sim.run()
         assert op.completion.fired
-        assert op.elapsed == pytest.approx(uncontended_read_time(net, 65536), rel=1e-6)
+        elapsed = op.t_completed - op.t_posted
+        assert elapsed == pytest.approx(uncontended_read_time(net, 65536), rel=1e-6)
 
     def test_request_travels_to_responder(self, fabric):
         sim, net, engine = fabric
@@ -54,7 +49,8 @@ class TestWrite:
         qp = engine.queue_pair(0, 1)
         op = qp.post_write(65536)
         sim.run()
-        assert op.elapsed == pytest.approx(uncontended_write_time(net, 65536), rel=1e-6)
+        elapsed = op.t_completed - op.t_posted
+        assert elapsed == pytest.approx(uncontended_write_time(net, 65536), rel=1e-6)
         assert net.nics[1].bytes_sent == ACK_BYTES
 
     def test_read_write_similar_for_large_payloads(self, fabric):
@@ -76,9 +72,8 @@ class TestPipelining:
         n, size = 16, 4096
 
         ops = [qp.post_read(size) for _ in range(n)]
-        done = engine.batch(ops)
         sim.run()
-        assert done.fired
+        assert all(op.completion.fired for op in ops)
         pipelined_time = sim.now
         sync_time = n * uncontended_read_time(net, size)
         assert pipelined_time < 0.8 * sync_time
@@ -87,16 +82,19 @@ class TestPipelining:
         sim, _, engine = fabric
         qp = engine.queue_pair(0, 2)
         ops = [qp.post_write(100) for _ in range(5)]
-        done = engine.batch(ops)
         sim.run()
-        assert len(done.value) == 5
+        assert [op.completion.value for op in ops] == ops
 
     def test_sync_helpers(self, fabric):
+        """One op waited on before the next is posted takes the closed form."""
         sim, net, engine = fabric
-        sim.run_process(engine.read_sync(0, 1, 4096))
+        read = engine.queue_pair(0, 1).post_read(4096)
+        sim.run()
         t1 = sim.now
         assert t1 == pytest.approx(uncontended_read_time(net, 4096), rel=1e-6)
-        sim.run_process(engine.write_sync(0, 1, 4096))
+        assert read.t_completed == t1
+        engine.queue_pair(0, 1).post_write(4096)
+        sim.run()
         assert sim.now - t1 == pytest.approx(uncontended_write_time(net, 4096), rel=1e-6)
 
 

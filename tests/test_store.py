@@ -22,7 +22,6 @@ from repro.store import (
     available_providers,
     content_version,
     get_provider,
-    is_container,
     link_container,
     read_manifest,
     recover_container,
@@ -59,11 +58,12 @@ class TestWriteContainer:
             np.testing.assert_array_equal(got, ref)
 
     def test_is_container(self, box, tmp_path):
-        assert is_container(box)
-        assert not is_container(tmp_path / "absent")
+        assert read_manifest(box)["kind"] == "test-kind/1"
         plain = tmp_path / "plain"
         plain.mkdir()
-        assert not is_container(plain)
+        for path in (tmp_path / "absent", plain):
+            with pytest.raises(StoreError, match="not a store container"):
+                read_manifest(path)
 
     def test_atomic_overwrite_leaves_no_debris(self, arrays, box, tmp_path):
         write_container(box, {"pi": arrays["pi"] + 1.0}, kind="test-kind/1")

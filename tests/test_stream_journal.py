@@ -54,7 +54,7 @@ class TestAppendReplay:
         with IngestJournal(tmp_path / "j", max_segment_bytes=64) as j:
             for i in range(4):
                 j.append_edges(_pairs((i, i + 1)))
-            assert j.n_segments >= 4
+            assert len(list((tmp_path / "j").glob("seg-*.wal"))) >= 4
             assert [e.seqno for e in j.replay()] == [0, 1, 2, 3]
 
     def test_append_after_close_raises(self, tmp_path):
@@ -79,7 +79,7 @@ class TestTornTails:
     def test_torn_tail_truncated_on_open(self, tmp_path):
         with IngestJournal(tmp_path / "j") as j:
             j.append_edges(_pairs((0, 1)))
-            active = j.segment_paths[-1]
+            active = sorted((tmp_path / "j").glob("seg-*.wal"))[-1]
         with open(active, "ab") as fh:
             fh.write(b"WJ\x01\x00garbage-part")  # partial frame
         with IngestJournal(tmp_path / "j") as j:
@@ -95,7 +95,7 @@ class TestTornTails:
         with IngestJournal(tmp_path / "j", max_segment_bytes=64) as j:
             for i in range(3):
                 j.append_edges(_pairs((i, i + 1)))
-            sealed = j.segment_paths[0]
+            sealed = sorted((tmp_path / "j").glob("seg-*.wal"))[0]
         raw = bytearray(sealed.read_bytes())
         raw[-3] ^= 0xFF  # flip a payload byte under the CRC
         sealed.write_bytes(bytes(raw))

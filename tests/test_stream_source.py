@@ -69,7 +69,7 @@ class TestFileTailSource:
         src = FileTailSource(path)
         first = src.read_all()
         assert src.read_all() == []
-        src.reset()
+        src.seek(0)
         assert src.read_all() == first
 
     def test_write_read_round_trip(self, tmp_path):
