@@ -9,9 +9,10 @@ invariants end to end:
   :data:`repro.faults.CRASH_PHASES`, a run is killed mid-generation
   (via :class:`~repro.faults.InjectedCrash`), resumed with
   :meth:`StreamTrainer.resume`, re-fed the crashed batch, and driven to
-  completion. The final digested CSR must be byte-identical to an
-  uninterrupted reference run — same edge-key set, same container
-  ``content_version`` — i.e. no accepted edge lost, none duplicated.
+  completion. The final digested graph (snapshot + delta, as
+  :meth:`StreamTrainer.digested_graph` loads it) must equal an
+  uninterrupted reference run's array for array — same keys, same CSR,
+  same vertex count — i.e. no accepted edge lost, none duplicated.
 - **torn journal write** — a frame is cut mid-write; reopen must
   truncate exactly the torn tail, the re-fed batch must land, and the
   final state must still match the reference.
@@ -60,19 +61,14 @@ CHAOS_SCHEMA = "repro-chaos-serve/1"
 STREAM_ITERATIONS = 8
 
 
-def _final_state(workdir: Path) -> tuple[str, frozenset, int]:
-    """(content_version, edge-key set, n_vertices) of a run's digested CSR."""
-    from repro.graph.io import load_csr
-    from repro.store.container import read_manifest
+def _final_state(workdir: Path) -> tuple[tuple, frozenset, int]:
+    """(CSR arrays, edge-key set, n_vertices) of a run's digested graph."""
     from repro.stream.trainer import StreamTrainer
 
-    manifest = StreamTrainer.read_manifest(workdir)
-    graph_path = Path(manifest["graph_path"])
-    if not graph_path.is_absolute():
-        graph_path = workdir / graph_path
-    version = read_manifest(graph_path)["content_version"]
-    graph = load_csr(graph_path, provider="resident")
-    return version, frozenset(int(k) for k in graph.keys), graph.n_vertices
+    graph = StreamTrainer.digested_graph(workdir)
+    arrays = (graph.n_vertices, graph.keys.tobytes(), graph._csr_indptr.tobytes(),
+              graph._csr_indices.tobytes())
+    return arrays, frozenset(int(k) for k in graph.keys), graph.n_vertices
 
 
 def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
@@ -142,11 +138,10 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
         trainer = StreamTrainer(base, config, **trainer_kwargs(tmp))
         for batch in batches:
             trainer.run_generation(batch)
-        ref_version, ref_keys, ref_n = _final_state(tmp / "work")
+        ref_arrays, ref_keys, ref_n = _final_state(tmp / "work")
     details["reference"] = {
         "n_edges": len(ref_keys),
         "n_vertices": ref_n,
-        "content_version": ref_version,
         "n_batches": n_batches,
     }
 
@@ -190,12 +185,12 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
                 trainer_crashes=(TrainerCrash(phase=phase, generation=crash_batch),),
             )
             resumed, crash_seen = run_killed(faults, crash_batch, tmp)
-            version, keys, n = _final_state(tmp / "work")
+            arrays, keys, n = _final_state(tmp / "work")
             phase_results[phase] = {
                 "crashed": crash_seen is not None,
                 "no_lost_edges": ref_keys <= keys,
                 "no_duplicate_edges": keys <= ref_keys,
-                "csr_matches_reference": version == ref_version,
+                "csr_matches_reference": arrays == ref_arrays,
                 "generations": resumed.generation,
                 "last_known_good_served": (
                     resumed.last_published is not None
@@ -217,11 +212,11 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
         tmp = Path(tmp)
         faults = StreamFaultPlan(seed=seed, journal_tears=(JournalTear(append=1),))
         resumed, crash_seen = run_killed(faults, 1, tmp)
-        version, keys, _ = _final_state(tmp / "work")
+        arrays, keys, _ = _final_state(tmp / "work")
         repaired = resumed.journal.repaired  # (path, offset, reason) or None
         invariants["torn_tail_repaired"] = (
             crash_seen is not None and repaired is not None
-            and version == ref_version
+            and arrays == ref_arrays
         )
         details["torn_write"] = {
             "repaired": (
@@ -229,7 +224,7 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
                  "reason": repaired[2]}
                 if repaired else None
             ),
-            "csr_matches_reference": version == ref_version,
+            "csr_matches_reference": arrays == ref_arrays,
         }
 
     # -- quarantine persistence across a crash.
@@ -306,13 +301,13 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
             trainer, supervisor, policy, idle_exit_polls=3,
             n_iterations=STREAM_ITERATIONS,
         )
-        version, keys, _ = _final_state(tmp / "work")
+        arrays, keys, _ = _final_state(tmp / "work")
         invariants["source_retry_recovered"] = (
             supervisor.failures >= 2
             and supervisor.backoffs >= 2
             and tail.n_rotations >= 1
             and keys == ref_keys
-            and version == ref_version
+            and arrays == ref_arrays
         )
         details["follow"] = {
             "polls": supervisor.polls,
@@ -321,7 +316,7 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
             "generations": len(report1.generations) + len(report2.generations),
             "triggers": report1.triggers + report2.triggers,
             "drained": [report1.drained, report2.drained],
-            "csr_matches_reference": version == ref_version,
+            "csr_matches_reference": arrays == ref_arrays,
         }
 
         # -- serving after the follow run: the published artifact answers

@@ -58,7 +58,9 @@ exit code 2 (:class:`ArgumentError`) on the commands that check theirs
 up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``,
 ``query``, ``serve`` and ``stream``; ``detect`` and ``generate`` for a
 size the library's range checks refuse (``-k 0``, ``--mini-batch 0``,
-``--vertices 0``); ``detect``, ``auc``, ``stream`` and ``convert-graph``
+``--vertices 0``); ``detect`` and ``auc`` for a ``--heldout-fraction``
+outside (0, 1) or a negative ``--seed``; ``benchmark`` for a ``--csv``
+into a missing directory; ``detect``, ``auc``, ``stream`` and ``convert-graph``
 for a graph file that is missing, is not an edge list of integer ids,
 or (``detect``, ``auc``) is too small or too dense to hold out pairs
 from; and ``query`` for a node id or community the artifact does not
@@ -91,12 +93,24 @@ def _require_seed_and_output(args: argparse.Namespace) -> None:
     """Reject before a long run what would only fail at its end."""
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     if args.output:
-        parent = Path(args.output).resolve().parent
-        _require(parent.is_dir(), f"--output: no such directory {str(parent)!r}")
+        _require_dir_of("--output", args.output)
 
 
 def _require_file(flag: str, path: str) -> None:
     _require(Path(path).is_file(), f"{flag}: no such file {path!r}")
+
+
+def _require_dir_of(flag: str, path: str) -> None:
+    parent = Path(path).resolve().parent
+    _require(parent.is_dir(), f"{flag}: no such directory {str(parent)!r}")
+
+
+def _require_split(args: argparse.Namespace) -> None:
+    """Reject the ``--heldout-fraction`` / ``--seed`` of a held-out split
+    before any file is read."""
+    _require(0 < args.heldout_fraction < 1,
+             f"--heldout-fraction must be in (0, 1), got {args.heldout_fraction}")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
 
 
 def _load_edges(args: argparse.Namespace):
@@ -124,6 +138,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.estimation import PosteriorMean, extract_communities
     from repro.core.sampler import AMMSBSampler
 
+    _require_split(args)
     try:  # the library's own range checks on -k, --mini-batch, --neighbors
         config = AMMSBConfig(
             n_communities=args.communities,
@@ -252,6 +267,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; known: "
               f"{sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    if args.csv:
+        _require_dir_of("--csv", args.csv)
     fn_name, title = EXPERIMENTS[args.experiment]
     rows = getattr(figures, fn_name)()
     print(format_table(rows, title=title))
@@ -880,6 +897,7 @@ def _cmd_auc(args: argparse.Namespace) -> int:
         print("exactly one of --checkpoint / --artifact is required",
               file=sys.stderr)
         return 2
+    _require_split(args)
     if args.checkpoint:
         from repro.core.checkpoint import CheckpointError, load_state_checkpoint
 

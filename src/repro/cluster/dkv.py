@@ -427,9 +427,8 @@ def timed_read_batch(
     return sim.now
 
 
-def dkv_bandwidth(value_bytes: int, n_requests: int = 256,
-                  params: NetworkParams | None = None) -> float:
+def dkv_bandwidth(value_bytes: int, n_requests: int = 256) -> float:
     """Payload bandwidth (bytes/s) of the simulated DKV read stream, at
-    :func:`timed_read_batch`'s default window depth."""
-    elapsed = timed_read_batch(n_requests, value_bytes, params=params)
+    :func:`timed_read_batch`'s default window depth and fabric."""
+    elapsed = timed_read_batch(n_requests, value_bytes)
     return n_requests * value_bytes / elapsed

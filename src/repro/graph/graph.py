@@ -25,10 +25,14 @@ each row. Which ``y_ab`` query costs what:
   scattered slice or a mapped CSR container) become one small sorted key
   array, searched once: O(log sum-of-degrees) per pair, cache-resident.
 
+E is kept once: ``edges`` is decoded from the keys on demand
+(``divmod(key, N)``), so a graph holds 24 bytes per edge — 8 of key, 16
+of CSR — and an edit rewrites two arrays, not three.
+
 Graphs are immutable; two structural edits derive a new graph from the
 sorted arrays of an old one without sorting them again — an O(E) copy plus
-an O(d log E) search for d changed edges, array-for-array what
-``Graph(n, edges)`` would build:
+a search of the d changed edges in the CSR rows they touch, array-for-array
+what ``Graph(n, edges)`` would build:
 
 - :meth:`Graph.with_edges` — merge new pairs (and vertices) in: a stream
   generation's compaction;
@@ -79,6 +83,12 @@ def rows_contain(
     return in_sorted(keys, offsets[:, None] + candidates)
 
 
+def _decode(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (m, 2) canonical pairs ``(lo, hi)`` of keys ``lo * n + hi``."""
+    lo, hi = np.divmod(keys, np.int64(n))
+    return np.column_stack([lo, hi])
+
+
 def _canonical_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validated ``(edges, keys)`` of an (m, 2) pair list: ``lo < hi``, key-sorted."""
     if n <= 0:
@@ -113,19 +123,18 @@ class Graph:
     Attributes:
         n_vertices: N.
         n_edges: number of undirected edges.
-        edges: (m, 2) canonicalized (``a < b``), sorted by key.
     """
 
     def __init__(self, n_vertices: int, edges: np.ndarray) -> None:
         self.n_vertices = int(n_vertices)
-        self.edges, self._keys = _canonical_edges(self.n_vertices, edges)
+        edges, self._keys = _canonical_edges(self.n_vertices, edges)
         self.n_edges = int(self._keys.size)
 
         # CSR over both directions. ``edges`` is sorted by (lo, hi), so with
         # the (hi -> lo) entries first one stable sort by source leaves each
         # row sorted: neighbors below v in lo order, then those above it.
-        src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        src = np.concatenate([edges[:, 1], edges[:, 0]])
+        dst = np.concatenate([edges[:, 0], edges[:, 1]])
         self._csr_indices = dst[np.argsort(src, kind="stable")]
         self._csr_indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=self.n_vertices), out=self._csr_indptr[1:])
@@ -134,7 +143,6 @@ class Graph:
     def from_csr(
         cls,
         n_vertices: int,
-        edges: np.ndarray,
         keys: np.ndarray,
         indptr: np.ndarray,
         indices: np.ndarray,
@@ -155,15 +163,13 @@ class Graph:
 
         Args:
             n_vertices: N.
-            edges: (m, 2) canonical edges (``lo < hi``), sorted by key.
-            keys: (m,) sorted canonical keys (``lo * N + hi``).
+            keys: (m,) sorted canonical keys (``lo * N + hi``, ``lo < hi``).
             indptr: (N+1,) CSR row pointers over both edge directions.
             indices: (2m,) CSR neighbor ids, sorted within each row.
             validate: run O(N + m) *non-allocating-heavy* invariants
                 (shape/monotonicity/range). Disable only for bytes you
                 have digest-verified.
         """
-        edges = np.asarray(edges)
         keys = np.asarray(keys)
         indptr = np.asarray(indptr)
         indices = np.asarray(indices)
@@ -171,11 +177,9 @@ class Graph:
             n = int(n_vertices)
             if n <= 0:
                 raise ValueError("graph needs at least one vertex")
-            if edges.ndim != 2 or edges.shape[1] != 2:
-                raise ValueError(f"edges must be (m, 2), got {edges.shape}")
-            m = edges.shape[0]
-            if keys.shape != (m,):
-                raise ValueError(f"keys must be ({m},), got {keys.shape}")
+            if keys.ndim != 1:
+                raise ValueError(f"keys must be (m,), got {keys.shape}")
+            m = keys.shape[0]
             if indptr.shape != (n + 1,):
                 raise ValueError(f"indptr must be ({n + 1},), got {indptr.shape}")
             if indices.shape != (2 * m,):
@@ -186,12 +190,13 @@ class Graph:
                 raise ValueError("indptr must be non-decreasing")
             if keys.size and np.any(np.diff(keys) <= 0):
                 raise ValueError("keys must be strictly increasing (canonical, deduped)")
+            if keys.size and (int(keys[0]) < 1 or int(keys[-1]) >= n * n):
+                raise ValueError("edge key out of range")
             if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= n):
                 raise ValueError("CSR index out of range")
         g = cls.__new__(cls)
         g.n_vertices = int(n_vertices)
-        g.edges = edges
-        g.n_edges = int(edges.shape[0])
+        g.n_edges = int(keys.shape[0])
         g._keys = keys
         g._csr_indptr = indptr
         g._csr_indices = indices
@@ -298,20 +303,35 @@ class Graph:
         """Sorted canonical keys of all edges (read-only view)."""
         return self._keys
 
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) canonical edges (``a < b``) in key order, decoded from the
+        keys on each access (a fresh array: hold it, do not re-read it)."""
+        return _decode(self._keys, self.n_vertices)
+
     # -- structural edits ----------------------------------------------------
 
     def _directed(self, pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, neighbors, at)`` of the 2d directed entries of canonical
         ``pairs`` in CSR order; ``at`` is where each sits (or belongs) in
-        ``indices``, found against the row-offset keys ``row * n + neighbor``
-        (sorted as they stand, like :func:`rows_contain`'s)."""
+        ``indices``. Found from the touched rows alone, as
+        :func:`rows_contain` does: the rows' entries become the sorted keys
+        ``slot * n + neighbor``, searched once. A row past this graph's
+        vertices (a new vertex) is empty, so its entries go at the end."""
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         nbrs = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        keys = rows * np.int64(n) + nbrs
-        order = np.argsort(keys)
-        row_keys = np.repeat(np.arange(self.n_vertices, dtype=np.int64) * n, self.degrees)
-        row_keys += self._csr_indices  # 2E keys, dropped on return
-        return rows[order], nbrs[order], np.searchsorted(row_keys, keys[order])
+        order = np.argsort(rows * np.int64(n) + nbrs)
+        rows, nbrs = rows[order], nbrs[order]
+        at = np.full(rows.size, self._csr_indptr[-1], dtype=np.int64)
+        old = int(np.searchsorted(rows, self.n_vertices))  # rows are sorted
+        touched, slot = np.unique(rows[:old], return_inverse=True)
+        indptr, indices = self.adjacency_slice(touched)
+        offsets = np.arange(touched.size, dtype=np.int64) * n
+        found = np.searchsorted(
+            np.repeat(offsets, np.diff(indptr)) + indices, offsets[slot] + nbrs[:old]
+        )
+        at[:old] = self._csr_indptr[rows[:old]] + found - indptr[slot]
+        return rows, nbrs, at
 
     def with_edges(self, pairs: np.ndarray, n_vertices: Optional[int] = None) -> "Graph":
         """Graph with ``pairs`` (and vertices up to ``n_vertices``) added.
@@ -324,21 +344,24 @@ class Graph:
         if n < self.n_vertices:
             raise ValueError(f"cannot shrink {self.n_vertices} vertices to {n}")
         new_edges, new_keys = _canonical_edges(n, pairs)
-        # Re-keying under a larger N keeps the (lo, hi) order.
-        keys = self._keys if n == self.n_vertices else edge_keys(self.edges, n)
+        keys = self._keys
+        if n != self.n_vertices:  # re-keying under a larger N keeps the (lo, hi) order
+            lo = keys // self.n_vertices
+            lo *= n - self.n_vertices
+            lo += keys
+            keys = lo
         if in_sorted(keys, new_keys).any():
             raise ValueError("duplicate edges are not allowed")
-        at = np.searchsorted(keys, new_keys)
         rows, nbrs, csr_at = self._directed(new_edges, n)
         indptr = np.full(n + 1, self._csr_indptr[-1], dtype=np.int64)
         indptr[: self.n_vertices + 1] = self._csr_indptr
         indptr[1:] += np.cumsum(np.bincount(rows, minlength=n))
-        return Graph.from_csr(
+        return Graph.from_csr(  # canonical by construction: nothing to validate
             n,
-            np.insert(self.edges, at, new_edges, axis=0),
-            np.insert(keys, at, new_keys),
+            np.insert(keys, np.searchsorted(keys, new_keys), new_keys),
             indptr,
             np.insert(self._csr_indices, csr_at, nbrs),
+            validate=False,
         )
 
     def subgraph(self, remove_keys: np.ndarray) -> "Graph":
@@ -346,15 +369,15 @@ class Graph:
         (keys of no edge are ignored), deleted from the sorted arrays."""
         remove_keys = np.unique(np.asarray(remove_keys, dtype=np.int64))
         at = np.searchsorted(self._keys, remove_keys)[in_sorted(self._keys, remove_keys)]
-        rows, _, csr_at = self._directed(self.edges[at], self.n_vertices)
+        rows, _, csr_at = self._directed(_decode(self._keys[at], self.n_vertices), self.n_vertices)
         indptr = self._csr_indptr.copy()
         indptr[1:] -= np.cumsum(np.bincount(rows, minlength=self.n_vertices))
-        return Graph.from_csr(
+        return Graph.from_csr(  # canonical by construction: nothing to validate
             self.n_vertices,
-            np.delete(self.edges, at, axis=0),
             np.delete(self._keys, at),
             indptr,
             np.delete(self._csr_indices, csr_at),
+            validate=False,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

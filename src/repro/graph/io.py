@@ -8,7 +8,7 @@ generated datasets.
 
 For graphs that should not be re-parsed or re-sorted on every load,
 :func:`save_csr` / :func:`load_csr` persist the *already-canonical* CSR
-arrays (``edges``/``keys``/``indptr``/``indices``) in a
+arrays (``keys``/``indptr``/``indices``, 24 bytes per edge) in a
 :mod:`repro.store` container — one raw ``.npy`` per array plus a
 sha256-sealed manifest — so :func:`load_csr` can hand read-only memory
 maps straight to :meth:`repro.graph.graph.Graph.from_csr`: load time is
@@ -175,15 +175,14 @@ def load_npz(path: PathLike) -> Graph:
 def save_csr(graph: Graph, path: PathLike) -> Path:
     """Persist a graph's canonical CSR arrays as a store container.
 
-    The container holds ``edges`` (m, 2), ``keys`` (m,), ``indptr``
-    (N+1,), and ``indices`` (2m,) exactly as :class:`Graph` keeps them —
-    canonicalized, deduped, row-sorted — so :func:`load_csr` can adopt
-    the mapped bytes without any re-sorting.
+    The container holds ``keys`` (m,), ``indptr`` (N+1,) and ``indices``
+    (2m,) exactly as :class:`Graph` keeps them — canonicalized, deduped,
+    row-sorted — so :func:`load_csr` can adopt the mapped bytes without
+    any re-sorting.
     """
     return write_container(
         path,
         {
-            "edges": graph.edges,
             "keys": graph.keys,
             "indptr": graph._csr_indptr,
             "indices": graph._csr_indices,
@@ -205,19 +204,19 @@ def load_csr(
     headers, and samplers/serving pull pages in on demand (one physical
     copy shared across processes through the page cache).
 
-    ``Graph`` adopts all four arrays at construction, so any digest
+    ``Graph`` adopts all three arrays at construction, so any digest
     verification here would be eager by definition: the container opens
     with ``verify="none"``. The sealed manifest and per-array header
     checks still run (O(manifest)); content digests are left to
     :meth:`Container.verify_all`. ``validate=True`` additionally runs
-    :meth:`Graph.from_csr`'s structural invariants.
+    :meth:`Graph.from_csr`'s structural invariants. The ``edges`` member
+    that containers written before E was kept once also hold is ignored.
     """
     c = Container(path, provider=provider, verify="none")
     if c.kind != GRAPH_CSR_KIND:
         raise StoreError(path, f"not a graph CSR container (kind={c.kind!r})")
     return Graph.from_csr(
         n_vertices=int(c.meta["n_vertices"]),
-        edges=c.array("edges"),
         keys=c.array("keys"),
         indptr=c.array("indptr"),
         indices=c.array("indices"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.graph import Graph, edge_keys
+from repro.graph.graph import Graph
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ def split_heldout(
         raise ValueError("held-out set would consume the whole graph")
 
     link_idx = rng.choice(graph.n_edges, size=n_links, replace=False)
-    link_pairs = graph.edges[np.sort(link_idx)]
-    link_keys = edge_keys(link_pairs, graph.n_vertices)
+    link_keys = graph.keys[np.sort(link_idx)]
+    link_pairs = np.column_stack(np.divmod(link_keys, np.int64(graph.n_vertices)))
 
     nonlink_pairs = graph.sample_nonlink_pairs(n_links, rng)
 

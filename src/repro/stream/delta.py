@@ -22,10 +22,17 @@ buffer of *novel* canonical edges layered over the base:
   under ``strict=False``; out-of-order timestamps are counted per batch.
 - **compaction** — :meth:`DeltaOverlay.compact` merges the pending
   pairs into the base's sorted arrays (:meth:`Graph.with_edges`: an O(E)
-  copy and an O(p log E) search, no sort); given a path it round-trips
-  the merge through a :func:`repro.graph.io.save_csr` container so the
-  result is the provider-backed graph every later consumer memory-maps,
-  then resets the overlay onto the merged graph as the new base.
+  copy, and a search of the pairs in the CSR rows they touch, no sort)
+  and resets the overlay onto the merged graph, in memory, as the new
+  base.
+- **persistence follows the delta** — given a path, a compaction writes
+  what changed, not the graph: one sealed delta container of every pair
+  merged since the last full :func:`repro.graph.io.save_csr` snapshot.
+  A new snapshot replaces the delta only once the delta bytes written
+  since the last one would reach that snapshot's size (rent, then buy).
+  :meth:`DeltaOverlay.open` rebuilds the base from the two files as
+  ``load_csr(snapshot).with_edges(delta)``, array for array the graph
+  the compaction returned.
 """
 
 from __future__ import annotations
@@ -37,9 +44,12 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.io import load_csr, save_csr
+from repro.graph.io import GRAPH_CSR_KIND, load_csr, save_csr
+from repro.store import Container, StoreCorrupt, StoreError, read_manifest, write_container
 
 PathLike = Union[str, Path]
+
+GRAPH_DELTA_KIND = "repro-graph-delta/1"
 
 #: Fixed radix for pending-edge keys: independent of any graph's vertex
 #: count, so keys stay comparable as the id space grows. Ids must stay
@@ -112,6 +122,31 @@ class _PendingBuffer:
     )
 
 
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two disjoint key-sorted canonical pair arrays as one, key-sorted."""
+    pairs = np.concatenate([a, b])
+    return pairs[np.argsort(pairs[:, 0] * _KEY_RADIX + pairs[:, 1], kind="stable")]
+
+
+def _csr_bytes(graph: Graph) -> int:
+    """Payload bytes of ``graph``'s CSR container."""
+    return int(graph.keys.nbytes + graph._csr_indptr.nbytes + graph._csr_indices.nbytes)
+
+
+def _open_sealed(path: Path, kind: str) -> Container:
+    """The container of ``kind`` at ``path``, every digest verified."""
+    if path.is_file():
+        raise StoreError(
+            path,
+            "is a regular file, not a graph container; `repro convert-graph`"
+            " builds one from an edge list or .npz",
+        )
+    container = Container(path, provider="resident", verify="eager")
+    if container.kind != kind:
+        raise StoreError(path, f"not a {kind} container (kind={container.kind!r})")
+    return container
+
+
 class DeltaOverlay:
     """Bounded append-only edge delta over an immutable base graph.
 
@@ -126,6 +161,10 @@ class DeltaOverlay:
         quarantined: malformed records set aside by non-strict ingest,
             as ``(reason, record)`` tuples in arrival order.
         last_timestamp: newest finite timestamp ingested so far.
+        snapshot_path / delta_path: where the last persisting
+            :meth:`compact` left the base: a full CSR snapshot and the
+            delta container on top of it (``None`` when that compaction
+            wrote the snapshot, or before any persisted).
     """
 
     def __init__(
@@ -144,6 +183,55 @@ class DeltaOverlay:
         self.quarantined: list[tuple[str, tuple[int, int]]] = []
         self.last_timestamp = -np.inf
         self._pending = _PendingBuffer()
+        self.snapshot_path: Optional[Path] = None
+        self.delta_path: Optional[Path] = None
+        self._snapshot_version = ""
+        self._snapshot_bytes = 0
+        #: every pair merged since the snapshot, key-sorted, and the delta
+        #: bytes written since it
+        self._merged = np.zeros((0, 2), dtype=np.int64)
+        self._delta_bytes = 0
+
+    @classmethod
+    def open(
+        cls, snapshot: PathLike, delta: Optional[PathLike] = None, **bounds
+    ) -> "DeltaOverlay":
+        """The overlay a persisting :meth:`compact` left: its base is
+        ``load_csr(snapshot).with_edges(delta's pairs)``, every digest of
+        both containers verified, and its next compaction decides as the
+        one that wrote them would have. ``bounds`` are the constructor's
+        ``max_pending`` / ``max_new_nodes``.
+
+        Raises:
+            StoreError: a missing, damaged or foreign container (naming
+                it), a delta built on another snapshot, or pairs that do
+                not merge into the snapshot.
+        """
+        snapshot = Path(snapshot)
+        version = _open_sealed(snapshot, GRAPH_CSR_KIND).manifest["content_version"]
+        graph = load_csr(snapshot)
+        snapshot_bytes = _csr_bytes(graph)
+        merged, delta_bytes = np.zeros((0, 2), dtype=np.int64), 0
+        if delta is not None:
+            delta = Path(delta)
+            container = _open_sealed(delta, GRAPH_DELTA_KIND)
+            meta = container.meta
+            if meta.get("snapshot_version") != version:
+                raise StoreError(
+                    delta, f"built on another snapshot than {snapshot} ({version})"
+                )
+            merged = container.array("pairs")
+            try:
+                delta_bytes = int(meta["delta_bytes"])
+                graph = graph.with_edges(merged, int(meta["n_vertices"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StoreCorrupt(delta, f"does not merge into {snapshot} ({exc})") from exc
+        overlay = cls(graph, **bounds)
+        overlay.snapshot_path, overlay.delta_path = snapshot, delta
+        overlay._snapshot_version = version
+        overlay._snapshot_bytes = snapshot_bytes
+        overlay._merged, overlay._delta_bytes = merged, delta_bytes
+        return overlay
 
     # -- views ---------------------------------------------------------------
 
@@ -304,26 +392,51 @@ class DeltaOverlay:
 
         The cost follows the delta: the pending pairs are searched into
         the base's sorted arrays (:meth:`Graph.with_edges`), which are
-        copied once and never sorted again.
+        copied once and never sorted again. The merged graph, which
+        becomes the overlay's new base, lives in memory.
 
-        Without ``path`` the merged graph is built in memory. With
-        ``path`` the merge is persisted as a CSR container
-        (:func:`repro.graph.io.save_csr`) and reloaded through
-        :func:`repro.graph.io.load_csr`, so the returned graph — which
-        becomes the overlay's new base — is backed by read-only memory
-        maps exactly like any other compacted graph in the system.
-
-        A compaction with nothing pending still returns (and, with
-        ``path``, persists) the base graph, so callers can rely on the
-        container existing per generation.
+        ``path`` names the compaction's record on disk; its suffix is
+        replaced. The record is one sealed container: ``path.delta``,
+        every pair merged since the last snapshot (key-sorted, with the
+        graph's ``n_vertices`` and the snapshot's content version), or
+        — once the delta bytes written since that snapshot would reach
+        its size, or when there is none yet — ``path.csr``, a full
+        :func:`repro.graph.io.save_csr` snapshot. ``snapshot_path`` and
+        ``delta_path`` say which files now hold the base. A compaction
+        with nothing pending still writes its record, so callers can
+        rely on one per generation.
         """
-        if self._pending.pairs.size:
-            merged = self.base.with_edges(self._pending.pairs, self.n_vertices)
-        else:
-            merged = self.base
+        pending = self._pending.pairs
+        merged = self.base.with_edges(pending, self.n_vertices) if pending.size else self.base
         if path is not None:
-            save_csr(merged, path)
-            merged = load_csr(path)
+            self._persist(merged, _merge(self._merged, pending), Path(path))
+        elif pending.size:  # the files no longer hold the base: next, a snapshot
+            self.snapshot_path = self.delta_path = None
+            self._snapshot_bytes = 0
         self.base = merged
         self._pending = _PendingBuffer()
         return merged
+
+    def _persist(self, graph: Graph, since: np.ndarray, path: Path) -> None:
+        """Write ``graph`` at ``path`` as a delta of ``since`` (the pairs
+        merged since the snapshot) or, by the rent-or-buy rule, as a new
+        snapshot."""
+        written = self._delta_bytes + since.nbytes
+        if written < self._snapshot_bytes:
+            self.delta_path = write_container(
+                path.with_suffix(".delta"),
+                {"pairs": since},
+                kind=GRAPH_DELTA_KIND,
+                meta={
+                    "n_vertices": graph.n_vertices,
+                    "snapshot_version": self._snapshot_version,
+                    "delta_bytes": written,
+                },
+            )
+            self._merged, self._delta_bytes = since, written
+            return
+        self.snapshot_path = save_csr(graph, path.with_suffix(".csr"))
+        self._snapshot_version = read_manifest(self.snapshot_path)["content_version"]
+        self._snapshot_bytes = _csr_bytes(graph)
+        self.delta_path = None
+        self._merged, self._delta_bytes = since[:0], 0

@@ -6,9 +6,12 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
 1. **ingests** the generation's arrivals into the
    :class:`~repro.stream.delta.DeltaOverlay` (malformed records are
    quarantined, not fatal — the stream must survive dirty input);
-2. **compacts** overlay + base into a fresh CSR container under the
-   trainer's workdir, the graph this generation trains on and later
-   consumers memory-map;
+2. **compacts** overlay + base into the graph this generation trains
+   on, in memory, and persists what changed: one sealed delta container
+   of every pair merged since the last full CSR snapshot under the
+   workdir, or — once the delta bytes written since that snapshot would
+   reach its size — a new snapshot
+   (:meth:`~repro.stream.delta.DeltaOverlay.compact`);
 3. **warm-starts**: the previous generation's state is grown to the new
    vertex count by :func:`repro.core.init.extend_state_informed`
    (neighbor-averaged rows for new nodes), and the sampler's iteration
@@ -45,14 +48,15 @@ workdir *before* it touches the overlay, quarantined records are
 mirrored to a :class:`~repro.stream.journal.QuarantineLog` sidecar, and
 each generation ends by atomically rewriting ``manifest.json`` — the
 single durable record of (next generation, cumulative iteration clock,
-digested journal seqno, checkpoint/graph/artifact paths). Journal
-segments covered by the manifest are garbage-collected only *after* the
-manifest hits disk — and so are the graph and model containers of
-generations before the previous one, which the manifest no longer names
-(the workdir holds two of each, not one per generation ever run) — so
-:meth:`StreamTrainer.resume` can always rebuild
-the exact pre-crash overlay: load the manifest's model container
-(digests verified) and graph, then replay the journal suffix past the
+digested journal seqno, checkpoint/snapshot/delta/artifact paths).
+Journal segments covered by the manifest are garbage-collected only
+*after* the manifest hits disk — and so are the graph and model
+containers that neither it nor the manifest before it names (the
+workdir holds what two manifests name, not one container per generation
+ever run) — so :meth:`StreamTrainer.resume` can always rebuild
+the exact pre-crash overlay: load the manifest's model container and
+its graph as ``load_csr(snapshot).with_edges(delta)`` (every digest
+verified), then replay the journal suffix past the
 digested seqno. A kill at any
 point between ingest and manifest loses nothing and duplicates nothing
 (overlay dedup absorbs at-least-once replay) — pinned by the
@@ -83,7 +87,6 @@ from repro.core.sampler import AMMSBSampler
 from repro.core.state import ModelState, init_state
 from repro.faults import InjectedCrash, PublishFailure, TrainerCrash, armed
 from repro.graph.graph import Graph
-from repro.graph.io import load_csr, save_csr
 from repro.graph.split import HeldoutSplit, split_heldout
 from repro.serve.artifact import ArtifactError, export_artifact
 from repro.store import atomic_file, link_container, recover_container, recover_containers
@@ -101,10 +104,20 @@ from repro.stream.source import EdgeArrival, arrivals_to_arrays
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
-BASE_GRAPH_NAME = "base.csr"
-#: per-generation containers
-_GENERATION_FILE = re.compile(r"(?:graph|model)_g(\d+)\.(?:csr|store)")
+#: 2 names the graph as a snapshot (``graph_path``) and a ``delta_path``;
+#: a version-1 manifest, whose ``graph_path`` is the whole graph, resumes
+MANIFEST_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+#: the containers a generation writes, and generation -1's snapshot
+_GENERATION_FILE = re.compile(r"(?:graph|model)_g\d+\.(?:csr|delta|store)|base\.csr")
+
+
+def _resolve_in(workdir: Path, rec: Optional[str]) -> Optional[Path]:
+    """A manifest's path record: relative to the workdir unless absolute."""
+    if rec is None:
+        return None
+    p = Path(rec)
+    return p if p.is_absolute() else workdir / p
 
 
 class ResumeError(StreamError):
@@ -147,8 +160,9 @@ class StreamTrainer:
     Args:
         base_graph: generation 0's graph (before any arrivals).
         config: sampler configuration shared by every generation.
-        workdir: directory for per-generation CSR containers and
-            checkpoints (created if missing).
+        workdir: directory for the graph's snapshot and per-generation
+            delta containers and the model containers (created if
+            missing).
         iterations_per_generation: default training budget per generation.
         heldout_fraction: per-generation held-out split fraction (used
             when no explicit split is passed to ``run_generation``).
@@ -195,7 +209,7 @@ class StreamTrainer:
         fsync_batch: int = 1,
         journal_segment_bytes: int = 1 << 22,
         history_path: Optional[PathLike] = None,
-        _resuming: bool = False,
+        _overlay: Optional[DeltaOverlay] = None,
     ) -> None:
         if engine not in ("sequential", "mp"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -204,7 +218,8 @@ class StreamTrainer:
         self.config = config
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        if not _resuming and (self.workdir / MANIFEST_NAME).exists():
+        resuming = _overlay is not None
+        if not resuming and (self.workdir / MANIFEST_NAME).exists():
             raise ResumeError(
                 self.workdir,
                 "already holds a stream manifest; use StreamTrainer.resume()"
@@ -218,7 +233,7 @@ class StreamTrainer:
         self.engine = engine
         self.n_workers = int(n_workers)
         self.faults = armed(faults)
-        self.overlay = DeltaOverlay(
+        self.overlay = _overlay if resuming else DeltaOverlay(
             base_graph, max_pending=max_pending, max_new_nodes=max_new_nodes
         )
         self.state: Optional[ModelState] = None
@@ -235,15 +250,18 @@ class StreamTrainer:
         )
         self.quarantine_log = QuarantineLog(self.workdir / "quarantine.jsonl")
         #: journal seqno covered by the current base graph (manifest field).
-        self.digested_seqno = self.journal.last_seqno if _resuming else -1
+        self.digested_seqno = self.journal.last_seqno if resuming else -1
         self._checkpoint_path: Optional[Path] = None
-        self._graph_path: Optional[Path] = None
-        if not _resuming:
+        if not resuming:
             # Persist generation -1's ground truth so a crash before the
             # first generation completes is still resumable: the base
-            # graph as a CSR container, plus an initial manifest.
-            self._graph_path = self.workdir / BASE_GRAPH_NAME
-            save_csr(base_graph, self._graph_path)
+            # graph as the first snapshot, ``base.csr``, plus an initial
+            # manifest.
+            self.overlay.compact(self.workdir / "base")
+        #: the snapshot and delta the manifest names
+        self._graph_path = self.overlay.snapshot_path
+        self._delta_path = self.overlay.delta_path
+        if not resuming:
             self._write_manifest()
 
     @classmethod
@@ -296,7 +314,8 @@ class StreamTrainer:
         Written *last* in every generation (after the model container
         and the publish), and always *before* journal GC: the manifest's
         ``digested_seqno`` is the promise that every journal frame at or
-        below it is already inside ``graph_path``.
+        below it is already inside the graph ``graph_path`` (the snapshot)
+        and ``delta_path`` hold.
         """
         record = {
             "version": MANIFEST_VERSION,
@@ -304,6 +323,7 @@ class StreamTrainer:
             "iteration": self.iteration,
             "digested_seqno": self.digested_seqno,
             "graph_path": self._rel_or_abs(self._graph_path),
+            "delta_path": self._rel_or_abs(self._delta_path),
             "checkpoint_path": self._rel_or_abs(self._checkpoint_path),
             "artifact_path": self._rel_or_abs(self.last_published),
             "history_path": self._rel_or_abs(self.history_path),
@@ -325,7 +345,7 @@ class StreamTrainer:
             raise ResumeError(workdir, f"unreadable manifest ({exc})") from exc
         if not isinstance(manifest, dict):
             raise ResumeError(workdir, "manifest is not an object")
-        if manifest.get("version") != MANIFEST_VERSION:
+        if manifest.get("version") not in _READABLE_VERSIONS:
             raise ResumeError(
                 workdir,
                 f"unsupported manifest version {manifest.get('version')!r}",
@@ -336,6 +356,25 @@ class StreamTrainer:
         if manifest["graph_path"] is None:
             raise ResumeError(workdir, "manifest records no graph")
         return manifest
+
+    @staticmethod
+    def _open_graph(workdir: Path, manifest: dict, **bounds) -> DeltaOverlay:
+        """The overlay over the graph ``manifest`` names, or a
+        :class:`ResumeError` naming the file that will not load."""
+        snapshot = _resolve_in(workdir, manifest["graph_path"])
+        delta = _resolve_in(workdir, manifest.get("delta_path"))
+        try:
+            return DeltaOverlay.open(snapshot, delta, **bounds)
+        except (ValueError, OSError) as exc:  # StoreError is a ValueError
+            raise ResumeError(workdir, f"cannot load digested graph ({exc})") from exc
+
+    @classmethod
+    def digested_graph(cls, workdir: PathLike) -> Graph:
+        """The graph a stream workdir's manifest promises: its snapshot
+        with its delta merged in, array for array what the generation
+        trained on (every digest verified; typed errors)."""
+        workdir = Path(workdir)
+        return cls._open_graph(workdir, cls.read_manifest(workdir)).base
 
     @classmethod
     def resume(
@@ -350,8 +389,10 @@ class StreamTrainer:
         (:func:`repro.store.recover_container`: a publish path or
         generation container caught between the two renames of a
         rotation is put back, stale hidden temp directories are swept).
-        Then rebuilds exactly the durable frontier: the manifest's graph
-        becomes the overlay base, its model container (if any; every
+        Then rebuilds exactly the durable frontier: the manifest's
+        snapshot with its delta merged in becomes the overlay base
+        (:meth:`~repro.stream.delta.DeltaOverlay.open`, every digest
+        verified), its model container (if any; every
         array digest verified) restores the warm-start state and
         cumulative iteration clock — a container that will not load, or
         the ``checkpoint_gNNNN.npz`` *file* a workdir written before the
@@ -369,29 +410,18 @@ class StreamTrainer:
         workdir = Path(workdir)
         manifest = cls.read_manifest(workdir)
 
-        def _resolve(rec: Optional[str]) -> Optional[Path]:
-            if rec is None:
-                return None
-            p = Path(rec)
-            return p if p.is_absolute() else workdir / p
-
         if "publish_path" not in kwargs and manifest.get("publish_path"):
-            kwargs["publish_path"] = _resolve(manifest["publish_path"])
+            kwargs["publish_path"] = _resolve_in(workdir, manifest["publish_path"])
         recover_containers(workdir)
         if kwargs.get("publish_path"):
             recover_container(kwargs["publish_path"])
 
-        graph_path = _resolve(manifest["graph_path"])
-        try:
-            base_graph = load_csr(graph_path)
-        except Exception as exc:
-            raise ResumeError(
-                workdir, f"cannot load digested graph {graph_path} ({exc})"
-            ) from exc
+        bounds = {k: kwargs.pop(k) for k in ("max_pending", "max_new_nodes") if k in kwargs}
+        overlay = cls._open_graph(workdir, manifest, **bounds)
 
         state = None
         iteration = int(manifest["iteration"])
-        ckpt_path = _resolve(manifest.get("checkpoint_path"))
+        ckpt_path = _resolve_in(workdir, manifest.get("checkpoint_path"))
         ckpt_config = None
         if ckpt_path is not None:
             try:
@@ -408,16 +438,15 @@ class StreamTrainer:
                 "no checkpoint recorded yet — pass the run's config to resume()",
             )
         if "history_path" not in kwargs and manifest.get("history_path"):
-            kwargs["history_path"] = _resolve(manifest["history_path"])
+            kwargs["history_path"] = _resolve_in(workdir, manifest["history_path"])
 
-        trainer = cls(base_graph, config, workdir, _resuming=True, **kwargs)
+        trainer = cls(overlay.base, config, workdir, _overlay=overlay, **kwargs)
         trainer.state = state
         trainer.iteration = iteration
         trainer.generation = int(manifest["generation"])
         trainer.digested_seqno = int(manifest["digested_seqno"])
-        trainer._graph_path = graph_path
         trainer._checkpoint_path = ckpt_path
-        artifact = _resolve(manifest.get("artifact_path"))
+        artifact = _resolve_in(workdir, manifest.get("artifact_path"))
         trainer.last_published = artifact
 
         # Replay the un-digested journal suffix. Already-persisted
@@ -503,8 +532,7 @@ class StreamTrainer:
         # digested graph; the manifest will promise exactly that.
         digest_seqno = self.journal.last_seqno
         n_before = self.overlay.base.n_vertices
-        graph_path = self.workdir / f"graph_g{gen:04d}.csr"
-        graph = self.overlay.compact(graph_path)
+        graph = self.overlay.compact(self.workdir / f"graph_g{gen:04d}")
         n_new_nodes = graph.n_vertices - n_before
 
         if self.state is None:
@@ -586,37 +614,39 @@ class StreamTrainer:
         # Durable commit point: the manifest is the generation's single
         # atomic truth, and only after it lands may the journal GC frames
         # it now covers (GC first + crash would lose the suffix).
-        self._graph_path = graph_path
+        named_before = self._named()
+        self._graph_path = self.overlay.snapshot_path
+        self._delta_path = self.overlay.delta_path
         self._checkpoint_path = checkpoint_path
         self.digested_seqno = digest_seqno
         self._write_manifest()
-        self._remove_stale_generations(gen)
+        self._remove_stale_generations(named_before | self._named())
         self.journal.compact(
             digest_seqno,
             crash_hook=lambda: self._crash_if("mid-compaction", gen),
         )
         return report
 
-    def _remove_stale_generations(self, gen: int) -> None:
-        """Delete graph and model containers older than generation
-        ``gen - 1`` (``base.csr`` counts as generation -1). A published
-        artifact or a live server's memory map that shares a deleted
-        container's files keeps them readable (hard link / unlinked inode).
+    def _named(self) -> set[str]:
+        """Names of the workdir files the manifest names."""
+        paths = (self._graph_path, self._delta_path, self._checkpoint_path)
+        return {p.name for p in paths if p is not None and p.parent == self.workdir}
 
-        Called only once the manifest naming generation ``gen`` is durable:
-        a kill before that resumes from generation ``gen - 1``'s files,
-        which this keeps. A warm-start checkpoint handed to
-        :meth:`from_checkpoint` is the caller's file and never removed.
+    def _remove_stale_generations(self, keep: set[str]) -> None:
+        """Delete the graph and model containers (``base.csr`` included)
+        whose names are not in ``keep``: what the current manifest and the
+        one before it name. A published artifact or a live server's memory
+        map that shares a deleted container's files keeps them readable
+        (hard link / unlinked inode).
+
+        Called only once the current manifest is durable: a kill before
+        that resumes from the previous manifest's files, which this keeps;
+        a kill during it leaves files the next generation removes. A
+        warm-start checkpoint handed to :meth:`from_checkpoint` is the
+        caller's file and never removed.
         """
         for path in self.workdir.iterdir():
-            match = _GENERATION_FILE.fullmatch(path.name)
-            if match:
-                index = int(match[1])
-            elif path.name == BASE_GRAPH_NAME:
-                index = -1
-            else:
-                continue
-            if index < gen - 1:
+            if _GENERATION_FILE.fullmatch(path.name) and path.name not in keep:
                 shutil.rmtree(path, ignore_errors=True)
 
     def _train(self, heldout: HeldoutSplit, n_iter: int) -> ModelState:

@@ -188,6 +188,14 @@ class TestArgumentErrors:
           "--trigger-edges", "0"], "max_edges must be >= 1"),
         (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--follow",
           "--stall-deadline", "0"], "--stall-deadline"),
+        # checked before the table is computed or the model is loaded
+        (["benchmark", "-e", "table3", "--csv", "/no/such/dir/x.csv"], "--csv"),
+        (["auc", "--edges", "/no/such/g.txt", "--artifact", "/no/such/m",
+          "--heldout-fraction", "2"], "--heldout-fraction"),
+        (["auc", "--edges", "/no/such/g.txt", "--artifact", "/no/such/m",
+          "--seed", "-1"], "--seed"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2",
+          "--heldout-fraction", "0"], "--heldout-fraction"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2

@@ -172,6 +172,6 @@ class TestTimedPath:
             timed_read_batch(0, 100)
 
     def test_slow_fabric_slower(self):
-        fast = dkv_bandwidth(65536, n_requests=32)
-        slow = dkv_bandwidth(65536, n_requests=32, params=NetworkParams.ethernet_10g())
-        assert slow < fast / 3
+        fast = timed_read_batch(32, 65536)
+        slow = timed_read_batch(32, 65536, params=NetworkParams.ethernet_10g())
+        assert slow > 3 * fast

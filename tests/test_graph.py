@@ -157,7 +157,7 @@ def _base_and_delta(rng, n_base, grow, base_frac, new_frac):
 def _mapped(graph, path):
     save_csr(graph, path)
     mapped = load_csr(path)
-    assert not mapped.edges.flags.writeable
+    assert not mapped.keys.flags.writeable
     return mapped
 
 
@@ -269,7 +269,6 @@ class TestFromCsr:
     def _parts(self, g):
         return dict(
             n_vertices=g.n_vertices,
-            edges=g.edges,
             keys=g._keys,
             indptr=g._csr_indptr,
             indices=g._csr_indices,
@@ -280,8 +279,8 @@ class TestFromCsr:
         g2 = Graph.from_csr(**parts)
         assert g2._csr_indptr is parts["indptr"]
         assert g2._csr_indices is parts["indices"]
-        assert g2.edges is parts["edges"]
         assert g2._keys is parts["keys"]
+        np.testing.assert_array_equal(g2.edges, tiny_graph.edges)
 
     def test_queries_match_canonical_construction(self, tiny_graph):
         g2 = Graph.from_csr(**self._parts(tiny_graph))
@@ -305,6 +304,14 @@ class TestFromCsr:
         bad[-1] += 1
         parts["indptr"] = bad
         with pytest.raises(ValueError, match="indptr"):
+            Graph.from_csr(**parts)
+
+    def test_validate_rejects_out_of_range_keys(self, tiny_graph):
+        parts = self._parts(tiny_graph)
+        bad = parts["keys"].copy()
+        bad[-1] = tiny_graph.n_vertices**2
+        parts["keys"] = bad
+        with pytest.raises(ValueError, match="key out of range"):
             Graph.from_csr(**parts)
 
     def test_validate_rejects_out_of_range_indices(self, tiny_graph):

@@ -173,6 +173,36 @@ class TestCsrContainer:
         base = indptr if isinstance(indptr, np.memmap) else indptr.base
         assert isinstance(base, np.memmap)
 
+    def test_three_members_24_bytes_per_edge(self, tiny_graph, tmp_path):
+        from repro.store import Container
+
+        c = Container(save_csr(tiny_graph, tmp_path / "g.csr"))
+        assert c.names() == ["indices", "indptr", "keys"]
+        assert c.nbytes() == 24 * tiny_graph.n_edges + 8 * (tiny_graph.n_vertices + 1)
+
+    def test_an_older_container_with_edges_loads_array_for_array(self, tiny_graph, tmp_path):
+        from repro.graph.io import GRAPH_CSR_KIND
+        from repro.store import write_container
+
+        write_container(
+            tmp_path / "old.csr",
+            {
+                "edges": tiny_graph.edges,
+                "keys": tiny_graph.keys,
+                "indptr": tiny_graph._csr_indptr,
+                "indices": tiny_graph._csr_indices,
+            },
+            kind=GRAPH_CSR_KIND,
+            meta={"n_vertices": tiny_graph.n_vertices, "n_edges": tiny_graph.n_edges},
+        )
+        for validate in (False, True):
+            g2 = load_csr(tmp_path / "old.csr", validate=validate)
+            assert (g2.n_vertices, g2.n_edges) == (tiny_graph.n_vertices, tiny_graph.n_edges)
+            for name in ("edges", "keys", "_csr_indptr", "_csr_indices"):
+                a, b = getattr(g2, name), getattr(tiny_graph, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
     def test_wrong_kind_rejected(self, tmp_path):
         from repro.store import StoreError, write_container
 

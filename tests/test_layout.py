@@ -428,12 +428,13 @@ DELETED_OPTIONS = (
     ("repro.core.init.extend_state_informed", ("phi_mass",)),
     ("repro.faults.chaos_plan", ("stall_server", "stall_start", "stall_duration")),
     ("repro.faults.chaos_serve_plan", ("crash_batch", "spike_rate", "spike_seconds")),
+    ("repro.graph.graph.Graph.from_csr", ("edges",)),
     ("repro.graph.io.save_csr", ("overwrite",)),
     ("repro.graph.io.load_csr", ("verify",)),
     ("repro.serve.artifact.export_artifact", ("node_ids",)),
     ("repro.core.mcmc_batch.BatchLangevinAMMSB.step", ("mh_sigma",)),
     ("repro.core.diagnostics.geweke_z", ("first", "last")),
-    ("repro.cluster.dkv.dkv_bandwidth", ("depth",)),
+    ("repro.cluster.dkv.dkv_bandwidth", ("depth", "params")),
     ("repro.stream.tracking.MembershipHistory.community_drift", ("generation",)),
     ("repro.stream.trainer.StreamTrainer.from_checkpoint", ("config",)),
     ("repro.stream.trainer.StreamTrainer.run", ("n_iterations",)),

@@ -48,8 +48,9 @@ def _history(config, n_generations=3):
 
 @pytest.fixture(scope="module")
 def stream_workdir(planted, tmp_path_factory):
-    """A stream workdir after one generation: ``model_g0000.store`` is the
-    container its manifest names."""
+    """A stream workdir after one generation: its manifest names the model
+    container ``model_g0000.store`` and the graph as the snapshot
+    ``base.csr`` plus the delta ``graph_g0000.delta``."""
     graph, _ = planted
     config = AMMSBConfig(
         n_communities=4, mini_batch_vertices=32, neighbor_sample_size=16, seed=11,
@@ -85,10 +86,13 @@ def _state_checkpoint(tmp_path, _planted, config, _workdir):
     return path, lambda: load_state_checkpoint(path)
 
 
-def _generation(tmp_path, _planted, _config, workdir):
-    work = tmp_path / "work"
-    shutil.copytree(workdir, work)
-    return work / "model_g0000.store", lambda: StreamTrainer.resume(work)
+def _stream_file(name):
+    def make(tmp_path, _planted, _config, workdir):
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        return work / name, lambda: StreamTrainer.resume(work)
+
+    return make
 
 
 def _artifact(tmp_path, _planted, config, _workdir):
@@ -105,7 +109,13 @@ def _history_container(tmp_path, _planted, config, _workdir):
 KINDS = {
     "sampler-checkpoint": (_sampler_checkpoint, CheckpointError, "pi.npy", "iteration"),
     "state-checkpoint": (_state_checkpoint, CheckpointError, "phi_sum.npy", "iteration"),
-    "stream-generation": (_generation, ResumeError, "pi.npy", "artifact_version"),
+    "stream-generation": (
+        _stream_file("model_g0000.store"), ResumeError, "pi.npy", "artifact_version"
+    ),
+    "stream-graph-snapshot": (_stream_file("base.csr"), ResumeError, "indices.npy", "n_vertices"),
+    "stream-graph-delta": (
+        _stream_file("graph_g0000.delta"), ResumeError, "pairs.npy", "snapshot_version"
+    ),
     "artifact": (_artifact, ArtifactError, "pi.npy", "iteration"),
     "history": (_history_container, StreamError, "ref_pi.npy", "window"),
 }
@@ -138,8 +148,9 @@ def _regular_file(path, _member, _field):
     path.write_bytes(b"PK\x03\x04 what a writer older than the container left")
 
 
+#: reasons a kind's typed error must match; ``{member}`` is the damaged one
 DAMAGE = {
-    "truncated-member": (_truncate, "pi|phi_sum|ref_pi"),
+    "truncated-member": (_truncate, "{member}"),
     "flipped-member-byte": (_flip, "sha256 mismatch"),
     "edited-manifest-field": (_edit_manifest, "content_version mismatch"),
     "missing-member": (_remove_member, "is missing"),
@@ -154,12 +165,57 @@ def test_damage_is_the_kinds_typed_error(kind, damage, tmp_path, planted, config
     hurt, reason = DAMAGE[damage]
     path, load = make(tmp_path, planted, config, stream_workdir)
     loaded = load()  # intact: loads
-    if kind == "stream-generation":
+    if kind.startswith("stream-"):
         loaded.journal.close()
     hurt(path, member, field)
-    with pytest.raises(error, match=reason) as caught:  # and never another exception
-        load()
+    with pytest.raises(error, match=reason.format(member=member.removesuffix(".npy"))) as caught:
+        load()  # and never another exception
     assert path.name in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "pairs, n_vertices",
+    [
+        ("duplicate", None),  # a pair the snapshot already holds
+        ([[0, 0]], None),  # a self-loop
+        ([[0, 10_000]], None),  # an endpoint past the delta's vertex count
+        ([[0, 1, 2]], None),  # not (m, 2)
+        ([[0, 1]], 1),  # fewer vertices than the snapshot
+    ],
+    ids=["duplicate", "self-loop", "out-of-range", "bad-shape", "shrinks"],
+)
+def test_a_sealed_delta_that_does_not_merge_is_a_resume_error(
+    pairs, n_vertices, tmp_path, stream_workdir
+):
+    """Sealed bytes a writer of this package never leaves: still a
+    :class:`ResumeError` naming the delta, not a raw ``ValueError``."""
+    from repro.graph.io import load_csr
+    from repro.store import write_container
+    from repro.stream.delta import GRAPH_DELTA_KIND
+
+    work = tmp_path / "work"
+    shutil.copytree(stream_workdir, work)
+    delta = work / "graph_g0000.delta"
+    meta = read_manifest(delta)["meta"]
+    if isinstance(pairs, str):
+        pairs = load_csr(work / "base.csr").edges[:1]
+    if n_vertices is not None:
+        meta["n_vertices"] = n_vertices
+    write_container(delta, {"pairs": np.asarray(pairs, dtype=np.int64)},
+                    kind=GRAPH_DELTA_KIND, meta=meta)
+    with pytest.raises(ResumeError, match="graph_g0000.delta.*does not merge") as caught:
+        StreamTrainer.resume(work)
+    assert "cannot load digested graph" in str(caught.value)
+
+
+def test_a_delta_on_another_snapshot_is_a_resume_error(tmp_path, stream_workdir):
+    from repro.graph.io import save_csr
+
+    work = tmp_path / "work"
+    shutil.copytree(stream_workdir, work)
+    save_csr(StreamTrainer.digested_graph(work), work / "base.csr")  # another graph
+    with pytest.raises(ResumeError, match="graph_g0000.delta.*another snapshot"):
+        StreamTrainer.resume(work)
 
 
 # -- ``repro convert``: the four legacy kinds, built by hand in the v1 layout --

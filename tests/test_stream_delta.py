@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph.graph import Graph
 from repro.graph.io import load_csr
+from repro.store import Container
 from repro.stream import DeltaOverflow, DeltaOverlay, MalformedArrival
 
 
@@ -206,3 +207,70 @@ class TestCompaction:
             np.testing.assert_array_equal(
                 getattr(one, name), getattr(graph, name), err_msg=name
             )
+
+
+def _same_arrays(got, want):
+    assert got.n_vertices == want.n_vertices
+    for name in ("keys", "_csr_indptr", "_csr_indices"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+class TestPersistedDelta:
+    """A persisting compaction writes what changed: a delta of the pairs
+    merged since the last snapshot, or — once the delta bytes written since
+    it would reach its size — a new snapshot."""
+
+    def test_first_record_is_a_snapshot_then_deltas(self, tiny_graph, tmp_path):
+        ov = _overlay(tiny_graph)
+        ov.compact(tmp_path / "base")
+        assert (ov.snapshot_path, ov.delta_path) == (tmp_path / "base.csr", None)
+        ov.ingest_pairs(np.array([[5, 0], [2, 6]]))
+        merged = ov.compact(tmp_path / "g0")
+        assert (ov.snapshot_path, ov.delta_path) == (tmp_path / "base.csr", tmp_path / "g0.delta")
+        c = Container(ov.delta_path)
+        np.testing.assert_array_equal(c.array("pairs"), [[0, 5], [2, 6]])  # canonical, key order
+        assert c.meta["n_vertices"] == 7
+        assert c.meta["snapshot_version"] == Container(ov.snapshot_path).manifest["content_version"]
+        _same_arrays(DeltaOverlay.open(ov.snapshot_path, ov.delta_path).base, merged)
+        _same_arrays(merged, Graph(7, np.concatenate([tiny_graph.edges, [[0, 5], [2, 6]]])))
+
+    def test_an_unpersisted_merge_makes_the_next_record_a_snapshot(self, tiny_graph, tmp_path):
+        ov = _overlay(tiny_graph)
+        ov.compact(tmp_path / "base")
+        ov.ingest_pairs(np.array([[0, 5]]))
+        ov.compact()
+        assert (ov.snapshot_path, ov.delta_path) == (None, None)
+        ov.ingest_pairs(np.array([[2, 6]]))
+        merged = ov.compact(tmp_path / "g1")
+        assert (ov.snapshot_path, ov.delta_path) == (tmp_path / "g1.csr", None)
+        _same_arrays(DeltaOverlay.open(ov.snapshot_path).base, merged)
+
+    def test_rent_then_buy(self, planted, tmp_path):
+        """Every record follows the rule, counted in the bytes on disk, and
+        an overlay reopened from the files before each compaction writes
+        the same kind of record and the same graph."""
+        graph, _ = planted
+        order = np.random.default_rng(5).permutation(graph.n_edges)
+        ov = _overlay(Graph(graph.n_vertices, graph.edges[order[: graph.n_edges // 2]]))
+        ov.compact(tmp_path / "a" / "base")
+        snapshot_bytes, rent, since = Container(ov.snapshot_path).nbytes(), 0, 0
+        kinds = []
+        for i, chunk in enumerate(np.array_split(graph.edges[order[graph.n_edges // 2 :]], 12)):
+            twin = DeltaOverlay.open(ov.snapshot_path, ov.delta_path)  # a resume
+            for o, side in ((ov, "a"), (twin, "b")):
+                o.ingest_pairs(chunk)
+                o.compact(tmp_path / side / f"g{i}")
+            since += len(chunk)
+            if ov.delta_path is None:
+                assert rent + 16 * since >= snapshot_bytes
+                snapshot_bytes, rent, since = Container(ov.snapshot_path).nbytes(), 0, 0
+                kinds.append("snapshot")
+            else:
+                rent += Container(ov.delta_path).nbytes()
+                assert rent < snapshot_bytes and Container(ov.delta_path).nbytes() == 16 * since
+                kinds.append("delta")
+            assert (twin.delta_path is None) == (ov.delta_path is None)
+            _same_arrays(twin.base, ov.base)
+            _same_arrays(DeltaOverlay.open(ov.snapshot_path, ov.delta_path).base, ov.base)
+        _same_arrays(ov.base, graph)
+        assert "snapshot" in kinds and kinds.count("delta") > kinds.count("snapshot")

@@ -17,7 +17,6 @@ from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.checkpoint import CheckpointError, load_state_checkpoint, save_state_checkpoint
 from repro.core.state import init_state
 from repro.faults import CRASH_PHASES, InjectedCrash, StreamFaultPlan, TrainerCrash
-from repro.graph.io import load_csr
 from repro.serve.artifact import ArtifactCorrupt, build_artifact, load_artifact, save_artifact
 from repro.serve.server import ModelServer
 from repro.store.container import Container, read_manifest
@@ -52,15 +51,30 @@ def _trainer(base, tmp_path, **kwargs):
     return StreamTrainer(base, _config(), tmp_path / "work", **kwargs)
 
 
-def _final_state(workdir: Path):
-    """(content_version, edge keys, n_vertices) of the digested CSR."""
-    manifest = StreamTrainer.read_manifest(workdir)
-    graph_path = Path(manifest["graph_path"])
-    if not graph_path.is_absolute():
-        graph_path = workdir / graph_path
-    graph = load_csr(graph_path, provider="resident")
-    version = read_manifest(graph_path)["content_version"]
-    return version, frozenset(int(k) for k in graph.keys), graph.n_vertices
+@pytest.fixture()
+def snapshot_stream(planted):
+    """Half the edges arrive, in four batches: by the rent-or-buy rule
+    generation 1 writes a full snapshot and generation 2 a delta on it."""
+    graph, _ = planted
+    source = SyntheticArrivalSource(graph, base_fraction=0.5, seed=3)
+    return source.base_graph(), list(source.batches(4))
+
+
+def _assert_same_graph(workdir: Path, want):
+    """The graph ``workdir``'s manifest names (snapshot + delta) equals
+    ``want`` array for array: N, keys, indptr, indices."""
+    got = StreamTrainer.digested_graph(workdir)
+    assert got.n_vertices == want.n_vertices
+    for name in ("keys", "_csr_indptr", "_csr_indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def _named(manifest: dict) -> set[str]:
+    """Workdir file names a stream manifest names."""
+    keys = ("graph_path", "delta_path", "checkpoint_path")
+    return {Path(manifest[k]).name for k in keys if manifest.get(k)}
 
 
 class TestManifest:
@@ -90,21 +104,25 @@ class TestManifest:
 
 
 class TestCrashResume:
+    @pytest.mark.parametrize("record", ["delta", "snapshot"])
     @pytest.mark.parametrize("phase", CRASH_PHASES)
     def test_kill_then_resume_matches_uninterrupted(
-        self, stream, tmp_path, phase
+        self, snapshot_stream, tmp_path, phase, record
     ):
-        base, batches = stream
+        base, batches = snapshot_stream
+        crash_at = {"snapshot": 1, "delta": 2}[record]
 
         # Uninterrupted reference.
         ref = _trainer(base, tmp_path / "ref")
+        digests, snapshots = [], []
         for batch in batches:
             ref.run_generation(batch)
-        ref_version, ref_keys, ref_n = _final_state(tmp_path / "ref" / "work")
+            digests.append(_digest(ref.state))
+            snapshots.append(ref.overlay.delta_path is None)
         ref.journal.close()
+        assert snapshots[crash_at] == (record == "snapshot")
 
-        # Killed at `phase` during generation 2, then resumed.
-        crash_at = 2
+        # Killed at `phase` during generation `crash_at`, then resumed.
         faults = StreamFaultPlan(
             seed=0, trainer_crashes=(TrainerCrash(phase=phase, generation=crash_at),)
         )
@@ -114,19 +132,25 @@ class TestCrashResume:
                 trainer.run_generation(batch)
         trainer.journal.close()  # the dead process's handle
 
+        work = tmp_path / "kill" / "work"
         resumed = StreamTrainer.resume(
-            (tmp_path / "kill") / "work",
-            iterations_per_generation=N_ITER,
-            heldout_fraction=0.05,
+            work, iterations_per_generation=N_ITER, heldout_fraction=0.05
         )
+        # the manifest commits before the journal GC: only a kill there lands
+        # after the generation
+        post = phase == "mid-compaction"
+        assert _digest(resumed.state) == digests[crash_at - (not post)]
+        assert resumed.generation == crash_at + post
         # At-least-once delivery: the crashed batch is re-fed; the journal
         # and overlay must fold it back to exactly-once state.
         for batch in batches[crash_at:]:
+            previous = StreamTrainer.read_manifest(work)
             resumed.run_generation(batch)
-        version, keys, n = _final_state((tmp_path / "kill") / "work")
-        assert keys == ref_keys
-        assert n == ref_n
-        assert version == ref_version
+        _assert_same_graph(work, ref.overlay.base)
+        # the workdir holds what the last two manifests name, nothing more
+        assert set(_generation_files(work)) == _named(previous) | _named(
+            StreamTrainer.read_manifest(work)
+        )
         resumed.journal.close()
 
     def test_resume_restores_clock_and_schedule(self, stream, tmp_path):
@@ -224,7 +248,7 @@ class TestCrashResume:
         before = len(list(journal_dir.glob("seg-*.wal")))
         resumed.run_generation(batches[2])
         assert len(list(journal_dir.glob("seg-*.wal"))) <= before
-        version, keys, _ = _final_state(tmp_path / "work")
+        StreamTrainer.digested_graph(tmp_path / "work")
         assert resumed.journal.compactions >= 1
         resumed.journal.close()
 
@@ -238,25 +262,26 @@ def _generation_files(workdir: Path) -> list[str]:
 
 
 class TestWorkdirStaysBounded:
-    """Generation files older than the previous generation are removed once
-    the manifest no longer names them (the workdir used to grow forever)."""
+    """Graph and model containers neither the manifest nor the one before
+    it names are removed once it is durable (the workdir used to grow
+    forever)."""
 
-    def test_two_graphs_and_two_checkpoints_after_five_generations(
+    def test_two_deltas_and_two_checkpoints_after_five_generations(
         self, stream, tmp_path
     ):
         base, batches = stream
         work = tmp_path / "work"
         trainer = _trainer(base, tmp_path)
         trainer.run_generation()
-        # generation 0's predecessor is the base graph
+        # the base graph is the snapshot every delta so far is built on
         assert _generation_files(work) == [
-            "base.csr", "graph_g0000.csr", "model_g0000.store",
+            "base.csr", "graph_g0000.delta", "model_g0000.store",
         ]
         for batch in batches:
             trainer.run_generation(batch)
         assert trainer.generation == 5
         assert _generation_files(work) == [
-            "graph_g0003.csr", "graph_g0004.csr",
+            "base.csr", "graph_g0003.delta", "graph_g0004.delta",
             "model_g0003.store", "model_g0004.store",
         ]
         assert [r.checkpoint_path.exists() for r in trainer.reports] == [
@@ -287,7 +312,8 @@ class TestWorkdirStaysBounded:
         # Generation 3 wrote its files but never committed: the manifest
         # names generation 2's, and nothing has removed them.
         manifest = StreamTrainer.read_manifest(work)
-        assert manifest["graph_path"] == "graph_g0002.csr"
+        assert manifest["graph_path"] == "base.csr"
+        assert manifest["delta_path"] == "graph_g0002.delta"
         assert manifest["checkpoint_path"] == "model_g0002.store"
         resumed = StreamTrainer.resume(
             work, iterations_per_generation=N_ITER, heldout_fraction=0.05
@@ -296,9 +322,63 @@ class TestWorkdirStaysBounded:
         for batch in batches[2:]:
             resumed.run_generation(batch)
         assert _generation_files(work) == [
-            "graph_g0003.csr", "graph_g0004.csr",
+            "base.csr", "graph_g0003.delta", "graph_g0004.delta",
             "model_g0003.store", "model_g0004.store",
         ]
+        resumed.journal.close()
+
+    def test_a_snapshot_retires_the_one_before_it(self, snapshot_stream, tmp_path):
+        base, batches = snapshot_stream
+        work = tmp_path / "work"
+        trainer = _trainer(base, tmp_path)
+        trainer.run_generation(batches[0])
+        trainer.run_generation(batches[1])  # the rent reached the snapshot's size
+        manifest = StreamTrainer.read_manifest(work)
+        assert (manifest["graph_path"], manifest["delta_path"]) == ("graph_g0001.csr", None)
+        # the manifest before it still names the old snapshot and its delta
+        assert _generation_files(work) == [
+            "base.csr", "graph_g0000.delta", "graph_g0001.csr",
+            "model_g0000.store", "model_g0001.store",
+        ]
+        trainer.run_generation(batches[2])
+        assert _generation_files(work) == [
+            "graph_g0001.csr", "graph_g0002.delta",
+            "model_g0001.store", "model_g0002.store",
+        ]
+        _assert_same_graph(work, trainer.overlay.base)
+        trainer.journal.close()
+
+    def test_a_manifest_written_before_deltas_still_resumes(self, stream, tmp_path):
+        """Version 1 named the whole graph, ``graph_path`` alone, in a
+        container that also held an ``edges`` member."""
+        from repro.graph.io import GRAPH_CSR_KIND
+        from repro.store import write_container
+
+        base, batches = stream
+        work = tmp_path / "work"
+        trainer = _trainer(base, tmp_path)
+        trainer.run_generation(batches[0])
+        trainer.journal.close()
+        graph = trainer.overlay.base
+        write_container(
+            work / "graph_g0000.csr",
+            {"edges": graph.edges, "keys": graph.keys, "indptr": graph._csr_indptr,
+             "indices": graph._csr_indices},
+            kind=GRAPH_CSR_KIND,
+            meta={"n_vertices": graph.n_vertices, "n_edges": graph.n_edges},
+        )
+        manifest = StreamTrainer.read_manifest(work)
+        manifest.update(version=1, graph_path="graph_g0000.csr")
+        del manifest["delta_path"]
+        (work / "manifest.json").write_text(json.dumps(manifest))
+
+        resumed = StreamTrainer.resume(
+            work, iterations_per_generation=N_ITER, heldout_fraction=0.05
+        )
+        _assert_same_graph(work, graph)
+        assert _digest(resumed.state) == _digest(trainer.state)
+        resumed.run_generation(batches[1])
+        assert StreamTrainer.read_manifest(work)["version"] == 2
         resumed.journal.close()
 
     def test_warm_start_checkpoint_is_the_callers_file(self, stream, tmp_path):
@@ -349,7 +429,7 @@ def test_pre_container_workdir_is_refused_naming_the_file_and_the_command(stream
     kind, warm = convert(legacy, tmp_path / "warm")
     assert kind == "state checkpoint"
     seeded = StreamTrainer.from_checkpoint(
-        warm, load_csr(work / "graph_g0000.csr"), tmp_path / "work2",
+        warm, StreamTrainer.digested_graph(work), tmp_path / "work2",
         iterations_per_generation=N_ITER, heldout_fraction=0.05,
     )
     np.testing.assert_array_equal(seeded.state.pi, trainer.state.pi)
@@ -371,6 +451,15 @@ def _kill_sealing_the_model_container(patch, tmp_path):
         patch, "replace",
         lambda src, dst: Path(dst).name == "manifest.json"
         and Path(dst).parent.name.startswith(".model_g0002.store.tmp-"),
+    )
+
+
+def _kill_sealing_the_graph_delta(patch, tmp_path):
+    # the pairs are written and fsynced; the delta's manifest is not in yet
+    kill_in_os(
+        patch, "replace",
+        lambda src, dst: Path(dst).name == "manifest.json"
+        and Path(dst).parent.name.startswith(".graph_g0002.delta.tmp-"),
     )
 
 
@@ -422,6 +511,7 @@ class TestOneWritePerGeneration:
     @pytest.mark.parametrize(
         "kill, lands",
         [
+            (_kill_sealing_the_graph_delta, "pre"),
             (_kill_sealing_the_model_container, "pre"),
             ("post-checkpoint-pre-publish", "pre"),  # sealed, not yet linked
             (_kill_linking_the_third_file, "pre"),

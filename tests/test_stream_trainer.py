@@ -362,3 +362,41 @@ def test_the_names_the_benchmark_tracer_rebinds_exist():
     # the one write of a generation goes through the traced name
     source = inspect.getsource(trainer_module.StreamTrainer.run_generation)
     assert source.count("export_artifact(") == 1 and "save_state_checkpoint" not in source
+
+
+def test_the_other_names_the_benchmark_tracer_rebinds_exist():
+    """``_install`` also wraps these, by ``getattr`` on their owners."""
+    import repro.stream.delta as delta_module
+    from repro.stream.delta import DeltaOverlay
+    from repro.stream.journal import IngestJournal
+
+    for owner, names in (
+        (DeltaOverlay, ("compact", "ingest_pairs")),
+        (IngestJournal, ("append_edges", "compact")),
+        (ModelServer, ("publish_path",)),
+    ):
+        for name in names:
+            assert callable(getattr(owner, name)), f"{owner.__name__}.{name}"
+    # it sizes ``args[1]`` of ``save_csr``: the path
+    assert list(inspect.signature(delta_module.save_csr).parameters)[:2] == ["graph", "path"]
+
+
+def test_a_snapshot_is_written_through_the_traced_name(tiny_graph, tmp_path, monkeypatch):
+    """The rebound ``repro.stream.delta.save_csr`` sees each snapshot as
+    ``(graph, path)``, and a delta compaction does not call it."""
+    import repro.stream.delta as delta_module
+    from repro.stream.delta import DeltaOverlay
+
+    calls = []
+    real = delta_module.save_csr
+    monkeypatch.setattr(
+        delta_module, "save_csr", lambda *args: calls.append(args) or real(*args)
+    )
+    overlay = DeltaOverlay(tiny_graph)
+    overlay.compact(tmp_path / "base")
+    overlay.ingest_pairs(np.array([[0, 5]]))
+    overlay.compact(tmp_path / "g0")
+    assert [(g.n_edges, path) for g, path in calls] == [
+        (tiny_graph.n_edges, tmp_path / "base.csr")
+    ]
+    assert overlay.delta_path == tmp_path / "g0.delta"
