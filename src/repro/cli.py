@@ -218,6 +218,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             print(f"unknown dataset {args.dataset!r}; known: {sorted(DATASETS)}",
                   file=sys.stderr)
             return 2
+        _require(args.scale > 0, f"--scale must be > 0, got {args.scale:g}")
         graph, truth, spec = load_dataset(args.dataset, scale=args.scale)
         header = (f"{spec.name} synthetic stand-in, scale={args.scale}, "
                   f"K={truth.n_communities}")

@@ -31,6 +31,14 @@ class StepSizeConfig:
     b: float = 1024.0
     c: float = 0.55
 
+    def __post_init__(self) -> None:
+        # a <= 0 walks the Langevin update backwards or stalls it (NaN
+        # posterior thousands of iterations later); b <= 0 breaks the decay
+        if not self.a > 0:
+            raise ValueError(f"step size a must be > 0, got {self.a}")
+        if not self.b > 0:
+            raise ValueError(f"step size b must be > 0, got {self.b}")
+
     def at(self, t: int) -> float:
         """Step size at iteration ``t`` (0-based)."""
         if t < 0:

@@ -36,7 +36,9 @@ in every kind and is carried over verbatim. The arrays keep their names;
 only the metadata moves, into the container manifest's sealed ``meta``.
 A sampler checkpoint's ``rng_state`` and ``noise_rng_state`` are
 dropped: every random number is keyed by iteration since, so a state and
-its iteration resume a run.
+its iteration resume a run. So are a serving artifact's top-K table
+(``top_communities``, ``top_weights``) and ``artifact_version``: an
+artifact answers memberships from ``pi``, and its version is the seal.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class _Kind(NamedTuple):
     carried: tuple[str, ...]  # ``_meta`` keys copied into the sealed meta
     added: dict  # meta the container kind wants and v1 did not record
     reopen: Callable[[Path], object]  # the kind's ordinary loader
+    dropped: tuple[str, ...] = ()  # v1 arrays the container kind derives
 
 
 _KINDS = (
@@ -82,9 +85,10 @@ _KINDS = (
         "serving artifact",
         lambda m: m.get("schema") == "repro-serve-artifact/1",
         ARTIFACT_KIND,
-        ("artifact_version", "iteration", "config"),
+        ("iteration", "config"),
         {"format_version": FORMAT_VERSION},
         lambda p: load_artifact(p, verify="full"),
+        ("top_communities", "top_weights"),
     ),
     _Kind(
         "membership history",
@@ -132,7 +136,8 @@ def read_legacy(src: PathLike) -> tuple[_Kind, dict, dict[str, np.ndarray]]:
         raise ConvertError(
             src, "no _meta record of a legacy checkpoint, artifact or history"
         ) from exc
-    return kind, {**meta, **kind.added}, arrays
+    kept = {name: arr for name, arr in arrays.items() if name not in kind.dropped}
+    return kind, {**meta, **kind.added}, kept
 
 
 def convert(src: PathLike, dst: PathLike) -> tuple[str, Path]:

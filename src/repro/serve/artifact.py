@@ -8,29 +8,32 @@ self-contained, read-only export that the serving layer loads:
   ``delta`` / ``kernel_backend`` / dtype the run trained with);
 - ``pi``, ``theta`` and the derived ``beta``;
 - a node-id mapping (row index -> external vertex id), so queries speak
-  the graph's ids even when the trainer compacted them;
-- precomputed top-``K`` community assignments per node (indices +
-  weights), the membership query's hot path.
+  the graph's ids even when the trainer compacted them.
 
-No graph object is needed to load or serve an artifact.
+Nothing derivable from these is stored: a membership answer is the top
+of ``pi``'s row (:func:`repro.serve.engine.top_memberships`). No graph
+object is needed to load or serve an artifact.
 
 Format, durability and identity: an artifact is a sealed
 :mod:`repro.store` container directory (DESIGN.md "Persistence") — one
 raw ``.npy`` per array plus a sha256-sealed ``manifest.json``, written
-atomically — and carries a deterministic content ``version``, a SHA-256
-over the model arrays and config, so two exports of the same posterior
-get the same version and a hot-swapped server can report exactly which
-model answered. Loads memory-map the arrays read-only (default provider
-``mmap``), so a query server answers its first request after O(manifest)
-work with only the touched pages resident.
+atomically — and its ``version`` IS that seal, the manifest's
+``content_version`` over the config, the iteration and every member's
+sha256: two writes of the same model get the same version, and a
+hot-swapped server can report exactly which model answered. The digests
+are taken as the bytes are written; :func:`build_artifact` predicts the
+same string without writing (:func:`repro.store.sealed_version`). Loads
+memory-map the arrays read-only (default provider ``mmap``), so a query
+server answers its first request after O(manifest) work with only the
+touched pages resident.
 
 Integrity: per-array digests are verified lazily on first touch, or all
 at once with ``verify="full"`` (what ``ModelServer.publish_path`` uses,
 so corruption is caught *before* a swap, never mid-query), which also
-recomputes the content version and runs :meth:`ModelArtifact.validate`.
-Damage of any kind (truncation, flipped bytes, an edited manifest, or a
-structurally valid payload that differs from what was exported) raises
-:class:`ArtifactCorrupt`; callers that serve traffic quarantine the
+runs :meth:`ModelArtifact.validate`. One sha256 pass per member byte
+covers it: damage of any kind (truncation, flipped bytes, a member that
+differs from what was written, an edited manifest or digest — the seal)
+raises :class:`ArtifactCorrupt`; callers that serve traffic quarantine the
 directory (:func:`quarantine_artifact`) and fall back to the
 last-known-good entry tracked in an :class:`ArtifactRegistry`. Anything
 else wrong at load time is a typed :class:`ArtifactError` naming the
@@ -48,12 +51,11 @@ memory (the serving drills and benchmarks), which carry no ``phi_sum``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -66,24 +68,31 @@ from repro.core.checkpoint import (
     open_model_container,
 )
 from repro.core.state import ModelState
-from repro.store import Container, StoreCorrupt, StoreError, write_container
+from repro.store import (
+    Container,
+    StoreCorrupt,
+    StoreError,
+    sealed_version,
+    write_container,
+)
 
 PathLike = Union[str, Path]
 
 #: store-container kind tag of a serving artifact (``/1`` was the ``.npz``)
 ARTIFACT_KIND = "repro-serve-artifact/2"
-FORMAT_VERSION = 2
+#: 3 stores no top-K table; a 2 (with ``top_communities`` / ``top_weights``
+#: members and a meta ``artifact_version``) loads too, its extras unread
+FORMAT_VERSION = 3
+_READABLE_FORMATS = (2, 3)
 
-_ARRAY_KEYS = ("pi", "theta", "beta", "node_ids", "top_communities", "top_weights")
-#: the members derived at export time (everything but the posterior itself)
-_SERVING_KEYS = _ARRAY_KEYS[2:]
+_ARRAY_KEYS = ("pi", "theta", "beta", "node_ids")
 
-#: default number of precomputed top communities per node.
+#: communities a membership answer holds by default — and the most the
+#: degraded server answers (``min(DEFAULT_TOP_K, K)``)
 DEFAULT_TOP_K = 8
 
-#: block size of the walks over ``pi`` (hashing, top-K, row checks)
-_BLOCK_BYTES = 1 << 20
-_ROWS_INVALID = "pi rows must be normalized and non-negative"
+#: node ids compared against the identity per step (no N-sized temporary)
+_ID_BLOCK = 1 << 13
 
 
 class ArtifactError(ValueError):
@@ -97,66 +106,20 @@ class ArtifactError(ValueError):
 
 class ArtifactCorrupt(ArtifactError):
     """The container exists, but its payload is damaged: a member that
-    does not match its header or digest, an edited manifest, broken
-    model invariants, or a content-version mismatch. The standard
-    response is :func:`quarantine_artifact` + last-known-good fallback,
-    never serving from it."""
-
-
-def _row_blocks(arr: np.ndarray):
-    """``(lo, hi, rows)`` over ``arr`` in C-contiguous blocks of at most
-    ~1 MiB (a view where ``arr`` is contiguous, a bounded copy otherwise)."""
-    arr = np.atleast_1d(arr)
-    rows = max(1, _BLOCK_BYTES // max(1, arr[:1].nbytes))
-    for lo in range(0, arr.shape[0], rows):
-        yield lo, min(lo + rows, arr.shape[0]), np.ascontiguousarray(arr[lo : lo + rows])
-
-
-def _content_version(
-    config_json: str,
-    pi: np.ndarray,
-    theta: np.ndarray,
-    on_pi_block: Optional[Callable[[int, int, np.ndarray], None]] = None,
-) -> str:
-    """Deterministic content id: same posterior + config -> same version.
-
-    The arrays' buffers are fed to the hash block by block (no
-    ``tobytes()`` copy of an N*K array). ``on_pi_block(lo, hi, rows)`` sees
-    each ``pi`` block while it is cache-hot — how the stream's writer
-    derives the serving members and checks the rows in the same walk.
-    """
-    h = hashlib.sha256()
-    h.update(config_json.encode())
-    for arr, visit in ((pi, on_pi_block), (theta, None)):
-        h.update(str(arr.dtype).encode())
-        h.update(str(arr.shape).encode())
-        for lo, hi, block in _row_blocks(arr):
-            h.update(block)
-            if visit is not None:
-                visit(lo, hi, block)
-    return h.hexdigest()[:16]
+    does not match its header or digest, an edited manifest (the seal),
+    or broken model invariants. The standard response is
+    :func:`quarantine_artifact` + last-known-good fallback, never
+    serving from it."""
 
 
 def _rows_valid(pi: np.ndarray) -> bool:
-    """Rows non-negative and normalized within the serving tolerance."""
+    """Rows non-negative and summing to 1 within ``atol`` — the whole
+    tolerance, no relative term; NaN fails both. A min and one row-sum
+    pass: no N*K temporary."""
     atol = 1e-6 if pi.dtype == np.float64 else 1e-3
-    return not np.any(pi < 0) and bool(np.allclose(pi.sum(axis=1), 1.0, atol=atol))
-
-
-def _top_communities(pi: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row top-``top_k`` community indices and weights, weight-sorted."""
-    k = pi.shape[1]
-    top_k = min(int(top_k), k)
-    if top_k < k:
-        idx = np.argpartition(pi, k - top_k, axis=1)[:, k - top_k:]
-    else:
-        idx = np.broadcast_to(np.arange(k), pi.shape).copy()
-    w = np.take_along_axis(pi, idx, axis=1)
-    order = np.argsort(-w, axis=1, kind="stable")
-    return (
-        np.take_along_axis(idx, order, axis=1).astype(np.int32),
-        np.take_along_axis(w, order, axis=1),
-    )
+    if pi.size == 0:
+        return True
+    return bool(pi.min() >= 0) and bool(np.all(np.abs(pi.sum(axis=1) - 1.0) <= atol))
 
 
 @dataclass(frozen=True)
@@ -170,10 +133,9 @@ class ModelArtifact:
         theta: (K, 2) global reparameterization.
         beta: (K,) community strengths derived from theta at export time.
         node_ids: (N,) external vertex id per row (identity by default).
-        top_communities: (N, top_k) int32 community indices, strongest first.
-        top_weights: (N, top_k) the matching membership weights.
         iteration: training iteration the snapshot was taken at.
-        version: deterministic content hash (16 hex chars).
+        version: the container seal (``content_version``, 16 hex chars)
+            the artifact has, or would have once saved.
     """
 
     config: AMMSBConfig
@@ -181,8 +143,6 @@ class ModelArtifact:
     theta: np.ndarray
     beta: np.ndarray
     node_ids: np.ndarray
-    top_communities: np.ndarray
-    top_weights: np.ndarray
     iteration: int = 0
     version: str = ""
     _row_index: dict = field(default_factory=dict, repr=False, compare=False)
@@ -231,13 +191,16 @@ class ModelArtifact:
 
     def _identity_ids(self) -> bool:
         if self._ids_identity is None:
-            ids = self.node_ids
+            ids, n = self.node_ids, self.n_nodes
             answer = bool(
-                ids.size == self.n_nodes
+                ids.size == n > 0
                 and ids.dtype.kind == "i"
                 and ids[0] == 0
-                and ids[-1] == self.n_nodes - 1
-                and np.array_equal(ids, np.arange(self.n_nodes))
+                and ids[-1] == n - 1
+                and all(
+                    np.array_equal(ids[lo : lo + _ID_BLOCK], np.arange(lo, min(lo + _ID_BLOCK, n)))
+                    for lo in range(0, n, _ID_BLOCK)
+                )
             )
             object.__setattr__(self, "_ids_identity", answer)
         return self._ids_identity
@@ -252,13 +215,9 @@ class ModelArtifact:
 
     def validate(self) -> None:
         """Raise ``ValueError`` when an invariant is broken."""
-        if not _rows_valid(self.pi):
-            raise ValueError(_ROWS_INVALID)
-        self._validate_members()
-
-    def _validate_members(self) -> None:
-        """Every invariant of :meth:`validate` except the O(N*K) row check."""
         n, k = self.pi.shape
+        if not _rows_valid(self.pi):
+            raise ValueError("pi rows must be normalized and non-negative")
         if self.theta.shape != (k, 2) or np.any(self.theta <= 0):
             raise ValueError("theta must be (K, 2) positive")
         if self.beta.shape != (k,) or np.any(self.beta <= 0) or np.any(self.beta >= 1):
@@ -268,10 +227,6 @@ class ModelArtifact:
             (n > 0 and self._identity_ids()) or len(np.unique(self.node_ids)) == n
         ):
             raise ValueError("node_ids must be (N,) unique")
-        if self.top_communities.shape != self.top_weights.shape:
-            raise ValueError("top_communities/top_weights shape mismatch")
-        if self.top_communities.shape[0] != n or self.top_communities.shape[1] > k:
-            raise ValueError("top_communities must be (N, top_k<=K)")
 
 
 def build_artifact(
@@ -279,12 +234,12 @@ def build_artifact(
     config: AMMSBConfig,
     iteration: int = 0,
     node_ids: Optional[np.ndarray] = None,
-    top_k: int = DEFAULT_TOP_K,
 ) -> ModelArtifact:
     """Snapshot a model state into an in-memory :class:`ModelArtifact`.
 
     ``pi`` is copied and re-normalized row-wise, so the artifact stays
-    valid even if the caller keeps mutating the state.
+    valid even if the caller keeps mutating the state. Its ``version``
+    is the seal :func:`save_artifact` will write.
     """
     pi = np.asarray(state.pi, dtype=state.pi.dtype).copy()
     sums = pi.sum(axis=1, keepdims=True)
@@ -300,18 +255,13 @@ def build_artifact(
         node_ids = np.asarray(node_ids, dtype=np.int64).copy()
         if node_ids.shape != (n,):
             raise ValueError("node_ids must have one entry per pi row")
-    top_idx, top_w = _top_communities(pi, top_k)
-    config_json = _config_to_json(config)
+    members = {"pi": pi, "theta": theta, "beta": beta, "node_ids": node_ids}
+    meta = _artifact_meta(config, iteration)
     artifact = ModelArtifact(
         config=config,
-        pi=pi,
-        theta=theta,
-        beta=beta,
-        node_ids=node_ids,
-        top_communities=top_idx,
-        top_weights=top_w,
         iteration=int(iteration),
-        version=_content_version(config_json, pi, theta),
+        version=sealed_version(members, ARTIFACT_KIND, meta),
+        **members,
     )
     artifact.validate()
     return artifact
@@ -322,7 +272,6 @@ def export_artifact(
     state: ModelState,
     config: AMMSBConfig,
     iteration: int = 0,
-    top_k: int = DEFAULT_TOP_K,
 ) -> Path:
     """Write ONE sealed container that is both the checkpoint of ``state``
     and its serving artifact — what ``detect --export-artifact`` and a
@@ -331,15 +280,12 @@ def export_artifact(
     Members: ``pi`` (the state's own rows — not copied, not
     renormalized, so the served ``link_probability`` equals the
     trainer's bit for bit), ``phi_sum``, ``theta``, and the serving
-    members ``beta``, ``node_ids`` (the row numbers), ``top_communities``,
-    ``top_weights``;
-    ``iteration``, config and the content version go in the sealed meta.
+    members ``beta`` and ``node_ids`` (the row numbers); ``iteration``
+    and the config go in the sealed meta.
     :func:`repro.core.checkpoint.load_state_checkpoint` resumes from it,
     :func:`load_artifact` serves from it (or from a
-    :func:`repro.store.link_container` of it). The serving members, the
-    content version and :meth:`ModelArtifact.validate`'s row checks come
-    out of one block-wise walk over ``state.pi``; no second N*K array
-    exists at any point.
+    :func:`repro.store.link_container` of it). Each member is hashed once,
+    as it is written; the seal over those digests is the version.
 
     Raises:
         ArtifactError: the state's rows fail the serving invariants. The
@@ -348,46 +294,27 @@ def export_artifact(
             :func:`load_artifact` refuses — so the caller keeps its
             durable state and skips the publish.
     """
-    pi, theta = state.pi, state.theta
-    n, k = pi.shape
-    top_k = min(int(top_k), k)
-    top_idx = np.empty((n, top_k), dtype=np.int32)
-    top_w = np.empty((n, top_k), dtype=pi.dtype)
-    rows_ok = True
-
-    def members_and_checks(lo: int, hi: int, rows: np.ndarray) -> None:
-        nonlocal rows_ok
-        top_idx[lo:hi], top_w[lo:hi] = _top_communities(rows, top_k)
-        rows_ok = rows_ok and _rows_valid(rows)
-
-    version = _content_version(
-        _config_to_json(config), pi, theta, on_pi_block=members_and_checks
-    )
     artifact = ModelArtifact(
         config=config,
-        pi=pi,
-        theta=theta,
+        pi=state.pi,
+        theta=state.theta,
         beta=state.beta,
-        node_ids=np.arange(n, dtype=np.int64),
-        top_communities=top_idx,
-        top_weights=top_w,
+        node_ids=np.arange(state.pi.shape[0], dtype=np.int64),
         iteration=int(iteration),
-        version=version,
     )
-    problem = None if rows_ok else _ROWS_INVALID
+    try:
+        artifact.validate()
+        problem = None
+    except ValueError as exc:
+        problem = str(exc)
+    arrays = {"pi": state.pi, "phi_sum": state.phi_sum, "theta": state.theta}
     if problem is None:
-        try:
-            artifact._validate_members()
-        except ValueError as exc:
-            problem = str(exc)
-    arrays = {"pi": pi, "phi_sum": state.phi_sum, "theta": theta}
-    if problem is None:
-        arrays.update({key: getattr(artifact, key) for key in _SERVING_KEYS})
+        arrays.update(beta=artifact.beta, node_ids=artifact.node_ids)
     write_container(
         path,
         arrays,
         kind=ARTIFACT_KIND if problem is None else STATE_KIND,
-        meta=_artifact_meta(artifact),
+        meta=_artifact_meta(config, iteration),
     )
     if problem is not None:
         raise ArtifactError(path, f"invalid snapshot ({problem}); written as a checkpoint only")
@@ -407,16 +334,15 @@ def save_artifact(path: PathLike, artifact: ModelArtifact) -> Path:
         path,
         {key: getattr(artifact, key) for key in _ARRAY_KEYS},
         kind=ARTIFACT_KIND,
-        meta=_artifact_meta(artifact),
+        meta=_artifact_meta(artifact.config, artifact.iteration),
     )
 
 
-def _artifact_meta(artifact: ModelArtifact) -> dict:
+def _artifact_meta(config: AMMSBConfig, iteration: int) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "artifact_version": artifact.version,
-        "iteration": int(artifact.iteration),
-        "config": _config_to_json(artifact.config),
+        "iteration": int(iteration),
+        "config": _config_to_json(config),
     }
 
 
@@ -437,16 +363,20 @@ def load_artifact(
       *every* answer) are checked eagerly; the O(N) arrays' digests
       are left to ``verify="full"``, so the load stays O(manifest)
       whatever the artifact's size.
-    - ``verify="full"``: additionally digests every array and runs the
-      complete invariant + content-version check up front — what
+    - ``verify="full"``: additionally digests every member file, once,
+      and runs the complete invariant check up front — what
       ``ModelServer.publish_path`` uses so damage surfaces as
       :class:`ArtifactCorrupt` *before* a swap, never mid-query.
     - ``verify=False``: structural checks only.
 
+    The manifest seal is checked at every level; it is the ``version``.
+    A format-2 container (one with a stored top-K table) loads as well;
+    its table members are verified with the rest and never read.
+
     Raises:
         ArtifactCorrupt: damaged payload — a member that does not match
-            its header or digest, a content-version mismatch, an edited
-            manifest, or broken model invariants.
+            its header or digest, an edited manifest (the seal), or
+            broken model invariants.
         ArtifactError: everything else — missing path, a regular file
             (legacy ``.npz``: ``repro convert``), wrong container kind
             or format version, missing arrays, unreadable metadata.
@@ -465,7 +395,7 @@ def load_artifact(
             p, f"expected container kind {ARTIFACT_KIND!r}, got {container.kind!r}"
         )
     meta = container.meta
-    if meta.get("format_version") != FORMAT_VERSION:
+    if meta.get("format_version") not in _READABLE_FORMATS:
         raise ArtifactError(
             p, f"unsupported artifact version {meta.get('format_version')}"
         )
@@ -487,14 +417,7 @@ def load_artifact(
         shapes = {key: [int(x) for x in entries[key]["shape"]] for key in _ARRAY_KEYS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactCorrupt(p, f"malformed manifest shapes ({exc})") from exc
-    ok = (
-        shapes["theta"] == [k, 2]
-        and shapes["beta"] == [k]
-        and shapes["node_ids"] == [n]
-        and shapes["top_communities"] == shapes["top_weights"]
-        and shapes["top_communities"][0] == n
-        and shapes["top_communities"][1] <= k
-    )
+    ok = shapes["theta"] == [k, 2] and shapes["beta"] == [k] and shapes["node_ids"] == [n]
     if not ok:
         raise ArtifactCorrupt(p, f"inconsistent array shapes in manifest: {shapes}")
 
@@ -513,7 +436,7 @@ def load_artifact(
     artifact = ModelArtifact(
         config=config,
         iteration=int(meta.get("iteration", 0)),
-        version=str(meta.get("artifact_version", "")),
+        version=container.manifest["content_version"],
         _container=container,
         **arrays,
     )
@@ -528,14 +451,6 @@ def load_artifact(
             artifact.validate()
         except ValueError as exc:
             raise ArtifactCorrupt(p, f"invalid snapshot ({exc})") from exc
-        recorded = str(meta.get("artifact_version", ""))
-        recomputed = _content_version(str(meta["config"]), artifact.pi, artifact.theta)
-        if recorded != recomputed:
-            raise ArtifactCorrupt(
-                p,
-                "content version mismatch "
-                f"(recorded {recorded!r}, recomputed {recomputed!r})",
-            )
     return artifact
 
 

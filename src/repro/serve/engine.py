@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.perplexity import _PROB_FLOOR
 from repro.faults import ServeFaultPlan, armed
-from repro.serve.artifact import ModelArtifact
+from repro.serve.artifact import DEFAULT_TOP_K, ModelArtifact
 
 #: Rows of ``pi`` per step of the recommend filter. 8192 rows of K=32
 #: float64 are 2 MiB: a block and its (rows, Q) scores stay in L2 between
@@ -43,28 +43,33 @@ _FILTER_BLOCK_ROWS = 8192
 def top_memberships(
     artifact: ModelArtifact, node: int, k: Optional[int], full_sort: bool
 ) -> Optional[list[tuple[int, float]]]:
-    """Top-``k`` ``(community, weight)`` pairs of ``node`` (``k=None``:
-    the stored width), from the artifact's precomputed assignments when
-    ``k`` fits within them. A wider ``k`` sorts the full row when
+    """Top-``k`` ``(community, weight)`` pairs of ``node``, strongest first
+    (``k=None``: the width ``w = min(DEFAULT_TOP_K, K)``).
+
+    A ``k`` within ``w`` partitions ``pi[row]`` at ``K - w`` and sorts
+    those ``w`` by weight with a stable sort — the rule the format-2
+    top-K table was stored by, so answers equal its rows bit for bit,
+    ties included. A wider ``k`` takes the full stable sort when
     ``full_sort``, else returns ``None`` (the degraded server sheds).
 
     Raises ``ValueError`` for ``k < 1`` and ``KeyError`` for an unknown
     node.
     """
-    stored = artifact.top_communities.shape[1]
-    k = stored if k is None else int(k)
+    width = min(DEFAULT_TOP_K, artifact.n_communities)
+    k = width if k is None else int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > stored and not full_sort:
+    if k > width and not full_sort:
         return None
-    row = artifact.row_of(node)
-    if k <= stored:
-        idx = artifact.top_communities[row, :k]
-        w = artifact.top_weights[row, :k]
-    else:
-        idx = np.argsort(-artifact.pi[row], kind="stable")[: min(k, artifact.n_communities)]
-        w = artifact.pi[row, idx]
-    return [(int(c), float(v)) for c, v in zip(idx, w)]
+    row = artifact.pi[artifact.row_of(node)]
+    cut = row.size - width
+    if k <= width and cut > 0:
+        top = np.argpartition(row, cut)[cut:].tolist()
+        candidates = zip(top, row[top].tolist())
+    else:  # with w == K the table held the full stable sort too
+        candidates = enumerate(row.tolist())
+    # sorted() is stable: numpy's stable argsort of the negated weights
+    return sorted(candidates, key=lambda pair: -pair[1])[:k]
 
 
 class QueryEngine:
@@ -116,7 +121,7 @@ class QueryEngine:
     def membership(self, node: int, k: int | None = None) -> list[tuple[int, float]]:
         """Top-``k`` communities of ``node`` as ``(community, weight)``
         pairs: :func:`top_memberships`, sorting the full row for a ``k``
-        wider than the stored assignments."""
+        wider than its width."""
         self._fault_delay()
         return top_memberships(self.artifact, node, k, full_sort=True)
 

@@ -24,10 +24,10 @@ Operational semantics:
   fills, admission control starts refusing work — typed
   :class:`RequestShed` — when the queue passes a high-water fraction or
   the observed p99 breaches the SLO. Membership queries can instead be
-  answered **degraded** straight from the artifact's precomputed top-K
-  table (bit-identical to the engine fast path for ``k`` within it),
-  keeping the cheapest endpoint alive while the kernel path is
-  saturated.
+  answered **degraded** on the submitting thread straight from ``pi``'s
+  row (the engine's own answer, for ``k`` up to the width
+  ``min(DEFAULT_TOP_K, K)``), keeping the cheapest endpoint alive while
+  the kernel path is saturated.
 - **Deadlines**: requests may carry a deadline (or inherit
   ``default_deadline_ms``); a request still queued past its deadline is
   failed with a typed :class:`DeadlineExceeded` instead of occupying a
@@ -605,10 +605,10 @@ class ModelServer:
         return None
 
     def _degraded_membership(self, payload: tuple, start: float) -> Optional[Future]:
-        """Answer a membership query from the precomputed top-K table
+        """Answer a membership query from ``pi``'s row
         (:func:`~repro.serve.engine.top_memberships`, the engine's own
         answer); returns ``None`` when it cannot honor the request
-        (larger ``k``), in which case the caller sheds.
+        (``k`` past the width), in which case the caller sheds.
         """
         node, k = payload
         fut: Future = Future()

@@ -20,6 +20,7 @@ from repro.store.container import (
     read_manifest,
     recover_container,
     recover_containers,
+    sealed_version,
     write_container,
 )
 from repro.store.provider import (
@@ -39,6 +40,7 @@ __all__ = [
     "read_manifest",
     "recover_container",
     "recover_containers",
+    "sealed_version",
     "write_container",
     "atomic_file",
     "fsync_dir",

@@ -14,13 +14,18 @@ entry              contents
 
 Because every array is an uncompressed ``.npy``, a reader can map it
 (``np.load(mmap_mode="r")``) and answer queries with only the touched
-pages resident — the property the serving tier's v2 artifact format and
-the CSR graph container are built on.
+pages resident — the property the serving tier's artifacts and the CSR
+graph container are built on.
 
 Writes are atomic: arrays and manifest land in a hidden temp directory
 next to the target, every file and the directory are fsynced, and the
 temp dir is renamed into place. Each array's digest is computed *while
-its bytes are written* (one pass, no re-read). An existing container is
+its bytes are written* (one pass, no re-read), so the ``content_version``
+of a fresh container costs no hash pass of its own — a model artifact
+uses it as its version, and :func:`sealed_version` predicts it for
+arrays not yet written. Every member digest (write, copy, verify,
+prediction) comes from :func:`_sha256`: one pass per byte written, one
+per byte verified. An existing container is
 rotated aside first and deleted after the rename; a kill between those
 two renames leaves nothing at the path, so the *writer* puts the rotated
 copy back when it restarts (:func:`recover_container` — run by the next
@@ -97,10 +102,16 @@ class StoreCorrupt(StoreError):
     """Container bytes do not match their recorded digests/headers."""
 
 
+def _sha256(data: bytes = b""):
+    """A new sha256 over member bytes: every member digest — written,
+    copied, verified or only predicted — starts here."""
+    return hashlib.sha256(data)
+
+
 def _sha256_file(path: Path) -> str:
     """sha256 of a file, read into one reused 64 KiB buffer (no
     chunk-sized bytes object per read: 9 ms against 13 per 12.8 MB)."""
-    h = hashlib.sha256()
+    h = _sha256()
     buf = bytearray(1 << 16)
     view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
@@ -191,19 +202,25 @@ def _install(tmp: Path, path: Path) -> None:
         _remove(old)
 
 
-def _write_npy(fpath: Path, arr: np.ndarray) -> str:
-    """Write ``arr`` as ``np.save`` would (format 1.0, C order) and return
-    the file's sha256, computed over the bytes as they are written."""
+def _npy_header(arr: np.ndarray) -> bytes:
+    """The ``.npy`` header ``np.save`` writes before ``arr`` (format 1.0)."""
     if arr.dtype.hasobject:
         raise ValueError("object arrays cannot be stored in a container")
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         header, np.lib.format.header_data_from_array_1_0(arr)
     )
+    return header.getvalue()
+
+
+def _write_npy(fpath: Path, arr: np.ndarray) -> str:
+    """Write ``arr`` as ``np.save`` would (format 1.0, C order) and return
+    the file's sha256, computed over the bytes as they are written."""
+    header = _npy_header(arr)
     payload = arr.reshape(-1).view(np.uint8)
-    digest = hashlib.sha256(header.getvalue())
+    digest = _sha256(header)
     with open(fpath, "wb") as fh:
-        fh.write(header.getvalue())
+        fh.write(header)
         for lo in range(0, payload.size, _WRITE_CHUNK):
             chunk = payload[lo : lo + _WRITE_CHUNK]
             fh.write(chunk)
@@ -216,7 +233,7 @@ def _write_npy(fpath: Path, arr: np.ndarray) -> str:
 def _copy_verified(source: Path, dest: Path, entry: Mapping) -> None:
     """Copy one array file between container directories, hashing the
     bytes as they are written; the copy must match the manifest digest."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     with open(source / entry["file"], "rb") as src, open(dest / entry["file"], "wb") as dst:
         while block := src.read(_WRITE_CHUNK):
             dst.write(block)
@@ -225,6 +242,36 @@ def _copy_verified(source: Path, dest: Path, entry: Mapping) -> None:
         os.fsync(dst.fileno())
     if digest.hexdigest() != entry["sha256"]:
         raise StoreCorrupt(source, f"copy of {entry['file']!r} does not match its digest")
+
+
+def _entries(arrays: Mapping[str, np.ndarray], digest) -> dict[str, dict]:
+    """The manifest's per-array records; ``digest(name, arr)`` gives the
+    sha256 of member ``name`` as :func:`_write_npy` lays it out."""
+    entries: dict[str, dict] = {}
+    for name, arr in arrays.items():
+        arr = _native_little(np.asarray(arr))
+        entries[name] = {
+            "file": f"{name}.npy",
+            "sha256": digest(name, arr),
+            "shape": list(arr.shape),
+            "dtype": np.lib.format.dtype_to_descr(arr.dtype),
+            "nbytes": int(arr.nbytes),
+        }
+    return entries
+
+
+def sealed_version(
+    arrays: Mapping[str, np.ndarray], kind: str, meta: Optional[Mapping] = None
+) -> str:
+    """The ``content_version`` :func:`write_container` would seal for these
+    arguments, from one sha256 pass over each member's bytes and no write."""
+
+    def digest(_name: str, arr: np.ndarray) -> str:
+        h = _sha256(_npy_header(arr))
+        h.update(arr.reshape(-1).view(np.uint8))
+        return h.hexdigest()
+
+    return content_version(str(kind), dict(meta or {}), _entries(arrays, digest))
 
 
 def write_container(
@@ -254,17 +301,7 @@ def write_container(
     tmp = _hidden_sibling(path, "tmp")
     tmp.mkdir(parents=True, exist_ok=False)
     try:
-        entries: dict[str, dict] = {}
-        for name, arr in arrays.items():
-            arr = _native_little(np.asarray(arr))
-            fname = f"{name}.npy"
-            entries[name] = {
-                "file": fname,
-                "sha256": _write_npy(tmp / fname, arr),
-                "shape": list(arr.shape),
-                "dtype": np.lib.format.dtype_to_descr(arr.dtype),
-                "nbytes": int(arr.nbytes),
-            }
+        entries = _entries(arrays, lambda name, arr: _write_npy(tmp / f"{name}.npy", arr))
         manifest = {
             "schema": SCHEMA,
             "kind": str(kind),

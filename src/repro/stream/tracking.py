@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.checkpoint import open_model_container
 from repro.core.estimation import align_communities
-from repro.serve.artifact import DEFAULT_TOP_K, ModelArtifact, _top_communities
+from repro.serve.artifact import DEFAULT_TOP_K, ModelArtifact
 from repro.store import StoreError, write_container
 from repro.stream.delta import StreamError
 
@@ -47,6 +47,22 @@ PathLike = Union[str, Path]
 
 #: store-container kind tag of a persisted history
 HISTORY_KIND = "repro-membership-history/1"
+
+
+def _top_communities(pi: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-``top_k`` community indices and weights, weight-sorted."""
+    k = pi.shape[1]
+    top_k = min(int(top_k), k)
+    if top_k < k:
+        idx = np.argpartition(pi, k - top_k, axis=1)[:, k - top_k:]
+    else:
+        idx = np.broadcast_to(np.arange(k), pi.shape).copy()
+    w = np.take_along_axis(pi, idx, axis=1)
+    order = np.argsort(-w, axis=1, kind="stable")
+    return (
+        np.take_along_axis(idx, order, axis=1).astype(np.int32),
+        np.take_along_axis(w, order, axis=1),
+    )
 
 
 @dataclass(frozen=True)

@@ -84,3 +84,22 @@ def load_report(path: str | Path) -> dict[str, Any]:
             f"{report.get('schema')!r} / {report.get('suite')!r}"
         )
     return report
+
+
+def stored_top_k_table(pi: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-``K`` table a format-2 artifact stored, computed over the
+    whole ``(N, K)`` array at once as its writer did: per row, the
+    ``top_k`` largest (argpartition at ``K - top_k``) ordered by weight
+    with a stable sort; ``(int32 communities, weights)``."""
+    k = pi.shape[1]
+    top_k = min(int(top_k), k)
+    if top_k < k:
+        idx = np.argpartition(pi, k - top_k, axis=1)[:, k - top_k:]
+    else:
+        idx = np.broadcast_to(np.arange(k), pi.shape).copy()
+    w = np.take_along_axis(pi, idx, axis=1)
+    order = np.argsort(-w, axis=1, kind="stable")
+    return (
+        np.take_along_axis(idx, order, axis=1).astype(np.int32),
+        np.take_along_axis(w, order, axis=1),
+    )

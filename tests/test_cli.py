@@ -196,6 +196,15 @@ class TestArgumentErrors:
           "--seed", "-1"], "--seed"),
         (["detect", "--edges", "/no/such/g.txt", "-k", "2",
           "--heldout-fraction", "0"], "--heldout-fraction"),
+        # a NaN posterior 4000 iterations later, or a raw traceback
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--step", "-1"],
+         "step size a must be > 0"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--step", "0"],
+         "step size a must be > 0"),
+        (["generate", "--dataset", "com-DBLP", "--scale", "-1",
+          "--output", "/no/such/dir/g.txt"], "--scale must be > 0"),
+        (["generate", "--dataset", "com-DBLP", "--scale", "0",
+          "--output", "/no/such/dir/g.txt"], "--scale must be > 0"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2

@@ -395,7 +395,9 @@ DELETED = (
     ("repro.store", ("is_container",)),
     ("repro.store.container.Container", ("content_version",)),
     ("repro.serve.artifact.ArtifactRegistry", ("latest",)),
-    ("repro.serve.artifact.ModelArtifact", ("verify_deep",)),
+    ("repro.serve.artifact.ModelArtifact", (
+        "verify_deep", "top_communities", "top_weights", "_validate_members",
+    )),
     ("repro.serve.server.ModelServer", ("rollback",)),
     ("repro.stream.delta.DeltaOverlay", ("pending_pairs",)),
     ("repro.stream.journal.IngestJournal", ("n_segments", "segment_paths")),
@@ -409,7 +411,9 @@ DELETED = (
     ("repro.cluster.spec.ClusterSpec", ("max_communities",)),
     ("repro.dist.partition", ("AdjacencySlice", "adjacency_slice")),
     ("repro.dist.partition.WorkerShard", ("adjacency",)),
-    ("repro.serve.artifact", ("export_state_artifact", "export_from_sampler")),
+    ("repro.serve.artifact", (
+        "export_state_artifact", "export_from_sampler", "_content_version",
+    )),
     ("repro.serve", ("export_state_artifact", "export_from_sampler")),
     ("repro.dist.mp.MultiprocessAMMSBSampler", (
         "save_checkpoint", "from_checkpoint", "_maybe_autocheckpoint",
@@ -431,7 +435,8 @@ DELETED_OPTIONS = (
     ("repro.graph.graph.Graph.from_csr", ("edges",)),
     ("repro.graph.io.save_csr", ("overwrite",)),
     ("repro.graph.io.load_csr", ("verify",)),
-    ("repro.serve.artifact.export_artifact", ("node_ids",)),
+    ("repro.serve.artifact.export_artifact", ("node_ids", "top_k")),
+    ("repro.serve.artifact.build_artifact", ("top_k",)),
     ("repro.core.mcmc_batch.BatchLangevinAMMSB.step", ("mh_sigma",)),
     ("repro.core.diagnostics.geweke_z", ("first", "last")),
     ("repro.cluster.dkv.dkv_bandwidth", ("depth", "params")),

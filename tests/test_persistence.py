@@ -26,6 +26,7 @@ from repro.core.state import init_state
 from repro.graph.split import split_heldout
 from repro.legacy import ConvertError, convert
 from repro.serve.artifact import (
+    DEFAULT_TOP_K,
     ArtifactError,
     build_artifact,
     load_artifact,
@@ -33,9 +34,10 @@ from repro.serve.artifact import (
 )
 from repro.serve.engine import QueryEngine
 from repro.serve.server import ModelServer
-from repro.store import read_manifest
+from repro.store import Container, read_manifest, write_container
 from repro.stream import ResumeError, StreamError, StreamTrainer, SyntheticArrivalSource
 from repro.stream.tracking import MembershipHistory
+from tests.oracles import stored_top_k_table
 
 
 def _history(config, n_generations=3):
@@ -110,7 +112,7 @@ KINDS = {
     "sampler-checkpoint": (_sampler_checkpoint, CheckpointError, "pi.npy", "iteration"),
     "state-checkpoint": (_state_checkpoint, CheckpointError, "phi_sum.npy", "iteration"),
     "stream-generation": (
-        _stream_file("model_g0000.store"), ResumeError, "pi.npy", "artifact_version"
+        _stream_file("model_g0000.store"), ResumeError, "pi.npy", "format_version"
     ),
     "stream-graph-snapshot": (_stream_file("base.csr"), ResumeError, "indices.npy", "n_vertices"),
     "stream-graph-delta": (
@@ -208,6 +210,57 @@ def test_a_sealed_delta_that_does_not_merge_is_a_resume_error(
     assert "cannot load digested graph" in str(caught.value)
 
 
+def _as_format_2(path):
+    """Rewrite the format-3 model container at ``path`` as a format-2
+    writer left it: the top-K table as two more members and the content
+    version in the meta as ``artifact_version``."""
+    old = Container(path, provider="resident")
+    arrays = {name: np.array(old[name]) for name in old.names()}
+    tops, weights = stored_top_k_table(arrays["pi"], DEFAULT_TOP_K)
+    arrays.update(top_communities=tops, top_weights=weights)
+    meta = {**old.meta, "format_version": 2, "artifact_version": "0123456789abcdef"}
+    write_container(path, arrays, kind=old.kind, meta=meta)
+
+
+def _serves_like_format_3(format2, format3):
+    old, new = (load_artifact(p, verify="full") for p in (format2, format3))
+    assert read_manifest(format2)["meta"]["format_version"] == 2
+    assert "top_weights" in old._container and "top_weights" not in new._container
+    engines = QueryEngine(old), QueryEngine(new)
+    tops = old._container["top_communities"]
+    for node in range(old.n_nodes):
+        for k in (None, *range(1, old.n_communities + 2)):
+            assert engines[0].membership(node, k) == engines[1].membership(node, k)
+        # and the stored table's own rows, which are never read
+        assert [c for c, _ in engines[0].membership(node)] == tops[node].tolist()
+    pairs = np.array([[0, 1], [5, 17], [old.n_nodes - 1, 3]])
+    np.testing.assert_array_equal(
+        engines[0].link_probability(pairs), engines[1].link_probability(pairs)
+    )
+    return new
+
+
+def test_a_format_2_container_loads_serves_and_resumes(tmp_path, stream_workdir):
+    wide = AMMSBConfig(n_communities=16, seed=3)  # K past the table's width
+    saved = save_artifact(tmp_path / "wide3", build_artifact(
+        init_state(60, wide, np.random.default_rng(4)), wide))
+    shutil.copytree(saved, tmp_path / "wide2")
+    _as_format_2(tmp_path / "wide2")
+    _serves_like_format_3(tmp_path / "wide2", saved)
+
+    work = tmp_path / "work"
+    shutil.copytree(stream_workdir, work)
+    model = work / "model_g0000.store"
+    shutil.copytree(model, tmp_path / "format3")
+    _as_format_2(model)
+    new = _serves_like_format_3(model, tmp_path / "format3")
+    resumed = StreamTrainer.resume(work)
+    np.testing.assert_array_equal(resumed.state.pi, new.pi)
+    report = resumed.run_generation(n_iterations=2)
+    assert report.generation == 1 and np.isfinite(report.perplexity)
+    resumed.journal.close()
+
+
 def test_a_delta_on_another_snapshot_is_a_resume_error(tmp_path, stream_workdir):
     from repro.graph.io import save_csr
 
@@ -293,18 +346,20 @@ class TestConvert:
             tmp_path / "model.npz",
             _meta=json.dumps({
                 "schema": "repro-serve-artifact/1", "version": 1,
-                "artifact_version": art.version, "iteration": 9,
+                "artifact_version": "0123456789abcdef", "iteration": 9,
                 "config": _config_to_json(config),
             }),
-            **{key: getattr(art, key) for key in (
-                "pi", "theta", "beta", "node_ids", "top_communities", "top_weights")},
+            **{key: getattr(art, key) for key in ("pi", "theta", "beta", "node_ids")},
+            # the v1 top-K table and version: convert drops both
+            **dict(zip(("top_communities", "top_weights"), stored_top_k_table(art.pi, 8))),
         )
         kind, dst = convert(tmp_path / "model.npz", tmp_path / "model")
         assert kind == "serving artifact"
         _same_container(dst, save_artifact(tmp_path / "native", art))
         pairs = np.array([[0, 1], [5, 17], [59, 3]])
         with ModelServer(art, n_workers=0) as server:
-            assert server.publish_path(dst) == 1  # full verify, content version included
+            assert server.publish_path(dst) == 1  # full verify
+            assert server.artifact.version == art.version
             fut = server.link_probability(pairs)
             server.process_once()
             np.testing.assert_array_equal(

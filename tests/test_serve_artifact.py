@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serve.artifact as artifact_module
+import repro.store.container as container_module
 from repro.config import AMMSBConfig
 from repro.core.checkpoint import (
     STATE_KIND,
@@ -22,17 +24,19 @@ from repro.core.checkpoint import (
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
 from repro.serve.artifact import (
+    ARTIFACT_KIND,
     ArtifactCorrupt,
     ArtifactError,
-    _content_version,
-    _top_communities,
+    ModelArtifact,
     build_artifact,
     export_artifact,
     load_artifact,
     save_artifact,
 )
-from repro.store import Container, write_container
+from repro.serve.engine import QueryEngine, top_memberships
+from repro.store import Container, content_version, read_manifest, sealed_version, write_container
 from tests.conftest import reseal_container
+from tests.oracles import stored_top_k_table
 
 
 @pytest.fixture()
@@ -55,20 +59,36 @@ class TestBuildArtifact:
         )
 
     def test_top_communities_are_the_argmax_rows(self, small_state, config):
-        art = build_artifact(small_state, config, top_k=3)
+        """Membership is answered from ``pi``: no table is stored."""
+        art = build_artifact(small_state, config)
         for row in range(art.n_nodes):
+            got = top_memberships(art, row, 3, full_sort=False)
             expect = np.argsort(-art.pi[row], kind="stable")[:3]
-            np.testing.assert_array_equal(
-                np.sort(art.top_communities[row]), np.sort(expect)
-            )
-            np.testing.assert_array_equal(
-                art.top_weights[row], art.pi[row, art.top_communities[row]]
-            )
-            assert np.all(np.diff(art.top_weights[row]) <= 0)
+            communities = np.array([c for c, _ in got])
+            np.testing.assert_array_equal(np.sort(communities), np.sort(expect))
+            weights = np.array([w for _, w in got])
+            np.testing.assert_array_equal(weights, art.pi[row, communities])
+            assert np.all(np.diff(weights) <= 0)
 
     def test_top_k_clamped_to_K(self, small_state, config):
-        art = build_artifact(small_state, config, top_k=999)
-        assert art.top_communities.shape[1] == config.n_communities
+        art = build_artifact(small_state, config)
+        assert len(top_memberships(art, 0, 999, full_sort=True)) == config.n_communities
+        # the default width is min(DEFAULT_TOP_K, K)
+        assert len(top_memberships(art, 0, None, full_sort=False)) == config.n_communities
+        assert top_memberships(art, 0, config.n_communities + 1, full_sort=False) is None
+
+    def test_version_is_the_seal_save_writes(self, small_state, config, tmp_path):
+        for dtype, ids in (("float64", None), ("float32", np.arange(50) * 3 + 1)):
+            cfg = AMMSBConfig(n_communities=config.n_communities, dtype=dtype)
+            state = init_state(50, cfg, np.random.default_rng(5))
+            art = build_artifact(state, cfg, iteration=11, node_ids=ids)
+            path = save_artifact(tmp_path / dtype, art)
+            assert art.version == load_artifact(path).version
+            assert art.version == read_manifest(path)["content_version"]
+        # the iteration is sealed too
+        assert build_artifact(small_state, config, iteration=1).version != (
+            build_artifact(small_state, config, iteration=2).version
+        )
 
     def test_version_is_deterministic_content_hash(self, small_state, config):
         a = build_artifact(small_state, config)
@@ -112,17 +132,13 @@ class TestRoundTrip:
             tmp_path / "a.npz", small_state, config, iteration=17
         )
         art = load_artifact(path)
-        assert art.version == _version_by_copy(
-            _config_to_json(config), small_state.pi, small_state.theta
-        )
+        assert art.version == read_manifest(path)["content_version"]
         assert art.iteration == 17
         assert art.config == config
         np.testing.assert_array_equal(art.pi, small_state.pi)  # the state's rows
         np.testing.assert_array_equal(art.theta, small_state.theta)
         np.testing.assert_array_equal(art.beta, small_state.beta)
-        np.testing.assert_array_equal(
-            art.top_communities, _top_communities(small_state.pi, 8)[0]
-        )
+        assert Container(path).names() == ["beta", "node_ids", "phi_sum", "pi", "theta"]
 
     def test_float32_round_trip(self, tmp_path):
         cfg = AMMSBConfig(n_communities=4, dtype="float32")
@@ -226,8 +242,7 @@ class TestV2Format:
         v2 = load_artifact(save_artifact(tmp_path / "m_v2", art))
         assert v2.version == art.version
         assert v2.iteration == 5 and v2.config == art.config
-        for name in ("pi", "theta", "beta", "node_ids", "top_communities",
-                     "top_weights"):
+        for name in ("pi", "theta", "beta", "node_ids"):
             np.testing.assert_array_equal(
                 np.asarray(getattr(v2, name)), getattr(art, name)
             )
@@ -324,6 +339,54 @@ class TestValidate:
     def test_validate_passes_on_built(self, small_state, config):
         build_artifact(small_state, config).validate()
 
+    @pytest.mark.parametrize("dtype, within, past", [
+        (np.float64, 5e-7, 5e-6),  # np.allclose's rtol once let 1.1e-5 pass
+        (np.float32, 5e-4, 1.005e-3),  # and 1.01e-3 here
+    ])
+    def test_rows_tolerance_is_the_stated_atol(self, small_state, config, dtype, within, past):
+        art = build_artifact(small_state, config)
+
+        def row_0_off_by(off):
+            pi = art.pi.astype(dtype)
+            pi[0] *= dtype(1 + off)
+            return ModelArtifact(config=config, pi=pi, theta=art.theta, beta=art.beta,
+                                 node_ids=art.node_ids)
+
+        row_0_off_by(within).validate()
+        with pytest.raises(ValueError, match="normalized"):
+            row_0_off_by(past).validate()
+        nan = row_0_off_by(0.0)
+        nan.pi[3, 1] = np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            nan.validate()
+
+    def test_identity_check_is_blockwise(self, monkeypatch, config):
+        monkeypatch.setattr(artifact_module, "_ID_BLOCK", 16)
+        n = 100
+
+        def art(ids):
+            return ModelArtifact(config=config, pi=np.full((n, 4), 0.25), theta=np.ones((4, 2)),
+                                 beta=np.full(4, 0.5), node_ids=ids)
+
+        assert art(np.arange(n))._identity_ids()
+        swapped = np.arange(n)
+        swapped[[50, 51]] = swapped[[51, 50]]  # ends intact, one block off
+        assert not art(swapped)._identity_ids()
+        assert art(swapped).row_of(51) == 50
+
+    def test_identity_check_has_no_n_sized_temporary(self, config):
+        n = 1 << 18
+        ids = np.arange(n, dtype=np.int64)
+        art = ModelArtifact(config=config, pi=np.empty((n, 1)), theta=np.ones((1, 2)),
+                            beta=np.full(1, 0.5), node_ids=ids)
+        tracemalloc.start()
+        try:
+            assert art._identity_ids()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ids.nbytes // 8  # np.arange(n) alone would be ids.nbytes
+
     def test_duplicate_node_ids_rejected(self, small_state, config, tmp_path):
         art = build_artifact(small_state, config)
         bad_ids = art.node_ids.copy()
@@ -332,26 +395,38 @@ class TestValidate:
             tmp_path / "d.npz",
             type(art)(
                 config=art.config, pi=art.pi, theta=art.theta, beta=art.beta,
-                node_ids=bad_ids, top_communities=art.top_communities,
-                top_weights=art.top_weights, version=art.version,
+                node_ids=bad_ids, version=art.version,
             ),
         )
         with pytest.raises(ArtifactError, match="unique"):
             load_artifact(path, verify="full")
 
 
-def _version_by_copy(config_json, pi, theta):
-    """The content version as it was first written: through ``tobytes()``."""
-    h = hashlib.sha256(config_json.encode())
-    for arr in (pi, theta):
-        h.update(str(arr.dtype).encode())
-        h.update(str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:16]
+def _version_by_copy(arrays, meta):
+    """The seal of an artifact spelled out: each member laid out by
+    ``np.save`` and hashed whole, then the manifest's ``content_version``."""
+    entries = {}
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        entries[name] = {
+            "file": f"{name}.npy",
+            "sha256": hashlib.sha256(buf.getvalue()).hexdigest(),
+            "shape": list(arr.shape),
+            "dtype": np.lib.format.dtype_to_descr(arr.dtype),
+            "nbytes": int(arr.nbytes),
+        }
+    return content_version(ARTIFACT_KIND, meta, entries)
+
+
+def _meta(config, iteration):
+    return {"format_version": 3, "iteration": iteration, "config": _config_to_json(config)}
 
 
 class TestContentVersionHashesTheBuffer:
-    """Same digest as the ``tobytes()`` spelling, without the N*K copy."""
+    """:func:`repro.store.sealed_version` predicts the seal
+    :func:`write_container` writes, hashing each member's buffer in place."""
 
     @pytest.fixture()
     def posterior(self):
@@ -362,8 +437,10 @@ class TestContentVersionHashesTheBuffer:
 
     def test_pinned_f64_and_f32(self, posterior):
         pi, theta = posterior
-        assert _content_version("cfg", pi, theta) == "938180cc9ba48b44"
-        assert _content_version("cfg", pi.astype(np.float32), theta) == "63f38dae849df8f1"
+        for dtype, pinned in ((np.float64, "4b679a35913e641f"), (np.float32, "5611000e76460c6e")):
+            arrays = {"pi": pi.astype(dtype), "theta": theta}
+            version = sealed_version(arrays, ARTIFACT_KIND, {"config": "cfg"})
+            assert version == _version_by_copy(arrays, {"config": "cfg"}) == pinned
 
     def test_non_contiguous_view_and_memmap(self, posterior, tmp_path):
         pi, theta = posterior
@@ -372,31 +449,78 @@ class TestContentVersionHashesTheBuffer:
         assert not view.flags.c_contiguous
         np.save(tmp_path / "pi.npy", pi)
         mapped = np.load(tmp_path / "pi.npy", mmap_mode="r")
-        for arr in (view, mapped, pi[::-1][::-1]):
-            assert _content_version("cfg", arr, theta) == "938180cc9ba48b44"
+        expect = sealed_version({"pi": pi, "theta": theta}, ARTIFACT_KIND)
+        for arr in (view, mapped, pi[::-1][::-1], pi.astype(pi.dtype.newbyteorder(">"))):
+            assert sealed_version({"pi": arr, "theta": theta}, ARTIFACT_KIND) == expect
 
-    def test_more_rows_than_one_block(self, monkeypatch):
+    def test_more_rows_than_one_block(self, monkeypatch, tmp_path):
+        """Written in many chunks, predicted in one pass: one seal."""
         rng = np.random.default_rng(1)
-        pi, theta = rng.random((1000, 8)), rng.random((8, 2))
-        monkeypatch.setattr(artifact_module, "_BLOCK_BYTES", 4096)  # 64 rows a block
-        seen = []
-        version = _content_version(
-            "c", pi, theta, on_pi_block=lambda lo, hi, rows: seen.append((lo, hi, rows.shape))
-        )
-        assert version == _version_by_copy("c", pi, theta)
-        assert seen[0] == (0, 64, (64, 8)) and seen[-1] == (960, 1000, (40, 8))
-        assert [lo for lo, _, _ in seen[1:]] == [hi for _, hi, _ in seen[:-1]]
+        arrays = {"pi": rng.random((1000, 8)), "theta": rng.random((8, 2))}
+        monkeypatch.setattr(container_module, "_WRITE_CHUNK", 4096)  # 16 chunks of pi
+        path = write_container(tmp_path / "c", arrays, kind="k", meta={"n": 1})
+        assert read_manifest(path)["content_version"] == sealed_version(arrays, "k", {"n": 1})
 
     def test_no_array_sized_copy_is_made(self):
         rng = np.random.default_rng(2)
         pi, theta = rng.random((65536, 8)), rng.random((8, 2))  # 4 MiB of rows
         tracemalloc.start()
         try:
-            _content_version("cfg", pi, theta)
+            sealed_version({"pi": pi, "theta": theta}, ARTIFACT_KIND)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < pi.nbytes // 4  # tobytes() alone would be pi.nbytes
+
+
+class _CountingSha256:
+    """sha256 that adds every byte it is fed to ``counter[0]``."""
+
+    def __init__(self, counter, data=b""):
+        self._h, self._counter = hashlib.sha256(), counter
+        self.update(data)
+
+    def update(self, data):
+        self._counter[0] += memoryview(data).nbytes
+        self._h.update(data)
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+class TestOneHashPerByte:
+    """A generation's publish hashes each member byte once when written
+    and once when verified — no content-version walk beside the digests."""
+
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        counter = [0]
+        monkeypatch.setattr(
+            container_module, "_sha256", lambda data=b"": _CountingSha256(counter, data)
+        )
+        return counter
+
+    @staticmethod
+    def _member_bytes(path):
+        return sum(f.stat().st_size for f in path.glob("*.npy"))
+
+    def test_export_hashes_what_it_writes(self, hashed, small_state, config, tmp_path):
+        path = export_artifact(tmp_path / "m", small_state, config, iteration=4)
+        assert hashed[0] == self._member_bytes(path) > small_state.pi.nbytes
+
+    def test_full_verify_hashes_each_member_file_once(
+        self, hashed, small_state, config, tmp_path
+    ):
+        path = export_artifact(tmp_path / "m", small_state, config, iteration=4)
+        hashed[0] = 0
+        load_artifact(path, verify="full")
+        assert hashed[0] == self._member_bytes(path)
+
+    def test_build_then_save_hashes_twice(self, hashed, small_state, config, tmp_path):
+        art = build_artifact(small_state, config)
+        predicted = hashed[0]
+        path = save_artifact(tmp_path / "m", art)
+        assert predicted == hashed[0] - predicted == self._member_bytes(path)
 
 
 class TestStateArtifact:
@@ -409,12 +533,9 @@ class TestStateArtifact:
         assert np.array_equal(art.theta, small_state.theta)
         assert np.array_equal(art.beta, small_state.beta)
         assert art.iteration == 9 and art.config == config
-        tops, weights = _top_communities(small_state.pi, 8)
-        assert np.array_equal(art.top_communities, tops)
-        assert np.array_equal(art.top_weights, weights)
-        assert art.version == _version_by_copy(
-            _config_to_json(config), small_state.pi, small_state.theta
-        )
+        members = {name: getattr(small_state, name) for name in ("pi", "phi_sum", "theta", "beta")}
+        members["node_ids"] = np.arange(50, dtype=np.int64)
+        assert art.version == _version_by_copy(members, _meta(config, 9))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m"]
 
     def test_build_artifact_is_unchanged(self, small_state, config):
@@ -422,12 +543,9 @@ class TestStateArtifact:
         renormalized = small_state.pi / small_state.pi.sum(axis=1, keepdims=True)
         assert np.array_equal(art.pi, renormalized)
         assert not np.array_equal(art.pi, small_state.pi)  # why a file cannot hold both
-        tops, weights = _top_communities(renormalized, 8)
-        assert np.array_equal(art.top_communities, tops)
-        assert np.array_equal(art.top_weights, weights)
-        assert art.version == _version_by_copy(
-            _config_to_json(config), renormalized, small_state.theta
-        )
+        members = {"pi": renormalized, "theta": small_state.theta, "beta": art.beta,
+                   "node_ids": np.arange(50, dtype=np.int64)}
+        assert art.version == _version_by_copy(members, _meta(config, 0))
 
     def test_resumes_bit_for_bit(self, small_state, config, tmp_path):
         path = export_artifact(tmp_path / "m", small_state, config, iteration=9)
@@ -441,13 +559,16 @@ class TestStateArtifact:
     def test_float32_and_many_blocks(self, tmp_path, monkeypatch):
         cfg = AMMSBConfig(n_communities=5, dtype="float32", seed=2)
         state = init_state(700, cfg, np.random.default_rng(2))
-        monkeypatch.setattr(artifact_module, "_BLOCK_BYTES", 2048)
-        path = export_artifact(tmp_path / "m", state, cfg, top_k=3)
+        monkeypatch.setattr(container_module, "_WRITE_CHUNK", 2048)
+        path = export_artifact(tmp_path / "m", state, cfg)
         art = load_artifact(path, verify="full")
         assert art.pi.dtype == np.float32 and np.array_equal(art.pi, state.pi)
-        tops, weights = _top_communities(state.pi, 3)
-        assert np.array_equal(art.top_communities, tops)
-        assert np.array_equal(art.top_weights, weights)
+        tops, weights = stored_top_k_table(state.pi, 5)
+        engine = QueryEngine(art)
+        for node in range(700):
+            assert engine.membership(node, 3) == [
+                (int(c), float(w)) for c, w in zip(tops[node, :3], weights[node, :3])
+            ]
 
     def test_damage_is_a_typed_checkpoint_error(self, small_state, config, tmp_path):
         path = export_artifact(tmp_path / "m", small_state, config)

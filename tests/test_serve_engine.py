@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from repro.config import AMMSBConfig
 from repro.core.perplexity import link_probability
-from repro.core.state import init_state
-from repro.serve.artifact import build_artifact
+from repro.core.state import ModelState, init_state
+from repro.serve.artifact import DEFAULT_TOP_K, build_artifact
 from repro.serve.engine import QueryEngine
+from tests.oracles import stored_top_k_table
 
 
 def _artifact(n, k, seed, dtype="float64", node_ids=None):
@@ -92,12 +93,39 @@ class TestMembership:
             )
 
     def test_beyond_precomputed_falls_back(self):
-        art = _artifact(20, 16, 2)  # top_k default 8 < K=16
+        art = _artifact(20, 16, 2)  # width min(DEFAULT_TOP_K, K) = 8 < K=16
         engine = QueryEngine(art)
         got = engine.membership(3, k=12)
         assert len(got) == 12
         order = np.argsort(-art.pi[3], kind="stable")[:12]
         assert [c for c, _ in got] == [int(c) for c in order]
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
+    def test_every_k_equals_the_stored_table_rule(self, k):
+        """Answers from ``pi``'s row equal what a format-2 artifact served
+        from its stored table (within the width) or a full stable sort
+        (past it), for every node and every ``k`` — ties included."""
+        rng = np.random.default_rng(k)
+        pi = rng.dirichlet(np.full(k, 0.3), size=40)
+        pi[5] = 1.0 / k  # uniform: every community ties
+        pi[6] = pi[7] = pi[8]  # duplicated rows
+        pi[9] = np.repeat(rng.dirichlet(np.ones(k // 2)) / 2, 2)  # pairwise ties
+        pi[10, ::2] = pi[10, 1::2] = 1.0 / k  # ties made by assignment
+        state = ModelState(pi=pi, phi_sum=np.ones(40), theta=rng.gamma(2.0, 1.0, (k, 2)) + 0.1)
+        art = build_artifact(state, AMMSBConfig(n_communities=k))
+        width = min(DEFAULT_TOP_K, k)
+        tops, weights = stored_top_k_table(art.pi, width)
+        engine = QueryEngine(art)
+        for node in range(40):
+            assert engine.membership(node) == engine.membership(node, width)
+            for top in range(1, k + 1):
+                if top <= width:
+                    idx, w = tops[node, :top], weights[node, :top]
+                else:
+                    idx = np.argsort(-art.pi[node], kind="stable")[:top]
+                    w = art.pi[node, idx]
+                expect = [(int(c), float(v)) for c, v in zip(idx, w)]
+                assert engine.membership(node, top) == expect
 
     def test_k_clamped_and_validated(self):
         engine = QueryEngine(_artifact(10, 4, 0))

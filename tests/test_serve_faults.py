@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.bench import chaosbench
 from repro.config import AMMSBConfig
-from repro.core.checkpoint import _config_to_json
 from repro.core.state import ModelState, init_state
 from repro.faults import (
     ArtifactFault,
@@ -37,8 +36,8 @@ from repro.serve.artifact import (
     ArtifactCorrupt,
     ArtifactError,
     ArtifactRegistry,
+    DEFAULT_TOP_K,
     ModelArtifact,
-    _content_version,
     build_artifact,
     load_artifact,
     quarantine_artifact,
@@ -447,30 +446,39 @@ class TestValidateOnce:
             assert validations == [new.version]
             broken = type(new)(
                 config=new.config, pi=new.pi * 2.0, theta=new.theta, beta=new.beta,
-                node_ids=new.node_ids, top_communities=new.top_communities,
-                top_weights=new.top_weights, version="broken",
+                node_ids=new.node_ids, version="broken",
             )
             with pytest.raises(ValueError, match="normalized"):
                 server.publish(broken)
             assert server.artifact.version == new.version
 
-    def test_invalid_rows_on_disk_still_quarantine(self, tmp_path):
-        # digests and content version agree with the (bad) payload, so only
+    @staticmethod
+    def _refused_at_publish(tmp_path, row_0_scale):
+        # digests and seal agree with the (bad) payload, so only
         # validate() can catch it: once must be enough
         art = _artifact()
-        bad_pi = art.pi * 1.5
+        bad_pi = art.pi.copy()
+        bad_pi[0] *= row_0_scale
         bad = type(art)(
             config=art.config, pi=bad_pi, theta=art.theta, beta=art.beta,
-            node_ids=art.node_ids, top_communities=art.top_communities,
-            top_weights=art.top_weights,
-            version=_content_version(_config_to_json(art.config), bad_pi, art.theta),
+            node_ids=art.node_ids,
         )
         path = save_artifact(tmp_path / "bad", bad)
         with ModelServer(art, n_workers=0) as server:
+            with pytest.raises(ValueError, match="normalized"):
+                server.publish(bad)
             with pytest.raises(ArtifactCorrupt, match="normalized"):
                 server.publish_path(path)
             assert (tmp_path / "bad.quarantined").is_dir()
             assert server.generation == 0
+
+    def test_invalid_rows_on_disk_still_quarantine(self, tmp_path):
+        self._refused_at_publish(tmp_path, 1.5)
+
+    def test_a_row_off_by_5e_6_is_refused_at_publish(self, tmp_path):
+        # atol 1e-6 is the whole tolerance: np.allclose's default rtol
+        # once let float64 rows through up to 1.1e-5 off
+        self._refused_at_publish(tmp_path, 1 + 5e-6)
 
 
 class TestStaleCacheEviction:
@@ -604,12 +612,16 @@ class TestLoadShedding:
             assert snap["resilience"]["shed"] == 0
 
     def test_degraded_respects_stored_k(self):
+        """Degraded answers go up to the width ``min(DEFAULT_TOP_K, K)``
+        the top-K table was once stored at, and no further."""
         with self._shedding_server() as server:
             server.community_members(0)
             server.community_members(1)
-            stored = server.artifact.top_communities.shape[1]
+            width = min(DEFAULT_TOP_K, server.artifact.n_communities)
+            fut = server.membership(0, k=width)
+            assert fut.result(timeout=5) == QueryEngine(server.artifact).membership(0, k=width)
             with pytest.raises(RequestShed):
-                server.membership(0, k=stored + 1)  # can't degrade: shed
+                server.membership(0, k=width + 1)  # can't degrade: shed
 
     def test_degraded_unknown_node_errors_typed(self):
         with self._shedding_server() as server:

@@ -290,7 +290,6 @@ class TestWorkdirStaysBounded:
         # one sealed container: the state and the serving members side by side
         assert Container(trainer.reports[-1].checkpoint_path).names() == [
             "beta", "node_ids", "phi_sum", "pi", "theta",
-            "top_communities", "top_weights",
         ]
         trainer.journal.close()
 

@@ -303,7 +303,7 @@ class TestOneContainerPerGeneration:
             engine.kernels.link_probability(a, b, trainer.state.beta, trainer.config.delta),
         )
         # zero N*K bytes moved: the published files ARE the container's
-        for name in ("pi.npy", "top_weights.npy"):
+        for name in ("pi.npy", "node_ids.npy"):
             assert (tmp_path / "artifact.npz" / name).stat().st_ino == (
                 report.checkpoint_path / name
             ).stat().st_ino
