@@ -161,6 +161,44 @@ class TestTiming:
         assert {"load_pi", "update_phi", "total"} <= set(means)
 
 
+class TestClockPins:
+    """The simulated clock charges op counts and DKV traffic only, never a
+    BLAS result, so its totals are literals on every host. These four are
+    the clock's contract: a change that moves one changes the model."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        from repro.graph.generators import planted_overlapping_graph
+
+        graph, _ = planted_overlapping_graph(600, 4, rng=np.random.default_rng(0))
+        split = split_heldout(graph, 0.03, np.random.default_rng(1))
+        cfg = AMMSBConfig(
+            n_communities=4, mini_batch_vertices=300, neighbor_sample_size=16, seed=1
+        )
+        return graph, split, cfg
+
+    @pytest.mark.parametrize(
+        "pipelined, total", [(True, 0.07248520496167617), (False, 0.07507834263726496)]
+    )
+    def test_with_heldout_perplexity(self, pinned, pipelined, total):
+        _, split, cfg = pinned
+        d = DistributedAMMSBSampler(
+            split.train, cfg, cluster=das5(3), heldout=split, pipelined=pipelined
+        )
+        d.run(10, perplexity_every=5)
+        assert len(d.timing.perplexity_passes) == 2
+        assert d.timing.total_seconds == total
+
+    @pytest.mark.parametrize(
+        "pipelined, total", [(True, 0.0724093383350458), (False, 0.07501803530885871)]
+    )
+    def test_without_heldout(self, pinned, pipelined, total):
+        graph, _, cfg = pinned
+        d = DistributedAMMSBSampler(graph, cfg, cluster=das5(3), pipelined=pipelined)
+        d.run(10)
+        assert d.timing.total_seconds == total
+
+
 class TestPerplexity:
     def test_matches_central_estimator(self, problem):
         """Distributed (partitioned, reduced) perplexity == the sequential
