@@ -7,10 +7,13 @@
 - :mod:`repro.dist.worker` — worker rank: neighbor sampling (``y_ab``
   from ``Graph.links_from``), update_phi / update_pi against a row
   store, theta-gradient partials, perplexity partials;
-- :mod:`repro.dist.sampler` — the BSP orchestration with per-stage
-  simulated timing (functional mode);
-- :mod:`repro.dist.mp` — the same protocol across forked worker
-  processes over shared-memory ``pi``, with failure recovery;
+- :mod:`repro.dist.protocol` — Algorithm 1's master loop, written once
+  over a transport with four calls (``phi_compute``, ``pi_write``,
+  ``theta_partial``, ``perplexity``);
+- :mod:`repro.dist.sampler` — that loop over the in-process transport,
+  with a simulated clock observing each call (functional mode);
+- :mod:`repro.dist.mp` — that loop over the pipe transport to forked
+  worker processes with shared-memory ``pi``, with failure recovery;
 - :mod:`repro.dist.analytic` — closed-form iteration timing at full paper
   scale (no kernel execution), driving the scaling figures.
 """

@@ -1,36 +1,30 @@
-"""Real multi-process distributed execution with failure recovery.
+"""The distributed engine across forked worker processes.
 
-The in-process :class:`~repro.dist.sampler.DistributedAMMSBSampler`
-executes ranks sequentially (with a simulated clock). This module runs
-the same master-worker protocol across **operating-system processes**:
+:class:`MultiprocessAMMSBSampler` runs :mod:`repro.dist.protocol`'s
+iteration over :class:`PipeTransport`, with real parallelism (one
+process per worker, no GIL sharing):
 
 - the global ``pi`` (one C-contiguous ``(N, K)`` array) and ``phi_sum``
   live in one POSIX shared-memory segment (the shared-memory analogue of
   the RDMA DKV store — every worker maps the same pages);
-- the master (the parent process) draws mini-batches and ships each
-  worker its shard (vertices, strata) over a pipe — the scatter of
-  Section III-A without the adjacency slice: a forked worker inherits
-  the training graph (copy-on-write, one physical copy) and answers
-  ``y_ab`` from it;
-- the master draws iteration ``t+1`` while the workers compute phi of
-  ``t`` (the paper's Section III-C pipelining);
+- the master (the parent process) ships each worker its shard
+  (vertices, strata) over a pipe — the scatter of Section III-A without
+  the adjacency slice: a forked worker inherits the training graph
+  (copy-on-write, one physical copy) and answers ``y_ab`` from it;
 - each worker process hosts the in-process engine's
   :class:`~repro.dist.worker.WorkerContext` (same stages, randomness
   keyed by block, not by worker) over the shared rows instead of the
   DKV store, so this backend ends on the sequential engine's state bit
   for bit, for every worker count (``tests/test_dist_equivalence.py``);
-- the stage protocol preserves the paper's hazard discipline: phi is
-  computed from a consistent snapshot, then written back only after a
-  barrier (compute-ack round trip), then theta partials are reduced.
-
-This is genuine parallelism (one process per worker, no GIL sharing);
-on a multi-core host the phi stage scales with worker count.
+- each stage is a command to every worker and a collect of their
+  answers: the collect is the barrier, so phi is computed from a
+  consistent snapshot and written back only after it.
 
 Failure model (see DESIGN.md "Failure model & degradation"): every
 result collection carries a poll deadline, so a dead or wedged worker
 can never hang the master. A worker whose process exits (detected via
 ``Process.exitcode``) — or that stays silent past ``heartbeat_timeout``
-and is fenced by termination — is removed from the active set, the
+and is fenced by termination — is removed from the ranks, the
 mini-batch rows are restored from an undo log taken before the
 iteration wrote any, and the iteration's draw is re-dealt to the
 survivors and retried. The look-ahead holds ``t+1`` undealt, so it is
@@ -55,32 +49,29 @@ import struct
 import time
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
-from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.core import stages
-from repro.core.kernels import KernelWorkspace
 from repro.core.perplexity import PerplexityEstimator
-from repro.core.state import ModelState, init_state
-from repro.dist.master import MasterContext, MasterDraw
-from repro.dist.partition import WorkerShard, partition_heldout
+from repro.core.state import ModelState
+from repro.dist.master import MasterDraw
+from repro.dist.partition import WorkerShard
+from repro.dist.protocol import MasterLoop
 from repro.dist.worker import PhiStageResult, WorkerContext
 from repro.faults import FaultPlan, WorkerCrashed, armed
-from repro.graph.graph import Graph, edge_keys
+from repro.graph.graph import Graph
 from repro.graph.split import HeldoutSplit
 
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One healed failure: which workers were lost and when."""
-
-    iteration: int
-    workers: tuple[int, ...]
-    stalled: bool
+#: Real seconds between polls of the result pipes (``connection.wait``
+#: while collecting; writability waits while a command send finds a
+#: full pipe).
+POLL_INTERVAL = 0.05
+#: Real seconds :meth:`PipeTransport.close` lets the workers exit before
+#: terminating them.
+SHUTDOWN_TIMEOUT = 5.0
 
 
 def shared_rows(buf, n_vertices: int, config: AMMSBConfig) -> ModelState:
@@ -196,95 +187,37 @@ def _worker_loop(
         shm.close()
 
 
-class MultiprocessAMMSBSampler:
-    """Master-worker SG-MCMC across OS processes with shared-memory pi.
+class PipeTransport:
+    """The protocol's four calls as commands to forked worker processes.
 
-    Use as a context manager (or call :meth:`close`) so the worker
-    processes and the shared-memory segment are released::
-
-        with MultiprocessAMMSBSampler(graph, config, n_workers=4) as s:
-            s.run(1000)
-            state = s.state_snapshot()
-
-    Args:
-        graph: training graph.
-        config: shared configuration.
-        n_workers: worker process count.
-        heldout: optional held-out split (enables perplexity).
-        state: optional initial state.
-        faults: optional :class:`~repro.faults.FaultPlan`; worker crashes
-            and stalls in the plan are injected inside the worker
-            processes, exercising the recovery machinery below. An empty
-            plan is bit-identical to ``faults=None``.
-        heartbeat_timeout: real seconds the master waits for a stage
-            result before fencing silent-but-alive workers as dead (a
-            worker whose *process* exited is detected within
-            ``poll_interval`` regardless).
-        poll_interval: granularity, in real seconds, of the per-worker
-            result-pipe polling (``connection.wait`` timeouts while
-            collecting, and writability waits while a command send
-            finds a full pipe).
-        shutdown_timeout: grace period :meth:`close` allows workers to
-            exit before escalating to ``terminate()``.
-
-    The engine does not persist itself: a caller writes
-    ``save_state_checkpoint(path, s.state_snapshot(), s.iteration,
-    s.config)`` or ``export_artifact(path, s.state_snapshot(), s.config,
-    iteration=s.iteration)``, and resumes with ``load_state_checkpoint``,
-    the constructor's ``state=`` and ``s.iteration = iteration`` (an
-    iteration is a function of (seed, t, state), so the resumed run is
-    the uninterrupted one bit for bit).
+    ``ranks`` are the ids of the workers still alive and holding shards
+    (it shrinks on :meth:`fence`); ``rows`` is the shared segment's row
+    store. While the workers compute phi, the master copies the rows the
+    iteration will write (its undo log): no worker writes before
+    ``pi_write``. :meth:`fence` restores them while an iteration is in
+    flight, so its retry starts from the rows it started from.
     """
 
     def __init__(
         self,
         graph: Graph,
         config: AMMSBConfig,
-        n_workers: int = 2,
-        heldout: Optional[HeldoutSplit] = None,
-        state: Optional[ModelState] = None,
-        faults: Optional[FaultPlan] = None,
-        heartbeat_timeout: float = 30.0,
-        poll_interval: float = 0.05,
-        shutdown_timeout: float = 5.0,
+        n_workers: int,
+        init: ModelState,
+        heldout_keys: Optional[np.ndarray],
+        faults: Optional[FaultPlan],
+        heartbeat_timeout: float,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        if heartbeat_timeout <= 0 or poll_interval <= 0 or shutdown_timeout < 0:
-            raise ValueError("timeouts must be positive")
-        self.graph = graph
-        self.kernels, config = stages.pinned_backend(config)
-        self.config = config
-        self.workspace = KernelWorkspace()
-        self.n_workers = n_workers
-        self.faults = armed(faults)
-        self.heartbeat_timeout = float(heartbeat_timeout)
-        self.poll_interval = float(poll_interval)
-        self.shutdown_timeout = float(shutdown_timeout)
-        self.recoveries: list[RecoveryEvent] = []
-
-        heldout_keys = None
-        if heldout is not None:
-            heldout_keys = np.sort(edge_keys(heldout.heldout_pairs, graph.n_vertices))
-        self.master = MasterContext(graph, config, n_workers, heldout_keys)
-
-        init = state if state is not None else init_state(graph.n_vertices, config)
+        self.heartbeat_timeout = heartbeat_timeout
         n_values = graph.n_vertices * (config.n_communities + 1)
         self._shm = shared_memory.SharedMemory(
             create=True, size=n_values * np.dtype(config.dtype).itemsize
         )
-        self._rows = shared_rows(self._shm.buf, graph.n_vertices, config)
-        self._rows.pi[:] = init.pi
-        self._rows.phi_sum[:] = init.phi_sum
-        self.theta = init.theta.copy()
-
-        # Static E_h partition, each part with its own running average.
-        self._heldout_parts: list[PerplexityEstimator] = []
-        if heldout is not None:
-            parts = partition_heldout(
-                heldout.heldout_pairs, heldout.heldout_labels, n_workers
-            )
-            self._heldout_parts = [PerplexityEstimator(*p, config.delta) for p in parts]
+        self.rows = shared_rows(self._shm.buf, graph.n_vertices, config)
+        self.rows.pi[:] = init.pi
+        self.rows.phi_sum[:] = init.phi_sum
+        #: ``(vertices, pi rows, phi_sum)`` of the iteration in flight.
+        self._undo: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
         ctx = mp.get_context("fork")
         # One PRIVATE command pipe and one PRIVATE result pipe per
@@ -320,7 +253,7 @@ class MultiprocessAMMSBSampler:
         for w in range(n_workers):
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(w, self._shm.name, config, graph, heldout_keys, self.faults, pipes),
+                args=(w, self._shm.name, config, graph, heldout_keys, faults, pipes),
                 daemon=True,
             )
             proc.start()
@@ -332,31 +265,79 @@ class MultiprocessAMMSBSampler:
         for cmd_recv, _, _, res_send in pipes:
             cmd_recv.close()
             res_send.close()
-        #: Worker ids still alive and holding shards (shrinks on recovery).
-        self._active: list[int] = list(range(n_workers))
+        self.ranks: list[int] = list(range(n_workers))
         self._seq = 0
-        self.iteration = 0
-        self._closed = False
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- the protocol's calls ----------------------------------------------------
 
-    @property
-    def active_workers(self) -> tuple[int, ...]:
-        """Ids of the workers currently carrying shards."""
-        return tuple(self._active)
+    def phi_compute(
+        self, draw: MasterDraw, beta: np.ndarray, iteration: int, overlap: Callable[[], None]
+    ) -> None:
+        active = list(self.ranks)
+        seq = self._next_seq()
+        for idx, w in enumerate(active):
+            self._send(w, ("phi_compute", seq, draw.shards[idx], beta, iteration))
+        overlap()
+        vertices = draw.minibatch.vertices
+        self._undo = (vertices, self.rows.pi[vertices], self.rows.phi_sum[vertices])
+        self._collect("phi_done", active, seq)
+
+    def pi_write(self) -> None:
+        active = list(self.ranks)
+        seq = self._next_seq()
+        for w in active:
+            self._send(w, ("pi_write", seq))
+        self._collect("write_done", active, seq)
+
+    def theta_partial(self, theta: np.ndarray) -> dict[int, np.ndarray]:
+        active = list(self.ranks)
+        seq = self._next_seq()
+        for w in active:
+            self._send(w, ("theta_partial", seq, theta))
+        partials = self._collect("theta", active, seq)
+        self._undo = None  # every row written, every partial in: committed
+        return {b: part for w in active for b, part in partials[w].items()}
+
+    def perplexity(
+        self, parts: list[PerplexityEstimator], beta: np.ndarray
+    ) -> list[np.ndarray]:
+        seq = self._next_seq()
+        n = len(self.ranks)
+        for j, part in enumerate(parts):
+            self._send(self.ranks[j % n], ("perplexity", seq, j, part.pairs, part.labels, beta))
+        probs = self._collect("perp", range(len(parts)), seq)
+        return [probs[j] for j in range(len(parts))]
+
+    # -- failures and shutdown ------------------------------------------------------
+
+    def fence(self, workers: Sequence[int]) -> tuple[int, ...]:
+        """Terminate and disconnect ``workers``; returns those that were
+        still ranks. An iteration in flight is rolled back to its undo log."""
+        lost = tuple(w for w in workers if w in self.ranks)
+        for w in lost:
+            self.ranks.remove(w)
+            proc = self._procs[w]
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join(timeout=2.0)
+            for conn in (self._cmd_pipes[w], self._res_pipes[w]):
+                try:
+                    conn.close()
+                except OSError:  # pragma: no cover
+                    pass
+        if self._undo is not None:
+            self.rows.write_rows(*self._undo)
+        return lost
 
     def close(self) -> None:
         """Stop workers and release the shared-memory segment.
 
         Prompt even when a worker is wedged mid-command: the stop message
         and the pipe close wake any worker blocked in ``recv()``
-        immediately; whoever is still alive after ``shutdown_timeout``
+        immediately; whoever is still alive after :data:`SHUTDOWN_TIMEOUT`
         (e.g. wedged inside a computation) is terminated and reaped.
         """
-        if self._closed:
-            return
-        self._closed = True
-        for w in self._active:
+        for w in self.ranks:
             try:
                 self._cmd_pipes[w].send(("stop",))
             except (BrokenPipeError, OSError):
@@ -366,7 +347,7 @@ class MultiprocessAMMSBSampler:
                 pipe.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-        deadline = time.monotonic() + self.shutdown_timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT
         for proc in self._procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         for proc in self._procs:
@@ -389,19 +370,7 @@ class MultiprocessAMMSBSampler:
         except FileNotFoundError:  # pragma: no cover
             pass
 
-    def __enter__(self) -> "MultiprocessAMMSBSampler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- protocol helpers ------------------------------------------------------
+    # -- pipes ------------------------------------------------------------------------
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -464,11 +433,11 @@ class MultiprocessAMMSBSampler:
                 return
             readable = [
                 self._res_pipes[w]
-                for w in self._active
+                for w in self.ranks
                 if w not in self._res_eof and not self._res_pipes[w].closed
             ]
             try:
-                select.select(readable, [fd], [], self.poll_interval)
+                select.select(readable, [fd], [], POLL_INTERVAL)
             except OSError:  # pragma: no cover - fd closed under us
                 return
 
@@ -481,7 +450,7 @@ class MultiprocessAMMSBSampler:
         Messages go to :attr:`_stash`; :meth:`_collect` consumes them
         first, and its sequence-number check drops stale rounds.
         """
-        for w in list(self._active):
+        for w in list(self.ranks):
             if w in self._res_eof:
                 continue
             conn = self._res_pipes[w]
@@ -511,18 +480,18 @@ class MultiprocessAMMSBSampler:
             if not msgs:
                 by_conn = {
                     self._res_pipes[w]: w
-                    for w in self._active
+                    for w in self.ranks
                     if w not in self._res_eof and not self._res_pipes[w].closed
                 }
                 if by_conn:
                     ready = mp_connection.wait(
-                        list(by_conn), timeout=self.poll_interval
+                        list(by_conn), timeout=POLL_INTERVAL
                     )
                 else:
                     # Every channel is gone; fall through to the
                     # exitcode check at poll granularity.
                     ready = []
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
                 for conn in ready:
                     try:
                         msgs.append(conn.recv())
@@ -548,19 +517,19 @@ class MultiprocessAMMSBSampler:
             if not remaining or progressed:
                 continue
             dead = [
-                w for w in self._active if self._procs[w].exitcode is not None
+                w for w in self.ranks if self._procs[w].exitcode is not None
             ]
-            live = [w for w in self._active if w not in dead]
+            live = [w for w in self.ranks if w not in dead]
             if dead and not any(self._expects(w, remaining, expected_tag) for w in live):
                 raise WorkerCrashed(dead)
             if time.monotonic() > deadline:
                 # Alive but silent past the heartbeat: fence by
                 # termination so the recovery set cannot race.
                 silent = sorted(
-                    {w for w in self._active if self._expects(w, remaining, expected_tag)}
+                    {w for w in self.ranks if self._expects(w, remaining, expected_tag)}
                 )
                 if not silent:  # pragma: no cover - defensive
-                    silent = sorted(self._active)
+                    silent = sorted(self.ranks)
                 for w in silent:
                     self._procs[w].terminate()
                 for w in silent:
@@ -571,145 +540,77 @@ class MultiprocessAMMSBSampler:
     def _expects(self, worker: int, remaining: set, tag: str) -> bool:
         """Is ``worker`` responsible for any still-missing key?"""
         if tag == "perp":
-            n = len(self._active)
+            n = len(self.ranks)
             return any(
-                self._active[key % n] == worker for key in remaining
+                self.ranks[key % n] == worker for key in remaining
             )
         return worker in remaining
 
-    def _recover(self, crash: WorkerCrashed) -> None:
-        """Heal a failure: drop the dead workers, re-partition their load.
 
-        The master's partitioner is simply told the new worker count;
-        from the retried iteration on, every mini-batch (and the held-out
-        evaluation parts) is spread across the survivors only — the dead
-        worker's shard re-partitioned mid-run, as the paper's static
-        layout never could.
-        """
-        lost = [w for w in crash.workers if w in self._active]
-        for w in lost:
-            self._active.remove(w)
-            proc = self._procs[w]
-            if proc.exitcode is None:
-                proc.terminate()
-            proc.join(timeout=2.0)
-            try:
-                self._cmd_pipes[w].close()
-            except OSError:  # pragma: no cover
-                pass
-            try:
-                self._res_pipes[w].close()
-            except OSError:  # pragma: no cover
-                pass
-        if lost:
-            self.recoveries.append(
-                RecoveryEvent(self.iteration, tuple(lost), crash.stalled)
-            )
-        if not self._active:
-            self.close()
-            raise RuntimeError(
-                f"all workers lost at iteration {self.iteration}"
-            ) from crash
-        self.master.n_workers = len(self._active)
+class MultiprocessAMMSBSampler(MasterLoop):
+    """Master-worker SG-MCMC across OS processes with shared-memory pi.
 
-    # -- derived views ------------------------------------------------------------
+    Use as a context manager (or call :meth:`close`) so the worker
+    processes and the shared-memory segment are released::
+
+        with MultiprocessAMMSBSampler(graph, config, n_workers=4) as s:
+            s.run(1000)
+            state = s.state_snapshot()
+
+    Args:
+        graph: training graph.
+        config: shared configuration.
+        n_workers: worker process count.
+        heldout: optional held-out split (enables perplexity).
+        state: optional initial state.
+        faults: optional :class:`~repro.faults.FaultPlan`; worker crashes
+            and stalls in the plan are injected inside the worker
+            processes, exercising the recovery machinery. An empty plan
+            is bit-identical to ``faults=None``.
+        heartbeat_timeout: real seconds the master waits for a stage
+            result before fencing silent-but-alive workers as dead (a
+            worker whose *process* exited is detected within
+            :data:`POLL_INTERVAL` regardless).
+
+    The engine does not persist itself: a caller writes
+    ``save_state_checkpoint(path, s.state_snapshot(), s.iteration,
+    s.config)`` or ``export_artifact(path, s.state_snapshot(), s.config,
+    iteration=s.iteration)``, and resumes with ``load_state_checkpoint``,
+    the constructor's ``state=`` and ``s.iteration = iteration`` (an
+    iteration is a function of (seed, t, state), so the resumed run is
+    the uninterrupted one bit for bit).
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        config: AMMSBConfig,
+        n_workers: int = 2,
+        heldout: Optional[HeldoutSplit] = None,
+        state: Optional[ModelState] = None,
+        faults: Optional[FaultPlan] = None,
+        heartbeat_timeout: float = 30.0,
+    ) -> None:
+        if n_workers < 1:
+            raise ValueError("need at least one worker")
+        if heartbeat_timeout <= 0:
+            raise ValueError("heartbeat_timeout must be positive")
+        self.n_workers = n_workers
+        self.faults = armed(faults)
+        self.heartbeat_timeout = float(heartbeat_timeout)
+        super().__init__(graph, config, n_workers, heldout, state)
+
+    def _connect(self, init: ModelState, heldout_keys: Optional[np.ndarray]) -> PipeTransport:
+        return PipeTransport(
+            self.graph, self.config, self.n_workers, init, heldout_keys,
+            self.faults, self.heartbeat_timeout,
+        )
 
     @property
-    def beta(self) -> np.ndarray:
-        return self.theta[:, 1] / self.theta.sum(axis=1)
+    def active_workers(self) -> tuple[int, ...]:
+        """Ids of the workers currently carrying shards."""
+        return tuple(self.transport.ranks)
 
     def state_snapshot(self) -> ModelState:
-        return ModelState(
-            pi=self._rows.pi.copy(), phi_sum=self._rows.phi_sum.copy(), theta=self.theta.copy()
-        )
-
-    # -- iteration -------------------------------------------------------------------
-
-    def step(self) -> None:
-        """One BSP iteration across the worker processes.
-
-        The draw is kept until the iteration commits. A worker loss is
-        healed (:meth:`_recover`), the mini-batch rows are restored from
-        their undo log and the same draw is re-dealt to the survivors:
-        the retry is the fault-free iteration. Losses are in
-        :attr:`recoveries`.
-        """
-        if self._closed:
-            raise RuntimeError("sampler is closed")
-        draw = self.master.next_draw(self.iteration)
-        while True:
-            try:
-                self._step_once(draw)
-                break
-            except WorkerCrashed as crash:
-                self._recover(crash)
-                self._rows.write_rows(draw.minibatch.vertices, *self._undo)
-                draw = self.master.deal(draw.minibatch, draw.key)
-        self.iteration += 1
-
-    def _step_once(self, draw: MasterDraw) -> None:
-        active = list(self._active)
-        # Stage: scatter + phi compute (reads only) ... barrier.
-        seq = self._next_seq()
-        for idx, w in enumerate(active):
-            self._send(w, ("phi_compute", seq, draw.shards[idx], self.beta, self.iteration))
-        # While the workers compute: draw t+1 (a retry finds it held), and
-        # copy the undo log of the rows this iteration writes (no worker
-        # writes before pi_write).
-        self.master.prefetch(self.iteration + 1)
-        vertices = draw.minibatch.vertices
-        self._undo = (self._rows.pi[vertices], self._rows.phi_sum[vertices])
-        self._collect("phi_done", active, seq)
-        # Stage: pi write-back (disjoint rows) ... barrier.
-        seq = self._next_seq()
-        for w in active:
-            self._send(w, ("pi_write", seq))
-        self._collect("write_done", active, seq)
-        # Stage: pair-block theta partials -> block-order reduce at master.
-        seq = self._next_seq()
-        for w in active:
-            self._send(w, ("theta_partial", seq, self.theta))
-        partials = self._collect("theta", active, seq)
-        self.theta = stages.apply_theta(
-            self.kernels, self.workspace, self.config, self.theta,
-            {b: part for w in active for b, part in partials[w].items()}, self.iteration,
-        )
-
-    def run(self, n_iterations: int, perplexity_every: int = 0) -> None:
-        for _ in range(n_iterations):
-            self.step()
-            if (
-                perplexity_every
-                and self._heldout_parts
-                and self.iteration % perplexity_every == 0
-            ):
-                self.evaluate_perplexity()
-
-    def evaluate_perplexity(self) -> float:
-        """Distributed perplexity over the statically partitioned E_h.
-
-        The static parts outlive worker losses: part ``j`` is evaluated
-        by survivor ``active[j % len(active)]``, so a shrunken worker set
-        still covers every held-out pair.
-        """
-        if not self._heldout_parts:
-            raise RuntimeError("no held-out split was provided")
-        while True:
-            try:
-                probs = self._perplexity_once()
-                break
-            except WorkerCrashed as crash:
-                self._recover(crash)
-        for j, part in enumerate(self._heldout_parts):
-            part.add(probs[j])
-        return stages.pooled_perplexity(self._heldout_parts)
-
-    def _perplexity_once(self) -> dict[int, np.ndarray]:
-        beta = self.beta
-        seq = self._next_seq()
-        n = len(self._active)
-        for j, part in enumerate(self._heldout_parts):
-            self._send(
-                self._active[j % n], ("perplexity", seq, j, part.pairs, part.labels, beta)
-            )
-        return self._collect("perp", range(len(self._heldout_parts)), seq)
+        rows = self.transport.rows
+        return ModelState(pi=rows.pi.copy(), phi_sum=rows.phi_sum.copy(), theta=self.theta.copy())

@@ -1,56 +1,48 @@
-"""Distributed BSP orchestration of SG-MCMC with simulated timing.
+"""The distributed engine in one process, under a simulated clock.
 
-One :class:`DistributedAMMSBSampler` iteration executes the paper's stage
-sequence (Section III-C):
-
-1. **draw/deploy** — the master draws the mini-batch and scatters, per
-   worker, its vertices + strata, charged with the adjacency slice the
-   paper ships beside them (in the pipelined configuration this was
-   prefetched during the previous update_phi);
-2. **sample neighbors** — each worker draws V_n for its vertices;
-3. **update_phi** — each worker batch-reads the pi rows it needs from the
-   DKV store and runs the phi kernel; *barrier*;
-4. **update_pi** — workers write the new ``[pi | phi_sum]`` rows; *barrier*;
-5. **update_beta/theta** — workers compute h-scaled theta-gradient
-   partials from DKV-fresh pi; MPI reduce; master updates theta and
-   broadcasts beta;
-6. periodically, **perplexity** over the statically partitioned E_h.
-
-Every stage really executes (the result is the sequential reference's
-run, bit for bit, for any worker count), while a simulated clock charges each
-stage from the calibrated :class:`~repro.cluster.costmodel.CostModel`
-using the *actual* traffic and op counts of the run; stage time is the
-max over workers (BSP barrier semantics). Pipelining changes only the
-clock composition, exactly as in Section III-D.
+:class:`DistributedAMMSBSampler` runs :mod:`repro.dist.protocol`'s
+iteration over :class:`InProcessTransport`: the ranks are
+:class:`~repro.dist.worker.WorkerContext` objects over the DKV store,
+called in turn. Every stage really executes — the result is the
+sequential engine's run, bit for bit, for any worker count — while
+:class:`SimulatedClock` observes each call and charges it from the
+calibrated :class:`~repro.cluster.costmodel.CostModel`, using the call's
+own records: the shards' and slices' bytes in draw/deploy,
+``PhiStageResult``'s op counts, the ``DKVTraffic`` of every batch, the
+theta partials' op counts, and the DKV fault ladder's simulated delay. A
+stage's time is the max over workers (BSP barrier semantics); pipelining
+(Section III-D) changes only how the clock composes the stages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.config import AMMSBConfig
-from repro.cluster.comm import Communicator
 from repro.cluster.costmodel import CostModel, StageTimes
-from repro.cluster.dkv import DKVStore, DKVTraffic
+from repro.cluster.dkv import DKVFaultStats, DKVStore, DKVTraffic
 from repro.cluster.spec import ClusterSpec, das5
-from repro.faults import FaultPlan, armed
-from repro.core import stages
-from repro.core.kernels import KernelWorkspace
 from repro.core.perplexity import PerplexityEstimator
-from repro.core.state import ModelState, init_state
-from repro.dist.master import MasterContext
-from repro.dist.worker import DKVRows, WorkerContext
-from repro.dist.partition import partition_heldout
-from repro.graph.graph import Graph, edge_keys
+from repro.core.state import ModelState
+from repro.dist.master import MasterDraw
+from repro.dist.protocol import MasterLoop
+from repro.dist.worker import DKVRows, PhiStageResult, WorkerContext
+from repro.faults import CommTimeout, FaultPlan, armed
+from repro.graph.graph import Graph
 from repro.graph.split import HeldoutSplit
 
 #: DKV client id used by the master (it is not a DKV server, so every
 #: master read is remote — matching the paper's master/worker split).
 MASTER_CLIENT = -1
+
+#: Collective deadline in simulated seconds, armed by a fault plan: a
+#: worker lagging longer (a crashed one lags forever) raises
+#: :class:`~repro.faults.CommTimeout` at the update_phi barrier.
+COMM_TIMEOUT = 60.0
 
 
 @dataclass
@@ -75,108 +67,41 @@ class DistributedTiming:
         }
 
 
-class DistributedAMMSBSampler:
-    """Master-worker distributed SG-MCMC for a-MMSB.
+def _slowest(seconds) -> float:
+    """A stage's time under BSP: its slowest party's."""
+    return max(seconds, default=0.0)
 
-    Args:
-        graph: training graph (the master's; its in-process workers
-            answer ``y_ab`` from it, the scatter charges their slices).
-        config: shared configuration.
-        cluster: cluster spec (worker count, machine, network). Defaults
-            to 4 DAS5 workers.
-        heldout: optional held-out split, statically partitioned across
-            all ranks for distributed perplexity.
-        pipelined: enable the double-buffering/prefetch pipeline of
-            Section III-D (changes the simulated clock, and the master
-            genuinely prefetches the next mini-batch).
-        state: optional initial state (random otherwise).
-        faults: optional :class:`~repro.faults.FaultPlan`. DKV server
-            stalls degrade into retries / circuit-broken stale pi reads
-            (real staleness in the numerics, extra simulated seconds in
-            the clock); worker stalls are charged as straggler time at
-            barriers; a stall past ``comm_timeout`` raises
-            :class:`~repro.faults.CommTimeout` instead of hanging. An
-            empty plan is bit-identical to ``faults=None``.
-        comm_timeout: collective deadline in simulated seconds (armed
-            only when a fault plan is present).
+
+class SimulatedClock:
+    """Charges the in-process transport's calls to :attr:`timing`.
+
+    One method per transport call, each fed that call's records. The
+    iteration's :class:`StageTimes` is composed and recorded when its
+    last stage (theta partials) is charged. Worker stalls in ``faults``
+    are straggler time at the barriers; a lag past :data:`COMM_TIMEOUT`
+    raises :class:`~repro.faults.CommTimeout` after update_phi, before
+    any ``pi`` row is written.
     """
 
     def __init__(
         self,
-        graph: Graph,
+        cluster: ClusterSpec,
         config: AMMSBConfig,
-        cluster: Optional[ClusterSpec] = None,
-        heldout: Optional[HeldoutSplit] = None,
-        pipelined: bool = True,
-        state: Optional[ModelState] = None,
-        faults: Optional[FaultPlan] = None,
-        comm_timeout: Optional[float] = 60.0,
+        degrees: np.ndarray,
+        fault_stats: DKVFaultStats,
+        faults: Optional[FaultPlan],
+        pipelined: bool,
     ) -> None:
-        self.graph = graph
-        self.kernels, self.config = stages.pinned_backend(config)
-        self.workspace = KernelWorkspace()
-        self.cluster = cluster or das5(4)
+        self.cluster = cluster
+        self.cost = CostModel(cluster)
+        self.config = config
+        self.degrees = degrees
+        self.fault_stats = fault_stats
+        self.faults = faults
         self.pipelined = pipelined
-        self.cost = CostModel(self.cluster)
-        self.faults = armed(faults)
-        n_workers = self.cluster.n_workers
-        self.comm = Communicator(
-            n_workers + 1,
-            faults=self.faults,
-            timeout=comm_timeout if self.faults is not None else None,
-        )
-
-        heldout_keys = None
-        if heldout is not None:
-            heldout_keys = np.sort(edge_keys(heldout.heldout_pairs, graph.n_vertices))
-        self.master = MasterContext(graph, config, n_workers, heldout_keys)
-
-        k = config.n_communities
-        self.dkv = DKVStore(
-            graph.n_vertices,
-            k + 1,
-            n_workers,
-            dtype=np.dtype(config.dtype),
-            faults=self.faults,
-        )
-        init = state if state is not None else init_state(graph.n_vertices, config)
-        self.dkv.populate(np.concatenate([init.pi, init.phi_sum[:, None]], axis=1))
-        self.theta = init.theta.copy()
-
-        self.workers = [
-            WorkerContext(config, graph, DKVRows(self.dkv, w), heldout_keys)
-            for w in range(n_workers)
-        ]
-        self._degrees = graph.degrees
-        self._master_rows = DKVRows(self.dkv, MASTER_CLIENT)
-
-        # Static E_h partition over all ranks (master participates too),
-        # each part with its own running average.
-        self._heldout_parts: list[PerplexityEstimator] = []
-        if heldout is not None:
-            parts = partition_heldout(
-                heldout.heldout_pairs, heldout.heldout_labels, n_workers + 1
-            )
-            self._heldout_parts = [PerplexityEstimator(*p, config.delta) for p in parts]
-
-        self.iteration = 0
         self.timing = DistributedTiming()
-
-    # -- derived views ----------------------------------------------------------
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.theta[:, 1] / self.theta.sum(axis=1)
-
-    def state_snapshot(self) -> ModelState:
-        """Gather the distributed state into a local ModelState (for
-        metrics/tests; the paper would checkpoint the same way)."""
-        values = self.dkv.snapshot()
-        return ModelState(
-            pi=values[:, :-1].copy(), phi_sum=values[:, -1].copy(), theta=self.theta.copy()
-        )
-
-    # -- timing helpers -----------------------------------------------------------
+        self._t = StageTimes()
+        self._lag = 0.0
 
     def _read_time(self, traffic: DKVTraffic) -> float:
         """Simulated time of one worker's synchronous batched DKV reads."""
@@ -195,94 +120,61 @@ class DistributedAMMSBSampler:
         t += local_bytes / (self.cluster.machine.memory_bandwidth * 0.5)
         return t
 
-    # -- one iteration --------------------------------------------------------------
+    def _straggler_lag(self, iteration: int) -> float:
+        if self.faults is None:
+            return 0.0
+        worker, lag = self.faults.max_worker_lag(iteration)
+        if lag > COMM_TIMEOUT:
+            raise CommTimeout("barrier", worker, lag, COMM_TIMEOUT)
+        return lag
 
-    def step(self) -> StageTimes:
-        """Run one distributed iteration."""
-        cfg = self.config
-        cost = self.cost
-        t = StageTimes()
-        # Fault windows are indexed by iteration; advance the DKV clock.
-        if self.faults is not None:
-            self.dkv.set_iteration(self.iteration)
-
-        # -- stage 1: draw + deploy (master) --------------------------------
-        draw = self.master.next_draw(self.iteration)
-        shards = self.comm.scatter([None] + list(draw.shards))[1:]
-        payload = draw.scatter_payload_bytes(self._degrees)
+    def phi_compute(
+        self, draw: MasterDraw, results: list[PhiStageResult], iteration: int
+    ) -> None:
+        """draw/deploy (the shards plus their adjacency slices, as the
+        paper's master scatters them), neighbor sampling, load_pi and the
+        phi kernel; then the barrier's deadline."""
+        cost, cfg = self.cost, self.config
+        t = self._t = StageTimes()
         t.draw_deploy = (
             draw.minibatch.n_vertices * cost.c_draw_per_vertex
-            + payload / self.cluster.network.bandwidth
+            + draw.scatter_payload_bytes(self.degrees) / self.cluster.network.bandwidth
             + self.cluster.network.latency
         )
-
-        # -- stage 2+3: neighbor sampling + update_phi (workers) ------------
-        beta = self.beta
-        results = []
-        t_sample = t_load = t_comp = 0.0
-        for worker, shard in zip(self.workers, shards):
-            ns = worker.sample_neighbors(shard)
-            res = worker.update_phi_pi(shard, ns, beta, self.iteration)
-            results.append(res)
-            t_sample = max(t_sample, shard.vertices.size * cfg.neighbor_sample_size * cost.c_neighbor_draw)
-            t_load = max(t_load, self._read_time(res.read_traffic))
-            t_comp = max(t_comp, res.ops_phi / cost.node_kernel_rate())
-        t.sample_neighbors = t_sample
-        t.load_pi = t_load + self.dkv.fault_stats.drain_delay()
-        t.update_phi_compute = t_comp
-        straggler_lag = self.comm.barrier(iteration=self.iteration)
-
-        # Pipelined: the master prepares the *next* mini-batch while the
-        # workers are inside update_phi (this really happens — the next
-        # step() consumes the prefetched draw).
-        if self.pipelined:
-            self.master.prefetch(self.iteration + 1)
-
-        # -- stage 4: update_pi (write-back) ---------------------------------
-        t_pi = 0.0
-        for worker, res in zip(self.workers, results):
-            traffic = worker.write_pi(res)
-            t_pi = max(
-                t_pi,
-                res.ops_pi / cost.node_kernel_rate() + self._write_time(traffic),
-            )
-        t.update_pi = t_pi + self.dkv.fault_stats.drain_delay()
-        self.comm.barrier(iteration=self.iteration)
-
-        # -- stage 5: update_beta/theta ---------------------------------------
-        partials = []
-        t_beta_work = 0.0
-        for worker, shard in zip(self.workers, shards):
-            part, traffic, ops = worker.theta_partial(shard, self.theta)
-            partials.append(part)
-            t_beta_work = max(
-                t_beta_work,
-                ops * cost.c_beta_element + self._read_time(traffic),
-            )
-        t_beta_work += self.dkv.fault_stats.drain_delay()
-        # The reduce gathers the pair-block partials; the master adds
-        # them in block order, as every engine does.
-        blocks = self.comm.reduce(
-            [{}] + partials, op=lambda a, b: {**a, **b}, iteration=self.iteration
+        t.sample_neighbors = _slowest(
+            s.vertices.size * cfg.neighbor_sample_size * cost.c_neighbor_draw
+            for s in draw.shards
         )
-        self.theta = stages.apply_theta(
-            self.kernels, self.workspace, cfg, self.theta, blocks, self.iteration
-        )
-        self.comm.bcast(self.beta)
-        theta_bytes = self.theta.nbytes
+        load = _slowest(self._read_time(r.read_traffic) for r in results)
+        t.load_pi = load + self.fault_stats.drain_delay()
+        t.update_phi_compute = _slowest(r.ops_phi / cost.node_kernel_rate() for r in results)
+        self._lag = self._straggler_lag(iteration)
+
+    def pi_write(self, results: list[PhiStageResult], traffic: list[DKVTraffic]) -> None:
+        rate = self.cost.node_kernel_rate()
+        t_pi = _slowest(r.ops_pi / rate + self._write_time(w) for r, w in zip(results, traffic))
+        self._t.update_pi = t_pi + self.fault_stats.drain_delay()
+
+    def theta_partial(self, theta: np.ndarray, work: list[tuple[int, DKVTraffic]]) -> None:
+        """The workers' partials (``(ops, traffic)`` each), the reduce,
+        the master's update and the beta broadcast; then the iteration's
+        composition (Section III-D) is recorded."""
+        cost, k, t = self.cost, self.config.n_communities, self._t
+        t_work = _slowest(ops * cost.c_beta_element + self._read_time(tr) for ops, tr in work)
+        t_work += self.fault_stats.drain_delay()
         steps = max(1, math.ceil(math.log2(self.cluster.n_nodes)))
         t.update_beta_theta = (
-            t_beta_work
-            + cost.tree_collective_time(theta_bytes)
+            t_work
+            + cost.tree_collective_time(theta.nbytes)
             + steps * cost.reduce_straggler_per_step
-            + cfg.n_communities / cost.node_kernel_rate(threads=1)
-            + cost.tree_collective_time(cfg.n_communities * 8)
+            + k / cost.node_kernel_rate(threads=1)
+            + cost.tree_collective_time(k * 8)
         )
         # BSP semantics: an injected straggler delays every barrier party.
-        t.barriers = 2 * cost.barrier_time() + straggler_lag
-
-        # -- clock composition (Section III-D) ---------------------------------
+        t.barriers = 2 * cost.barrier_time() + self._lag
         if self.pipelined:
+            # The master drew this iteration while the workers ran the
+            # previous update_phi; pi loads are chunked against compute.
             parts = (t.load_pi, t.update_phi_compute, t.draw_deploy)
             residual = (t.load_pi + t.update_phi_compute) / cost.pipeline_chunks
             t.update_phi = max(parts) + residual
@@ -304,69 +196,143 @@ class DistributedAMMSBSampler:
                 + t.update_beta_theta
                 + t.barriers
             )
-
-        self.iteration += 1
         self.timing.per_iteration.append(t)
-        return t
 
-    # -- perplexity --------------------------------------------------------------
-
-    def evaluate_perplexity(self) -> float:
-        """One distributed perplexity pass (Eqn 7, sample-averaged).
-
-        Each rank evaluates its static E_h slice against DKV-fresh pi,
-        accumulates into its local running probability sums, and the
-        log-average is reduced to the master.
-        """
-        if not self._heldout_parts:
-            raise RuntimeError("no held-out split was provided")
-        beta = self.beta
-        t_pass = 0.0
-        for rank, part in enumerate(self._heldout_parts):
-            if rank == 0:
-                # Master's slice: read through the DKV as a pure client.
-                probs = stages.heldout_probabilities(
-                    self._master_rows, self.config, part.pairs, part.labels, beta
-                )
-                traffic = self._master_rows.traffic
-            else:
-                probs, traffic = self.workers[rank - 1].perplexity_partial(
-                    part.pairs, part.labels, beta
-                )
-            part.add(probs)
-            compute = len(part.pairs) * self.config.n_communities / self.cost.node_kernel_rate()
-            load = (
-                traffic.n_requests * self.cost.c_dkv_request
-                + traffic.bytes_remote / self.cluster.network.bandwidth
-            )
-            t_pass = max(t_pass, compute + load)
-        reduced = self.comm.reduce(
-            [np.array(stages.heldout_log_sum(self._heldout_parts))]
-            + [np.zeros(2)] * self.cluster.n_workers
+    def perplexity(self, parts: list[PerplexityEstimator], traffic: list[DKVTraffic]) -> None:
+        """Each rank's slice (compute + its reads), then the reduce of the
+        log-sums to the master."""
+        cost, bandwidth = self.cost, self.cluster.network.bandwidth
+        rate = cost.node_kernel_rate()
+        t_pass = _slowest(
+            len(p.pairs) * self.config.n_communities / rate
+            + (tr.n_requests * cost.c_dkv_request + tr.bytes_remote / bandwidth)
+            for p, tr in zip(parts, traffic)
         )
-        t_pass += self.cost.tree_collective_time(16)
-        t_pass += self.dkv.fault_stats.drain_delay()
+        t_pass += cost.tree_collective_time(16)
+        t_pass += self.fault_stats.drain_delay()
         self.timing.perplexity_passes.append(t_pass)
-        return float(np.exp(-reduced[0] / max(reduced[1], 1)))
 
-    # -- driver -------------------------------------------------------------------
 
-    def run(self, n_iterations: int, perplexity_every: int = 0) -> list[StageTimes]:
-        """Run iterations; optionally evaluate perplexity periodically.
+class InProcessTransport:
+    """The ranks as objects in this process, called in turn; the clock
+    observes every call. Never raises ``WorkerCrashed``: an injected crash
+    or stall past the deadline is the clock's ``CommTimeout``.
 
-        Returns the per-iteration simulated stage times.
-        """
-        out = []
-        for _ in range(n_iterations):
-            out.append(self.step())
-            if (
-                perplexity_every
-                and self._heldout_parts
-                and self.iteration % perplexity_every == 0
-            ):
-                self.evaluate_perplexity()
-        return out
+    ``ranks``: the master's DKV client, then the workers.
+    """
 
-    def last_perplexity(self) -> float:
-        """Recompute the current averaged perplexity without a new sample."""
-        return stages.pooled_perplexity(self._heldout_parts)
+    def __init__(self, dkv: DKVStore, ranks: list[WorkerContext], clock: SimulatedClock) -> None:
+        self.dkv = dkv
+        self.ranks = ranks
+        self.workers = ranks[1:]
+        self.clock = clock
+        self._shards = []
+        self._results: list[PhiStageResult] = []
+
+    def phi_compute(
+        self, draw: MasterDraw, beta: np.ndarray, iteration: int, overlap: Callable[[], None]
+    ) -> None:
+        self.dkv.set_iteration(iteration)  # fault windows are indexed by iteration
+        self._shards = draw.shards
+        self._results = [
+            worker.update_phi_pi(shard, worker.sample_neighbors(shard), beta, iteration)
+            for worker, shard in zip(self.workers, draw.shards)
+        ]
+        self.clock.phi_compute(draw, self._results, iteration)
+        overlap()
+
+    def pi_write(self) -> None:
+        traffic = [w.write_pi(res) for w, res in zip(self.workers, self._results)]
+        self.clock.pi_write(self._results, traffic)
+
+    def theta_partial(self, theta: np.ndarray) -> dict[int, np.ndarray]:
+        blocks: dict[int, np.ndarray] = {}
+        work = []
+        for worker, shard in zip(self.workers, self._shards):
+            partials, traffic, ops = worker.theta_partial(shard, theta)
+            blocks.update(partials)
+            work.append((ops, traffic))
+        self.clock.theta_partial(theta, work)
+        return blocks
+
+    def perplexity(
+        self, parts: list[PerplexityEstimator], beta: np.ndarray
+    ) -> list[np.ndarray]:
+        out = [
+            self.ranks[j % len(self.ranks)].perplexity_partial(part.pairs, part.labels, beta)
+            for j, part in enumerate(parts)
+        ]
+        self.clock.perplexity(parts, [traffic for _, traffic in out])
+        return [probs for probs, _ in out]
+
+    def close(self) -> None:
+        """Nothing to release: the ranks are this process's objects."""
+
+
+class DistributedAMMSBSampler(MasterLoop):
+    """Master-worker distributed SG-MCMC for a-MMSB on a simulated cluster.
+
+    Args:
+        graph: training graph (the master's; its in-process workers
+            answer ``y_ab`` from it, the clock charges their slices).
+        config: shared configuration.
+        cluster: cluster spec (worker count, machine, network). Defaults
+            to 4 DAS5 workers.
+        heldout: optional held-out split, statically partitioned across
+            all ranks (the master too) for distributed perplexity.
+        pipelined: compose the clock as the double-buffering/prefetch
+            pipeline of Section III-D; the master draws ahead either way.
+        state: optional initial state (random otherwise).
+        faults: optional :class:`~repro.faults.FaultPlan`. DKV server
+            stalls degrade into retries / circuit-broken stale pi reads
+            (real staleness in the numerics, extra simulated seconds in
+            the clock); worker stalls are charged as straggler time at
+            barriers; a stall past :data:`COMM_TIMEOUT` raises
+            :class:`~repro.faults.CommTimeout` instead of hanging. An
+            empty plan is bit-identical to ``faults=None``.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        config: AMMSBConfig,
+        cluster: Optional[ClusterSpec] = None,
+        heldout: Optional[HeldoutSplit] = None,
+        pipelined: bool = True,
+        state: Optional[ModelState] = None,
+        faults: Optional[FaultPlan] = None,
+    ) -> None:
+        self.cluster = cluster or das5(4)
+        self.pipelined = pipelined
+        self.faults = armed(faults)
+        super().__init__(graph, config, self.cluster.n_workers, heldout, state)
+
+    def _connect(self, init: ModelState, heldout_keys: Optional[np.ndarray]) -> InProcessTransport:
+        n_workers = self.cluster.n_workers
+        self.dkv = DKVStore(
+            self.graph.n_vertices,
+            self.config.n_communities + 1,
+            n_workers,
+            dtype=np.dtype(self.config.dtype),
+            faults=self.faults,
+        )
+        self.dkv.populate(np.concatenate([init.pi, init.phi_sum[:, None]], axis=1))
+        clock = SimulatedClock(
+            self.cluster, self.config, self.graph.degrees, self.dkv.fault_stats,
+            self.faults, self.pipelined,
+        )
+        self.cost, self.timing = clock.cost, clock.timing
+        # The master's DKV client (MASTER_CLIENT = -1) first, then the workers.
+        ranks = [
+            WorkerContext(self.config, self.graph, DKVRows(self.dkv, client), heldout_keys)
+            for client in range(MASTER_CLIENT, n_workers)
+        ]
+        return InProcessTransport(self.dkv, ranks, clock)
+
+    def state_snapshot(self) -> ModelState:
+        """Gather the distributed state into a local ModelState (for
+        metrics/tests; the paper would checkpoint the same way)."""
+        values = self.dkv.snapshot()
+        return ModelState(
+            pi=values[:, :-1].copy(), phi_sum=values[:, -1].copy(), theta=self.theta.copy()
+        )

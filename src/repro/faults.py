@@ -15,7 +15,8 @@ One seeded plan core carries three vocabularies, one per tier:
   answered with per-batch timeouts, bounded exponential-backoff retries,
   per-server circuit breaking and stale-snapshot fallback
   (:mod:`repro.cluster.dkv`); barrier deadlines that raise a typed
-  :class:`CommTimeout` instead of hanging (:mod:`repro.cluster.comm`);
+  :class:`CommTimeout` instead of hanging (the simulated clock of
+  :mod:`repro.dist.sampler`);
   and worker-process crashes and stalls at a given iteration, detected by
   the master's heartbeat and healed by re-partitioning the dead worker's
   shard across survivors (:mod:`repro.dist.mp`).
@@ -486,7 +487,8 @@ class FaultPlan(_SeededPlan):
         """(worker, lag seconds) of the worst laggard at ``iteration``.
 
         A crashed worker lags forever (``inf``); a stalled one lags its
-        stall. Used by :class:`~repro.cluster.comm.Communicator` deadlines.
+        stall. The simulated clock's barrier deadline
+        (:class:`~repro.dist.sampler.SimulatedClock`) reads it.
         """
         for c in self.scheduled(WorkerCrash):
             if c.at <= iteration:

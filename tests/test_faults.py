@@ -1,7 +1,7 @@
 """Fault-injection layer: plans, typed errors, degradation, recovery.
 
 Covers the deterministic :class:`~repro.faults.FaultPlan`, the fault
-paths of the simulated fabric / RDMA engine / DKV store / communicator,
+paths of the simulated fabric / RDMA engine / DKV store / barrier deadline,
 and the in-process distributed sampler's degradation guarantees —
 including the bit-identity contract: an empty plan must change nothing.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.cluster.dkv import DKVStore, timed_read_batch
 from repro.cluster.spec import das5
 from repro.config import AMMSBConfig, StepSizeConfig
-from repro.dist.sampler import DistributedAMMSBSampler
+from repro.dist.sampler import COMM_TIMEOUT, DistributedAMMSBSampler
 from repro.faults import (
     ARRIVAL_FAULT_MODES,
     CommTimeout,
@@ -452,9 +452,7 @@ class TestDistributedSamplerFaults:
         split, cfg = problem
         plan = FaultPlan(worker_stalls=(WorkerStall(worker=1, at=3, seconds=5.0),))
         clean = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3))
-        armed = DistributedAMMSBSampler(
-            split.train, cfg, cluster=das5(3), faults=plan, comm_timeout=60.0
-        )
+        armed = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3), faults=plan)
         clean.run(6)
         armed.run(6)
         assert armed.timing.total_seconds >= clean.timing.total_seconds + 5.0
@@ -462,21 +460,25 @@ class TestDistributedSamplerFaults:
     def test_crash_raises_typed_comm_timeout(self, problem):
         split, cfg = problem
         plan = FaultPlan(worker_crashes=(WorkerCrash(worker=1, at=2),))
-        armed = DistributedAMMSBSampler(
-            split.train, cfg, cluster=das5(3), faults=plan, comm_timeout=1.0
-        )
+        armed = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3), faults=plan)
         armed.run(2)
+        before = armed.state_snapshot()
         with pytest.raises(CommTimeout) as ei:
             armed.step()
-        assert ei.value.worker == 1
+        assert ei.value.op == "barrier" and ei.value.worker == 1
         assert math.isinf(ei.value.lag)
+        # Raised at the update_phi barrier: no pi row was written.
+        after = armed.state_snapshot()
+        np.testing.assert_array_equal(after.pi, before.pi)
+        np.testing.assert_array_equal(after.phi_sum, before.phi_sum)
+        assert armed.iteration == 2 and len(armed.timing.per_iteration) == 2
 
     def test_stall_past_deadline_times_out(self, problem):
         split, cfg = problem
-        plan = FaultPlan(worker_stalls=(WorkerStall(worker=0, at=1, seconds=30.0),))
-        armed = DistributedAMMSBSampler(
-            split.train, cfg, cluster=das5(3), faults=plan, comm_timeout=10.0
+        plan = FaultPlan(
+            worker_stalls=(WorkerStall(worker=0, at=1, seconds=COMM_TIMEOUT + 30.0),)
         )
+        armed = DistributedAMMSBSampler(split.train, cfg, cluster=das5(3), faults=plan)
         armed.step()
         with pytest.raises(CommTimeout):
             armed.step()

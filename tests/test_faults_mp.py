@@ -18,11 +18,19 @@ import pytest
 
 from repro.core.checkpoint import CheckpointError, load_state_checkpoint, save_state_checkpoint
 from repro.core.sampler import AMMSBSampler
+from repro.dist import mp
 from repro.dist.mp import MultiprocessAMMSBSampler
 from repro.faults import FaultPlan, ServerStall, WorkerCrash, WorkerStall, chaos_plan
 from repro.graph.split import HeldoutSplit
 
-FAST = dict(heartbeat_timeout=15.0, poll_interval=0.02, shutdown_timeout=2.0)
+FAST = dict(heartbeat_timeout=15.0)
+
+
+@pytest.fixture(autouse=True)
+def fast_pipes(monkeypatch):
+    """Poll the result pipes every 20 ms; give workers 2 s to exit."""
+    monkeypatch.setattr(mp, "POLL_INTERVAL", 0.02)
+    monkeypatch.setattr(mp, "SHUTDOWN_TIMEOUT", 2.0)
 
 
 def assert_same_state(got, want):
@@ -98,8 +106,6 @@ class TestCrashRecovery:
             n_workers=3,
             faults=plan,
             heartbeat_timeout=0.5,
-            poll_interval=0.02,
-            shutdown_timeout=2.0,
         ) as s:
             t0 = time.monotonic()
             s.run(5)
@@ -153,12 +159,13 @@ class TestRecoveryKeepsTheTrajectory:
         self, split, wide, monkeypatch, stage, when
     ):
         s = MultiprocessAMMSBSampler(split.train, wide, n_workers=3, **FAST)
-        real_collect = s._collect
+        pipes = s.transport
+        real_collect = pipes._collect
         fired, held = [], []
 
         def kill_victim():
             held.append(s.master._ahead is not None)
-            victim = s._procs[1]
+            victim = pipes._procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             fired.append(s.iteration)
@@ -172,7 +179,7 @@ class TestRecoveryKeepsTheTrajectory:
                 kill_victim()
             return out
 
-        monkeypatch.setattr(s, "_collect", collect)
+        monkeypatch.setattr(pipes, "_collect", collect)
         try:
             s.run(6)
             # Every stage of an iteration runs with iteration 4's draw held.
@@ -199,7 +206,8 @@ class TestRecoveryKeepsTheTrajectory:
             want = clean.state_snapshot()
 
         s = MultiprocessAMMSBSampler(split.train, wide, n_workers=3, heldout=split, **FAST)
-        real_send = s._send
+        pipes = s.transport
+        real_send = pipes._send
         fired = []
 
         def send(worker, payload):
@@ -207,12 +215,12 @@ class TestRecoveryKeepsTheTrajectory:
             # inside evaluate_perplexity, not in the next step.
             if payload[0] == "perplexity" and not fired:
                 fired.append((s.iteration, s.master._ahead is not None))
-                victim = s._procs[1]
+                victim = pipes._procs[1]
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join(timeout=5.0)
             real_send(worker, payload)
 
-        monkeypatch.setattr(s, "_send", send)
+        monkeypatch.setattr(pipes, "_send", send)
         try:
             s.run(3)
             assert s.evaluate_perplexity() == want_perplexity
@@ -236,14 +244,14 @@ class TestPipeDiscipline:
         EOF within bounded time, and recovery heals it normally."""
         s = MultiprocessAMMSBSampler(split.train, config, n_workers=2, **FAST)
         try:
-            victim = s._procs[0]
+            victim = s.transport._procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             assert victim.exitcode is not None
-            ready = mp_connection.wait([s._res_pipes[0]], timeout=5.0)
+            ready = mp_connection.wait([s.transport._res_pipes[0]], timeout=5.0)
             assert ready, "dead worker's result pipe never reached EOF"
             with pytest.raises((EOFError, OSError)):
-                s._res_pipes[0].recv()
+                s.transport._res_pipes[0].recv()
             s.step()  # the loss still heals through the normal path
             assert s.active_workers == (1,)
             assert len(s.recoveries) == 1
@@ -282,7 +290,7 @@ class TestPipeDiscipline:
 
 
 class TestPromptClose:
-    def test_close_terminates_wedged_worker_promptly(self, split, config):
+    def test_close_terminates_wedged_worker_promptly(self, split, config, monkeypatch):
         """Regression: close() must not block behind a wedged worker.
 
         Worker 0 is sent real work while a fault plan wedges it for 30
@@ -292,22 +300,18 @@ class TestPromptClose:
         plan = FaultPlan(
             seed=6, worker_stalls=(WorkerStall(worker=0, at=0, seconds=30.0),)
         )
+        monkeypatch.setattr(mp, "SHUTDOWN_TIMEOUT", 1.0)
         s = MultiprocessAMMSBSampler(
-            split.train,
-            config,
-            n_workers=2,
-            faults=plan,
-            heartbeat_timeout=60.0,
-            shutdown_timeout=1.0,
+            split.train, config, n_workers=2, faults=plan, heartbeat_timeout=60.0
         )
         draw = s.master.next_draw(0)
-        s._send(0, ("phi_compute", 1, draw.shards[0], s.beta, 0))
+        s.transport._send(0, ("phi_compute", 1, draw.shards[0], s.beta, 0))
         time.sleep(0.3)  # let worker 0 enter the stall
         t0 = time.monotonic()
         s.close()
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0
-        for proc in s._procs:
+        for proc in s.transport._procs:
             assert proc.exitcode is not None  # all reaped
 
     def test_close_is_idempotent_and_step_after_close_raises(self, split, config):

@@ -405,7 +405,6 @@ DELETED = (
     ("repro.stream.source.FileTailSource", ("reset",)),
     ("repro.core.perplexity.PerplexityEstimator", ("reset",)),
     ("repro.core.sampler.AMMSBSampler", ("run_until_converged",)),
-    ("repro.cluster.comm.Communicator", ("gather", "allreduce")),
     ("repro.cluster.dkv.DKVTraffic", ("merge",)),
     ("repro.cluster.dkv.DKVStore", ("owner",)),
     ("repro.cluster.spec.ClusterSpec", ("max_communities",)),
@@ -452,7 +451,9 @@ DELETED_OPTIONS = (
     ("repro.dist.worker.WorkerContext.sample_neighbors", ("links_against",)),
     ("repro.dist.mp.MultiprocessAMMSBSampler", (
         "checkpoint_path", "checkpoint_every", "publish_path", "publish_every",
+        "poll_interval", "shutdown_timeout",
     )),
+    ("repro.dist.sampler.DistributedAMMSBSampler", ("comm_timeout",)),
     ("repro.cluster.dkv.DKVStore", (
         "request_timeout", "max_retries", "backoff_base", "backoff_cap",
     )),
@@ -480,8 +481,10 @@ def _resolve(dotted: str):
     return target
 
 
-#: modules whose code moved into the tests that were its only users
-DELETED_MODULES = ("repro.graph.analysis", "repro.sim.loadtest")
+#: modules whose code moved into the tests that were its only users, or
+#: whose one used behaviour moved into its user (the barrier deadline
+#: into the simulated clock)
+DELETED_MODULES = ("repro.graph.analysis", "repro.sim.loadtest", "repro.cluster.comm")
 
 
 @pytest.mark.parametrize("module", DELETED_MODULES)

@@ -172,14 +172,14 @@ class TestInheritedGraph:
         monkeypatch.setitem(sys.modules, "repro.graph.io", None)
         shards = []
         with MultiprocessAMMSBSampler(split.train, cfg, n_workers=2) as s:
-            real_send = s._send
+            real_send = s.transport._send
 
             def send(worker, payload):
                 if payload[0] == "phi_compute":
                     shards.append(payload[2])
                 real_send(worker, payload)
 
-            s._send = send
+            s.transport._send = send
             s.run(8)
             snap = s.state_snapshot()
         assert len(shards) == 16
