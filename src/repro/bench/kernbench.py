@@ -238,6 +238,7 @@ def _bench_sampler(
             samplers[name].run(iters)
             best[name] = min(best[name], time.perf_counter() - start)
     for name in backend_names:
+        samplers[name].close()
         out[name] = {
             "seconds": best[name],
             "iterations_per_s": iters / best[name],

@@ -58,14 +58,16 @@ exit code 2 (:class:`ArgumentError`) on the commands that check theirs
 up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``,
 ``query``, ``serve`` and ``stream``; ``detect`` and ``generate`` for a
 size the library's range checks refuse (``-k 0``, ``--mini-batch 0``,
-``--vertices 0``); ``detect`` and ``auc`` for a ``--heldout-fraction``
+``--vertices 0``); ``detect`` for ``--iterations`` below 1 or a
+``--threshold`` outside (0, 1]; ``detect`` and ``auc`` for a ``--heldout-fraction``
 outside (0, 1) or a negative ``--seed``; ``benchmark`` for a ``--csv``
 into a missing directory; ``detect``, ``auc``, ``stream`` and ``convert-graph``
 for a graph file that is missing, is not an edge list of integer ids,
 or (``detect``, ``auc``) is too small or too dense to hold out pairs
 from; and ``query`` for a node id or community the artifact does not
-hold. ``detect
---export-artifact`` of a state whose rows cannot be served is one
+hold. A flag's range, where it has one of its own, is checked by its
+``type=`` converter (:func:`_ranged`) as the command line is parsed.
+``detect --export-artifact`` of a state whose rows cannot be served is one
 ``cannot export artifact:`` line and exit 3; the container is still
 written, as a checkpoint.
 """
@@ -80,13 +82,38 @@ from pathlib import Path
 import numpy as np
 
 
-class ArgumentError(ValueError):
-    """An argument value no run can use; ``main`` prints it and exits 2."""
+class ArgumentError(Exception):
+    """An argument value no run can use; ``main`` prints it and exits 2.
+
+    Not a ``ValueError``, so argparse lets one raised by a ``type=``
+    converter (:func:`_ranged`) through instead of printing its usage."""
 
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ArgumentError(message)
+
+
+def _ranged(flag: str, cast, ok, need: str):
+    """An argparse ``type=`` converter: ``cast(text)``, refused with an
+    :class:`ArgumentError` unless ``ok`` holds, so the range is checked
+    where the flag is declared, before any command runs."""
+
+    def convert(text: str):
+        value = cast(text)
+        _require(ok(value), f"{flag} must be {need}, got {text}")
+        return value
+
+    convert.__name__ = cast.__name__  # argparse's "invalid int value: 'x'"
+    return convert
+
+
+def _at_least(flag: str, least: int):
+    return _ranged(flag, int, lambda n: n >= least, f">= {least}")
+
+
+def _above_zero(flag: str):
+    return _ranged(flag, float, lambda x: x > 0, "> 0")
 
 
 def _require_seed_and_output(args: argparse.Namespace) -> None:
@@ -167,20 +194,21 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     posterior = PosteriorMean(graph.n_vertices, args.communities)
     report_every = max(1, args.iterations // 10)
     sample_from = int(args.iterations * 0.75)
-    while sampler.iteration < args.iterations:
-        chunk = min(report_every, args.iterations - sampler.iteration)
-        sampler.run(chunk, perplexity_every=50)
-        if sampler.iteration >= sample_from:
-            posterior.record(sampler.state.pi, sampler.state.beta)
-        print(
-            f"iter {sampler.iteration:6d} perplexity "
-            f"{sampler.perplexity_estimator.value():.4f}",
-            file=sys.stderr,
-        )
-        if args.checkpoint:
-            from repro.core.checkpoint import save_checkpoint
+    with sampler:
+        while sampler.iteration < args.iterations:
+            chunk = min(report_every, args.iterations - sampler.iteration)
+            sampler.run(chunk, perplexity_every=50)
+            if sampler.iteration >= sample_from:
+                posterior.record(sampler.state.pi, sampler.state.beta)
+            print(
+                f"iter {sampler.iteration:6d} perplexity "
+                f"{sampler.perplexity_estimator.value():.4f}",
+                file=sys.stderr,
+            )
+            if args.checkpoint:
+                from repro.core.checkpoint import save_checkpoint
 
-            save_checkpoint(args.checkpoint, sampler)
+                save_checkpoint(args.checkpoint, sampler)
     if posterior.n_samples == 0:
         posterior.record(sampler.state.pi, sampler.state.beta)
     covers = extract_communities(posterior.pi, threshold=args.threshold)
@@ -355,14 +383,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ArgumentError(str(exc)) from None
-    _require(args.iterations >= 1, f"--iterations must be >= 1, got {args.iterations}")
-    _require(args.generations >= 1, f"--generations must be >= 1, got {args.generations}")
-    _require(0 < args.base_fraction < 1,
-             f"--base-fraction must be in (0, 1), got {args.base_fraction}")
-    _require(args.workers >= 0, f"--workers must be >= 0, got {args.workers}")
-    _require(args.drift_window >= 0, f"--drift-window must be >= 0, got {args.drift_window}")
-    _require(args.poll_interval >= 0, f"--poll-interval must be >= 0, got {args.poll_interval}")
-    _require(args.stall_deadline > 0, f"--stall-deadline must be > 0, got {args.stall_deadline}")
     _require_file("--edges", args.edges)
     workdir = Path(args.workdir)
     history_path = (
@@ -613,10 +633,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.graph.split import split_heldout
 
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    _require(args.iterations >= 1,
-             f"--iterations must be >= 1, got {args.iterations}")
-    _require(args.heartbeat_timeout > 0,
-             f"--heartbeat-timeout must be > 0, got {args.heartbeat_timeout}")
     try:  # the library's own range checks on sizes, worker count and rates
         rng = np.random.default_rng(args.seed)
         graph, _ = planted_overlapping_graph(
@@ -670,8 +686,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ) as s:
         s.run(args.iterations)
         clean_mp = s.state_snapshot()
-    sequential = AMMSBSampler(split.train, config, heldout=split)
-    sequential.run(args.iterations)
+    with AMMSBSampler(split.train, config, heldout=split) as sequential:
+        sequential.run(args.iterations)
     digests = {
         "crashed multiprocess": _state_digest(crashed),
         "fault-free multiprocess": _state_digest(clean_mp),
@@ -716,7 +732,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.serve.artifact import ArtifactError, load_artifact
     from repro.serve.engine import QueryEngine
 
-    _require(args.top >= 1, f"--top must be >= 1, got {args.top}")
     _require(args.backend is None or args.backend in available_backends(),
              f"--backend must be one of {available_backends()}, got {args.backend!r}")
     try:
@@ -822,11 +837,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.artifact import ArtifactError, load_artifact
     from repro.serve.server import ModelServer, ShedPolicy
 
-    _require(args.workers >= 0, f"--workers must be >= 0, got {args.workers}")
-    _require(args.max_batch >= 1, f"--max-batch must be >= 1, got {args.max_batch}")
-    _require(args.drift_window >= 0, f"--drift-window must be >= 0, got {args.drift_window}")
-    for flag, value in (("--deadline-ms", args.deadline_ms), ("--slo-p99-ms", args.slo_p99_ms)):
-        _require(value is None or value > 0, f"{flag} must be > 0, got {value}")
     try:
         artifact = load_artifact(args.artifact)
     except ArtifactError as exc:
@@ -945,11 +955,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detect communities in an edge list")
     p.add_argument("--edges", required=True, help="edge-list file (SNAP format)")
     p.add_argument("--communities", "-k", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=4000)
+    p.add_argument("--iterations", type=_at_least("--iterations", 1), default=4000)
     p.add_argument("--mini-batch", type=int, default=128)
     p.add_argument("--neighbors", type=int, default=32)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--threshold", type=float, default=0.25)
+    p.add_argument("--threshold", default=0.25,
+                   type=_ranged("--threshold", float, lambda x: 0 < x <= 1, "in (0, 1]"))
     p.add_argument("--heldout-fraction", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None, help="covers file (default stdout)")
@@ -1011,7 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifact", required=True, help="serving artifact container")
     p.add_argument("--backend", default=None,
                    help="kernel backend override (default: artifact config)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_at_least("--top", 1), default=10,
                    help="result count for ranked ops (default 10)")
     p.add_argument("op", choices=["membership", "link", "community", "recommend"])
     p.add_argument("args", nargs="*", help="op operands (node/community ids)")
@@ -1020,20 +1031,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="serve an artifact over a stdin line protocol")
     p.add_argument("--artifact", required=True, help="serving artifact container")
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--max-batch", type=int, default=64,
+    p.add_argument("--workers", type=_at_least("--workers", 0), default=2)
+    p.add_argument("--max-batch", type=_at_least("--max-batch", 1), default=64,
                    help="a free worker answers every request queued, up to "
                         "this many, as one batch; it waits only while the "
                         "queue is empty (default 64)")
-    p.add_argument("--deadline-ms", type=float, default=None,
+    p.add_argument("--deadline-ms", type=_above_zero("--deadline-ms"), default=None,
                    help="fail requests queued longer than this (default: none)")
-    p.add_argument("--slo-p99-ms", type=float, default=None,
+    p.add_argument("--slo-p99-ms", type=_above_zero("--slo-p99-ms"), default=None,
                    help="enable SLO load shedding at this p99 target "
                         "(default: shedding off)")
     p.add_argument("--history", default=None,
                    help="membership-history checkpoint to reload/persist "
                         "(survives server restarts; needs --drift-window)")
-    p.add_argument("--drift-window", type=int, default=0,
+    p.add_argument("--drift-window", type=_at_least("--drift-window", 0), default=0,
                    help="retain this many generations of membership "
                         "history for 'drift' queries (default: off)")
     p.set_defaults(func=_cmd_serve)
@@ -1044,11 +1055,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True,
                    help="arrival file: 'src dst' or 'ts src dst' lines")
     p.add_argument("--communities", "-k", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=200,
+    p.add_argument("--iterations", type=_at_least("--iterations", 1), default=200,
                    help="training budget per generation (default 200)")
-    p.add_argument("--generations", type=int, default=2,
+    p.add_argument("--generations", type=_at_least("--generations", 1), default=2,
                    help="batches the post-base arrivals split into")
-    p.add_argument("--base-fraction", type=float, default=0.9,
+    p.add_argument("--base-fraction", default=0.9,
+                   type=_ranged("--base-fraction", float, lambda x: 0 < x < 1, "in (0, 1)"),
                    help="arrival prefix forming the warm-start base graph")
     p.add_argument("--workdir", default="stream-work",
                    help="per-generation CSR and model containers")
@@ -1056,9 +1068,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="published artifact path: a container directory of "
                         "hard links to the newest generation's model container, "
                         "(default: WORKDIR/artifact)")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=_at_least("--workers", 0), default=0,
                    help="mp-engine worker count (0 = in-process sequential)")
-    p.add_argument("--drift-window", type=int, default=8,
+    p.add_argument("--drift-window", type=_at_least("--drift-window", 0), default=8,
                    help="generations of membership history retained")
     p.add_argument("--follow", action="store_true",
                    help="keep tailing the file live under the retry "
@@ -1074,9 +1086,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trigger-drift", type=float, default=None,
                    help="follow: retrain once pending edges exceed this "
                         "fraction of the base graph's edges")
-    p.add_argument("--poll-interval", type=float, default=0.5,
+    p.add_argument("--poll-interval", default=0.5,
+                   type=_ranged("--poll-interval", float, lambda x: x >= 0, ">= 0"),
                    help="follow: sleep between empty polls (seconds)")
-    p.add_argument("--stall-deadline", type=float, default=30.0,
+    p.add_argument("--stall-deadline", type=_above_zero("--stall-deadline"), default=30.0,
                    help="follow: give up after the source has been "
                         "unreadable this long (seconds)")
     p.add_argument("--max-generations", type=int, default=None,
@@ -1103,10 +1116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, default=200)
     p.add_argument("--communities", "-k", type=int, default=4)
     p.add_argument("--workers", type=int, default=3)
-    p.add_argument("--iterations", type=int, default=9)
+    p.add_argument("--iterations", type=_at_least("--iterations", 1), default=9)
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--rdma-failure-rate", type=float, default=0.05)
-    p.add_argument("--heartbeat-timeout", type=float, default=15.0)
+    p.add_argument("--heartbeat-timeout", type=_above_zero("--heartbeat-timeout"),
+                   default=15.0)
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser("chaos-stream",
@@ -1132,8 +1146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

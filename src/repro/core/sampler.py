@@ -25,16 +25,22 @@ at a time.
 An iteration is a draw (:meth:`AMMSBSampler._draw`: mini-batch, then
 neighbor sets) and an apply (:meth:`AMMSBSampler._apply`: the phi and
 theta stages). The draw of t reads the graph and t, never the state, so
-:meth:`AMMSBSampler.run` draws iteration t+1 on one helper thread while
-iteration t is applied on the calling thread, and uses that draw when
-the clock reads t+1. :attr:`IterationStats.draw_wait_s` is what the
-calling thread still waited for its draw.
+:meth:`AMMSBSampler.run` draws iteration t+1 in one forked process while
+iteration t is applied in the calling one, and uses that draw when the
+clock reads t+1. The process is forked at the first ``run(n >= 2)`` and
+lives as long as the sampler (:meth:`AMMSBSampler.close`, ``with``, or
+the sampler's collection end it): it draws from the sampler as it was at
+that fork, so the graph and the mini-batch sampler are fixed for a
+sampler's life. :attr:`IterationStats.draw_wait_s` is what the calling
+process still waited for its draw.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
@@ -52,6 +58,70 @@ from repro.graph.graph import Graph
 from repro.graph.split import HeldoutSplit
 
 T = TypeVar("T")
+Draw = tuple[Minibatch, NeighborSample]
+
+
+def _serve_draws(draw: Callable[[int], Draw], conn, parent_end) -> None:
+    """The draw process: answer each iteration number with ``(t, draw(t))``,
+    or ``(t, None)`` when the draw raised (the parent draws t again and
+    the error surfaces there, with its own traceback). Ends at EOF."""
+    parent_end.close()  # else the parent closing its end is no EOF here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            t = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (t, draw(t))
+        except Exception:
+            reply = (t, None)
+        conn.send(reply)
+
+
+class _DrawProcess:
+    """One forked process drawing iterations ahead for a sampler; holds no
+    reference to the sampler, so the sampler's finalizer can close it."""
+
+    def __init__(self, draw: Callable[[int], Draw]) -> None:
+        ctx = mp.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_serve_draws, args=(draw, child_end, self._conn), daemon=True
+        )
+        self.process.start()
+        child_end.close()
+        #: the iteration asked for and not yet received
+        self.pending: Optional[int] = None
+        self.alive = True
+
+    def ask(self, iteration: int) -> None:
+        try:
+            self._conn.send(iteration)
+            self.pending = iteration
+        except OSError:  # the process died
+            self.close()
+
+    def take(self, iteration: int) -> Optional[Draw]:
+        """The held draw of ``iteration``, or None: nothing asked, a stale
+        or failed reply (drained either way), or the process died."""
+        if self.pending is None:
+            return None
+        try:
+            held, draw = self._conn.recv()
+        except (EOFError, OSError):  # the process died
+            self.close()
+            return None
+        self.pending = None
+        return draw if held == iteration else None
+
+    def close(self) -> None:
+        """Kill and reap the process (it holds nothing to clean up); idempotent."""
+        self.alive, self.pending = False, None
+        self._conn.close()
+        self.process.kill()
+        self.process.join()
 
 
 @dataclass
@@ -64,9 +134,9 @@ class IterationStats:
     step_phi: float
     step_theta: float
     perplexity: Optional[float] = None
-    #: seconds the calling thread blocked on this iteration's draw: all of
-    #: it in ``step()`` and in ``run()``'s first iteration, afterwards only
-    #: what the look-ahead had not finished
+    #: seconds the calling process blocked on this iteration's draw: all
+    #: of it in ``step()`` and in ``run()``'s first iteration, afterwards
+    #: only what the draw process had not finished
     draw_wait_s: float = 0.0
 
 
@@ -116,6 +186,8 @@ class AMMSBSampler:
         self.iteration = 0
         self.history: list[IterationStats] = []
         self._rng, self._seated_at = block_rng(config.seed, DRAW, 0, 0), 0
+        self._ahead: Optional[_DrawProcess] = None
+        self._closed = False
 
     @property
     def rng(self) -> np.random.Generator:
@@ -127,6 +199,30 @@ class AMMSBSampler:
             self._seated_at = self.iteration
             seat(self._rng, self.config.seed, DRAW, 0, self.iteration)
         return self._rng
+
+    def close(self) -> None:
+        """End the draw process, if one was started; idempotent. A closed
+        sampler still runs, drawing every iteration inline."""
+        self._closed = True
+        if self._ahead is not None:
+            self._ahead.close()
+            self._ahead = None
+
+    def __enter__(self) -> "AMMSBSampler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _draw_process(self) -> Optional[_DrawProcess]:
+        """The live draw process, forked now if there is none (the first
+        run, or the last one died); None once the sampler is closed."""
+        if self._closed:
+            return None
+        if self._ahead is None or not self._ahead.alive:
+            self._ahead = _DrawProcess(self._draw)
+            weakref.finalize(self, self._ahead.close)
+        return self._ahead
 
     # -- update stages: repro.core.stages over this engine's executor -------
 
@@ -190,7 +286,7 @@ class AMMSBSampler:
 
     # -- main loop -----------------------------------------------------------
 
-    def _draw(self, iteration: int) -> tuple[Minibatch, NeighborSample]:
+    def _draw(self, iteration: int) -> Draw:
         """Iteration ``iteration``'s draw: the mini-batch, then its neighbor
         sets under a key drawn right after it, both from ``block_rng(seed,
         DRAW, 0, iteration)``. Reads the graph only, never the state."""
@@ -231,11 +327,13 @@ class AMMSBSampler:
         """Run ``n_iterations``; optionally record perplexity periodically.
 
         Ends on the state of ``n_iterations`` calls of :meth:`step` while
-        drawing each next iteration on a helper thread (module docstring).
-        A held draw is used only at the iteration it was drawn for, so a
-        callback that moves the clock (a ``step()``) is followed: the
-        next draw is then taken inline. A draw's error surfaces at the
-        iteration that needs the draw.
+        drawing each next iteration in the draw process (module
+        docstring). A held draw is used only at the iteration it was
+        drawn for, so a callback that moves the clock (a ``step()``) is
+        followed: the next draw is then taken inline. A draw that failed
+        in the draw process is drawn again inline, so its error surfaces
+        at the iteration that needs the draw; if the process died, the
+        rest of the run draws inline, to the same bits.
 
         Args:
             n_iterations: iterations to run.
@@ -245,32 +343,27 @@ class AMMSBSampler:
             callback: called after each iteration with its stats.
         """
         out = []
-        ahead = None  # (iteration, future of its draw)
-        # The thread starts at the first submit, so never for n < 2; leaving
-        # the block joins it. A held draw no iteration uses is dropped.
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for i in range(n_iterations):
-                start = time.perf_counter()
-                if ahead is not None and ahead[0] == self.iteration:
-                    draw = ahead[1].result()
-                else:
-                    draw = self._draw(self.iteration)
-                waited = time.perf_counter() - start
-                ahead = None
-                if i + 1 < n_iterations:
-                    ahead = (self.iteration + 1, helper.submit(self._draw, self.iteration + 1))
-                stats = self._apply(*draw)
-                stats.draw_wait_s = waited
-                if (
-                    perplexity_every
-                    and self.perplexity_estimator is not None
-                    and self.iteration % perplexity_every == 0
-                ):
-                    self.perplexity_estimator.record(
-                        self.state.pi, self.state.beta, iteration=self.iteration
-                    )
-                    stats.perplexity = self.perplexity_estimator.value()
-                if callback:
-                    callback(stats)
-                out.append(stats)
+        ahead = self._draw_process() if n_iterations >= 2 else None
+        for i in range(n_iterations):
+            start = time.perf_counter()
+            draw = ahead.take(self.iteration) if ahead is not None else None
+            if draw is None:
+                draw = self._draw(self.iteration)
+            waited = time.perf_counter() - start
+            if ahead is not None and ahead.alive and i + 1 < n_iterations:
+                ahead.ask(self.iteration + 1)
+            stats = self._apply(*draw)
+            stats.draw_wait_s = waited
+            if (
+                perplexity_every
+                and self.perplexity_estimator is not None
+                and self.iteration % perplexity_every == 0
+            ):
+                self.perplexity_estimator.record(
+                    self.state.pi, self.state.beta, iteration=self.iteration
+                )
+                stats.perplexity = self.perplexity_estimator.value()
+            if callback:
+                callback(stats)
+            out.append(stats)
         return out

@@ -22,8 +22,10 @@ each row. Which ``y_ab`` query costs what:
   matrix whose row i is asked against the adjacency of one vertex, which is
   what every neighbor-sampling path asks: the m touched rows (the "subset
   of E touched by the mini-batch", paper Section III-A — from the graph, a
-  scattered slice or a mapped CSR container) become one small sorted key
-  array, searched once: O(log sum-of-degrees) per pair, cache-resident.
+  scattered slice or a mapped CSR container) mark a scratch mask sized by
+  their entries, and the few candidates the mask does not rule out are
+  searched in one small sorted key array of those rows: O(1) per pair
+  and O(log sum-of-degrees) per survivor, cache-resident.
 
 E is kept once: ``edges`` is decoded from the keys on demand
 (``divmod(key, N)``), so a graph holds 24 bytes per edge — 8 of key, 16
@@ -68,19 +70,29 @@ def rows_contain(
 ) -> np.ndarray:
     """Whether row i of a compact CSR holds ``candidates[i, j]``; (m, n) bool.
 
-    Rows must be sorted (every CSR in this package is). Row i's entries
-    become keys ``i * stride + neighbor`` — already globally sorted — so
-    the whole matrix is answered by one ``searchsorted`` against a key
-    array the size of the touched rows, not of E.
+    Rows must be sorted (every CSR in this package is). Most candidates
+    are in no touched row, so a filter goes first: the rows' entries mark
+    a scratch mask of at least 8 slots an entry, indexed by the low bits
+    of the vertex id, and only the candidates whose slot is marked are
+    searched. Row i's entries become keys ``i * stride + neighbor`` —
+    already globally sorted — so those candidates are answered by one
+    ``searchsorted`` against a key array the size of the touched rows;
+    nothing is sized by E or N.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     m = candidates.shape[0]
     if len(indptr) != m + 1:
         raise ValueError("candidate matrix row count != CSR rows")
-    stride = max(int(indices.max(initial=0)), int(candidates.max(initial=0))) + 1
-    offsets = np.arange(m, dtype=np.int64) * stride
-    keys = np.repeat(offsets, np.diff(indptr)) + indices
-    return in_sorted(keys, offsets[:, None] + candidates)
+    low = (1 << int(8 * indices.size).bit_length()) - 1
+    marked = np.zeros(low + 1, dtype=bool)
+    marked[indices & low] = True
+    hit = np.flatnonzero(marked[candidates & low])
+    row, asked = hit // max(candidates.shape[1], 1), candidates.flat[hit]
+    stride = max(int(indices.max(initial=0)), int(asked.max(initial=0))) + 1
+    keys = np.repeat(np.arange(m, dtype=np.int64) * stride, np.diff(indptr)) + indices
+    out = np.zeros(candidates.shape, dtype=bool)
+    out.flat[hit] = in_sorted(keys, row * stride + asked)
+    return out
 
 
 def _decode(keys: np.ndarray, n: int) -> np.ndarray:

@@ -665,12 +665,13 @@ class StreamTrainer:
                 sampler.iteration = self.iteration
                 sampler.run(n_iter)
                 return sampler.state_snapshot()
-        sampler = AMMSBSampler(
+        # A new sampler (and draw process) per generation: the graph changed.
+        with AMMSBSampler(
             heldout.train, self.config, heldout=heldout, state=self.state
-        )
-        sampler.iteration = self.iteration
-        sampler.run(n_iter)
-        return sampler.state
+        ) as sampler:
+            sampler.iteration = self.iteration
+            sampler.run(n_iter)
+            return sampler.state
 
     def run(self, batches: Sequence[Sequence[EdgeArrival]]) -> list[GenerationReport]:
         """Replay arrival batches, one generation each; returns the reports."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,19 @@ class TestArgumentErrors:
           "--output", "/no/such/dir/g.txt"], "--scale must be > 0"),
         (["generate", "--dataset", "com-DBLP", "--scale", "0",
           "--output", "/no/such/dir/g.txt"], "--scale must be > 0"),
+        # covers of the untrained random init, or every vertex in every community
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--iterations", "0"],
+         "--iterations must be >= 1"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--iterations", "-3"],
+         "--iterations must be >= 1"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--threshold", "0"],
+         "--threshold must be in (0, 1]"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--threshold", "-0.5"],
+         "--threshold must be in (0, 1]"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--threshold", "1.5"],
+         "--threshold must be in (0, 1]"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--threshold", "nan"],
+         "--threshold must be in (0, 1]"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -269,6 +284,15 @@ class TestDetectCheckpointing:
                    str(tmp_path / "c2.txt")])
         assert rc == 0
         assert (tmp_path / "c2.txt").exists()
+
+    def test_detect_leaves_no_process(self, tmp_path, capsys):
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "120", "--communities", "3",
+              "--output", str(edges)])
+        before = set(multiprocessing.active_children())
+        assert main(["detect", "--edges", str(edges), "-k", "3", "--iterations", "40",
+                     "--output", str(tmp_path / "c.txt")]) == 0
+        assert set(multiprocessing.active_children()) == before
 
     def test_killed_run_resumes_bit_for_bit(self, tmp_path, capsys):
         """A run killed after a ``--checkpoint`` write and resumed ends

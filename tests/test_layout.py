@@ -9,8 +9,8 @@ resolve a backend itself.
 draw included, is keyed by what is computed:
 :func:`repro.core.minibatch.block_rng` (re-seated by ``seat``) is the
 only generator the engine modules draw from; they build and copy none.
-``AMMSBSampler.run``'s helper thread, which draws the next iteration, is
-one of two thread pools in the package.
+The block map (``parallel.threadpool``) is the package's one thread
+pool; only the mp engine and ``AMMSBSampler.run``'s draw process fork.
 
 *One on-disk format.* Model state is written by
 :func:`repro.store.write_container` and by nothing else; ``.npz`` /
@@ -237,15 +237,35 @@ def test_no_writer_records_an_rng_state():
     assert named == {"legacy.py"}
 
 
-def test_thread_pools_are_the_look_ahead_and_the_block_map():
-    pools = set()
+def _modules_calling(match) -> set[tuple[str, str]]:
+    """``(module, enclosing def)`` of every call whose callee ``match`` accepts."""
+    found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for _call, _stmt, func in _calls(
-            tree, lambda f: ast.unparse(f).split(".")[-1] == "ThreadPoolExecutor"
-        ):
-            pools.add((str(path.relative_to(SRC)), func))
-    assert pools == {("core/sampler.py", "run"), ("parallel/threadpool.py", "chunked_thread_map")}
+        for _call, _stmt, func in _calls(tree, match):
+            found.add((str(path.relative_to(SRC)), func))
+    return found
+
+
+def test_the_block_map_is_the_only_thread_pool():
+    pools = _modules_calling(lambda f: ast.unparse(f).split(".")[-1] == "ThreadPoolExecutor")
+    assert pools == {("parallel/threadpool.py", "chunked_thread_map")}
+
+
+#: what starts a process that runs this package's code: a fork, a
+#: multiprocessing context, its ``Process`` and the pools
+FORKS = {"fork", "forkpty", "get_context", "Process", "Pool", "ProcessPoolExecutor"}
+
+
+def test_processes_are_started_by_the_mp_engine_and_the_draw_look_ahead():
+    """Only the mp workers and the sequential sampler's draw process fork.
+    (``sim.core``'s ``Process`` is a simulated one, called by its bare
+    name; ``subprocess`` runs a fresh interpreter, not a fork.)"""
+    forks = _modules_calling(
+        lambda f: isinstance(f, ast.Attribute) and f.attr in FORKS
+        or isinstance(f, ast.Name) and f.id in FORKS - {"Process"}
+    )
+    assert forks == {("dist/mp.py", "__init__"), ("core/sampler.py", "__init__")}
 
 
 # -- one fault-plan core ------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.core.minibatch import (
     n_blocks,
     sample_neighbor_sets,
 )
-from repro.graph.graph import Graph, edge_keys, rows_contain
+from repro.graph.graph import Graph, edge_keys, in_sorted, rows_contain
 from repro.graph.io import load_csr, save_csr
 from tests.oracles import has_edge
 
@@ -108,6 +108,73 @@ class TestRowLookupEqualsHasEdges:
         indptr, indices = tiny_graph.adjacency_slice([0, 1])
         with pytest.raises(ValueError, match="row count"):
             rows_contain(indptr, indices, np.zeros((3, 2), dtype=np.int64))
+
+
+def _sorted_key_answer(indptr, indices, candidates) -> np.ndarray:
+    """``rows_contain`` without its filter: every candidate searched."""
+    stride = max(int(indices.max(initial=0)), int(candidates.max(initial=0))) + 1
+    offsets = np.arange(candidates.shape[0], dtype=np.int64) * stride
+    keys = np.repeat(offsets, np.diff(indptr)) + indices
+    return in_sorted(keys, offsets[:, None] + candidates)
+
+
+@st.composite
+def csr_queries(draw):
+    """Sorted CSR rows over ids below n (paper-scale n included) and a
+    candidate matrix mixing each row's own entries, other rows' entries,
+    ids that share an entry's low bits, the largest id and random ids."""
+    n = draw(st.sampled_from([1, 2, 9, 1000, 65_000_000]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(min_value=0, max_value=12))
+    width = draw(st.integers(min_value=0, max_value=10))
+    rows = [np.unique(rng.integers(0, n, size=rng.integers(0, 20))) for _ in range(m)]
+    if m > 1:
+        rows[-1] = rows[0]  # a repeated vertex: the same row twice
+    if m and n > 1:
+        rows[m // 2] = np.union1d(rows[m // 2], [n - 1])  # the largest id
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
+    indices = np.concatenate(rows + [np.zeros(0, dtype=np.int64)]).astype(np.int64)
+    candidates = rng.integers(0, n, size=(m, width))
+    pool = indices if indices.size else np.zeros(1, dtype=np.int64)
+    kind = rng.integers(0, 5, size=(m, width))
+    for i, row in enumerate(rows):
+        own = row[rng.integers(0, row.size, size=width)] if row.size else candidates[i]
+        candidates[i] = np.where(kind[i] == 0, own, candidates[i])
+    candidates = np.where(kind == 1, pool[rng.integers(0, pool.size, size=(m, width))], candidates)
+    shifted = pool[rng.integers(0, pool.size, size=(m, width))] + (1 << 20)  # same low bits
+    candidates = np.where((kind == 2) & (shifted < n), shifted, candidates)
+    candidates = np.where(kind == 3, n - 1, candidates)
+    return indptr, indices, candidates
+
+
+class TestTheFilterIsExact:
+    """The scratch mask only decides which candidates are searched: the
+    answer equals searching every candidate."""
+
+    @given(csr_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_sorted_key_answer(self, case):
+        indptr, indices, candidates = case
+        got = rows_contain(indptr, indices, candidates)
+        assert got.dtype == bool and got.shape == candidates.shape
+        np.testing.assert_array_equal(got, _sorted_key_answer(indptr, indices, candidates))
+
+    def test_on_the_heldout_graph(self, ammsb_graph):
+        graph, _ = ammsb_graph
+        split = MinibatchSampler(graph, AMMSBConfig(n_communities=6), heldout_keys=graph.keys[::7])
+        heldout = split.heldout
+        for t in range(50):
+            rng = np.random.default_rng(t)
+            vertices = np.unique(rng.integers(0, graph.n_vertices, size=64))
+            candidates = rng.integers(0, graph.n_vertices, size=(vertices.size, 16))
+            candidates[:, 0] = [  # a held-out partner where the row has one
+                heldout.neighbors(v)[0] if heldout.degree(v) else v for v in vertices
+            ]
+            slice_ = heldout.adjacency_slice(vertices)
+            got = heldout.links_from(vertices, candidates)
+            np.testing.assert_array_equal(got, _sorted_key_answer(*slice_, candidates))
+            np.testing.assert_array_equal(got, _has_edges_matrix(heldout, vertices, candidates))
+            assert got[:, 0].sum() == sum(heldout.degree(v) > 0 for v in vertices)
 
 
 def _parent_sample_neighbors(graph, heldout_keys, n_sample, vertices, key) -> NeighborSample:

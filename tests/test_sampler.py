@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import threading
+import gc
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -202,6 +205,19 @@ def raise_on_call(fn, n):
     return wrapped
 
 
+def raise_at(fn, t):
+    """``fn(iteration)`` that raises :class:`Boom` at iteration ``t``.
+    Keyed by the iteration, not by a count of calls: a count does not
+    cross the fork to the draw process, the iteration does."""
+
+    def wrapped(iteration):
+        if iteration == t:
+            raise Boom(f"draw {t}")
+        return fn(iteration)
+
+    return wrapped
+
+
 ENGINES = {
     "sequential": AMMSBSampler,
     "threaded": lambda *a, **k: ThreadedAMMSBSampler(*a, n_threads=2, **k),
@@ -209,7 +225,7 @@ ENGINES = {
 
 
 class TestLookAhead:
-    """``run()`` draws iteration t+1 on a helper thread while iteration t
+    """``run()`` draws iteration t+1 in a forked process while iteration t
     is applied: nothing a caller can see may differ from ``n x step()``.
     A draw is a function of (seed, t), so there is nothing to hand back."""
 
@@ -289,23 +305,29 @@ class TestLookAhead:
         assert resumed.iteration == 20
         assert whole.perplexity_estimator.value() == resumed.perplexity_estimator.value()
 
-    @pytest.mark.parametrize("n, threads", [(0, 0), (1, 0), (2, 1), (5, 1)])
-    def test_runs_of_two_or_more_start_one_helper(self, planted, config, monkeypatch, n, threads):
+    @pytest.mark.parametrize("n, processes", [(0, 0), (1, 0), (2, 1), (5, 1)])
+    def test_runs_of_two_or_more_start_one_helper(
+        self, planted, config, monkeypatch, n, processes
+    ):
+        """One draw process per sampler lifetime, none for runs of n < 2."""
         graph, _ = planted
         started = []
-        real_start = threading.Thread.start
+        real_start = multiprocessing.process.BaseProcess.start
 
-        def start(thread):
-            started.append(thread)
-            real_start(thread)
+        def start(process):
+            started.append(process)
+            real_start(process)
 
-        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
-        looked.run(n)
+        for _ in range(3):  # the process outlives a run()
+            looked.run(n)
         monkeypatch.undo()
-        step_by_step(stepped, n)
-        assert len(started) == threads
+        step_by_step(stepped, 3 * n)
+        assert len(started) == processes
         assert_same_run(looked, stepped)
+        looked.close()
+        assert not any(process.is_alive() for process in started)
 
     def test_draw_wait_is_timed(self, planted, config):
         graph, _ = planted
@@ -317,17 +339,20 @@ class TestLookAhead:
 
 class TestLookAheadFailures:
     """An error stops ``run()`` where ``step()`` by ``step()`` stops: same
-    applied iterations, same state, the error itself surfaced and the
-    helper thread joined."""
+    applied iterations, same state, the error itself surfaced (drawn
+    again inline: no exception crosses the fork) and no process left
+    once the sampler is closed."""
 
     def _fail_both(self, graph, config, arm, n=10, callback_of=None):
         looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
         for s in (looked, stepped):
             arm(s)
-        before = threading.active_count()
+        before = set(multiprocessing.active_children())
         with pytest.raises(Boom):
             looked.run(n, callback=callback_of(looked) if callback_of else None)
-        assert threading.active_count() == before
+        assert len(set(multiprocessing.active_children()) - before) <= 1
+        looked.close()
+        assert set(multiprocessing.active_children()) == before
         with pytest.raises(Boom):
             step_by_step(stepped, n, callback=callback_of(stepped) if callback_of else None)
         assert_same_run(looked, stepped)
@@ -337,7 +362,7 @@ class TestLookAheadFailures:
         graph, _ = planted
 
         def arm(s):
-            s.minibatch_sampler.sample = raise_on_call(s.minibatch_sampler.sample, 4)
+            s._draw = raise_at(s._draw, 3)
 
         looked = self._fail_both(graph, config, arm)
         assert looked.iteration == 3 and len(looked.history) == 3
@@ -349,9 +374,17 @@ class TestLookAheadFailures:
         graph, _ = planted
 
         def arm(s):
-            s.minibatch_sampler.sample_neighbors = raise_on_call(
-                s.minibatch_sampler.sample_neighbors, 4
-            )
+            draws = s.minibatch_sampler
+            sample_neighbors = draws.sample_neighbors
+
+            def boom(*_args):
+                raise Boom("the neighbor sets of iteration 3")
+
+            def draw(t):  # the mini-batch of 3 is drawn, its neighbor sets fail
+                draws.sample_neighbors = boom if t == 3 else sample_neighbors
+                return AMMSBSampler._draw(s, t)
+
+            s._draw = draw
 
         assert self._fail_both(graph, config, arm).iteration == 3
 
@@ -371,3 +404,57 @@ class TestLookAheadFailures:
 
         looked = self._fail_both(graph, config, lambda s: None, callback_of=callback_of)
         assert looked.iteration == 5
+
+
+class TestDrawProcessLifecycle:
+    """The draw process lives as long as its sampler: ended by ``close()``,
+    a ``with`` block or the sampler's collection; a dead one is drawn
+    around, to the same bits."""
+
+    def test_close_is_idempotent_and_a_closed_sampler_runs_inline(self, planted, config):
+        graph, _ = planted
+        before = set(multiprocessing.active_children())
+        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+        looked.run(4)
+        looked.close()
+        looked.close()
+        looked.run(5)
+        step_by_step(stepped, 9)
+        assert_same_run(looked, stepped)
+        assert set(multiprocessing.active_children()) == before
+
+    def test_a_with_block_leaves_no_process(self, planted, config):
+        graph, _ = planted
+        gc.collect()
+        before = set(multiprocessing.active_children())
+        with AMMSBSampler(graph, config) as s:
+            s.run(3)
+            assert len(set(multiprocessing.active_children()) - before) == 1
+        assert set(multiprocessing.active_children()) == before
+
+    def test_a_collected_sampler_leaves_no_process(self, planted, config):
+        graph, _ = planted
+        s = AMMSBSampler(graph, config)
+        s.run(3)
+        process = s._ahead.process
+        del s
+        gc.collect()
+        assert not process.is_alive()
+
+    def test_a_killed_draw_process_is_drawn_around(self, planted, config, capfd):
+        graph, _ = planted
+        looked, stepped = AMMSBSampler(graph, config), AMMSBSampler(graph, config)
+
+        def kill_at_4(stats):
+            if stats.iteration == 4:
+                os.kill(looked._ahead.process.pid, signal.SIGKILL)
+
+        looked.run(10, callback=kill_at_4)
+        step_by_step(stepped, 10)
+        assert_same_run(looked, stepped)
+        assert capfd.readouterr().err == ""  # recovered, not reported
+        looked.run(4)  # the next run forks a new one
+        step_by_step(stepped, 4)
+        assert_same_run(looked, stepped)
+        assert looked._ahead.process.is_alive()
+        looked.close()

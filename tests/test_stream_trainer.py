@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ class TestGenerationLoop:
         # The published artifact covers the grown graph.
         art = load_artifact(tmp_path / "artifact.npz")
         assert art.n_nodes == rep1.n_vertices
+
+    def test_a_generation_leaves_no_process(self, stream, tmp_path):
+        base, batches = stream
+        trainer = StreamTrainer(base, _config(), tmp_path, iterations_per_generation=30)
+        before = set(multiprocessing.active_children())
+        trainer.run_generation()
+        trainer.run_generation(batches[0])
+        assert set(multiprocessing.active_children()) == before
 
     def test_publish_callback_fires_per_publish(self, stream, tmp_path):
         base, batches = stream
