@@ -59,14 +59,16 @@ up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``,
 ``query``, ``serve`` and ``stream``; ``detect`` and ``generate`` for a
 size the library's range checks refuse (``-k 0``, ``--mini-batch 0``,
 ``--vertices 0``); ``detect`` for ``--iterations`` below 1 or a
-``--threshold`` outside (0, 1]; ``detect`` and ``auc`` for a ``--heldout-fraction``
-outside (0, 1) or a negative ``--seed``; ``benchmark`` for a ``--csv``
+``--threshold`` outside (0, 1]; every command for a negative ``--seed``;
+``detect`` and ``auc`` for a ``--heldout-fraction`` outside (0, 1);
+``benchmark --csv`` and the ``--output`` of ``bench`` and the drills
 into a missing directory; ``detect``, ``auc``, ``stream`` and ``convert-graph``
 for a graph file that is missing, is not an edge list of integer ids,
 or (``detect``, ``auc``) is too small or too dense to hold out pairs
 from; and ``query`` for a node id or community the artifact does not
-hold. A flag's range, where it has one of its own, is checked by its
-``type=`` converter (:func:`_ranged`) as the command line is parsed.
+hold, or a ``--backend`` that is not registered. A flag's range, where
+it has one of its own, is checked by its ``type=`` converter
+(:func:`_ranged`) as the command line is parsed.
 ``detect --export-artifact`` of a state whose rows cannot be served is one
 ``cannot export artifact:`` line and exit 3; the container is still
 written, as a checkpoint.
@@ -116,28 +118,25 @@ def _above_zero(flag: str):
     return _ranged(flag, float, lambda x: x > 0, "> 0")
 
 
-def _require_seed_and_output(args: argparse.Namespace) -> None:
-    """Reject before a long run what would only fail at its end."""
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    if args.output:
-        _require_dir_of("--output", args.output)
+def _fraction(flag: str):
+    return _ranged(flag, float, lambda x: 0 < x < 1, "in (0, 1)")
+
+
+def _in_a_directory(flag: str):
+    """A file path whose parent directory exists: a run that would only
+    fail writing it at its end is refused before it starts."""
+    return _ranged(flag, str, lambda path: Path(path).resolve().parent.is_dir(),
+                   "in an existing directory")
+
+
+def _registered_backend(name: str) -> bool:
+    from repro.core.kernels import available_backends
+
+    return name in available_backends()
 
 
 def _require_file(flag: str, path: str) -> None:
     _require(Path(path).is_file(), f"{flag}: no such file {path!r}")
-
-
-def _require_dir_of(flag: str, path: str) -> None:
-    parent = Path(path).resolve().parent
-    _require(parent.is_dir(), f"{flag}: no such directory {str(parent)!r}")
-
-
-def _require_split(args: argparse.Namespace) -> None:
-    """Reject the ``--heldout-fraction`` / ``--seed`` of a held-out split
-    before any file is read."""
-    _require(0 < args.heldout_fraction < 1,
-             f"--heldout-fraction must be in (0, 1), got {args.heldout_fraction}")
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
 
 
 def _load_edges(args: argparse.Namespace):
@@ -165,7 +164,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.estimation import PosteriorMean, extract_communities
     from repro.core.sampler import AMMSBSampler
 
-    _require_split(args)
     try:  # the library's own range checks on -k, --mini-batch, --neighbors
         config = AMMSBConfig(
             n_communities=args.communities,
@@ -296,8 +294,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; known: "
               f"{sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    if args.csv:
-        _require_dir_of("--csv", args.csv)
     fn_name, title = EXPERIMENTS[args.experiment]
     rows = getattr(figures, fn_name)()
     print(format_table(rows, title=title))
@@ -312,7 +308,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import gate, kernbench, storebench
     from repro.bench.harness import format_table
 
-    _require_seed_and_output(args)
     if args.suite == "kernels":
         report = kernbench.run_kernel_bench(seed=args.seed)
         measured = kernbench.report_rows(report)
@@ -554,7 +549,6 @@ def _cmd_chaos_stream(args: argparse.Namespace) -> int:
     """Run the streaming chaos drill; exit 2 if any invariant fails."""
     from repro.bench import chaosbench, gate
 
-    _require_seed_and_output(args)
     report = chaosbench.run_chaos_stream(quick=args.quick, seed=args.seed)
     for line in chaosbench.report_rows(report):
         print(line)
@@ -632,7 +626,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.graph.generators import planted_overlapping_graph
     from repro.graph.split import split_heldout
 
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     try:  # the library's own range checks on sizes, worker count and rates
         rng = np.random.default_rng(args.seed)
         graph, _ = planted_overlapping_graph(
@@ -728,12 +721,9 @@ def _format_probs(pairs: np.ndarray, probs: np.ndarray) -> str:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """One-shot query against a serving artifact (no server needed)."""
-    from repro.core.kernels import available_backends
     from repro.serve.artifact import ArtifactError, load_artifact
     from repro.serve.engine import QueryEngine
 
-    _require(args.backend is None or args.backend in available_backends(),
-             f"--backend must be one of {available_backends()}, got {args.backend!r}")
     try:
         operands = [int(v) for v in args.args]
     except ValueError:
@@ -882,7 +872,6 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     from repro.bench import chaosbench, gate
     from repro.bench.harness import format_table
 
-    _require_seed_and_output(args)
     report = chaosbench.run_chaos_serve(quick=args.quick, seed=args.seed)
     print(f"drill plan: {report['plan']}", file=sys.stderr)
     print(format_table(
@@ -908,7 +897,6 @@ def _cmd_auc(args: argparse.Namespace) -> int:
         print("exactly one of --checkpoint / --artifact is required",
               file=sys.stderr)
         return 2
-    _require_split(args)
     if args.checkpoint:
         from repro.core.checkpoint import CheckpointError, load_state_checkpoint
 
@@ -961,8 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--threshold", default=0.25,
                    type=_ranged("--threshold", float, lambda x: 0 < x <= 1, "in (0, 1]"))
-    p.add_argument("--heldout-fraction", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--heldout-fraction", type=_fraction("--heldout-fraction"), default=0.02)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
     p.add_argument("--output", "-o", default=None, help="covers file (default stdout)")
     p.add_argument("--checkpoint", default=None,
                    help="write a resumable checkpoint here after each report")
@@ -978,21 +966,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1e-3)
     p.add_argument("--vertices", type=int, default=400)
     p.add_argument("--communities", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("benchmark", help="regenerate a paper figure/table")
     p.add_argument("--experiment", "-e", required=True,
                    help=f"one of {sorted(EXPERIMENTS)}")
-    p.add_argument("--csv", default=None, help="also write the rows as CSV")
+    p.add_argument("--csv", type=_in_a_directory("--csv"), default=None,
+                   help="also write the rows as CSV")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("bench",
                        help="run a microbenchmark suite against its floors")
     p.add_argument("suite", choices=["kernels", "store"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default=None,
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
+    p.add_argument("--output", "-o", type=_in_a_directory("--output"), default=None,
                    help="write the machine-readable report JSON here")
     p.set_defaults(func=_cmd_bench)
 
@@ -1021,6 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="one-shot query against a serving artifact")
     p.add_argument("--artifact", required=True, help="serving artifact container")
     p.add_argument("--backend", default=None,
+                   type=_ranged("--backend", str, _registered_backend,
+                                "a registered kernel backend"),
                    help="kernel backend override (default: artifact config)")
     p.add_argument("--top", type=_at_least("--top", 1), default=10,
                    help="result count for ranked ops (default 10)")
@@ -1059,8 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training budget per generation (default 200)")
     p.add_argument("--generations", type=_at_least("--generations", 1), default=2,
                    help="batches the post-base arrivals split into")
-    p.add_argument("--base-fraction", default=0.9,
-                   type=_ranged("--base-fraction", float, lambda x: 0 < x < 1, "in (0, 1)"),
+    p.add_argument("--base-fraction", type=_fraction("--base-fraction"), default=0.9,
                    help="arrival prefix forming the warm-start base graph")
     p.add_argument("--workdir", default="stream-work",
                    help="per-generation CSR and model containers")
@@ -1101,15 +1091,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: WORKDIR/history)")
     p.add_argument("--drift", nargs="*", type=int, default=[],
                    help="nodes to print membership_drift JSON for at the end")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("auc", help="held-out link-prediction AUC")
     p.add_argument("--edges", required=True, help="edge-list file (SNAP format)")
     p.add_argument("--checkpoint", default=None, help="model checkpoint container")
     p.add_argument("--artifact", default=None, help="serving artifact container")
-    p.add_argument("--heldout-fraction", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--heldout-fraction", type=_fraction("--heldout-fraction"), default=0.02)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
     p.set_defaults(func=_cmd_auc)
 
     p = sub.add_parser("chaos", help="run the fault-injection drill")
@@ -1117,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--communities", "-k", type=int, default=4)
     p.add_argument("--workers", type=int, default=3)
     p.add_argument("--iterations", type=_at_least("--iterations", 1), default=9)
-    p.add_argument("--seed", type=int, default=2026)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=2026)
     p.add_argument("--rdma-failure-rate", type=float, default=0.05)
     p.add_argument("--heartbeat-timeout", type=_above_zero("--heartbeat-timeout"),
                    default=15.0)
@@ -1127,8 +1117,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the streaming durability chaos drill")
     p.add_argument("--quick", action="store_true",
                    help="smaller graph (CI-sized; same fault coverage)")
-    p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--output", "-o", default=None,
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=2026)
+    p.add_argument("--output", "-o", type=_in_a_directory("--output"), default=None,
                    help="also write the drill report as JSON")
     p.set_defaults(func=_cmd_chaos_stream)
 
@@ -1136,8 +1126,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the serving-tier chaos drill")
     p.add_argument("--quick", action="store_true",
                    help="smaller load (for CI)")
-    p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--output", "-o", default=None,
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=2026)
+    p.add_argument("--output", "-o", type=_in_a_directory("--output"), default=None,
                    help="write the machine-readable drill report JSON here")
     p.set_defaults(func=_cmd_chaos_serve)
 

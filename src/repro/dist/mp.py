@@ -16,9 +16,11 @@ process per worker, no GIL sharing):
   keyed by block, not by worker) over the shared rows instead of the
   DKV store, so this backend ends on the sequential engine's state bit
   for bit, for every worker count (``tests/test_dist_equivalence.py``);
-- each stage is a command to every worker and a collect of their
-  answers: the collect is the barrier, so phi is computed from a
-  consistent snapshot and written back only after it.
+- each stage is one command to every live worker and one reply from
+  each, received in one place (:meth:`PipeTransport._collect`): the
+  collect is the barrier, so phi is computed from a consistent snapshot
+  and written back only after it. Perplexity keeps that shape too: a
+  rank gets all of its held-out parts in one command.
 
 Failure model (see DESIGN.md "Failure model & degradation"): every
 result collection carries a poll deadline, so a dead or wedged worker
@@ -31,9 +33,11 @@ survivors and retried. The look-ahead holds ``t+1`` undealt, so it is
 dealt to whichever workers are left when ``t+1`` starts. Blocks, not
 workers, key every random number and order the theta reduce, so a
 recovered run ends on the fault-free run's state bit for bit.
-Every command/result carries a sequence number; results from an aborted
-round are recognized and dropped, so recovery never mis-attributes a
-straggler's answer.
+Every command/result carries a sequence number; a reply from an
+aborted round is recognized and dropped, so recovery never
+mis-attributes a straggler's answer. A command write is bounded by
+``heartbeat_timeout`` too, so a worker that stops reading is fenced
+instead of hanging the master.
 
 :class:`~repro.faults.FaultPlan` injection (worker crashes via
 ``os._exit``, stalls via ``time.sleep``) exercises exactly these paths
@@ -96,7 +100,7 @@ def _worker_loop(
 ) -> None:
     """Worker process: command loop over the shared pi rows.
 
-    Every result message is ``(tag, worker_id, seq, key, payload)`` where
+    Every result message is ``(tag, worker_id, seq, payload)`` where
     ``seq`` echoes the command's sequence number — the master uses it to
     drop stragglers from rounds aborted by a failure. ``res_send`` is
     this worker's PRIVATE result pipe: a worker that dies mid-send can
@@ -167,20 +171,20 @@ def _worker_loop(
                     if faults.crash_due(worker_id, iteration):
                         os._exit(23)
                 pending = ctx.update_phi_pi(shard, ctx.sample_neighbors(shard), beta, iteration)
-                send_result(("phi_done", worker_id, seq, worker_id, None))
+                send_result(("phi_done", worker_id, seq, None))
             elif op == "pi_write":
                 assert pending is not None
                 ctx.write_pi(pending)
-                send_result(("write_done", worker_id, seq, worker_id, None))
+                send_result(("write_done", worker_id, seq, None))
             elif op == "theta_partial":
                 _, _, theta = cmd
                 assert shard is not None
                 grad, _, _ = ctx.theta_partial(shard, theta)
-                send_result(("theta", worker_id, seq, worker_id, grad))
+                send_result(("theta", worker_id, seq, grad))
             elif op == "perplexity":
-                _, _, part, pairs, labels, beta = cmd
-                probs, _ = ctx.perplexity_partial(pairs, labels, beta)
-                send_result(("perp", worker_id, seq, part, probs))
+                _, _, parts, beta = cmd
+                probs = [ctx.perplexity_partial(*part, beta)[0] for part in parts]
+                send_result(("perp", worker_id, seq, probs))
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown command {op!r}")
     finally:
@@ -190,6 +194,8 @@ def _worker_loop(
 class PipeTransport:
     """The protocol's four calls as commands to forked worker processes.
 
+    Each call sends every live worker one command and collects one reply
+    from each, so between calls every live worker is idle in ``recv``.
     ``ranks`` are the ids of the workers still alive and holding shards
     (it shrinks on :meth:`fence`); ``rows`` is the shared segment's row
     store. While the workers compute phi, the master copies the rows the
@@ -231,9 +237,7 @@ class PipeTransport:
         # All pipes are created BEFORE any fork and the full table is
         # handed to every worker, so each side can close the ends that
         # are not its own (see _worker_loop). Command write ends are
-        # non-blocking: _send interleaves result draining while a pipe
-        # is full instead of deadlocking against a worker that is
-        # itself blocked writing a large result.
+        # non-blocking, so _send can bound a write by the heartbeat.
         pipes = []
         for _ in range(n_workers):
             cmd_recv, cmd_send = ctx.Pipe(duplex=False)
@@ -243,9 +247,6 @@ class PipeTransport:
         self._res_pipes = [p[2] for p in pipes]
         for send in self._cmd_pipes:
             os.set_blocking(send.fileno(), False)
-        #: Results drained opportunistically during _send, consumed by
-        #: the next _collect.
-        self._stash: list = []
         #: Workers whose result pipe has hit EOF (dead senders) — kept
         #: out of every subsequent wait/poll set.
         self._res_eof: set[int] = set()
@@ -301,12 +302,19 @@ class PipeTransport:
     def perplexity(
         self, parts: list[PerplexityEstimator], beta: np.ndarray
     ) -> list[np.ndarray]:
+        """Rank ``i`` of ``n`` evaluates ``parts[i::n]`` (part ``j`` on
+        ``ranks[j % n]``), all in one command."""
+        active = list(self.ranks)
+        n = len(active)
         seq = self._next_seq()
-        n = len(self.ranks)
-        for j, part in enumerate(parts):
-            self._send(self.ranks[j % n], ("perplexity", seq, j, part.pairs, part.labels, beta))
-        probs = self._collect("perp", range(len(parts)), seq)
-        return [probs[j] for j in range(len(parts))]
+        for i, w in enumerate(active):
+            mine = [(part.pairs, part.labels) for part in parts[i::n]]
+            self._send(w, ("perplexity", seq, mine, beta))
+        replies = self._collect("perp", active, seq)
+        probs: list = [None] * len(parts)
+        for i, w in enumerate(active):
+            probs[i::n] = replies[w]
+        return probs
 
     # -- failures and shutdown ------------------------------------------------------
 
@@ -377,21 +385,16 @@ class PipeTransport:
         return self._seq
 
     def _send(self, worker: int, payload: tuple) -> None:
-        """Scatter one command without ever deadlocking on a full pipe.
+        """Write one command, bounded by ``heartbeat_timeout``.
 
-        A plain blocking ``Connection.send`` can wedge the whole run:
-        when the target worker is itself blocked writing a large result
-        (> the ~64KB pipe buffer) that the master has not yet started
-        collecting — e.g. several held-out parts shipped back-to-back
-        to one survivor after recovery shrank the active set — the
-        command pipe never drains and both sides block forever, outside
-        the reach of the heartbeat. The command fds are non-blocking:
-        while a pipe is full this loop drains every worker's result
-        pipe into :attr:`_stash` (consumed by the next :meth:`_collect`)
-        so the worker's pending send can complete and it returns to
-        ``recv``. A worker whose command pipe stays full past
-        ``heartbeat_timeout`` is fenced by termination, exactly like a
-        silent worker in :meth:`_collect`.
+        A stage is sent only once the previous one was collected or its
+        silent workers fenced, so ``worker`` is idle in ``recv`` and has
+        no reply pending: the write completes as the worker reads it,
+        with nothing for the master to receive first. It stays
+        non-blocking and bounded all the same, so a worker that stops
+        reading (wedged, stopped) is fenced by termination once its pipe
+        stays full past ``heartbeat_timeout``, like a silent worker in
+        :meth:`_collect`, instead of hanging the master in ``write``.
         """
         conn = self._cmd_pipes[worker]
         if conn.closed:
@@ -418,133 +421,77 @@ class PipeTransport:
                 # The worker died with its pipe (EPIPE); the collect
                 # deadline turns this into a WorkerCrashed with context.
                 return
-            # Pipe full: the worker is busy, possibly blocked writing a
-            # result. Drain results so it can make progress, then wait
-            # (bounded) for writability or for more results to drain.
-            self._drain_results()
             if self._procs[worker].exitcode is not None:
                 return
             if time.monotonic() > deadline:
-                # Wedged with a full command pipe past the heartbeat:
-                # fence it so the failure set is stable; the next
-                # _collect reports it dead and recovery heals the loss.
+                # Not reading past the heartbeat: fence it so the failure
+                # set is stable; the next _collect reports it dead and
+                # recovery heals the loss.
                 self._procs[worker].terminate()
                 self._procs[worker].join(timeout=2.0)
                 return
-            readable = [
-                self._res_pipes[w]
-                for w in self.ranks
-                if w not in self._res_eof and not self._res_pipes[w].closed
-            ]
-            try:
-                select.select(readable, [fd], [], POLL_INTERVAL)
-            except OSError:  # pragma: no cover - fd closed under us
-                return
+            select.select([], [fd], [], POLL_INTERVAL)
 
-    def _drain_results(self) -> None:
-        """Stash every already-available result message, without waiting.
+    def _collect(self, expected_tag: str, workers: Sequence[int], seq: int) -> dict:
+        """Gather one reply per worker, with heartbeat-based failure detection.
 
-        Called while a command send is blocked on a full pipe: the
-        target worker may be mid-write of a large result, and consuming
-        it is what lets the worker finish and drain its command pipe.
-        Messages go to :attr:`_stash`; :meth:`_collect` consumes them
-        first, and its sequence-number check drops stale rounds.
-        """
-        for w in list(self.ranks):
-            if w in self._res_eof:
-                continue
-            conn = self._res_pipes[w]
-            try:
-                while not conn.closed and conn.poll(0):
-                    self._stash.append(conn.recv())
-            except (EOFError, OSError):
-                # Sender died with its pipe; exitcode checks name it.
-                self._res_eof.add(w)
-
-    def _collect(self, expected_tag: str, keys: Sequence[int], seq: int) -> dict:
-        """Gather one result per key, with heartbeat-based failure detection.
-
-        Returns ``{key: payload}``. Raises :class:`WorkerCrashed` listing
+        Returns ``{worker: payload}``. Raises :class:`WorkerCrashed` listing
         every worker found dead (process exited) once every live worker
         has answered — so no survivor is mid-command, mid-write, when the
         caller recovers — or fenced (silent past ``heartbeat_timeout``:
         terminated first, so the failure set is stable).
         """
-        remaining = set(keys)
+        remaining = set(workers)
         out: dict = {}
         deadline = time.monotonic() + self.heartbeat_timeout
         while remaining:
-            # Results drained while _send waited on a full pipe come
-            # first; only then poll the live pipes.
-            msgs, self._stash = self._stash, []
-            if not msgs:
-                by_conn = {
-                    self._res_pipes[w]: w
-                    for w in self.ranks
-                    if w not in self._res_eof and not self._res_pipes[w].closed
-                }
-                if by_conn:
-                    ready = mp_connection.wait(
-                        list(by_conn), timeout=POLL_INTERVAL
-                    )
-                else:
-                    # Every channel is gone; fall through to the
-                    # exitcode check at poll granularity.
-                    ready = []
-                    time.sleep(POLL_INTERVAL)
-                for conn in ready:
-                    try:
-                        msgs.append(conn.recv())
-                    except (EOFError, OSError):
-                        # The sender died with its pipe; only ITS channel
-                        # is gone — the exitcode check below names it.
-                        # Never wait on it again (EOF stays readable).
-                        self._res_eof.add(by_conn[conn])
+            by_conn = {
+                self._res_pipes[w]: w
+                for w in self.ranks
+                if w not in self._res_eof and not self._res_pipes[w].closed
+            }
+            if by_conn:
+                ready = mp_connection.wait(list(by_conn), timeout=POLL_INTERVAL)
+            else:
+                # Every channel is gone; fall through to the exitcode
+                # check at poll granularity.
+                ready = []
+                time.sleep(POLL_INTERVAL)
             progressed = False
-            for msg in msgs:
-                tag, worker, mseq, key, payload = msg
-                if mseq != seq:
-                    progressed = True  # alive, just a straggler
-                    continue  # from an aborted round; drop
-                if tag != expected_tag or key not in remaining:
-                    raise RuntimeError(
-                        f"protocol error: expected {expected_tag} for {sorted(remaining)}, "
-                        f"got {tag} key={key} from worker {worker}"
-                    )
-                remaining.discard(key)
-                out[key] = payload
+            for conn in ready:
+                try:
+                    tag, worker, mseq, payload = conn.recv()
+                except (EOFError, OSError):
+                    # The sender died with its pipe; only ITS channel is
+                    # gone — the exitcode check below names it. Never
+                    # wait on it again (EOF stays readable).
+                    self._res_eof.add(by_conn[conn])
+                    continue
                 progressed = True
+                if mseq != seq:
+                    continue  # a straggler from an aborted round; drop
+                if tag != expected_tag or worker not in remaining:
+                    raise RuntimeError(
+                        f"protocol error: expected {expected_tag} from {sorted(remaining)}, "
+                        f"got {tag} from worker {worker}"
+                    )
+                remaining.discard(worker)
+                out[worker] = payload
             if not remaining or progressed:
                 continue
-            dead = [
-                w for w in self.ranks if self._procs[w].exitcode is not None
-            ]
-            live = [w for w in self.ranks if w not in dead]
-            if dead and not any(self._expects(w, remaining, expected_tag) for w in live):
+            dead = [w for w in self.ranks if self._procs[w].exitcode is not None]
+            if dead and remaining.issubset(dead):
                 raise WorkerCrashed(dead)
             if time.monotonic() > deadline:
                 # Alive but silent past the heartbeat: fence by
                 # termination so the recovery set cannot race.
-                silent = sorted(
-                    {w for w in self.ranks if self._expects(w, remaining, expected_tag)}
-                )
-                if not silent:  # pragma: no cover - defensive
-                    silent = sorted(self.ranks)
+                silent = sorted(remaining)
                 for w in silent:
                     self._procs[w].terminate()
                 for w in silent:
                     self._procs[w].join(timeout=2.0)
                 raise WorkerCrashed(silent, stalled=True)
         return out
-
-    def _expects(self, worker: int, remaining: set, tag: str) -> bool:
-        """Is ``worker`` responsible for any still-missing key?"""
-        if tag == "perp":
-            n = len(self.ranks)
-            return any(
-                self.ranks[key % n] == worker for key in remaining
-            )
-        return worker in remaining
 
 
 class MultiprocessAMMSBSampler(MasterLoop):

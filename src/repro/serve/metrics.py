@@ -17,8 +17,9 @@ All methods are thread-safe; the hot-path cost is one lock + two adds.
 
 Resilience counters (deadline misses, shed requests, degraded answers,
 worker respawns, rollbacks, publish failures, quarantines, stale cache
-evictions) live next to the throughput counters so one snapshot pins
-the full error taxonomy. The admission-control loop reads
+evictions) live next to the throughput counters, each added to by
+name with :meth:`ServerMetrics.count`, so one snapshot pins the full
+error taxonomy. The admission-control loop reads
 :meth:`ServerMetrics.observed_p99_ms` — an *exact* p99 over a small
 sliding window of recent requests with a staleness horizon, so a burst
 of slow requests raises it immediately and an idle (or fully shedding)
@@ -146,22 +147,19 @@ class ServerMetrics:
         self._queue_depth = queue_depth
         self._started = time.perf_counter()
         self._window: deque[tuple[float, float]] = deque(maxlen=p99_window)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.stale_cache_evictions = 0
-        self.rejected = 0
-        self.hot_swaps = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.deadline_exceeded = 0
-        self.shed = 0
-        self.degraded_answers = 0
-        self.worker_respawns = 0
-        self.rollbacks = 0
-        self.publish_failures = 0
-        self.quarantines = 0
+        #: Every scalar counter, by the name :meth:`count` takes.
+        self._counts = dict.fromkeys((
+            "cache_hits", "cache_misses", "cache_evictions", "stale_cache_evictions",
+            "rejected", "hot_swaps", "batches", "batched_requests",
+            "deadline_exceeded", "shed", "degraded_answers", "worker_respawns",
+            "rollbacks", "publish_failures", "quarantines",
+        ), 0)
         self.recommend = {"candidates": 0, "survivors": 0, "returned": 0}
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the counter ``name``; an unknown name is a KeyError."""
+        with self._lock:
+            self._counts[name] += int(n)
 
     def record_request(
         self, endpoint: str, latency_seconds: float, queries: int = 1
@@ -176,59 +174,8 @@ class ServerMetrics:
 
     def record_batch(self, n_requests: int) -> None:
         with self._lock:
-            self.batches += 1
-            self.batched_requests += int(n_requests)
-
-    def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-
-    def record_eviction(self, n: int = 1) -> None:
-        with self._lock:
-            self.cache_evictions += int(n)
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def record_hot_swap(self) -> None:
-        with self._lock:
-            self.hot_swaps += 1
-
-    def record_stale_eviction(self, n: int = 1) -> None:
-        with self._lock:
-            self.stale_cache_evictions += int(n)
-
-    def record_deadline_exceeded(self) -> None:
-        with self._lock:
-            self.deadline_exceeded += 1
-
-    def record_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
-
-    def record_degraded_answer(self) -> None:
-        with self._lock:
-            self.degraded_answers += 1
-
-    def record_worker_respawn(self) -> None:
-        with self._lock:
-            self.worker_respawns += 1
-
-    def record_rollback(self) -> None:
-        with self._lock:
-            self.rollbacks += 1
-
-    def record_publish_failure(self) -> None:
-        with self._lock:
-            self.publish_failures += 1
-
-    def record_quarantine(self) -> None:
-        with self._lock:
-            self.quarantines += 1
+            self._counts["batches"] += 1
+            self._counts["batched_requests"] += int(n_requests)
 
     def record_recommend(self, candidates: int, survivors: int, returned: int) -> None:
         """One recommend batch: candidates considered by the filter,
@@ -260,15 +207,11 @@ class ServerMetrics:
             ep = self._endpoints[name] = EndpointMetrics()
         return ep
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def snapshot(self) -> dict[str, Any]:
         """One JSON-ready dict: endpoints, queue, cache, batching, swaps."""
         with self._lock:
             elapsed = time.perf_counter() - self._started
+            c = self._counts
             return {
                 "elapsed_seconds": elapsed,
                 "endpoints": {
@@ -277,18 +220,16 @@ class ServerMetrics:
                 },
                 "queue_depth": self._queue_depth() if self._queue_depth else 0,
                 "cache": {
-                    "hits": self.cache_hits,
-                    "misses": self.cache_misses,
-                    "evictions": self.cache_evictions,
-                    "stale_evictions": self.stale_cache_evictions,
-                    "hit_rate": self.cache_hit_rate,
+                    "hits": c["cache_hits"],
+                    "misses": c["cache_misses"],
+                    "evictions": c["cache_evictions"],
+                    "stale_evictions": c["stale_cache_evictions"],
+                    "hit_rate": c["cache_hits"] / max(c["cache_hits"] + c["cache_misses"], 1),
                 },
                 "batching": {
-                    "batches": self.batches,
-                    "batched_requests": self.batched_requests,
-                    "mean_batch_size": (
-                        self.batched_requests / self.batches if self.batches else 0.0
-                    ),
+                    "batches": c["batches"],
+                    "batched_requests": c["batched_requests"],
+                    "mean_batch_size": c["batched_requests"] / max(c["batches"], 1),
                 },
                 # Refine efficiency: ~1 survivor per returned edge on a
                 # trained model; far above 1 means a tie-heavy model (e.g.
@@ -299,15 +240,13 @@ class ServerMetrics:
                         self.recommend["survivors"] / max(self.recommend["returned"], 1)
                     ),
                 },
-                "rejected": self.rejected,
-                "hot_swaps": self.hot_swaps,
+                "rejected": c["rejected"],
+                "hot_swaps": c["hot_swaps"],
                 "resilience": {
-                    "deadline_exceeded": self.deadline_exceeded,
-                    "shed": self.shed,
-                    "degraded_answers": self.degraded_answers,
-                    "worker_respawns": self.worker_respawns,
-                    "rollbacks": self.rollbacks,
-                    "publish_failures": self.publish_failures,
-                    "quarantines": self.quarantines,
+                    name: c[name]
+                    for name in (
+                        "deadline_exceeded", "shed", "degraded_answers", "worker_respawns",
+                        "rollbacks", "publish_failures", "quarantines",
+                    )
                 },
             }

@@ -442,12 +442,12 @@ class ModelServer:
         if rollback_to is None:
             self._save_history()
         if purged:
-            self.metrics.record_stale_eviction(purged)
+            self.metrics.count("stale_cache_evictions", purged)
         if rollback_to is not None:
-            self.metrics.record_rollback()
-            self.metrics.record_publish_failure()
+            self.metrics.count("rollbacks")
+            self.metrics.count("publish_failures")
             raise SwapFailed(artifact.version, rollback_to.version)
-        self.metrics.record_hot_swap()
+        self.metrics.count("hot_swaps")
         return gen
 
     def publish_path(self, path: PathLike) -> int:
@@ -469,11 +469,11 @@ class ModelServer:
             artifact = load_artifact(path, verify="full")
         except ArtifactCorrupt as exc:
             exc.quarantined = quarantine_artifact(path)
-            self.metrics.record_quarantine()
-            self.metrics.record_publish_failure()
+            self.metrics.count("quarantines")
+            self.metrics.count("publish_failures")
             raise
         except ArtifactError:
-            self.metrics.record_publish_failure()
+            self.metrics.count("publish_failures")
             raise
         return self._swap(artifact)
 
@@ -623,7 +623,7 @@ class ModelServer:
             return fut
         if result is None:
             return None
-        self.metrics.record_degraded_answer()
+        self.metrics.count("degraded_answers")
         self.metrics.record_request("membership", time.perf_counter() - start)
         fut.set_result(result)
         return fut
@@ -649,18 +649,18 @@ class ModelServer:
                 if key in self._cache:
                     self._cache.move_to_end(key)
                     value = self._cache[key]
-                    self.metrics.record_cache(True)
+                    self.metrics.count("cache_hits")
                     self.metrics.record_request(
                         endpoint, time.perf_counter() - start, queries
                     )
                     fut: Future = Future()
                     fut.set_result(value)
                     return fut
-                self.metrics.record_cache(False)
+                self.metrics.count("cache_misses")
             shed_reason = self._shed_reason_locked()
             if shed_reason is None:
                 if len(self._queue) >= self.queue_limit:
-                    self.metrics.record_rejected()
+                    self.metrics.count("rejected")
                     raise ServerOverloaded(self.queue_limit)
                 req = _Request(endpoint, payload, key_suffix if self.cache_size else None, queries)
                 if deadline_s is not None:
@@ -677,7 +677,7 @@ class ModelServer:
                 degraded = self._degraded_membership(payload, start)
                 if degraded is not None:
                     return degraded
-        self.metrics.record_shed()
+        self.metrics.count("shed")
         raise RequestShed(shed_reason)
 
     # -- batching -------------------------------------------------------------
@@ -790,7 +790,7 @@ class ModelServer:
             for req in batch:
                 self._fail(req, exc)
         for _ in range(respawned):
-            self.metrics.record_worker_respawn()
+            self.metrics.count("worker_respawns")
 
     def _take_batch(self, wait: bool, slot: Optional[_WorkerSlot] = None):
         """Pop every live request queued, up to ``max_batch``; expired-
@@ -918,7 +918,7 @@ class ModelServer:
                         self._cache.popitem(last=False)
                         evicted += 1
         if evicted:
-            self.metrics.record_eviction(evicted)
+            self.metrics.count("cache_evictions", evicted)
         try:
             req.future.set_result(result)
         except InvalidStateError:  # pragma: no cover - lost a tight race
@@ -940,7 +940,7 @@ class ModelServer:
         deadline_ms = (
             (req.deadline - req.enqueued) * 1e3 if req.deadline is not None else 0.0
         )
-        self.metrics.record_deadline_exceeded()
+        self.metrics.count("deadline_exceeded")
         try:
             req.future.set_exception(
                 DeadlineExceeded(req.endpoint, waited_ms, deadline_ms)

@@ -220,6 +220,19 @@ class TestArgumentErrors:
          "--threshold must be in (0, 1]"),
         (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--threshold", "nan"],
          "--threshold must be in (0, 1]"),
+        # ranges checked where the flags are declared, as the line is parsed
+        (["chaos", "--seed", "-1"], "--seed must be >= 0"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--seed", "-1"],
+         "--seed must be >= 0"),
+        (["generate", "--seed", "-1", "--output", "/no/such/dir/g.txt"], "--seed must be >= 0"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--seed", "-1"],
+         "--seed must be >= 0"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--heldout-fraction", "nan"],
+         "--heldout-fraction must be in (0, 1)"),
+        (["bench", "kernels", "--output", "/no/such/dir/r.json"], "--output"),
+        (["benchmark", "-e", "no-such-figure", "--csv", "/no/such/dir/x.csv"], "--csv"),
+        (["query", "--artifact", "/no/such/m", "--backend", "", "membership", "1"],
+         "--backend must be a registered kernel backend"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import Counter
 from multiprocessing import connection as mp_connection
 
 import numpy as np
@@ -287,6 +288,52 @@ class TestPipeDiscipline:
                 assert part.pairs.nbytes > 65536
             perp = s.evaluate_perplexity()
             assert np.isfinite(perp) and perp > 1.0
+
+
+    def test_one_command_per_worker_per_stage(self, split, config, monkeypatch):
+        """Each stage sends every live worker one command, perplexity after
+        a loss included: the survivor gets both held-out parts in one
+        command, so it owes one reply, received by ``_collect`` alone."""
+        sent = Counter()
+        ops = {}
+        real_send = mp.PipeTransport._send
+
+        def send(self, worker, payload):
+            op, seq = payload[:2]
+            sent[seq, worker] += 1
+            ops[seq] = op
+            real_send(self, worker, payload)
+
+        monkeypatch.setattr(mp.PipeTransport, "_send", send)
+        plan = FaultPlan(seed=9, worker_crashes=(WorkerCrash(worker=1, at=1),))
+        with MultiprocessAMMSBSampler(
+            split.train, config, n_workers=2, heldout=split, faults=plan, **FAST
+        ) as s:
+            s.run(2)
+            assert s.active_workers == (0,)
+            assert np.isfinite(s.evaluate_perplexity())
+        assert "perplexity" in ops.values()
+        assert {key: n for key, n in sent.items() if n > 1} == {}
+
+    def test_a_worker_that_stops_reading_is_fenced_by_send(self, split, config):
+        """The command write stays bounded: a worker wedged in a stage
+        never reads its next command, so a command larger than the pipe
+        holds fills it, and ``_send`` terminates the worker after
+        ``heartbeat_timeout`` instead of blocking the master."""
+        plan = FaultPlan(seed=6, worker_stalls=(WorkerStall(worker=0, at=0, seconds=30.0),))
+        s = MultiprocessAMMSBSampler(
+            split.train, config, n_workers=2, faults=plan, heartbeat_timeout=0.5
+        )
+        try:
+            draw = s.master.next_draw(0)
+            s.transport._send(0, ("phi_compute", 1, draw.shards[0], s.beta, 0))
+            time.sleep(0.3)  # let worker 0 enter the stall
+            t0 = time.monotonic()
+            s.transport._send(0, ("theta_partial", 2, np.zeros(100_000)))  # 800 KB
+            assert time.monotonic() - t0 < 5.0
+            assert s.transport._procs[0].exitcode is not None
+        finally:
+            s.close()
 
 
 class TestPromptClose:

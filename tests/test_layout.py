@@ -443,6 +443,13 @@ DELETED = (
     ("repro.sim.core.Resource", ("in_use", "queue_length", "use")),
     ("repro.sim.network.Nic", ("busy_fraction",)),
     ("repro.core.state.ModelState", ("kv_values", "set_kv_values", "phi_rows")),
+    ("repro.serve.metrics.ServerMetrics", (
+        "record_cache", "record_eviction", "record_rejected", "record_hot_swap",
+        "record_stale_eviction", "record_deadline_exceeded", "record_shed",
+        "record_degraded_answer", "record_worker_respawn", "record_rollback",
+        "record_publish_failure", "record_quarantine", "cache_hit_rate",
+    )),
+    ("repro.dist.mp.PipeTransport", ("_drain_results", "_expects")),
 )
 #: ``(callable, parameters)`` deleted: options nothing set, or a second route
 DELETED_OPTIONS = (

@@ -58,19 +58,19 @@ class TestLatencyHistogram:
 class TestServerMetrics:
     def test_cache_hit_rate(self):
         m = ServerMetrics()
-        assert m.cache_hit_rate == 0.0
-        m.record_cache(True)
-        m.record_cache(True)
-        m.record_cache(False)
-        assert m.cache_hit_rate == pytest.approx(2 / 3)
+        assert m.snapshot()["cache"]["hit_rate"] == 0.0
+        m.count("cache_hits")
+        m.count("cache_hits")
+        m.count("cache_misses")
+        assert m.snapshot()["cache"]["hit_rate"] == pytest.approx(2 / 3)
 
     def test_snapshot_shape(self):
         m = ServerMetrics(queue_depth=lambda: 7)
         m.record_request("membership", 0.002, queries=1)
         m.record_error("membership")
         m.record_batch(3)
-        m.record_rejected()
-        m.record_hot_swap()
+        m.count("rejected")
+        m.count("hot_swaps")
         snap = m.snapshot()
         assert snap["queue_depth"] == 7
         assert snap["rejected"] == 1 and snap["hot_swaps"] == 1
@@ -78,6 +78,57 @@ class TestServerMetrics:
         assert ep["requests"] == 1 and ep["errors"] == 1
         assert snap["batching"]["mean_batch_size"] == 3.0
         assert snap["recommend"]["survivors_per_returned"] == 0.0  # none yet
+
+    def test_scripted_snapshot_is_pinned(self):
+        """Every counter lands under its snapshot key: a scripted call
+        sequence, each counter a different total, gives this dict but for
+        the fields that divide by wall time."""
+        m = ServerMetrics(queue_depth=lambda: 7)
+        m.record_request("link", 0.002, queries=4)
+        m.record_request("link", 0.004, queries=2)
+        m.record_request("membership", 0.0005)
+        m.record_error("link")
+        m.record_batch(3)
+        m.record_batch(5)
+        for name in ("cache_hits",) * 3 + ("cache_misses",):
+            m.count(name)
+        m.count("cache_evictions", 2)
+        m.count("stale_cache_evictions", 4)
+        names = ("rejected", "hot_swaps", "deadline_exceeded", "shed", "degraded_answers",
+                 "worker_respawns", "rollbacks", "publish_failures", "quarantines")
+        for n, name in enumerate(names, start=1):
+            for _ in range(n):
+                m.count(name)
+        m.record_recommend(99, 12, 10)
+        snap = m.snapshot()
+        del snap["elapsed_seconds"]
+        for ep in snap["endpoints"].values():
+            del ep["qps"], ep["queries_per_s"]
+        assert snap == {
+            "endpoints": {
+                "link": {"requests": 2, "queries": 6, "errors": 1, "count": 2,
+                         "mean_ms": 3.0, "p50_ms": 2.0522392473943722,
+                         "p99_ms": 4.088307834594116},
+                "membership": {"requests": 1, "queries": 1, "errors": 0, "count": 1,
+                               "mean_ms": 0.5, "p50_ms": 0.45995211110595463,
+                               "p99_ms": 0.5118086588536525},
+            },
+            "queue_depth": 7,
+            "cache": {"hits": 3, "misses": 1, "evictions": 2, "stale_evictions": 4,
+                      "hit_rate": 0.75},
+            "batching": {"batches": 2, "batched_requests": 8, "mean_batch_size": 4.0},
+            "recommend": {"candidates": 99, "survivors": 12, "returned": 10,
+                          "survivors_per_returned": 1.2},
+            "rejected": 1,
+            "hot_swaps": 2,
+            "resilience": {"deadline_exceeded": 3, "shed": 4, "degraded_answers": 5,
+                           "worker_respawns": 6, "rollbacks": 7, "publish_failures": 8,
+                           "quarantines": 9},
+        }
+
+    def test_an_unknown_counter_is_refused(self):
+        with pytest.raises(KeyError):
+            ServerMetrics().count("cache_hit")
 
     def test_recommend_counters_accumulate(self):
         m = ServerMetrics()
