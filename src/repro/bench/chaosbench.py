@@ -135,9 +135,9 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
     # -- reference: the same stream, never interrupted.
     with TemporaryDirectory(prefix="repro-chaos-ref-") as tmp:
         tmp = Path(tmp)
-        trainer = StreamTrainer(base, config, **trainer_kwargs(tmp))
-        for batch in batches:
-            trainer.run_generation(batch)
+        with StreamTrainer(base, config, **trainer_kwargs(tmp)) as trainer:
+            for batch in batches:
+                trainer.run_generation(batch)
         ref_arrays, ref_keys, ref_n = _final_state(tmp / "work")
     details["reference"] = {
         "n_edges": len(ref_keys),
@@ -148,9 +148,10 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
     def run_killed(faults, crash_batch: int, tmp: Path, resume_kwargs=None):
         """Drive batches until the injected crash, resume, finish.
 
-        Returns (resumed_trainer, crash_seen). The crashed batch is
-        re-fed after resume — at-least-once delivery the overlay and
-        journal must absorb into exactly-once state.
+        Returns (resumed_trainer, crash_seen), the resumed trainer
+        closed. The crashed batch is re-fed after resume — at-least-once
+        delivery the overlay and journal must absorb into exactly-once
+        state.
         """
         trainer = StreamTrainer(base, config, **trainer_kwargs(tmp, faults=faults))
         crash_seen = None
@@ -162,16 +163,17 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
                 assert i == crash_batch, (i, crash_batch)
                 break
         else:  # pragma: no cover - drill misconfiguration
+            trainer.close()
             return trainer, None
-        trainer.journal.close()  # the "process" died; release the handle
-        resumed = StreamTrainer.resume(
+        trainer.close()  # the "process" died; release its journal and draw process
+        with StreamTrainer.resume(
             tmp / "work",
             iterations_per_generation=STREAM_ITERATIONS,
             heldout_fraction=0.05,
             **(resume_kwargs or {}),
-        )
-        for batch in batches[crash_batch:]:
-            resumed.run_generation(batch)
+        ) as resumed:
+            for batch in batches[crash_batch:]:
+                resumed.run_generation(batch)
         return resumed, crash_seen
 
     # -- kill/resume at every crash phase.
@@ -246,13 +248,13 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
             crashed = False
         except InjectedCrash:
             crashed = True
-        trainer.journal.close()
-        resumed = StreamTrainer.resume(
+        trainer.close()
+        with StreamTrainer.resume(
             tmp / "work",
             iterations_per_generation=STREAM_ITERATIONS,
             heldout_fraction=0.05,
-        )
-        records = resumed.quarantine_log.read()
+        ) as resumed:
+            records = resumed.quarantine_log.read()
         reasons = {r["reason"] for r in records}
         invariants["quarantine_persisted"] = (
             crashed
@@ -301,6 +303,7 @@ def run_chaos_stream(quick: bool = False, seed: int = 0) -> dict[str, Any]:
             trainer, supervisor, policy, idle_exit_polls=3,
             n_iterations=STREAM_ITERATIONS,
         )
+        trainer.close()
         arrays, keys, _ = _final_state(tmp / "work")
         invariants["source_retry_recovered"] = (
             supervisor.failures >= 2

@@ -56,9 +56,8 @@ Examples::
 An invalid argument value ends in one ``error: ...`` line on stderr and
 exit code 2 (:class:`ArgumentError`) on the commands that check theirs
 up front: ``bench``, ``chaos``, ``chaos-serve``, ``chaos-stream``,
-``query``, ``serve`` and ``stream``; ``detect`` and ``generate`` for a
-size the library's range checks refuse (``-k 0``, ``--mini-batch 0``,
-``--vertices 0``); ``detect`` for ``--iterations`` below 1 or a
+``query``, ``serve`` and ``stream``; ``detect`` for a size the
+library's range checks refuse (``--mini-batch 0``); ``detect`` for ``--iterations`` below 1 or a
 ``--threshold`` outside (0, 1]; every command for a negative ``--seed``;
 ``detect`` and ``auc`` for a ``--heldout-fraction`` outside (0, 1);
 ``benchmark --csv`` and the ``--output`` of ``bench`` and the drills
@@ -68,7 +67,9 @@ or (``detect``, ``auc``) is too small or too dense to hold out pairs
 from; and ``query`` for a node id or community the artifact does not
 hold, or a ``--backend`` that is not registered. A flag's range, where
 it has one of its own, is checked by its ``type=`` converter
-(:func:`_ranged`) as the command line is parsed.
+(:func:`_ranged`) as the command line is parsed: ``--vertices``,
+``--communities`` / ``-k`` and ``--scale`` among them, so their errors
+name the flag.
 ``detect --export-artifact`` of a state whose rows cannot be served is one
 ``cannot export artifact:`` line and exit 3; the container is still
 written, as a checkpoint.
@@ -164,7 +165,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.estimation import PosteriorMean, extract_communities
     from repro.core.sampler import AMMSBSampler
 
-    try:  # the library's own range checks on -k, --mini-batch, --neighbors
+    try:  # the library's own range checks on --mini-batch, --neighbors
         config = AMMSBConfig(
             n_communities=args.communities,
             mini_batch_vertices=args.mini_batch,
@@ -244,18 +245,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             print(f"unknown dataset {args.dataset!r}; known: {sorted(DATASETS)}",
                   file=sys.stderr)
             return 2
-        _require(args.scale > 0, f"--scale must be > 0, got {args.scale:g}")
         graph, truth, spec = load_dataset(args.dataset, scale=args.scale)
         header = (f"{spec.name} synthetic stand-in, scale={args.scale}, "
                   f"K={truth.n_communities}")
     else:
         rng = np.random.default_rng(args.seed)
-        try:  # the library's own range checks on --vertices, --communities
-            graph, truth = planted_overlapping_graph(
-                args.vertices, args.communities, memberships_per_vertex=2, rng=rng
-            )
-        except ValueError as exc:
-            raise ArgumentError(str(exc)) from None
+        graph, truth = planted_overlapping_graph(
+            args.vertices, args.communities, memberships_per_vertex=2, rng=rng
+        )
         header = (f"planted overlapping graph, N={args.vertices}, "
                   f"K={args.communities}")
     save_edge_list(graph, args.output, header=header)
@@ -369,7 +366,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         follow_stream,
     )
 
-    try:  # the library's own range checks on -k and the --trigger-* policy
+    try:  # the library's own range checks on the --trigger-* policy
         config = AMMSBConfig(n_communities=args.communities, seed=args.seed)
         policy = TriggerPolicy(
             max_edges=args.trigger_edges,
@@ -460,89 +457,91 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         arrivals = arrivals[n_base:]
         print(f"base {base}; {len(arrivals)} arrival(s) pending",
               file=sys.stderr)
-        _report(trainer.run_generation())
 
-    if source.n_malformed:
-        print(f"skipped {source.n_malformed} malformed line(s)",
-              file=sys.stderr)
+    with trainer:  # ends its draw process, --follow's SIGTERM drain included
+        if not args.resume:
+            _report(trainer.run_generation())
+        if source.n_malformed:
+            print(f"skipped {source.n_malformed} malformed line(s)",
+                  file=sys.stderr)
 
-    artifact_path = trainer.last_published or trainer.publish_path
-    if artifact_path is None or not Path(artifact_path).exists():
-        print(f"no serving artifact at {artifact_path}; "
-              f"run at least one generation first", file=sys.stderr)
-        return 2
-    server = ModelServer(
-        load_artifact(artifact_path), n_workers=0,
-        drift_window=args.drift_window, history_path=history_path,
-    )
-    status = 0
-    try:
-        trainer.publish_callback = lambda path, gen: server.publish_path(path)
-        if args.follow:
-            if arrivals:  # pre-follow backlog (resume re-read)
-                trainer.ingest(arrivals)
-            supervisor = FollowSupervisor(
-                source,
-                poll_interval_s=args.poll_interval,
-                stall_deadline_s=args.stall_deadline,
-                seed=args.seed,
-            )
-            armed = (
-                f"edges>={policy.max_edges} " if policy.max_edges else ""
-            ) + (
-                f"every {policy.max_seconds}s " if policy.max_seconds else ""
-            ) + (
-                f"drift>={policy.drift_threshold} "
-                if policy.drift_threshold else ""
-            )
-            print(f"following {args.edges} "
-                  f"(triggers: {armed.strip() or 'every non-empty poll'}); "
-                  f"SIGTERM/Ctrl-C drains and exits", file=sys.stderr)
-            try:
-                follow = follow_stream(
-                    trainer,
-                    supervisor,
-                    policy,
-                    max_generations=args.max_generations,
-                    max_wall_s=args.max_seconds,
-                    install_signal_handlers=True,
-                    on_generation=_report,
+        artifact_path = trainer.last_published or trainer.publish_path
+        if artifact_path is None or not Path(artifact_path).exists():
+            print(f"no serving artifact at {artifact_path}; "
+                  f"run at least one generation first", file=sys.stderr)
+            return 2
+        server = ModelServer(
+            load_artifact(artifact_path), n_workers=0,
+            drift_window=args.drift_window, history_path=history_path,
+        )
+        status = 0
+        try:
+            trainer.publish_callback = lambda path, gen: server.publish_path(path)
+            if args.follow:
+                if arrivals:  # pre-follow backlog (resume re-read)
+                    trainer.ingest(arrivals)
+                supervisor = FollowSupervisor(
+                    source,
+                    poll_interval_s=args.poll_interval,
+                    stall_deadline_s=args.stall_deadline,
+                    seed=args.seed,
                 )
-            except SourceStalled as exc:
-                print(f"source stalled: {exc}", file=sys.stderr)
-                status = 3
+                armed = (
+                    f"edges>={policy.max_edges} " if policy.max_edges else ""
+                ) + (
+                    f"every {policy.max_seconds}s " if policy.max_seconds else ""
+                ) + (
+                    f"drift>={policy.drift_threshold} "
+                    if policy.drift_threshold else ""
+                )
+                print(f"following {args.edges} "
+                      f"(triggers: {armed.strip() or 'every non-empty poll'}); "
+                      f"SIGTERM/Ctrl-C drains and exits", file=sys.stderr)
+                try:
+                    follow = follow_stream(
+                        trainer,
+                        supervisor,
+                        policy,
+                        max_generations=args.max_generations,
+                        max_wall_s=args.max_seconds,
+                        install_signal_handlers=True,
+                        on_generation=_report,
+                    )
+                except SourceStalled as exc:
+                    print(f"source stalled: {exc}", file=sys.stderr)
+                    status = 3
+                else:
+                    print(f"follow ended ({follow.stop_reason}): "
+                          f"{follow.polls} polls, {follow.arrivals} arrivals, "
+                          f"{len(follow.generations)} generation(s)"
+                          f"{', drained' if follow.drained else ''}",
+                          file=sys.stderr)
             else:
-                print(f"follow ended ({follow.stop_reason}): "
-                      f"{follow.polls} polls, {follow.arrivals} arrivals, "
-                      f"{len(follow.generations)} generation(s)"
-                      f"{', drained' if follow.drained else ''}",
-                      file=sys.stderr)
-        else:
-            if arrivals:
-                chunks = np.array_split(
-                    np.arange(len(arrivals)), args.generations
-                )
-                for chunk in chunks:
-                    _report(trainer.run_generation(
-                        [arrivals[i] for i in chunk]
-                    ))
-        for node in args.drift:
-            fut = server.membership_drift(int(node))
-            server.process_once()
-            try:
-                print(json.dumps(fut.result(timeout=30), sort_keys=True))
-            except KeyError as exc:
-                print(f"drift {node}: {exc}", file=sys.stderr)
-    finally:
-        server.close()
-    n_quarantined = len(trainer.quarantine_log)
-    if n_quarantined:
-        print(f"quarantined: {n_quarantined} record(s) persisted in "
-              f"{trainer.quarantine_log.path}", file=sys.stderr)
-    print(f"final artifact: {trainer.last_published} "
-          f"(journal + manifest + checkpoints under {workdir}; "
-          f"resume with --resume)", file=sys.stderr)
-    return status
+                if arrivals:
+                    chunks = np.array_split(
+                        np.arange(len(arrivals)), args.generations
+                    )
+                    for chunk in chunks:
+                        _report(trainer.run_generation(
+                            [arrivals[i] for i in chunk]
+                        ))
+            for node in args.drift:
+                fut = server.membership_drift(int(node))
+                server.process_once()
+                try:
+                    print(json.dumps(fut.result(timeout=30), sort_keys=True))
+                except KeyError as exc:
+                    print(f"drift {node}: {exc}", file=sys.stderr)
+        finally:
+            server.close()
+        n_quarantined = len(trainer.quarantine_log)
+        if n_quarantined:
+            print(f"quarantined: {n_quarantined} record(s) persisted in "
+                  f"{trainer.quarantine_log.path}", file=sys.stderr)
+        print(f"final artifact: {trainer.last_published} "
+              f"(journal + manifest + checkpoints under {workdir}; "
+              f"resume with --resume)", file=sys.stderr)
+        return status
 
 
 def _cmd_chaos_stream(args: argparse.Namespace) -> int:
@@ -942,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect communities in an edge list")
     p.add_argument("--edges", required=True, help="edge-list file (SNAP format)")
-    p.add_argument("--communities", "-k", type=int, required=True)
+    p.add_argument("--communities", "-k", type=_at_least("--communities", 1), required=True)
     p.add_argument("--iterations", type=_at_least("--iterations", 1), default=4000)
     p.add_argument("--mini-batch", type=int, default=128)
     p.add_argument("--neighbors", type=int, default=32)
@@ -963,9 +962,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic graph edge list")
     p.add_argument("--dataset", default=None, help="Table II name for a stand-in")
-    p.add_argument("--scale", type=float, default=1e-3)
-    p.add_argument("--vertices", type=int, default=400)
-    p.add_argument("--communities", type=int, default=6)
+    p.add_argument("--scale", type=_above_zero("--scale"), default=1e-3)
+    p.add_argument("--vertices", type=_at_least("--vertices", 1), default=400)
+    # each planted vertex joins two communities
+    p.add_argument("--communities", type=_at_least("--communities", 2), default=6)
     p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -991,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-list file (SNAP format) or .npz graph")
     p.add_argument("--output", "-o", required=True,
                    help="container directory to write (e.g. graph.csr)")
-    p.add_argument("--vertices", type=int, default=None,
+    p.add_argument("--vertices", type=_at_least("--vertices", 1), default=None,
                    help="vertex-id space if the edge list is sparse in ids "
                         "(default: inferred, ids are densely remapped)")
     p.set_defaults(func=_cmd_convert_graph)
@@ -1045,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "streaming train-to-serve loop")
     p.add_argument("--edges", required=True,
                    help="arrival file: 'src dst' or 'ts src dst' lines")
-    p.add_argument("--communities", "-k", type=int, required=True)
+    p.add_argument("--communities", "-k", type=_at_least("--communities", 1), required=True)
     p.add_argument("--iterations", type=_at_least("--iterations", 1), default=200,
                    help="training budget per generation (default 200)")
     p.add_argument("--generations", type=_at_least("--generations", 1), default=2,
@@ -1103,8 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_auc)
 
     p = sub.add_parser("chaos", help="run the fault-injection drill")
-    p.add_argument("--vertices", type=int, default=200)
-    p.add_argument("--communities", "-k", type=int, default=4)
+    p.add_argument("--vertices", type=_at_least("--vertices", 1), default=200)
+    p.add_argument("--communities", "-k", type=_at_least("--communities", 2), default=4)
     p.add_argument("--workers", type=int, default=3)
     p.add_argument("--iterations", type=_at_least("--iterations", 1), default=9)
     p.add_argument("--seed", type=_at_least("--seed", 0), default=2026)

@@ -198,6 +198,24 @@ class Minibatch:
     def n_edges(self) -> int:
         return int(sum(s.pairs.shape[0] for s in self.strata))
 
+    @classmethod
+    def from_pairs(
+        cls, pairs: np.ndarray, labels: np.ndarray, sizes: np.ndarray,
+        scales: np.ndarray, vertices: np.ndarray,
+    ) -> "Minibatch":
+        """The mini-batch whose strata are consecutive runs of ``sizes``
+        rows of the concatenated ``pairs`` / ``labels``, with ``scales``:
+        what :meth:`all_pairs` and the strata's sizes and scales describe.
+        Its :meth:`all_pairs` answers these arrays, not a new concatenation."""
+        strata, a = [], 0
+        for size, scale in zip(sizes.tolist(), scales.tolist()):
+            rows = slice(a, a + size)
+            strata.append(Stratum(pairs=pairs[rows], labels=labels[rows], scale=scale))
+            a += size
+        minibatch = cls(strata=strata, vertices=vertices)
+        minibatch.__dict__["_all_pairs"] = (pairs, labels, np.repeat(scales, sizes))
+        return minibatch
+
     def all_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated (pairs, labels, per-pair scales), built on the
         first call and shared by every later one: read-only."""

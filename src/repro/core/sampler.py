@@ -22,27 +22,33 @@ iteration resumes a run. :attr:`AMMSBSampler.rng` is the current
 iteration's draw generator, for callers that replay the stages one call
 at a time.
 
-An iteration is a draw (:meth:`AMMSBSampler._draw`: mini-batch, then
-neighbor sets) and an apply (:meth:`AMMSBSampler._apply`: the phi and
-theta stages). The draw of t reads the graph and t, never the state, so
-:meth:`AMMSBSampler.run` draws iteration t+1 in one forked process while
-iteration t is applied in the calling one, and uses that draw when the
-clock reads t+1. The process is forked at the first ``run(n >= 2)`` and
-lives as long as the sampler (:meth:`AMMSBSampler.close`, ``with``, or
-the sampler's collection end it): it draws from the sampler as it was at
-that fork, so the graph and the mini-batch sampler are fixed for a
-sampler's life. :attr:`IterationStats.draw_wait_s` is what the calling
-process still waited for its draw.
+An iteration is a draw (:meth:`AMMSBSampler._draw`: the mini-batch,
+its neighbor sets and the phi stage's noise, everything of iteration t
+that reads no state) and an apply (:meth:`AMMSBSampler._apply`: the phi
+and theta stages). So :meth:`AMMSBSampler.run` draws iteration t+1 in a
+forked :class:`DrawProcess` while iteration t is applied in the calling
+one, uses that draw when the clock reads t+1, and before it returns asks
+for the next call's first draw. The process is forked at the first
+``run(n >= 2)`` and lives as long as the sampler
+(:meth:`AMMSBSampler.close`, ``with``, or the sampler's collection end
+it): it draws from the sampler as it was at that fork, so the graph and
+the mini-batch sampler are fixed for a sampler's life. A
+:class:`~repro.stream.trainer.StreamTrainer` owns one process for all its
+generations and re-arms it on each generation's graph.
+:attr:`IterationStats.draw_wait_s` is what the calling process still
+waited for its draw.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import signal
+import sys
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 import numpy as np
 
@@ -58,70 +64,219 @@ from repro.graph.graph import Graph
 from repro.graph.split import HeldoutSplit
 
 T = TypeVar("T")
-Draw = tuple[Minibatch, NeighborSample]
 
 
-def _serve_draws(draw: Callable[[int], Draw], conn, parent_end) -> None:
-    """The draw process: answer each iteration number with ``(t, draw(t))``,
-    or ``(t, None)`` when the draw raised (the parent draws t again and
-    the error surfaces there, with its own traceback). Ends at EOF."""
+class Draw(NamedTuple):
+    """Everything of one iteration that reads no state."""
+
+    minibatch: Minibatch
+    neighbors: NeighborSample
+    #: the phi stage's noise for every mini-batch row (:func:`repro.core.stages.phi_noise`)
+    noise: np.ndarray
+
+
+def draw_iteration(
+    minibatch_sampler: MinibatchSampler, config: AMMSBConfig, iteration: int
+) -> Draw:
+    """Iteration ``iteration``'s draw: the mini-batch, then its neighbor
+    sets under a key drawn right after it, both from ``block_rng(seed,
+    DRAW, 0, iteration)``, then the phi noise of its row blocks. Reads
+    the graph and the iteration, never the state."""
+    rng = block_rng(config.seed, DRAW, 0, iteration)
+    minibatch = minibatch_sampler.sample(rng)
+    neighbors = minibatch_sampler.sample_neighbors(minibatch.vertices, rng)
+    m = minibatch.n_vertices
+    noise = stages.phi_noise(config, iteration, range(n_blocks(m, ROW_BLOCK)), m)
+    return Draw(minibatch, neighbors, noise)
+
+
+#: Bytes of the shared slot a draw crosses in (virtual until written: a
+#: draw touches its own prefix). A draw that does not fit is drawn inline.
+SLOT_BYTES = 1 << 25
+_ALIGN = 64  # each array starts at a multiple of this in the slot
+_N_ARRAYS = 9
+#: a reply's header, in int64s: (epoch, iteration, fits, graph digest),
+#: then (dtype char, rows, columns or -1) per array
+_HEADER = 4 + 3 * _N_ARRAYS
+
+
+def _arrays(draw: Draw) -> list[np.ndarray]:
+    minibatch, neighbors = draw.minibatch, draw.neighbors
+    pairs, labels, _ = minibatch.all_pairs()
+    sizes = np.array([s.labels.size for s in minibatch.strata], dtype=np.int64)
+    scales = np.array([s.scale for s in minibatch.strata], dtype=np.float64)
+    return [
+        pairs, labels, sizes, scales, minibatch.vertices,
+        neighbors.neighbors, neighbors.labels, neighbors.mask, draw.noise,
+    ]
+
+
+def _pack(slot: mmap.mmap, header: np.ndarray, arrays: list[np.ndarray]) -> bool:
+    """Write ``arrays`` back to back into ``slot`` and their dtypes and
+    shapes into ``header``; False if they do not fit."""
+    at = 0
+    for i, a in enumerate(arrays):
+        header[4 + 3 * i : 7 + 3 * i] = ord(a.dtype.char), a.shape[0], (a.shape + (-1,))[1]
+        at = -(-at // _ALIGN) * _ALIGN
+        if at + a.nbytes > len(slot):
+            return False
+        if a.size:
+            np.frombuffer(slot, a.dtype, a.size, at).reshape(a.shape)[...] = a
+        at += a.nbytes
+    return True
+
+
+def _unpack(slot: mmap.mmap, header: np.ndarray, copy: np.ndarray) -> Draw:
+    """The draw ``header`` describes, as views into ``copy``, where the
+    slot's used prefix is copied first (the slot is the next draw's once
+    this returns)."""
+    fields, spans, at = header.tolist(), [], 0
+    for i in range(4, _HEADER, 3):
+        char, rows, cols = fields[i : i + 3]
+        dtype, shape = np.dtype(chr(char)), (rows,) if cols < 0 else (rows, cols)
+        at = -(-at // _ALIGN) * _ALIGN
+        count = rows if cols < 0 else rows * cols
+        spans.append((at, at + dtype.itemsize * count, dtype, shape))
+        at = spans[-1][1]
+    used = copy[:at]
+    used[...] = np.frombuffer(slot, np.uint8, at)
+    (pairs, labels, sizes, scales, vertices, neighbors, neighbor_labels, mask, noise) = (
+        used[a:b].view(dtype).reshape(shape) for a, b, dtype, shape in spans
+    )
+    return Draw(
+        Minibatch.from_pairs(pairs, labels, sizes, scales, vertices),
+        NeighborSample(neighbors, neighbor_labels, mask),
+        noise,
+    )
+
+
+Arm = Callable[..., tuple[Optional[Callable[[int], Draw]], int]]
+
+
+def _serve_draws(
+    draw: Optional[Callable[[int], Draw]], arm: Optional[Arm], conn, parent_end,
+    slot: mmap.mmap,
+) -> None:
+    """The draw process: answer each iteration number with a header and,
+    when the draw fits, the draw in the slot; a failed draw (the parent
+    draws it again, and the error surfaces there with its own traceback)
+    or one too large is a header marked as not fitting. A re-arm message
+    ``(args,)`` replaces the draw by ``arm(*args)``'s and starts the next
+    epoch. Ends when the parent closes its end."""
     parent_end.close()  # else the parent closing its end is no EOF here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    header = np.zeros(_HEADER, dtype=np.int64)
+    epoch = digest = 0
     while True:
         try:
-            t = conn.recv()
-        except EOFError:
+            message = conn.recv()
+        except (EOFError, OSError):  # the parent closed its end
             return
+        if isinstance(message, tuple):
+            epoch += 1
+            try:
+                draw, digest = arm(*message[0])
+            except Exception:
+                draw, digest = None, 0
+            continue
+        header[:4] = epoch, message, 0, digest
         try:
-            reply = (t, draw(t))
+            header[2] = draw is not None and _pack(slot, header, _arrays(draw(message)))
         except Exception:
-            reply = (t, None)
-        conn.send(reply)
+            pass
+        try:
+            conn.send_bytes(header)
+        except OSError:
+            return
 
 
-class _DrawProcess:
-    """One forked process drawing iterations ahead for a sampler; holds no
-    reference to the sampler, so the sampler's finalizer can close it."""
+class DrawProcess:
+    """One forked process drawing iterations ahead; holds no reference to
+    a sampler, so a sampler's finalizer can close it.
 
-    def __init__(self, draw: Callable[[int], Draw]) -> None:
+    Draws cross in one shared anonymous mapping made before the fork, a
+    single slot: the child writes a draw there only once asked for it,
+    and the parent asks for the next only after copying the last one
+    out. The pipe carries the iteration numbers one way and fixed-size
+    int64 headers the other. A draw is keyed by (epoch, iteration): a
+    re-arm (:meth:`arm`) starts a new epoch, so a draw asked for on the
+    old graph is never taken on the new one.
+
+    Args:
+        draw: iteration -> :class:`Draw`, run in the child.
+        arm: run in the child on each :meth:`arm` with its arguments;
+            returns the new draw function (None: every draw fails) and
+            a digest of what it drew from, carried on every later reply.
+    """
+
+    def __init__(self, draw: Optional[Callable[[int], Draw]], arm: Optional[Arm] = None) -> None:
         ctx = mp.get_context("fork")
+        self._slot = mmap.mmap(-1, SLOT_BYTES)
         self._conn, child_end = ctx.Pipe()
         self.process = ctx.Process(
-            target=_serve_draws, args=(draw, child_end, self._conn), daemon=True
+            target=_serve_draws, args=(draw, arm, child_end, self._conn, self._slot),
+            daemon=True,
         )
         self.process.start()
         child_end.close()
-        #: the iteration asked for and not yet received
-        self.pending: Optional[int] = None
+        self._header = np.zeros(_HEADER, dtype=np.int64)
+        # what a taken draw's arrays are views into: as large as the slot,
+        # resident only as far as draws reached, reused while no view of
+        # the last draw is left (a fresh copy per draw churned malloc and
+        # raised the parent's peak resident set)
+        self._copy = np.empty(SLOT_BYTES, dtype=np.uint8)
+        #: replies asked for and not yet received
+        self.owed = 0
+        self.epoch = 0
+        #: the digest the last reply carried (the child's ``arm`` result)
+        self.digest = 0
         self.alive = True
 
-    def ask(self, iteration: int) -> None:
+    def _send(self, message) -> None:
         try:
-            self._conn.send(iteration)
-            self.pending = iteration
+            self._conn.send(message)
         except OSError:  # the process died
             self.close()
 
+    def ask(self, iteration: int) -> None:
+        self._send(iteration)
+        if self.alive:
+            self.owed += 1
+
+    def arm(self, *args) -> None:
+        """Re-arm the child with ``arm(*args)``; draws asked for before
+        are drained, never taken."""
+        self.epoch += 1
+        self._send((args,))
+
     def take(self, iteration: int) -> Optional[Draw]:
-        """The held draw of ``iteration``, or None: nothing asked, a stale
-        or failed reply (drained either way), or the process died."""
-        if self.pending is None:
+        """The held draw of ``iteration`` in this epoch, or None: nothing
+        asked, a stale, failed or too large reply (drained either way),
+        or the process died."""
+        if not self.owed:
             return None
         try:
-            held, draw = self._conn.recv()
+            while self.owed:  # the slot holds the last reply's draw only
+                self._conn.recv_bytes_into(self._header)
+                self.owed -= 1
         except (EOFError, OSError):  # the process died
             self.close()
             return None
-        self.pending = None
-        return draw if held == iteration else None
+        epoch, held, fits, self.digest = self._header[:4].tolist()
+        if not fits or (epoch, held) != (self.epoch, iteration):
+            return None
+        if sys.getrefcount(self._copy) > 2:  # the last draw is still held
+            self._copy = np.empty(SLOT_BYTES, dtype=np.uint8)
+        return _unpack(self._slot, self._header, self._copy)
 
     def close(self) -> None:
         """Kill and reap the process (it holds nothing to clean up); idempotent."""
-        self.alive, self.pending = False, None
-        self._conn.close()
+        self.alive, self.owed = False, 0
         self.process.kill()
         self.process.join()
+        self._conn.close()
+        self._slot.close()
 
 
 @dataclass
@@ -134,9 +289,14 @@ class IterationStats:
     step_phi: float
     step_theta: float
     perplexity: Optional[float] = None
-    #: seconds the calling process blocked on this iteration's draw: all
-    #: of it in ``step()`` and in ``run()``'s first iteration, afterwards
-    #: only what the draw process had not finished
+    #: seconds the calling process blocked on this iteration's draw. In
+    #: ``step()`` the whole draw; in ``run()`` what the draw process had
+    #: not finished plus the handoff (a header off the pipe, one copy out
+    #: of the slot), or the whole draw inline where none was held for
+    #: this iteration: a sampler's first run, a run after the clock was
+    #: moved between calls, a generation's first iteration in a
+    #: :class:`~repro.stream.trainer.StreamTrainer`, a draw too large
+    #: for the slot
     draw_wait_s: float = 0.0
 
 
@@ -149,6 +309,10 @@ class AMMSBSampler:
         heldout: optional held-out split; enables perplexity tracking. When
             given, ``graph`` should be ``heldout.train``.
         state: optional initial state (random-initialized otherwise).
+        _draws: a draw process its owner lends (a
+            :class:`~repro.stream.trainer.StreamTrainer`'s, armed on
+            ``graph``): used in place of one of the sampler's own, never
+            forked again or closed by the sampler.
 
     Example:
         >>> import numpy as np
@@ -167,6 +331,8 @@ class AMMSBSampler:
         config: AMMSBConfig,
         heldout: Optional[HeldoutSplit] = None,
         state: Optional[ModelState] = None,
+        *,
+        _draws: Optional[DrawProcess] = None,
     ) -> None:
         self.graph = graph
         self.kernels, config = stages.pinned_backend(config)
@@ -183,30 +349,40 @@ class AMMSBSampler:
         self.minibatch_sampler = MinibatchSampler(graph, config, heldout_keys=heldout_keys)
         self.state = state if state is not None else init_state(graph.n_vertices, config)
         self.workspace = kernels.KernelWorkspace()
+        self._rng = block_rng(config.seed, DRAW, 0, 0)
         self.iteration = 0
         self.history: list[IterationStats] = []
-        self._rng, self._seated_at = block_rng(config.seed, DRAW, 0, 0), 0
-        self._ahead: Optional[_DrawProcess] = None
+        self._ahead, self._lent = _draws, _draws is not None
         self._closed = False
+
+    @property
+    def iteration(self) -> int:
+        """The clock: the iteration the next draw is of."""
+        return self._iteration
+
+    @iteration.setter
+    def iteration(self, t: int) -> None:
+        self._iteration, self._seated = t, False
 
     @property
     def rng(self) -> np.random.Generator:
         """The generator of the current iteration's draw, ``block_rng(seed,
-        DRAW, 0, iteration)``: re-seated whenever the clock has moved since
-        it last was, so ``sample(rng)`` then ``sample_neighbors(vertices,
-        rng)`` is this iteration's draw."""
-        if self._seated_at != self.iteration:
-            self._seated_at = self.iteration
+        DRAW, 0, iteration)``: re-seated at its first use after the clock
+        was set, to a new value or to the same one, so ``sample(rng)`` then
+        ``sample_neighbors(vertices, rng)`` is this iteration's draw."""
+        if not self._seated:
+            self._seated = True
             seat(self._rng, self.config.seed, DRAW, 0, self.iteration)
         return self._rng
 
     def close(self) -> None:
-        """End the draw process, if one was started; idempotent. A closed
-        sampler still runs, drawing every iteration inline."""
+        """End the draw process, if one was started (a lent one is only
+        let go); idempotent. A closed sampler still runs, drawing every
+        iteration inline."""
         self._closed = True
-        if self._ahead is not None:
+        if self._ahead is not None and not self._lent:
             self._ahead.close()
-            self._ahead = None
+        self._ahead = None
 
     def __enter__(self) -> "AMMSBSampler":
         return self
@@ -214,15 +390,17 @@ class AMMSBSampler:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _draw_process(self) -> Optional[_DrawProcess]:
-        """The live draw process, forked now if there is none (the first
-        run, or the last one died); None once the sampler is closed."""
+    def _draw_process(self, fork: bool) -> Optional[DrawProcess]:
+        """The live draw process; one of the sampler's own is forked now
+        when ``fork`` and there is none (the first run of two or more
+        iterations, or the last one died). None once the sampler is
+        closed, or when the lent one died."""
         if self._closed:
             return None
-        if self._ahead is None or not self._ahead.alive:
-            self._ahead = _DrawProcess(self._draw)
+        if fork and not self._lent and (self._ahead is None or not self._ahead.alive):
+            self._ahead = DrawProcess(self._draw)
             weakref.finalize(self, self._ahead.close)
-        return self._ahead
+        return self._ahead if self._ahead is not None and self._ahead.alive else None
 
     # -- update stages: repro.core.stages over this engine's executor -------
 
@@ -234,27 +412,35 @@ class AMMSBSampler:
         is the inline executor: one run, the sampler's own workspace."""
         return [fn(0, n, self.workspace)]
 
-    def update_phi_pi(self, minibatch: Minibatch, neighbor_sample: NeighborSample) -> None:
+    def update_phi_pi(
+        self, minibatch: Minibatch, neighbor_sample: NeighborSample,
+        noise: Optional[np.ndarray] = None,
+    ) -> None:
         """Stage: phi update (Eqn 5) + pi renormalization for the mini-batch.
 
-        Runs of row blocks read shared state (pi rows of neighbors) and
-        produce disjoint rows (their own mini-batch vertices), stored only
-        after every run is done — the same argument the paper makes for
-        the absence of read/write hazards in the DKV stages.
+        ``noise`` is the draw's (:func:`repro.core.stages.phi_noise` of
+        the whole mini-batch), drawn here when not given. Runs of row
+        blocks read shared state (pi rows of neighbors) and produce
+        disjoint rows (their own mini-batch vertices), stored only after
+        every run is done — the same argument the paper makes for the
+        absence of read/write hazards in the DKV stages.
         """
         vs = minibatch.vertices
         beta = self.state.beta
         ns = neighbor_sample
+        blocks = n_blocks(vs.size, ROW_BLOCK)
+        if noise is None:
+            noise = stages.phi_noise(self.config, self.iteration, range(blocks), vs.size)
 
         def run(first: int, stop: int, workspace: kernels.KernelWorkspace):
             rows = slice(first * ROW_BLOCK, stop * ROW_BLOCK)
             sample = NeighborSample(ns.neighbors[rows], ns.labels[rows], ns.mask[rows])
             return stages.phi_stage(
                 self.state, self.kernels, workspace, self.config, self.graph.n_vertices,
-                vs[rows], sample, beta, self.iteration, range(first, stop),
+                vs[rows], sample, noise[rows], beta, self.iteration,
             )
 
-        parts = self._map_blocks(run, n_blocks(vs.size, ROW_BLOCK))
+        parts = self._map_blocks(run, blocks)
         pi_rows, phi_sum = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         self.state.write_rows(vs, pi_rows, phi_sum)
 
@@ -287,16 +473,13 @@ class AMMSBSampler:
     # -- main loop -----------------------------------------------------------
 
     def _draw(self, iteration: int) -> Draw:
-        """Iteration ``iteration``'s draw: the mini-batch, then its neighbor
-        sets under a key drawn right after it, both from ``block_rng(seed,
-        DRAW, 0, iteration)``. Reads the graph only, never the state."""
-        rng = block_rng(self.config.seed, DRAW, 0, iteration)
-        minibatch = self.minibatch_sampler.sample(rng)
-        return minibatch, self.minibatch_sampler.sample_neighbors(minibatch.vertices, rng)
+        """Iteration ``iteration``'s draw (:func:`draw_iteration`)."""
+        return draw_iteration(self.minibatch_sampler, self.config, iteration)
 
-    def _apply(self, minibatch: Minibatch, neighbor_sample: NeighborSample) -> IterationStats:
+    def _apply(self, draw: Draw) -> IterationStats:
         """An iteration's update stages over its draw; advances the clock."""
-        self.update_phi_pi(minibatch, neighbor_sample)
+        minibatch = draw.minibatch
+        self.update_phi_pi(minibatch, draw.neighbors, draw.noise)
         self.update_beta_theta(minibatch)
         stats = IterationStats(
             iteration=self.iteration,
@@ -314,7 +497,7 @@ class AMMSBSampler:
         start = time.perf_counter()
         draw = self._draw(self.iteration)
         waited = time.perf_counter() - start
-        stats = self._apply(*draw)
+        stats = self._apply(draw)
         stats.draw_wait_s = waited
         return stats
 
@@ -328,12 +511,14 @@ class AMMSBSampler:
 
         Ends on the state of ``n_iterations`` calls of :meth:`step` while
         drawing each next iteration in the draw process (module
-        docstring). A held draw is used only at the iteration it was
-        drawn for, so a callback that moves the clock (a ``step()``) is
-        followed: the next draw is then taken inline. A draw that failed
-        in the draw process is drawn again inline, so its error surfaces
-        at the iteration that needs the draw; if the process died, the
-        rest of the run draws inline, to the same bits.
+        docstring), the next call's first included. A held draw is used
+        only at the iteration it was drawn for, so a callback, a
+        ``step()`` or an ``iteration =`` between calls that moves the
+        clock is followed: the held draw is drained and the next one
+        drawn inline. A draw that failed in the draw process is drawn
+        again inline, so its error surfaces at the iteration that needs
+        the draw; if the process died, the rest of the run draws inline,
+        to the same bits.
 
         Args:
             n_iterations: iterations to run.
@@ -343,16 +528,17 @@ class AMMSBSampler:
             callback: called after each iteration with its stats.
         """
         out = []
-        ahead = self._draw_process() if n_iterations >= 2 else None
-        for i in range(n_iterations):
+        ahead = self._draw_process(fork=n_iterations >= 2) if n_iterations else None
+        for _ in range(n_iterations):
             start = time.perf_counter()
             draw = ahead.take(self.iteration) if ahead is not None else None
             if draw is None:
                 draw = self._draw(self.iteration)
             waited = time.perf_counter() - start
-            if ahead is not None and ahead.alive and i + 1 < n_iterations:
-                ahead.ask(self.iteration + 1)
-            stats = self._apply(*draw)
+            if ahead is not None and ahead.alive:
+                ahead.ask(self.iteration + 1)  # after the last: the next call's first
+            stats = self._apply(draw)
+            del draw  # its arrays are views into the copy the next take() reuses
             stats.draw_wait_s = waited
             if (
                 perplexity_every

@@ -67,27 +67,36 @@ def pinned_backend(config: AMMSBConfig) -> tuple[KernelBackend, AMMSBConfig]:
     return backend, config
 
 
+def phi_noise(
+    config: AMMSBConfig, iteration: int, blocks: Sequence[int], n_rows: int
+) -> np.ndarray:
+    """The Langevin noise of Eqn 5 at ``iteration`` for the ``n_rows``
+    mini-batch rows of the row ``blocks``: ``(n_rows, K)`` standard
+    normals, each block its own :func:`~repro.core.minibatch.block_rng`
+    stream. A function of (seed, iteration, blocks) alone, so it is drawn
+    wherever the mini-batch is drawn, ahead of the state it is added to."""
+    k = config.n_communities
+    return block_draws(
+        config.seed, PHI_NOISE, blocks, n_rows,
+        lambda g, n: g.standard_normal((n, k)), iteration,
+    )
+
+
 def phi_stage(
     rows: RowStore, backend: KernelBackend, workspace: KernelWorkspace,
     config: AMMSBConfig, n_vertices: int, vertices: np.ndarray,
-    neighbor_sample: NeighborSample, beta: np.ndarray, iteration: int,
-    blocks: Sequence[int],
+    neighbor_sample: NeighborSample, noise: np.ndarray, beta: np.ndarray,
+    iteration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eqns 5-6 at ``iteration`` for ``vertices``, the mini-batch rows of
-    the row ``blocks``: their new ``(pi_rows, phi_sum)``.
+    """Eqns 5-6 at ``iteration`` for ``vertices``, a run of whole row
+    blocks of the mini-batch: their new ``(pi_rows, phi_sum)``.
 
-    Each block's noise is its own :func:`~repro.core.minibatch.block_rng`
-    stream, and the kernels compute every row from that row's inputs
-    alone, so a row's result does not depend on which blocks share the
-    call. Nothing is written: the caller stores the rows once every
-    reader of the old ones is done (the paper's barrier between
-    update_phi and update_pi).
+    ``noise`` is those blocks' rows of :func:`phi_noise`, and the kernels
+    compute every row from that row's inputs alone, so a row's result
+    does not depend on which blocks share the call. Nothing is written:
+    the caller stores the rows once every reader of the old ones is done
+    (the paper's barrier between update_phi and update_pi).
     """
-    k = config.n_communities
-    noise = block_draws(
-        config.seed, PHI_NOISE, blocks, vertices.size,
-        lambda g, n: g.standard_normal((n, k)), iteration,
-    )
     pi_a, phi_sum_a, pi_b = rows.read_rows(vertices, neighbor_sample.neighbors)
     grad = backend.phi_gradient_sum(
         pi_a, phi_sum_a, pi_b, neighbor_sample.labels, beta, config.delta,

@@ -150,8 +150,9 @@ class WorkerContext:
             return PhiStageResult(vs, empty[:, :-1], empty[:, -1], DKVTraffic())
         # One batched read covers the shard vertices and all neighbors.
         pi_rows, phi_sum = stages.phi_stage(
-            self.rows, self.kernels, self.workspace, self.config,
-            self.graph.n_vertices, vs, neighbor_sample, beta, iteration, shard.row_blocks,
+            self.rows, self.kernels, self.workspace, self.config, self.graph.n_vertices,
+            vs, neighbor_sample, stages.phi_noise(self.config, iteration, shard.row_blocks, m),
+            beta, iteration,
         )
         return PhiStageResult(
             vs, pi_rows, phi_sum, self._last_traffic(),

@@ -128,6 +128,13 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pairs[np.argsort(pairs[:, 0] * _KEY_RADIX + pairs[:, 1], kind="stable")]
 
 
+def merged_graph(base: Graph, pending: np.ndarray, n_vertices: int) -> Graph:
+    """``base`` with the key-sorted canonical ``pending`` pairs merged in,
+    over ``n_vertices``: what a compaction makes its new base, and what a
+    stream trainer's draw process makes of its own copy of the base."""
+    return base.with_edges(pending, n_vertices) if pending.size else base
+
+
 def _csr_bytes(graph: Graph) -> int:
     """Payload bytes of ``graph``'s CSR container."""
     return int(graph.keys.nbytes + graph._csr_indptr.nbytes + graph._csr_indices.nbytes)
@@ -158,6 +165,9 @@ class DeltaOverlay:
 
     Attributes:
         base: current base graph (replaced by :meth:`compact`).
+        last_merged: the pairs the last :meth:`compact` merged into the
+            base, key-sorted canonical (a stream trainer re-arms its draw
+            process with them).
         quarantined: malformed records set aside by non-strict ingest,
             as ``(reason, record)`` tuples in arrival order.
         last_timestamp: newest finite timestamp ingested so far.
@@ -183,6 +193,7 @@ class DeltaOverlay:
         self.quarantined: list[tuple[str, tuple[int, int]]] = []
         self.last_timestamp = -np.inf
         self._pending = _PendingBuffer()
+        self.last_merged = np.zeros((0, 2), dtype=np.int64)
         self.snapshot_path: Optional[Path] = None
         self.delta_path: Optional[Path] = None
         self._snapshot_version = ""
@@ -407,13 +418,13 @@ class DeltaOverlay:
         rely on one per generation.
         """
         pending = self._pending.pairs
-        merged = self.base.with_edges(pending, self.n_vertices) if pending.size else self.base
+        merged = merged_graph(self.base, pending, self.n_vertices)
         if path is not None:
             self._persist(merged, _merge(self._merged, pending), Path(path))
         elif pending.size:  # the files no longer hold the base: next, a snapshot
             self.snapshot_path = self.delta_path = None
             self._snapshot_bytes = 0
-        self.base = merged
+        self.base, self.last_merged = merged, pending
         self._pending = _PendingBuffer()
         return merged
 

@@ -23,7 +23,14 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
    :func:`repro.core.init.init_state_spectral` (successive projections),
    falling back to random init on degenerate graphs;
 4. **trains** a bounded number of iterations — sequentially, or on the
-   multiprocess backend (``engine="mp"``);
+   multiprocess backend (``engine="mp"``). The sequential engine draws
+   ahead in one :class:`~repro.core.sampler.DrawProcess` the trainer
+   owns for its whole life: forked at its first generation, re-armed at
+   each later one with the compaction's pending pairs and the held-out
+   split (it merges them into its own copy of the base graph as the
+   compaction did and cuts the same training graph), ended by
+   :meth:`StreamTrainer.close`, a ``with`` block or the trainer's
+   collection;
 5. **persists** the state once — one sealed :mod:`repro.store`
    container ``model_gNNNN.store`` that is both the generation's
    checkpoint and its serving artifact
@@ -65,11 +72,14 @@ kill-at-every-phase tests and the ``repro chaos-stream`` drill.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
 import time
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -82,15 +92,16 @@ from repro.core.checkpoint import (  # noqa: F401
     save_state_checkpoint,
 )
 from repro.core.init import extend_state_informed, init_state_spectral
+from repro.core.minibatch import MinibatchSampler
 from repro.core.perplexity import PerplexityEstimator
-from repro.core.sampler import AMMSBSampler
+from repro.core.sampler import AMMSBSampler, DrawProcess, draw_iteration
 from repro.core.state import ModelState, init_state
 from repro.faults import InjectedCrash, PublishFailure, TrainerCrash, armed
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit, split_heldout
 from repro.serve.artifact import ArtifactError, export_artifact
 from repro.store import atomic_file, link_container, recover_container, recover_containers
-from repro.stream.delta import DeltaOverlay, IngestReport, StreamError
+from repro.stream.delta import DeltaOverlay, IngestReport, StreamError, merged_graph
 from repro.stream.journal import IngestJournal, QuarantineLog
 from repro.stream.source import EdgeArrival, arrivals_to_arrays
 
@@ -118,6 +129,42 @@ def _resolve_in(workdir: Path, rec: Optional[str]) -> Optional[Path]:
         return None
     p = Path(rec)
     return p if p.is_absolute() else workdir / p
+
+
+def key_digest(graph: Graph) -> int:
+    """The first 8 bytes of the sha256 of a graph's vertex count and
+    sorted edge keys, as an int64: how a trainer's draw process and the
+    trainer compare training graphs."""
+    h = hashlib.sha256(np.int64(graph.n_vertices).tobytes())
+    h.update(graph.keys)
+    return int.from_bytes(h.digest()[:8], "little", signed=True)
+
+
+class _TrainingGraphs:
+    """What a trainer's draw process holds across generations: its own
+    copy of the compacted graph, advanced by each generation's pending
+    pairs as the trainer's compaction advanced the trainer's."""
+
+    def __init__(self, graph: Graph, config: AMMSBConfig) -> None:
+        self.graph, self.config = graph, config
+
+    def arm(
+        self, pending: np.ndarray, n_vertices: int, heldout_pairs: np.ndarray,
+        heldout_labels: np.ndarray, expected: Optional[int],
+    ):
+        """Merge ``pending``, cut the held-out links out as
+        :func:`~repro.graph.split.split_heldout` did, and draw from the
+        result as :class:`AMMSBSampler` would. Returns that draw and the
+        training graph's :func:`key_digest`; the draw is None (every draw
+        is made inline) when ``expected`` is given and differs."""
+        self.graph = merged_graph(self.graph, pending, n_vertices)
+        n = self.graph.n_vertices
+        train = self.graph.subgraph(remove_keys=edge_keys(heldout_pairs[heldout_labels], n))
+        digest = key_digest(train)
+        if expected is not None and expected != digest:
+            return None, digest
+        draws = MinibatchSampler(train, self.config, heldout_keys=edge_keys(heldout_pairs, n))
+        return partial(draw_iteration, draws, self.config), digest
 
 
 class ResumeError(StreamError):
@@ -184,6 +231,10 @@ class StreamTrainer:
         history_path: where the serving-side ``MembershipHistory`` is
             checkpointed (recorded in the manifest so a restarted server
             finds it; the trainer itself never writes it).
+
+    The sequential engine's draw process lives as long as the trainer:
+    end it with :meth:`close` or a ``with`` block (the trainer's
+    collection ends it too).
 
     A fresh trainer refuses a workdir that already holds a stream
     manifest — that is a crashed or finished run, and silently starting
@@ -252,6 +303,11 @@ class StreamTrainer:
         #: journal seqno covered by the current base graph (manifest field).
         self.digested_seqno = self.journal.last_seqno if resuming else -1
         self._checkpoint_path: Optional[Path] = None
+        self._draws: Optional[DrawProcess] = None
+        #: the draw process holds the overlay's base graph; a generation
+        #: that fails between its compaction and the re-arm leaves it behind
+        self._draws_on_base = False
+        self._closed = False
         if not resuming:
             # Persist generation -1's ground truth so a crash before the
             # first generation completes is still resumable: the base
@@ -532,18 +588,11 @@ class StreamTrainer:
         # digested graph; the manifest will promise exactly that.
         digest_seqno = self.journal.last_seqno
         n_before = self.overlay.base.n_vertices
+        on_base, self._draws_on_base = self._draws_on_base, False
         graph = self.overlay.compact(self.workdir / f"graph_g{gen:04d}")
         n_new_nodes = graph.n_vertices - n_before
 
-        if self.state is None:
-            rng = np.random.default_rng(self.config.seed)
-            try:
-                self.state = init_state_spectral(graph, self.config, rng=rng)
-            except ValueError:
-                self.state = init_state(graph.n_vertices, self.config, rng)
-        else:
-            self.state = extend_state_informed(self.state, graph, self.config)
-
+        explicit = heldout is not None
         if heldout is None:
             heldout = split_heldout(
                 graph,
@@ -555,6 +604,17 @@ class StreamTrainer:
             raise ValueError(
                 "heldout split does not match this generation's graph"
             )
+        # the draw process cuts its training graph while the state grows
+        self._arm_draws(graph, heldout, explicit, on_base)
+
+        if self.state is None:
+            rng = np.random.default_rng(self.config.seed)
+            try:
+                self.state = init_state_spectral(graph, self.config, rng=rng)
+            except ValueError:
+                self.state = init_state(graph.n_vertices, self.config, rng)
+        else:
+            self.state = extend_state_informed(self.state, graph, self.config)
 
         t0 = time.perf_counter()
         self.state = self._train(heldout, n_iter)
@@ -649,6 +709,49 @@ class StreamTrainer:
             if _GENERATION_FILE.fullmatch(path.name) and path.name not in keep:
                 shutil.rmtree(path, ignore_errors=True)
 
+    def _arm_draws(
+        self, graph: Graph, heldout: HeldoutSplit, explicit: bool, on_base: bool
+    ) -> None:
+        """Re-arm the sequential engine's draw process on this
+        generation's training graph, with the pairs the compaction into
+        ``graph`` merged, when it holds the graph that compaction started
+        from (``on_base``). Otherwise (the first generation, a dead
+        process, or one a failed generation left behind) fork a new one
+        over ``graph`` itself. A split the caller passed is checked by
+        :func:`key_digest`, since its training graph is the caller's to
+        cut."""
+        if self.engine != "sequential" or self._closed:
+            return
+        expected = key_digest(heldout.train) if explicit else None
+        split = (heldout.heldout_pairs, heldout.heldout_labels, expected)
+        pending = self.overlay.last_merged
+        current = on_base and self._draws is not None and self._draws.alive
+        if current:
+            self._draws.arm(pending, graph.n_vertices, *split)
+        if not current or not self._draws.alive:
+            if self._draws is not None:
+                self._draws.close()
+            self._draws = DrawProcess(None, _TrainingGraphs(graph, self.config).arm)
+            weakref.finalize(self, self._draws.close)
+            self._draws.arm(pending[:0], graph.n_vertices, *split)
+        self._draws_on_base = True
+
+    def close(self) -> None:
+        """End the draw process and close the journal; idempotent. A
+        closed trainer still runs generations, each sampler forking and
+        closing a draw process of its own."""
+        self._closed = True
+        if self._draws is not None:
+            self._draws.close()
+            self._draws = None
+        self.journal.close()
+
+    def __enter__(self) -> "StreamTrainer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _train(self, heldout: HeldoutSplit, n_iter: int) -> ModelState:
         """``n_iter`` iterations from the current state on this trainer's
         engine, continuing the stream's schedule clock."""
@@ -665,9 +768,11 @@ class StreamTrainer:
                 sampler.iteration = self.iteration
                 sampler.run(n_iter)
                 return sampler.state_snapshot()
-        # A new sampler (and draw process) per generation: the graph changed.
+        # A new sampler per generation (the graph changed), drawing ahead
+        # in the trainer's draw process, armed on this generation's graph
         with AMMSBSampler(
-            heldout.train, self.config, heldout=heldout, state=self.state
+            heldout.train, self.config, heldout=heldout, state=self.state,
+            _draws=self._draws,
         ) as sampler:
             sampler.iteration = self.iteration
             sampler.run(n_iter)

@@ -159,11 +159,11 @@ class TestArgumentErrors:
         (["chaos-stream", "--quick", "--seed", "-3"], "--seed"),
         (["chaos-stream", "--quick", "-o", "/no/such/dir/r.json"], "--output"),
         # the library's own range checks, before any file is read or written
-        (["detect", "--edges", "/no/such/g.txt", "-k", "0"], "n_communities must be >= 1"),
+        (["detect", "--edges", "/no/such/g.txt", "-k", "0"], "--communities must be >= 1"),
         (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--mini-batch", "0"],
          "mini_batch_vertices must be >= 1"),
         (["generate", "--vertices", "0", "--output", "/no/such/dir/g.txt"],
-         "at least one vertex"),
+         "--vertices must be >= 1"),
         # query / serve / stream: every value flag, before any file is read
         (["query", "--artifact", "/no/such/m", "--top", "0", "membership", "1"], "--top"),
         (["query", "--artifact", "/no/such/m", "--backend", "nope", "link", "0", "1"],
@@ -174,7 +174,7 @@ class TestArgumentErrors:
         (["serve", "--artifact", "/no/such/m", "--deadline-ms", "0"], "--deadline-ms"),
         (["serve", "--artifact", "/no/such/m", "--slo-p99-ms", "0"], "--slo-p99-ms"),
         (["serve", "--artifact", "/no/such/m", "--drift-window", "-1"], "--drift-window"),
-        (["stream", "--edges", "/no/such/g.txt", "-k", "0"], "n_communities must be >= 1"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "0"], "--communities must be >= 1"),
         (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--iterations", "0"],
          "--iterations"),
         (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--generations", "0"],
@@ -233,6 +233,22 @@ class TestArgumentErrors:
         (["benchmark", "-e", "no-such-figure", "--csv", "/no/such/dir/x.csv"], "--csv"),
         (["query", "--artifact", "/no/such/m", "--backend", "", "membership", "1"],
          "--backend must be a registered kernel backend"),
+        # sizes that reached the library and came back naming no flag
+        (["generate", "--vertices", "-5", "--output", "/no/such/dir/g.txt"],
+         "--vertices must be >= 1"),
+        (["chaos", "--vertices", "-5"], "--vertices must be >= 1"),
+        (["generate", "--communities", "0", "--output", "/no/such/dir/g.txt"],
+         "--communities must be >= 2"),
+        (["chaos", "--communities", "0"], "--communities must be >= 2"),
+        (["chaos", "-k", "1"], "--communities must be >= 2"),
+        (["detect", "--edges", "/no/such/g.txt", "--communities", "0"],
+         "--communities must be >= 1"),
+        (["stream", "--edges", "/no/such/g.txt", "--communities", "-2"],
+         "--communities must be >= 1"),
+        (["convert-graph", "--input", "/no/such/g.txt", "--output", "/no/such/g",
+          "--vertices", "0"], "--vertices must be >= 1"),
+        (["generate", "--dataset", "com-DBLP", "--scale", "nan",
+          "--output", "/no/such/dir/g.txt"], "--scale must be > 0"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -723,6 +739,19 @@ class TestStreamCommand:
         captured = capsys.readouterr()
         assert "following" in captured.err
         assert "follow ended" in captured.err
+
+    @pytest.mark.parametrize("mode", [[], ["--follow", "--trigger-edges", "50",
+                                            "--poll-interval", "0.05", "--max-seconds", "1"]])
+    def test_stream_leaves_no_process(self, tmp_path, capsys, mode):
+        """The trainer's draw process ends with the command, a --follow run
+        drained at its deadline included."""
+        edges = tmp_path / "g.txt"
+        main(["generate", "--vertices", "130", "--communities", "3",
+              "--output", str(edges)])
+        before = set(multiprocessing.active_children())
+        assert main(["stream", "--edges", str(edges), "-k", "3", "--iterations", "10",
+                     "--workdir", str(tmp_path / "wd"), *mode]) == 0
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestChaosStream:

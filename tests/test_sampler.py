@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 from repro.config import AMMSBConfig, StepSizeConfig
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core import stages
+from repro.core.checkpoint import (
+    load_checkpoint, load_state_checkpoint, save_checkpoint, save_state_checkpoint,
+)
+from repro.core.minibatch import ROW_BLOCK, n_blocks
 from repro.core.perplexity import PerplexityEstimator
+import repro.core.sampler as sampler_module
 from repro.core.sampler import AMMSBSampler
 from repro.graph.split import split_heldout
 from repro.parallel.sampler import ThreadedAMMSBSampler
@@ -232,7 +237,7 @@ class TestLookAhead:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("strategy", ["stratified-random-node", "random-pair", "full-batch"])
-    def test_run_is_n_steps(self, split, config, engine, dtype, strategy):
+    def test_run_is_n_steps(self, split, config, engine, dtype, strategy, tmp_path):
         cfg = config.with_updates(dtype=dtype, strategy=strategy)
         looked, stepped, replay = (
             ENGINES[engine](split.train, cfg, heldout=split) for _ in range(3)
@@ -243,13 +248,40 @@ class TestLookAhead:
         assert_same_run(looked, stepped)
         assert_same_state(looked, replay)
         assert [x.perplexity is not None for x in looked.history].count(True) == 2
-        # and across calls
+        # and across calls: each run() ends holding the next call's first draw
         looked.run(3)
         stepped.run(1)
         step_by_step(stepped, 2)
         replayed(replay, 3)
         assert_same_run(looked, stepped)
         assert_same_state(looked, replay)
+        save_state_checkpoint(tmp_path / "ck", looked.state, looked.iteration, cfg)
+
+        def moved(move):
+            """The clock moved between two calls: the held draw (of the
+            iteration the last call ended on) is drained, never used."""
+            assert looked._ahead.owed == 1
+            for s in (looked, stepped, replay):
+                move(s)
+            looked.run(4)
+            step_by_step(stepped, 4)
+            replayed(replay, 4)
+            assert_same_run(looked, stepped)
+            assert_same_state(looked, replay)
+
+        def set_to(t):
+            def move(s):
+                s.iteration = t
+            return move
+
+        def resume(s):
+            s.state, s.iteration, _ = load_state_checkpoint(tmp_path / "ck")
+
+        moved(set_to(40))  # ahead
+        moved(lambda s: s.step() if s is not replay else replayed(s, 1))
+        moved(resume)  # back
+        moved(set_to(looked.iteration - 1))
+        looked.close()
 
     @pytest.mark.parametrize("t", [0, 1, 7])
     def test_a_sampler_set_to_t_draws_what_one_that_ran_t_draws(self, split, config, t):
@@ -261,8 +293,12 @@ class TestLookAhead:
             minibatch = s.minibatch_sampler.sample(s.rng)
             neighbors = s.minibatch_sampler.sample_neighbors(minibatch.vertices, s.rng)
             draws.append((minibatch.all_pairs()[0], neighbors.neighbors))
-        minibatch, neighbors = fresh._draw(t)  # what step() draws at t
+        minibatch, neighbors, noise = fresh._draw(t)  # what step() draws at t
         draws.append((minibatch.all_pairs()[0], neighbors.neighbors))
+        m = minibatch.n_vertices
+        np.testing.assert_array_equal(
+            noise, stages.phi_noise(config, t, range(n_blocks(m, ROW_BLOCK)), m)
+        )
         for pairs, neighbors in draws[1:]:
             np.testing.assert_array_equal(pairs, draws[0][0])
             np.testing.assert_array_equal(neighbors, draws[0][1])
@@ -334,7 +370,50 @@ class TestLookAhead:
         s = AMMSBSampler(graph, config)
         assert s.step().draw_wait_s > 0
         assert all(x.draw_wait_s >= 0 for x in s.run(5))
-        assert s.history[1].draw_wait_s > 0  # run()'s first draw is not looked ahead
+        assert s.history[1].draw_wait_s > 0  # after a step(), run()'s first is inline
+        s.close()
+
+    def test_a_kept_draw_is_not_overwritten_by_the_next(self, split, config):
+        """A taken draw's arrays are views into the parent's one copy of
+        the slot; a draw still held when the next is taken keeps its own."""
+        s = AMMSBSampler(split.train, config, heldout=split)
+        kept = []
+        apply = s._apply
+        s._apply = lambda draw: kept.append(draw) or apply(draw)
+        s.run(6)
+        s.run(3)
+        s.close()
+        for t, draw in enumerate(kept):
+            want = s._draw(t)
+            np.testing.assert_array_equal(
+                draw.minibatch.all_pairs()[0], want.minibatch.all_pairs()[0]
+            )
+            np.testing.assert_array_equal(draw.neighbors.neighbors, want.neighbors.neighbors)
+            np.testing.assert_array_equal(draw.noise, want.noise)
+
+    def test_a_draw_larger_than_the_slot_is_drawn_inline(self, split, config, monkeypatch):
+        """Too large for the slot answers like a failed draw: the calling
+        process draws it, to the same bits."""
+        monkeypatch.setattr(sampler_module, "SLOT_BYTES", 64)
+        looked, stepped = (AMMSBSampler(split.train, config, heldout=split) for _ in range(2))
+        inline = []
+        draw = looked._draw
+        looked._draw = lambda t: inline.append(t) or draw(t)  # counts this process's draws
+        looked.run(6)
+        looked.run(3)
+        step_by_step(stepped, 9)
+        assert_same_run(looked, stepped)
+        assert inline == list(range(9))
+        monkeypatch.undo()
+        inline.clear()
+        fits = AMMSBSampler(split.train, config, heldout=split)
+        fits._draw = lambda t: inline.append(t) or draw(t)
+        fits.run(6)
+        fits.run(3)
+        assert inline == [0]  # the first; the next call's first was held
+        assert_same_run(fits, stepped)
+        for s in (looked, fits):
+            s.close()
 
 
 class TestLookAheadFailures:

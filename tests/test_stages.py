@@ -111,9 +111,10 @@ def run_phi_stage(store, workspace, n_vertices, k, neighbors, backend="fused"):
     sample = NeighborSample(
         neighbors, rng.random(neighbors.shape) < 0.05, rng.random(neighbors.shape) < 0.95
     )
+    noise = stages.phi_noise(cfg, 0, range(n_blocks(m, ROW_BLOCK)), m)
     return stages.phi_stage(
         store, kernels.get_backend(backend), workspace, cfg, n_vertices, np.arange(m),
-        sample, np.full(k, 0.4), 0, range(n_blocks(m, ROW_BLOCK)),
+        sample, noise, np.full(k, 0.4), 0,
     )
 
 

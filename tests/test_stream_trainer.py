@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import inspect
 import multiprocessing
@@ -11,6 +13,8 @@ import pytest
 
 import repro.stream.trainer as trainer_module
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core.sampler import AMMSBSampler
+from repro.graph.split import HeldoutSplit, split_heldout
 from repro.faults import InjectedCrash, PublishFailure, StreamFaultPlan, TrainerCrash
 from repro.serve.artifact import load_artifact
 from repro.serve.engine import QueryEngine
@@ -62,12 +66,26 @@ class TestGenerationLoop:
         art = load_artifact(tmp_path / "artifact.npz")
         assert art.n_nodes == rep1.n_vertices
 
-    def test_a_generation_leaves_no_process(self, stream, tmp_path):
+    @pytest.mark.parametrize("end", ["close", "with", "collection"])
+    def test_one_draw_process_outlives_the_generations(self, stream, tmp_path, end):
+        """The trainer's draw process is forked at its first generation,
+        lives through the next and ends with the trainer."""
         base, batches = stream
-        trainer = StreamTrainer(base, _config(), tmp_path, iterations_per_generation=30)
+        gc.collect()
         before = set(multiprocessing.active_children())
-        trainer.run_generation()
-        trainer.run_generation(batches[0])
+        trainer = StreamTrainer(base, _config(), tmp_path, iterations_per_generation=30)
+        with trainer if end == "with" else contextlib.nullcontext():
+            trainer.run_generation()
+            (process,) = set(multiprocessing.active_children()) - before
+            trainer.run_generation(batches[0])
+            assert set(multiprocessing.active_children()) - before == {process}
+            if end == "close":
+                trainer.close()
+                trainer.close()
+            elif end == "collection":
+                del trainer
+                gc.collect()
+        assert not process.is_alive()
         assert set(multiprocessing.active_children()) == before
 
     def test_publish_callback_fires_per_publish(self, stream, tmp_path):
@@ -277,6 +295,120 @@ class TestEachGenerationDrawsAtItsClock:
             n = min(anchors[0].size, anchors[gen].size)
             rescaled = np.abs(anchors[gen][:n] - anchors[0][:n] * ratio) <= ratio + 1
             assert not rescaled.all()
+
+
+class TestOneDrawProcessPerTrainer:
+    """A trainer forks one draw process and re-arms it each generation on
+    the generation's training graph; the generations end on the bits of
+    one fresh sampler (and draw process) per generation."""
+
+    def _run(self, base, batches, workdir, monkeypatch, sampler, heldouts=None):
+        started, graphs, digests = [], [], []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(process):
+            started.append(process)
+            real_start(process)
+
+        def recording(*args, **kwargs):
+            graphs.append(args[0])
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        monkeypatch.setattr(trainer_module, "AMMSBSampler", recording)
+        with StreamTrainer(base, _config(), workdir, iterations_per_generation=12) as trainer:
+            for batch in [[], *batches]:
+                heldout = heldouts(trainer, batch) if heldouts else None
+                trainer.run_generation(batch, heldout=heldout)
+                draws = trainer._draws
+                digests.append((draws.digest, draws.owed, draws.epoch))
+        monkeypatch.undo()
+        return trainer, started, graphs, digests
+
+    @staticmethod
+    def _fresh(*args, _draws=None, **kwargs):
+        """A sampler that forks its own draw process, as every generation's
+        did before the trainer owned one."""
+        return AMMSBSampler(*args, **kwargs)
+
+    def test_three_generations_fork_once_on_the_fresh_samplers_bits(
+        self, stream, tmp_path, monkeypatch
+    ):
+        base, batches = stream
+        trainer, started, graphs, digests = self._run(
+            base, batches, tmp_path / "one", monkeypatch, AMMSBSampler
+        )
+        assert len(started) == 1
+        # re-armed each generation, which ended asking for the next call's
+        # first draw; the child's training graph is the sampler's
+        assert digests == [
+            (trainer_module.key_digest(g), 1, epoch) for epoch, g in enumerate(graphs, 1)
+        ]
+        assert len(set(digests)) == 3  # the graph grew every generation
+        fresh, started, _, _ = self._run(
+            base, batches, tmp_path / "fresh", monkeypatch, self._fresh
+        )
+        assert len(started) == 3 + 1  # the trainer's, idle, and one per sampler
+        assert _digest(fresh.state) == _digest(trainer.state)
+
+    def test_a_generation_failing_after_its_compaction_forks_anew(
+        self, stream, tmp_path, monkeypatch
+    ):
+        """A generation that merged its arrivals and then failed before
+        re-arming leaves the draw process a delta behind: the next one
+        forks a new process instead of re-arming it."""
+        base, batches = stream
+        split_heldout = trainer_module.split_heldout
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("held-out set would consume the whole graph")
+            return split_heldout(*args, **kwargs)
+
+        def run(workdir, sampler):
+            started = []
+            real_start = multiprocessing.process.BaseProcess.start
+            monkeypatch.setattr(
+                multiprocessing.process.BaseProcess, "start",
+                lambda p: started.append(p) or real_start(p),
+            )
+            monkeypatch.setattr(trainer_module, "split_heldout", fails_once)
+            monkeypatch.setattr(trainer_module, "AMMSBSampler", sampler)
+            calls.clear()
+            with StreamTrainer(base, _config(), workdir, iterations_per_generation=12) as t:
+                t.run_generation()
+                with pytest.raises(ValueError, match="consume"):
+                    t.run_generation(batches[0])  # merged, then failed
+                t.run_generation(batches[1])
+            monkeypatch.undo()
+            return t, started
+
+        trainer, started = run(tmp_path / "one", AMMSBSampler)
+        assert len(started) == 2
+        fresh, _ = run(tmp_path / "fresh", self._fresh)
+        assert _digest(fresh.state) == _digest(trainer.state)
+
+    def test_a_split_cut_another_way_is_drawn_inline(self, stream, tmp_path, monkeypatch):
+        """A caller's split whose training graph is not the compacted graph
+        minus its held-out links fails the digest check: every draw is
+        made inline, to the bits of a fresh sampler on that graph."""
+
+        def uncut(trainer, batch):  # no arrivals: the base is the graph it trains on
+            graph = trainer.overlay.base
+            split = split_heldout(graph, 0.05, rng=np.random.default_rng(trainer.generation))
+            return HeldoutSplit(graph, split.heldout_pairs, split.heldout_labels)
+
+        base, _ = stream
+        trainer, _, graphs, digests = self._run(
+            base, [[], []], tmp_path / "one", monkeypatch, AMMSBSampler, heldouts=uncut
+        )
+        assert all(d != trainer_module.key_digest(g) for (d, _, _), g in zip(digests, graphs))
+        fresh, _, _, _ = self._run(
+            base, [[], []], tmp_path / "fresh", monkeypatch, self._fresh, heldouts=uncut
+        )
+        assert _digest(fresh.state) == _digest(trainer.state)
 
 
 def _published(base, tmp_path):
