@@ -255,13 +255,8 @@ def _race(
 
 
 def _file_bytes(paths: dict[str, Path]) -> dict[str, int]:
-    """On-disk size per distinct file (a container is a directory)."""
-    return {
-        p.name: sum(f.stat().st_size for f in p.iterdir())
-        if p.is_dir()
-        else p.stat().st_size
-        for p in sorted(set(paths.values()))
-    }
+    """On-disk size per distinct file (a container is one file)."""
+    return {p.name: p.stat().st_size for p in sorted(set(paths.values()))}
 
 
 def _graph_load(w: StoreWorkload, seed: int, tmp: Path) -> dict[str, Any]:

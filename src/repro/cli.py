@@ -957,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume from a --checkpoint container")
     p.add_argument("--export-artifact", default=None,
                    help="also export a serving artifact (a container "
-                        "directory) of the final state")
+                        "file) of the final state")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("generate", help="write a synthetic graph edge list")
@@ -990,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True,
                    help="edge-list file (SNAP format) or .npz graph")
     p.add_argument("--output", "-o", required=True,
-                   help="container directory to write (e.g. graph.csr)")
+                   help="container file to write (e.g. graph.csr)")
     p.add_argument("--vertices", type=_at_least("--vertices", 1), default=None,
                    help="vertex-id space if the edge list is sparse in ids "
                         "(default: inferred, ids are densely remapped)")
@@ -1001,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "history as a store container")
     p.add_argument("src", metavar="SRC", help="legacy .npz model file")
     p.add_argument("dst", metavar="DST",
-                   help="container directory to write (must not exist)")
+                   help="container file to write (must not exist)")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("calibrate", help="print the Table III calibration report")
@@ -1055,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir", default="stream-work",
                    help="per-generation CSR and model containers")
     p.add_argument("--artifact", default=None,
-                   help="published artifact path: a container directory of "
-                        "hard links to the newest generation's model container, "
+                   help="published artifact path: a hard link to the newest "
+                        "generation's model container file "
                         "(default: WORKDIR/artifact)")
     p.add_argument("--workers", type=_at_least("--workers", 0), default=0,
                    help="mp-engine worker count (0 = in-process sequential)")

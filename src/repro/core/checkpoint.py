@@ -10,19 +10,20 @@ continues **bit-for-bit identically** to an uninterrupted one, on any
 engine (verified in ``tests/test_checkpoint.py`` and
 ``tests/test_mp_backend.py``).
 
-Format: a sealed :mod:`repro.store` container (DESIGN.md "Persistence")
-— one raw ``.npy`` per array, iteration / config / window count in the
-manifest's sealed ``meta`` — the same format a stream generation, a
-serving artifact and the membership history use. The write is atomic
-(temp directory, fsync, rename: a crash mid-write leaves the previous
-checkpoint under the name) and every member's sha256 is recorded while
-it is written; a load reads every byte and verifies every digest before
-the state is adopted. Anything wrong at load time (missing path, damaged
-member, edited manifest, missing keys, a state that fails validation)
-surfaces as a typed :class:`CheckpointError` naming the offending path.
-A regular file at the path is refused with the same error: ``.npz``
-checkpoints written before this format are read by ``repro convert``
-(:mod:`repro.legacy`) and by nothing else.
+Format: a sealed :mod:`repro.store` container file (DESIGN.md
+"Persistence") — one raw ``.npy`` member per array, iteration / config /
+window count in the manifest's sealed ``meta`` — the same format a
+stream generation, a serving artifact and the membership history use.
+The write is atomic (temp file, fsync, rename: a crash mid-write leaves
+the previous checkpoint under the name) and every member's sha256 is
+recorded while it is written; a load reads every byte and verifies every
+digest before the state is adopted. Anything wrong at load time (missing
+path, damaged member, edited manifest, missing keys, a state that fails
+validation) surfaces as a typed :class:`CheckpointError` naming the
+offending path. A regular file that is no container is refused with the
+same error: ``.npz`` checkpoints written before this format are read by
+``repro convert`` (:mod:`repro.legacy`) and by nothing else. A container
+directory an earlier writer left loads like a container file.
 
 One container shape: :func:`save_checkpoint` is
 :func:`save_state_checkpoint` plus the sampler's perplexity window.
@@ -46,7 +47,7 @@ from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import ModelState
-from repro.store.container import Container, StoreError, write_container
+from repro.store.container import Container, StoreCorrupt, StoreError, write_container
 
 PathLike = Union[str, Path]
 
@@ -124,21 +125,25 @@ def open_model_container(
     """Open the container a model file must be, or say why it is not one.
 
     The one place a model loader (checkpoint, artifact, membership
-    history) meets a path: a missing path and a regular file — what a
-    writer older than the container format left — get their own
-    :class:`~repro.store.container.StoreError` reason, which each loader
-    re-raises as its typed error.
+    history) meets a path: a missing path, and a regular file that is no
+    container — a legacy ``.npz`` is a zip archive, with neither a
+    container's trailer nor the ``.npy`` magic its first member starts
+    with — get their own :class:`~repro.store.container.StoreError`
+    reason, which each loader re-raises as its typed error.
     """
     p = Path(path)
     if not p.exists():
         raise StoreError(p, "does not exist")
-    if not p.is_dir():
+    try:
+        return Container(p, provider=provider, verify=verify)
+    except StoreCorrupt:
+        raise
+    except StoreError as exc:
+        if not p.is_file():
+            raise
         raise StoreError(
-            p,
-            "is a regular file, not a store container; a legacy .npz is "
-            "read by `repro convert SRC DST` only",
-        )
-    return Container(p, provider=provider, verify=verify)
+            p, f"{exc.reason}; a legacy .npz is read by `repro convert SRC DST` only"
+        ) from None
 
 
 def save_checkpoint(path: PathLike, sampler: AMMSBSampler) -> Path:
@@ -166,7 +171,7 @@ def load_checkpoint(path: PathLike, graph, heldout=None) -> AMMSBSampler:
         A sampler that continues exactly where the saved one stopped.
 
     Raises:
-        CheckpointError: the path is missing or a regular file, a member
+        CheckpointError: the path is missing or no container, a member
             or the manifest is damaged, required keys are missing, or the
             state fails validation.
     """
@@ -218,7 +223,7 @@ def load_state_checkpoint(path: PathLike) -> tuple[ModelState, int, AMMSBConfig]
     full and every array digest verified before the state is adopted.
 
     Raises:
-        CheckpointError: missing path, regular file, damaged member or
+        CheckpointError: missing path, no container, damaged member or
             manifest, missing keys, or a state that fails validation.
     """
     return _read_state(path)[1:]

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 import threading
 from collections import Counter
@@ -62,6 +63,9 @@ from pathlib import Path
 from typing import ClassVar, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
+
+from repro.store import member_extent
+from repro.store.provider import read_npy_header
 
 
 # -- typed failures ---------------------------------------------------------
@@ -585,34 +589,41 @@ class ServeFaultPlan(_SeededPlan):
 
     def corrupt_file(self, path: Union[str, Path], mode: str) -> None:
         """Apply ``mode`` damage to the artifact container at ``path`` —
-        to its ``pi.npy`` member, in place (a hard-linked second name of
-        the container sees it too).
+        to its ``pi`` member's byte range, in place (a hard-linked second
+        name of the container sees it too).
 
         Deterministic: the damaged bytes come from the plan's private
         corruption stream, so a fixed plan applied to fixed bytes
         produces a fixed corrupted member.
         """
-        member = Path(path) / "pi.npy"
         if mode not in ARTIFACT_FAULT_MODES:
             raise ValueError(f"mode must be one of {ARTIFACT_FAULT_MODES}")
+        fpath, offset, length = member_extent(path, "pi")
         if mode == "payload":
             # A well-formed member that no longer matches the manifest:
             # swap two pi rows (header, shape and simplex invariants all
             # hold). Only the sha256 digest can catch this one.
-            pi = np.lib.format.open_memmap(member, mode="r+")
+            with open(fpath, "rb") as fh:
+                layout = read_npy_header(fh, offset, length)
+            pi = np.memmap(fpath, dtype=layout.dtype, mode="r+",
+                           offset=layout.data_offset, shape=layout.shape)
             pi[[0, 1]] = pi[[1, 0]]
             pi.flush()
             return
-        data = bytearray(member.read_bytes())
         if mode == "truncate":
-            del data[max(1, int(len(data) * 0.6)) :]
-        else:  # "flip": mid-payload, so the header still parses and maps
+            os.truncate(fpath, offset + max(1, int(length * 0.6)))
+            return
+        # "flip": mid-payload, so the header still parses and maps
+        with open(fpath, "r+b") as fh:
+            fh.seek(offset)
+            data = bytearray(fh.read(length))
             lo, hi = len(data) // 4, max(len(data) // 4 + 1, len(data) // 2)
             offsets = self._draw("corrupt", 64, "integers", lo, hi)
             masks = self._draw("corrupt", 64, "integers", 1, 256)
             for off, mask in zip(offsets, masks):
                 data[int(off)] ^= int(mask)
-        member.write_bytes(bytes(data))
+            fh.seek(offset)
+            fh.write(data)
 
 
 #: the serving drill's crashed worker dies at this per-slot batch index

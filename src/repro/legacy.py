@@ -44,7 +44,6 @@ artifact answers memberships from ``pi``, and its version is the seal.
 from __future__ import annotations
 
 import json
-import shutil
 import zipfile
 import zlib
 from pathlib import Path
@@ -54,7 +53,7 @@ import numpy as np
 
 from repro.core.checkpoint import STATE_KIND, load_state_checkpoint
 from repro.serve.artifact import ARTIFACT_KIND, FORMAT_VERSION, load_artifact
-from repro.store import write_container
+from repro.store import StoreError, read_manifest, remove_container, write_container
 from repro.stream.tracking import HISTORY_KIND, MembershipHistory
 
 PathLike = Union[str, Path]
@@ -124,6 +123,12 @@ def read_legacy(src: PathLike) -> tuple[_Kind, dict, dict[str, np.ndarray]]:
     if not src.is_file():
         raise ConvertError(src, "is not a file (a container directory needs no conversion)")
     try:
+        read_manifest(src)
+    except StoreError:
+        pass
+    else:
+        raise ConvertError(src, "is a store container (it needs no conversion)")
+    try:
         with np.load(str(src), allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, TypeError, ValueError) as exc:
@@ -151,6 +156,6 @@ def convert(src: PathLike, dst: PathLike) -> tuple[str, Path]:
         write_container(dst, arrays, kind=kind.container_kind, meta=meta, overwrite=False)
         kind.reopen(dst)
     except ValueError as exc:  # StoreError and the loaders' typed errors all are
-        shutil.rmtree(dst, ignore_errors=True)
+        remove_container(dst)
         raise ConvertError(src, f"converted {kind.name} does not load ({exc})") from exc
     return kind.name, dst

@@ -15,9 +15,9 @@ of ``pi``'s row (:func:`repro.serve.engine.top_memberships`). No graph
 object is needed to load or serve an artifact.
 
 Format, durability and identity: an artifact is a sealed
-:mod:`repro.store` container directory (DESIGN.md "Persistence") — one
-raw ``.npy`` per array plus a sha256-sealed ``manifest.json``, written
-atomically — and its ``version`` IS that seal, the manifest's
+:mod:`repro.store` container file (DESIGN.md "Persistence") — one
+page-aligned raw ``.npy`` member per array plus a sha256-sealed
+manifest, written atomically — and its ``version`` IS that seal, the manifest's
 ``content_version`` over the config, the iteration and every member's
 sha256: two writes of the same model get the same version, and a
 hot-swapped server can report exactly which model answered. The digests
@@ -34,17 +34,19 @@ runs :meth:`ModelArtifact.validate`. One sha256 pass per member byte
 covers it: damage of any kind (truncation, flipped bytes, a member that
 differs from what was written, an edited manifest or digest — the seal)
 raises :class:`ArtifactCorrupt`; callers that serve traffic quarantine the
-directory (:func:`quarantine_artifact`) and fall back to the
+container (:func:`quarantine_artifact`) and fall back to the
 last-known-good entry tracked in an :class:`ArtifactRegistry`. Anything
 else wrong at load time is a typed :class:`ArtifactError` naming the
-path — including a regular file there: a v1 ``.npz`` artifact is read by
-``repro convert`` (:mod:`repro.legacy`) and by nothing else.
+path — including a regular file that is no container: a v1 ``.npz``
+artifact is read by ``repro convert`` (:mod:`repro.legacy`) and by
+nothing else. A container directory an earlier writer left loads too.
 
 A model state is written by :func:`export_artifact`: ONE container that
 is its checkpoint *and* its artifact — the state's own ``pi`` rows plus
 ``phi_sum``, no renormalized copy — so ``detect --resume`` and
 ``auc --checkpoint`` read what ``query`` and ``serve`` read. A stream
-generation publishes it by hard link (:func:`repro.store.link_container`).
+generation publishes it by hard link (:func:`repro.store.link_container`):
+a second name of the same file.
 :func:`build_artifact` + :func:`save_artifact` write artifacts built in
 memory (the serving drills and benchmarks), which carry no ``phi_sum``.
 """
@@ -147,7 +149,7 @@ class ModelArtifact:
     version: str = ""
     _row_index: dict = field(default_factory=dict, repr=False, compare=False)
     # Backing store container of a loaded artifact; None for in-memory
-    # builds. Answers nbytes() without re-opening the directory.
+    # builds. Answers nbytes() without re-opening the container.
     _container: Optional[Container] = field(default=None, repr=False, compare=False)
     # Memoized _identity_ids() answer — the check is an O(N) scan, far
     # too hot to repeat per rows_of() call on a mapped million-row map.
@@ -323,10 +325,10 @@ def export_artifact(
 
 def save_artifact(path: PathLike, artifact: ModelArtifact) -> Path:
     """Atomically write an in-memory artifact as a sealed container
-    directory at ``path`` (whatever its suffix); returns the path.
+    file at ``path`` (whatever its suffix); returns the path.
 
     Uncompressed on purpose — the arrays are page-aligned ``np.save``
-    payloads a reader can memory-map directly. Atomicity (tmp dir +
+    members a reader can memory-map directly. Atomicity (temp file +
     fsync + rename) and per-array sha256 digests come from
     :func:`repro.store.write_container`.
     """
@@ -488,9 +490,17 @@ class ArtifactRegistry:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, generation: int, artifact: ModelArtifact) -> None:
-        """Remember ``artifact`` as known-good at ``generation``."""
+    def record(
+        self, generation: int, artifact: ModelArtifact
+    ) -> Optional[tuple[int, ModelArtifact]]:
+        """Remember ``artifact`` as known-good at ``generation``; returns
+        the entry that fell out of the history, if any. Dropping it may
+        unmap the last name of a deleted model file, which frees the
+        file's blocks (tens to hundreds of ms): the caller lets it go
+        once it holds no lock."""
+        evicted = self._entries[0] if len(self._entries) == self._entries.maxlen else None
         self._entries.append((generation, artifact))
+        return evicted
 
     def previous(self, version: str) -> Optional[ModelArtifact]:
         """Newest known-good artifact whose content version differs from

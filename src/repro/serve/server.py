@@ -415,6 +415,7 @@ class ModelServer:
         """:meth:`publish` for an artifact whose invariants the caller has
         just checked (artifacts are immutable: once is enough)."""
         rollback_to: Optional[ModelArtifact] = None
+        evicted = None
         with self._not_empty:
             swap_index = self._publishes
             self._publishes += 1
@@ -428,7 +429,7 @@ class ModelServer:
                 self._generation += 1
                 rollback_to = good
             else:
-                self._registry.record(gen, artifact)
+                evicted = self._registry.record(gen, artifact)
                 if self._history is not None:
                     # Recorded under the lock so history generations stay
                     # strictly increasing across concurrent publishers.
@@ -439,6 +440,9 @@ class ModelServer:
                     # have the lock back.
                     self._history.record_next(artifact)
             purged = self._purge_stale_cache_locked()
+        # the evicted artifact's maps go here, outside the lock: unmapping
+        # the last name of a removed model file frees its blocks
+        del evicted, previous
         if rollback_to is None:
             self._save_history()
         if purged:

@@ -3,8 +3,9 @@
 ``repro.store`` is the memory architecture under the million-node path
 (DESIGN.md section 10): an :class:`~repro.store.provider.ArrayProvider`
 abstraction (``resident`` heap arrays vs read-only ``mmap`` views) and an
-atomic on-disk :class:`~repro.store.container.Container` format (one raw
-``.npy`` per array + a sha256-sealed JSON manifest) that the serving
+atomic on-disk :class:`~repro.store.container.Container` format (one
+file: page-aligned raw ``.npy`` members + a sha256-sealed JSON manifest
+found by a fixed trailer) that the serving
 tier's v2 artifacts, the CSR graph container and the stream tier's
 per-generation state are all built on. :mod:`repro.store.atomic` is the
 one durable-write helper every tier's persistence goes through.
@@ -17,9 +18,11 @@ from repro.store.container import (
     StoreError,
     content_version,
     link_container,
+    member_extent,
     read_manifest,
     recover_container,
     recover_containers,
+    remove_container,
     sealed_version,
     write_container,
 )
@@ -37,9 +40,11 @@ __all__ = [
     "StoreError",
     "content_version",
     "link_container",
+    "member_extent",
     "read_manifest",
     "recover_container",
     "recover_containers",
+    "remove_container",
     "sealed_version",
     "write_container",
     "atomic_file",

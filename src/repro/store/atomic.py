@@ -1,15 +1,15 @@
 """The one spelling of a durable write: tmp -> fsync -> ``os.replace`` -> directory fsync.
 
-The stream manifest (JSON), container manifests (and through them every
-checkpoint, artifact and membership history) and the ingest journal all
-make a file durable the same way; this module is the only place that
-sequence is written down.
+The stream manifest (JSON) and every store container (and through them
+every checkpoint, artifact, graph record and membership history) make a
+file durable the same way; this module is the only place that sequence
+is written down. The temp file is named by :func:`temp_sibling`, the
+shape :func:`repro.store.recover_container` sweeps after a kill.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Union
@@ -29,18 +29,26 @@ def fsync_dir(directory: PathLike) -> None:
         pass
 
 
+def temp_sibling(path: Path) -> Path:
+    """A fresh hidden name beside ``path`` for what will replace it."""
+    return path.parent / f".{path.name}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
+
+
 @contextmanager
 def atomic_file(path: PathLike, mode: str = "wb") -> Iterator[IO]:
     """Open a temp file beside ``path``; on a clean exit it *becomes* ``path``.
 
     The temp file lives in the destination directory (one filesystem, so
-    the rename is atomic), is flushed and fsynced before ``os.replace``,
+    the rename is atomic), is flushed and fsynced once before ``os.replace``,
     and the directory is fsynced after it. A crash or an exception at any
     point leaves the previous ``path`` intact and no temp file behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    tmp = temp_sibling(path)
+    # mode 0o666 less the umask, as open() would create it: the file is
+    # the container a server or another user reads, not a private temp
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh

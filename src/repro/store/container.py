@@ -1,51 +1,67 @@
 """Atomic on-disk array containers with per-array integrity digests.
 
-A *container* is a directory holding one raw little-endian ``.npy`` file
-per named array plus a ``manifest.json`` describing them:
+A *container* is ONE file: each named array is a member, laid out as
+the ``.npy`` byte stream ``np.save`` would write (NumPy format 1.0,
+native C layout) at a page-aligned offset, and a JSON manifest comes
+after the last member, located by a fixed 24-byte trailer at the end of
+the file:
 
-=================  =====================================================
-entry              contents
-=================  =====================================================
-``manifest.json``  schema, ``kind`` (caller format tag), caller ``meta``,
-                   per-array ``{file, sha256, shape, dtype, nbytes}``,
-                   and a ``content_version`` sealing all of the above
-``<name>.npy``     the array payload, NumPy format v1, native layout
-=================  =====================================================
+===============  =========================================================
+bytes            contents
+===============  =========================================================
+member ``i``     header + payload of array ``i``, starting at a multiple
+                 of 4096 (zero padding between members)
+manifest         schema, ``kind`` (caller format tag), caller ``meta``,
+                 per-array ``{file, sha256, shape, dtype, nbytes}``, each
+                 member's ``extents`` ``[offset, length]``, and a
+                 ``content_version`` sealing kind, meta and the arrays
+trailer          ``<QQ8s``: manifest offset, manifest length, ``RPSTORE2``
+===============  =========================================================
 
-Because every array is an uncompressed ``.npy``, a reader can map it
-(``np.load(mmap_mode="r")``) and answer queries with only the touched
-pages resident — the property the serving tier's artifacts and the CSR
-graph container are built on.
+A member starts on a page, so a reader maps it (the ``mmap`` provider)
+with the same alignment a ``.npy`` file of its own had, and answers
+queries with only the touched pages resident — the property the serving
+tier's artifacts and the CSR graph container are built on. A member's
+sha256 is over its byte range (header + payload): exactly the digest of
+the ``.npy`` file an earlier writer put in a directory, so a seal, and a
+model artifact's version with it, does not depend on the layout.
 
-Writes are atomic: arrays and manifest land in a hidden temp directory
-next to the target, every file and the directory are fsynced, and the
-temp dir is renamed into place. Each array's digest is computed *while
-its bytes are written* (one pass, no re-read), so the ``content_version``
-of a fresh container costs no hash pass of its own — a model artifact
-uses it as its version, and :func:`sealed_version` predicts it for
-arrays not yet written. Every member digest (write, copy, verify,
-prediction) comes from :func:`_sha256`: one pass per byte written, one
-per byte verified. An existing container is
-rotated aside first and deleted after the rename; a kill between those
-two renames leaves nothing at the path, so the *writer* puts the rotated
-copy back when it restarts (:func:`recover_container` — run by the next
-:func:`write_container` / :func:`link_container` to the path and by
-``StreamTrainer.resume``; readers never repair). A path has one writer
-at a time.
+Writes are atomic: the members and the manifest go to a hidden temp
+file beside the target (:func:`repro.store.atomic.atomic_file`), which
+is fsynced once and then *replaces* the target with one
+``os.replace`` — an old container under the name stays whole until
+that rename, and a kill before it leaves only the temp file, which the
+path's next writer deletes (:func:`recover_container`, also run by
+``StreamTrainer.resume``; readers never repair). Each member's digest
+is computed *while its bytes are written* (one pass, no re-read), so the
+``content_version`` of a fresh container costs no hash pass of its own
+— a model artifact uses it as its version, and :func:`sealed_version`
+predicts it for arrays not yet written. Every member digest (write,
+copy, verify, prediction) comes from :func:`_sha256`: one pass per byte
+written, one per byte verified. A path has one writer at a time.
 
 A sealed container can be given a second name at no cost in bytes:
-:func:`link_container` builds a directory of hard links to its files
-(a verified copy where the filesystem refuses the link) — how a stream
-generation's state becomes the published serving artifact.
+:func:`link_container` hard-links the file and renames the link over
+the target (a verified copy where the filesystem refuses the link) —
+how a stream generation's state becomes the published serving artifact.
+
+The directory layout of schema ``repro-store/1`` — one ``.npy`` file
+per member plus ``manifest.json`` — is still read: one member is a
+``(file, offset, length)`` byte range in either layout. Writing to a
+path that holds such a directory removes it first.
 
 Integrity is layered so opening stays O(manifest):
 
 1. opening a :class:`Container` parses the manifest and recomputes
    ``content_version`` over its fields — corrupt or tampered manifests
    (including any edited per-array digest) fail immediately with
-   :class:`StoreCorrupt`, with zero array bytes read;
+   :class:`StoreCorrupt`, with zero array bytes read, and so do member
+   extents that are not page-aligned, overlap or leave the file's
+   member bytes; a file whose trailer is missing is a truncated
+   container when it starts like one;
 2. each array's ``.npy`` header is checked against the manifest's
-   shape/dtype when the array is first opened;
+   shape/dtype, and its payload against the member's extent, when the
+   array is first opened;
 3. full per-array sha256 digests are verified *lazily*: on first touch
    (``verify="touch"``, the default) or only via an explicit
    :meth:`Container.verify_all` pass (``verify="none"``), so a
@@ -60,19 +76,31 @@ import json
 import os
 import re
 import shutil
+import struct
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.store.atomic import atomic_file, fsync_dir
+from repro.store.atomic import atomic_file, fsync_dir, temp_sibling
 from repro.store.provider import ArrayProvider, get_provider
 
 PathLike = Union[str, Path]
 
-SCHEMA = "repro-store/1"
+SCHEMA = "repro-store/2"
+#: the directory layout: ``manifest.json`` + one ``.npy`` per member
+DIRECTORY_SCHEMA = "repro-store/1"
 MANIFEST_NAME = "manifest.json"
 VERIFY_MODES = ("touch", "eager", "none")
+
+#: members start at multiples of this many bytes (a page on every host
+#: the reproduction runs on; fixed, so a layout does not depend on one)
+ALIGN = 4096
+#: the last bytes of a container file: manifest offset, manifest length, magic
+_TRAILER = struct.Struct("<QQ8s")
+_MAGIC = b"RPSTORE2"
+#: how every member (an ``.npy`` stream) begins
+_NPY_MAGIC = b"\x93NUMPY"
 
 #: Bytes handed to ``write`` (and to the hash) at a time. Small on purpose:
 #: measured on the reference host (a guest whose never-touched memory costs
@@ -84,9 +112,9 @@ VERIFY_MODES = ("touch", "eager", "none")
 #: price, measured there too: a server scanning a mapped 25.6 MB ``pi``
 #: written this way reads ~3-5 % slower than one written in a single call.
 _WRITE_CHUNK = 1 << 14
-#: what a killed writer can leave beside ``<name>``: its temp directory and
-#: the rotated-aside previous container
-_LEFTOVER = re.compile(r"\.(?P<name>.+)\.(?P<role>tmp|old)-\d+-[0-9a-f]{8}")
+#: what a killed writer can leave beside ``<name>``: its temp file (or an
+#: earlier writer's temp or rotated-aside directory)
+_LEFTOVER = re.compile(r"\.(?P<name>.+)\.(?:tmp|old)-[\w-]+")
 
 
 class StoreError(ValueError):
@@ -108,15 +136,26 @@ def _sha256(data: bytes = b""):
     return hashlib.sha256(data)
 
 
-def _sha256_file(path: Path) -> str:
-    """sha256 of a file, read into one reused 64 KiB buffer (no
-    chunk-sized bytes object per read: 9 ms against 13 per 12.8 MB)."""
-    h = _sha256()
+def _read_range(path: Path, offset: int = 0, length: Optional[int] = None) -> Iterator[memoryview]:
+    """The bytes ``[offset, offset + length)`` of a file (to its end when
+    ``length`` is None), read into one reused 64 KiB buffer (no
+    chunk-sized bytes object per read: 9 ms against 13 per 12.8 MB).
+    Each view is valid until the next one is yielded."""
     buf = bytearray(1 << 16)
     view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            h.update(view[:n])
+        left = os.fstat(fh.fileno()).st_size - offset if length is None else length
+        fh.seek(offset)
+        while left > 0 and (n := fh.readinto(view[: min(len(buf), left)])):
+            left -= n
+            yield view[:n]
+
+
+def _sha256_range(path: Path, offset: int = 0, length: Optional[int] = None) -> str:
+    """sha256 of one member's byte range."""
+    h = _sha256()
+    for chunk in _read_range(path, offset, length):
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -137,69 +176,39 @@ def _native_little(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _hidden_sibling(path: Path, role: str) -> Path:
-    return path.parent / f".{path.name}.{role}-{os.getpid()}-{os.urandom(4).hex()}"
-
-
-def _remove(path: Path) -> None:
-    """Delete a directory tree, or the plain file a legacy writer left."""
+def remove_container(path: PathLike) -> None:
+    """Delete the container at ``path``: one unlink for a container file,
+    the whole tree for a directory an earlier writer left."""
+    path = Path(path)
     if path.is_dir():
         shutil.rmtree(path, ignore_errors=True)
     else:
         path.unlink(missing_ok=True)
 
 
-def _is_sealed(path: Path) -> bool:
-    try:
-        read_manifest(path)
-    except StoreError:
-        return False
-    return True
-
-
 def recover_container(path: PathLike) -> None:
-    """Finish what a writer killed mid-:func:`write_container` left at ``path``.
-
-    When ``path`` is missing and a sealed rotated-aside copy exists (the
-    kill fell between the two renames) the copy is moved back; every
-    other hidden ``.name.tmp-*`` / ``.name.old-*`` sibling is deleted.
-    Writer-side only: call it where the path's single writer restarts.
+    """Delete what a writer killed before its ``os.replace`` left beside
+    ``path``: the hidden ``.name.tmp-*`` temp file (and the
+    ``.name.tmp-*`` / ``.name.old-*`` directories an earlier, directory
+    writer could leave). The container at ``path`` itself was never
+    touched. Writer-side only: call it where the path's single writer
+    restarts.
     """
     path = Path(path)
     if not path.parent.is_dir():
         return
-    for p in sorted(path.parent.iterdir()):
+    for p in path.parent.iterdir():
         m = _LEFTOVER.fullmatch(p.name)
-        if m is None or m["name"] != path.name:
-            continue
-        if m["role"] == "old" and not path.exists() and _is_sealed(p):
-            os.replace(p, path)
-            fsync_dir(path.parent)
-        else:
-            _remove(p)
+        if m is not None and m["name"] == path.name:
+            remove_container(p)
 
 
 def recover_containers(directory: PathLike) -> None:
     """:func:`recover_container` for every path a killed writer left
     leftovers for under ``directory``."""
-    directory = Path(directory)
-    names = {m["name"] for p in directory.iterdir() if (m := _LEFTOVER.fullmatch(p.name))}
-    for name in sorted(names):
-        recover_container(directory / name)
-
-
-def _install(tmp: Path, path: Path) -> None:
-    """Rename the finished ``tmp`` directory (its manifest, written last
-    through :func:`atomic_file`, already synced the directory) to ``path``,
-    rotating an existing container aside first and deleting it after."""
-    old: Optional[Path] = None
-    if path.exists():
-        old = _hidden_sibling(path, "old")
-        os.replace(path, old)
-    os.replace(tmp, path)
-    fsync_dir(path.parent)
-    if old is not None:
-        _remove(old)
+    for p in Path(directory).iterdir():
+        if _LEFTOVER.fullmatch(p.name):
+            remove_container(p)
 
 
 def _npy_header(arr: np.ndarray) -> bytes:
@@ -213,40 +222,56 @@ def _npy_header(arr: np.ndarray) -> bytes:
     return header.getvalue()
 
 
-def _write_npy(fpath: Path, arr: np.ndarray) -> str:
-    """Write ``arr`` as ``np.save`` would (format 1.0, C order) and return
-    the file's sha256, computed over the bytes as they are written."""
-    header = _npy_header(arr)
+def _npy_chunks(arr: np.ndarray) -> Iterator:
+    """``arr`` as ``np.save`` lays it out (format 1.0, C order), in write
+    chunks."""
+    yield _npy_header(arr)
     payload = arr.reshape(-1).view(np.uint8)
-    digest = _sha256(header)
-    with open(fpath, "wb") as fh:
-        fh.write(header)
-        for lo in range(0, payload.size, _WRITE_CHUNK):
-            chunk = payload[lo : lo + _WRITE_CHUNK]
-            fh.write(chunk)
+    for lo in range(0, payload.size, _WRITE_CHUNK):
+        yield payload[lo : lo + _WRITE_CHUNK]
+
+
+class _Writer:
+    """Lays members out in an open container file, hashing each byte as
+    it is written, then seals it with the manifest and the trailer."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.pos = 0
+        self.extents: dict[str, list[int]] = {}
+
+    def member(self, name: str, chunks: Iterable) -> str:
+        """Write one member at the next page; returns its sha256."""
+        pad = -self.pos % ALIGN
+        self.fh.write(bytes(pad))
+        offset = self.pos = self.pos + pad
+        digest = _sha256()
+        for chunk in chunks:
+            self.fh.write(chunk)
             digest.update(chunk)
-        fh.flush()
-        os.fsync(fh.fileno())
-    return digest.hexdigest()
+            self.pos += len(chunk)
+        self.extents[name] = [offset, self.pos - offset]
+        return digest.hexdigest()
 
-
-def _copy_verified(source: Path, dest: Path, entry: Mapping) -> None:
-    """Copy one array file between container directories, hashing the
-    bytes as they are written; the copy must match the manifest digest."""
-    digest = _sha256()
-    with open(source / entry["file"], "rb") as src, open(dest / entry["file"], "wb") as dst:
-        while block := src.read(_WRITE_CHUNK):
-            dst.write(block)
-            digest.update(block)
-        dst.flush()
-        os.fsync(dst.fileno())
-    if digest.hexdigest() != entry["sha256"]:
-        raise StoreCorrupt(source, f"copy of {entry['file']!r} does not match its digest")
+    def seal(self, kind: str, meta: dict, entries: dict) -> None:
+        manifest = {
+            "schema": SCHEMA,
+            "kind": kind,
+            "meta": meta,
+            "arrays": entries,
+            "extents": self.extents,
+            "content_version": content_version(kind, meta, entries),
+        }
+        blob = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        self.fh.write(blob)
+        self.fh.write(_TRAILER.pack(self.pos, len(blob), _MAGIC))
 
 
 def _entries(arrays: Mapping[str, np.ndarray], digest) -> dict[str, dict]:
     """The manifest's per-array records; ``digest(name, arr)`` gives the
-    sha256 of member ``name`` as :func:`_write_npy` lays it out."""
+    sha256 of member ``name`` as :func:`_npy_chunks` lays it out. ``file``
+    names the member as a directory container held it: it is sealed, so
+    it stays."""
     entries: dict[str, dict] = {}
     for name, arr in arrays.items():
         arr = _native_little(np.asarray(arr))
@@ -274,6 +299,18 @@ def sealed_version(
     return content_version(str(kind), dict(meta or {}), _entries(arrays, digest))
 
 
+def _clear_for_write(path: Path, overwrite: bool = True) -> None:
+    """Sweep a killed writer's leftovers, refuse an existing ``path``
+    unless ``overwrite``, and remove a directory container there (a file
+    cannot replace it). Only that migration from the directory layout is
+    two steps: a kill between them leaves no container under the name."""
+    recover_container(path)
+    if path.exists() and not overwrite:
+        raise StoreError(path, "target exists and overwrite=False")
+    if path.is_dir():
+        remove_container(path)
+
+
 def write_container(
     path: PathLike,
     arrays: Mapping[str, np.ndarray],
@@ -281,11 +318,10 @@ def write_container(
     meta: Optional[Mapping] = None,
     overwrite: bool = True,
 ) -> Path:
-    """Atomically write ``arrays`` as a container directory at ``path``.
+    """Atomically write ``arrays`` as a container file at ``path``.
 
-    Array names become file names, so they must be simple identifiers.
-    Returns the final path. With ``overwrite=False`` an existing target
-    raises :class:`StoreError`.
+    Array names must be simple identifiers. Returns the final path. With
+    ``overwrite=False`` an existing target raises :class:`StoreError`.
     """
     path = Path(path)
     meta = dict(meta or {})
@@ -294,84 +330,159 @@ def write_container(
     for name in arrays:
         if not name.isidentifier():
             raise StoreError(path, f"array name {name!r} is not a valid identifier")
-    recover_container(path)
-    if path.exists() and not overwrite:
-        raise StoreError(path, "target exists and overwrite=False")
-
-    tmp = _hidden_sibling(path, "tmp")
-    tmp.mkdir(parents=True, exist_ok=False)
-    try:
-        entries = _entries(arrays, lambda name, arr: _write_npy(tmp / f"{name}.npy", arr))
-        manifest = {
-            "schema": SCHEMA,
-            "kind": str(kind),
-            "meta": meta,
-            "arrays": entries,
-            "content_version": content_version(str(kind), meta, entries),
-        }
-        with atomic_file(tmp / MANIFEST_NAME, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _install(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    _clear_for_write(path, overwrite)
+    with atomic_file(path) as fh:
+        writer = _Writer(fh)
+        entries = _entries(arrays, lambda name, arr: writer.member(name, _npy_chunks(arr)))
+        writer.seal(str(kind), meta, entries)
     return path
 
 
 def link_container(source: PathLike, path: PathLike) -> Path:
     """Atomically give the sealed container at ``source`` a second name.
 
-    ``path`` becomes a directory of hard links to ``source``'s array
-    files and manifest (array files first, the manifest — the seal —
-    last), installed by the same rotate-aside rename as
-    :func:`write_container`: no array byte is copied. Where the
-    filesystem refuses a link (``EXDEV`` across mounts, ``EPERM`` on
-    filesystems without hard links) the file is copied instead and the
-    copy's digest checked against the manifest. Files of a sealed
-    container are never modified in place, so the shared inodes are safe;
-    deleting either name leaves the other (and any live memory map)
-    readable.
+    A hard link to ``source``'s file is made beside ``path`` and renamed
+    over it: one ``os.link`` and one ``os.replace``, no byte copied.
+    Where the filesystem refuses the link (``EXDEV`` across mounts,
+    ``EPERM`` on filesystems without hard links), or ``source`` is a
+    directory container, ``path`` becomes a copy instead: each member
+    is hashed as it is written and must match the manifest digest, and
+    the copy carries the same seal. A sealed container is never modified
+    in place, so the shared inode is safe; deleting either name leaves
+    the other (and any live memory map) readable.
     """
     source, path = Path(source), Path(path)
     manifest = read_manifest(source)
-    recover_container(path)
-    tmp = _hidden_sibling(path, "tmp")
-    tmp.mkdir(parents=True, exist_ok=False)
-    try:
-        for entry in manifest["arrays"].values():
+    _clear_for_write(path)
+    if source.is_file():
+        if path.exists() and os.path.samefile(source, path):
+            return path  # already this container's second name
+        tmp = temp_sibling(path)
+        try:
+            os.link(source, tmp)
+        except OSError:
+            pass  # no hard link here: copy
+        else:
             try:
-                os.link(source / entry["file"], tmp / entry["file"])
-            except OSError:
-                _copy_verified(source, tmp, entry)
-        with atomic_file(tmp / MANIFEST_NAME) as fh:
-            fh.write((source / MANIFEST_NAME).read_bytes())
-        _install(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+            fsync_dir(path.parent)
+            return path
+    _copy_verified(source, manifest, path)
     return path
+
+
+def _copy_verified(source: Path, manifest: dict, path: Path) -> None:
+    """Write a container file at ``path`` holding ``source``'s members
+    byte for byte and its seal; every member is hashed as it is written
+    and must match its digest."""
+    ranges = _member_ranges(source, manifest)
+    with atomic_file(path) as fh:
+        writer = _Writer(fh)
+        for name in sorted(ranges, key=lambda n: ranges[n][1]):
+            entry = manifest["arrays"][name]
+            if writer.member(name, _read_range(*ranges[name])) != entry["sha256"]:
+                raise StoreCorrupt(source, f"copy of {name!r} does not match its digest")
+        writer.seal(manifest["kind"], manifest["meta"], manifest["arrays"])
+
+
+def _member_ranges(path: Path, manifest: dict) -> dict[str, tuple[Path, int, Optional[int]]]:
+    """Each member's ``(file, offset, length)``: a range of the container
+    file, or the whole ``.npy`` file of a directory container (``None``:
+    to its end)."""
+    if manifest["schema"] == DIRECTORY_SCHEMA:
+        return {name: (path / e["file"], 0, None) for name, e in manifest["arrays"].items()}
+    return {name: (path, off, n) for name, (off, n) in manifest["extents"].items()}
+
+
+def member_extent(path: PathLike, name: str) -> tuple[Path, int, int]:
+    """``(file, offset, length)`` of member ``name`` of the container at
+    ``path``: a byte range of the container file, or the whole
+    ``<name>.npy`` of a directory container (found without its manifest,
+    so a directory that lost it still answers)."""
+    path = Path(path)
+    if path.is_dir():
+        fpath = path / f"{name}.npy"
+        return fpath, 0, fpath.stat().st_size
+    try:
+        offset, length = read_manifest(path)["extents"][name]
+    except KeyError:
+        raise StoreError(path, f"container has no array {name!r}") from None
+    return path, int(offset), int(length)
+
+
+def _read_trailer(path: Path) -> tuple[bytes, int]:
+    """The manifest bytes of the container file at ``path`` and their
+    offset (where the member bytes end)."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(_NPY_MAGIC))
+            size = fh.seek(0, os.SEEK_END)
+            trailer = b""
+            if size >= _TRAILER.size:
+                fh.seek(size - _TRAILER.size)
+                trailer = fh.read(_TRAILER.size)
+            if len(trailer) != _TRAILER.size or trailer[-len(_MAGIC):] != _MAGIC:
+                if head == _NPY_MAGIC:
+                    raise StoreCorrupt(path, "truncated store container (its trailer is missing)")
+                raise StoreError(path, "is a regular file, not a store container (no trailer)")
+            offset, length, _ = _TRAILER.unpack(trailer)
+            if offset + length != size - _TRAILER.size:
+                raise StoreCorrupt(path, "trailer does not locate the manifest")
+            fh.seek(offset)
+            return fh.read(length), offset
+    except OSError as exc:
+        raise StoreError(path, f"unreadable ({exc})") from exc
+
+
+def _check_extents(path: Path, manifest: dict, limit: int) -> None:
+    """Every member an aligned range of at least its payload, disjoint
+    from the others and before the manifest (at ``limit``)."""
+    extents, end = manifest.get("extents"), 0
+    if not isinstance(extents, dict) or set(extents) != set(manifest["arrays"]):
+        raise StoreCorrupt(path, "manifest extents do not name its arrays")
+    try:
+        ranges = sorted(
+            (int(off), int(n), int(manifest["arrays"][name]["nbytes"]), name)
+            for name, (off, n) in extents.items()
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreCorrupt(path, f"malformed extents ({exc})") from exc
+    for off, n, nbytes, name in ranges:
+        if off % ALIGN or off < end or n < nbytes or off + n > limit:
+            raise StoreCorrupt(path, f"array {name!r} extent [{off}, {off + n}) is not its own")
+        end = off + n
 
 
 def read_manifest(path: PathLike) -> dict:
     """Parse and consistency-check a container manifest (no array reads).
 
-    Raises :class:`StoreError` for missing/foreign files and
+    Raises :class:`StoreError` for missing/foreign paths and
     :class:`StoreCorrupt` when the manifest does not parse, declares the
-    wrong schema, or its recorded ``content_version`` does not match a
-    recomputation over its own fields (catching any single-field edit).
+    wrong schema, its recorded ``content_version`` does not match a
+    recomputation over its own fields (catching any single-field edit),
+    or a container file's member extents are not aligned, disjoint
+    ranges before the manifest.
     """
     path = Path(path)
-    mpath = path / MANIFEST_NAME
-    if not mpath.is_file():
-        raise StoreError(path, f"not a store container (missing {MANIFEST_NAME})")
+    if path.is_file():
+        (blob, limit), schema = _read_trailer(path), SCHEMA
+    elif (path / MANIFEST_NAME).is_file():
+        try:
+            blob, schema = (path / MANIFEST_NAME).read_bytes(), DIRECTORY_SCHEMA
+        except OSError as exc:
+            raise StoreCorrupt(path, f"unreadable manifest: {exc}") from exc
+    else:
+        raise StoreError(path, f"not a store container (no file, no {MANIFEST_NAME})")
     try:
-        with open(mpath, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
+        manifest = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are
         raise StoreCorrupt(path, f"unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("schema") != SCHEMA:
-        raise StoreCorrupt(path, f"unsupported store schema {manifest.get('schema')!r}")
+    if not isinstance(manifest, dict) or manifest.get("schema") != schema:
+        got = manifest.get("schema") if isinstance(manifest, dict) else None
+        raise StoreCorrupt(path, f"unsupported store schema {got!r}")
     for field in ("kind", "meta", "arrays", "content_version"):
         if field not in manifest:
             raise StoreCorrupt(path, f"manifest missing field {field!r}")
@@ -382,6 +493,8 @@ def read_manifest(path: PathLike) -> dict:
             f"manifest content_version mismatch (recorded {manifest['content_version']}, "
             f"recomputed {expect}) — manifest edited or damaged",
         )
+    if schema == SCHEMA:
+        _check_extents(path, manifest, limit)
     return manifest
 
 
@@ -389,7 +502,8 @@ class Container:
     """Read side of a container: provider-backed arrays + lazy digests.
 
     Args:
-        path: container directory.
+        path: container file (or directory, in the ``repro-store/1``
+            layout).
         provider: array provider name or instance (default ``mmap`` — the
             whole point of the format).
         verify: ``"touch"`` (default) digest-checks each array the first
@@ -409,6 +523,7 @@ class Container:
         self.path = Path(path)
         self.provider = get_provider(provider)
         self.manifest = read_manifest(self.path)
+        self._ranges = _member_ranges(self.path, self.manifest)
         self.kind: str = self.manifest["kind"]
         self.meta: dict = self.manifest["meta"]
         self._verify_on_touch = verify == "touch"
@@ -438,6 +553,14 @@ class Container:
         """Total payload bytes across all arrays (from the manifest)."""
         return sum(int(e["nbytes"]) for e in self.manifest["arrays"].values())
 
+    def _member(self, name: str) -> tuple[Path, int, Optional[int]]:
+        """``(file, offset, length)`` of one member, which must exist."""
+        self.entry(name)
+        fpath, offset, length = self._ranges[name]
+        if not fpath.is_file():
+            raise StoreCorrupt(self.path, f"array file {fpath.name!r} is missing")
+        return fpath, offset, length
+
     # -- integrity -------------------------------------------------------
 
     def verify(self, name: str) -> None:
@@ -445,10 +568,7 @@ class Container:
         if name in self._verified:
             return
         entry = self.entry(name)
-        fpath = self.path / entry["file"]
-        if not fpath.is_file():
-            raise StoreCorrupt(self.path, f"array file {entry['file']!r} is missing")
-        digest = _sha256_file(fpath)
+        digest = _sha256_range(*self._member(name))
         if digest != entry["sha256"]:
             raise StoreCorrupt(
                 self.path,
@@ -474,13 +594,11 @@ class Container:
         if name in self._arrays:
             return self._arrays[name]
         entry = self.entry(name)
-        fpath = self.path / entry["file"]
-        if not fpath.is_file():
-            raise StoreCorrupt(self.path, f"array file {entry['file']!r} is missing")
+        member = self._member(name)
         if self._verify_on_touch:
             self.verify(name)
         try:
-            arr = self.provider.load(fpath)
+            arr = self.provider.load(*member)
         except (OSError, ValueError) as exc:
             raise StoreCorrupt(self.path, f"array {name!r} unreadable: {exc}") from exc
         if list(arr.shape) != list(entry["shape"]):

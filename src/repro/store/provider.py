@@ -4,22 +4,29 @@ The storage tier separates *what* an array is (shape, dtype, contents)
 from *where* it is materialized. Two providers cover the reproduction's
 needs:
 
-- ``resident`` — plain heap ndarrays. Loads read the whole file into
+- ``resident`` — plain heap ndarrays. Loads read the whole array into
   anonymous memory; allocations are ``np.zeros``. This is the default
   for training-sized problems and the only provider whose arrays are
   safe to mutate freely.
 - ``mmap`` — file-backed memory maps. Loads return a read-only plain
   ``np.ndarray`` view of an ``np.memmap`` (its ``.base``) over the
-  on-disk ``.npy`` payload: RSS grows only with the pages actually
+  on-disk payload: RSS grows only with the pages actually
   touched, and the kernel may evict them under pressure. The view is
   zero-copy, and indexing it skips the ``np.memmap`` subclass hooks that
   every slice and gather of a memmap pays. Allocations create an
   *unlinked* temporary file-backed map, so scratch space is swappable
   and can never leak a file on disk even if the process dies.
 
-Query results are bit-identical across providers: a memory map of an
-``.npy`` file aliases the exact bytes ``resident`` would read, and every
-kernel consumes the values, not the storage class.
+An array on disk is an ``.npy`` byte stream — header, then payload —
+that starts at some offset of a file: ``0`` for a ``.npy`` file, a
+member's page-aligned offset in a store container
+(:mod:`repro.store.container`). Both providers parse the header there
+(:func:`read_npy_header`) and check that the payload lies inside the
+file and inside the member's extent before touching it.
+
+Query results are bit-identical across providers: a memory map aliases
+the exact bytes ``resident`` would read, and every kernel consumes the
+values, not the storage class.
 
 Select a provider by name (``get_provider("mmap")``), by instance, or
 let ``get_provider(None)`` fall back to ``$REPRO_ARRAY_PROVIDER`` and
@@ -31,7 +38,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -40,13 +47,53 @@ PathLike = Union[str, Path]
 ENV_VAR = "REPRO_ARRAY_PROVIDER"
 
 
+class NpyLayout(NamedTuple):
+    """Where and what the payload of one ``.npy`` byte stream is."""
+
+    dtype: np.dtype
+    shape: tuple
+    order: str  # "C" or "F"
+    data_offset: int  # file offset of the payload's first byte
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.dtype.itemsize * np.prod(self.shape, dtype=np.int64))
+
+
+def read_npy_header(fh: BinaryIO, offset: int = 0, length: Optional[int] = None) -> NpyLayout:
+    """Parse the ``.npy`` header at ``offset`` of the open file ``fh``.
+
+    The payload must fit in the file and, when ``length`` is given, fill
+    exactly the ``length`` bytes from ``offset``: anything else raises
+    ``ValueError`` before a payload byte is read.
+    """
+    fh.seek(offset)
+    fmt = np.lib.format
+    version = fmt.read_magic(fh)
+    read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+    shape, fortran, dtype = read(fh)
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded")
+    layout = NpyLayout(dtype, tuple(shape), "F" if fortran else "C", fh.tell())
+    size = os.fstat(fh.fileno()).st_size
+    end = size if length is None else offset + length
+    if end > size:
+        raise ValueError("the extent runs past the end of the file (truncated)")
+    room = end - layout.data_offset
+    if room < layout.nbytes or (length is not None and room != layout.nbytes):
+        raise ValueError(f"payload of {layout.nbytes} bytes, {room} in its extent")
+    return layout
+
+
 class ArrayProvider:
-    """Interface: load arrays from ``.npy`` files and allocate scratch."""
+    """Interface: load arrays from ``.npy`` byte streams and allocate scratch."""
 
     name: str = "abstract"
 
-    def load(self, path: PathLike) -> np.ndarray:
-        """Materialize the array stored at ``path`` (a ``.npy`` file)."""
+    def load(self, path: PathLike, offset: int = 0, length: Optional[int] = None) -> np.ndarray:
+        """Materialize the array whose ``.npy`` stream starts at byte
+        ``offset`` of ``path`` and spans ``length`` bytes (to the end of
+        the file when ``None``)."""
         raise NotImplementedError
 
     def allocate(self, shape, dtype) -> np.ndarray:
@@ -62,8 +109,14 @@ class ResidentProvider(ArrayProvider):
 
     name = "resident"
 
-    def load(self, path: PathLike) -> np.ndarray:
-        return np.load(str(path), allow_pickle=False)
+    def load(self, path: PathLike, offset: int = 0, length: Optional[int] = None) -> np.ndarray:
+        with open(path, "rb") as fh:
+            layout = read_npy_header(fh, offset, length)
+            arr = np.empty(layout.shape, dtype=layout.dtype, order=layout.order)
+            view = memoryview(arr.reshape(-1, order="A").view(np.uint8))
+            if fh.readinto(view) != layout.nbytes:
+                raise ValueError("short read (truncated payload)")
+        return arr
 
     def allocate(self, shape, dtype) -> np.ndarray:
         return np.zeros(shape, dtype=dtype)
@@ -84,8 +137,13 @@ class MmapProvider(ArrayProvider):
     def __init__(self, scratch_dir: Optional[PathLike] = None) -> None:
         self.scratch_dir = Path(scratch_dir) if scratch_dir is not None else None
 
-    def load(self, path: PathLike) -> np.ndarray:
-        return np.load(str(path), mmap_mode="r", allow_pickle=False).view(np.ndarray)
+    def load(self, path: PathLike, offset: int = 0, length: Optional[int] = None) -> np.ndarray:
+        with open(path, "rb") as fh:
+            layout = read_npy_header(fh, offset, length)
+        return np.memmap(
+            path, dtype=layout.dtype, mode="r", offset=layout.data_offset,
+            shape=layout.shape, order=layout.order,
+        ).view(np.ndarray)
 
     def allocate(self, shape, dtype) -> np.ndarray:
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)

@@ -142,13 +142,16 @@ def _csr_bytes(graph: Graph) -> int:
 
 def _open_sealed(path: Path, kind: str) -> Container:
     """The container of ``kind`` at ``path``, every digest verified."""
-    if path.is_file():
+    try:
+        container = Container(path, provider="resident", verify="eager")
+    except StoreCorrupt:
+        raise
+    except StoreError as exc:
+        if not path.is_file():
+            raise
         raise StoreError(
-            path,
-            "is a regular file, not a graph container; `repro convert-graph`"
-            " builds one from an edge list or .npz",
-        )
-    container = Container(path, provider="resident", verify="eager")
+            path, f"{exc.reason}; `repro convert-graph` builds one from an edge list or .npz"
+        ) from None
     if container.kind != kind:
         raise StoreError(path, f"not a {kind} container (kind={container.kind!r})")
     return container

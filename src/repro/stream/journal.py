@@ -36,13 +36,17 @@ Durability and recovery invariants:
   A bad frame in any *sealed* segment is real corruption and raises
   :class:`JournalCorrupt` — losing acknowledged writes must never be
   silent.
-- **compaction** — once a generation's edges are digested into a CSR
+- **compaction** — once a generation's edges are digested into a graph
   container and the manifest records the digested seqno,
-  :meth:`IngestJournal.compact` seals the active segment and unlinks
-  every segment whose last seqno is covered. Sealing happens before any
-  unlink, so a crash mid-compaction leaves a journal whose replay is
-  exactly the un-digested suffix; the next compact finishes the GC
-  (idempotent).
+  :meth:`IngestJournal.compact` unlinks every segment that
+  ``max_segment_bytes`` sealed and whose last seqno is covered. The
+  active segment is never rolled for it: its digested prefix stays until
+  the segment fills and a later compaction removes it whole, so a
+  stream of small generations frees no file per generation (each freed
+  file costs tens of ms on a disk that discards blocks). Replay skips the
+  digested prefix by seqno, so a crash mid-compaction leaves a journal
+  whose replay is exactly the un-digested suffix; the next compact
+  finishes the GC (idempotent).
 
 The :class:`QuarantineLog` is the journal's JSONL sidecar for malformed
 arrivals: the overlay's in-memory ``quarantined`` list dies with the
@@ -358,18 +362,18 @@ class IngestJournal:
         digested_seqno: int,
         crash_hook: Optional[Callable[[], None]] = None,
     ) -> int:
-        """Seal the active segment and GC segments covered by ``digested_seqno``.
+        """Unlink the sealed segments ``digested_seqno`` covers.
 
         Called only *after* the manifest durably records
         ``digested_seqno`` (else a crash between GC and manifest loses
-        the suffix). Seal happens before any unlink; ``crash_hook`` (the
-        trainer's mid-compaction kill point) fires between the two, so a
-        crash there leaves every un-digested frame intact and the next
-        compact finishes the GC. Returns the number of segments removed.
+        the suffix). The active segment stays, digested frames and all
+        (see the module docstring). ``crash_hook`` (the trainer's
+        mid-compaction kill point) fires after the sync and before any
+        unlink, so a crash there leaves every un-digested frame intact
+        and the next compact finishes the GC. Returns the number of
+        segments removed.
         """
         self.sync()
-        if self._active.n_frames:
-            self._roll()
         if crash_hook is not None:
             crash_hook()
         removed = 0

@@ -378,7 +378,8 @@ class MembershipHistory:
     def load(cls, path: PathLike) -> "MembershipHistory":
         """Restore a history checkpointed by :meth:`save`; every member is
         read and digest-checked. Raises :class:`StreamError` for a missing
-        path, a regular file (a legacy ``.npz``: ``repro convert``), a
+        path, a regular file that is no container (a legacy ``.npz``:
+        ``repro convert``), a
         damaged container or contents that do not make a history."""
         p = Path(path)
         try:

@@ -38,15 +38,15 @@ loop. Each :meth:`~StreamTrainer.run_generation`:
    ``pi`` rows, ``phi_sum``, ``theta`` and the serving members) — and
    then **publishes** it by hard link
    (:func:`repro.store.link_container`: ``publish_path`` becomes a
-   directory of links to the container's files, zero N*K bytes moved),
+   second name of the container file, zero N*K bytes moved),
    in that order on either engine. An injected publish failure
    (:class:`repro.faults.StreamFaultPlan`) or a state whose rows fail the
    serving invariants skips the publish and records the error — the
    previous artifact keeps serving — rather than aborting the generation.
 
 The trainer never mutates a served artifact in place: the publish path
-is replaced atomically (whatever its suffix it is a container
-directory), and a ``publish_callback`` lets a live
+is replaced atomically (whatever its suffix it is a container file),
+and a ``publish_callback`` lets a live
 :class:`~repro.serve.server.ModelServer` hot-swap it per generation.
 
 Durability (DESIGN.md §11): every arrival batch is journaled to a
@@ -75,7 +75,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import shutil
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -100,7 +99,13 @@ from repro.faults import InjectedCrash, PublishFailure, TrainerCrash, armed
 from repro.graph.graph import Graph, edge_keys
 from repro.graph.split import HeldoutSplit, split_heldout
 from repro.serve.artifact import ArtifactError, export_artifact
-from repro.store import atomic_file, link_container, recover_container, recover_containers
+from repro.store import (
+    atomic_file,
+    link_container,
+    recover_container,
+    recover_containers,
+    remove_container,
+)
 from repro.stream.delta import DeltaOverlay, IngestReport, StreamError, merged_graph
 from repro.stream.journal import IngestJournal, QuarantineLog
 from repro.stream.source import EdgeArrival, arrivals_to_arrays
@@ -441,10 +446,10 @@ class StreamTrainer:
     ) -> "StreamTrainer":
         """Reconstruct a trainer from a (possibly crashed) stream workdir.
 
-        First finishes what a killed writer left behind
-        (:func:`repro.store.recover_container`: a publish path or
-        generation container caught between the two renames of a
-        rotation is put back, stale hidden temp directories are swept).
+        First sweeps what a killed writer left behind
+        (:func:`repro.store.recover_container`: the hidden temp file of a
+        container write or publish link that never reached its
+        ``os.replace``).
         Then rebuilds exactly the durable frontier: the manifest's
         snapshot with its delta merged in becomes the overlay base
         (:meth:`~repro.stream.delta.DeltaOverlay.open`, every digest
@@ -693,11 +698,12 @@ class StreamTrainer:
         return {p.name for p in paths if p is not None and p.parent == self.workdir}
 
     def _remove_stale_generations(self, keep: set[str]) -> None:
-        """Delete the graph and model containers (``base.csr`` included)
+        """Unlink the graph and model containers (``base.csr`` included)
         whose names are not in ``keep``: what the current manifest and the
         one before it name. A published artifact or a live server's memory
-        map that shares a deleted container's files keeps them readable
-        (hard link / unlinked inode).
+        map that shares a deleted container's file keeps it readable
+        (hard link / unlinked inode), so removing a model the server still
+        maps frees nothing yet.
 
         Called only once the current manifest is durable: a kill before
         that resumes from the previous manifest's files, which this keeps;
@@ -707,7 +713,7 @@ class StreamTrainer:
         """
         for path in self.workdir.iterdir():
             if _GENERATION_FILE.fullmatch(path.name) and path.name not in keep:
-                shutil.rmtree(path, ignore_errors=True)
+                remove_container(path)
 
     def _arm_draws(
         self, graph: Graph, heldout: HeldoutSplit, explicit: bool, on_base: bool

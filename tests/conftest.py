@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from repro.config import AMMSBConfig, StepSizeConfig
 from repro.graph.generators import generate_ammsb_graph, planted_overlapping_graph
 from repro.graph.graph import Graph
 from repro.graph.split import split_heldout
-from repro.store import Container, write_container
+from repro.store import Container, member_extent, write_container
+from repro.store.container import _TRAILER, DIRECTORY_SCHEMA, MANIFEST_NAME
 
 
 @pytest.fixture(scope="session")
@@ -89,17 +91,88 @@ def reseal_container(path, meta=None, arrays=None, drop=(), kind=None):
     write_container(path, members, kind=kind or old.kind, meta=new_meta)
 
 
+# -- a container's bytes, damaged in place (store / persistence / serve tests) --
+
+
+def member_bytes(path, name: str) -> bytes:
+    """The byte range (``.npy`` header + payload) of member ``name``."""
+    fpath, offset, length = member_extent(path, name)
+    with open(fpath, "rb") as fh:
+        fh.seek(offset)
+        return fh.read(length)
+
+
+def overwrite_member(path, name: str, data: bytes, at: int = 0) -> None:
+    """Write ``data`` over member ``name``'s bytes from ``at``, in place:
+    bit rot, which no seal is recomputed for."""
+    fpath, offset, length = member_extent(path, name)
+    assert 0 <= at and at + len(data) <= length
+    with open(fpath, "r+b") as fh:
+        fh.seek(offset + at)
+        fh.write(data)
+
+
+def flip_member_byte(path, name: str, at=None, mask: int = 0xFF) -> None:
+    """XOR one byte of member ``name`` (mid-payload by default: past the
+    ``.npy`` header)."""
+    blob = member_bytes(path, name)
+    at = len(blob) // 2 if at is None else at % len(blob)
+    overwrite_member(path, name, bytes([blob[at] ^ mask]), at)
+
+
+def edit_manifest(path, edit) -> None:
+    """Apply ``edit`` to the parsed manifest of the container at ``path``
+    and write it back, unsealed: the trailer is rewritten to locate it,
+    the ``content_version`` is not recomputed."""
+    path = Path(path)
+    if path.is_dir():
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        edit(manifest)
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        return
+    with open(path, "r+b") as fh:
+        fh.seek(-_TRAILER.size, os.SEEK_END)
+        offset, length, magic = _TRAILER.unpack(fh.read(_TRAILER.size))
+        fh.seek(offset)
+        manifest = json.loads(fh.read(length))
+        edit(manifest)
+        blob = json.dumps(manifest).encode("utf-8")
+        fh.seek(offset)
+        fh.truncate()
+        fh.write(blob + _TRAILER.pack(offset, len(blob), magic))
+
+
+def as_directory(path) -> Path:
+    """Rewrite the container file at ``path`` as a directory container
+    of the ``repro-store/1`` layout an earlier writer left: ``np.save``
+    of each member plus the same sealed manifest as ``manifest.json``
+    (no extents). Every digest and the seal carry over unchanged."""
+    path = Path(path)
+    old = Container(path, provider="resident")
+    arrays = {name: np.array(old[name]) for name in old}
+    manifest = {key: value for key, value in old.manifest.items() if key != "extents"}
+    manifest["schema"] = DIRECTORY_SCHEMA
+    path.unlink()
+    path.mkdir()
+    for name, arr in arrays.items():
+        np.save(path / manifest["arrays"][name]["file"], arr, allow_pickle=False)
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Container(path, verify="eager")  # the digests hold in the old layout
+    return path
+
+
 # -- simulated process death and filesystem refusals (store / stream tests) ---
 
 
 def die_like_kill_9(patch, where: str):
     """Raise :class:`InjectedCrash` the way ``kill -9`` would land: a dead
-    process cleans nothing up, so the writers' own error-path ``rmtree`` is
-    disarmed first. ``patch`` is a ``monkeypatch.context()``; leaving it is
-    the restart."""
+    process cleans nothing up, so the writers' own error-path ``rmtree``
+    and ``unlink`` are disarmed first. ``patch`` is a
+    ``monkeypatch.context()``; leaving it is the restart."""
     from repro.faults import InjectedCrash
 
     patch.setattr(shutil, "rmtree", lambda *a, **k: None)
+    patch.setattr(os, "unlink", lambda *a, **k: None)
     raise InjectedCrash(where)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from repro.core.checkpoint import (
 )
 from repro.core.sampler import AMMSBSampler
 from repro.graph.split import split_heldout
-from repro.store import Container
+from repro.store import Container, member_extent
+from tests.conftest import edit_manifest
 from tests.conftest import reseal_container as _rewrite
 
 
@@ -95,9 +97,7 @@ class TestCheckpoint:
         """The version a checkpoint carries is the store schema's."""
         graph, _ = planted
         ckpt = save_checkpoint(tmp_path / "v.npz", AMMSBSampler(graph, config))
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["schema"] = "repro-store/999"
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        edit_manifest(ckpt, lambda m: m.update(schema="repro-store/999"))
         with pytest.raises(CheckpointError, match="unsupported store schema"):
             load_checkpoint(ckpt, graph)
 
@@ -124,14 +124,14 @@ class TestAtomicWrite:
     def test_overwrite_is_all_or_nothing(self, planted, config, tmp_path):
         """An interrupted save must leave the previous checkpoint intact.
 
-        Simulated by making every rename fail: the target directory
-        content is unchanged and still loads.
+        Simulated by making every rename fail: the target file is
+        unchanged and still loads.
         """
         graph, _ = planted
         s = AMMSBSampler(graph, config)
         ckpt = tmp_path / "b.npz"
         save_checkpoint(ckpt, s)
-        good = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+        good = ckpt.read_bytes()
 
         import repro.store.atomic as cp  # where the rename is spelled out
 
@@ -147,17 +147,17 @@ class TestAtomicWrite:
                 save_checkpoint(ckpt, s)
         finally:
             cp.os.replace = orig_replace
-        assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == good
+        assert ckpt.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.npz"]
         load_checkpoint(ckpt, graph)
 
     def test_path_is_used_as_given(self, planted, config, tmp_path):
-        """No suffix is appended or read: the path names a directory."""
+        """No suffix is appended or read: the path names the container file."""
         graph, _ = planted
         s = AMMSBSampler(graph, config)
         for name in ("bare", "dotted.npz"):
             written = save_checkpoint(tmp_path / name, s)
-            assert written == tmp_path / name and written.is_dir()
+            assert written == tmp_path / name and written.is_file()
             load_checkpoint(written, graph)
 
 
@@ -172,8 +172,8 @@ class TestCheckpointErrors:
     def test_truncated_archive(self, planted, config, tmp_path):
         graph, _ = planted
         ckpt = save_checkpoint(tmp_path / "t.npz", AMMSBSampler(graph, config))
-        blob = (ckpt / "pi.npy").read_bytes()
-        (ckpt / "pi.npy").write_bytes(blob[: len(blob) // 2])
+        _fpath, offset, length = member_extent(ckpt, "pi")
+        os.truncate(ckpt, offset + length // 2)
         with pytest.raises(CheckpointError, match=str(ckpt)):
             load_checkpoint(ckpt, graph)
 

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.serve.artifact import ARTIFACT_KIND
+from repro.store import Container
+from repro.stream.tracking import HISTORY_KIND
+from tests.conftest import edit_manifest, flip_member_byte
 from tests.oracles import load_report
 
 
@@ -479,13 +483,9 @@ class TestDetectCheckpointing:
             ckpt = tmp_path / "old.npz"
             np.savez(ckpt, _meta=json.dumps({"version": 1}), pi=np.ones((2, 2)))
         elif damage == "flipped-byte":
-            raw = bytearray((ckpt / "pi.npy").read_bytes())
-            raw[-3] ^= 0x40
-            (ckpt / "pi.npy").write_bytes(bytes(raw))
+            flip_member_byte(ckpt, "pi", at=-3, mask=0x40)
         else:
-            manifest = json.loads((ckpt / "manifest.json").read_text())
-            manifest["meta"]["iteration"] = 7
-            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            edit_manifest(ckpt, lambda m: m["meta"].update(iteration=7))
         capsys.readouterr()
         assert main(detect + ["--resume", str(ckpt)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
@@ -690,8 +690,8 @@ class TestStreamCommand:
         assert len(drift["generations"]) == 3
         assert "drift 999999" in captured.err
         assert "final artifact" in captured.err
-        assert (tmp_path / "wd" / "artifact" / "manifest.json").exists()
-        assert (tmp_path / "wd" / "history" / "manifest.json").exists()
+        assert Container(tmp_path / "wd" / "artifact").kind == ARTIFACT_KIND
+        assert Container(tmp_path / "wd" / "history").kind == HISTORY_KIND
 
     def test_too_few_arrivals_exit_2(self, tmp_path, capsys):
         f = tmp_path / "tiny.txt"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 
 import numpy as np
@@ -34,9 +35,11 @@ from repro.serve.artifact import (
 )
 from repro.serve.engine import QueryEngine
 from repro.serve.server import ModelServer
-from repro.store import Container, read_manifest, write_container
+from repro.store import Container, member_extent, read_manifest, write_container
+from repro.store.container import _MAGIC, _TRAILER
 from repro.stream import ResumeError, StreamError, StreamTrainer, SyntheticArrivalSource
 from repro.stream.tracking import MembershipHistory
+from tests.conftest import as_directory, edit_manifest, flip_member_byte
 from tests.oracles import stored_top_k_table
 
 
@@ -109,53 +112,62 @@ def _history_container(tmp_path, _planted, config, _workdir):
 
 
 KINDS = {
-    "sampler-checkpoint": (_sampler_checkpoint, CheckpointError, "pi.npy", "iteration"),
-    "state-checkpoint": (_state_checkpoint, CheckpointError, "phi_sum.npy", "iteration"),
+    "sampler-checkpoint": (_sampler_checkpoint, CheckpointError, "pi", "iteration"),
+    "state-checkpoint": (_state_checkpoint, CheckpointError, "phi_sum", "iteration"),
     "stream-generation": (
-        _stream_file("model_g0000.store"), ResumeError, "pi.npy", "format_version"
+        _stream_file("model_g0000.store"), ResumeError, "pi", "format_version"
     ),
-    "stream-graph-snapshot": (_stream_file("base.csr"), ResumeError, "indices.npy", "n_vertices"),
+    "stream-graph-snapshot": (_stream_file("base.csr"), ResumeError, "indices", "n_vertices"),
     "stream-graph-delta": (
-        _stream_file("graph_g0000.delta"), ResumeError, "pairs.npy", "snapshot_version"
+        _stream_file("graph_g0000.delta"), ResumeError, "pairs", "snapshot_version"
     ),
-    "artifact": (_artifact, ArtifactError, "pi.npy", "iteration"),
-    "history": (_history_container, StreamError, "ref_pi.npy", "window"),
+    "artifact": (_artifact, ArtifactError, "pi", "iteration"),
+    "history": (_history_container, StreamError, "ref_pi", "window"),
 }
+
+# -- the damage, to a container file ------------------------------------------
 
 
 def _truncate(path, member, _field):
-    blob = (path / member).read_bytes()
-    (path / member).write_bytes(blob[: len(blob) * 3 // 5])
+    # the cut lands in the member: the trailer and the manifest go with it
+    _fpath, offset, length = member_extent(path, member)
+    os.truncate(path, offset + length * 3 // 5)
 
 
 def _flip(path, member, _field):
-    blob = bytearray((path / member).read_bytes())
-    blob[len(blob) // 2] ^= 0x20  # mid-payload: the header still parses
-    (path / member).write_bytes(bytes(blob))
+    flip_member_byte(path, member, mask=0x20)  # mid-payload: the header still parses
 
 
 def _edit_manifest(path, _member, field):
-    manifest = json.loads((path / "manifest.json").read_text())
-    assert field in manifest["meta"]
-    manifest["meta"][field] = 12345
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    def edit(manifest):
+        assert field in manifest["meta"]
+        manifest["meta"][field] = 12345
+
+    edit_manifest(path, edit)
 
 
 def _remove_member(path, member, _field):
-    (path / member).unlink()
+    # the member's bytes and all after them are gone; the manifest, moved
+    # up to where they began, still names them
+    manifest = read_manifest(path)
+    _fpath, offset, _length = member_extent(path, member)
+    os.truncate(path, offset)
+    blob = json.dumps(manifest).encode("utf-8")
+    with open(path, "ab") as fh:
+        fh.write(blob + _TRAILER.pack(offset, len(blob), _MAGIC))
 
 
 def _regular_file(path, _member, _field):
-    shutil.rmtree(path)
+    path.unlink()
     path.write_bytes(b"PK\x03\x04 what a writer older than the container left")
 
 
 #: reasons a kind's typed error must match; ``{member}`` is the damaged one
 DAMAGE = {
-    "truncated-member": (_truncate, "{member}"),
+    "truncated-member": (_truncate, "truncated"),
     "flipped-member-byte": (_flip, "sha256 mismatch"),
     "edited-manifest-field": (_edit_manifest, "content_version mismatch"),
-    "missing-member": (_remove_member, "is missing"),
+    "missing-member": (_remove_member, "{member}"),
     "regular-file": (_regular_file, "regular file.*repro convert"),
 }
 
@@ -166,13 +178,83 @@ def test_damage_is_the_kinds_typed_error(kind, damage, tmp_path, planted, config
     make, error, member, field = KINDS[kind]
     hurt, reason = DAMAGE[damage]
     path, load = make(tmp_path, planted, config, stream_workdir)
+    assert path.is_file()
     loaded = load()  # intact: loads
     if kind.startswith("stream-"):
         loaded.journal.close()
     hurt(path, member, field)
-    with pytest.raises(error, match=reason.format(member=member.removesuffix(".npy"))) as caught:
+    with pytest.raises(error, match=reason.format(member=member)) as caught:
         load()  # and never another exception
     assert path.name in str(caught.value)
+
+
+# -- the same damage, to a directory container an earlier writer left --------
+
+
+def _dir_truncate(path, member, _field):
+    blob = (path / f"{member}.npy").read_bytes()
+    (path / f"{member}.npy").write_bytes(blob[: len(blob) * 3 // 5])
+
+
+def _dir_remove_member(path, member, _field):
+    (path / f"{member}.npy").unlink()
+
+
+def _dir_regular_file(path, _member, _field):
+    shutil.rmtree(path)
+    path.write_bytes(b"PK\x03\x04 what a writer older than the container left")
+
+
+DIRECTORY_DAMAGE = {
+    "truncated-member": (_dir_truncate, "{member}"),
+    "flipped-member-byte": (_flip, "sha256 mismatch"),
+    "edited-manifest-field": (_edit_manifest, "content_version mismatch"),
+    "missing-member": (_dir_remove_member, "is missing"),
+    "regular-file": (_dir_regular_file, "regular file.*repro convert"),
+}
+
+
+@pytest.mark.parametrize("damage", DIRECTORY_DAMAGE)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_directory_containers_damage_is_the_kinds_typed_error(
+    kind, damage, tmp_path, planted, config, stream_workdir
+):
+    """Each kind in the ``repro-store/1`` layout (``np.save`` of each
+    member + a sealed ``manifest.json``) loads — a checkpoint, an
+    artifact, a history, and a stream workdir whose manifest names a
+    model, snapshot or delta directory — and refuses each damage."""
+    make, error, member, field = KINDS[kind]
+    hurt, reason = DIRECTORY_DAMAGE[damage]
+    path, load = make(tmp_path, planted, config, stream_workdir)
+    as_directory(path)
+    loaded = load()
+    if kind.startswith("stream-"):
+        loaded.journal.close()
+    hurt(path, member, field)
+    with pytest.raises(error, match=reason.format(member=member)) as caught:
+        load()
+    assert path.name in str(caught.value)
+
+
+def test_a_workdir_of_directory_containers_resumes_and_moves_on(tmp_path, stream_workdir):
+    """A workdir whose manifest names directory containers resumes to the
+    same state, and its next generations write container files and
+    remove the model and delta directories once no manifest names them."""
+    work = tmp_path / "work"
+    shutil.copytree(stream_workdir, work)
+    reference = StreamTrainer.resume(work)
+    reference.journal.close()
+    for name in ("model_g0000.store", "base.csr", "graph_g0000.delta"):
+        as_directory(work / name)
+    resumed = StreamTrainer.resume(work)
+    np.testing.assert_array_equal(resumed.state.pi, reference.state.pi)
+    np.testing.assert_array_equal(resumed.overlay.base.edges, reference.overlay.base.edges)
+    for _ in range(3):
+        resumed.run_generation(n_iterations=2)
+    resumed.close()
+    # the snapshot stays a directory while the manifest still names it
+    assert {p.name for p in work.iterdir() if p.is_dir()} == {"journal", "base.csr"}
+    assert StreamTrainer.read_manifest(work)["graph_path"] == "base.csr"
 
 
 @pytest.mark.parametrize(
@@ -244,14 +326,14 @@ def test_a_format_2_container_loads_serves_and_resumes(tmp_path, stream_workdir)
     wide = AMMSBConfig(n_communities=16, seed=3)  # K past the table's width
     saved = save_artifact(tmp_path / "wide3", build_artifact(
         init_state(60, wide, np.random.default_rng(4)), wide))
-    shutil.copytree(saved, tmp_path / "wide2")
+    shutil.copyfile(saved, tmp_path / "wide2")
     _as_format_2(tmp_path / "wide2")
     _serves_like_format_3(tmp_path / "wide2", saved)
 
     work = tmp_path / "work"
     shutil.copytree(stream_workdir, work)
     model = work / "model_g0000.store"
-    shutil.copytree(model, tmp_path / "format3")
+    shutil.copyfile(model, tmp_path / "format3")
     _as_format_2(model)
     new = _serves_like_format_3(model, tmp_path / "format3")
     resumed = StreamTrainer.resume(work)
@@ -408,7 +490,7 @@ class TestConvert:
         for src, dst, needle in (
             (tmp_path / "ok.npz", container, "destination exists"),
             (tmp_path / "nope.npz", tmp_path / "a", "is not a file"),
-            (container, tmp_path / "b", "is not a file"),
+            (container, tmp_path / "b", "needs no conversion"),
             (tmp_path / "junk.npz", tmp_path / "c", "not a readable .npz"),
             (tmp_path / "graph.npz", tmp_path / "d", "no _meta record"),
             (tmp_path / "invalid.npz", tmp_path / "e", "does not load"),

@@ -35,7 +35,7 @@ from repro.serve.artifact import (
 )
 from repro.serve.engine import QueryEngine, top_memberships
 from repro.store import Container, content_version, read_manifest, sealed_version, write_container
-from tests.conftest import reseal_container
+from tests.conftest import flip_member_byte, reseal_container
 from tests.oracles import stored_top_k_table
 
 
@@ -226,7 +226,7 @@ class TestArtifactErrors:
 
 
 class TestV2Format:
-    """The artifact is a store-container directory, whatever its name."""
+    """The artifact is a store container file, whatever its name."""
 
     @pytest.fixture()
     def art(self, small_state, config):
@@ -235,7 +235,7 @@ class TestV2Format:
     def test_suffix_is_ignored(self, art, tmp_path):
         for name in ("m.npz", "m_v2", "m.store"):
             path = save_artifact(tmp_path / name, art)
-            assert path == tmp_path / name and (path / "manifest.json").is_file()
+            assert path == tmp_path / name and read_manifest(path)["kind"] == ARTIFACT_KIND
             assert load_artifact(path, verify="full").version == art.version
 
     def test_v2_round_trip(self, art, tmp_path):
@@ -270,10 +270,7 @@ class TestV2Format:
 
     def test_v2_corruption_caught_at_full_verify(self, art, tmp_path):
         path = save_artifact(tmp_path / "m", art)
-        f = path / "pi.npy"
-        raw = bytearray(f.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        f.write_bytes(bytes(raw))
+        flip_member_byte(path, "pi")
         with pytest.raises(ArtifactCorrupt):
             load_artifact(path, verify="full")
 
@@ -502,7 +499,7 @@ class TestOneHashPerByte:
 
     @staticmethod
     def _member_bytes(path):
-        return sum(f.stat().st_size for f in path.glob("*.npy"))
+        return sum(length for _offset, length in read_manifest(path)["extents"].values())
 
     def test_export_hashes_what_it_writes(self, hashed, small_state, config, tmp_path):
         path = export_artifact(tmp_path / "m", small_state, config, iteration=4)
@@ -572,9 +569,7 @@ class TestStateArtifact:
 
     def test_damage_is_a_typed_checkpoint_error(self, small_state, config, tmp_path):
         path = export_artifact(tmp_path / "m", small_state, config)
-        raw = bytearray((path / "phi_sum.npy").read_bytes())
-        raw[-5] ^= 0x10
-        (path / "phi_sum.npy").write_bytes(bytes(raw))
+        flip_member_byte(path, "phi_sum", at=-5, mask=0x10)
         with pytest.raises(CheckpointError, match="sha256 mismatch"):
             load_state_checkpoint(path)
         with pytest.raises(CheckpointError, match="invalid metadata"):  # not a state at all

@@ -51,6 +51,7 @@ from repro.serve.server import (
     ShedPolicy,
     SwapFailed,
 )
+from tests.conftest import edit_manifest, flip_member_byte, overwrite_member
 
 
 def _artifact(n=40, k=4, seed=0):
@@ -161,7 +162,7 @@ class TestPlanBitReproducible:
             path = tmp_path_factory.mktemp("bitrepro") / f"a{run}"
             save_artifact(path, art)
             ServeFaultPlan(seed=seed).corrupt_file(path, "flip")
-            damaged.append((path / "pi.npy").read_bytes())
+            damaged.append(path.read_bytes())
         assert damaged[0] == damaged[1]
 
     def test_truncate_and_payload_deterministic(self, tmp_path):
@@ -172,7 +173,7 @@ class TestPlanBitReproducible:
                 path = tmp_path / f"{mode}{run}"
                 save_artifact(path, art)
                 ServeFaultPlan(seed=11).corrupt_file(path, mode)
-                blobs[mode].append((path / "pi.npy").read_bytes())
+                blobs[mode].append(path.read_bytes())
         assert blobs["truncate"][0] == blobs["truncate"][1]
         assert blobs["payload"][0] == blobs["payload"][1]
 
@@ -280,6 +281,50 @@ class TestArtifactRegistry:
         with pytest.raises(ValueError):
             ArtifactRegistry(capacity=1)
 
+    def test_record_hands_back_what_it_evicts(self):
+        base = _artifact()
+        reg = ArtifactRegistry(capacity=2)
+        arts = [base] + [_perturbed(base, seed=s) for s in range(1, 4)]
+        evicted = [reg.record(gen, art) for gen, art in enumerate(arts)]
+        assert evicted[:2] == [None, None]
+        assert [entry[1] for entry in evicted[2:]] == arts[:2]
+
+    def test_a_request_submitted_during_a_blocked_release_completes(self):
+        """Dropping an evicted artifact can unmap the last name of a removed
+        model file, which frees its blocks (~0.5 s for 13 MB on a disk that
+        discards). The swap drops it once it has left the server lock, so
+        submits and workers go on meanwhile."""
+        releasing, release = threading.Event(), threading.Event()
+
+        class SlowRelease:  # stands in for an artifact whose release blocks
+            version = "evicted"
+
+            def __del__(self):
+                releasing.set()
+                release.wait(10)
+
+        art = _artifact()
+        with ModelServer(art, n_workers=1) as server:
+            server._registry._entries.appendleft((-1, SlowRelease()))
+            for seed in (1, 2):
+                server.publish(_perturbed(art, seed=seed))
+            assert len(server._registry) == 4 and not releasing.is_set()
+            publisher = threading.Thread(target=server.publish, args=(_perturbed(art, seed=3),))
+            publisher.start()
+            assert releasing.wait(5)
+            answers = []
+            asker = threading.Thread(
+                target=lambda: answers.append(server.membership(0).result(timeout=5))
+            )
+            asker.start()
+            asker.join(timeout=5)
+            answered_while_blocked = bool(answers) and publisher.is_alive()
+            release.set()
+            publisher.join(timeout=5)
+            asker.join(timeout=5)
+            assert answered_while_blocked and not publisher.is_alive()
+            assert server.generation == 3
+
 
 class TestSwapFailureRollback:
     def test_failed_swap_rolls_back_and_raises(self):
@@ -346,7 +391,7 @@ class TestSwapFailureRollback:
 
 
 class TestV2ArtifactFaults:
-    """Corruption handling for artifact container directories."""
+    """Corruption handling for artifact container files."""
 
     def _save_v2(self, tmp_path, art, name="swap_v2"):
         return save_artifact(tmp_path / name, art)
@@ -355,29 +400,22 @@ class TestV2ArtifactFaults:
         art = _artifact()
         with ModelServer(art, n_workers=0) as server:
             path = self._save_v2(tmp_path, _perturbed(art))
-            f = path / "pi.npy"
-            raw = bytearray(f.read_bytes())
-            raw[len(raw) // 2] ^= 0xFF  # mid-payload bit flip
-            f.write_bytes(bytes(raw))
+            flip_member_byte(path, "pi")  # mid-payload bit flip
             with pytest.raises(ArtifactCorrupt) as ei:
                 server.publish_path(path)
-            assert not path.exists()  # whole directory moved aside
+            assert not path.exists()  # the whole container moved aside
             assert ei.value.quarantined.name == "swap_v2.quarantined"
-            assert (tmp_path / "swap_v2.quarantined").is_dir()
+            assert (tmp_path / "swap_v2.quarantined").is_file()
             assert server.generation == 0
             res = server.metrics.snapshot()["resilience"]
             assert res["quarantines"] == 1 and res["publish_failures"] == 1
 
     def test_corrupt_manifest_field_quarantined(self, tmp_path):
-        import json
-
         art = _artifact()
         with ModelServer(art, n_workers=0) as server:
             path = self._save_v2(tmp_path, _perturbed(art))
-            mpath = path / "manifest.json"
-            m = json.loads(mpath.read_text())
-            m["meta"]["iteration"] = 999  # single manifest-field tamper
-            mpath.write_text(json.dumps(m))
+            # single manifest-field tamper
+            edit_manifest(path, lambda m: m["meta"].update(iteration=999))
             with pytest.raises(ArtifactCorrupt):
                 server.publish_path(path)
             assert not path.exists()
@@ -390,7 +428,7 @@ class TestV2ArtifactFaults:
             assert server.publish_path(self._save_v2(tmp_path, good, "good")) == 1
             assert server.artifact.version == good.version
             path = self._save_v2(tmp_path, bad, "bad")
-            (path / "theta.npy").write_bytes(b"garbage")
+            overwrite_member(path, "theta", b"garbage")
             with pytest.raises(ArtifactCorrupt):
                 server.publish_path(path)
             # still on the last-known-good artifact, and it still answers
@@ -431,7 +469,7 @@ class TestValidateOnce:
         art = _artifact()
         new = _perturbed(art)
         path = save_artifact(tmp_path / f"swap.{fmt}", new)
-        assert path.is_dir()
+        assert path.is_file()
         with ModelServer(art, n_workers=0) as server:
             validations.clear()
             assert server.publish_path(path) == 1
@@ -469,7 +507,7 @@ class TestValidateOnce:
                 server.publish(bad)
             with pytest.raises(ArtifactCorrupt, match="normalized"):
                 server.publish_path(path)
-            assert (tmp_path / "bad.quarantined").is_dir()
+            assert (tmp_path / "bad.quarantined").is_file()
             assert server.generation == 0
 
     def test_invalid_rows_on_disk_still_quarantine(self, tmp_path):

@@ -28,7 +28,15 @@ from repro.store import (
     recover_containers,
     write_container,
 )
-from tests.conftest import kill_in_os
+from repro.store.container import ALIGN
+from tests.conftest import (
+    as_directory,
+    edit_manifest,
+    flip_member_byte,
+    kill_in_os,
+    member_bytes,
+    overwrite_member,
+)
 
 
 @pytest.fixture()
@@ -58,12 +66,24 @@ class TestWriteContainer:
             np.testing.assert_array_equal(got, ref)
 
     def test_is_container(self, box, tmp_path):
-        assert read_manifest(box)["kind"] == "test-kind/1"
+        assert box.is_file() and read_manifest(box)["kind"] == "test-kind/1"
         plain = tmp_path / "plain"
         plain.mkdir()
-        for path in (tmp_path / "absent", plain):
-            with pytest.raises(StoreError, match="not a store container"):
+        junk = tmp_path / "junk"
+        junk.write_bytes(b"PK\x03\x04 a zip archive is no container")
+        for path in (tmp_path / "absent", plain, junk):
+            with pytest.raises(StoreError, match="not a store container") as caught:
                 read_manifest(path)
+            assert not isinstance(caught.value, StoreCorrupt)
+
+    def test_members_sit_on_pages_before_the_manifest(self, arrays, box):
+        extents = read_manifest(box)["extents"]
+        assert sorted(extents) == sorted(arrays)
+        ends = 0
+        for offset, length in sorted(extents.values()):
+            assert offset % ALIGN == 0 and offset >= ends
+            ends = offset + length
+        assert ends < box.stat().st_size
 
     def test_atomic_overwrite_leaves_no_debris(self, arrays, box, tmp_path):
         write_container(box, {"pi": arrays["pi"] + 1.0}, kind="test-kind/1")
@@ -92,10 +112,7 @@ class TestWriteContainer:
 
 class TestVerify:
     def _flip_payload_byte(self, box, name="pi"):
-        f = box / f"{name}.npy"
-        raw = bytearray(f.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF  # mid-payload: past the .npy header
-        f.write_bytes(bytes(raw))
+        flip_member_byte(box, name)  # mid-payload: past the .npy header
 
     def test_eager_catches_flipped_byte(self, box):
         self._flip_payload_byte(box)
@@ -124,37 +141,50 @@ class TestVerify:
             Container(box, verify="none").verify_all()
 
     def test_manifest_field_edit_caught_with_zero_array_reads(self, box):
-        import json
-
-        mpath = box / "manifest.json"
-        m = json.loads(mpath.read_text())
-        m["meta"]["n"] = 41  # single-field tamper
-        mpath.write_text(json.dumps(m))
+        edit_manifest(box, lambda m: m["meta"].update(n=41))  # single-field tamper
         with pytest.raises(StoreCorrupt, match="content_version"):
             Container(box, verify="none")
 
     def test_manifest_array_entry_edit_caught(self, box):
-        import json
-
-        mpath = box / "manifest.json"
-        m = json.loads(mpath.read_text())
-        m["arrays"]["pi"]["shape"] = [41, 8]
-        mpath.write_text(json.dumps(m))
+        edit_manifest(box, lambda m: m["arrays"]["pi"].update(shape=[41, 8]))
         with pytest.raises(StoreCorrupt):
             Container(box, verify="none")
 
+    @pytest.mark.parametrize(
+        "extent",
+        [lambda off, n: [off + 1, n], lambda off, n: [off, n - 1], lambda off, n: [0, n],
+         lambda off, n: [off, 1 << 40]],
+        ids=["unaligned", "short", "overlapping", "past-the-manifest"],
+    )
+    def test_an_extent_that_is_not_the_members_own_is_caught(self, box, extent):
+        """At open, or — a range that its payload does not fill — when
+        the member is first opened; no digest needed either way."""
+
+        def edit(m):
+            m["extents"]["ids"] = extent(*m["extents"]["ids"])
+
+        edit_manifest(box, edit)
+        with pytest.raises(StoreCorrupt, match="extent"):
+            Container(box, verify="none")["ids"]
+
     def test_missing_array_file(self, box):
+        as_directory(box)
         os.unlink(box / "ids.npy")
         with pytest.raises(StoreCorrupt, match="ids"):
             np.asarray(Container(box, verify="none")["ids"])
 
     def test_header_shape_mismatch_caught(self, box, arrays):
-        # rewrite pi.npy with one fewer row but keep the manifest
-        manifest = (box / "manifest.json").read_bytes()
-        np.save(box / "pi.npy", arrays["pi"][:-1])
-        (box / "manifest.json").write_bytes(manifest)
+        # the member's header says (8, 40): the same bytes, another shape
+        header = _np_save_bytes(arrays["pi"].T.copy())[:128]
+        assert member_bytes(box, "pi")[:128] != header
+        overwrite_member(box, "pi", header)
         with pytest.raises(StoreCorrupt, match="shape"):
             np.asarray(Container(box, verify="none")["pi"])
+
+    def test_truncated_file_is_corrupt_not_foreign(self, box):
+        os.truncate(box, box.stat().st_size // 2)
+        with pytest.raises(StoreCorrupt, match="truncated"):
+            Container(box, verify="none")
 
     def test_not_a_container(self, tmp_path):
         with pytest.raises(StoreError, match="manifest"):
@@ -249,7 +279,7 @@ class TestHashOnWrite:
         expected = {}
         for name, arr in self.CASES.items():
             raw = _np_save_bytes(arr)
-            assert (path / f"{name}.npy").read_bytes() == raw, name
+            assert member_bytes(path, name) == raw, name
             stored = np.load(io.BytesIO(raw))
             expected[name] = {
                 "file": f"{name}.npy",
@@ -266,7 +296,7 @@ class TestHashOnWrite:
         def no_reread(*_a, **_k):
             raise AssertionError("the writer re-read a file it just wrote")
 
-        monkeypatch.setattr(container_module, "_sha256_file", no_reread)
+        monkeypatch.setattr(container_module, "_sha256_range", no_reread)
         write_container(tmp_path / "box", arrays, kind="k")
 
     def test_object_arrays_refused(self, tmp_path):
@@ -276,48 +306,49 @@ class TestHashOnWrite:
 
 
 class TestRotateAsideRecovery:
-    """A kill between ``replace(path, old)`` and ``replace(tmp, path)``
-    leaves nothing at ``path``; the writer, not a reader, repairs it."""
+    """A container is replaced by one ``os.replace``: a kill before it
+    leaves the old container whole and a temp file beside it, which the
+    writer, not a reader, deletes."""
 
-    def _killed_between_the_renames(self, arrays, box, monkeypatch):
+    def _killed_before_the_rename(self, arrays, box, monkeypatch):
         with monkeypatch.context() as patch:
             kill_in_os(patch, "replace", lambda src, dst: Path(dst) == box)
             with pytest.raises(InjectedCrash):
                 write_container(box, {"pi": arrays["pi"] + 1.0}, kind="test-kind/1")
         names = sorted(p.name for p in box.parent.iterdir())
-        assert len(names) == 2 and not box.exists()
-        assert names[0].startswith(".box.old-") and names[1].startswith(".box.tmp-")
+        assert len(names) == 2 and names[0].startswith(".box.tmp-") and names[1] == "box"
 
     def test_reader_does_not_repair(self, arrays, box, monkeypatch):
-        self._killed_between_the_renames(arrays, box, monkeypatch)
-        with pytest.raises(StoreError):
-            Container(box)
-        assert not box.exists()
+        self._killed_before_the_rename(arrays, box, monkeypatch)
+        np.testing.assert_array_equal(Container(box, verify="eager")["pi"], arrays["pi"])
+        assert len(list(box.parent.iterdir())) == 2
 
-    def test_recover_moves_the_sealed_copy_back_and_sweeps(self, arrays, box, monkeypatch):
-        self._killed_between_the_renames(arrays, box, monkeypatch)
+    def test_recover_sweeps_the_temp_file(self, arrays, box, monkeypatch):
+        self._killed_before_the_rename(arrays, box, monkeypatch)
         recover_container(box)
         assert sorted(p.name for p in box.parent.iterdir()) == ["box"]
         np.testing.assert_array_equal(Container(box, verify="eager")["pi"], arrays["pi"])
 
     def test_next_write_to_the_path_recovers_first(self, arrays, box, monkeypatch):
-        self._killed_between_the_renames(arrays, box, monkeypatch)
+        self._killed_before_the_rename(arrays, box, monkeypatch)
         with pytest.raises(StoreError, match="overwrite=False"):
-            # the rotated copy is back before the existence check
             write_container(box, arrays, kind="test-kind/1", overwrite=False)
+        assert sorted(p.name for p in box.parent.iterdir()) == ["box"]
         write_container(box, {"pi": arrays["pi"] + 2.0}, kind="test-kind/1")
         assert sorted(p.name for p in box.parent.iterdir()) == ["box"]
         np.testing.assert_array_equal(Container(box)["pi"], arrays["pi"] + 2.0)
 
     def test_unsealed_leftovers_are_swept_not_adopted(self, box):
-        torn = box.parent / ".box.old-123-0badf00d"
-        shutil.copytree(box, torn)
-        (torn / "manifest.json").write_text("{")
+        # what a directory writer left after a kill, and a sealed temp file
+        rotated = box.parent / ".box.old-123-0badf00d"
+        shutil.copyfile(box, box.parent / "copy")
+        as_directory(box.parent / "copy").rename(rotated)
         stale = box.parent / ".box.tmp-123-deadbeef"
         stale.mkdir()
+        shutil.copyfile(box, box.parent / ".box.tmp-k2x9a_0q")
         other = box.parent / ".other.tmp-1-00000000"  # another path's: not ours
         other.mkdir()
-        shutil.rmtree(box)
+        box.unlink()
         recover_container(box)
         assert sorted(p.name for p in box.parent.iterdir()) == [other.name]
         recover_containers(box.parent)
@@ -327,11 +358,23 @@ class TestRotateAsideRecovery:
 class TestLinkContainer:
     def test_links_share_inodes_and_the_manifest_is_byte_identical(self, box, tmp_path):
         pub = link_container(box, tmp_path / "pub")
-        assert (pub / "manifest.json").read_bytes() == (box / "manifest.json").read_bytes()
-        for name in Container(box).names():
-            assert (pub / f"{name}.npy").stat().st_ino == (box / f"{name}.npy").stat().st_ino
+        assert pub.stat().st_ino == box.stat().st_ino
+        assert read_manifest(pub) == read_manifest(box)
         Container(pub, verify="eager")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "pub"]
+        assert link_container(box, pub) == pub  # already its second name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "pub"]
+
+    def test_one_link_and_one_rename(self, box, tmp_path, monkeypatch):
+        link_container(box, tmp_path / "pub")  # the second publish replaces a link
+        newer = write_container(tmp_path / "box2", {"pi": np.ones(3)}, kind="k")
+        calls = []
+        for name in ("link", "replace", "unlink", "rmdir", "rename"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda *a, _n=name, _r=real, **k: (
+                calls.append(_n), _r(*a, **k))[1])
+        link_container(newer, tmp_path / "pub")
+        assert calls == ["link", "replace"]
 
     def test_replaces_an_existing_container_or_legacy_file(self, arrays, box, tmp_path):
         (tmp_path / "pub").write_bytes(b"a v1 archive used to live here")
@@ -340,32 +383,67 @@ class TestLinkContainer:
         link_container(newer, tmp_path / "pub")
         assert Container(tmp_path / "pub").names() == ["pi"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "box2", "pub"]
+        as_directory(tmp_path / "pub")  # a directory an earlier writer left
+        link_container(box, tmp_path / "pub")
+        assert (tmp_path / "pub").stat().st_ino == box.stat().st_ino
 
     def test_either_name_survives_the_other(self, arrays, box, tmp_path):
         pub = link_container(box, tmp_path / "pub")
         mapped = Container(pub)["pi"]
-        shutil.rmtree(box)
+        box.unlink()
         np.testing.assert_array_equal(Container(pub, verify="eager")["pi"], arrays["pi"])
-        shutil.rmtree(pub)
+        pub.unlink()
         np.testing.assert_array_equal(mapped, arrays["pi"])  # unlinked inode
 
     def test_refused_link_publishes_a_verified_copy(self, arrays, box, tmp_path, no_hard_links):
         pub = link_container(box, tmp_path / "pub")
-        assert (pub / "pi.npy").stat().st_ino != (box / "pi.npy").stat().st_ino
+        assert pub.stat().st_ino != box.stat().st_ino
+        assert read_manifest(pub) == read_manifest(box)
         np.testing.assert_array_equal(Container(pub, verify="eager")["pi"], arrays["pi"])
+
+    def test_a_directory_source_is_copied_into_one_file(self, arrays, box, tmp_path):
+        version = read_manifest(box)["content_version"]
+        as_directory(box)
+        pub = link_container(box, tmp_path / "pub")
+        assert pub.is_file() and read_manifest(pub)["content_version"] == version
+        for name, ref in arrays.items():
+            np.testing.assert_array_equal(Container(pub, verify="eager")[name], ref)
 
     def test_a_copy_that_misses_its_digest_is_not_installed(self, box, tmp_path, no_hard_links):
         before = link_container(box, tmp_path / "pub")
-        raw = bytearray((box / "pi.npy").read_bytes())
-        raw[-3] ^= 0x40
-        (box / "pi.npy").write_bytes(bytes(raw))
+        flip_member_byte(box, "pi", at=-3, mask=0x40)
         with pytest.raises(StoreCorrupt, match="digest"):
             link_container(box, tmp_path / "pub")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "pub"]
         Container(before, verify="eager")  # the copy made earlier is untouched
 
     def test_unsealed_source_refused(self, box, tmp_path):
-        (box / "manifest.json").write_text("{}")
+        edit_manifest(box, lambda m: m.clear())
         with pytest.raises(StoreCorrupt):
             link_container(box, tmp_path / "pub")
         assert not (tmp_path / "pub").exists()
+
+
+class TestDirectoryContainers:
+    """The ``repro-store/1`` layout an earlier writer left (``np.save`` of
+    each member + ``manifest.json``) opens, verifies and is replaced."""
+
+    def test_opens_with_the_same_seal_and_bytes(self, arrays, box):
+        version = read_manifest(box)["content_version"]
+        as_directory(box)
+        assert read_manifest(box)["content_version"] == version
+        for provider in ("mmap", "resident"):
+            c = Container(box, provider=provider, verify="eager")
+            for name, ref in arrays.items():
+                np.testing.assert_array_equal(c[name], ref)
+
+    def test_damage_is_caught(self, box):
+        as_directory(box)
+        flip_member_byte(box, "pi")
+        with pytest.raises(StoreCorrupt, match="sha256 mismatch"):
+            Container(box, verify="eager")
+
+    def test_a_write_replaces_it_with_a_file(self, arrays, box):
+        as_directory(box)
+        write_container(box, arrays, kind="test-kind/1")
+        assert box.is_file() and sorted(p.name for p in box.parent.iterdir()) == ["box"]

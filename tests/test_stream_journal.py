@@ -127,6 +127,20 @@ class TestCompaction:
             # idempotent: nothing new to remove.
             assert j.compact(digested_seqno=2) == 0
 
+    def test_twenty_small_generations_keep_one_segment(self, tmp_path):
+        """Compaction never rolls the active segment: a generation whose
+        frames are digested frees no file."""
+        with IngestJournal(tmp_path / "j") as j:
+            for g in range(20):
+                j.append_edges(_pairs((g, g + 1)))
+                assert j.compact(digested_seqno=j.last_seqno) == 0
+            assert [p.name for p in (tmp_path / "j").iterdir()] == ["seg-00000000.wal"]
+            assert list(j.replay(after_seqno=j.last_seqno)) == []
+            assert [e.seqno for e in j.replay(after_seqno=17)] == [18, 19]
+        with IngestJournal(tmp_path / "j") as j:  # and reopens onto the same suffix
+            assert j.last_seqno == 19
+            assert [e.seqno for e in j.replay(after_seqno=17)] == [18, 19]
+
     def test_crash_mid_compaction_replays_exact_suffix(self, tmp_path):
         with IngestJournal(tmp_path / "j", max_segment_bytes=64) as j:
             for i in range(4):

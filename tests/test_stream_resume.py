@@ -5,9 +5,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
-import shutil
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +18,8 @@ from repro.serve.artifact import ArtifactCorrupt, build_artifact, load_artifact,
 from repro.serve.server import ModelServer
 from repro.store.container import Container, read_manifest
 from repro.stream import EdgeArrival, ResumeError, StreamTrainer, SyntheticArrivalSource
-from tests.conftest import die_like_kill_9, kill_in_os
+from repro.stream.journal import IngestJournal
+from tests.conftest import flip_member_byte, kill_in_os
 
 N_ITER = 8
 
@@ -152,6 +150,27 @@ class TestCrashResume:
             StreamTrainer.read_manifest(work)
         )
         resumed.journal.close()
+
+    @pytest.mark.parametrize("phase", CRASH_PHASES)
+    def test_kill_leaves_one_segment_that_replays_the_undigested_suffix(
+        self, stream, tmp_path, phase
+    ):
+        base, batches = stream
+        faults = StreamFaultPlan(
+            seed=0, trainer_crashes=(TrainerCrash(phase=phase, generation=2),)
+        )
+        trainer = _trainer(base, tmp_path, faults=faults)
+        with pytest.raises(InjectedCrash, match=phase):
+            for batch in batches:
+                trainer.run_generation(batch)
+        trainer.close()
+        work = tmp_path / "work"
+        digested = StreamTrainer.read_manifest(work)["digested_seqno"]
+        with IngestJournal(work / "journal") as journal:
+            replayed = [e.seqno for e in journal.replay(after_seqno=digested)]
+            assert replayed == list(range(digested + 1, journal.last_seqno + 1))
+            assert len(replayed) == (phase != "mid-compaction")
+        assert [p.name for p in (work / "journal").iterdir()] == ["seg-00000000.wal"]
 
     def test_resume_restores_clock_and_schedule(self, stream, tmp_path):
         base, batches = stream
@@ -417,7 +436,7 @@ def test_pre_container_workdir_is_refused_naming_the_file_and_the_command(stream
                           "config": config_json}),
         pi=trainer.state.pi, phi_sum=trainer.state.phi_sum, theta=trainer.state.theta,
     )
-    shutil.rmtree(work / "model_g0000.store")
+    (work / "model_g0000.store").unlink()
     manifest = StreamTrainer.read_manifest(work)
     manifest["checkpoint_path"] = legacy.name
     (work / "manifest.json").write_text(json.dumps(manifest))
@@ -445,51 +464,32 @@ def _digest(state) -> str:
 
 
 def _kill_sealing_the_model_container(patch, tmp_path):
-    # all seven arrays are written and fsynced; the manifest is not in yet
-    kill_in_os(
-        patch, "replace",
-        lambda src, dst: Path(dst).name == "manifest.json"
-        and Path(dst).parent.name.startswith(".model_g0002.store.tmp-"),
-    )
+    # every member and the manifest are written and fsynced in the temp
+    # file; the rename that makes it model_g0002.store is not done
+    kill_in_os(patch, "replace", lambda src, dst: Path(dst).name == "model_g0002.store")
 
 
 def _kill_sealing_the_graph_delta(patch, tmp_path):
-    # the pairs are written and fsynced; the delta's manifest is not in yet
-    kill_in_os(
-        patch, "replace",
-        lambda src, dst: Path(dst).name == "manifest.json"
-        and Path(dst).parent.name.startswith(".graph_g0002.delta.tmp-"),
-    )
+    # the pairs and the manifest are written and fsynced; not yet renamed
+    kill_in_os(patch, "replace", lambda src, dst: Path(dst).name == "graph_g0002.delta")
 
 
-def _kill_linking_the_third_file(patch, tmp_path):
-    links = []
-    kill_in_os(patch, "link", lambda src, dst: links.append(dst) or len(links) == 3)
+def _kill_linking_the_artifact(patch, tmp_path):
+    # the model container is sealed; its second name is not made yet
+    kill_in_os(patch, "link", lambda src, dst: Path(dst).name.startswith(".artifact.npz.tmp-"))
 
 
-def _kill_before_the_artifact_manifest(patch, tmp_path):
-    # every member is linked into the hidden temp directory; its manifest
-    # (the seal) is the file about to be renamed into it
-    kill_in_os(
-        patch, "replace",
-        lambda src, dst: Path(dst).name == "manifest.json"
-        and Path(dst).parent.name.startswith(".artifact.npz.tmp-"),
-    )
-
-
-def _kill_between_the_publish_renames(patch, tmp_path):
+def _kill_renaming_the_link_over_the_artifact(patch, tmp_path):
+    # the hard link exists beside the artifact; the rename over it is not done
     kill_in_os(patch, "replace", lambda src, dst: Path(dst) == tmp_path / "artifact.npz")
 
 
 def _kill_removing_stale_generations(patch, tmp_path):
-    real = shutil.rmtree
-
-    def rmtree(path, *args, **kwargs):
-        if Path(path).name.startswith(("graph_g", "model_g")):  # a generation's, not a temp dir
-            die_like_kill_9(patch, "rmtree")
-        return real(path, *args, **kwargs)
-
-    patch.setattr(shutil, "rmtree", rmtree)
+    kill_in_os(
+        patch, "unlink",
+        # a generation's container, not a temp file
+        lambda path, *_a: Path(path).name.startswith(("graph_g", "model_g")),
+    )
 
 
 class TestOneWritePerGeneration:
@@ -513,9 +513,8 @@ class TestOneWritePerGeneration:
             (_kill_sealing_the_graph_delta, "pre"),
             (_kill_sealing_the_model_container, "pre"),
             ("post-checkpoint-pre-publish", "pre"),  # sealed, not yet linked
-            (_kill_linking_the_third_file, "pre"),
-            (_kill_before_the_artifact_manifest, "pre"),
-            (_kill_between_the_publish_renames, "pre"),
+            (_kill_linking_the_artifact, "pre"),
+            (_kill_renaming_the_link_over_the_artifact, "pre"),
             ("post-publish-pre-manifest", "pre"),  # linked, stream manifest not yet
             (_kill_removing_stale_generations, "post"),
         ],
@@ -573,11 +572,7 @@ class TestOneWritePerGeneration:
         with ModelServer(load_artifact(publish), n_workers=0) as server:
             good = server.artifact.version
             trainer.run_generation(batches[1])
-            with open(publish / "pi.npy", "r+b") as fh:  # in place: both names see it
-                fh.seek(-40, os.SEEK_END)
-                byte = fh.read(1)
-                fh.seek(-40, os.SEEK_END)
-                fh.write(bytes([byte[0] ^ 0x01]))
+            flip_member_byte(publish, "pi", at=-40, mask=0x01)  # in place: both names see it
             with pytest.raises(ArtifactCorrupt, match="sha256 mismatch") as err:
                 server.publish_path(publish)
             assert err.value.quarantined.name == "artifact.npz.quarantined"
@@ -597,9 +592,10 @@ class TestOneWritePerGeneration:
         base, batches = stream
 
         def mapped_pi_files():
+            # one container file per artifact: count the distinct inodes
             gc.collect()
             lines = Path("/proc/self/maps").read_text().splitlines()
-            return sum(1 for ln in lines if str(tmp_path) in ln and "pi.npy" in ln)
+            return len({ln.split()[4] for ln in lines if str(tmp_path) in ln})
 
         trainer = _trainer(base, tmp_path)
         trainer.run_generation()

@@ -16,9 +16,10 @@ from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.sampler import AMMSBSampler
 from repro.graph.split import HeldoutSplit, split_heldout
 from repro.faults import InjectedCrash, PublishFailure, StreamFaultPlan, TrainerCrash
-from repro.serve.artifact import load_artifact
+from repro.serve.artifact import ARTIFACT_KIND, load_artifact
 from repro.serve.engine import QueryEngine
 from repro.serve.server import ModelServer
+from repro.store import read_manifest
 from repro.stream import StreamTrainer, SyntheticArrivalSource
 
 
@@ -247,7 +248,7 @@ class TestMultiprocessEngine:
         v0 = load_artifact(tmp_path / "artifact.npz").version
         with pytest.raises(InjectedCrash, match="post-checkpoint-pre-publish"):
             trainer.run_generation(batches[0])
-        assert (tmp_path / "model_g0001.store" / "manifest.json").exists()
+        assert read_manifest(tmp_path / "model_g0001.store")["kind"] == ARTIFACT_KIND
         assert load_artifact(tmp_path / "artifact.npz").version == v0
 
 
@@ -443,11 +444,8 @@ class TestOneContainerPerGeneration:
             engine.link_probability(pairs),
             engine.kernels.link_probability(a, b, trainer.state.beta, trainer.config.delta),
         )
-        # zero N*K bytes moved: the published files ARE the container's
-        for name in ("pi.npy", "node_ids.npy"):
-            assert (tmp_path / "artifact.npz" / name).stat().st_ino == (
-                report.checkpoint_path / name
-            ).stat().st_ino
+        # zero N*K bytes moved: the published file IS the container
+        assert (tmp_path / "artifact.npz").stat().st_ino == report.checkpoint_path.stat().st_ino
         trainer.journal.close()
 
     def test_refused_hard_link_publishes_a_verified_copy(
@@ -457,8 +455,8 @@ class TestOneContainerPerGeneration:
         trainer = _published(base, tmp_path)
         report = trainer.run_generation(batches[0])
         assert report.published
-        published = tmp_path / "artifact.npz" / "pi.npy"
-        assert published.stat().st_ino != (report.checkpoint_path / "pi.npy").stat().st_ino
+        published = tmp_path / "artifact.npz"
+        assert published.stat().st_ino != report.checkpoint_path.stat().st_ino
         with ModelServer(load_artifact(tmp_path / "artifact.npz"), n_workers=0) as server:
             server.publish_path(tmp_path / "artifact.npz")
             assert np.array_equal(server.artifact.pi, trainer.state.pi)
