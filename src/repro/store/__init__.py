@@ -11,7 +11,7 @@ per-generation state are all built on. :mod:`repro.store.atomic` is the
 one durable-write helper every tier's persistence goes through.
 """
 
-from repro.store.atomic import atomic_file, fsync_dir
+from repro.store.atomic import atomic_file, fsync_dir, spare_sibling
 from repro.store.container import (
     Container,
     StoreCorrupt,
@@ -49,6 +49,7 @@ __all__ = [
     "write_container",
     "atomic_file",
     "fsync_dir",
+    "spare_sibling",
     "ArrayProvider",
     "MmapProvider",
     "ResidentProvider",

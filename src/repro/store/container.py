@@ -317,11 +317,17 @@ def write_container(
     kind: str,
     meta: Optional[Mapping] = None,
     overwrite: bool = True,
+    spare: Optional[PathLike] = None,
 ) -> Path:
     """Atomically write ``arrays`` as a container file at ``path``.
 
     Array names must be simple identifiers. Returns the final path. With
     ``overwrite=False`` an existing target raises :class:`StoreError`.
+    ``spare`` recycles inodes (:func:`repro.store.atomic.atomic_file`):
+    pass it only for a container every reader copies (opened
+    ``resident``), never for one a reader may map — the spare is written
+    over in place. The padding between members is written as zeros and
+    the file is cut at the trailer, so the bytes equal a fresh write.
     """
     path = Path(path)
     meta = dict(meta or {})
@@ -331,7 +337,7 @@ def write_container(
         if not name.isidentifier():
             raise StoreError(path, f"array name {name!r} is not a valid identifier")
     _clear_for_write(path, overwrite)
-    with atomic_file(path) as fh:
+    with atomic_file(path, spare=spare) as fh:
         writer = _Writer(fh)
         entries = _entries(arrays, lambda name, arr: writer.member(name, _npy_chunks(arr)))
         writer.seal(str(kind), meta, entries)

@@ -32,7 +32,14 @@ buffer of *novel* canonical edges layered over the base:
   since the last one would reach that snapshot's size (rent, then buy).
   :meth:`DeltaOverlay.open` rebuilds the base from the two files as
   ``load_csr(snapshot).with_edges(delta)``, array for array the graph
-  the compaction returned.
+  the compaction returned. A delta is written over the spare
+  :data:`DELTA_SPARE` beside it when there is one (a stream trainer
+  renames each stale delta there): readers open a delta ``resident``
+  with every digest verified, so they hold a copy, never the inode. A
+  reader that kept a delta's file open across two generations would
+  read another delta's bytes and fail the digest check
+  (:class:`~repro.store.StoreCorrupt`), never return wrong pairs; none
+  in this package does.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ from repro.store import Container, StoreCorrupt, StoreError, read_manifest, writ
 PathLike = Union[str, Path]
 
 GRAPH_DELTA_KIND = "repro-graph-delta/1"
+#: the name, beside a compaction's record, of the spare file the next
+#: delta container is written over (``store.atomic.atomic_file``)
+DELTA_SPARE = ".graph.delta.spare"
 
 #: Fixed radix for pending-edge keys: independent of any graph's vertex
 #: count, so keys stay comparable as the id space grows. Ids must stay
@@ -446,6 +456,7 @@ class DeltaOverlay:
                     "snapshot_version": self._snapshot_version,
                     "delta_bytes": written,
                 },
+                spare=path.parent / DELTA_SPARE,
             )
             self._merged, self._delta_bytes = since, written
             return

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.checkpoint import open_model_container
 from repro.core.estimation import align_communities
 from repro.serve.artifact import DEFAULT_TOP_K, ModelArtifact
-from repro.store import StoreError, write_container
+from repro.store import StoreError, spare_sibling, write_container
 from repro.stream.delta import StreamError
 
 PathLike = Union[str, Path]
@@ -372,7 +372,12 @@ class MembershipHistory:
             arrays["first_seen"] = np.array(
                 sorted(self._first_seen.items()), dtype=np.int64
             ).reshape(-1, 2)
-        return write_container(path, arrays, kind=HISTORY_KIND, meta=meta)
+        # :meth:`load` copies every member, so the file this save replaces
+        # is kept as the next save's spare: a save frees no inode
+        path = Path(path)
+        return write_container(
+            path, arrays, kind=HISTORY_KIND, meta=meta, spare=spare_sibling(path)
+        )
 
     @classmethod
     def load(cls, path: PathLike) -> "MembershipHistory":

@@ -60,7 +60,11 @@ Journal segments covered by the manifest are garbage-collected only
 *after* the manifest hits disk — and so are the graph and model
 containers that neither it nor the manifest before it names (the
 workdir holds what two manifests name, not one container per generation
-ever run) — so :meth:`StreamTrainer.resume` can always rebuild
+ever run, plus two spares: ``.manifest.json.spare``, the manifest the
+last one replaced, and ``.graph.delta.spare``, the last stale delta,
+which the next manifest and delta are written over — a steady
+generation frees no inode of its own; see :mod:`repro.store.atomic`)
+— so :meth:`StreamTrainer.resume` can always rebuild
 the exact pre-crash overlay: load the manifest's model container and
 its graph as ``load_csr(snapshot).with_edges(delta)`` (every digest
 verified), then replay the journal suffix past the
@@ -74,6 +78,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 import weakref
@@ -105,8 +110,15 @@ from repro.store import (
     recover_container,
     recover_containers,
     remove_container,
+    spare_sibling,
 )
-from repro.stream.delta import DeltaOverlay, IngestReport, StreamError, merged_graph
+from repro.stream.delta import (
+    DELTA_SPARE,
+    DeltaOverlay,
+    IngestReport,
+    StreamError,
+    merged_graph,
+)
 from repro.stream.journal import IngestJournal, QuarantineLog
 from repro.stream.source import EdgeArrival, arrivals_to_arrays
 
@@ -390,7 +402,11 @@ class StreamTrainer:
             "history_path": self._rel_or_abs(self.history_path),
             "publish_path": self._rel_or_abs(self.publish_path),
         }
-        with atomic_file(self.manifest_path, "w") as fh:
+        # read whole by ``json``, so the manifest it replaces is the next
+        # write's spare: a generation's commit frees no inode
+        with atomic_file(
+            self.manifest_path, "w", spare=spare_sibling(self.manifest_path)
+        ) as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
 
@@ -698,12 +714,16 @@ class StreamTrainer:
         return {p.name for p in paths if p is not None and p.parent == self.workdir}
 
     def _remove_stale_generations(self, keep: set[str]) -> None:
-        """Unlink the graph and model containers (``base.csr`` included)
+        """Retire the graph and model containers (``base.csr`` included)
         whose names are not in ``keep``: what the current manifest and the
-        one before it name. A published artifact or a live server's memory
-        map that shares a deleted container's file keeps it readable
-        (hard link / unlinked inode), so removing a model the server still
-        maps frees nothing yet.
+        one before it name. A stale delta is renamed onto the delta spare
+        (:data:`~repro.stream.delta.DELTA_SPARE`), which the next delta is
+        written over, so it frees no inode; every other container is
+        unlinked. A published artifact or a live server's memory map that
+        shares a deleted model's file keeps it readable (hard link /
+        unlinked inode), so removing a model the server still maps frees
+        nothing yet; a snapshot is unlinked, never recycled, since
+        ``load_csr`` may map it.
 
         Called only once the current manifest is durable: a kill before
         that resumes from the previous manifest's files, which this keeps;
@@ -712,7 +732,11 @@ class StreamTrainer:
         caller's file and never removed.
         """
         for path in self.workdir.iterdir():
-            if _GENERATION_FILE.fullmatch(path.name) and path.name not in keep:
+            if not _GENERATION_FILE.fullmatch(path.name) or path.name in keep:
+                continue
+            if path.suffix == ".delta" and path.is_file():
+                os.replace(path, self.workdir / DELTA_SPARE)
+            else:
                 remove_container(path)
 
     def _arm_draws(

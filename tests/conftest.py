@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -197,3 +198,73 @@ def no_hard_links(monkeypatch):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
 
     monkeypatch.setattr(os, "link", exdev)
+
+
+# -- what a run removes and frees on disk (stream / tracking tests) ------------
+
+
+def _held() -> set[tuple[int, int]]:
+    """``(st_dev, st_ino)`` of every file this process maps or holds
+    open: an unlink of its last name frees nothing until it lets go."""
+    held = set()
+    for line in Path("/proc/self/maps").read_text().splitlines():
+        fields = line.split()
+        if len(fields) >= 6 and fields[4] != "0":
+            major, minor = (int(x, 16) for x in fields[3].split(":"))
+            held.add((os.makedev(major, minor), int(fields[4])))
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            st = os.stat(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        held.add((st.st_dev, st.st_ino))
+    return held
+
+
+class InodeLedger:
+    """Every name under ``root`` that ``os.unlink``, ``os.rmdir``,
+    ``os.rename`` or ``os.replace`` (onto an existing name) removes in
+    this process, and of those, each whose removal frees its inode: a
+    directory, or a file whose last link it is and that no map or
+    descriptor of this process holds. A name relative to a directory
+    descriptor (``shutil.rmtree``'s) counts wherever it is. On a disk
+    that discards freed blocks, each freed inode waits tens of
+    milliseconds (EXPERIMENTS.md, "A generation frees what it must")."""
+
+    def __init__(self, monkeypatch, root: Path) -> None:
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("counting freed inodes needs /proc/self/maps")
+        self.removed: list[str] = []
+        self.freed: list[str] = []
+        self.root = root
+        self._shim(monkeypatch, "unlink", lambda path, *a, **k: path)
+        self._shim(monkeypatch, "rmdir", lambda path, *a, **k: path)
+        for attr in ("rename", "replace"):
+            self._shim(
+                monkeypatch, attr,
+                lambda src, dst, *a, **k: dst if os.path.lexists(dst) else None,
+            )
+
+    def _shim(self, monkeypatch, attr, removes) -> None:
+        real = getattr(os, attr)
+
+        def call(*args, **kwargs):
+            name = removes(*args, **kwargs)
+            dir_fd = kwargs.get("dir_fd")
+            if name is not None and (dir_fd is not None or Path(name).is_relative_to(self.root)):
+                self.removed.append(Path(name).name)
+                if self._frees(name, dir_fd):
+                    self.freed.append(Path(name).name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, attr, call)
+
+    @staticmethod
+    def _frees(name, dir_fd) -> bool:
+        try:
+            st = os.stat(name, dir_fd=dir_fd, follow_symlinks=False)
+        except OSError:
+            return False
+        if stat.S_ISDIR(st.st_mode):
+            return True
+        return st.st_nlink == 1 and (st.st_dev, st.st_ino) not in _held()

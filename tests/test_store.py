@@ -19,6 +19,7 @@ from repro.store import (
     ResidentProvider,
     StoreCorrupt,
     StoreError,
+    atomic_file,
     available_providers,
     content_version,
     get_provider,
@@ -353,6 +354,86 @@ class TestRotateAsideRecovery:
         assert sorted(p.name for p in box.parent.iterdir()) == [other.name]
         recover_containers(box.parent)
         assert list(box.parent.iterdir()) == []
+
+
+def _sha256_file(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSpare:
+    """``atomic_file(..., spare=)``: the inode a write replaces becomes the
+    next write's file, written over from offset 0 and cut to its length;
+    only a regular file whose one link is the spare name is reused."""
+
+    def _write(self, path, arrays, spare=None, scale=1.0):
+        return write_container(
+            path, {**arrays, "pi": arrays["pi"] * scale}, kind="test-kind/1",
+            meta={"n": 40}, spare=spare,
+        )
+
+    def test_a_reused_spare_writes_the_bytes_a_fresh_file_holds(self, arrays, tmp_path):
+        box, spare = tmp_path / "box", tmp_path / ".box.spare"
+        fresh = self._write(tmp_path / "fresh", arrays, scale=3.0)
+        self._write(box, arrays, spare=spare)  # no spare yet, nothing replaced
+        assert not spare.exists()
+        self._write(box, arrays, spare=spare, scale=2.0)  # keeps the first as the spare
+        kept = spare.stat().st_ino
+        self._write(box, arrays, spare=spare, scale=3.0)  # written over it
+        assert box.stat().st_ino == kept
+        assert _sha256_file(box) == _sha256_file(fresh)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".box.spare", "box", "fresh"]
+
+    def test_a_container_written_over_a_larger_spare_opens_and_verifies(self, arrays, tmp_path):
+        box, spare = tmp_path / "box", tmp_path / ".box.spare"
+        big = {"pi": np.random.default_rng(1).random((4000, 8))}
+        write_container(spare, big, kind="test-kind/1")
+        old_size = spare.stat().st_size
+        self._write(box, arrays, spare=spare)
+        assert box.stat().st_size < old_size  # cut at the trailer, the old one gone
+        assert _sha256_file(box) == _sha256_file(self._write(tmp_path / "fresh", arrays))
+        c = Container(box, verify="eager")
+        np.testing.assert_array_equal(c["pi"], arrays["pi"])
+
+    def test_a_shorter_text_write_over_a_longer_spare(self, tmp_path):
+        target, spare = tmp_path / "manifest.json", tmp_path / ".manifest.json.spare"
+        spare.write_text("x" * 5000)
+        with atomic_file(target, "w", spare=spare) as fh:
+            fh.write('{"generation": 1}\n')
+        assert target.read_text() == '{"generation": 1}\n'
+
+    @pytest.mark.parametrize("shape", ["second-link", "directory", "symlink", "missing"])
+    def test_a_spare_that_is_not_one_lone_file_gets_a_fresh_temp(
+        self, arrays, tmp_path, shape
+    ):
+        box, spare, other = tmp_path / "box", tmp_path / ".box.spare", tmp_path / "other"
+        other.write_bytes(b"another name's bytes")
+        if shape == "second-link":
+            os.link(other, spare)
+        elif shape == "directory":
+            spare.mkdir()
+        elif shape == "symlink":
+            spare.symlink_to(other)
+        self._write(box, arrays, spare=spare)
+        assert other.read_bytes() == b"another name's bytes"
+        assert other.stat().st_nlink == 1
+        fresh = self._write(tmp_path / "fresh", arrays)
+        assert _sha256_file(box) == _sha256_file(fresh)
+        assert box.stat().st_ino != other.stat().st_ino
+        assert spare.is_dir() if shape == "directory" else not os.path.lexists(spare)
+        assert not [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
+
+    def test_an_exception_leaves_the_target_and_no_temp(self, arrays, tmp_path):
+        box, spare = tmp_path / "box", tmp_path / ".box.spare"
+        self._write(box, arrays, spare=spare)
+        self._write(box, arrays, spare=spare, scale=2.0)
+        before = _sha256_file(box)
+        with pytest.raises(RuntimeError, match="in the block"):
+            with atomic_file(box, spare=spare) as fh:
+                fh.write(b"half a container")
+                raise RuntimeError("in the block")
+        assert _sha256_file(box) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["box"]
+        np.testing.assert_array_equal(Container(box, verify="eager")["pi"], arrays["pi"] * 2.0)
 
 
 class TestLinkContainer:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,17 @@ from repro.core.state import init_state
 from repro.faults import CRASH_PHASES, InjectedCrash, StreamFaultPlan, TrainerCrash
 from repro.serve.artifact import ArtifactCorrupt, build_artifact, load_artifact, save_artifact
 from repro.serve.server import ModelServer
+import repro.store.container as container_module
 from repro.store.container import Container, read_manifest
 from repro.stream import EdgeArrival, ResumeError, StreamTrainer, SyntheticArrivalSource
+from repro.stream.delta import DELTA_SPARE
 from repro.stream.journal import IngestJournal
-from tests.conftest import flip_member_byte, kill_in_os
+from tests.conftest import die_like_kill_9, flip_member_byte, kill_in_os
 
 N_ITER = 8
+#: the hidden names a stream workdir keeps: one spare per recycled role
+MANIFEST_SPARE = ".manifest.json.spare"
+SPARES = {MANIFEST_SPARE, DELTA_SPARE}
 
 
 def _config(seed=11):
@@ -484,6 +491,32 @@ def _kill_renaming_the_link_over_the_artifact(patch, tmp_path):
     kill_in_os(patch, "replace", lambda src, dst: Path(dst) == tmp_path / "artifact.npz")
 
 
+def _kill_after_taking_the_manifest_spare(patch, tmp_path):
+    # the old manifest's spare is renamed to the temp name; nothing written yet
+    kill_in_os(
+        patch, "open",
+        lambda path, flags, *_a: Path(path).name.startswith(".manifest.json.tmp-")
+        and not flags & os.O_CREAT,
+    )
+
+
+def _kill_mid_write_over_a_longer_delta_spare(patch, tmp_path):
+    # the spare is larger than the delta (here: a copy of the snapshot);
+    # the pairs are written over its head, the manifest and trailer are not
+    work = tmp_path / "work"
+    shutil.copyfile(work / "base.csr", work / DELTA_SPARE)
+    assert (work / DELTA_SPARE).stat().st_size > (work / "graph_g0001.delta").stat().st_size
+    patch.setattr(
+        container_module._Writer, "seal",
+        lambda *_a: die_like_kill_9(patch, "_Writer.seal"),
+    )
+
+
+def _kill_between_linking_and_replacing_the_manifest(patch, tmp_path):
+    # the live manifest also has the spare's name; the new one is not renamed over it
+    kill_in_os(patch, "replace", lambda src, dst: Path(dst).name == "manifest.json")
+
+
 def _kill_removing_stale_generations(patch, tmp_path):
     kill_in_os(
         patch, "unlink",
@@ -516,6 +549,9 @@ class TestOneWritePerGeneration:
             (_kill_linking_the_artifact, "pre"),
             (_kill_renaming_the_link_over_the_artifact, "pre"),
             ("post-publish-pre-manifest", "pre"),  # linked, stream manifest not yet
+            (_kill_after_taking_the_manifest_spare, "pre"),
+            (_kill_mid_write_over_a_longer_delta_spare, "pre"),
+            (_kill_between_linking_and_replacing_the_manifest, "pre"),
             (_kill_removing_stale_generations, "post"),
         ],
         ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
@@ -548,21 +584,43 @@ class TestOneWritePerGeneration:
         assert _digest(resumed.state) == (pre if lands == "pre" else post)
         assert resumed.generation == self.CRASH_AT + (lands == "post")
         # whatever the kill interrupted, the publish path is a sealed artifact
-        # of one of the two generations, and nothing hidden is left behind
+        # of one of the two generations, no temp file is left behind, and
+        # the only hidden names are the workdir's spares
         served = load_artifact(publish, verify="full")
         assert _digest_of_rows(served.pi) in {_digest_of_rows(s) for s in (
             load_state_checkpoint(p)[0].pi for p in sorted(work.glob("model_g*.store"))
         )}
         with ModelServer(served, n_workers=0) as server:
             assert server.publish_path(publish) == 1
-        hidden = [p.name for d in (work, tmp_path) for p in d.iterdir() if p.name.startswith(".")]
-        assert hidden == []
+        hidden = {p.name for d in (work, tmp_path) for p in d.iterdir() if p.name.startswith(".")}
+        assert not {name for name in hidden if ".tmp-" in name}
+        assert hidden <= SPARES, hidden
         # and the stream goes on to the uninterrupted run's state
         if lands == "pre":
             resumed.run_generation(batches[self.CRASH_AT])
             assert _digest(resumed.state) == post
         assert np.array_equal(load_artifact(publish).pi, resumed.state.pi)
         resumed.journal.close()
+
+    def test_a_spare_that_is_the_live_manifest_is_not_written_over(self, stream, tmp_path):
+        """A kill between linking the manifest to its spare and replacing it
+        leaves the spare a second name of the live manifest: the next write
+        must create its file afresh, leaving those bytes as they are."""
+        base, batches = stream
+        work = tmp_path / "work"
+        manifest, spare = work / "manifest.json", work / MANIFEST_SPARE
+        trainer = _trainer(base, tmp_path)
+        trainer.run_generation(batches[0])
+        assert spare.stat().st_nlink == 1  # the manifest generation 0 replaced
+        spare.unlink()
+        os.link(manifest, spare)
+        live, inode = manifest.read_bytes(), manifest.stat().st_ino
+        trainer.run_generation(batches[1])
+        assert spare.stat().st_ino == inode and spare.read_bytes() == live
+        assert spare.stat().st_nlink == 1
+        assert manifest.stat().st_ino != inode
+        assert StreamTrainer.read_manifest(work)["generation"] == 2
+        trainer.journal.close()
 
     def test_flipped_byte_is_caught_at_publish_and_at_resume(self, stream, tmp_path):
         base, batches = stream

@@ -9,6 +9,7 @@ from repro.config import AMMSBConfig
 from repro.core.state import ModelState
 from repro.serve.artifact import build_artifact
 from repro.stream import MembershipHistory
+from tests.conftest import InodeLedger
 
 
 def _artifact(pi, node_ids=None, iteration=0):
@@ -207,6 +208,27 @@ class TestPersistence:
         path.write_bytes(b"definitely not a zip archive")
         with pytest.raises(StreamError):
             MembershipHistory.load(path)
+
+    def test_a_save_frees_no_inode_once_it_has_a_spare(self, rng, tmp_path, monkeypatch):
+        """Each save keeps the file it replaces as the next one's spare
+        (``load`` copies every member), so from the second save on a
+        publish with drift tracking frees no file."""
+        pi = _crisp_pi(12, 3, rng)
+        hist, path = MembershipHistory(window=3, top_k=2), tmp_path / "history"
+        ledger = InodeLedger(monkeypatch, tmp_path)
+        freed = []
+        for g in range(6):  # the ring fills, then evicts: sizes vary
+            hist.record(_artifact(np.roll(pi, g, axis=0)), g)
+            before = len(ledger.freed)
+            hist.save(path)
+            freed.append(ledger.freed[before:])
+            back = MembershipHistory.load(path)
+            assert back.last_version == hist.last_version
+            assert back.generations == hist.generations
+            for node in range(12):
+                assert back.drift(node) == hist.drift(node)
+        assert freed[1:] == [[]] * 5, freed
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".history.spare", "history"]
 
     def test_empty_history_round_trips(self, tmp_path):
         hist = MembershipHistory(window=4)
