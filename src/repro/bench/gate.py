@@ -13,9 +13,8 @@ and no more resident than it) or was calibrated on the reference host as
 at most 0.8x the worst of at least forty full-size runs (at least
 worst/0.8 where lower is better); DESIGN.md section 12 has the runs.
 
-A metric the report does not hold — another suite's, or a backend such
-as ``numba`` that this host lacks or that has no declared floor — is
-skipped, not failed.
+A metric the report does not hold — another suite's, or a backend that
+this host lacks or that has no declared floor — is skipped, not failed.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ K=128 for phi; E=8192 for theta; H=8192 pairs for link scoring — each
 1,048,576 elements), plus an end-to-end sequential sampler run per
 backend. The phi gradient is timed as the engines run it, from a ``pi``
 table and the neighbor ids, so the row gather is inside the timed call
-for every backend (up front for ``reference`` and ``numba``, block by
-block inside ``fused``). The JSON-ready report holds per-kernel
+for every backend (up front for ``reference``, block by block inside
+``fused``). The JSON-ready report holds per-kernel
 elements/sec and per-backend ``speedups`` over ``reference`` measured in
 the same run. Beside the phi gradient it records, ungated, what the
 fused kernel cannot go below on this host (``headroom``): its block by
@@ -169,9 +169,7 @@ def _bench_kernels(
 
     calls = {}
     for name in backend_names:
-        backend = kernels.get_backend(name)
-        backend.warmup()  # JIT compile outside the timed region
-        calls[name] = calls_for(backend)
+        calls[name] = calls_for(kernels.get_backend(name))
     elements = {
         "phi_gradient": m * n * k,
         "phi_update": m * k,

@@ -37,11 +37,9 @@ Subcommands:
   write-ahead journal + manifest,
   and answer membership-drift queries;
 - ``repro auc`` — held-out link-prediction AUC of a checkpoint or
-  artifact;
-- ``repro convert`` — rewrite a legacy ``.npz`` checkpoint, artifact or
-  membership history as the store container every loader reads.
+  artifact.
 
-Checkpoints, artifacts and histories are store-container *directories*
+Checkpoints, artifacts and histories are store-container files
 (DESIGN.md "Persistence"); nothing reads a file suffix.
 
 Examples::
@@ -128,6 +126,13 @@ def _in_a_directory(flag: str):
     fail writing it at its end is refused before it starts."""
     return _ranged(flag, str, lambda path: Path(path).resolve().parent.is_dir(),
                    "in an existing directory")
+
+
+def _not_a_directory(flag: str):
+    """A path a container file is written to: a directory there (the
+    retired directory layout, or any other) is refused, never removed."""
+    return _ranged(flag, str, lambda path: not Path(path).is_dir(),
+                   "a file path, not a directory")
 
 
 def _registered_backend(name: str) -> bool:
@@ -575,19 +580,6 @@ def _cmd_convert_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    """Rewrite one legacy ``.npz`` model file as a store container."""
-    from repro.legacy import ConvertError, convert
-
-    try:
-        kind, dst = convert(args.src, args.dst)
-    except ConvertError as exc:
-        print(f"cannot convert: {exc}", file=sys.stderr)
-        return 3
-    print(f"converted {kind} {args.src} to container {dst}", file=sys.stderr)
-    return 0
-
-
 def _cmd_calibrate(_args: argparse.Namespace) -> int:
     from repro.bench.calibrate import calibration_report, max_relative_error
     from repro.bench.harness import format_table
@@ -951,11 +943,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heldout-fraction", type=_fraction("--heldout-fraction"), default=0.02)
     p.add_argument("--seed", type=_at_least("--seed", 0), default=0)
     p.add_argument("--output", "-o", default=None, help="covers file (default stdout)")
-    p.add_argument("--checkpoint", default=None,
+    p.add_argument("--checkpoint", type=_not_a_directory("--checkpoint"), default=None,
                    help="write a resumable checkpoint here after each report")
     p.add_argument("--resume", default=None,
                    help="resume from a --checkpoint container")
-    p.add_argument("--export-artifact", default=None,
+    p.add_argument("--export-artifact", type=_not_a_directory("--export-artifact"),
+                   default=None,
                    help="also export a serving artifact (a container "
                         "file) of the final state")
     p.set_defaults(func=_cmd_detect)
@@ -989,20 +982,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="convert an edge list / NPZ into a CSR container")
     p.add_argument("--input", "-i", required=True,
                    help="edge-list file (SNAP format) or .npz graph")
-    p.add_argument("--output", "-o", required=True,
+    p.add_argument("--output", "-o", required=True, type=_not_a_directory("--output"),
                    help="container file to write (e.g. graph.csr)")
     p.add_argument("--vertices", type=_at_least("--vertices", 1), default=None,
                    help="vertex-id space if the edge list is sparse in ids "
                         "(default: inferred, ids are densely remapped)")
     p.set_defaults(func=_cmd_convert_graph)
-
-    p = sub.add_parser("convert",
-                       help="rewrite a legacy .npz checkpoint / artifact / "
-                            "history as a store container")
-    p.add_argument("src", metavar="SRC", help="legacy .npz model file")
-    p.add_argument("dst", metavar="DST",
-                   help="container file to write (must not exist)")
-    p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("calibrate", help="print the Table III calibration report")
     p.set_defaults(func=_cmd_calibrate)
@@ -1032,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-p99-ms", type=_above_zero("--slo-p99-ms"), default=None,
                    help="enable SLO load shedding at this p99 target "
                         "(default: shedding off)")
-    p.add_argument("--history", default=None,
+    p.add_argument("--history", type=_not_a_directory("--history"), default=None,
                    help="membership-history checkpoint to reload/persist "
                         "(survives server restarts; needs --drift-window)")
     p.add_argument("--drift-window", type=_at_least("--drift-window", 0), default=0,
@@ -1054,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrival prefix forming the warm-start base graph")
     p.add_argument("--workdir", default="stream-work",
                    help="per-generation CSR and model containers")
-    p.add_argument("--artifact", default=None,
+    p.add_argument("--artifact", type=_not_a_directory("--artifact"), default=None,
                    help="published artifact path: a hard link to the newest "
                         "generation's model container file "
                         "(default: WORKDIR/artifact)")
@@ -1086,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="follow: stop after this many generations")
     p.add_argument("--max-seconds", type=float, default=None,
                    help="follow: stop after this much wall time")
-    p.add_argument("--history", default=None,
+    p.add_argument("--history", type=_not_a_directory("--history"), default=None,
                    help="membership-history container path "
                         "(default: WORKDIR/history)")
     p.add_argument("--drift", nargs="*", type=int, default=[],

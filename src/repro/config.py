@@ -74,13 +74,14 @@ class AMMSBConfig:
             precision, while ``reference`` upcasts internally).
         kernel_backend: which :mod:`repro.core.kernels` backend every
             engine uses for the SGRLD hot path ("fused" by default,
-            "reference" for the plain numpy functions, "numba" for the
-            parallel JIT loops when the ``numba`` extra is installed).
-            The default can be overridden with the
-            ``REPRO_KERNEL_BACKEND`` environment variable; resolution
-            happens at engine construction, and an env-sourced name
-            that is not registered falls back to "fused" with a
-            warning (an explicitly configured unknown name raises).
+            "reference" for the plain numpy functions). The default can
+            be overridden with the ``REPRO_KERNEL_BACKEND`` environment
+            variable; resolution happens at engine construction, and an
+            env-sourced name that is not registered falls back to
+            "fused" with a warning (an explicitly configured unknown
+            name raises). A name read back from a checkpoint or an
+            artifact that this host has not registered becomes "fused"
+            the same way, when the file's config is parsed.
     """
 
     n_communities: int = 16

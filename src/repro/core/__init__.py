@@ -38,7 +38,6 @@ from repro.core.perplexity import (
 from repro.core.estimation import PosteriorMean, align_communities, extract_communities
 from repro.core.diagnostics import ConvergenceMonitor
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.general import GeneralMMSBSampler
 
 __all__ = [
     "ModelState",
@@ -64,5 +63,4 @@ __all__ = [
     "ConvergenceMonitor",
     "load_checkpoint",
     "save_checkpoint",
-    "GeneralMMSBSampler",
 ]

@@ -20,10 +20,10 @@ recorded while it is written; a load reads every byte and verifies every
 digest before the state is adopted. Anything wrong at load time (missing
 path, damaged member, edited manifest, missing keys, a state that fails
 validation) surfaces as a typed :class:`CheckpointError` naming the
-offending path. A regular file that is no container is refused with the
-same error: ``.npz`` checkpoints written before this format are read by
-``repro convert`` (:mod:`repro.legacy`) and by nothing else. A container
-directory an earlier writer left loads like a container file.
+offending path. A regular file that is no container (an ``.npz``
+checkpoint written before this format) and a directory (a container in
+the retired directory layout) are refused with the same error: neither
+is read.
 
 One container shape: :func:`save_checkpoint` is
 :func:`save_state_checkpoint` plus the sampler's perplexity window.
@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core import kernels
 from repro.core.perplexity import PerplexityEstimator
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import ModelState
@@ -91,7 +92,10 @@ def _config_from_json(path: PathLike, blob: str) -> AMMSBConfig:
     comes from a newer writer and would otherwise die as a raw
     ``TypeError`` inside the dataclass constructor. The one exception is
     :data:`RETIRED_CONFIG_FIELD`, which older writers saved and nothing
-    ever read: it is dropped.
+    ever read: it is dropped. A ``kernel_backend`` this host has not
+    registered becomes ``fused``, with a logged warning
+    (:func:`repro.core.kernels.stored_backend_name`): the backends agree
+    to rounding, and a file from a host with another backend must load.
     """
     try:
         d = json.loads(blob)
@@ -114,9 +118,13 @@ def _config_from_json(path: PathLike, blob: str) -> AMMSBConfig:
         d["step_phi"] = StepSizeConfig(**d["step_phi"])
         d["step_theta"] = StepSizeConfig(**d["step_theta"])
         d["eta"] = tuple(d["eta"])
-        return AMMSBConfig(**d)
+        config = AMMSBConfig(**d)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(path, f"invalid config value ({exc})") from exc
+    backend = kernels.stored_backend_name(config.kernel_backend)
+    if backend != config.kernel_backend:
+        config = config.with_updates(kernel_backend=backend)
+    return config
 
 
 def open_model_container(
@@ -125,11 +133,12 @@ def open_model_container(
     """Open the container a model file must be, or say why it is not one.
 
     The one place a model loader (checkpoint, artifact, membership
-    history) meets a path: a missing path, and a regular file that is no
-    container — a legacy ``.npz`` is a zip archive, with neither a
-    container's trailer nor the ``.npy`` magic its first member starts
-    with — get their own :class:`~repro.store.container.StoreError`
-    reason, which each loader re-raises as its typed error.
+    history) meets a path: a missing path, a directory and a regular file
+    that is no container — an ``.npz`` from before the container format
+    is a zip archive, with neither a container's trailer nor the ``.npy``
+    magic its first member starts with — get their own
+    :class:`~repro.store.container.StoreError` reason, which each loader
+    re-raises as its typed error.
     """
     p = Path(path)
     if not p.exists():
@@ -142,7 +151,7 @@ def open_model_container(
         if not p.is_file():
             raise
         raise StoreError(
-            p, f"{exc.reason}; a legacy .npz is read by `repro convert SRC DST` only"
+            p, f"{exc.reason}; an .npz model file from before the container format is not read"
         ) from None
 
 

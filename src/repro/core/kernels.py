@@ -25,13 +25,6 @@ engines can swap implementations without touching orchestration code:
   function of each row's own inputs, whatever call, block, workspace or
   form of ``pi_b`` the row comes in, which is what the engines'
   equivalence classes rest on.
-- ``numba`` (:mod:`repro.core.kernels_numba`) — registered only when
-  numba is importable: ``@njit(parallel=True, cache=True)`` loops with
-  ``prange`` over mini-batch rows/edge blocks and *zero* ``(m, n, K)``
-  temporaries. Matches the reference to tolerance in float64 (loop-order
-  accumulation, not bit-identical) and keeps float32 in float32. Exposes
-  a :meth:`KernelBackend.warmup` compile hook so JIT latency never lands
-  inside a timed iteration or a serve request.
 
 Dtype policy: the compute dtype is the dtype of the ``pi`` inputs. A
 float32 state (the paper's 32-bit arrays) therefore runs the entire
@@ -43,11 +36,14 @@ buffers instead of silently upcasting the big arrays to float64. The tiny
 Backend selection is wired through ``AMMSBConfig.kernel_backend`` and the
 ``REPRO_KERNEL_BACKEND`` environment variable; every engine resolves its
 backend with :func:`resolve_backend` at construction time. Resolution
-fails soft when the name arrived through the environment (or the caller
-opts in): a warning is logged and ``fused`` is used, so setting
-``REPRO_KERNEL_BACKEND=numba`` on a host without numba degrades instead
-of raising deep inside engine init. An explicitly configured miss still
-raises :class:`ValueError` with the available names.
+fails soft when the name arrived through the environment: a warning is
+logged and ``fused`` is used, so an unregistered
+``REPRO_KERNEL_BACKEND`` degrades instead of raising deep inside engine
+init. An explicitly configured miss still raises :class:`ValueError`
+with the available names. A name read from a file (a checkpoint's or an
+artifact's config) is mapped by :func:`stored_backend_name` when the
+config is parsed, with the same warning and fallback, so a file written
+where another backend was registered still loads.
 
 Workspace lifecycle: one :class:`KernelWorkspace` per sequential sampler /
 distributed worker, one per *thread* in :mod:`repro.parallel`
@@ -134,10 +130,7 @@ class KernelBackend:
     need one (``reference``) ignore it. ``link_probability`` is the
     inference-time scoring kernel used by the serving layer
     (:mod:`repro.serve`); backends that do not override it get the
-    reference implementation. ``warmup`` is an optional one-time
-    compile/prime hook (the JIT backend uses it); engines call it at
-    construction so first-call latency stays out of timed iterations and
-    serve requests.
+    reference implementation.
     """
 
     def __init__(
@@ -148,7 +141,6 @@ class KernelBackend:
         theta_gradient_weighted: Callable[..., np.ndarray],
         update_theta: Callable[..., np.ndarray],
         link_probability: Optional[Callable[..., np.ndarray]] = None,
-        warmup: Optional[Callable[[], None]] = None,
     ) -> None:
         self.name = name
         self.phi_gradient_sum = phi_gradient_sum
@@ -158,12 +150,6 @@ class KernelBackend:
         self.link_probability = (
             link_probability if link_probability is not None else _ref_link_probability
         )
-        self._warmup = warmup
-
-    def warmup(self) -> None:
-        """Prime the backend (compile JIT specializations); idempotent."""
-        if self._warmup is not None:
-            self._warmup()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelBackend({self.name!r})"
@@ -631,35 +617,33 @@ _FALLBACK_BACKEND = "fused"
 _log = logging.getLogger(__name__)
 
 
-def resolve_backend(name: str, allow_fallback: Optional[bool] = None) -> KernelBackend:
-    """Resolve ``name``, failing soft for environment-sourced selections.
+def _fall_back(name: str) -> KernelBackend:
+    _log.warning(
+        "kernel backend %r is not available (known: %s); falling back to %r",
+        name, available_backends(), _FALLBACK_BACKEND,
+    )
+    return _REGISTRY[_FALLBACK_BACKEND]
 
-    ``allow_fallback=None`` (the engines' default) falls back to
-    ``fused`` only when the requested name matches the current
-    ``REPRO_KERNEL_BACKEND`` value — i.e. the selection came from the
-    environment, where an unknown/unavailable backend (say ``numba`` on
-    a host without numba) should degrade with a logged warning rather
-    than crash engine construction. An explicit
-    ``AMMSBConfig.kernel_backend`` miss still raises the typed
-    :class:`ValueError` of :func:`get_backend` with the available names.
 
-    ``allow_fallback=True`` always falls back on a miss (used for names
-    read from serialized artifacts built on other hosts);
-    ``allow_fallback=False`` is strict, identical to :func:`get_backend`.
+def resolve_backend(name: str) -> KernelBackend:
+    """Resolve ``name``, failing soft for an environment-sourced selection.
+
+    A miss whose name matches the current ``REPRO_KERNEL_BACKEND`` value
+    came from the environment, where an unregistered backend degrades to
+    ``fused`` with a logged warning rather than crash engine
+    construction. An explicit ``AMMSBConfig.kernel_backend`` miss still
+    raises the typed :class:`ValueError` of :func:`get_backend` with the
+    available names.
     """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        pass
-    if allow_fallback is None:
-        allow_fallback = os.environ.get("REPRO_KERNEL_BACKEND") == name
-    if allow_fallback and name != _FALLBACK_BACKEND:
-        _log.warning(
-            "kernel backend %r is not available (known: %s); falling back to %r",
-            name, available_backends(), _FALLBACK_BACKEND,
-        )
-        return _REGISTRY[_FALLBACK_BACKEND]
+    if name not in _REGISTRY and os.environ.get("REPRO_KERNEL_BACKEND") == name:
+        return _fall_back(name)
     return get_backend(name)
+
+
+def stored_backend_name(name: str) -> str:
+    """The backend this host runs for a name read from a file: ``name``
+    when it is registered, else ``fused`` with the logged warning."""
+    return name if name in _REGISTRY else _fall_back(name).name
 
 
 register_backend(
@@ -682,25 +666,3 @@ register_backend(
     )
 )
 
-
-def _register_numba_backend() -> bool:
-    """Register the JIT backend iff numba imported; see kernels_numba."""
-    from repro.core import kernels_numba
-
-    if not kernels_numba.NUMBA_AVAILABLE:
-        return False
-    register_backend(
-        KernelBackend(
-            "numba",
-            phi_gradient_sum=kernels_numba.phi_gradient_sum,
-            update_phi=kernels_numba.update_phi,
-            theta_gradient_weighted=kernels_numba.theta_gradient_weighted,
-            update_theta=kernels_numba.update_theta,
-            link_probability=kernels_numba.link_probability,
-            warmup=kernels_numba.warmup,
-        )
-    )
-    return True
-
-
-_register_numba_backend()

@@ -55,7 +55,7 @@ class RowStore(Protocol):
 
 
 def pinned_backend(config: AMMSBConfig) -> tuple[KernelBackend, AMMSBConfig]:
-    """Resolve ``config.kernel_backend``, warm it up, pin the resolved name.
+    """Resolve ``config.kernel_backend`` and pin the resolved name.
 
     Env-sourced misses fall back to ``fused``; the *resolved* name is what
     the returned config (and therefore any checkpoint) records.
@@ -63,7 +63,6 @@ def pinned_backend(config: AMMSBConfig) -> tuple[KernelBackend, AMMSBConfig]:
     backend = kernels.resolve_backend(config.kernel_backend)
     if backend.name != config.kernel_backend:
         config = config.with_updates(kernel_backend=backend.name)
-    backend.warmup()
     return backend, config
 
 

@@ -37,9 +37,9 @@ raises :class:`ArtifactCorrupt`; callers that serve traffic quarantine the
 container (:func:`quarantine_artifact`) and fall back to the
 last-known-good entry tracked in an :class:`ArtifactRegistry`. Anything
 else wrong at load time is a typed :class:`ArtifactError` naming the
-path — including a regular file that is no container: a v1 ``.npz``
-artifact is read by ``repro convert`` (:mod:`repro.legacy`) and by
-nothing else. A container directory an earlier writer left loads too.
+path — including a regular file that is no container (a v1 ``.npz``
+artifact), a directory (the retired directory container layout) and a
+format-2 container: none of them is read.
 
 A model state is written by :func:`export_artifact`: ONE container that
 is its checkpoint *and* its artifact — the state's own ``pi`` rows plus
@@ -82,10 +82,8 @@ PathLike = Union[str, Path]
 
 #: store-container kind tag of a serving artifact (``/1`` was the ``.npz``)
 ARTIFACT_KIND = "repro-serve-artifact/2"
-#: 3 stores no top-K table; a 2 (with ``top_communities`` / ``top_weights``
-#: members and a meta ``artifact_version``) loads too, its extras unread
+#: the one format read: 3, which stores no top-K table
 FORMAT_VERSION = 3
-_READABLE_FORMATS = (2, 3)
 
 _ARRAY_KEYS = ("pi", "theta", "beta", "node_ids")
 
@@ -372,16 +370,15 @@ def load_artifact(
     - ``verify=False``: structural checks only.
 
     The manifest seal is checked at every level; it is the ``version``.
-    A format-2 container (one with a stored top-K table) loads as well;
-    its table members are verified with the rest and never read.
 
     Raises:
         ArtifactCorrupt: damaged payload — a member that does not match
             its header or digest, an edited manifest (the seal), or
             broken model invariants.
-        ArtifactError: everything else — missing path, a regular file
-            (legacy ``.npz``: ``repro convert``), wrong container kind
-            or format version, missing arrays, unreadable metadata.
+        ArtifactError: everything else — missing path, a directory or a
+            regular file that is no container (an ``.npz``), wrong
+            container kind or format version, missing arrays,
+            unreadable metadata.
     """
     if verify not in (True, False, "full"):
         raise ValueError(f"verify must be True, False or 'full', got {verify!r}")
@@ -397,7 +394,7 @@ def load_artifact(
             p, f"expected container kind {ARTIFACT_KIND!r}, got {container.kind!r}"
         )
     meta = container.meta
-    if meta.get("format_version") not in _READABLE_FORMATS:
+    if meta.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(
             p, f"unsupported artifact version {meta.get('format_version')}"
         )

@@ -97,16 +97,13 @@ class QueryEngine:
     ) -> None:
         self.artifact = artifact
         self.on_recommend: Callable[[int, int, int], None] | None = None
-        if backend is not None:
-            # An explicit selection is a caller error if wrong: stay strict.
-            self.kernels = kernels.get_backend(backend)
-        else:
-            # Artifact-sourced names may come from a host with more
-            # backends installed (e.g. trained with numba); serve anyway.
-            self.kernels = kernels.resolve_backend(
-                artifact.config.kernel_backend, allow_fallback=True
-            )
-        self.kernels.warmup()
+        # An explicit selection is a caller error if wrong: stay strict. The
+        # artifact's own name resolves as an engine's does (a loaded
+        # artifact's config holds a registered one: load_artifact maps it).
+        self.kernels = (
+            kernels.get_backend(backend) if backend is not None
+            else kernels.resolve_backend(artifact.config.kernel_backend)
+        )
         self.workspace = kernels.KernelWorkspace()
         self._faults = armed(faults)
 

@@ -22,7 +22,6 @@ from repro.store.container import (
     read_manifest,
     recover_container,
     recover_containers,
-    remove_container,
     sealed_version,
     write_container,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "read_manifest",
     "recover_container",
     "recover_containers",
-    "remove_container",
     "sealed_version",
     "write_container",
     "atomic_file",

@@ -22,9 +22,8 @@ A member starts on a page, so a reader maps it (the ``mmap`` provider)
 with the same alignment a ``.npy`` file of its own had, and answers
 queries with only the touched pages resident — the property the serving
 tier's artifacts and the CSR graph container are built on. A member's
-sha256 is over its byte range (header + payload): exactly the digest of
-the ``.npy`` file an earlier writer put in a directory, so a seal, and a
-model artifact's version with it, does not depend on the layout.
+sha256 is over its byte range (header + payload): the digest of the
+``.npy`` file ``np.save`` would write for the array.
 
 Writes are atomic: the members and the manifest go to a hidden temp
 file beside the target (:func:`repro.store.atomic.atomic_file`), which
@@ -45,10 +44,9 @@ A sealed container can be given a second name at no cost in bytes:
 the target (a verified copy where the filesystem refuses the link) —
 how a stream generation's state becomes the published serving artifact.
 
-The directory layout of schema ``repro-store/1`` — one ``.npy`` file
-per member plus ``manifest.json`` — is still read: one member is a
-``(file, offset, length)`` byte range in either layout. Writing to a
-path that holds such a directory removes it first.
+A directory at a container path (the retired layout of one ``.npy``
+file per member plus ``manifest.json``) is neither read nor written
+over: readers and writers raise one :class:`StoreError` naming it.
 
 Integrity is layered so opening stays O(manifest):
 
@@ -75,7 +73,6 @@ import io
 import json
 import os
 import re
-import shutil
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -88,9 +85,6 @@ from repro.store.provider import ArrayProvider, get_provider
 PathLike = Union[str, Path]
 
 SCHEMA = "repro-store/2"
-#: the directory layout: ``manifest.json`` + one ``.npy`` per member
-DIRECTORY_SCHEMA = "repro-store/1"
-MANIFEST_NAME = "manifest.json"
 VERIFY_MODES = ("touch", "eager", "none")
 
 #: members start at multiples of this many bytes (a page on every host
@@ -112,9 +106,10 @@ _NPY_MAGIC = b"\x93NUMPY"
 #: price, measured there too: a server scanning a mapped 25.6 MB ``pi``
 #: written this way reads ~3-5 % slower than one written in a single call.
 _WRITE_CHUNK = 1 << 14
-#: what a killed writer can leave beside ``<name>``: its temp file (or an
-#: earlier writer's temp or rotated-aside directory)
-_LEFTOVER = re.compile(r"\.(?P<name>.+)\.(?:tmp|old)-[\w-]+")
+#: what a killed writer can leave beside ``<name>``: its temp file
+_LEFTOVER = re.compile(r"\.(?P<name>.+)\.tmp-[\w-]+")
+#: why a directory at a container path is refused
+_RETIRED_DIRECTORY = "is a directory, not a store container (the retired directory layout)"
 
 
 class StoreError(ValueError):
@@ -136,22 +131,22 @@ def _sha256(data: bytes = b""):
     return hashlib.sha256(data)
 
 
-def _read_range(path: Path, offset: int = 0, length: Optional[int] = None) -> Iterator[memoryview]:
-    """The bytes ``[offset, offset + length)`` of a file (to its end when
-    ``length`` is None), read into one reused 64 KiB buffer (no
-    chunk-sized bytes object per read: 9 ms against 13 per 12.8 MB).
-    Each view is valid until the next one is yielded."""
+def _read_range(path: Path, offset: int, length: int) -> Iterator[memoryview]:
+    """The bytes ``[offset, offset + length)`` of a file, read into one
+    reused 64 KiB buffer (no chunk-sized bytes object per read: 9 ms
+    against 13 per 12.8 MB). Each view is valid until the next one is
+    yielded."""
     buf = bytearray(1 << 16)
     view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
-        left = os.fstat(fh.fileno()).st_size - offset if length is None else length
+        left = length
         fh.seek(offset)
         while left > 0 and (n := fh.readinto(view[: min(len(buf), left)])):
             left -= n
             yield view[:n]
 
 
-def _sha256_range(path: Path, offset: int = 0, length: Optional[int] = None) -> str:
+def _sha256_range(path: Path, offset: int, length: int) -> str:
     """sha256 of one member's byte range."""
     h = _sha256()
     for chunk in _read_range(path, offset, length):
@@ -176,23 +171,11 @@ def _native_little(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def remove_container(path: PathLike) -> None:
-    """Delete the container at ``path``: one unlink for a container file,
-    the whole tree for a directory an earlier writer left."""
-    path = Path(path)
-    if path.is_dir():
-        shutil.rmtree(path, ignore_errors=True)
-    else:
-        path.unlink(missing_ok=True)
-
-
 def recover_container(path: PathLike) -> None:
     """Delete what a writer killed before its ``os.replace`` left beside
-    ``path``: the hidden ``.name.tmp-*`` temp file (and the
-    ``.name.tmp-*`` / ``.name.old-*`` directories an earlier, directory
-    writer could leave). The container at ``path`` itself was never
-    touched. Writer-side only: call it where the path's single writer
-    restarts.
+    ``path``: the hidden ``.name.tmp-*`` temp file. The container at
+    ``path`` itself was never touched. Writer-side only: call it where
+    the path's single writer restarts.
     """
     path = Path(path)
     if not path.parent.is_dir():
@@ -200,7 +183,7 @@ def recover_container(path: PathLike) -> None:
     for p in path.parent.iterdir():
         m = _LEFTOVER.fullmatch(p.name)
         if m is not None and m["name"] == path.name:
-            remove_container(p)
+            p.unlink(missing_ok=True)
 
 
 def recover_containers(directory: PathLike) -> None:
@@ -208,7 +191,7 @@ def recover_containers(directory: PathLike) -> None:
     leftovers for under ``directory``."""
     for p in Path(directory).iterdir():
         if _LEFTOVER.fullmatch(p.name):
-            remove_container(p)
+            p.unlink(missing_ok=True)
 
 
 def _npy_header(arr: np.ndarray) -> bytes:
@@ -270,8 +253,8 @@ class _Writer:
 def _entries(arrays: Mapping[str, np.ndarray], digest) -> dict[str, dict]:
     """The manifest's per-array records; ``digest(name, arr)`` gives the
     sha256 of member ``name`` as :func:`_npy_chunks` lays it out. ``file``
-    names the member as a directory container held it: it is sealed, so
-    it stays."""
+    is the name the member's own ``.npy`` file would have: it is sealed,
+    so it stays."""
     entries: dict[str, dict] = {}
     for name, arr in arrays.items():
         arr = _native_little(np.asarray(arr))
@@ -300,15 +283,14 @@ def sealed_version(
 
 
 def _clear_for_write(path: Path, overwrite: bool = True) -> None:
-    """Sweep a killed writer's leftovers, refuse an existing ``path``
-    unless ``overwrite``, and remove a directory container there (a file
-    cannot replace it). Only that migration from the directory layout is
-    two steps: a kill between them leaves no container under the name."""
+    """Sweep a killed writer's leftovers, and refuse a directory at
+    ``path`` (a file cannot replace it) or, unless ``overwrite``, any
+    existing ``path``."""
     recover_container(path)
+    if path.is_dir():
+        raise StoreError(path, _RETIRED_DIRECTORY)
     if path.exists() and not overwrite:
         raise StoreError(path, "target exists and overwrite=False")
-    if path.is_dir():
-        remove_container(path)
 
 
 def write_container(
@@ -350,33 +332,30 @@ def link_container(source: PathLike, path: PathLike) -> Path:
     A hard link to ``source``'s file is made beside ``path`` and renamed
     over it: one ``os.link`` and one ``os.replace``, no byte copied.
     Where the filesystem refuses the link (``EXDEV`` across mounts,
-    ``EPERM`` on filesystems without hard links), or ``source`` is a
-    directory container, ``path`` becomes a copy instead: each member
-    is hashed as it is written and must match the manifest digest, and
-    the copy carries the same seal. A sealed container is never modified
-    in place, so the shared inode is safe; deleting either name leaves
-    the other (and any live memory map) readable.
+    ``EPERM`` on filesystems without hard links), ``path`` becomes a
+    copy instead: each member is hashed as it is written and must match
+    the manifest digest, and the copy carries the same seal. A sealed
+    container is never modified in place, so the shared inode is safe;
+    deleting either name leaves the other (and any live memory map)
+    readable.
     """
     source, path = Path(source), Path(path)
     manifest = read_manifest(source)
     _clear_for_write(path)
-    if source.is_file():
-        if path.exists() and os.path.samefile(source, path):
-            return path  # already this container's second name
-        tmp = temp_sibling(path)
-        try:
-            os.link(source, tmp)
-        except OSError:
-            pass  # no hard link here: copy
-        else:
-            try:
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
-            fsync_dir(path.parent)
-            return path
-    _copy_verified(source, manifest, path)
+    if path.exists() and os.path.samefile(source, path):
+        return path  # already this container's second name
+    tmp = temp_sibling(path)
+    try:
+        os.link(source, tmp)
+    except OSError:
+        _copy_verified(source, manifest, path)  # no hard link here
+        return path
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fsync_dir(path.parent)
     return path
 
 
@@ -384,34 +363,20 @@ def _copy_verified(source: Path, manifest: dict, path: Path) -> None:
     """Write a container file at ``path`` holding ``source``'s members
     byte for byte and its seal; every member is hashed as it is written
     and must match its digest."""
-    ranges = _member_ranges(source, manifest)
+    extents = manifest["extents"]
     with atomic_file(path) as fh:
         writer = _Writer(fh)
-        for name in sorted(ranges, key=lambda n: ranges[n][1]):
+        for name in sorted(extents, key=lambda n: extents[n][0]):
             entry = manifest["arrays"][name]
-            if writer.member(name, _read_range(*ranges[name])) != entry["sha256"]:
+            if writer.member(name, _read_range(source, *extents[name])) != entry["sha256"]:
                 raise StoreCorrupt(source, f"copy of {name!r} does not match its digest")
         writer.seal(manifest["kind"], manifest["meta"], manifest["arrays"])
 
 
-def _member_ranges(path: Path, manifest: dict) -> dict[str, tuple[Path, int, Optional[int]]]:
-    """Each member's ``(file, offset, length)``: a range of the container
-    file, or the whole ``.npy`` file of a directory container (``None``:
-    to its end)."""
-    if manifest["schema"] == DIRECTORY_SCHEMA:
-        return {name: (path / e["file"], 0, None) for name, e in manifest["arrays"].items()}
-    return {name: (path, off, n) for name, (off, n) in manifest["extents"].items()}
-
-
 def member_extent(path: PathLike, name: str) -> tuple[Path, int, int]:
     """``(file, offset, length)`` of member ``name`` of the container at
-    ``path``: a byte range of the container file, or the whole
-    ``<name>.npy`` of a directory container (found without its manifest,
-    so a directory that lost it still answers)."""
+    ``path``: a byte range of the container file."""
     path = Path(path)
-    if path.is_dir():
-        fpath = path / f"{name}.npy"
-        return fpath, 0, fpath.stat().st_size
     try:
         offset, length = read_manifest(path)["extents"][name]
     except KeyError:
@@ -465,28 +430,24 @@ def _check_extents(path: Path, manifest: dict, limit: int) -> None:
 def read_manifest(path: PathLike) -> dict:
     """Parse and consistency-check a container manifest (no array reads).
 
-    Raises :class:`StoreError` for missing/foreign paths and
-    :class:`StoreCorrupt` when the manifest does not parse, declares the
-    wrong schema, its recorded ``content_version`` does not match a
-    recomputation over its own fields (catching any single-field edit),
-    or a container file's member extents are not aligned, disjoint
+    Raises :class:`StoreError` for missing/foreign paths (a directory
+    included) and :class:`StoreCorrupt` when the manifest does not
+    parse, declares the wrong schema, its recorded ``content_version``
+    does not match a recomputation over its own fields (catching any
+    single-field edit), or the member extents are not aligned, disjoint
     ranges before the manifest.
     """
     path = Path(path)
-    if path.is_file():
-        (blob, limit), schema = _read_trailer(path), SCHEMA
-    elif (path / MANIFEST_NAME).is_file():
-        try:
-            blob, schema = (path / MANIFEST_NAME).read_bytes(), DIRECTORY_SCHEMA
-        except OSError as exc:
-            raise StoreCorrupt(path, f"unreadable manifest: {exc}") from exc
-    else:
-        raise StoreError(path, f"not a store container (no file, no {MANIFEST_NAME})")
+    if not path.is_file():
+        if path.is_dir():
+            raise StoreError(path, _RETIRED_DIRECTORY)
+        raise StoreError(path, "not a store container (no file, no manifest)")
+    blob, limit = _read_trailer(path)
     try:
         manifest = json.loads(blob.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are
         raise StoreCorrupt(path, f"unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("schema") != schema:
+    if not isinstance(manifest, dict) or manifest.get("schema") != SCHEMA:
         got = manifest.get("schema") if isinstance(manifest, dict) else None
         raise StoreCorrupt(path, f"unsupported store schema {got!r}")
     for field in ("kind", "meta", "arrays", "content_version"):
@@ -499,8 +460,7 @@ def read_manifest(path: PathLike) -> dict:
             f"manifest content_version mismatch (recorded {manifest['content_version']}, "
             f"recomputed {expect}) — manifest edited or damaged",
         )
-    if schema == SCHEMA:
-        _check_extents(path, manifest, limit)
+    _check_extents(path, manifest, limit)
     return manifest
 
 
@@ -508,8 +468,7 @@ class Container:
     """Read side of a container: provider-backed arrays + lazy digests.
 
     Args:
-        path: container file (or directory, in the ``repro-store/1``
-            layout).
+        path: container file.
         provider: array provider name or instance (default ``mmap`` — the
             whole point of the format).
         verify: ``"touch"`` (default) digest-checks each array the first
@@ -529,7 +488,6 @@ class Container:
         self.path = Path(path)
         self.provider = get_provider(provider)
         self.manifest = read_manifest(self.path)
-        self._ranges = _member_ranges(self.path, self.manifest)
         self.kind: str = self.manifest["kind"]
         self.meta: dict = self.manifest["meta"]
         self._verify_on_touch = verify == "touch"
@@ -559,13 +517,11 @@ class Container:
         """Total payload bytes across all arrays (from the manifest)."""
         return sum(int(e["nbytes"]) for e in self.manifest["arrays"].values())
 
-    def _member(self, name: str) -> tuple[Path, int, Optional[int]]:
+    def _member(self, name: str) -> tuple[Path, int, int]:
         """``(file, offset, length)`` of one member, which must exist."""
         self.entry(name)
-        fpath, offset, length = self._ranges[name]
-        if not fpath.is_file():
-            raise StoreCorrupt(self.path, f"array file {fpath.name!r} is missing")
-        return fpath, offset, length
+        offset, length = self.manifest["extents"][name]
+        return self.path, offset, length
 
     # -- integrity -------------------------------------------------------
 
@@ -574,7 +530,10 @@ class Container:
         if name in self._verified:
             return
         entry = self.entry(name)
-        digest = _sha256_range(*self._member(name))
+        try:
+            digest = _sha256_range(*self._member(name))
+        except OSError as exc:
+            raise StoreCorrupt(self.path, f"array {name!r} unreadable: {exc}") from exc
         if digest != entry["sha256"]:
             raise StoreCorrupt(
                 self.path,

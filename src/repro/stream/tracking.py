@@ -383,9 +383,9 @@ class MembershipHistory:
     def load(cls, path: PathLike) -> "MembershipHistory":
         """Restore a history checkpointed by :meth:`save`; every member is
         read and digest-checked. Raises :class:`StreamError` for a missing
-        path, a regular file that is no container (a legacy ``.npz``:
-        ``repro convert``), a
-        damaged container or contents that do not make a history."""
+        path, a directory or a regular file that is no container (an
+        ``.npz``), a damaged container or contents that do not make a
+        history."""
         p = Path(path)
         try:
             data = open_model_container(p)

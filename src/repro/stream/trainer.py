@@ -109,7 +109,6 @@ from repro.store import (
     link_container,
     recover_container,
     recover_containers,
-    remove_container,
     spare_sibling,
 )
 from repro.stream.delta import (
@@ -132,10 +131,8 @@ from repro.stream.source import EdgeArrival, arrivals_to_arrays
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
-#: 2 names the graph as a snapshot (``graph_path``) and a ``delta_path``;
-#: a version-1 manifest, whose ``graph_path`` is the whole graph, resumes
+#: 2 names the graph as a snapshot (``graph_path``) and a ``delta_path``
 MANIFEST_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 #: the containers a generation writes, and generation -1's snapshot
 _GENERATION_FILE = re.compile(r"(?:graph|model)_g\d+\.(?:csr|delta|store)|base\.csr")
 
@@ -422,7 +419,7 @@ class StreamTrainer:
             raise ResumeError(workdir, f"unreadable manifest ({exc})") from exc
         if not isinstance(manifest, dict):
             raise ResumeError(workdir, "manifest is not an object")
-        if manifest.get("version") not in _READABLE_VERSIONS:
+        if manifest.get("version") != MANIFEST_VERSION:
             raise ResumeError(
                 workdir,
                 f"unsupported manifest version {manifest.get('version')!r}",
@@ -471,11 +468,8 @@ class StreamTrainer:
         (:meth:`~repro.stream.delta.DeltaOverlay.open`, every digest
         verified), its model container (if any; every
         array digest verified) restores the warm-start state and
-        cumulative iteration clock — a container that will not load, or
-        the ``checkpoint_gNNNN.npz`` *file* a workdir written before the
-        model container names, is a :class:`ResumeError` (such a workdir
-        is not resumed in place: ``repro convert`` the file and seed
-        :meth:`from_checkpoint` with it) — and the journal
+        cumulative iteration clock — a container that will not load is a
+        :class:`ResumeError` — and the journal
         suffix past ``digested_seqno`` is replayed through the overlay —
         so edges that were acknowledged but not yet digested are pending
         again, exactly once. Quarantined records re-derived during
@@ -734,10 +728,10 @@ class StreamTrainer:
         for path in self.workdir.iterdir():
             if not _GENERATION_FILE.fullmatch(path.name) or path.name in keep:
                 continue
-            if path.suffix == ".delta" and path.is_file():
+            if path.suffix == ".delta":
                 os.replace(path, self.workdir / DELTA_SPARE)
             else:
-                remove_container(path)
+                path.unlink(missing_ok=True)
 
     def _arm_draws(
         self, graph: Graph, heldout: HeldoutSplit, explicit: bool, on_base: bool

@@ -17,7 +17,7 @@ from repro.graph.generators import generate_ammsb_graph, planted_overlapping_gra
 from repro.graph.graph import Graph
 from repro.graph.split import split_heldout
 from repro.store import Container, member_extent, write_container
-from repro.store.container import _TRAILER, DIRECTORY_SCHEMA, MANIFEST_NAME
+from repro.store.container import _TRAILER
 
 
 @pytest.fixture(scope="session")
@@ -125,12 +125,6 @@ def edit_manifest(path, edit) -> None:
     """Apply ``edit`` to the parsed manifest of the container at ``path``
     and write it back, unsealed: the trailer is rewritten to locate it,
     the ``content_version`` is not recomputed."""
-    path = Path(path)
-    if path.is_dir():
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
-        edit(manifest)
-        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        return
     with open(path, "r+b") as fh:
         fh.seek(-_TRAILER.size, os.SEEK_END)
         offset, length, magic = _TRAILER.unpack(fh.read(_TRAILER.size))
@@ -141,25 +135,6 @@ def edit_manifest(path, edit) -> None:
         fh.seek(offset)
         fh.truncate()
         fh.write(blob + _TRAILER.pack(offset, len(blob), magic))
-
-
-def as_directory(path) -> Path:
-    """Rewrite the container file at ``path`` as a directory container
-    of the ``repro-store/1`` layout an earlier writer left: ``np.save``
-    of each member plus the same sealed manifest as ``manifest.json``
-    (no extents). Every digest and the seal carry over unchanged."""
-    path = Path(path)
-    old = Container(path, provider="resident")
-    arrays = {name: np.array(old[name]) for name in old}
-    manifest = {key: value for key, value in old.manifest.items() if key != "extents"}
-    manifest["schema"] = DIRECTORY_SCHEMA
-    path.unlink()
-    path.mkdir()
-    for name, arr in arrays.items():
-        np.save(path / manifest["arrays"][name]["file"], arr, allow_pickle=False)
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    Container(path, verify="eager")  # the digests hold in the old layout
-    return path
 
 
 # -- simulated process death and filesystem refusals (store / stream tests) ---

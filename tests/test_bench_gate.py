@@ -81,7 +81,7 @@ class TestCheck:
     def test_backend_without_a_floor_is_reported_but_not_gated(self):
         report = _passing("kernels")
         for kernel in report["kernels"].values():
-            kernel["speedups"]["numba"] = 0.01
+            kernel["speedups"]["no-floor-backend"] = 0.01
         assert len(gate.check(report)) == len(_floors("kernels"))
         assert all(r["ok"] for r in gate.check(report))
         for kernel in report["kernels"].values():  # a host without fused

@@ -181,7 +181,7 @@ class TestCheckpointErrors:
         graph, _ = planted
         ckpt = tmp_path / "g.npz"
         ckpt.write_bytes(b"this is not a container")
-        with pytest.raises(CheckpointError, match="regular file.*repro convert"):
+        with pytest.raises(CheckpointError, match="regular file.*not read"):
             load_checkpoint(ckpt, graph)
 
     def test_missing_array_key(self, planted, config, tmp_path):
@@ -237,7 +237,7 @@ class TestStateCheckpoint:
             load_state_checkpoint(tmp_path / "nope.npz")
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"junk")
-        with pytest.raises(CheckpointError, match="repro convert"):
+        with pytest.raises(CheckpointError, match="regular file.*not read"):
             load_state_checkpoint(bad)
 
     def test_reads_a_sampler_checkpoint_too(self, planted, config, tmp_path):
@@ -357,3 +357,76 @@ class TestConfigRoundTripHardening:
         _rewrite_config(path, lambda c: c.pop("dtype"))
         with pytest.raises(CheckpointError, match="missing config field"):
             load_state_checkpoint(path)
+
+
+#: a backend registered where a file was written, never here
+ELSEWHERE = "jit-of-another-host"
+
+
+def _detect_resume(tmp_path, _graph, config):
+    """``detect --checkpoint``, the config re-sealed to name ``ELSEWHERE``,
+    then ``detect --resume``; returns the resumed run's checkpoint config."""
+    from repro.cli import main
+
+    edges = tmp_path / "g.txt"
+    main(["generate", "--vertices", "120", "--communities", "3", "--output", str(edges)])
+    detect = ["detect", "--edges", str(edges), "-k", "3", "--mini-batch", "32",
+              "--iterations", "10", "--output", str(tmp_path / "c.txt")]
+    ckpt = tmp_path / "ck"
+    assert main(detect + ["--checkpoint", str(ckpt)]) == 0
+    _rewrite_config(ckpt, lambda c: c.update(kernel_backend=ELSEWHERE))
+    assert main([*detect, "--iterations", "20", "--resume", str(ckpt),
+                 "--checkpoint", str(tmp_path / "ck2")]) == 0
+    return load_state_checkpoint(tmp_path / "ck2")[2].kernel_backend
+
+
+def _stream_from_checkpoint(tmp_path, graph, config):
+    from repro.core.state import init_state
+    from repro.stream import StreamTrainer
+
+    state = init_state(graph.n_vertices, config, np.random.default_rng(0))
+    warm = save_state_checkpoint(
+        tmp_path / "warm", state, 3, config.with_updates(kernel_backend=ELSEWHERE)
+    )
+    with StreamTrainer.from_checkpoint(
+        warm, graph, tmp_path / "work", iterations_per_generation=2, heldout_fraction=0.05
+    ) as trainer:
+        trainer.run_generation(n_iterations=2)
+        return trainer.config.kernel_backend
+
+
+def _artifact_query_engine(tmp_path, graph, config):
+    from repro.core.state import init_state
+    from repro.serve.artifact import build_artifact, load_artifact, save_artifact
+    from repro.serve.engine import QueryEngine
+
+    state = init_state(graph.n_vertices, config, np.random.default_rng(0))
+    path = save_artifact(
+        tmp_path / "model",
+        build_artifact(state, config.with_updates(kernel_backend=ELSEWHERE)),
+    )
+    artifact = load_artifact(path, verify="full")
+    engine = QueryEngine(artifact)
+    assert engine.link_probability(np.array([[0, 1], [2, 3]])).shape == (2,)
+    assert engine.kernels.name == "fused"
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        QueryEngine(artifact, backend=ELSEWHERE)  # an explicit selection stays strict
+    return artifact.config.kernel_backend
+
+
+@pytest.mark.parametrize(
+    "reader", [_detect_resume, _stream_from_checkpoint, _artifact_query_engine],
+    ids=["detect-resume", "stream-from-checkpoint", "artifact-query-engine"],
+)
+def test_a_file_naming_a_backend_this_host_lacks_runs_on_fused(
+    reader, planted, config, tmp_path, caplog
+):
+    """A backend name read from a file that this host has not registered
+    becomes ``fused`` where the config is parsed, with the warning."""
+    import logging
+
+    graph, _ = planted
+    with caplog.at_level(logging.WARNING, logger="repro.core.kernels"):
+        assert reader(tmp_path, graph, config) == "fused"
+    assert any(ELSEWHERE in r.getMessage() and "falling back" in r.getMessage()
+               for r in caplog.records)

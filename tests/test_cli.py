@@ -129,7 +129,8 @@ class TestBench:
         for argv in (["bench-check"], ["bench-kernels"], ["bench-mem"],
                      ["bench-serve"], ["bench-stream"], ["bench", "stream"],
                      ["bench", "kernels", "--quick"],
-                     ["bench", "kernels", "--baseline", "BENCH_kernels.json"]):
+                     ["bench", "kernels", "--baseline", "BENCH_kernels.json"],
+                     ["convert", "old.npz", "new"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -253,6 +254,11 @@ class TestArgumentErrors:
           "--vertices", "0"], "--vertices must be >= 1"),
         (["generate", "--dataset", "com-DBLP", "--scale", "nan",
           "--output", "/no/such/dir/g.txt"], "--scale must be > 0"),
+        # a container path that is a directory is refused, not removed
+        (["detect", "--edges", "/no/such/g.txt", "-k", "2", "--checkpoint", "/"],
+         "--checkpoint must be a file path, not a directory"),
+        (["stream", "--edges", "/no/such/g.txt", "-k", "2", "--artifact", "/"],
+         "--artifact must be a file path, not a directory"),
     ])
     def test_one_error_line_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -492,7 +498,7 @@ class TestDetectCheckpointing:
         assert len(err) == 2 and err[0].startswith("loaded ")  # the graph, then the refusal
         assert err[1].startswith("cannot load checkpoint: ") and str(ckpt) in err[1]
         if damage == "legacy-npz":
-            assert "repro convert" in err[1]
+            assert "regular file, not a store container" in err[1] and "not read" in err[1]
 
 
 class TestChaos:

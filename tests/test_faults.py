@@ -245,14 +245,23 @@ class TestPinnedFaultSequences:
 
         from repro.faults import ServeFaultPlan
 
+        from repro.store import write_container
+        from tests.conftest import member_bytes
+
         plan = ServeFaultPlan(seed=5)
+        pinned = np.frombuffer(bytes(range(256)) * 16, dtype=np.uint8)
         digests = []
         for name in ("a", "b"):  # the second flip continues the stream
-            container = tmp_path / name
-            container.mkdir()
-            (container / "pi.npy").write_bytes(bytes(range(256)) * 16)
+            # a 4096-byte member: the 128-byte .npy header, then the payload
+            container = write_container(
+                tmp_path / name, {"pi": np.zeros(4096 - 128, dtype=np.uint8)}, kind="test/1"
+            )
+            before = np.frombuffer(member_bytes(container, "pi"), dtype=np.uint8)
             plan.corrupt_file(container, "flip")
-            member = (container / "pi.npy").read_bytes()
+            after = np.frombuffer(member_bytes(container, "pi"), dtype=np.uint8)
+            # the flip depends on the member's length alone: the same damage
+            # to the 4096 bytes these digests were first pinned on
+            member = (pinned ^ before ^ after).tobytes()
             digests.append(hashlib.sha256(member).hexdigest()[:16])
         assert digests == ["cc165b4535a44308", "082de5b740117ede"]
 

@@ -16,6 +16,7 @@ workspace must never leak state between calls.
 from __future__ import annotations
 
 import contextlib
+import logging
 
 import numpy as np
 import pytest
@@ -713,6 +714,42 @@ class TestRegistry:
         cfg = AMMSBConfig(n_communities=4, kernel_backend="no-such-backend")
         with pytest.raises(ValueError, match="unknown kernel backend"):
             AMMSBSampler(graph, cfg)
+
+    def test_explicit_miss_raises_typed(self):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernels.resolve_backend("no-such-backend")
+
+    def test_env_sourced_miss_warns_and_falls_back(self, monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "no-such-backend")
+        with caplog.at_level(logging.WARNING, logger="repro.core.kernels"):
+            backend = kernels.resolve_backend("no-such-backend")
+        assert backend.name == "fused"
+        assert any("falling back" in r.message for r in caplog.records)
+
+    def test_sampler_env_fallback_and_checkpoint_roundtrip(self, monkeypatch, tmp_path):
+        """Env-selected unavailable backend: the sampler falls back, its
+        config records the *resolved* name, and a checkpoint round-trip
+        preserves it exactly."""
+        from repro.config import AMMSBConfig
+        from repro.core.checkpoint import load_checkpoint, save_checkpoint
+        from repro.core.sampler import AMMSBSampler
+        from repro.graph.generators import planted_overlapping_graph
+
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "not-installed-backend")
+        graph, _ = planted_overlapping_graph(40, 2, 1, rng=np.random.default_rng(0))
+        cfg = AMMSBConfig(n_communities=4)  # picks the env name up
+        assert cfg.kernel_backend == "not-installed-backend"
+        sampler = AMMSBSampler(graph, cfg)
+        assert sampler.kernels.name == "fused"
+        assert sampler.config.kernel_backend == "fused"
+
+        sampler.run(2)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, sampler)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
+        restored = load_checkpoint(path, graph)
+        assert restored.config.kernel_backend == "fused"
+        assert restored.kernels.name == "fused"
 
 
 class TestWeightedThetaGradient:

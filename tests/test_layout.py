@@ -13,9 +13,9 @@ The block map (``parallel.threadpool``) is the package's one thread
 pool; only the mp engine and ``AMMSBSampler.run``'s draw process fork.
 
 *One on-disk format.* Model state is written by
-:func:`repro.store.write_container` and by nothing else; ``.npz`` /
-zip / zlib I/O lives in the graph interchange, the array provider and
-the one legacy reader behind ``repro convert``.
+:func:`repro.store.write_container` and by nothing else, and read from
+one layout; ``.npz`` / zip / zlib I/O lives in the graph interchange
+alone (the array providers parse a member's ``.npy`` header themselves).
 
 *No source file is ignored.* ``.gitignore`` hides no module, present or
 new, under ``src/`` or ``tests/``.
@@ -87,9 +87,9 @@ def test_called_from_the_stage_module_only(name):
 
 # -- one on-disk format --------------------------------------------------------
 
-#: graph interchange and the legacy reader behind `repro convert`; the array
-#: providers parse a member's ``.npy`` header themselves, ``np.load`` nowhere
-ARCHIVE_IO = {"graph/io.py", "legacy.py"}
+#: the graph interchange; the array providers parse a member's ``.npy``
+#: header themselves, ``np.load`` nowhere
+ARCHIVE_IO = {"graph/io.py"}
 #: the ingest journal frames its records with ``zlib.crc32``: not a model file
 FRAME_CRC = "stream/journal.py"
 #: the modules that persist model state
@@ -125,7 +125,7 @@ def _archive_io(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_archive_io_lives_in_the_interchange_the_provider_and_the_legacy_reader():
+def test_archive_io_lives_in_the_graph_interchange():
     users = {}
     for path in sorted(SRC.rglob("*.py")):
         found = _archive_io(ast.parse(path.read_text(encoding="utf-8")))
@@ -228,14 +228,14 @@ def test_the_engines_copy_no_generator():
 
 
 def test_no_writer_records_an_rng_state():
-    """A state and its iteration resume a run; only the legacy reader
-    still names the stream state old files carry."""
+    """A state and its iteration resume a run; no module names the
+    stream state old files carried."""
     named = set()
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and node.value == "rng_state":
                 named.add(str(path.relative_to(SRC)))
-    assert named == {"legacy.py"}
+    assert named == set()
 
 
 def _modules_calling(match) -> set[tuple[str, str]]:
@@ -296,12 +296,8 @@ def test_only_the_fault_module_asks_whether_a_plan_is_empty():
 
 # -- every public name is reached ------------------------------------------------
 
-#: public names only tests reach, each with why it stays
-UNREACHED = {
-    "core/general.py:GeneralMMSBSampler": "general MMSB, waiting for an engine and a CLI verb",
-    "core/general.py:general_pair_z": "general MMSB, waiting for an engine and a CLI verb",
-    "core/general.py:assortative_block_matrix": "general MMSB, waiting for an engine and a CLI verb",
-}
+#: public names only tests reach, each with why it stays: none
+UNREACHED: dict[str, str] = {}
 #: public methods of public classes only tests reach, each with why it stays
 UNREACHED_METHODS = {
     "serve/server.py:ModelServer.publish": (
@@ -386,7 +382,7 @@ def test_every_public_name_is_reached_or_on_the_list():
             if p != path or owner.split(".")[0] != name
         }
     }
-    assert unreached == set(UNREACHED)
+    assert unreached == set(UNREACHED) == set()
 
 
 def test_every_public_method_is_reached_or_on_the_list():
@@ -412,8 +408,10 @@ DELETED = (
     ("repro.graph.graph", ("edge_key",)),
     ("repro.graph", ("edge_key",)),
     ("repro.graph.graph.Graph", ("has_edge", "density")),
-    ("repro.store.container", ("is_container",)),
-    ("repro.store", ("is_container",)),
+    ("repro.store.container", (
+        "is_container", "DIRECTORY_SCHEMA", "MANIFEST_NAME", "remove_container",
+    )),
+    ("repro.store", ("is_container", "remove_container")),
     ("repro.store.container.Container", ("content_version",)),
     ("repro.serve.artifact.ArtifactRegistry", ("latest",)),
     ("repro.serve.artifact.ModelArtifact", (
@@ -433,6 +431,7 @@ DELETED = (
     ("repro.dist.partition.WorkerShard", ("adjacency",)),
     ("repro.serve.artifact", (
         "export_state_artifact", "export_from_sampler", "_content_version",
+        "_READABLE_FORMATS",
     )),
     ("repro.serve", ("export_state_artifact", "export_from_sampler")),
     ("repro.dist.mp.MultiprocessAMMSBSampler", (
@@ -451,6 +450,8 @@ DELETED = (
         "record_publish_failure", "record_quarantine", "cache_hit_rate",
     )),
     ("repro.dist.mp.PipeTransport", ("_drain_results", "_expects")),
+    ("repro.core.kernels.KernelBackend", ("warmup",)),
+    ("repro.stream.trainer", ("_READABLE_VERSIONS",)),
 )
 #: ``(callable, parameters)`` deleted: options nothing set, or a second route
 DELETED_OPTIONS = (
@@ -487,6 +488,8 @@ DELETED_OPTIONS = (
     )),
     ("repro.core.minibatch.MinibatchSampler", ("nonlink_stratum_size",)),
     ("repro.core.svi.SVIAMMSB", ("schedule",)),
+    ("repro.core.kernels.KernelBackend", ("warmup",)),
+    ("repro.core.kernels.resolve_backend", ("allow_fallback",)),
 )
 
 
@@ -511,13 +514,27 @@ def _resolve(dotted: str):
 
 #: modules whose code moved into the tests that were its only users, or
 #: whose one used behaviour moved into its user (the barrier deadline
-#: into the simulated clock)
-DELETED_MODULES = ("repro.graph.analysis", "repro.sim.loadtest", "repro.cluster.comm")
+#: into the simulated clock), or that nothing in the program reached (the
+#: general MMSB). The reader of pre-container ``.npz`` model files stays
+#: gone by the archive-I/O check above, the JIT kernel backend by
+#: :func:`test_the_kernel_backends_are_reference_and_fused`.
+DELETED_MODULES = (
+    "repro.graph.analysis", "repro.sim.loadtest", "repro.cluster.comm", "repro.core.general",
+)
 
 
 @pytest.mark.parametrize("module", DELETED_MODULES)
 def test_the_deleted_modules_stay_gone(module):
     assert importlib.util.find_spec(module) is None
+
+
+def test_the_kernel_backends_are_reference_and_fused():
+    """One module defines them; the JIT backend this host could not import
+    (and so never measure) is gone with its module."""
+    from repro.core.kernels import available_backends
+
+    assert sorted(p.name for p in (SRC / "core").glob("kernels*.py")) == ["kernels.py"]
+    assert available_backends() == ["fused", "reference"]
 
 
 @pytest.mark.parametrize("owner, names", DELETED, ids=[owner for owner, _ in DELETED])

@@ -1,10 +1,10 @@
 """One on-disk format: every persisted kind rejects every kind of damage
-with its own typed error, and the four legacy ``.npz`` kinds come back
-through ``repro convert`` equal to native containers."""
+with its own typed error, and every shape this repository no longer
+reads — a directory container, an ``.npz`` model file, a format-2
+artifact, a version-1 stream manifest — is one typed error naming it."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
@@ -12,11 +12,9 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.config import AMMSBConfig, StepSizeConfig
 from repro.core.checkpoint import (
     CheckpointError,
-    _config_to_json,
     load_checkpoint,
     load_state_checkpoint,
     save_checkpoint,
@@ -24,23 +22,12 @@ from repro.core.checkpoint import (
 )
 from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
-from repro.graph.split import split_heldout
-from repro.legacy import ConvertError, convert
-from repro.serve.artifact import (
-    DEFAULT_TOP_K,
-    ArtifactError,
-    build_artifact,
-    load_artifact,
-    save_artifact,
-)
-from repro.serve.engine import QueryEngine
-from repro.serve.server import ModelServer
-from repro.store import Container, member_extent, read_manifest, write_container
+from repro.serve.artifact import ArtifactError, build_artifact, load_artifact, save_artifact
+from repro.store import StoreError, link_container, member_extent, read_manifest
 from repro.store.container import _MAGIC, _TRAILER
 from repro.stream import ResumeError, StreamError, StreamTrainer, SyntheticArrivalSource
 from repro.stream.tracking import MembershipHistory
-from tests.conftest import as_directory, edit_manifest, flip_member_byte
-from tests.oracles import stored_top_k_table
+from tests.conftest import edit_manifest, flip_member_byte, reseal_container
 
 
 def _history(config, n_generations=3):
@@ -168,7 +155,7 @@ DAMAGE = {
     "flipped-member-byte": (_flip, "sha256 mismatch"),
     "edited-manifest-field": (_edit_manifest, "content_version mismatch"),
     "missing-member": (_remove_member, "{member}"),
-    "regular-file": (_regular_file, "regular file.*repro convert"),
+    "regular-file": (_regular_file, "regular file, not a store container"),
 }
 
 
@@ -186,75 +173,6 @@ def test_damage_is_the_kinds_typed_error(kind, damage, tmp_path, planted, config
     with pytest.raises(error, match=reason.format(member=member)) as caught:
         load()  # and never another exception
     assert path.name in str(caught.value)
-
-
-# -- the same damage, to a directory container an earlier writer left --------
-
-
-def _dir_truncate(path, member, _field):
-    blob = (path / f"{member}.npy").read_bytes()
-    (path / f"{member}.npy").write_bytes(blob[: len(blob) * 3 // 5])
-
-
-def _dir_remove_member(path, member, _field):
-    (path / f"{member}.npy").unlink()
-
-
-def _dir_regular_file(path, _member, _field):
-    shutil.rmtree(path)
-    path.write_bytes(b"PK\x03\x04 what a writer older than the container left")
-
-
-DIRECTORY_DAMAGE = {
-    "truncated-member": (_dir_truncate, "{member}"),
-    "flipped-member-byte": (_flip, "sha256 mismatch"),
-    "edited-manifest-field": (_edit_manifest, "content_version mismatch"),
-    "missing-member": (_dir_remove_member, "is missing"),
-    "regular-file": (_dir_regular_file, "regular file.*repro convert"),
-}
-
-
-@pytest.mark.parametrize("damage", DIRECTORY_DAMAGE)
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_directory_containers_damage_is_the_kinds_typed_error(
-    kind, damage, tmp_path, planted, config, stream_workdir
-):
-    """Each kind in the ``repro-store/1`` layout (``np.save`` of each
-    member + a sealed ``manifest.json``) loads — a checkpoint, an
-    artifact, a history, and a stream workdir whose manifest names a
-    model, snapshot or delta directory — and refuses each damage."""
-    make, error, member, field = KINDS[kind]
-    hurt, reason = DIRECTORY_DAMAGE[damage]
-    path, load = make(tmp_path, planted, config, stream_workdir)
-    as_directory(path)
-    loaded = load()
-    if kind.startswith("stream-"):
-        loaded.journal.close()
-    hurt(path, member, field)
-    with pytest.raises(error, match=reason.format(member=member)) as caught:
-        load()
-    assert path.name in str(caught.value)
-
-
-def test_a_workdir_of_directory_containers_resumes_and_moves_on(tmp_path, stream_workdir):
-    """A workdir whose manifest names directory containers resumes to the
-    same state, and its next generations write container files and
-    remove the model and delta directories once no manifest names them."""
-    work = tmp_path / "work"
-    shutil.copytree(stream_workdir, work)
-    reference = StreamTrainer.resume(work)
-    reference.journal.close()
-    for name in ("model_g0000.store", "base.csr", "graph_g0000.delta"):
-        as_directory(work / name)
-    resumed = StreamTrainer.resume(work)
-    np.testing.assert_array_equal(resumed.state.pi, reference.state.pi)
-    np.testing.assert_array_equal(resumed.overlay.base.edges, reference.overlay.base.edges)
-    for _ in range(3):
-        resumed.run_generation(n_iterations=2)
-    resumed.close()
-    # the snapshot stays a directory while the manifest still names it
-    assert {p.name for p in work.iterdir() if p.is_dir()} == {"journal", "base.csr"}
-    assert StreamTrainer.read_manifest(work)["graph_path"] == "base.csr"
 
 
 @pytest.mark.parametrize(
@@ -292,57 +210,6 @@ def test_a_sealed_delta_that_does_not_merge_is_a_resume_error(
     assert "cannot load digested graph" in str(caught.value)
 
 
-def _as_format_2(path):
-    """Rewrite the format-3 model container at ``path`` as a format-2
-    writer left it: the top-K table as two more members and the content
-    version in the meta as ``artifact_version``."""
-    old = Container(path, provider="resident")
-    arrays = {name: np.array(old[name]) for name in old.names()}
-    tops, weights = stored_top_k_table(arrays["pi"], DEFAULT_TOP_K)
-    arrays.update(top_communities=tops, top_weights=weights)
-    meta = {**old.meta, "format_version": 2, "artifact_version": "0123456789abcdef"}
-    write_container(path, arrays, kind=old.kind, meta=meta)
-
-
-def _serves_like_format_3(format2, format3):
-    old, new = (load_artifact(p, verify="full") for p in (format2, format3))
-    assert read_manifest(format2)["meta"]["format_version"] == 2
-    assert "top_weights" in old._container and "top_weights" not in new._container
-    engines = QueryEngine(old), QueryEngine(new)
-    tops = old._container["top_communities"]
-    for node in range(old.n_nodes):
-        for k in (None, *range(1, old.n_communities + 2)):
-            assert engines[0].membership(node, k) == engines[1].membership(node, k)
-        # and the stored table's own rows, which are never read
-        assert [c for c, _ in engines[0].membership(node)] == tops[node].tolist()
-    pairs = np.array([[0, 1], [5, 17], [old.n_nodes - 1, 3]])
-    np.testing.assert_array_equal(
-        engines[0].link_probability(pairs), engines[1].link_probability(pairs)
-    )
-    return new
-
-
-def test_a_format_2_container_loads_serves_and_resumes(tmp_path, stream_workdir):
-    wide = AMMSBConfig(n_communities=16, seed=3)  # K past the table's width
-    saved = save_artifact(tmp_path / "wide3", build_artifact(
-        init_state(60, wide, np.random.default_rng(4)), wide))
-    shutil.copyfile(saved, tmp_path / "wide2")
-    _as_format_2(tmp_path / "wide2")
-    _serves_like_format_3(tmp_path / "wide2", saved)
-
-    work = tmp_path / "work"
-    shutil.copytree(stream_workdir, work)
-    model = work / "model_g0000.store"
-    shutil.copyfile(model, tmp_path / "format3")
-    _as_format_2(model)
-    new = _serves_like_format_3(model, tmp_path / "format3")
-    resumed = StreamTrainer.resume(work)
-    np.testing.assert_array_equal(resumed.state.pi, new.pi)
-    report = resumed.run_generation(n_iterations=2)
-    assert report.generation == 1 and np.isfinite(report.perplexity)
-    resumed.journal.close()
-
-
 def test_a_delta_on_another_snapshot_is_a_resume_error(tmp_path, stream_workdir):
     from repro.graph.io import save_csr
 
@@ -353,153 +220,84 @@ def test_a_delta_on_another_snapshot_is_a_resume_error(tmp_path, stream_workdir)
         StreamTrainer.resume(work)
 
 
-# -- ``repro convert``: the four legacy kinds, built by hand in the v1 layout --
+# -- the retired shapes: one typed error each, naming the path ---------------
+#
+# shape -> (make it under tmp_path, returning the path, the read or write
+#           that meets it, its typed error, the reason that error matches)
+
+_DIRECTORY = "directory, not a store container"
 
 
-def _same_container(a, b):
-    """Equal kind, sealed meta and members — array for array, by digest."""
-    ma, mb = read_manifest(a), read_manifest(b)
-    assert ma["kind"] == mb["kind"] and ma["meta"] == mb["meta"]
-    assert ma["arrays"] == mb["arrays"]
-    assert ma["content_version"] == mb["content_version"]
+def _retired_directory(kind):
+    """The kind's file replaced by what the retired directory layout left:
+    a directory of ``.npy`` members and a ``manifest.json``."""
+
+    def make(tmp_path, planted, config, workdir):
+        build, error, member, _field = KINDS[kind]
+        path, load = build(tmp_path, planted, config, workdir)
+        path.unlink()
+        path.mkdir()
+        (path / "manifest.json").write_text("{}")
+        (path / f"{member}.npy").write_bytes(b"\x93NUMPY")
+        return path, load, error, _DIRECTORY
+
+    return make
 
 
-class TestConvert:
-    def test_sampler_checkpoint_resumes_bit_for_bit(self, planted, config, tmp_path):
-        graph, _ = planted
-        split = split_heldout(graph, 0.03, np.random.default_rng(5))
-        whole = AMMSBSampler(split.train, config, heldout=split)
-        whole.run(20, perplexity_every=5)
-        half = AMMSBSampler(split.train, config, heldout=split)
-        half.run(10, perplexity_every=5)
-        np.savez_compressed(  # deflated, as the oldest writers left them
-            tmp_path / "half.npz",
-            _meta=json.dumps({
-                "version": 1,
-                "iteration": half.iteration,
-                "config": _config_to_json(config),
-                # what the old writers recorded, a PCG64 master stream and
-                # a noise stream; convert drops both
-                "rng_state": json.dumps(
-                    np.random.default_rng(config.seed).bit_generator.state
-                ),
-                "noise_rng_state": json.dumps(
-                    np.random.default_rng(config.seed + 1).bit_generator.state
-                ),
-                "perp_count": half.perplexity_estimator.n_samples,
-            }),
-            pi=half.state.pi, phi_sum=half.state.phi_sum, theta=half.state.theta,
-            perp_prob_sum=half.perplexity_estimator._prob_sum,
-        )
-        kind, dst = convert(tmp_path / "half.npz", tmp_path / "half")
-        assert kind == "sampler checkpoint"
-        _same_container(dst, save_checkpoint(tmp_path / "native", half))
-        resumed = load_checkpoint(dst, split.train, heldout=split)
-        resumed.run(10, perplexity_every=5)
-        np.testing.assert_array_equal(resumed.state.pi, whole.state.pi)
-        np.testing.assert_array_equal(resumed.state.theta, whole.state.theta)
-        assert resumed.perplexity_estimator.value() == whole.perplexity_estimator.value()
-        assert resumed.perplexity_estimator.n_samples == whole.perplexity_estimator.n_samples == 4
+def _npz_model_file(tmp_path, planted, config, _workdir):
+    graph, _ = planted
+    path = tmp_path / "checkpoint.npz"
+    state = init_state(graph.n_vertices, config, np.random.default_rng(3))
+    np.savez_compressed(
+        path, _meta=json.dumps({"version": 1, "iteration": 7}),
+        pi=state.pi, phi_sum=state.phi_sum, theta=state.theta,
+    )
+    return path, lambda: load_checkpoint(path, graph), CheckpointError, "regular file.*not read"
 
-    def test_state_checkpoint_seeds_the_mp_engine(self, split, config, tmp_path):
-        from repro.dist.mp import MultiprocessAMMSBSampler
 
-        state = init_state(split.train.n_vertices, config, np.random.default_rng(1))
-        np.savez(
-            tmp_path / "auto.npz",
-            _meta=json.dumps({"version": 1, "kind": "state", "iteration": 6,
-                              "config": _config_to_json(config)}),
-            pi=state.pi, phi_sum=state.phi_sum, theta=state.theta,
-        )
-        assert main(["convert", str(tmp_path / "auto.npz"), str(tmp_path / "auto")]) == 0
-        _same_container(
-            tmp_path / "auto", save_state_checkpoint(tmp_path / "native", state, 6, config)
-        )
-        loaded, iteration, cfg = load_state_checkpoint(tmp_path / "auto")
-        with MultiprocessAMMSBSampler(split.train, cfg, n_workers=2, state=loaded) as resumed:
-            resumed.iteration = iteration
-            assert resumed.iteration == 6
-            np.testing.assert_array_equal(resumed.state_snapshot().pi, state.pi)
-            resumed.run(1)
+def _format_2_artifact(tmp_path, planted, config, workdir):
+    path, load = _artifact(tmp_path, planted, config, workdir)
+    reseal_container(path, meta=lambda meta: meta.update(format_version=2))
+    return path, load, ArtifactError, "unsupported artifact version 2"
 
-    def test_v1_artifact_serves_like_a_native_one(self, config, tmp_path):
-        art = build_artifact(init_state(60, config, np.random.default_rng(2)), config, iteration=9)
-        np.savez_compressed(
-            tmp_path / "model.npz",
-            _meta=json.dumps({
-                "schema": "repro-serve-artifact/1", "version": 1,
-                "artifact_version": "0123456789abcdef", "iteration": 9,
-                "config": _config_to_json(config),
-            }),
-            **{key: getattr(art, key) for key in ("pi", "theta", "beta", "node_ids")},
-            # the v1 top-K table and version: convert drops both
-            **dict(zip(("top_communities", "top_weights"), stored_top_k_table(art.pi, 8))),
-        )
-        kind, dst = convert(tmp_path / "model.npz", tmp_path / "model")
-        assert kind == "serving artifact"
-        _same_container(dst, save_artifact(tmp_path / "native", art))
-        pairs = np.array([[0, 1], [5, 17], [59, 3]])
-        with ModelServer(art, n_workers=0) as server:
-            assert server.publish_path(dst) == 1  # full verify
-            assert server.artifact.version == art.version
-            fut = server.link_probability(pairs)
-            server.process_once()
-            np.testing.assert_array_equal(
-                fut.result(timeout=5), QueryEngine(art).link_probability(pairs)
-            )
 
-    def test_history_keeps_its_label_space(self, config, tmp_path):
-        hist = _history(config)
-        meta = {
-            "version": 1, "window": hist.window, "top_k": hist.top_k,
-            "event_threshold": hist.event_threshold,
-            "max_events_per_generation": hist.max_events_per_generation,
-            "generations": [s.generation for s in hist._ring],
-            "events": [[dataclasses.asdict(e) for e in evs] for evs in hist._events],
-            "last_version": hist.last_version,
-        }
-        arrays = {"ref_pi": hist._ref_pi, "ref_ids": hist._ref_ids,
-                  "first_seen": np.array(sorted(hist._first_seen.items()), dtype=np.int64)}
-        for i, s in enumerate(hist._ring):
-            arrays.update({
-                f"s{i}_node_ids": s.node_ids, f"s{i}_tops": s.top_communities,
-                f"s{i}_weights": s.top_weights, f"s{i}_drift": s.community_drift,
-                f"s{i}_perm": s.permutation,
-            })
-        np.savez_compressed(tmp_path / "history.npz", _meta=json.dumps(meta), **arrays)
-        kind, dst = convert(tmp_path / "history.npz", tmp_path / "history")
-        assert kind == "membership history"
-        _same_container(dst, hist.save(tmp_path / "native"))
-        back = MembershipHistory.load(dst)
-        nxt = build_artifact(init_state(40, config, np.random.default_rng(9)), config)
-        assert back.record_next(nxt) == hist.record_next(nxt)  # same aligned reference
-        for node in (0, 17, 39):
-            assert back.drift(node) == hist.drift(node)
+def _version_1_stream_manifest(tmp_path, _planted, _config, workdir):
+    work = tmp_path / "work"
+    shutil.copytree(workdir, work)
+    manifest = StreamTrainer.read_manifest(work)
+    (work / "manifest.json").write_text(json.dumps({**manifest, "version": 1}))
+    return work, lambda: StreamTrainer.resume(work), ResumeError, "unsupported manifest version 1"
 
-    def test_refusals_are_one_line_exit_3(self, config, tmp_path, capsys):
-        state = init_state(20, config, np.random.default_rng(0))
-        np.savez(tmp_path / "ok.npz", _meta=json.dumps(
-            {"version": 1, "kind": "state", "iteration": 1, "config": _config_to_json(config)}
-        ), pi=state.pi, phi_sum=state.phi_sum, theta=state.theta)
-        (tmp_path / "junk.npz").write_bytes(b"not an archive")
-        np.savez(tmp_path / "graph.npz", n_vertices=3, edges=np.zeros((1, 2)))  # no _meta
-        np.savez(tmp_path / "invalid.npz", _meta=json.dumps(
-            {"version": 1, "kind": "state", "iteration": 1, "config": _config_to_json(config)}
-        ), pi=-state.pi, phi_sum=state.phi_sum, theta=state.theta)
-        container = save_state_checkpoint(tmp_path / "container", state, 1, config)
-        for src, dst, needle in (
-            (tmp_path / "ok.npz", container, "destination exists"),
-            (tmp_path / "nope.npz", tmp_path / "a", "is not a file"),
-            (container, tmp_path / "b", "needs no conversion"),
-            (tmp_path / "junk.npz", tmp_path / "c", "not a readable .npz"),
-            (tmp_path / "graph.npz", tmp_path / "d", "no _meta record"),
-            (tmp_path / "invalid.npz", tmp_path / "e", "does not load"),
-        ):
-            capsys.readouterr()
-            assert main(["convert", str(src), str(dst)]) == 3
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].startswith("cannot convert: ") and needle in err[0]
-            assert dst == container or not dst.exists()
-        with pytest.raises(ConvertError):
-            convert(tmp_path / "ok.npz", container)
-        load_state_checkpoint(container)  # untouched
+
+def _write_onto_a_directory(tmp_path, _planted, config, _workdir):
+    path = tmp_path / "state"
+    path.mkdir()
+    state = init_state(50, config, np.random.default_rng(3))
+    return path, lambda: save_state_checkpoint(path, state, 7, config), StoreError, _DIRECTORY
+
+
+def _link_onto_a_directory(tmp_path, _planted, config, _workdir):
+    state = init_state(50, config, np.random.default_rng(3))
+    source = save_state_checkpoint(tmp_path / "state", state, 7, config)
+    path = tmp_path / "published"
+    path.mkdir()
+    return path, lambda: link_container(source, path), StoreError, _DIRECTORY
+
+
+RETIRED = {
+    **{f"{kind}-directory": _retired_directory(kind) for kind in KINDS},
+    "npz-model-file": _npz_model_file,
+    "artifact-format-2": _format_2_artifact,
+    "stream-manifest-version-1": _version_1_stream_manifest,
+    "write-onto-a-directory": _write_onto_a_directory,
+    "link-onto-a-directory": _link_onto_a_directory,
+}
+
+
+@pytest.mark.parametrize("shape", RETIRED)
+def test_a_retired_shape_is_one_typed_error(shape, tmp_path, planted, config, stream_workdir):
+    path, meet, error, reason = RETIRED[shape](tmp_path, planted, config, stream_workdir)
+    with pytest.raises(error, match=reason) as caught:
+        meet()
+    assert path.name in str(caught.value)
+    assert path.exists()  # refused, not removed

@@ -183,7 +183,7 @@ class TestArtifactErrors:
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "junk.npz"
         bad.write_bytes(b"not a container")
-        with pytest.raises(ArtifactError, match="regular file.*repro convert") as ei:
+        with pytest.raises(ArtifactError, match="regular file.*not read") as ei:
             load_artifact(bad)
         assert not isinstance(ei.value, ArtifactCorrupt)  # nothing to quarantine
 

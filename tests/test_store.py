@@ -31,7 +31,6 @@ from repro.store import (
 )
 from repro.store.container import ALIGN
 from tests.conftest import (
-    as_directory,
     edit_manifest,
     flip_member_byte,
     kill_in_os,
@@ -167,12 +166,6 @@ class TestVerify:
         edit_manifest(box, edit)
         with pytest.raises(StoreCorrupt, match="extent"):
             Container(box, verify="none")["ids"]
-
-    def test_missing_array_file(self, box):
-        as_directory(box)
-        os.unlink(box / "ids.npy")
-        with pytest.raises(StoreCorrupt, match="ids"):
-            np.asarray(Container(box, verify="none")["ids"])
 
     def test_header_shape_mismatch_caught(self, box, arrays):
         # the member's header says (8, 40): the same bytes, another shape
@@ -340,15 +333,11 @@ class TestRotateAsideRecovery:
         np.testing.assert_array_equal(Container(box)["pi"], arrays["pi"] + 2.0)
 
     def test_unsealed_leftovers_are_swept_not_adopted(self, box):
-        # what a directory writer left after a kill, and a sealed temp file
-        rotated = box.parent / ".box.old-123-0badf00d"
-        shutil.copyfile(box, box.parent / "copy")
-        as_directory(box.parent / "copy").rename(rotated)
-        stale = box.parent / ".box.tmp-123-deadbeef"
-        stale.mkdir()
+        # a sealed temp file and a torn one, both left by killed writers
         shutil.copyfile(box, box.parent / ".box.tmp-k2x9a_0q")
+        (box.parent / ".box.tmp-123-deadbeef").write_bytes(b"\x93NUMPY torn")
         other = box.parent / ".other.tmp-1-00000000"  # another path's: not ours
-        other.mkdir()
+        shutil.copyfile(box, other)
         box.unlink()
         recover_container(box)
         assert sorted(p.name for p in box.parent.iterdir()) == [other.name]
@@ -464,9 +453,6 @@ class TestLinkContainer:
         link_container(newer, tmp_path / "pub")
         assert Container(tmp_path / "pub").names() == ["pi"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "box2", "pub"]
-        as_directory(tmp_path / "pub")  # a directory an earlier writer left
-        link_container(box, tmp_path / "pub")
-        assert (tmp_path / "pub").stat().st_ino == box.stat().st_ino
 
     def test_either_name_survives_the_other(self, arrays, box, tmp_path):
         pub = link_container(box, tmp_path / "pub")
@@ -482,14 +468,6 @@ class TestLinkContainer:
         assert read_manifest(pub) == read_manifest(box)
         np.testing.assert_array_equal(Container(pub, verify="eager")["pi"], arrays["pi"])
 
-    def test_a_directory_source_is_copied_into_one_file(self, arrays, box, tmp_path):
-        version = read_manifest(box)["content_version"]
-        as_directory(box)
-        pub = link_container(box, tmp_path / "pub")
-        assert pub.is_file() and read_manifest(pub)["content_version"] == version
-        for name, ref in arrays.items():
-            np.testing.assert_array_equal(Container(pub, verify="eager")[name], ref)
-
     def test_a_copy_that_misses_its_digest_is_not_installed(self, box, tmp_path, no_hard_links):
         before = link_container(box, tmp_path / "pub")
         flip_member_byte(box, "pi", at=-3, mask=0x40)
@@ -503,28 +481,3 @@ class TestLinkContainer:
         with pytest.raises(StoreCorrupt):
             link_container(box, tmp_path / "pub")
         assert not (tmp_path / "pub").exists()
-
-
-class TestDirectoryContainers:
-    """The ``repro-store/1`` layout an earlier writer left (``np.save`` of
-    each member + ``manifest.json``) opens, verifies and is replaced."""
-
-    def test_opens_with_the_same_seal_and_bytes(self, arrays, box):
-        version = read_manifest(box)["content_version"]
-        as_directory(box)
-        assert read_manifest(box)["content_version"] == version
-        for provider in ("mmap", "resident"):
-            c = Container(box, provider=provider, verify="eager")
-            for name, ref in arrays.items():
-                np.testing.assert_array_equal(c[name], ref)
-
-    def test_damage_is_caught(self, box):
-        as_directory(box)
-        flip_member_byte(box, "pi")
-        with pytest.raises(StoreCorrupt, match="sha256 mismatch"):
-            Container(box, verify="eager")
-
-    def test_a_write_replaces_it_with_a_file(self, arrays, box):
-        as_directory(box)
-        write_container(box, arrays, kind="test-kind/1")
-        assert box.is_file() and sorted(p.name for p in box.parent.iterdir()) == ["box"]

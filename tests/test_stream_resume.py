@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import os
 import shutil
 from pathlib import Path
@@ -19,7 +18,7 @@ from repro.faults import CRASH_PHASES, InjectedCrash, StreamFaultPlan, TrainerCr
 from repro.serve.artifact import ArtifactCorrupt, build_artifact, load_artifact, save_artifact
 from repro.serve.server import ModelServer
 import repro.store.container as container_module
-from repro.store.container import Container, read_manifest
+from repro.store.container import Container
 from repro.stream import EdgeArrival, ResumeError, StreamTrainer, SyntheticArrivalSource
 from repro.stream.delta import DELTA_SPARE
 from repro.stream.journal import IngestJournal
@@ -373,39 +372,6 @@ class TestWorkdirStaysBounded:
         _assert_same_graph(work, trainer.overlay.base)
         trainer.journal.close()
 
-    def test_a_manifest_written_before_deltas_still_resumes(self, stream, tmp_path):
-        """Version 1 named the whole graph, ``graph_path`` alone, in a
-        container that also held an ``edges`` member."""
-        from repro.graph.io import GRAPH_CSR_KIND
-        from repro.store import write_container
-
-        base, batches = stream
-        work = tmp_path / "work"
-        trainer = _trainer(base, tmp_path)
-        trainer.run_generation(batches[0])
-        trainer.journal.close()
-        graph = trainer.overlay.base
-        write_container(
-            work / "graph_g0000.csr",
-            {"edges": graph.edges, "keys": graph.keys, "indptr": graph._csr_indptr,
-             "indices": graph._csr_indices},
-            kind=GRAPH_CSR_KIND,
-            meta={"n_vertices": graph.n_vertices, "n_edges": graph.n_edges},
-        )
-        manifest = StreamTrainer.read_manifest(work)
-        manifest.update(version=1, graph_path="graph_g0000.csr")
-        del manifest["delta_path"]
-        (work / "manifest.json").write_text(json.dumps(manifest))
-
-        resumed = StreamTrainer.resume(
-            work, iterations_per_generation=N_ITER, heldout_fraction=0.05
-        )
-        _assert_same_graph(work, graph)
-        assert _digest(resumed.state) == _digest(trainer.state)
-        resumed.run_generation(batches[1])
-        assert StreamTrainer.read_manifest(work)["version"] == 2
-        resumed.journal.close()
-
     def test_warm_start_checkpoint_is_the_callers_file(self, stream, tmp_path):
         base, batches = stream
         config = _config()
@@ -423,44 +389,6 @@ class TestWorkdirStaysBounded:
             trainer.run_generation(batch)
         assert warm.exists()
         trainer.journal.close()
-
-
-def test_pre_container_workdir_is_refused_naming_the_file_and_the_command(stream, tmp_path):
-    """A workdir whose manifest names a ``checkpoint_gNNNN.npz`` *file* is
-    not resumed in place; the converted checkpoint seeds a new stream."""
-    from repro.legacy import convert
-
-    base, batches = stream
-    work = tmp_path / "work"
-    trainer = _trainer(base, tmp_path)
-    trainer.run_generation(batches[0])
-    trainer.journal.close()
-    legacy = work / "checkpoint_g0000.npz"
-    config_json = read_manifest(work / "model_g0000.store")["meta"]["config"]
-    np.savez_compressed(  # the v1 state-checkpoint layout (repro/legacy.py)
-        legacy,
-        _meta=json.dumps({"version": 1, "kind": "state", "iteration": trainer.iteration,
-                          "config": config_json}),
-        pi=trainer.state.pi, phi_sum=trainer.state.phi_sum, theta=trainer.state.theta,
-    )
-    (work / "model_g0000.store").unlink()
-    manifest = StreamTrainer.read_manifest(work)
-    manifest["checkpoint_path"] = legacy.name
-    (work / "manifest.json").write_text(json.dumps(manifest))
-
-    with pytest.raises(ResumeError, match=r"checkpoint_g0000\.npz.*repro convert"):
-        StreamTrainer.resume(work, iterations_per_generation=N_ITER, heldout_fraction=0.05)
-
-    kind, warm = convert(legacy, tmp_path / "warm")
-    assert kind == "state checkpoint"
-    seeded = StreamTrainer.from_checkpoint(
-        warm, StreamTrainer.digested_graph(work), tmp_path / "work2",
-        iterations_per_generation=N_ITER, heldout_fraction=0.05,
-    )
-    np.testing.assert_array_equal(seeded.state.pi, trainer.state.pi)
-    assert seeded.iteration == trainer.iteration and seeded.config == trainer.config
-    seeded.run_generation(batches[1])
-    seeded.journal.close()
 
 
 def _digest(state) -> str:
